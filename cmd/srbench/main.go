@@ -5,7 +5,6 @@
 //
 //	srbench [-run E3] [-scale quick|full] [-csv] [-json BENCH.json]
 //	srbench -transport [-txns 50] [-json BENCH_PR4.json]
-//	srbench -batch [-txns 50] [-json BENCH_PR5.json]
 //	srbench -store [-txns 50] [-json BENCH_PR9.json]
 //	srbench -check [-baseline BENCH_PR6.json] [-fresh bench/out/BENCH_PR6.json]
 //	srbench -list
@@ -43,9 +42,8 @@ func main() {
 		showObs  = flag.Bool("metrics", false, "print each experiment's protocol-metrics delta")
 		jsonPath = flag.String("json", "", "write a machine-readable per-experiment summary to this file")
 		trans    = flag.Bool("transport", false, "benchmark the transport dimension (inproc-seq, inproc-par, tcp) instead of the experiments")
-		batch    = flag.Bool("batch", false, "benchmark eager vs deferred-write-set batching (wire messages and WAL syncs per committed txn)")
 		storeB   = flag.Bool("store", false, "benchmark the storage-engine dimension: mem vs disk commit latency plus the disk engine's WAL redo replay rate")
-		txns     = flag.Int("txns", 50, "transactions per transport/batch mode")
+		txns     = flag.Int("txns", 50, "transactions per transport/store mode")
 		check    = flag.Bool("check", false, "compare a fresh srload bench file against the committed baseline and fail on regressions")
 		baseline = flag.String("baseline", "BENCH_PR6.json", "committed baseline bench file for -check")
 		fresh    = flag.String("fresh", "bench/out/BENCH_PR6.json", "fresh bench file for -check")
@@ -62,13 +60,6 @@ func main() {
 	}
 	if *trans {
 		if err := runTransportBench(*txns, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "srbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batch {
-		if err := runBatchBench(*txns, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "srbench:", err)
 			os.Exit(1)
 		}

@@ -1,8 +1,8 @@
 // Command srload is the open-loop production load harness: Poisson
 // arrivals at a target QPS (or unpaced, for the throughput ceiling),
 // Zipfian key skew, and a configurable read/write mix, driven against the
-// in-process netsim cluster in eager / batched / parallel-fanout modes and
-// against a real multi-process srnode cluster over localhost TCP — with an
+// in-process netsim cluster (sequential and parallel fan-out) and against a
+// real multi-process srnode cluster over localhost TCP — with an
 // optional mid-run crash/recover phase so availability under load is
 // measured, not assumed.
 //
@@ -106,16 +106,11 @@ func realMain(o options) error {
 	ctx := context.Background()
 
 	if o.cluster == "netsim" || o.cluster == "all" {
-		netsimModes := []struct {
-			name string
-			opts []core.Option
-		}{
-			{"netsim/eager", nil},
-			{"netsim/batched", []core.Option{core.WithBatching(true)}},
-			{"netsim/parallel", []core.Option{core.WithParallelFanout(true)}},
-		}
-		for _, mode := range netsimModes {
-			rep, err := runNetsim(ctx, o, mode.name, mode.opts...)
+		for _, mode := range []struct {
+			name     string
+			parallel bool
+		}{{"netsim", false}, {"netsim/parallel", true}} {
+			rep, err := runNetsim(ctx, o, mode.name, mode.parallel)
 			if err != nil {
 				return fmt.Errorf("%s: %w", mode.name, err)
 			}
@@ -123,16 +118,11 @@ func realMain(o options) error {
 		}
 	}
 	if o.cluster == "tcp" || o.cluster == "all" {
-		for _, mode := range []struct {
-			name  string
-			batch bool
-		}{{"tcp/eager", false}, {"tcp/batched", true}} {
-			rep, err := runTCP(ctx, o, mode.name, mode.batch)
-			if err != nil {
-				return fmt.Errorf("%s: %w", mode.name, err)
-			}
-			bench.Results = append(bench.Results, rep)
+		rep, err := runTCP(ctx, o, "tcp")
+		if err != nil {
+			return fmt.Errorf("tcp: %w", err)
 		}
+		bench.Results = append(bench.Results, rep)
 	}
 	if len(bench.Results) == 0 {
 		return fmt.Errorf("unknown -cluster %q: want netsim|tcp|all", o.cluster)
@@ -148,14 +138,14 @@ func realMain(o options) error {
 	return nil
 }
 
-// runNetsim drives one freshly built in-process cluster in the given mode.
-func runNetsim(ctx context.Context, o options, name string, opts ...core.Option) (load.Report, error) {
-	base := []core.Option{
+// runNetsim drives one freshly built in-process cluster.
+func runNetsim(ctx context.Context, o options, name string, parallel bool) (load.Report, error) {
+	cl, err := core.NewCluster(
 		core.WithSites(o.sites),
 		core.WithPlacement(workload.UniformPlacement(o.items, o.replicas, o.sites, o.seed)),
 		core.WithSeed(o.seed),
-	}
-	cl, err := core.NewCluster(append(base, opts...)...)
+		core.WithParallelFanout(parallel),
+	)
 	if err != nil {
 		return load.Report{}, err
 	}

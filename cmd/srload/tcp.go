@@ -23,7 +23,7 @@ import (
 // drives it through the HTTP control surface (POST /txn), and tears it
 // down. Items are fully replicated — srnode's -items places every item at
 // every site.
-func runTCP(ctx context.Context, o options, name string, batch bool) (load.Report, error) {
+func runTCP(ctx context.Context, o options, name string) (load.Report, error) {
 	bin := o.srnodeBin
 	if bin == "" {
 		var err error
@@ -66,17 +66,13 @@ func runTCP(ctx context.Context, o options, name string, batch bool) (load.Repor
 		// Wound-wait: over real TCP a transaction holds hot locks across
 		// multi-ms round trips, so cross-site deadlocks are common under
 		// skew and waiting out the 2s lock timeout would dominate latency.
-		args := []string{
-			"-site", fmt.Sprint(i + 1),
+		cmd := exec.Command(bin,
+			"-site", fmt.Sprint(i+1),
 			"-peers", peerSpec.String(),
 			"-items", strings.Join(itemNames, ","),
 			"-control", controlAddrs[i],
 			"-lock", "wound",
-		}
-		if batch {
-			args = append(args, "-batch")
-		}
-		cmd := exec.Command(bin, args...)
+		)
 		cmd.Stdout = &logs
 		cmd.Stderr = &logs
 		if err := cmd.Start(); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -277,6 +278,11 @@ type e2eCluster struct {
 	gens    []int
 	// extraArgs are appended to every spawn (e.g. -store disk).
 	extraArgs []string
+	// items is the -items list every site serves.
+	items string
+	// stderr keeps each site's latest incarnation's standard error (also
+	// copied to the test's own); read it only after that process was reaped.
+	stderr []*bytes.Buffer
 }
 
 func newE2ECluster(t *testing.T, bin, outDir string) *e2eCluster {
@@ -289,6 +295,8 @@ func newE2ECluster(t *testing.T, bin, outDir string) *e2eCluster {
 		procs:        make([]*exec.Cmd, sites),
 		exports:      make([][]string, sites),
 		gens:         make([]int, sites),
+		items:        "x,y",
+		stderr:       make([]*bytes.Buffer, sites),
 	}
 	for i := 0; i < sites; i++ {
 		c.peerAddrs[i] = freeAddr(t)
@@ -312,7 +320,7 @@ func (c *e2eCluster) spawn(t *testing.T, i int, startDown bool) {
 	args := []string{
 		"-site", fmt.Sprint(i + 1),
 		"-peers", c.peerSpec,
-		"-items", "x,y",
+		"-items", c.items,
 		"-control", c.controlAddrs[i],
 		"-export", exportPath,
 		"-statedir", filepath.Join(c.outDir, fmt.Sprintf("state%d", i+1)),
@@ -323,8 +331,9 @@ func (c *e2eCluster) spawn(t *testing.T, i int, startDown bool) {
 	}
 	args = append(args, c.extraArgs...)
 	cmd := exec.Command(c.bin, args...)
+	c.stderr[i] = new(bytes.Buffer)
 	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = io.MultiWriter(os.Stderr, c.stderr[i])
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start srnode %d: %v", i+1, err)
 	}

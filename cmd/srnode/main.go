@@ -37,7 +37,9 @@
 // violating the §3.1 uniqueness of session numbers or forgetting commit
 // decisions. The relaunch must pass -start-down: a restarted site is a DOWN
 // site — it serves ErrSiteDown to peers until POST /recover runs the
-// paper's recovery procedure, exactly like an in-process crash.
+// paper's recovery procedure, exactly like an in-process crash. A statedir
+// write, sync or rename error fail-stops the process (exit status 1): a site
+// that cannot make its votes durable must not keep voting.
 //
 // -store=disk (requires -statedir) swaps in the heap-page engine of
 // internal/storage/disk: committed copies live on slotted pages in
@@ -89,7 +91,6 @@ func main() {
 		identify  = flag.String("identify", "markall", "out-of-date identification: markall|versiondiff|faillock|missinglist")
 		store     = flag.String("store", "mem", "storage engine: mem|disk (disk keeps committed pages in -statedir/heap.dat and redo-logs installs)")
 		poolPages = flag.Int("pool-pages", 0, "disk engine buffer-pool capacity in pages (0 = default)")
-		batch     = flag.Bool("batch", false, "deferred write-set batching: buffer writes locally and flush one batch per participant at commit")
 		lock      = flag.String("lock", "timeout", "deadlock policy: timeout|wound (wound-wait resolves cross-site deadlocks without waiting out the lock timeout)")
 		exportTo  = flag.String("export", "", "write this site's event stream (JSONL) here; merge per-site files with 'srtrace -merge'")
 		statedir  = flag.String("statedir", "", "persist the stable slice (session counter, 2PC log) here so a SIGKILLed process restarts correctly")
@@ -129,10 +130,6 @@ func main() {
 		}
 	}
 
-	profile := replication.ROWAA
-	if *batch {
-		profile = profile.Batched()
-	}
 	var policy lockmgr.Policy
 	switch *lock {
 	case "timeout":
@@ -161,7 +158,7 @@ func main() {
 		Sites:      len(addrs),
 		Addrs:      addrs,
 		Placement:  placement,
-		Profile:    profile,
+		Profile:    replication.ROWAA,
 		Identify:   ident,
 		LockPolicy: policy,
 		Obs:        hub,

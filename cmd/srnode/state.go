@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"siterecovery/internal/proto"
 	"siterecovery/internal/wal"
@@ -69,7 +68,14 @@ func loadState(dir string) (*stableState, error) {
 		return nil, fmt.Errorf("statedir: %w", err)
 	}
 	defer f.Close()
-	st.Records, err = decodeWAL(f)
+	// Read what was durable at open and no further: a wal.jsonl that is a
+	// device rather than a file (the fail-stop test points it at /dev/full)
+	// holds no records and would otherwise read forever.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("statedir: %w", err)
+	}
+	st.Records, err = decodeWAL(io.LimitReader(f, fi.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("statedir: wal.jsonl: %w", err)
 	}
@@ -109,64 +115,50 @@ func decodeWAL(r io.Reader) ([]wal.Record, error) {
 	}
 }
 
-// stateSinks opens the persistence side: a session sink replacing the
-// counter file atomically per advance, and a WAL sink appending one JSON
-// line per record with one sync per batch. Write errors are latched and
-// reported once on stderr — like the trace exporter, a failing disk
-// degrades durability bookkeeping rather than crashing the site under test.
+// sinks opens the persistence side: a session sink replacing the counter
+// file atomically per advance, and a WAL sink appending one JSON line per
+// record with one sync per batch. A participant's fsynced prepare record is
+// the only durable copy of a write set it voted yes on, so a site that
+// cannot persist must not keep voting: any write, sync or rename error
+// fail-stops the process (the paper's failure model) before the append
+// returns, and therefore before the vote or acknowledgement goes out.
 func (st *stableState) sinks() (func(proto.Session), func([]wal.Record), error) {
 	walFile, err := os.OpenFile(filepath.Join(st.dir, "wal.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("statedir: %w", err)
 	}
 
-	var mu sync.Mutex
-	var latched bool
-	latch := func(what string, err error) {
-		if !latched {
-			latched = true
-			fmt.Fprintf(os.Stderr, "srnode: statedir %s persist failed (continuing without): %v\n", what, err)
-		}
-	}
-
 	sessionPath := filepath.Join(st.dir, "session")
 	sessionSink := func(s proto.Session) {
-		mu.Lock()
-		defer mu.Unlock()
-		if latched {
-			return
-		}
 		tmp := sessionPath + ".tmp"
 		if err := os.WriteFile(tmp, []byte(strconv.FormatUint(uint64(s), 10)+"\n"), 0o644); err != nil {
-			latch("session", err)
-			return
+			failStop("session", err)
 		}
 		if err := os.Rename(tmp, sessionPath); err != nil {
-			latch("session", err)
+			failStop("session", err)
 		}
 	}
 
 	walSink := func(recs []wal.Record) {
-		mu.Lock()
-		defer mu.Unlock()
-		if latched {
-			return
-		}
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		for _, rec := range recs {
 			if err := enc.Encode(rec); err != nil {
-				latch("wal", err)
-				return
+				failStop("wal", err)
 			}
 		}
 		if _, err := walFile.Write(buf.Bytes()); err != nil {
-			latch("wal", err)
-			return
+			failStop("wal", err)
 		}
 		if err := walFile.Sync(); err != nil {
-			latch("wal", err)
+			failStop("wal", err)
 		}
 	}
 	return sessionSink, walSink, nil
+}
+
+// failStop halts the site on a stable-storage failure.
+func failStop(what string, err error) {
+	fmt.Fprintf(os.Stderr, "srnode: statedir %s persist failed, site fail-stops: %v\n", what, err)
+	os.Exit(1)
 }

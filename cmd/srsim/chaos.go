@@ -15,7 +15,7 @@ import (
 // observability trace as files, and check the invariant suite. On a
 // violation it delta-debugs the schedule down to a minimal reproducer,
 // writes that too, and exits nonzero.
-func runChaos(sites, items, degree int, seed int64, steps int, identifyName, schedulePath, outDir string, batch bool) error {
+func runChaos(sites, items, degree int, seed int64, steps int, identifyName, schedulePath, outDir string) error {
 	var (
 		sched chaos.Schedule
 		err   error
@@ -40,11 +40,7 @@ func runChaos(sites, items, degree int, seed int64, steps int, identifyName, sch
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Minute)
 	defer cancel()
 
-	opts := chaos.Options{Batching: batch}
-	if batch {
-		fmt.Println("mode: batched writes (deferred write sets, piggybacked prepare)")
-	}
-	res, err := chaos.Run(ctx, sched, opts)
+	res, err := chaos.Run(ctx, sched, chaos.Options{})
 	if err != nil {
 		return err
 	}
@@ -71,7 +67,7 @@ func runChaos(sites, items, degree int, seed int64, steps int, identifyName, sch
 		fmt.Println("INVARIANT VIOLATED:", f)
 	}
 	fmt.Println("shrinking to a minimal reproducer...")
-	minimized, serr := chaos.Shrink(ctx, sched, opts, res.Failures[0], func(s string) { fmt.Println("  " + s) })
+	minimized, serr := chaos.Shrink(ctx, sched, chaos.Options{}, res.Failures[0], func(s string) { fmt.Println("  " + s) })
 	if serr != nil {
 		fmt.Fprintln(os.Stderr, "srsim: shrink:", serr)
 	} else {

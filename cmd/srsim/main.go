@@ -89,7 +89,6 @@ func main() {
 		export   = flag.String("export", "", "stream every traced event to this JSONL file (follows the selected mode)")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /trace, /sites) on this address during the interactive run")
 		chaosRun = flag.Bool("chaos", false, "run a seeded chaos schedule and check the invariant suite")
-		batch    = flag.Bool("batch", false, "defer user-txn writes into per-site batches with piggybacked prepare (with -chaos)")
 		steps    = flag.Int("steps", 40, "chaos schedule length (with -chaos)")
 		schedule = flag.String("schedule", "", "replay this chaos schedule file instead of generating one (implies -chaos)")
 		outDir   = flag.String("outdir", ".", "directory for chaos schedule/trace/reproducer files")
@@ -97,7 +96,7 @@ func main() {
 	flag.Parse()
 	var err error
 	if *chaosRun || *schedule != "" {
-		err = runChaos(*sites, *items, *degree, *seed, *steps, *identify, *schedule, *outDir, *batch)
+		err = runChaos(*sites, *items, *degree, *seed, *steps, *identify, *schedule, *outDir)
 	} else if *httpAddr == "" && (*trace || *metrics) {
 		err = runObserve(*sites, *items, *degree, *seed, *identify, *metrics, *trace, *export)
 	} else {

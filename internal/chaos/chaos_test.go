@@ -109,36 +109,6 @@ func TestSoak(t *testing.T) {
 	}
 }
 
-// TestSoakBatched reruns the seed sweep with the deferred write-set mode on:
-// the batched flush with piggybacked prepare votes must satisfy the same
-// seven invariants under crashes, partitions, and loss bursts as the eager
-// protocol. -short trims the sweep.
-func TestSoakBatched(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	steps := 50
-	if testing.Short() {
-		seeds = seeds[:2]
-		steps = 30
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			sched := chaos.Generate(chaos.GenConfig{Seed: seed, Steps: steps, Identify: "markall"})
-			res, err := chaos.Run(testCtx(t), sched, chaos.Options{Batching: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Failed() {
-				path := filepath.Join(t.TempDir(), "repro.json")
-				_ = sched.WriteFile(path)
-				t.Fatalf("invariants violated with batching (schedule at %s): %v\ninfo %+v", path, res.Failures, res.Info)
-			}
-			if res.Info.TxnCommitted == 0 {
-				t.Fatalf("batched soak run committed nothing; info %+v", res.Info)
-			}
-		})
-	}
-}
-
 // noCrashes is the deliberately weakened invariant of the acceptance
 // criteria: it "fails" whenever the run crashed anything, standing in for
 // a real protocol bug the engine must catch and shrink.

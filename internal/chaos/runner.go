@@ -22,12 +22,6 @@ type Options struct {
 	// append extra (deliberately weakened) invariants here to prove the
 	// engine catches and shrinks violations.
 	Invariants []Invariant
-	// Batching runs user transactions in the deferred write-set mode
-	// (per-site batch flush with piggybacked prepare votes). It is not part
-	// of the Schedule: the same (schedule, seed) pair can be run in both
-	// modes against the same invariant suite, which is exactly how the
-	// batched protocol is validated.
-	Batching bool
 }
 
 // RunResult is everything one chaos run produced.
@@ -74,7 +68,6 @@ func Run(ctx context.Context, sched Schedule, opts Options) (RunResult, error) {
 		Sites:           sched.Sites,
 		Placement:       workload.UniformPlacement(sched.Items, sched.Degree, sched.Sites, sched.Seed),
 		Identify:        ident,
-		Batching:        opts.Batching,
 		Seed:            sched.Seed,
 		MaxAttempts:     2,
 		RetryBackoff:    time.Millisecond,

@@ -95,13 +95,6 @@ type Config struct {
 	MaxLatency time.Duration
 	LossRate   float64
 	Seed       int64
-	// Batching switches user transactions to the deferred write-set mode:
-	// Write buffers locally and Commit flushes one operation batch per
-	// participant site with the prepare vote piggybacked on the batch
-	// response. Equivalent to enabling BatchWrites on the profile. Off by
-	// default — the eager per-item fan-out — so existing deterministic
-	// schedules are untouched.
-	Batching bool
 	// ParallelFanout lets multi-replica phases (write-all, prepare/commit,
 	// claim broadcasts, witness queries) issue their simulator calls
 	// concurrently, so multi-replica latency is the max of the replicas
@@ -159,9 +152,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Profile.Name == "" {
 		c.Profile = replication.ROWAA
-	}
-	if c.Batching {
-		c.Profile.BatchWrites = true
 	}
 	if c.Identify == 0 {
 		c.Identify = recovery.IdentifyMarkAll

@@ -23,7 +23,7 @@ type Option func(*Config)
 //	cluster, err := core.NewCluster(
 //	    core.WithSites(5),
 //	    core.WithPlacement(placement),
-//	    core.WithBatching(true),
+//	    core.WithSeed(7),
 //	)
 //
 // Defaults match core.New: ROWAA profile, copier recovery, mark-all
@@ -64,13 +64,6 @@ func WithIdentify(id recovery.Identify) Option {
 // WithObs wires an observability hub into every layer of every site.
 func WithObs(hub *obs.Hub) Option {
 	return func(c *Config) { c.Obs = hub }
-}
-
-// WithBatching toggles the deferred write-set mode: Write buffers locally
-// and Commit flushes one operation batch per participant site, the prepare
-// vote riding the batch response.
-func WithBatching(on bool) Option {
-	return func(c *Config) { c.Batching = on }
 }
 
 // WithParallelFanout lets multi-replica phases (write-all, prepare/commit,

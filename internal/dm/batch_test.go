@@ -107,7 +107,7 @@ func TestBatchMidFailureDropsEveryBufferedWrite(t *testing.T) {
 		t.Fatalf("failed batch logged %d records", f.log.Len())
 	}
 	// The lock taken before the failure is released by the coordinator's
-	// abort broadcast, exactly as on the eager path.
+	// abort broadcast.
 	call(t, f, proto.AbortReq{Txn: meta(10, proto.ClassUser)})
 	if held := f.locks.Held(10); len(held) != 0 {
 		t.Fatalf("abort left locks %v", held)

@@ -322,14 +322,14 @@ func (m *Manager) handleWrite(ctx context.Context, req proto.WriteReq) (proto.Me
 	return proto.WriteResp{}, nil
 }
 
-// handleBatch executes one coordinator's batched write set for this site
+// handleBatch executes one coordinator's write set for this site
 // atomically: one gate check covers every operation, then one lock-manager
 // pass in operation order buffers the writes. A failure part-way drops every
 // write the batch buffered, so the batch is all-or-nothing — either every
 // operation is pending under its lock or none is (the coordinator's abort
-// broadcast releases any locks taken before the failure, exactly as on the
-// eager path). With the Prepare flag set the two-phase-commit vote rides the
-// batch response, making the flush round the prepare round.
+// broadcast releases any locks taken before the failure). With the Prepare
+// flag set the two-phase-commit vote rides the batch response, making the
+// flush round the prepare round.
 func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.Message, error) {
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
 		return nil, err
@@ -353,35 +353,8 @@ func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.Me
 	if !req.Prepare {
 		return proto.BatchResp{Vote: true}, nil
 	}
-
-	// Piggybacked phase one. Batches carry user writes only (copiers and
-	// control transactions stay on the eager path), so unlike handlePrepare
-	// there are no refreshes to merge into the record.
-	if m.cfg.Locks.Wounded(req.Txn.ID) {
-		return proto.BatchResp{Vote: false}, nil
-	}
-	writes := make([]wal.WriteRec, 0, len(req.Ops))
-	for item, value := range m.cfg.Store.PendingWrites(req.Txn.ID) {
-		writes = append(writes, wal.WriteRec{Item: item, Value: value})
-	}
-	sort.Slice(writes, func(i, j int) bool { return writes[i].Item < writes[j].Item })
-	m.mu.Lock()
-	t.prepared = true
-	t.preparedAt = m.cfg.Clock.Now()
-	m.mu.Unlock()
-
-	// Group commit: the whole batch's write set becomes durable under a
-	// single log force, instead of the per-operation appends a naive per-op
-	// prepare path would pay.
-	m.cfg.Log.AppendGroup([]wal.Record{{
-		Type: wal.RecordPrepare, Role: wal.RoleParticipant,
-		Txn: req.Txn.ID, Writes: writes, Origin: req.Txn.Origin,
-	}})
-	vote := proto.BatchResp{Vote: true}
-	if m.cfg.Seq != nil {
-		vote.MaxSeq = m.cfg.Seq.HighCommitSeq()
-	}
-	return vote, nil
+	vote, maxSeq := m.prepare(t)
+	return proto.BatchResp{Vote: vote, MaxSeq: maxSeq}, nil
 }
 
 // LockExclusive takes an X lock on a local copy without writing yet. The
@@ -421,12 +394,25 @@ func (m *Manager) handlePrepare(req proto.PrepareReq) (proto.Message, error) {
 		// We lost this transaction's state (crash) or never saw it.
 		return proto.PrepareResp{Vote: false}, nil
 	}
-	if m.cfg.Locks.Wounded(req.Txn.ID) {
-		return proto.PrepareResp{Vote: false}, nil
-	}
+	vote, maxSeq := m.prepare(t)
+	return proto.PrepareResp{Vote: vote, MaxSeq: maxSeq}, nil
+}
 
-	writes := make([]wal.WriteRec, 0, 4)
-	for item, value := range m.cfg.Store.PendingWrites(req.Txn.ID) {
+// prepare is phase one at this participant, shared by the batch flush and
+// the separate prepare round: unless the transaction was wounded, force a
+// prepare record carrying everything it buffered here (pending writes and
+// copier refreshes) and vote yes. The vote carries the local high-water
+// commit sequence number: the coordinator folds it in before picking this
+// transaction's number, so the new versions sort above everything installed
+// here.
+func (m *Manager) prepare(t *txnLocal) (vote bool, maxSeq uint64) {
+	id := t.meta.ID
+	if m.cfg.Locks.Wounded(id) {
+		return false, 0
+	}
+	pending := m.cfg.Store.PendingWrites(id)
+	writes := make([]wal.WriteRec, 0, len(pending))
+	for item, value := range pending {
 		writes = append(writes, wal.WriteRec{Item: item, Value: value})
 	}
 	m.mu.Lock()
@@ -442,16 +428,12 @@ func (m *Manager) handlePrepare(req proto.PrepareReq) (proto.Message, error) {
 
 	m.cfg.Log.Append(wal.Record{
 		Type: wal.RecordPrepare, Role: wal.RoleParticipant,
-		Txn: req.Txn.ID, Writes: writes, Origin: req.Txn.Origin,
+		Txn: id, Writes: writes, Origin: t.meta.Origin,
 	})
-	vote := proto.PrepareResp{Vote: true}
 	if m.cfg.Seq != nil {
-		// Carry the local high-water commit sequence number: the coordinator
-		// folds it in before picking this transaction's number, so the new
-		// versions sort above everything installed here.
-		vote.MaxSeq = m.cfg.Seq.HighCommitSeq()
+		maxSeq = m.cfg.Seq.HighCommitSeq()
 	}
-	return vote, nil
+	return true, maxSeq
 }
 
 func (m *Manager) handleCommit(req proto.CommitReq) (proto.Message, error) {

@@ -208,7 +208,7 @@ func TestCrashRecoverUnderNetsimLoad(t *testing.T) {
 // TestReportDerivedFields checks the JSON column derivations.
 func TestReportDerivedFields(t *testing.T) {
 	res := Result{Arrivals: 10, Committed: 8, Failed: 2, Elapsed: 2 * time.Second}
-	rep := res.Report("netsim/eager", 96)
+	rep := res.Report("netsim", 96)
 	if rep.ThroughputTPS != 4 {
 		t.Fatalf("throughput = %v, want 4", rep.ThroughputTPS)
 	}

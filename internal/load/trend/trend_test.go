@@ -20,15 +20,15 @@ func col(name string, msgs float64, p95 int64) load.Report {
 }
 
 func TestCheckPassesOnIdenticalRuns(t *testing.T) {
-	base := bench(col("netsim/eager", 12.0, 900), col("netsim/batched", 4.0, 400))
+	base := bench(col("netsim/parallel", 4.0, 900), col("netsim", 4.0, 400))
 	if v := Check(base, base, Options{}); len(v) != 0 {
 		t.Fatalf("identical runs flagged: %v", v)
 	}
 }
 
 func TestCheckPassesWithinTolerance(t *testing.T) {
-	base := bench(col("netsim/batched", 4.0, 400))
-	fresh := bench(col("netsim/batched", 4.3, 430)) // +7.5%, well under 10%
+	base := bench(col("netsim", 4.0, 400))
+	fresh := bench(col("netsim", 4.3, 430)) // +7.5%, well under 10%
 	if v := Check(base, fresh, Options{}); len(v) != 0 {
 		t.Fatalf("within-tolerance run flagged: %v", v)
 	}
@@ -37,17 +37,17 @@ func TestCheckPassesWithinTolerance(t *testing.T) {
 // TestCheckFailsOnSyntheticRegression is the acceptance check: feeding the
 // gate a synthetically regressed fresh file must fail both metrics.
 func TestCheckFailsOnSyntheticRegression(t *testing.T) {
-	base := bench(col("netsim/eager", 12.0, 900), col("netsim/batched", 4.0, 400))
+	base := bench(col("netsim/parallel", 4.0, 900), col("netsim", 4.0, 400))
 	fresh := bench(
-		col("netsim/eager", 12.0, 900),  // unchanged: must not be flagged
-		col("netsim/batched", 4.8, 520), // +20% msgs, +30% p95
+		col("netsim/parallel", 4.0, 900), // unchanged: must not be flagged
+		col("netsim", 4.8, 520),          // +20% msgs, +30% p95
 	)
 	v := Check(base, fresh, Options{})
 	if len(v) != 2 {
 		t.Fatalf("want 2 violations (msgs + p95), got %d: %v", len(v), v)
 	}
 	for _, violation := range v {
-		if violation.Name != "netsim/batched" {
+		if violation.Name != "netsim" {
 			t.Fatalf("flagged wrong column: %v", violation)
 		}
 	}
@@ -59,8 +59,8 @@ func TestCheckFailsOnSyntheticRegression(t *testing.T) {
 }
 
 func TestCheckHonorsLatencySlack(t *testing.T) {
-	base := bench(col("tcp/eager", 0, 1000))  // no msgs column for TCP runs
-	fresh := bench(col("tcp/eager", 0, 1400)) // +40%
+	base := bench(col("tcp", 0, 1000))  // no msgs column for TCP runs
+	fresh := bench(col("tcp", 0, 1400)) // +40%
 	if v := Check(base, fresh, Options{}); len(v) != 1 {
 		t.Fatalf("want a p95 violation at default tolerance, got %v", v)
 	}
@@ -70,10 +70,10 @@ func TestCheckHonorsLatencySlack(t *testing.T) {
 }
 
 func TestCheckFlagsMissingColumn(t *testing.T) {
-	base := bench(col("netsim/eager", 12.0, 900), col("netsim/batched", 4.0, 400))
-	fresh := bench(col("netsim/eager", 12.0, 900))
+	base := bench(col("netsim/parallel", 4.0, 900), col("netsim", 4.0, 400))
+	fresh := bench(col("netsim/parallel", 4.0, 900))
 	v := Check(base, fresh, Options{})
-	if len(v) != 1 || v[0].Name != "netsim/batched" {
+	if len(v) != 1 || v[0].Name != "netsim" {
 		t.Fatalf("dropped column not flagged: %v", v)
 	}
 	if !strings.Contains(v[0].String(), "missing") {
@@ -82,8 +82,8 @@ func TestCheckFlagsMissingColumn(t *testing.T) {
 }
 
 func TestCheckIgnoresNewColumns(t *testing.T) {
-	base := bench(col("netsim/eager", 12.0, 900))
-	fresh := bench(col("netsim/eager", 12.0, 900), col("netsim/parallel", 12.0, 700))
+	base := bench(col("netsim", 4.0, 400))
+	fresh := bench(col("netsim", 4.0, 400), col("netsim/parallel", 4.0, 700))
 	if v := Check(base, fresh, Options{}); len(v) != 0 {
 		t.Fatalf("new fresh-only column flagged: %v", v)
 	}

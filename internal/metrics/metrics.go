@@ -96,7 +96,7 @@ func (h *Histogram) Max() time.Duration {
 }
 
 // Quantile reports an upper bound for the q-quantile (0 < q <= 1) from the
-// bucket boundaries, or 0 with no samples.
+// bucket boundaries, never above Max, or 0 with no samples.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -117,12 +117,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, n := range h.buckets {
 		seen += n
 		if seen >= target {
-			if i == numBuckets-1 {
-				// The overflow bucket has no meaningful upper bound;
-				// the observed max is the tighter answer.
-				return h.max
+			// The observed max is the tighter answer whenever it lies
+			// below the bucket's bound, and the only one for the overflow
+			// bucket, which has no meaningful bound.
+			if upper := bucketUpper(i); i < numBuckets-1 && upper < h.max {
+				return upper
 			}
-			return bucketUpper(i)
+			return h.max
 		}
 	}
 	return h.max

@@ -76,6 +76,35 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNeverExceedsMax: a bucket's upper bound can lie above
+// every sample in it, and a report must not show p99 above the observed max.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	overflow := bucketUpper(numBuckets-1) + time.Hour
+	for _, tc := range []struct {
+		name    string
+		samples []time.Duration
+	}{
+		{"single sample", []time.Duration{3019 * time.Microsecond}},
+		{"all equal", []time.Duration{70 * time.Microsecond, 70 * time.Microsecond, 70 * time.Microsecond}},
+		{"overflow bucket", []time.Duration{time.Millisecond, overflow}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h Histogram
+			for _, d := range tc.samples {
+				h.Observe(d)
+			}
+			for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+				if got := h.Quantile(q); got > h.Max() {
+					t.Errorf("Quantile(%v) = %v exceeds Max %v", q, got, h.Max())
+				}
+			}
+			if got := h.Quantile(1); got != h.Max() {
+				t.Errorf("Quantile(1) = %v, want Max %v", got, h.Max())
+			}
+		})
+	}
+}
+
 func TestHistogramQuantileMonotonic(t *testing.T) {
 	var h Histogram
 	f := func(us uint16) bool {

@@ -363,9 +363,7 @@ func (h *Hub) SiteCrash(site proto.SiteID) {
 
 // MsgSent counts a wire message leaving a site, by kind. Metrics only — no
 // event is emitted, so wiring it into a transport never perturbs the
-// byte-identical trace streams the deterministic harnesses compare. The
-// batching benchmark reads these counters to report messages per committed
-// transaction.
+// byte-identical trace streams the deterministic harnesses compare.
 func (h *Hub) MsgSent(from, to proto.SiteID, kind string) {
 	if h == nil {
 		return

@@ -61,20 +61,6 @@ type Profile struct {
 	CheckMode proto.CheckMode
 	Read      ReadPolicy
 	Write     WritePolicy
-	// BatchWrites defers user-transaction writes into a local write set
-	// that Commit flushes as one proto.BatchReq per participant site, with
-	// the 2PC prepare vote piggybacked on the batch response. Off, logical
-	// writes fan out eagerly (one WriteReq per item per replica) exactly as
-	// before. All predefined profiles ship with batching off; opt in with
-	// Batched or core.WithBatching.
-	BatchWrites bool
-}
-
-// Batched returns a copy of the profile with deferred write-set batching
-// enabled.
-func (p Profile) Batched() Profile {
-	p.BatchWrites = true
-	return p
 }
 
 // Predefined strategy profiles.

@@ -269,7 +269,7 @@ func TestHandlerDeadlineCarriesCallerBudget(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip pins the batched flush's wire contract: a multi-op
+// TestBatchRoundTrip pins the commit flush's wire contract: a multi-op
 // BatchReq crosses TCP as one frame per site and its BatchResp carries the
 // piggybacked prepare vote and commit-sequence watermark back intact.
 func TestBatchRoundTrip(t *testing.T) {

@@ -73,7 +73,7 @@ func (t *Tx) RawWrite(ctx context.Context, sites []proto.SiteID, item proto.Item
 		}
 	}
 	t.m.mu.Lock()
-	t.wrote = true
+	t.rawWrote = true
 	t.m.mu.Unlock()
 	return nil
 }
@@ -117,6 +117,6 @@ func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version prot
 	t.m.mu.Unlock()
 	t.m.cfg.Local.BufferRefresh(t.meta, item, value, version)
 	t.m.mu.Lock()
-	t.wrote = true
+	t.rawWrote = true
 	t.m.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -20,12 +21,13 @@ import (
 // harness is a minimal three-site assembly for TM tests (the full assembly
 // lives in internal/core; this one wires only what the TM needs).
 type harness struct {
-	net *netsim.Network
-	cat *replication.Catalog
-	seq *Sequencer
-	rec *history.Recorder
-	dms map[proto.SiteID]*dm.Manager
-	tms map[proto.SiteID]*Manager
+	net   *netsim.Network
+	cat   *replication.Catalog
+	seq   *Sequencer
+	rec   *history.Recorder
+	dms   map[proto.SiteID]*dm.Manager
+	tms   map[proto.SiteID]*Manager
+	locks map[proto.SiteID]*lockmgr.Manager
 }
 
 func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harness {
@@ -48,8 +50,9 @@ func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harnes
 
 	h := &harness{
 		net: net, cat: cat, seq: seq, rec: rec,
-		dms: make(map[proto.SiteID]*dm.Manager),
-		tms: make(map[proto.SiteID]*Manager),
+		dms:   make(map[proto.SiteID]*dm.Manager),
+		tms:   make(map[proto.SiteID]*Manager),
+		locks: make(map[proto.SiteID]*lockmgr.Manager),
 	}
 	for _, site := range sites {
 		var items []proto.Item
@@ -71,6 +74,7 @@ func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harnes
 		}, dm.Callbacks{})
 		d.SetSession(1)
 		h.dms[site] = d
+		h.locks[site] = locks
 		net.Register(site, d.Handle)
 		h.tms[site] = New(Config{
 			Site: site, Net: net, Local: d, Catalog: cat, Profile: profile,
@@ -501,11 +505,13 @@ func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 	})
 
 	ctx := context.Background()
-	tx, err := h.tms[1].begin(ctx, proto.ClassUser, 1)
+	// Raw writes (the control-transaction path) are at the participants
+	// before Commit, which then runs the separate prepare round.
+	tx, err := h.tms[1].begin(ctx, proto.ClassControl2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Write(ctx, "x", 7); err != nil {
+	if err := tx.RawWrite(ctx, []proto.SiteID{1, 2, 3}, "x", 7); err != nil {
 		t.Fatal(err)
 	}
 	// Lose site 2's in-flight state: its prepare vote will be no.
@@ -519,5 +525,125 @@ func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 	}
 	if prepares3 != 0 {
 		t.Fatalf("site 3 received %d PrepareReqs after site 2 voted no; sequential fan-out must halt", prepares3)
+	}
+}
+
+// TestReversedWriteOrdersTakeLocksInOneOrder pins the canonical lock order:
+// two coordinators writing {x,y} and {y,x} must ask a participant for its X
+// locks in the same (item) order, so under PolicyTimeout they queue behind
+// one another instead of deadlocking inside the site until a lock wait times
+// out. Site 1's handler holds each flush until both have arrived, so the two
+// write sets do run against its lock table at the same time.
+func TestReversedWriteOrdersTakeLocksInOneOrder(t *testing.T) {
+	h := newHarness(t, replication.ROWAA, Callbacks{})
+	var (
+		mu       sync.Mutex
+		unsorted [][]proto.BatchOp
+		arrived  = make(chan struct{}, 2)
+		both     = make(chan struct{})
+	)
+	inner := h.dms[1].Handle
+	h.net.Register(1, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
+		if br, ok := msg.(proto.BatchReq); ok {
+			if !sort.SliceIsSorted(br.Ops, func(i, j int) bool { return br.Ops[i].Item < br.Ops[j].Item }) {
+				mu.Lock()
+				unsorted = append(unsorted, br.Ops)
+				mu.Unlock()
+			}
+			arrived <- struct{}{}
+			<-both
+		}
+		return inner(ctx, from, msg)
+	})
+	go func() {
+		<-arrived
+		<-arrived
+		close(both)
+	}()
+
+	orders := map[proto.SiteID][]proto.Item{2: {"x", "y"}, 3: {"y", "x"}}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(orders))
+	for site, order := range orders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			tx, err := h.tms[site].begin(ctx, proto.ClassUser, 1)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for _, item := range order {
+				if err := tx.Write(ctx, item, proto.Value(site)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- tx.Commit(ctx)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("reversed-order writer failed on its first attempt: %v", err)
+		}
+	}
+	if len(unsorted) != 0 {
+		t.Fatalf("site 1 received batches with ops out of item order: %v", unsorted)
+	}
+	for site, locks := range h.locks {
+		if n := locks.Stats().Timeouts; n != 0 {
+			t.Fatalf("site %v saw %d lock timeouts, want 0", site, n)
+		}
+	}
+}
+
+// TestWriteErrorsSurfaceByWhoCanKnow pins when a failed logical write is
+// reported: placement is decided from the catalog and the view the attempt
+// already holds, so those errors come back from Write; anything only a peer
+// can say (here, a session mismatch) comes back from Commit, because no
+// message leaves the coordinator before the flush.
+func TestWriteErrorsSurfaceByWhoCanKnow(t *testing.T) {
+	h := newHarness(t, replication.ROWAA, Callbacks{})
+	ctx := context.Background()
+
+	tx, err := h.tms[1].begin(ctx, proto.ClassUser, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(ctx, "nope", 1); err == nil {
+		t.Fatal("Write of an item the catalog does not know succeeded")
+	}
+	tx.Abort(ctx)
+
+	// z lives at sites 1 and 2 only; with both nominally down there is no
+	// copy to write.
+	h.markDown(t, 1)
+	h.markDown(t, 2)
+	tx, err = h.tms[3].begin(ctx, proto.ClassUser, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(ctx, "z", 1); !errors.Is(err, proto.ErrNoReplica) {
+		t.Fatalf("Write with every replica nominally down: err = %v, want ErrNoReplica", err)
+	}
+	tx.Abort(ctx)
+
+	h = newHarness(t, replication.ROWAA, Callbacks{})
+	h.dms[2].SetSession(7) // site 2 moved on; the NS copies still say 1
+	tx, err = h.tms[1].begin(ctx, proto.ClassUser, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(ctx, "x", 1); err != nil {
+		t.Fatalf("Write = %v, want nil: the stale view is site 2's to report, at the flush", err)
+	}
+	if err := tx.Commit(ctx); !errors.Is(err, proto.ErrSessionMismatch) {
+		t.Fatalf("Commit = %v, want ErrSessionMismatch", err)
+	}
+	if held := h.locks[1].OutstandingLocks(); len(held) != 0 {
+		t.Fatalf("failed flush left locks at the coordinator: %v", held)
 	}
 }

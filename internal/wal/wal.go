@@ -199,8 +199,7 @@ func (l *Log) appendLocked(rec Record) {
 	}
 }
 
-// Syncs reports how many stable-storage syncs the log has performed; the
-// batching benchmark reads it to show group commit amortizing log forces.
+// Syncs reports how many stable-storage syncs the log has performed.
 func (l *Log) Syncs() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
