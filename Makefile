@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race lint bench trace trace-cluster cover chaos proc-chaos fuzz e2e load perf-check disk-engine
+.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos proc-chaos fuzz e2e load perf-check disk-engine
 
 all: lint build test
 
@@ -39,6 +39,14 @@ bench:
 	$(GO) run ./cmd/srbench -transport -json bench/out/BENCH_PR4.json
 	$(GO) run ./cmd/srbench -store -json bench/out/BENCH_PR9.json
 
+# Mirrors the wire micro-benchmark CI step: one iteration each of
+# BenchmarkCodec/<kind> (ns, allocs and wire bytes per message kind) and
+# BenchmarkCall (loopback echo, 1 and 2 callers), so they stay compiled and
+# runnable. For numbers: make bench-micro BENCHTIME=2s
+BENCHTIME ?= 1x
+bench-micro:
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall' -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
+
 # Mirrors the perf-trend CI job: the deterministic srload profile
 # (concurrency 1, fixed seed) against netsim and a 3-process TCP cluster,
 # then the regression gate against the committed BENCH_PR6.json baseline.
@@ -50,10 +58,12 @@ load:
 perf-check: load
 	$(GO) run ./cmd/srbench -check -baseline BENCH_PR6.json -fresh bench/out/BENCH_PR6.json -latency-slack 3.0
 
-# Fuzz the self-describing wire codec (FUZZTIME to adjust).
+# Fuzz the binary wire format: message bodies, then tcpnet's frame headers
+# (FUZZTIME each, to adjust). Go runs one fuzz target per invocation.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzFrameHeader -fuzztime $(FUZZTIME) ./internal/transport/tcpnet
 
 # Mirrors the tcp-e2e CI job: transport, node, and 3-process srnode
 # cluster tests under the race detector.

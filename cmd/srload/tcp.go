@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"siterecovery/internal/freeport"
 	"siterecovery/internal/load"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/workload"
@@ -38,10 +38,10 @@ func runTCP(ctx context.Context, o options, name string) (load.Report, error) {
 	var peerSpec strings.Builder
 	for i := range o.sites {
 		var err error
-		if peerAddrs[i], err = freeAddr(); err != nil {
+		if peerAddrs[i], err = freeport.Addr(); err != nil {
 			return load.Report{}, err
 		}
-		if controlAddrs[i], err = freeAddr(); err != nil {
+		if controlAddrs[i], err = freeport.Addr(); err != nil {
 			return load.Report{}, err
 		}
 		if i > 0 {
@@ -131,18 +131,6 @@ func buildSrnode() (string, error) {
 		return "", fmt.Errorf("go build srnode: %w\n%s", err, out)
 	}
 	return bin, nil
-}
-
-// freeAddr grabs a free localhost port and releases it for the srnode
-// process to rebind.
-func freeAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
 }
 
 func waitOperational(ctx context.Context, ctrl string) error {

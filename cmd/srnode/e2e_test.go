@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"siterecovery/internal/chaos"
+	"siterecovery/internal/freeport"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
@@ -517,16 +517,13 @@ func buildSrnode(t *testing.T) string {
 	return bin
 }
 
-// freeAddr grabs a free localhost port and releases it for the srnode
-// process to rebind.
+// freeAddr takes a localhost address for an srnode process to bind.
 func freeAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := freeport.Addr()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
 	return addr
 }
 

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -37,6 +36,7 @@ import (
 	"time"
 
 	"siterecovery/internal/faultproxy"
+	"siterecovery/internal/freeport"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/workload"
 )
@@ -127,10 +127,10 @@ func startCluster(ctx context.Context, opts Options, sites, items int, identify 
 
 	for _, s := range c.sites {
 		var err error
-		if c.peerAddr[s], err = freeAddr(); err != nil {
+		if c.peerAddr[s], err = freeport.Addr(); err != nil {
 			return nil, err
 		}
-		if c.ctrl[s], err = freeAddr(); err != nil {
+		if c.ctrl[s], err = freeport.Addr(); err != nil {
 			return nil, err
 		}
 	}
@@ -322,17 +322,4 @@ func itemsCSV(items []proto.Item) string {
 		parts[i] = string(it)
 	}
 	return strings.Join(parts, ",")
-}
-
-// freeAddr reserves a localhost port by binding and releasing it; the child
-// process rebinds it. Standard e2e idiom, racy only against other tests
-// grabbing ports in the same instant.
-func freeAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
 }

@@ -1,9 +1,12 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -68,14 +71,13 @@ func wireSamples() []Message {
 }
 
 func TestCodecRoundTripsEveryKind(t *testing.T) {
-	samples := wireSamples()
-	covered := make(map[string]bool, len(samples))
-	for _, msg := range samples {
-		covered[msg.Kind()] = true
+	covered := make(map[byte]bool, kindMax)
+	for _, msg := range wireSamples() {
 		data, err := EncodeMessage(msg)
 		if err != nil {
 			t.Fatalf("encode %s: %v", msg.Kind(), err)
 		}
+		covered[data[0]] = true
 		got, err := DecodeMessage(data)
 		if err != nil {
 			t.Fatalf("decode %s: %v", msg.Kind(), err)
@@ -83,28 +85,127 @@ func TestCodecRoundTripsEveryKind(t *testing.T) {
 		if !reflect.DeepEqual(got, msg) {
 			t.Errorf("%s round trip:\n got %#v\nwant %#v", msg.Kind(), got, msg)
 		}
-	}
-	// Every registered kind must have a sample, so a new message type cannot
-	// ship without wire coverage.
-	for _, kind := range MessageKinds() {
-		if !covered[kind] {
-			t.Errorf("registered kind %q has no round-trip sample", kind)
+		again, err := EncodeMessage(got)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%s re-encodes to %x (err %v), first encoding was %x", msg.Kind(), again, err, data)
 		}
 	}
-	if len(covered) != len(MessageKinds()) {
-		t.Errorf("samples cover %d kinds, registry has %d", len(covered), len(MessageKinds()))
+	// Every kind byte must have a sample, so a new message type cannot ship
+	// without wire coverage.
+	for k := byte(1); k <= kindMax; k++ {
+		if !covered[k] {
+			t.Errorf("kind byte %d has no round-trip sample", k)
+		}
+	}
+	if len(covered) != int(kindMax) {
+		t.Errorf("samples cover %d kind bytes, the codec defines %d", len(covered), kindMax)
+	}
+}
+
+// TestCodecCanonicalizesEmptyCollections pins what the wire does to the
+// nil-versus-empty distinction: both encode as a zero count, so equal
+// content gives equal bytes, and both decode as nil.
+func TestCodecCanonicalizesEmptyCollections(t *testing.T) {
+	cases := []struct{ empty, canonical Message }{
+		{WriteReq{Item: "x", MissedBy: []SiteID{}}, WriteReq{Item: "x"}},
+		{BatchReq{Ops: []BatchOp{}}, BatchReq{}},
+		{BatchReq{Ops: []BatchOp{{Item: "x", MissedBy: []SiteID{}}}}, BatchReq{Ops: []BatchOp{{Item: "x"}}}},
+		{MissedFetchResp{Missed: []Item{}, Others: map[SiteID][]Item{}}, MissedFetchResp{}},
+		{MissedFetchResp{Others: map[SiteID][]Item{2: {}}}, MissedFetchResp{Others: map[SiteID][]Item{2: nil}}},
+		{SpoolFetchResp{Updates: []SpooledUpdate{}}, SpoolFetchResp{}},
+	}
+	for _, c := range cases {
+		a, err := EncodeMessage(c.empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeMessage(c.canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: empty collections encode as %x, nil ones as %x", c.empty.Kind(), a, b)
+		}
+		got, err := DecodeMessage(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, c.canonical) {
+			t.Errorf("%s decoded as %#v, want %#v", c.empty.Kind(), got, c.canonical)
+		}
+	}
+}
+
+// TestMapEncodesInKeyOrder: Go randomizes map iteration, the wire must not.
+func TestMapEncodesInKeyOrder(t *testing.T) {
+	others := make(map[SiteID][]Item)
+	for s := SiteID(1); s <= 40; s++ {
+		others[s] = []Item{Item(s.String())}
+	}
+	first, err := EncodeMessage(MissedFetchResp{Others: others})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		next, _ := EncodeMessage(MissedFetchResp{Others: others})
+		if !bytes.Equal(first, next) {
+			t.Fatalf("equal maps gave different bytes on encoding %d", i)
+		}
 	}
 }
 
 func TestDecodeRejectsUnknownKindAndGarbage(t *testing.T) {
-	if _, err := DecodeMessage([]byte(`{"kind":"nope","body":{}}`)); err == nil {
-		t.Error("unknown kind decoded without error")
+	for _, data := range [][]byte{nil, {}, {0}, {kindMax + 1}, {0xff, 1, 2, 3}} {
+		if msg, err := DecodeMessage(data); err == nil {
+			t.Errorf("DecodeMessage(%x) = %#v, want an error", data, msg)
+		}
 	}
-	if _, err := DecodeMessage([]byte(`not json`)); err == nil {
-		t.Error("garbage decoded without error")
+	// Every proper prefix of a message whose last field is required is an
+	// error, never a partial value.
+	full, err := EncodeMessage(wireSamples()[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeMessage([]byte(`{"kind":"read","body":[1,2]}`)); err == nil {
-		t.Error("mistyped body decoded without error")
+	for n := 1; n < len(full); n++ {
+		if msg, err := DecodeMessage(full[:n]); err == nil {
+			t.Errorf("truncated to %d of %d bytes decoded as %#v", n, len(full), msg)
+		}
+	}
+	// An element count the remaining bytes cannot hold is refused before
+	// anything is allocated for it: 2^20 updates would be 40 MB.
+	huge := binary.AppendUvarint([]byte{kindSpoolFetchResp}, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeMessage(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a 2^20-element count with no elements decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("refusing a hostile count allocated %d bytes", grew)
+	}
+}
+
+// TestCodecAllocBound keeps reflection from creeping back: a 4-op batch
+// costs the encoder its buffer, and the decoder the Ops slice, one string
+// per item and the boxed message.
+func TestCodecAllocBound(t *testing.T) {
+	req := BatchReq{
+		Txn: TxnMeta{ID: 1 << 40, Class: ClassUser, Origin: 1}, Mode: CheckSession, Expect: 3, Prepare: true,
+		Ops: []BatchOp{{Item: "k00017", Value: 1}, {Item: "k00250", Value: 2}, {Item: "k01234", Value: 3}, {Item: "k04000", Value: 4}},
+	}
+	var msg Message = req
+	n := testing.AllocsPerRun(200, func() {
+		b, err := EncodeMessage(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeMessage(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 8 {
+		t.Errorf("encode+decode of a 4-op BatchReq = %v allocs, want <= 8", n)
 	}
 }
 
@@ -149,6 +250,10 @@ func TestWireErrorPreservesSentinels(t *testing.T) {
 	}
 	if Retryable(back) {
 		t.Error("opaque error became retryable")
+	}
+	// So does a code from a newer peer that this build has no sentinel for.
+	if back := (&WireError{Code: 250, Msg: "site2: quota exceeded"}).Err(); back.Error() != "site2: quota exceeded" || Retryable(back) {
+		t.Errorf("unknown wire code reconstructed as %v (retryable %v)", back, Retryable(back))
 	}
 	if EncodeError(nil) != nil {
 		t.Error("EncodeError(nil) != nil")

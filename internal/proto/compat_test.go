@@ -1,39 +1,39 @@
 package proto
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-// TestDecodeMessageIgnoresUnknownFields pins the forward-compatibility
-// contract the wire codec relies on: an envelope produced by a NEWER peer —
-// extra top-level fields (like a trace block) and extra fields inside the
-// message body — decodes cleanly on this (the "older") side, with the known
-// fields intact and the unknown ones dropped. Without this property every
-// added field would need a protocol version bump.
-func TestDecodeMessageIgnoresUnknownFields(t *testing.T) {
-	const body = `{"Txn":{"ID":9,"Class":1,"Origin":2},"Item":"x","Expect":3`
-	cases := []struct {
-		name string
-		data string
-	}{
-		{"extra envelope fields", `{"kind":"read","body":` + body + `},` +
-			`"trace":{"root":9,"span":281474976710659,"parent":7,"origin":1},"hints":["a","b"]}`},
-		{"extra body fields", `{"kind":"read","body":` + body +
-			`,"priority":"high","deadline_ns":123456789,"nested":{"deep":[1,2]}}}`},
-		{"extra everywhere", `{"v":2,"kind":"read","compression":null,` +
-			`"body":` + body + `,"future":true}}`},
+// TestDecodeMessageIgnoresTrailingBytes pins the forward-compatibility
+// contract of the wire codec: a message produced by a NEWER peer — the known
+// fields followed by fields this build has never heard of — decodes cleanly
+// on this (the "older") side, with the known fields intact and the rest
+// dropped. Without this property every added field would need a protocol
+// version bump. What a newer peer may NOT do is send a kind this build
+// lacks: that is an error, not a guess.
+func TestDecodeMessageIgnoresTrailingBytes(t *testing.T) {
+	future := []byte{0x07, 0x03, 'n', 'e', 'w', 0xff, 0xff, 0xff}
+	for _, msg := range wireSamples() {
+		data, err := EncodeMessage(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeMessage(append(data, future...))
+		if err != nil {
+			t.Fatalf("%s with appended fields: %v", msg.Kind(), err)
+		}
+		if !reflect.DeepEqual(got, msg) {
+			t.Errorf("%s: known fields mutated by appended ones:\n got %#v\nwant %#v", msg.Kind(), got, msg)
+		}
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			msg, err := DecodeMessage([]byte(c.data))
-			if err != nil {
-				t.Fatalf("DecodeMessage: %v", err)
-			}
-			rr, ok := msg.(ReadReq)
-			if !ok {
-				t.Fatalf("decoded %T, want ReadReq", msg)
-			}
-			if rr.Txn.ID != 9 || rr.Txn.Origin != 2 || rr.Item != "x" || rr.Expect != 3 {
-				t.Errorf("known fields mutated: %+v", rr)
-			}
-		})
+	if msg, err := DecodeMessage(append([]byte{kindMax + 1}, future...)); err == nil {
+		t.Errorf("unknown kind byte decoded as %#v", msg)
+	}
+
+	w := EncodeError(ErrWounded)
+	back, err := DecodeError(append(w.Append(nil), future...))
+	if err != nil || *back != *w {
+		t.Errorf("wire error with appended fields = %+v, %v; want %+v", back, err, w)
 	}
 }

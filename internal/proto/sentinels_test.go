@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -68,7 +67,7 @@ var sentinelByName = map[string]error{
 
 // TestEverySentinelRoundTripsWire asserts that every exported proto.Err*
 // sentinel (a) is registered in the wire-error table and (b) survives an
-// encode → JSON → decode cycle with errors.Is intact, both bare and wrapped
+// encode → bytes → decode cycle with errors.Is intact, both bare and wrapped
 // with caller context.
 func TestEverySentinelRoundTripsWire(t *testing.T) {
 	registered := make(map[error]bool)
@@ -89,13 +88,9 @@ func TestEverySentinelRoundTripsWire(t *testing.T) {
 			sentinel,
 			fmt.Errorf("site 3 serving txn 17: %w", sentinel),
 		} {
-			data, merr := json.Marshal(EncodeError(err))
-			if merr != nil {
-				t.Fatalf("%s: marshal wire error: %v", name, merr)
-			}
-			var w WireError
-			if merr := json.Unmarshal(data, &w); merr != nil {
-				t.Fatalf("%s: unmarshal wire error: %v", name, merr)
+			w, derr := DecodeError(EncodeError(err).Append(nil))
+			if derr != nil {
+				t.Fatalf("%s: decode wire error: %v", name, derr)
 			}
 			got := w.Err()
 			if !errors.Is(got, sentinel) {
@@ -116,13 +111,17 @@ func TestNoReplicaWrapsUnavailable(t *testing.T) {
 	if !errors.Is(ErrNoReplica, ErrUnavailable) {
 		t.Fatal("ErrNoReplica must wrap ErrUnavailable")
 	}
-	if w := EncodeError(fmt.Errorf("write %q: %w", "x", ErrNoReplica)); w.Code != "no_replica" {
-		t.Fatalf("ErrNoReplica encoded as %q, want no_replica", w.Code)
+	noReplica, unavailable := EncodeError(ErrNoReplica).Code, EncodeError(ErrUnavailable).Code
+	if noReplica == 0 || unavailable == 0 || noReplica == unavailable {
+		t.Fatalf("codes: ErrNoReplica %d, ErrUnavailable %d; want two distinct registered codes", noReplica, unavailable)
 	}
-	if w := EncodeError(fmt.Errorf("read %q: %w", "x", ErrUnavailable)); w.Code != "unavailable" {
-		t.Fatalf("ErrUnavailable encoded as %q, want unavailable", w.Code)
+	if w := EncodeError(fmt.Errorf("write %q: %w", "x", ErrNoReplica)); w.Code != noReplica {
+		t.Fatalf("wrapped ErrNoReplica encoded as code %d, want %d (not ErrUnavailable's %d)", w.Code, noReplica, unavailable)
 	}
-	got := (&WireError{Code: "no_replica", Msg: "write: " + ErrNoReplica.Error()}).Err()
+	if w := EncodeError(fmt.Errorf("read %q: %w", "x", ErrUnavailable)); w.Code != unavailable {
+		t.Fatalf("wrapped ErrUnavailable encoded as code %d, want %d", w.Code, unavailable)
+	}
+	got := (&WireError{Code: noReplica, Msg: "write: " + ErrNoReplica.Error()}).Err()
 	if !errors.Is(got, ErrUnavailable) || !errors.Is(got, ErrNoReplica) {
 		t.Fatalf("decoded no_replica error lost sentinel chain: %v", got)
 	}

@@ -1,8 +1,9 @@
 // Package tcpnet is the real-network implementation of transport.Transport:
-// length-prefixed frames over TCP, carrying internal/proto messages in their
-// self-describing wire encoding. It lets each site of the replicated
-// database run as its own OS process (cmd/srnode) while the protocol layers
-// above — transaction manager, session manager, recovery — stay unchanged.
+// length-prefixed binary frames over TCP, each a small header followed by an
+// internal/proto message in its wire encoding. It lets each site of the
+// replicated database run as its own OS process (cmd/srnode) while the
+// protocol layers above — transaction manager, session manager, recovery —
+// stay unchanged.
 //
 // Calls are multiplexed: each site keeps ONE connection per peer, every
 // request frame carries a transport-assigned request ID, and a per-connection
@@ -29,7 +30,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -74,8 +74,7 @@ type Config struct {
 	// span context read from the caller's context via obs.SpanFrom is
 	// propagated inside the request frame, so the server side of a span
 	// shares its ID and root transaction with the client side. A nil hub
-	// costs nothing and sends no trace block, which keeps frames identical
-	// to pre-tracing peers.
+	// costs nothing and sends no trace block.
 	Obs *obs.Hub
 	// Lamport, when non-nil, supplies the site's high-water Lamport commit
 	// sequence; span events are stamped with it so a causal merge across
@@ -99,41 +98,175 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// wireReq frames one request: a connection-scoped request ID for demuxing
-// the (possibly out-of-order) response stream, the sender's site ID, the
-// encoded message envelope, and the caller's remaining time budget. Carrying
-// the budget (a duration, not an absolute time, so clocks need not be
-// synchronized) lets the serving side stop an abandoned handler at roughly
-// the moment the caller gives up instead of running out the full CallTimeout
-// while holding locks.
-type wireReq struct {
-	ID        uint64          `json:"id"`
-	From      proto.SiteID    `json:"from"`
-	Msg       json.RawMessage `json:"msg"`
-	TimeoutMS int64           `json:"timeout_ms,omitempty"`
-	// Trace is the optional distributed-tracing context. Omitted entirely
-	// when the sender has no hub, and ignored by peers that predate it
-	// (encoding/json drops unknown fields), so old and new frames interoperate
-	// in both directions.
-	Trace *wireTrace `json:"trace,omitempty"`
+// Frame layout. Every frame is a 4-byte big-endian payload length and the
+// payload; a payload is a 1-byte header length, the header, and the body,
+// which runs to the end of the frame:
+//
+//	request header   uvarint id | varint from | varint budget_us | flags
+//	                 [uvarint root | uvarint span | uvarint parent | varint origin]
+//	request body     the proto message (proto.AppendMessage)
+//	response header  uvarint id | status (0 ok, 1 error)
+//	response body    the proto reply message, or a proto.WireError
+//
+// The bracketed trace block is present when flags has flagTraced. Header and
+// body are each delimited, and their decoders ignore bytes past the fields
+// they know, so a newer peer may append fields to either (proto/codec.go
+// states the rule); nothing is ever inserted or reordered.
+
+const flagTraced = 1
+
+// reqHeader is the decoded request header: a connection-scoped request ID
+// for demuxing the (possibly out-of-order) response stream, the sender's
+// site ID, the caller's remaining time budget, and the optional
+// distributed-tracing context. Carrying the budget (a duration, not an
+// absolute time, so clocks need not be synchronized) lets the serving side
+// stop an abandoned handler at roughly the moment the caller gives up
+// instead of running out the full CallTimeout while holding locks. It is in
+// microseconds and always present; zero or less means the caller has already
+// given up.
+type reqHeader struct {
+	id       uint64
+	from     proto.SiteID
+	budgetUS int64
+	// span is the span context both sides of this call share; sent only
+	// when traced. A sender without a hub sends no trace block at all.
+	traced bool
+	span   obs.SpanContext
 }
 
-// wireTrace is the on-the-wire span context: the root transaction the RPC
-// works for, the span ID shared by both sides of this call, the caller's
-// parent span, and the site that allocated the span ID.
-type wireTrace struct {
-	Root   uint64       `json:"root,omitempty"`
-	Span   uint64       `json:"span"`
-	Parent uint64       `json:"parent,omitempty"`
-	Origin proto.SiteID `json:"origin,omitempty"`
+func appendReqHeader(b []byte, h reqHeader) []byte {
+	at := len(b)
+	b = append(b, 0) // header length, set below; the fields total < 80 bytes
+	b = binary.AppendUvarint(b, h.id)
+	b = binary.AppendVarint(b, int64(h.from))
+	b = binary.AppendVarint(b, h.budgetUS)
+	if h.traced {
+		b = append(b, flagTraced)
+		b = binary.AppendUvarint(b, uint64(h.span.Root))
+		b = binary.AppendUvarint(b, h.span.Span)
+		b = binary.AppendUvarint(b, h.span.Parent)
+		b = binary.AppendVarint(b, int64(h.span.Origin))
+	} else {
+		b = append(b, 0)
+	}
+	b[at] = byte(len(b) - at - 1)
+	return b
 }
 
-// wireResp frames one response: the request ID it answers, and the encoded
-// reply envelope or the wire form of the handler error.
-type wireResp struct {
-	ID  uint64           `json:"id"`
-	Msg json.RawMessage  `json:"msg,omitempty"`
-	Err *proto.WireError `json:"err,omitempty"`
+// splitPayload separates a frame payload into header and body.
+func splitPayload(p []byte) (header, body []byte, err error) {
+	if len(p) == 0 || int(p[0]) > len(p)-1 {
+		return nil, nil, errors.New("malformed frame: header longer than payload")
+	}
+	return p[1 : 1+int(p[0])], p[1+int(p[0]):], nil
+}
+
+func parseReqHeader(p []byte) (h reqHeader, body []byte, err error) {
+	header, body, err := splitPayload(p)
+	if err != nil {
+		return h, nil, err
+	}
+	r := proto.NewWireReader(header)
+	h.id = r.Uint()
+	h.from = proto.SiteID(r.Int())
+	h.budgetUS = r.Int()
+	if r.Byte()&flagTraced != 0 {
+		h.traced = true
+		h.span = obs.SpanContext{
+			Root:   proto.TxnID(r.Uint()),
+			Span:   r.Uint(),
+			Parent: r.Uint(),
+			Origin: proto.SiteID(r.Int()),
+		}
+	}
+	if r.Err() != nil {
+		return h, nil, fmt.Errorf("malformed request header: %w", r.Err())
+	}
+	return h, body, nil
+}
+
+func appendRespHeader(b []byte, id uint64, isErr bool) []byte {
+	at := len(b)
+	b = binary.AppendUvarint(append(b, 0), id)
+	if isErr {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b[at] = byte(len(b) - at - 1)
+	return b
+}
+
+func parseRespHeader(p []byte) (id uint64, isErr bool, body []byte, err error) {
+	header, body, err := splitPayload(p)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	r := proto.NewWireReader(header)
+	id, isErr = r.Uint(), r.Byte() != 0
+	if r.Err() != nil {
+		return 0, false, nil, fmt.Errorf("malformed response header: %w", r.Err())
+	}
+	return id, isErr, body, nil
+}
+
+// appendRequest appends one whole request frame to b.
+func appendRequest(b []byte, h reqHeader, msg proto.Message) ([]byte, error) {
+	b = appendReqHeader(append(b, 0, 0, 0, 0), h)
+	b, err := proto.AppendMessage(b, msg)
+	if err != nil {
+		return b, err
+	}
+	return sealFrame(b)
+}
+
+// appendResponse appends one whole response frame to b: the reply, or the
+// wire form of err — which is also what a reply that cannot be framed
+// becomes.
+func appendResponse(b []byte, id uint64, reply proto.Message, err error) []byte {
+	if err == nil {
+		var frame []byte
+		frame, err = proto.AppendMessage(appendRespHeader(append(b, 0, 0, 0, 0), id, false), reply)
+		if err == nil {
+			if frame, err = sealFrame(frame); err == nil {
+				return frame
+			}
+		}
+	}
+	b = appendRespHeader(append(b, 0, 0, 0, 0), id, true)
+	b, _ = sealFrame(proto.EncodeError(err).Append(b)) // an error text never nears maxFrame
+	return b
+}
+
+// sealFrame fills in the length prefix the frame was started with.
+func sealFrame(b []byte) ([]byte, error) {
+	n := len(b) - 4
+	if n > maxFrame {
+		return b, fmt.Errorf("frame too large: %d bytes", n)
+	}
+	binary.BigEndian.PutUint32(b, uint32(n))
+	return b, nil
+}
+
+// frameBuf is a pooled buffer a frame is built in, so that a frame costs one
+// Write and no allocation.
+type frameBuf struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
+
+// putFrame returns a buffer to the pool, unless one large frame grew it
+// past what ordinary traffic needs.
+func putFrame(fb *frameBuf) {
+	if cap(fb.b) <= 64<<10 {
+		framePool.Put(fb)
+	}
+}
+
+// callResult is what the demux loop hands a waiting caller: the decoded
+// reply message or the handler's (or the decoder's) error.
+type callResult struct {
+	msg proto.Message
+	err error
 }
 
 // peerConn is one multiplexed outbound connection: many calls in flight at
@@ -147,19 +280,19 @@ type peerConn struct {
 	wmu sync.Mutex
 
 	mu      sync.Mutex
-	pending map[uint64]chan wireResp
+	pending map[uint64]chan callResult
 	dead    bool
 }
 
 // register enrolls a request ID for demuxing. It fails if the connection
 // already died, so the caller retries on a fresh one (nothing was written).
-func (p *peerConn) register(id uint64) (chan wireResp, error) {
+func (p *peerConn) register(id uint64) (chan callResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead {
 		return nil, errors.New("connection closed")
 	}
-	ch := make(chan wireResp, 1)
+	ch := make(chan callResult, 1)
 	p.pending[id] = ch
 	return ch, nil
 }
@@ -183,7 +316,7 @@ func (p *peerConn) fail() {
 	}
 	p.dead = true
 	pending := p.pending
-	p.pending = make(map[uint64]chan wireResp)
+	p.pending = make(map[uint64]chan callResult)
 	p.mu.Unlock()
 	for _, ch := range pending {
 		close(ch)
@@ -201,8 +334,11 @@ type Transport struct {
 
 	nextID atomic.Uint64
 
+	// handler is read on every inbound frame and every self-call, so it
+	// stays off mu, which dialing and Close hold.
+	handler atomic.Pointer[transport.Handler]
+
 	mu      sync.Mutex
-	handler transport.Handler
 	ln      net.Listener
 	peers   map[proto.SiteID]*peerConn
 	dialing map[proto.SiteID]chan struct{}
@@ -218,22 +354,34 @@ var _ transport.Transport = (*Transport)(nil)
 func New(cfg Config) *Transport {
 	cfg = cfg.withDefaults()
 	baseCtx, baseCancel := context.WithCancel(context.Background())
-	return &Transport{
+	t := &Transport{
 		cfg:        cfg,
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
-		handler:    cfg.Handler,
 		peers:      make(map[proto.SiteID]*peerConn),
 		dialing:    make(map[proto.SiteID]chan struct{}),
 		serving:    make(map[net.Conn]bool),
 	}
+	t.SetHandler(cfg.Handler)
+	return t
 }
 
 // SetHandler installs the inbound-request handler.
 func (t *Transport) SetHandler(h transport.Handler) {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
+	if h == nil {
+		t.handler.Store(nil)
+		return
+	}
+	t.handler.Store(&h)
+}
+
+// loadHandler returns the installed handler, or ErrSiteDown when there is
+// none yet.
+func (t *Transport) loadHandler() (transport.Handler, error) {
+	if h := t.handler.Load(); h != nil {
+		return *h, nil
+	}
+	return nil, fmt.Errorf("site %v has no handler installed: %w", t.cfg.Self, proto.ErrSiteDown)
 }
 
 // Addr returns the listen address once Start has succeeded.
@@ -328,11 +476,11 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn handles one inbound connection: request frames are read in
-// order, but each is dispatched on its own goroutine and its response frame
-// written (serialized by wmu) whenever the handler finishes — so a slow
-// handler does not block later requests on the same connection, and
-// responses may cross the wire out of order.
+// serveConn handles one inbound connection: request frames are read and
+// decoded in order into one reused buffer, but each is dispatched on its own
+// goroutine and its response frame written (serialized by wmu) whenever the
+// handler finishes — so a slow handler does not block later requests on the
+// same connection, and responses may cross the wire out of order.
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	var hwg sync.WaitGroup
@@ -345,91 +493,81 @@ func (t *Transport) serveConn(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	r := bufio.NewReader(conn)
+	var buf []byte
 	for {
-		payload, err := readFrame(r)
-		if err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
 			return // peer closed, or stream corrupt: drop the connection
 		}
+		h, body, err := parseReqHeader(buf)
+		if err != nil {
+			return // no request ID to answer under: the stream is corrupt
+		}
+		msg, err := proto.DecodeMessage(body)
 		hwg.Add(1)
-		go func(payload []byte) {
+		go func() {
 			defer hwg.Done()
-			resp := t.dispatch(payload)
-			out, err := json.Marshal(resp)
-			if err != nil {
-				return
-			}
-			wmu.Lock()
-			err = writeFrame(conn, out)
-			wmu.Unlock()
-			if err != nil {
-				// The response stream is poisoned; drop the connection so
-				// the read loop exits and the peer re-establishes.
-				conn.Close()
-			}
-		}(payload)
+			t.serve(conn, &wmu, h, msg, err)
+		}()
 	}
 }
 
-func (t *Transport) dispatch(payload []byte) wireResp {
-	var req wireReq
-	fail := func(err error) wireResp { return wireResp{ID: req.ID, Err: proto.EncodeError(err)} }
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return fail(fmt.Errorf("malformed request frame: %w", err))
+// serve answers one request: it runs the handler (unless the message did
+// not decode) and writes the response frame, built in a pooled buffer, with
+// one Write.
+func (t *Transport) serve(conn net.Conn, wmu *sync.Mutex, h reqHeader, msg proto.Message, err error) {
+	var reply proto.Message
+	if err == nil {
+		reply, err = t.dispatch(h, msg)
 	}
-	msg, err := proto.DecodeMessage(req.Msg)
+	fb := framePool.Get().(*frameBuf)
+	fb.b = appendResponse(fb.b[:0], h.id, reply, err)
+	wmu.Lock()
+	_, err = conn.Write(fb.b)
+	wmu.Unlock()
+	putFrame(fb)
 	if err != nil {
-		return fail(err)
+		// The response stream is poisoned; drop the connection so the read
+		// loop exits and the peer re-establishes.
+		conn.Close()
 	}
-	t.mu.Lock()
-	h := t.handler
-	t.mu.Unlock()
-	if h == nil {
-		return fail(fmt.Errorf("site %v has no handler installed: %w", t.cfg.Self, proto.ErrSiteDown))
+}
+
+// dispatch runs the handler for one decoded request.
+func (t *Transport) dispatch(req reqHeader, msg proto.Message) (proto.Message, error) {
+	h, err := t.loadHandler()
+	if err != nil {
+		return nil, err
 	}
 	// Bound the handler by the caller's carried time budget (never more than
 	// CallTimeout), derived from baseCtx so Close also cancels it: a request
 	// whose caller has given up stops waiting on locks instead of running
-	// out the full CallTimeout.
+	// out the full CallTimeout. A spent budget gives a context that is
+	// already cancelled.
 	timeout := t.cfg.CallTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if req.budgetUS < timeout.Microseconds() {
+		timeout = time.Duration(req.budgetUS) * time.Microsecond
 	}
 	ctx, cancel := context.WithTimeout(t.baseCtx, timeout)
 	defer cancel()
 	// Propagate the caller's span context into the handler even without a
 	// local hub: nested RPCs the handler makes must still carry their causal
 	// parent. With a hub, the server side of the span is recorded too.
-	var sc obs.SpanContext
-	if req.Trace != nil {
-		sc = obs.SpanContext{
-			Root:   proto.TxnID(req.Trace.Root),
-			Span:   req.Trace.Span,
-			Parent: req.Trace.Parent,
-			Origin: req.Trace.Origin,
-		}
-		ctx = obs.WithSpan(ctx, sc)
+	if req.traced {
+		ctx = obs.WithSpan(ctx, req.span)
 	}
-	traced := req.Trace != nil && t.cfg.Obs != nil
+	traced := req.traced && t.cfg.Obs != nil
 	kind := msg.Kind()
 	var start time.Time
 	if traced {
-		t.cfg.Obs.SpanStart(t.cfg.Self, req.From, sc, obs.SideServer, kind, t.lamport())
+		t.cfg.Obs.SpanStart(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.lamport())
 		start = time.Now()
 	}
-	reply, err := h(ctx, req.From, msg)
+	reply, err := h(ctx, req.from, msg)
 	if traced {
-		t.cfg.Obs.SpanFinish(t.cfg.Self, req.From, sc, obs.SideServer, kind, t.lamport(), time.Since(start), err)
+		t.cfg.Obs.SpanFinish(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.lamport(), time.Since(start), err)
 	}
-	if err != nil {
-		return fail(err)
-	}
-	data, err := proto.EncodeMessage(reply)
-	if err != nil {
-		return fail(err)
-	}
-	return wireResp{ID: req.ID, Msg: data}
+	return reply, err
 }
 
 // Call implements transport.Transport: one request/response exchange with
@@ -441,11 +579,9 @@ func (t *Transport) Call(ctx context.Context, from, to proto.SiteID, msg proto.M
 		return nil, fmt.Errorf("tcpnet: call from %v on site %v's transport", from, t.cfg.Self)
 	}
 	if to == t.cfg.Self {
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
-		if h == nil {
-			return nil, fmt.Errorf("site %v has no handler installed: %w", t.cfg.Self, proto.ErrSiteDown)
+		h, err := t.loadHandler()
+		if err != nil {
+			return nil, err
 		}
 		return h(ctx, from, msg)
 	}
@@ -456,7 +592,7 @@ func (t *Transport) Call(ctx context.Context, from, to proto.SiteID, msg proto.M
 	// serving side records the matching server span. Self-calls above stay
 	// untraced, matching the simulator's local bus.
 	if t.cfg.Obs == nil {
-		return t.callRemote(ctx, to, msg, nil)
+		return t.callRemote(ctx, to, msg, false, obs.SpanContext{})
 	}
 	parent, _ := obs.SpanFrom(ctx)
 	sc := obs.SpanContext{
@@ -469,9 +605,7 @@ func (t *Transport) Call(ctx context.Context, from, to proto.SiteID, msg proto.M
 	t.cfg.Obs.MsgSent(from, to, kind)
 	t.cfg.Obs.SpanStart(t.cfg.Self, to, sc, obs.SideClient, kind, t.lamport())
 	start := time.Now()
-	reply, err := t.callRemote(ctx, to, msg, &wireTrace{
-		Root: uint64(sc.Root), Span: sc.Span, Parent: sc.Parent, Origin: sc.Origin,
-	})
+	reply, err := t.callRemote(ctx, to, msg, true, sc)
 	t.cfg.Obs.SpanFinish(t.cfg.Self, to, sc, obs.SideClient, kind, t.lamport(), time.Since(start), err)
 	return reply, err
 }
@@ -485,16 +619,14 @@ func (t *Transport) lamport() uint64 {
 }
 
 // callRemote performs the request/response exchange with a remote site,
-// attaching wt (which may be nil) to the request frame.
-func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.Message, wt *wireTrace) (proto.Message, error) {
-	data, err := proto.EncodeMessage(msg)
-	if err != nil {
-		return nil, err
-	}
+// sending sc in the request frame's trace block when traced.
+func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.Message, traced bool, sc obs.SpanContext) (proto.Message, error) {
 	deadline := time.Now().Add(t.cfg.CallTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
+	fb := framePool.Get().(*frameBuf)
+	defer putFrame(fb)
 
 	// The shared connection may have been closed by the peer since its last
 	// use; a registration or write failure means the request frame never
@@ -511,11 +643,11 @@ func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.M
 			return nil, err
 		}
 		id := t.nextID.Add(1)
-		payload, err := json.Marshal(wireReq{
-			ID: id, From: t.cfg.Self, Msg: data,
-			TimeoutMS: time.Until(deadline).Milliseconds(),
-			Trace:     wt,
-		})
+		fb.b, err = appendRequest(fb.b[:0], reqHeader{
+			id: id, from: t.cfg.Self,
+			budgetUS: time.Until(deadline).Microseconds(),
+			traced:   traced, span: sc,
+		}, msg)
 		if err != nil {
 			return nil, err
 		}
@@ -530,7 +662,7 @@ func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.M
 		}
 		pc.wmu.Lock()
 		pc.conn.SetWriteDeadline(deadline)
-		err = writeFrame(pc.conn, payload)
+		_, err = pc.conn.Write(fb.b)
 		pc.wmu.Unlock()
 		if err != nil {
 			pc.unregister(id)
@@ -547,7 +679,7 @@ func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.M
 // await blocks until the demux loop delivers the response for id, the
 // connection dies, or the deadline passes. The frame was already written, so
 // every failure here is conclusive (at-most-once: never resent).
-func (t *Transport) await(ctx context.Context, to proto.SiteID, pc *peerConn, id uint64, ch chan wireResp, deadline time.Time) (proto.Message, error) {
+func (t *Transport) await(ctx context.Context, to proto.SiteID, pc *peerConn, id uint64, ch chan callResult, deadline time.Time) (proto.Message, error) {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	select {
@@ -555,7 +687,7 @@ func (t *Transport) await(ctx context.Context, to proto.SiteID, pc *peerConn, id
 		if !ok {
 			return nil, fmt.Errorf("site %v: connection lost awaiting reply: %w", to, proto.ErrSiteDown)
 		}
-		return decodeReply(resp)
+		return resp.msg, resp.err
 	case <-timer.C:
 		pc.unregister(id)
 		return nil, fmt.Errorf("site %v: call timed out: %w", to, proto.ErrSiteDown)
@@ -565,11 +697,18 @@ func (t *Transport) await(ctx context.Context, to proto.SiteID, pc *peerConn, id
 	}
 }
 
-func decodeReply(resp wireResp) (proto.Message, error) {
-	if resp.Err != nil {
-		return nil, resp.Err.Err()
+// decodeReply decodes a response body: the reply message, or the error the
+// handler returned.
+func decodeReply(isErr bool, body []byte) callResult {
+	if !isErr {
+		msg, err := proto.DecodeMessage(body)
+		return callResult{msg, err}
 	}
-	return proto.DecodeMessage(resp.Msg)
+	w, err := proto.DecodeError(body)
+	if err != nil {
+		return callResult{err: err}
+	}
+	return callResult{err: w.Err()}
 }
 
 // getPeer returns the shared multiplexed connection to site to, dialing one
@@ -622,7 +761,7 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 			conn.Close()
 			return nil, false, fmt.Errorf("tcpnet: transport closed")
 		}
-		pc := &peerConn{conn: conn, pending: make(map[uint64]chan wireResp)}
+		pc := &peerConn{conn: conn, pending: make(map[uint64]chan callResult)}
 		t.peers[to] = pc
 		t.wg.Add(1)
 		go t.readLoop(to, pc)
@@ -656,27 +795,29 @@ func (t *Transport) dial(ctx context.Context, to proto.SiteID, addr string) (net
 }
 
 // readLoop is the demux side of one peer connection: it owns the read
-// stream, routing each response frame to the caller registered under its
-// request ID. When the stream dies, every pending caller is failed
-// conclusively and the connection is retired.
+// stream, decoding each response frame out of one reused buffer and handing
+// the result to the caller registered under its request ID. When the stream
+// dies, every pending caller is failed conclusively and the connection is
+// retired.
 func (t *Transport) readLoop(to proto.SiteID, pc *peerConn) {
 	defer t.wg.Done()
 	r := bufio.NewReader(pc.conn)
+	var buf []byte
 	for {
-		frame, err := readFrame(r)
-		if err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
 			break
 		}
-		var resp wireResp
-		if err := json.Unmarshal(frame, &resp); err != nil {
+		id, isErr, body, err := parseRespHeader(buf)
+		if err != nil {
 			break // corrupt stream: drop the connection
 		}
 		pc.mu.Lock()
-		ch := pc.pending[resp.ID]
-		delete(pc.pending, resp.ID)
+		ch := pc.pending[id]
+		delete(pc.pending, id)
 		pc.mu.Unlock()
-		if ch != nil {
-			ch <- resp // buffered; the caller may have gone, then it's dropped
+		if ch != nil { // else the caller gave up; the response is dropped
+			ch <- decodeReply(isErr, body) // buffered: never blocks
 		}
 	}
 	t.dropPeer(to, pc)
@@ -694,32 +835,25 @@ func (t *Transport) dropPeer(to proto.SiteID, pc *peerConn) {
 	pc.fail()
 }
 
-// writeFrame writes one length-prefixed frame as a single Write call, so
-// concurrent writers (serialized by the caller's mutex) never interleave
-// partial frames.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("frame too large: %d bytes", len(payload))
+// readFrame reads one frame's payload into buf, growing it when the frame
+// is larger, and returns the payload. The caller passes the result back in
+// on the next read, so a connection reads all its frames into one buffer.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 512)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	buf = buf[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > maxFrame {
-		return nil, errors.New("frame too large")
+		return buf, errors.New("frame too large")
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
 	}
-	return payload, nil
+	buf = buf[:n]
+	_, err := io.ReadFull(r, buf)
+	return buf, err
 }

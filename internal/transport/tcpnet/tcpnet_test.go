@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -189,12 +188,12 @@ func TestNoResendAfterDeliveredFrame(t *testing.T) {
 			go func(c net.Conn) {
 				defer c.Close()
 				for {
-					payload, err := readFrame(c)
+					payload, err := readFrame(c, nil)
 					if err != nil {
 						return
 					}
-					var req wireReq
-					if err := json.Unmarshal(payload, &req); err != nil {
+					req, _, err := parseReqHeader(payload)
+					if err != nil {
 						return
 					}
 					mu.Lock()
@@ -204,9 +203,8 @@ func TestNoResendAfterDeliveredFrame(t *testing.T) {
 					if n > 1 {
 						return // delivered but unanswered: close the conn
 					}
-					data, _ := proto.EncodeMessage(proto.ProbeResp{Operational: true})
-					out, _ := json.Marshal(wireResp{ID: req.ID, Msg: data})
-					if err := writeFrame(c, out); err != nil {
+					out := appendResponse(nil, req.id, proto.ProbeResp{Operational: true}, nil)
+					if _, err := c.Write(out); err != nil {
 						return
 					}
 				}
@@ -266,6 +264,75 @@ func TestHandlerDeadlineCarriesCallerBudget(t *testing.T) {
 	}
 	if d := <-budget; d <= 0 || d > 500*time.Millisecond {
 		t.Fatalf("handler budget = %v, want ~300ms (caller's deadline, not the 2s CallTimeout)", d)
+	}
+}
+
+// TestSubMillisecondBudgetIsNotNoBudget: a caller with 300 µs left must hand
+// the handler a 300 µs deadline. The budget used to cross the wire in whole
+// milliseconds, where anything under one truncated to 0, which the serving
+// side read as "no budget" and ran the handler — holding its locks — for the
+// full CallTimeout.
+func TestSubMillisecondBudgetIsNotNoBudget(t *testing.T) {
+	trs := newPair(t, 2) // CallTimeout is 2s
+	budget := make(chan time.Duration, 1)
+	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
+		if d, ok := ctx.Deadline(); ok {
+			budget <- time.Until(d)
+		} else {
+			budget <- time.Hour
+		}
+		return proto.ProbeResp{Operational: true}, nil
+	})
+	if _, err := trs[1].Call(context.Background(), 1, 2, proto.ProbeReq{}); err != nil {
+		t.Fatalf("warm-up call: %v", err)
+	}
+	<-budget
+
+	// The caller itself usually times out first, so its error says nothing;
+	// and on a busy box the 300 µs can run out before the frame is written,
+	// in which case the handler never runs and the attempt is repeated.
+	for attempt := 0; attempt < 50; attempt++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Microsecond)
+		trs[1].Call(ctx, 1, 2, proto.ProbeReq{})
+		cancel()
+		select {
+		case d := <-budget:
+			if d > 300*time.Microsecond {
+				t.Fatalf("handler budget = %v, want at most the caller's 300µs", d)
+			}
+			return
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	t.Fatal("no 300µs call reached the handler in 50 attempts")
+}
+
+// TestSpentBudgetCancelsHandlerAtOnce sends request frames whose budget is
+// zero and negative: the handler's context must already be done, not open
+// for the whole CallTimeout.
+func TestSpentBudgetCancelsHandlerAtOnce(t *testing.T) {
+	trs := newPair(t, 2)
+	ctxErr := make(chan error, 1)
+	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
+		ctxErr <- ctx.Err()
+		return proto.ProbeResp{}, nil
+	})
+	conn, err := net.Dial("tcp", trs[2].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i, us := range []int64{0, -1, -5_000_000} {
+		frame, err := appendRequest(nil, reqHeader{id: uint64(i + 1), from: 1, budgetUS: us}, proto.ProbeReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-ctxErr; !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("budget %dµs: handler ctx.Err() = %v, want DeadlineExceeded on entry", us, err)
+		}
 	}
 }
 
@@ -334,7 +401,7 @@ func (l *countingListener) count() int {
 
 // newCountedPeer starts a server transport behind a counting listener and a
 // client transport pointed at it.
-func newCountedPeer(t *testing.T, handler transport.Handler) (client *Transport, accepts func() int) {
+func newCountedPeer(t testing.TB, handler transport.Handler) (client *Transport, accepts func() int) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -481,7 +548,7 @@ func TestNoResendWhenConnDiesWithManyInFlight(t *testing.T) {
 			go func(c net.Conn) {
 				defer c.Close()
 				for {
-					if _, err := readFrame(c); err != nil {
+					if _, err := readFrame(c, nil); err != nil {
 						return
 					}
 					mu.Lock()

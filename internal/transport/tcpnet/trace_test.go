@@ -2,9 +2,8 @@ package tcpnet
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -131,7 +130,8 @@ func TestCallPropagatesSpanContext(t *testing.T) {
 // TestUntracedPeerInterop pins frame compatibility in both directions: a
 // hubless client sends no trace block to a traced server (no server span,
 // call succeeds), and a traced client's trace block is carried through a
-// hubless server's context without a hub.
+// hubless server's context without a hub. The header bytes say the same: no
+// hub, flags 0 and nothing after it.
 func TestUntracedPeerInterop(t *testing.T) {
 	trs, hubs := newTracedPair(t)
 
@@ -159,6 +159,15 @@ func TestUntracedPeerInterop(t *testing.T) {
 		t.Errorf("traced server recorded %d span events for an untraced frame", len(got))
 	}
 
+	plainHdr := appendReqHeader(nil, reqHeader{id: 1, from: 1, budgetUS: 1})
+	tracedHdr := appendReqHeader(nil, reqHeader{id: 1, from: 1, budgetUS: 1, traced: true, span: obs.SpanContext{Span: 9}})
+	if want := []byte{4, 1, 2, 2, 0}; !bytes.Equal(plainHdr, want) {
+		t.Errorf("untraced request header = %v, want %v (no trace block)", plainHdr, want)
+	}
+	if len(tracedHdr) <= len(plainHdr) {
+		t.Errorf("traced header %v is no longer than the untraced %v", tracedHdr, plainHdr)
+	}
+
 	// Traced -> hubless: the span context still reaches the handler's ctx.
 	caller := obs.SpanContext{Root: 9, Span: obs.NewSpanID(2), Origin: 2}
 	resp, err := trs[2].Call(obs.WithSpan(context.Background(), caller), 2, 1, proto.ProbeReq{})
@@ -171,48 +180,85 @@ func TestUntracedPeerInterop(t *testing.T) {
 }
 
 // TestFrameForwardCompat proves an "older peer" property at the frame level:
-// a request whose JSON carries unrecognized extra fields — both in the
-// wireReq envelope and inside the message envelope — is decoded and served
-// cleanly, because encoding/json ignores unknown fields. This is the
-// compatibility contract that let the trace block ship without a version
-// bump.
+// a request from a newer build — fields this build does not know appended to
+// the header, and more appended to the message body — is decoded and served
+// cleanly, because header and body are each length-delimited and their
+// decoders stop after the fields they know. This is the compatibility
+// contract that lets a field ship without a version bump. A kind byte this
+// build lacks is answered with an error, and the connection stays up.
 func TestFrameForwardCompat(t *testing.T) {
 	trs := newPair(t, 2)
-	addr := trs[2].Addr().String()
-
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", trs[2].Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	r := bufio.NewReader(conn)
 
-	msg := json.RawMessage(`{"kind":"probe","body":{},"future_envelope_field":[1,2,3]}`)
-	frame := fmt.Sprintf(
-		`{"id":7,"from":1,"msg":%s,"timeout_ms":2000,"trace":{"root":5,"span":9,"parent":1,"origin":1},"future_field":{"deep":true}}`,
-		msg)
-	if err := writeFrame(conn, []byte(frame)); err != nil {
+	// exchange sends one hand-built request payload and returns the decoded
+	// response.
+	exchange := func(header, body []byte) (uint64, callResult) {
+		t.Helper()
+		payload := append(append([]byte{byte(len(header))}, header...), body...)
+		frame, err := sealFrame(append(make([]byte, 4), payload...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := readFrame(r, nil)
+		if err != nil {
+			t.Fatalf("read response frame: %v", err)
+		}
+		id, isErr, respBody, err := parseRespHeader(raw)
+		if err != nil {
+			t.Fatalf("decode response header: %v", err)
+		}
+		return id, decodeReply(isErr, respBody)
+	}
+
+	future := []byte{0x2a, 0x03, 'n', 'e', 'w'}
+	known := appendReqHeader(nil, reqHeader{
+		id: 7, from: 1, budgetUS: 2_000_000,
+		traced: true, span: obs.SpanContext{Root: 5, Span: 9, Parent: 1, Origin: 1},
+	})[1:] // the fields, without their length byte
+	probe, err := proto.EncodeMessage(proto.ProbeReq{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	raw, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		t.Fatalf("read response frame: %v", err)
+	id, resp := exchange(append(known, future...), append(probe, future...))
+	if id != 7 {
+		t.Errorf("response ID = %d, want 7", id)
 	}
-	var resp wireResp
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		t.Fatalf("decode response: %v", err)
+	if resp.err != nil {
+		t.Fatalf("handler error: %v", resp.err)
 	}
-	if resp.ID != 7 {
-		t.Errorf("response ID = %d, want 7", resp.ID)
+	if pr, ok := resp.msg.(proto.ProbeResp); !ok || !pr.Operational {
+		t.Errorf("reply = %#v, want operational probe response", resp.msg)
 	}
-	if resp.Err != nil {
-		t.Fatalf("handler error: %v", resp.Err.Err())
+
+	known = appendReqHeader(nil, reqHeader{id: 8, from: 1, budgetUS: 2_000_000})[1:]
+	id, resp = exchange(known, []byte{0xee, 1, 2, 3})
+	if id != 8 || resp.err == nil {
+		t.Errorf("unknown kind byte: response %d = %+v, want an error under ID 8", id, resp)
 	}
-	reply, err := proto.DecodeMessage(resp.Msg)
-	if err != nil {
-		t.Fatalf("decode reply: %v", err)
+	if _, resp = exchange(known, probe); resp.err != nil {
+		t.Errorf("connection unusable after an unknown kind: %v", resp.err)
 	}
-	if pr, ok := reply.(proto.ProbeResp); !ok || !pr.Operational {
-		t.Errorf("reply = %#v, want operational probe response", reply)
+
+	// The response side of the same rule.
+	respFrame := appendResponse(nil, 3, proto.ProbeResp{Operational: true, Session: 4}, nil)
+	hdrLen := int(respFrame[4])
+	payload := append([]byte{byte(hdrLen + len(future))}, respFrame[5:5+hdrLen]...)
+	payload = append(append(payload, future...), respFrame[5+hdrLen:]...)
+	payload = append(payload, future...)
+	id, isErr, body, err := parseRespHeader(payload)
+	if err != nil || id != 3 || isErr {
+		t.Fatalf("response header with appended fields = %d, %v, %v", id, isErr, err)
+	}
+	if got := decodeReply(isErr, body); got.err != nil || got.msg != (proto.ProbeResp{Operational: true, Session: 4}) {
+		t.Errorf("response body with appended fields = %+v", got)
 	}
 }
