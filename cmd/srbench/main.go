@@ -4,20 +4,15 @@
 // Usage:
 //
 //	srbench [-run E3] [-scale quick|full] [-csv] [-json BENCH.json]
-//	srbench -transport [-txns 50] [-json BENCH_PR4.json]
-//	srbench -store [-txns 50] [-json BENCH_PR9.json]
 //	srbench -check [-baseline BENCH_PR6.json] [-fresh bench/out/BENCH_PR6.json]
 //	srbench -list
 //
 // With -json, srbench additionally writes a machine-readable per-experiment
 // summary — wall time, protocol throughput, abort rate, and commit-latency
-// percentiles read off the observability hub — to seed the repository's
-// performance trajectory (BENCH_PR2.json and successors).
+// percentiles read off the observability hub.
 //
-// With -transport, srbench instead benchmarks the transport dimension:
-// multi-replica commit latency on the in-process simulator with sequential
-// vs parallel fan-out, and across three nodes on real localhost TCP (see
-// cmd/srbench/transport.go).
+// With -check, srbench is the perf-trend gate instead: it compares a fresh
+// srload bench file against the committed BENCH_PR6.json baseline.
 package main
 
 import (
@@ -41,9 +36,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		showObs  = flag.Bool("metrics", false, "print each experiment's protocol-metrics delta")
 		jsonPath = flag.String("json", "", "write a machine-readable per-experiment summary to this file")
-		trans    = flag.Bool("transport", false, "benchmark the transport dimension (inproc-seq, inproc-par, tcp) instead of the experiments")
-		storeB   = flag.Bool("store", false, "benchmark the storage-engine dimension: mem vs disk commit latency plus the disk engine's WAL redo replay rate")
-		txns     = flag.Int("txns", 50, "transactions per transport/store mode")
 		check    = flag.Bool("check", false, "compare a fresh srload bench file against the committed baseline and fail on regressions")
 		baseline = flag.String("baseline", "BENCH_PR6.json", "committed baseline bench file for -check")
 		fresh    = flag.String("fresh", "bench/out/BENCH_PR6.json", "fresh bench file for -check")
@@ -53,20 +45,6 @@ func main() {
 	flag.Parse()
 	if *check {
 		if err := runCheck(*baseline, *fresh, *msgSlack, *latSlack); err != nil {
-			fmt.Fprintln(os.Stderr, "srbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *trans {
-		if err := runTransportBench(*txns, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "srbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *storeB {
-		if err := runStoreBench(*txns, *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "srbench:", err)
 			os.Exit(1)
 		}

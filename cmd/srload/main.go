@@ -1,10 +1,9 @@
 // Command srload is the open-loop production load harness: Poisson
 // arrivals at a target QPS (or unpaced, for the throughput ceiling),
 // Zipfian key skew, and a configurable read/write mix, driven against the
-// in-process netsim cluster (sequential and parallel fan-out) and against a
-// real multi-process srnode cluster over localhost TCP — with an
-// optional mid-run crash/recover phase so availability under load is
-// measured, not assumed.
+// in-process netsim cluster and against a real multi-process srnode cluster
+// over localhost TCP — with an optional mid-run crash/recover phase so
+// availability under load is measured, not assumed.
 //
 // Usage:
 //
@@ -106,16 +105,11 @@ func realMain(o options) error {
 	ctx := context.Background()
 
 	if o.cluster == "netsim" || o.cluster == "all" {
-		for _, mode := range []struct {
-			name     string
-			parallel bool
-		}{{"netsim", false}, {"netsim/parallel", true}} {
-			rep, err := runNetsim(ctx, o, mode.name, mode.parallel)
-			if err != nil {
-				return fmt.Errorf("%s: %w", mode.name, err)
-			}
-			bench.Results = append(bench.Results, rep)
+		rep, err := runNetsim(ctx, o, "netsim")
+		if err != nil {
+			return fmt.Errorf("netsim: %w", err)
 		}
+		bench.Results = append(bench.Results, rep)
 	}
 	if o.cluster == "tcp" || o.cluster == "all" {
 		rep, err := runTCP(ctx, o, "tcp")
@@ -139,13 +133,12 @@ func realMain(o options) error {
 }
 
 // runNetsim drives one freshly built in-process cluster.
-func runNetsim(ctx context.Context, o options, name string, parallel bool) (load.Report, error) {
-	cl, err := core.NewCluster(
-		core.WithSites(o.sites),
-		core.WithPlacement(workload.UniformPlacement(o.items, o.replicas, o.sites, o.seed)),
-		core.WithSeed(o.seed),
-		core.WithParallelFanout(parallel),
-	)
+func runNetsim(ctx context.Context, o options, name string) (load.Report, error) {
+	cl, err := core.New(core.Config{
+		Sites:     o.sites,
+		Placement: workload.UniformPlacement(o.items, o.replicas, o.sites, o.seed),
+		Seed:      o.seed,
+	})
 	if err != nil {
 		return load.Report{}, err
 	}

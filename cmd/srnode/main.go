@@ -154,19 +154,21 @@ func main() {
 	hub := obs.NewHub(obs.Options{Sinks: sinks})
 
 	cfg := node.Config{
-		Site:       id,
-		Sites:      len(addrs),
-		Addrs:      addrs,
-		Placement:  placement,
-		Profile:    replication.ROWAA,
-		Identify:   ident,
-		LockPolicy: policy,
-		Obs:        hub,
-		StartDown:  *startDown,
-		Epoch:      *epoch,
-		// SRNODE_BUG selects a deliberately broken protocol variant so the
-		// chaos harness can prove its oracle catches real violations.
-		ReuseSessionBug: os.Getenv("SRNODE_BUG") == "reuse-session",
+		SiteConfig: node.SiteConfig{
+			Site:       id,
+			Profile:    replication.ROWAA,
+			Identify:   ident,
+			LockPolicy: policy,
+			Obs:        hub,
+			StartDown:  *startDown,
+			// SRNODE_BUG selects a deliberately broken protocol variant so
+			// the chaos harness can prove its oracle catches real violations.
+			ReuseSessionBug: os.Getenv("SRNODE_BUG") == "reuse-session",
+		},
+		Sites:     len(addrs),
+		Addrs:     addrs,
+		Placement: placement,
+		Epoch:     *epoch,
 	}
 	if *statedir != "" {
 		st, err := loadState(*statedir)

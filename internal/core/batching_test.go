@@ -50,10 +50,7 @@ func batchWorkload(t *testing.T, c *Cluster, txns, writes int) uint64 {
 }
 
 func TestReadYourWritesAndConvergence(t *testing.T) {
-	c, err := NewCluster(
-		WithSites(3),
-		WithPlacement(fullPlacement(4)),
-	)
+	c, err := New(Config{Sites: 3, Placement: fullPlacement(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +100,7 @@ func TestReadYourWritesAndConvergence(t *testing.T) {
 // cross the wire; the read is served locally.
 func TestCommitCostsOneBatchAndOneDecisionPerSite(t *testing.T) {
 	const txns, writes, sites = 20, 4, 3
-	c, err := NewCluster(
-		WithSites(sites),
-		WithPlacement(fullPlacement(4)),
-		WithSeed(11),
-	)
+	c, err := New(Config{Sites: sites, Placement: fullPlacement(4), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,44 +110,5 @@ func TestCommitCostsOneBatchAndOneDecisionPerSite(t *testing.T) {
 	got := batchWorkload(t, c, txns, writes)
 	if want := uint64(txns * 2 * (sites - 1)); got != want {
 		t.Fatalf("%d txns cost %d wire messages, want %d (R-1 batch + R-1 commit each)", txns, got, want)
-	}
-}
-
-// TestOptionsAPIEquivalence pins the v2 construction contract: a cluster
-// built from functional options behaves identically to one built from the
-// legacy Config literal.
-func TestOptionsAPIEquivalence(t *testing.T) {
-	placement := fullPlacement(3)
-	run := func(c *Cluster) []proto.Value {
-		c.Start()
-		defer c.Stop()
-		for i, item := range c.Catalog().Items() {
-			write(t, c, 1, item, proto.Value(100+i))
-		}
-		var out []proto.Value
-		for _, item := range c.Catalog().Items() {
-			out = append(out, read(t, c, 2, item))
-		}
-		return out
-	}
-
-	v2, err := NewCluster(
-		WithSites(3),
-		WithPlacement(placement),
-		WithRecoveryMethod(MethodCopiers),
-		WithSeed(7),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := New(Config{Sites: 3, Placement: placement, Method: MethodCopiers, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, got1 := run(v2), run(v1)
-	for i := range got1 {
-		if got1[i] != got2[i] {
-			t.Fatalf("options-built cluster diverged: %v vs %v", got2, got1)
-		}
 	}
 }

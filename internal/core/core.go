@@ -1,7 +1,7 @@
 // Package core assembles the full simulated replicated distributed
-// database: n sites, each with a storage layer, stable log, lock manager,
-// data manager, transaction manager, session manager, recovery manager, and
-// cooperative-termination janitor, connected by the network simulator.
+// database: n sites (node.Site — the same stack cmd/srnode runs over TCP)
+// connected by the network simulator, sharing one sequencer and one history
+// recorder.
 //
 // It is the library's public face: construct a Cluster, run transactions
 // with Exec, crash and recover sites, and certify executions
@@ -26,24 +26,20 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"siterecovery/internal/clock"
-	"siterecovery/internal/dm"
 	"siterecovery/internal/history"
 	"siterecovery/internal/lockmgr"
-	"siterecovery/internal/metrics"
 	"siterecovery/internal/netsim"
+	"siterecovery/internal/node"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/replication"
-	"siterecovery/internal/session"
 	"siterecovery/internal/spooler"
 	"siterecovery/internal/storage"
 	"siterecovery/internal/txn"
-	"siterecovery/internal/wal"
 )
 
 // RecoveryMethod selects the database-recovery approach a cluster uses.
@@ -95,13 +91,6 @@ type Config struct {
 	MaxLatency time.Duration
 	LossRate   float64
 	Seed       int64
-	// ParallelFanout lets multi-replica phases (write-all, prepare/commit,
-	// claim broadcasts, witness queries) issue their simulator calls
-	// concurrently, so multi-replica latency is the max of the replicas
-	// instead of the sum. Off by default: the deterministic harnesses
-	// (scripted runs, the chaos engine) need one totally ordered message
-	// stream per seed. Real transports (tcpnet) always fan out in parallel.
-	ParallelFanout bool
 	// MaxAttempts and RetryBackoff tune the transaction retry loop.
 	MaxAttempts  int
 	RetryBackoff time.Duration
@@ -134,14 +123,7 @@ type Config struct {
 
 // Hooks expose two-phase-commit instants so tests can crash sites at the
 // nastiest moments.
-type Hooks struct {
-	// OnPrepared fires at the coordinator after all participants voted
-	// yes, before the decision is logged.
-	OnPrepared func(site proto.SiteID, id proto.TxnID)
-	// OnDecided fires right after the commit decision is logged, before
-	// commit messages go out.
-	OnDecided func(site proto.SiteID, id proto.TxnID)
-}
+type Hooks = node.Hooks
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Sites <= 0 {
@@ -149,18 +131,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if len(c.Placement) == 0 {
 		return c, fmt.Errorf("config: Placement must not be empty")
-	}
-	if c.Profile.Name == "" {
-		c.Profile = replication.ROWAA
-	}
-	if c.Identify == 0 {
-		c.Identify = recovery.IdentifyMarkAll
-	}
-	if c.CopierMode == 0 {
-		c.CopierMode = recovery.CopierEager
-	}
-	if c.Method == 0 {
-		c.Method = MethodCopiers
 	}
 	if c.Clock == nil {
 		c.Clock = clock.New()
@@ -179,36 +149,10 @@ func (c Config) withDefaults() (Config, error) {
 
 // InitialSession is the session number every site starts with: the cluster
 // models an already-running system.
-const InitialSession proto.Session = 1
+const InitialSession = node.InitialSession
 
-// Site bundles one site's components.
-type Site struct {
-	ID proto.SiteID
-
-	Store    storage.Engine
-	Locks    *lockmgr.Manager
-	Log      *wal.Log
-	Spool    *spooler.Store
-	DM       *dm.Manager
-	TM       *txn.Manager
-	Session  *session.Manager
-	Recovery *recovery.Manager
-	Janitor  *recovery.Janitor
-
-	mu sync.Mutex
-	up bool
-}
-
-// Up reports whether the site is attached to the network (it may still be
-// recovering rather than operational).
-func (s *Site) Up() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.up
-}
-
-// Operational reports whether the site accepts user transactions.
-func (s *Site) Operational() bool { return s.DM.Operational() }
+// Site is one site's component bundle and lifecycle.
+type Site = node.Site
 
 // Cluster is a running simulated DDBS. Create with New.
 type Cluster struct {
@@ -216,17 +160,9 @@ type Cluster struct {
 
 	net   *netsim.Network
 	cat   *replication.Catalog
-	seq   *txn.Sequencer
 	rec   *history.Recorder
 	sites map[proto.SiteID]*Site
 	ids   []proto.SiteID
-
-	// TxnLatency and Availability aggregate Exec outcomes.
-	TxnLatency   metrics.Histogram
-	Availability metrics.Ratio
-
-	mu      sync.Mutex
-	started bool
 }
 
 // New builds a cluster. Every site starts up and operational with session
@@ -248,237 +184,82 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	net := netsim.New(netsim.Config{
-		Clock:          cfg.Clock,
-		MinLatency:     cfg.MinLatency,
-		MaxLatency:     cfg.MaxLatency,
-		LossRate:       cfg.LossRate,
-		Seed:           cfg.Seed,
-		ParallelFanout: cfg.ParallelFanout,
-		Obs:            cfg.Obs,
+		Clock:      cfg.Clock,
+		MinLatency: cfg.MinLatency,
+		MaxLatency: cfg.MaxLatency,
+		LossRate:   cfg.LossRate,
+		Seed:       cfg.Seed,
+		Obs:        cfg.Obs,
 	})
 	rec := history.NewRecorder()
 	rec.RegisterTxn(txn.InitialTxn, proto.ClassInitial)
 	rec.Commit(txn.InitialTxn, 0)
-	seq := txn.NewSequencer()
 
 	c := &Cluster{
 		cfg:   cfg,
 		net:   net,
 		cat:   cat,
-		seq:   seq,
 		rec:   rec,
 		sites: make(map[proto.SiteID]*Site, len(ids)),
 		ids:   ids,
 	}
-	tracking := dm.TrackNone
-	switch cfg.Identify {
-	case recovery.IdentifyFailLock:
-		tracking = dm.TrackFailLock
-	case recovery.IdentifyMissingList:
-		tracking = dm.TrackMissingList
+	// The simulator's deliberate choices: one sequencer and one history
+	// recorder shared by every site, the cluster's (possibly virtual) clock,
+	// the 250 ms lock timeout withDefaults picked, and a spool store per
+	// site only for the spooler baseline. No stable-state preload or sinks:
+	// a simulated site never outlives its process.
+	env := node.Env{
+		Net:             net,
+		Catalog:         cat,
+		Seq:             txn.NewSequencer(),
+		Clock:           cfg.Clock,
+		Recorder:        rec,
+		Hooks:           cfg.Hooks,
+		Seed:            cfg.Seed,
+		DisableJanitor:  cfg.DisableJanitor,
+		DisableDetector: cfg.DisableDetector,
 	}
-
 	for _, id := range ids {
-		site := &Site{ID: id, up: true}
-
-		var items []proto.Item
-		items = append(items, cat.ItemsAt(id)...)
-		for _, j := range ids {
-			items = append(items, proto.NSItem(j))
+		if cfg.Method == MethodSpooler {
+			env.Spool = spooler.New()
 		}
-		// The log assembles before storage so a redo-logged engine can
-		// replay into itself the moment its factory runs.
-		site.Log = wal.New()
-		factory := cfg.Storage
-		if factory == nil {
-			factory = storage.MemFactory
-		}
-		site.Store, err = factory(storage.Deps{
-			Site:          id,
-			Items:         items,
-			InitialWriter: txn.InitialTxn,
-			Log:           site.Log,
+		site, err := node.NewSite(env, node.SiteConfig{
+			Site:             id,
+			Profile:          cfg.Profile,
+			Identify:         cfg.Identify,
+			CopierMode:       cfg.CopierMode,
+			LockPolicy:       cfg.LockPolicy,
+			LockTimeout:      cfg.LockTimeout,
+			MaxAttempts:      cfg.MaxAttempts,
+			RetryBackoff:     cfg.RetryBackoff,
+			JanitorInterval:  cfg.JanitorInterval,
+			JanitorStaleAge:  cfg.JanitorStaleAge,
+			DetectorDebounce: cfg.DetectorDebounce,
+			CopierWorkers:    cfg.CopierWorkers,
+			Obs:              cfg.Obs,
+			Engine:           cfg.Storage,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("site %v storage engine: %w", id, err)
+			return nil, err
 		}
-		// Seed NS values only where the copy still carries its initial
-		// version; a reopened durable engine keeps its recovered vector.
-		for _, j := range ids {
-			if _, ver, err := site.Store.Committed(proto.NSItem(j)); err == nil && ver != (proto.Version{Writer: txn.InitialTxn}) {
-				continue
-			}
-			if err := site.Store.Seed(proto.NSItem(j), proto.Value(InitialSession)); err != nil {
-				return nil, err
-			}
-		}
-		site.Store.SetSessionCounter(InitialSession)
-
-		site.Locks = lockmgr.New(lockmgr.Config{
-			Clock:   cfg.Clock,
-			Timeout: cfg.LockTimeout,
-			Policy:  cfg.LockPolicy,
-		})
-		if cfg.Method == MethodSpooler {
-			site.Spool = spooler.New()
-		}
-		site.DM = dm.New(dm.Config{
-			Site:     id,
-			Store:    site.Store,
-			Locks:    site.Locks,
-			Log:      site.Log,
-			Recorder: rec,
-			Clock:    cfg.Clock,
-			Tracking: tracking,
-			Spool:    site.Spool,
-			Obs:      cfg.Obs,
-			// The sequencer is shared cluster-wide, so observing commit
-			// sequence numbers never moves it; wiring it anyway keeps the
-			// messages (prepare votes carry the high-water mark) identical
-			// to what srnode's strided sequencers exchange.
-			Seq: seq,
-		}, dm.Callbacks{
-			OnUnreadableRead: func(item proto.Item) {
-				// Demand-trigger a copier; in eager mode the request
-				// deduplicates against the already-queued refresh.
-				if site.Recovery != nil {
-					site.Recovery.RequestCopy(item)
-				}
-			},
-			ActiveTxn: func(id proto.TxnID) bool {
-				return site.TM != nil && site.TM.Active(id)
-			},
-		})
-		site.DM.SetSession(InitialSession)
-
-		site.TM = txn.New(txn.Config{
-			Site:         id,
-			Net:          net,
-			Local:        site.DM,
-			Catalog:      cat,
-			Profile:      cfg.Profile,
-			Recorder:     rec,
-			Seq:          seq,
-			Clock:        cfg.Clock,
-			Obs:          cfg.Obs,
-			MaxAttempts:  cfg.MaxAttempts,
-			RetryBackoff: cfg.RetryBackoff,
-			Seed:         cfg.Seed + int64(id),
-		}, txn.Callbacks{
-			OnSiteDown: func(down proto.SiteID, observed proto.Session) {
-				if !c.cfg.DisableDetector && site.Session != nil {
-					site.Session.ReportDown(down, observed)
-				}
-			},
-			OnPrepared: func(txid proto.TxnID) {
-				if c.cfg.Hooks.OnPrepared != nil {
-					c.cfg.Hooks.OnPrepared(id, txid)
-				}
-			},
-			OnDecided: func(txid proto.TxnID) {
-				if c.cfg.Hooks.OnDecided != nil {
-					c.cfg.Hooks.OnDecided(id, txid)
-				}
-			},
-		})
-
-		site.Session = session.New(session.Config{
-			Site:     id,
-			TM:       site.TM,
-			Local:    site.DM,
-			Net:      net,
-			Catalog:  cat,
-			Clock:    cfg.Clock,
-			Obs:      cfg.Obs,
-			Debounce: cfg.DetectorDebounce,
-		})
-		site.Recovery = recovery.New(recovery.Config{
-			Site:          id,
-			TM:            site.TM,
-			Local:         site.DM,
-			Net:           net,
-			Catalog:       cat,
-			Session:       site.Session,
-			Clock:         cfg.Clock,
-			Recorder:      rec,
-			Seq:           seq,
-			Obs:           cfg.Obs,
-			Identify:      cfg.Identify,
-			CopierMode:    cfg.CopierMode,
-			CopierWorkers: cfg.CopierWorkers,
-		})
-		site.Janitor = recovery.NewJanitor(recovery.JanitorConfig{
-			Site:     id,
-			Local:    site.DM,
-			Net:      net,
-			Catalog:  cat,
-			Clock:    cfg.Clock,
-			Interval: cfg.JanitorInterval,
-			StaleAge: cfg.JanitorStaleAge,
-		})
-
 		c.sites[id] = site
-		net.Register(id, c.routeFor(site))
+		net.Register(id, site.Handle)
 	}
 	return c, nil
 }
 
-// routeFor builds the site's wire dispatcher: spool messages go to the
-// spool store, everything else to the data manager.
-func (c *Cluster) routeFor(site *Site) netsim.Handler {
-	return func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		switch msg.(type) {
-		case proto.SpoolAppendReq, proto.SpoolFetchReq:
-			if site.Spool == nil {
-				return nil, fmt.Errorf("site %v has no spool store", site.ID)
-			}
-			return site.Spool.Handle(ctx, from, msg)
-		default:
-			return site.DM.Handle(ctx, from, msg)
-		}
-	}
-}
-
 // Start launches every site's background workers.
 func (c *Cluster) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return
-	}
-	c.started = true
 	for _, id := range c.ids {
-		c.startWorkers(c.sites[id])
+		c.sites[id].Start()
 	}
 }
 
 // Stop shuts all workers down.
 func (c *Cluster) Stop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.started {
-		return
-	}
-	c.started = false
 	for _, id := range c.ids {
-		c.stopWorkers(c.sites[id])
+		c.sites[id].Stop()
 	}
-}
-
-func (c *Cluster) startWorkers(s *Site) {
-	if !c.cfg.DisableDetector {
-		s.Session.Start()
-	}
-	s.Recovery.Start()
-	if !c.cfg.DisableJanitor {
-		s.Janitor.Start()
-	}
-}
-
-func (c *Cluster) stopWorkers(s *Site) {
-	s.Janitor.Stop()
-	s.Recovery.Stop()
-	s.Session.Stop()
 }
 
 // Site returns a site's component bundle.
@@ -507,25 +288,17 @@ func (c *Cluster) Catalog() *replication.Catalog { return c.cat }
 // injection).
 func (c *Cluster) Network() *netsim.Network { return c.net }
 
-// Sequencer returns the cluster-wide sequencer.
-func (c *Cluster) Sequencer() *txn.Sequencer { return c.seq }
-
 // Obs returns the observability hub the cluster emits into (nil when none
 // was configured).
 func (c *Cluster) Obs() *obs.Hub { return c.cfg.Obs }
 
-// Exec runs body as a user transaction coordinated by the given site,
-// recording latency and availability.
+// Exec runs body as a user transaction coordinated by the given site.
 func (c *Cluster) Exec(ctx context.Context, site proto.SiteID, body func(context.Context, *txn.Tx) error) error {
 	s, ok := c.sites[site]
 	if !ok {
 		return fmt.Errorf("unknown site %v", site)
 	}
-	start := c.cfg.Clock.Now()
-	err := s.TM.Run(ctx, body)
-	c.TxnLatency.Observe(c.cfg.Clock.Since(start))
-	c.Availability.Record(err == nil)
-	return err
+	return s.Exec(ctx, body)
 }
 
 // Crash fail-stops a site: it detaches from the network, loses all
@@ -535,23 +308,8 @@ func (c *Cluster) Crash(id proto.SiteID) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	if !s.up {
-		s.mu.Unlock()
-		return
-	}
-	s.up = false
-	s.mu.Unlock()
-
-	c.cfg.Obs.SiteCrash(id)
 	c.net.SetDown(id, true)
-	c.stopWorkers(s)
-	s.DM.Crash()
-	s.TM.CrashReset()
-	s.Session.CrashReset()
-	if s.Spool != nil {
-		s.Spool.Crash()
-	}
+	s.Crash()
 }
 
 // Recover reattaches a crashed site and runs the configured recovery
@@ -563,30 +321,10 @@ func (c *Cluster) Recover(ctx context.Context, id proto.SiteID) (recovery.Report
 	if !ok {
 		return recovery.Report{}, fmt.Errorf("unknown site %v", id)
 	}
-	s.mu.Lock()
-	if s.up {
-		s.mu.Unlock()
-		return recovery.Report{}, fmt.Errorf("site %v is not down", id)
-	}
-	s.up = true
-	s.mu.Unlock()
-
-	s.DM.Restart()
+	// Until the site's own Recover restarts its data manager, its
+	// dispatcher keeps answering ErrSiteDown over the reattached link.
 	c.net.SetDown(id, false)
-	c.mu.Lock()
-	if c.started {
-		c.startWorkers(s)
-	}
-	c.mu.Unlock()
-
-	switch {
-	case c.cfg.Profile.Name != replication.ROWAA.Name:
-		return s.Recovery.RecoverBaseline(ctx)
-	case c.cfg.Method == MethodSpooler:
-		return s.Recovery.RecoverSpooled(ctx)
-	default:
-		return s.Recovery.Recover(ctx)
-	}
+	return s.Recover(ctx)
 }
 
 // WaitCurrent blocks until the site's copies are all readable again.
@@ -600,10 +338,6 @@ func (c *Cluster) WaitCurrent(ctx context.Context, id proto.SiteID) error {
 
 // History snapshots the execution history recorded so far.
 func (c *Cluster) History() *history.History { return c.rec.Snapshot() }
-
-// Recorder exposes the history recorder (examples registering synthetic
-// transactions).
-func (c *Cluster) Recorder() *history.Recorder { return c.rec }
 
 // CertifyOneSR checks the recorded history against the revised 1-STG of
 // §4.1 with respect to the user database.

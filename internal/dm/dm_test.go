@@ -17,7 +17,7 @@ const initialTxn proto.TxnID = 1
 
 type fixture struct {
 	dm    *Manager
-	store *storage.Store
+	store *storage.Mem
 	locks *lockmgr.Manager
 	log   *wal.Log
 	rec   *history.Recorder
@@ -25,7 +25,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, tracking Tracking, cb Callbacks) *fixture {
 	t.Helper()
-	st := storage.New(1, []proto.Item{"x", "y"}, initialTxn)
+	st := storage.NewMem(1, []proto.Item{"x", "y"}, initialTxn)
 	st.AddItem(proto.NSItem(1), initialTxn)
 	locks := lockmgr.New(lockmgr.Config{Timeout: 200 * time.Millisecond})
 	log := wal.New()
@@ -421,7 +421,7 @@ func TestRefreshInstallsOriginalVersion(t *testing.T) {
 }
 
 func TestWoundedTxnVotesNo(t *testing.T) {
-	st := storage.New(1, []proto.Item{"x"}, initialTxn)
+	st := storage.NewMem(1, []proto.Item{"x"}, initialTxn)
 	locks := lockmgr.New(lockmgr.Config{Policy: lockmgr.PolicyWoundWait, Timeout: time.Second})
 	m := New(Config{Site: 1, Store: st, Locks: locks, Log: wal.New()}, Callbacks{})
 	m.SetSession(5)
@@ -480,7 +480,7 @@ func (f *fakeSeq) HighCommitSeq() uint64 { return f.high }
 // folded back into the clock.
 func TestCommitSeqClockObservation(t *testing.T) {
 	seq := &fakeSeq{high: 30}
-	st := storage.New(1, []proto.Item{"x"}, initialTxn)
+	st := storage.NewMem(1, []proto.Item{"x"}, initialTxn)
 	locks := lockmgr.New(lockmgr.Config{Timeout: 200 * time.Millisecond})
 	m := New(Config{
 		Site: 1, Store: st, Locks: locks, Log: wal.New(), Seq: seq,

@@ -20,15 +20,14 @@ func testItems(n int) []proto.Item {
 	return items
 }
 
-func newTestCluster(t *testing.T, opts ...core.Option) *core.Cluster {
+func newTestCluster(t *testing.T) *core.Cluster {
 	t.Helper()
-	base := []core.Option{
-		core.WithSites(3),
-		core.WithPlacement(workload.UniformPlacement(16, 3, 3, 1)),
-	}
-	cl, err := core.NewCluster(append(base, opts...)...)
+	cl, err := core.New(core.Config{
+		Sites:     3,
+		Placement: workload.UniformPlacement(16, 3, 3, 1),
+	})
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+		t.Fatalf("core.New: %v", err)
 	}
 	cl.Start()
 	t.Cleanup(cl.Stop)

@@ -39,7 +39,7 @@ func Summarize(h *metrics.Histogram) LatencySummary {
 	}
 }
 
-// Report is one run column of the bench file, e.g. "netsim/parallel".
+// Report is one run column of the bench file, e.g. "netsim".
 type Report struct {
 	Name          string         `json:"name"`
 	Arrivals      uint64         `json:"arrivals"`

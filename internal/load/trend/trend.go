@@ -36,7 +36,7 @@ func (o Options) withDefaults() Options {
 
 // Violation is one regression past tolerance.
 type Violation struct {
-	Name     string // result column, e.g. "netsim/parallel"
+	Name     string // result column, e.g. "tcp"
 	Metric   string // "msgs_per_committed_txn" or "p95_commit_latency_us"
 	Baseline float64
 	Fresh    float64

@@ -20,7 +20,7 @@ func col(name string, msgs float64, p95 int64) load.Report {
 }
 
 func TestCheckPassesOnIdenticalRuns(t *testing.T) {
-	base := bench(col("netsim/parallel", 4.0, 900), col("netsim", 4.0, 400))
+	base := bench(col("tcp", 4.0, 900), col("netsim", 4.0, 400))
 	if v := Check(base, base, Options{}); len(v) != 0 {
 		t.Fatalf("identical runs flagged: %v", v)
 	}
@@ -37,10 +37,10 @@ func TestCheckPassesWithinTolerance(t *testing.T) {
 // TestCheckFailsOnSyntheticRegression is the acceptance check: feeding the
 // gate a synthetically regressed fresh file must fail both metrics.
 func TestCheckFailsOnSyntheticRegression(t *testing.T) {
-	base := bench(col("netsim/parallel", 4.0, 900), col("netsim", 4.0, 400))
+	base := bench(col("tcp", 4.0, 900), col("netsim", 4.0, 400))
 	fresh := bench(
-		col("netsim/parallel", 4.0, 900), // unchanged: must not be flagged
-		col("netsim", 4.8, 520),          // +20% msgs, +30% p95
+		col("tcp", 4.0, 900),    // unchanged: must not be flagged
+		col("netsim", 4.8, 520), // +20% msgs, +30% p95
 	)
 	v := Check(base, fresh, Options{})
 	if len(v) != 2 {
@@ -70,8 +70,8 @@ func TestCheckHonorsLatencySlack(t *testing.T) {
 }
 
 func TestCheckFlagsMissingColumn(t *testing.T) {
-	base := bench(col("netsim/parallel", 4.0, 900), col("netsim", 4.0, 400))
-	fresh := bench(col("netsim/parallel", 4.0, 900))
+	base := bench(col("tcp", 4.0, 900), col("netsim", 4.0, 400))
+	fresh := bench(col("tcp", 4.0, 900))
 	v := Check(base, fresh, Options{})
 	if len(v) != 1 || v[0].Name != "netsim" {
 		t.Fatalf("dropped column not flagged: %v", v)
@@ -83,7 +83,7 @@ func TestCheckFlagsMissingColumn(t *testing.T) {
 
 func TestCheckIgnoresNewColumns(t *testing.T) {
 	base := bench(col("netsim", 4.0, 400))
-	fresh := bench(col("netsim", 4.0, 400), col("netsim/parallel", 4.0, 700))
+	fresh := bench(col("netsim", 4.0, 400), col("tcp", 4.0, 700))
 	if v := Check(base, fresh, Options{}); len(v) != 0 {
 		t.Fatalf("new fresh-only column flagged: %v", v)
 	}

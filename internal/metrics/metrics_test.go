@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -79,7 +81,7 @@ func TestHistogramQuantileBounds(t *testing.T) {
 // TestHistogramQuantileNeverExceedsMax: a bucket's upper bound can lie above
 // every sample in it, and a report must not show p99 above the observed max.
 func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
-	overflow := bucketUpper(numBuckets-1) + time.Hour
+	overflow := time.Duration(bucketUpper(numBuckets-1)) + time.Hour
 	for _, tc := range []struct {
 		name    string
 		samples []time.Duration
@@ -132,19 +134,50 @@ func TestBucketBoundariesCoverRange(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 1 {
-		t.Fatal("empty ratio must be 1")
+// TestBucketLayout: every sample lies in (previous bucket's bound, its own
+// bucket's bound], and that bound overstates it by at most one part in
+// subBuckets — the log-linear promise a quantile inherits.
+func TestBucketLayout(t *testing.T) {
+	check := func(v int64) {
+		t.Helper()
+		i := bucketFor(v)
+		upper := bucketUpper(i)
+		if v > upper || (i > 0 && v <= bucketUpper(i-1)) {
+			t.Fatalf("sample %d in bucket %d (%d, %d]", v, i, bucketUpper(i-1), upper)
+		}
+		if upper-v > v/subBuckets {
+			t.Fatalf("sample %d: bound %d overstates by more than 1/%d", v, upper, subBuckets)
+		}
 	}
-	r.Record(true)
-	r.Record(true)
-	r.Record(false)
-	if got := r.Value(); got < 0.66 || got > 0.67 {
-		t.Fatalf("Value = %v", got)
+	for v := int64(0); v < 1<<12; v++ {
+		check(v)
 	}
-	ok, all := r.Counts()
-	if ok != 2 || all != 3 {
-		t.Fatalf("Counts = (%d, %d)", ok, all)
+	for shift := 12; shift < 42; shift++ {
+		for _, v := range []int64{1 << shift, 1<<shift + 1, 3<<(shift-1) - 1, 1<<(shift+1) - 1} {
+			check(v)
+		}
+	}
+	if got := bucketFor(-5); got != 0 {
+		t.Fatalf("negative sample in bucket %d, want 0", got)
+	}
+	if got := bucketFor(1 << 50); got != numBuckets-1 {
+		t.Fatalf("huge sample in bucket %d, want the last", got)
+	}
+}
+
+// TestQuantileWithinAnEighth is the case the power-of-two layout got wrong:
+// latencies spread over [500, 620] µs reported p50 = 1024 µs.
+func TestQuantileWithinAnEighth(t *testing.T) {
+	var h Histogram
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]time.Duration, 1000)
+	for i := range samples {
+		samples[i] = 500*time.Microsecond + time.Duration(rng.Int63n(int64(120*time.Microsecond)))
+		h.Observe(samples[i])
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	truth := samples[len(samples)/2-1]
+	if got := h.Quantile(0.5); got < truth || float64(got) > 1.125*float64(truth) {
+		t.Fatalf("p50 = %v, want within [%v, 1.125x]", got, truth)
 	}
 }

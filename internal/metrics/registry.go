@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -54,9 +55,22 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value reads the level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// IntHist is a histogram over dimensionless integer samples (attempt counts,
-// batch sizes) with power-of-two buckets. Unlike Histogram it carries no time
-// unit, so its exports are deterministic whenever its inputs are.
+const (
+	// subBuckets is the number of linear sub-buckets per power of two: a
+	// quantile read off a bucket's upper bound overstates the sample by at
+	// most 1/subBuckets (12.5%).
+	subBits    = 3
+	subBuckets = 1 << subBits
+	// numBuckets covers [0, 2^42): 73 minutes of nanoseconds. Larger samples
+	// share the last bucket, which reports the observed max.
+	numBuckets = 40 * subBuckets
+)
+
+// IntHist is a log-linear histogram over integer samples (attempt counts,
+// batch sizes, microseconds, nanoseconds): values below subBuckets get a
+// bucket each, and every power of two above is split into subBuckets equal
+// buckets. It carries no time unit, so its exports are deterministic
+// whenever its inputs are. The zero value is ready to use.
 type IntHist struct {
 	mu      sync.Mutex
 	buckets [numBuckets]uint64
@@ -65,40 +79,34 @@ type IntHist struct {
 	max     int64
 }
 
-// intBucketFor maps a sample to its power-of-two bucket index.
-func intBucketFor(v int64) int {
-	if v < 2 {
-		return 0
+// bucketFor maps a sample to its bucket index.
+func bucketFor(v int64) int {
+	if v < subBuckets {
+		return int(max(v, 0))
 	}
-	b := 0
-	for v > 1 {
-		v >>= 1
-		b++
+	shift := bits.Len64(uint64(v)) - 1 - subBits
+	return min((shift+1)<<subBits+int(v>>shift)&(subBuckets-1), numBuckets-1)
+}
+
+// bucketUpper returns the inclusive upper bound of bucket i.
+func bucketUpper(i int) int64 {
+	if i < subBuckets {
+		return int64(i)
 	}
-	if b >= numBuckets {
-		return numBuckets - 1
-	}
-	return b
+	shift := i>>subBits - 1
+	return int64(subBuckets+i&(subBuckets-1)+1)<<shift - 1
 }
 
 // Observe records one sample.
 func (h *IntHist) Observe(v int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.buckets[intBucketFor(v)]++
+	h.buckets[bucketFor(v)]++
 	h.count++
 	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// intBucketUpper returns the inclusive upper bound of bucket i.
-func intBucketUpper(i int) int64 {
-	if i == 0 {
-		return 1
-	}
-	return int64(1)<<uint(i+1) - 1
 }
 
 // Count reports the number of samples.
@@ -109,8 +117,8 @@ func (h *IntHist) Count() uint64 {
 }
 
 // Quantile reports an upper bound for the q-quantile (0 < q <= 1) from the
-// bucket boundaries, or 0 with no samples. Like everything else about
-// IntHist it is deterministic whenever the inputs are.
+// bucket boundaries, never above Max, or 0 with no samples. Like everything
+// else about IntHist it is deterministic whenever the inputs are.
 func (h *IntHist) Quantile(q float64) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -135,12 +143,10 @@ func (h *IntHist) quantileLocked(q float64) int64 {
 	for i, n := range h.buckets {
 		seen += n
 		if seen >= target {
-			if i == numBuckets-1 {
-				// The overflow bucket has no meaningful upper bound; the
-				// observed max is the tighter answer.
-				return h.max
-			}
-			if upper := intBucketUpper(i); upper < h.max {
+			// The observed max is the tighter answer whenever it lies
+			// below the bucket's bound, and the only one for the overflow
+			// bucket, which has no meaningful bound.
+			if upper := bucketUpper(i); i < numBuckets-1 && upper < h.max {
 				return upper
 			}
 			return h.max

@@ -48,13 +48,6 @@ type Config struct {
 	// Seed seeds the latency/loss randomness. Zero means a fixed default,
 	// keeping runs reproducible unless the caller opts out.
 	Seed int64
-	// ParallelFanout lets multi-replica phases (write-all, prepare, commit,
-	// claim broadcasts) issue their calls to this network concurrently.
-	// Off by default: the deterministic harnesses (scripted srsim, the
-	// chaos engine) need fan-out calls — and the RNG draws and trace events
-	// they cause — in one reproducible order, so per-seed JSONL traces stay
-	// byte-identical. Benchmarks and latency-model runs opt in.
-	ParallelFanout bool
 	// Obs receives drop/partition events and metrics; nil is a no-op sink.
 	Obs *obs.Hub
 }
@@ -141,8 +134,9 @@ func (n *Network) LossRate() float64 {
 }
 
 // SequentialFanout implements transport.Sequentialer: fan-outs through the
-// simulator are serialized unless ParallelFanout was configured.
-func (n *Network) SequentialFanout() bool { return !n.cfg.ParallelFanout }
+// simulator run one call at a time, so the RNG draws and trace events they
+// cause come in one reproducible order per seed.
+func (n *Network) SequentialFanout() bool { return true }
 
 // Register attaches a handler for site. Re-registering replaces the handler.
 func (n *Network) Register(site proto.SiteID, h Handler) {

@@ -1,21 +1,21 @@
-// Package node assembles ONE site of the replicated database as a
-// standalone unit over a real TCP transport (internal/transport/tcpnet):
-// storage, WAL, lock manager, data manager, transaction manager, session
-// manager, recovery manager, and janitor — the same stack internal/core
-// wires for every site of a simulated cluster, but owning only its own
-// slice. cmd/srnode wraps a Node in a process with an HTTP control surface,
-// so a cluster of srnode processes exercises the paper's protocol over
-// localhost TCP instead of the in-process simulator.
+// Package node assembles ONE site of the replicated database — stable log,
+// storage, lock manager, data manager, transaction manager, session manager,
+// recovery manager and janitor — exactly once (Site, site.go), over whatever
+// transport.Transport it is handed. internal/core builds N Sites over the
+// in-process simulator; Node, below, is one Site over a real TCP transport
+// (internal/transport/tcpnet) with a strided sequencer, which cmd/srnode
+// wraps in a process with an HTTP control surface, so a cluster of srnode
+// processes exercises the paper's protocol over localhost TCP.
 //
 // Storage is pluggable (Config.Engine): the default in-memory engine makes
 // Crash model the paper's fail-stop site failure in-process — the data
 // manager drops its volatile state (locks, in-flight transactions, session
-// number) and the transport handler answers everything with
-// proto.ErrSiteDown, exactly what peers would see from a refused connection
-// — while stable storage and the log survive for Recover to use. For REAL
-// process death (SIGKILL), the genuinely-stable slice the paper requires —
-// the session counter (§3.1) and the 2PC log (§3.4) — can be spilled
-// through SessionSink/WALSink and restored on the next start via
+// number) and the dispatcher answers everything with proto.ErrSiteDown,
+// exactly what peers would see from a refused connection — while stable
+// storage and the log survive for Recover to use. For REAL process death
+// (SIGKILL), the genuinely-stable slice the paper requires — the session
+// counter (§3.1) and the 2PC log (§3.4) — can be spilled through
+// SessionSink/WALSink and restored on the next start via
 // SessionCounter/WALRecords + StartDown. With the in-memory engine, data
 // pages die with the process and are rebuilt from live peers by the
 // copiers — the out-of-date copies story the recovery procedure exists to
@@ -26,34 +26,22 @@
 package node
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
-	"siterecovery/internal/dm"
-	"siterecovery/internal/lockmgr"
-	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
-	"siterecovery/internal/recovery"
 	"siterecovery/internal/replication"
-	"siterecovery/internal/session"
-	"siterecovery/internal/storage"
-	"siterecovery/internal/transport"
 	"siterecovery/internal/transport/tcpnet"
 	"siterecovery/internal/txn"
-	"siterecovery/internal/wal"
 )
 
-// InitialSession is the session number the cluster starts with (matches
-// core.InitialSession).
-const InitialSession proto.Session = 1
-
-// Config assembles one site.
+// Config assembles one site over TCP.
 type Config struct {
-	// Site is this node's ID (1-based). Required.
-	Site proto.SiteID
+	// SiteConfig is the site itself; Site is required. cmd/srnode reloads
+	// SessionCounter/WALRecords from its state dir and persists what
+	// SessionSink/WALSink receive.
+	SiteConfig
 	// Sites is the total number of sites in the cluster. Required.
 	Sites int
 	// Addrs maps every site to its TCP address. Required.
@@ -62,70 +50,15 @@ type Config struct {
 	Listener net.Listener
 	// Placement maps each logical item to its replica sites. Required.
 	Placement map[proto.Item][]proto.SiteID
-	// Profile defaults to ROWAA.
-	Profile replication.Profile
-	// Identify defaults to IdentifyMarkAll.
-	Identify recovery.Identify
-	// CopierMode defaults to CopierEager.
-	CopierMode recovery.CopierMode
-	// LockPolicy and LockTimeout tune the lock manager.
-	LockPolicy  lockmgr.Policy
-	LockTimeout time.Duration
-	// MaxAttempts and RetryBackoff tune the transaction retry loop.
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	// JanitorInterval and JanitorStaleAge tune cooperative termination.
-	JanitorInterval time.Duration
-	JanitorStaleAge time.Duration
-	// DetectorDebounce tunes the failure detector.
-	DetectorDebounce time.Duration
-	// CopierWorkers sizes the copier pool.
-	CopierWorkers int
 	// DialTimeout and CallTimeout tune the TCP transport.
 	DialTimeout time.Duration
 	CallTimeout time.Duration
-	// Obs receives protocol events and metrics; nil is a no-op sink.
-	Obs *obs.Hub
-	// Engine picks the storage engine; nil means storage.MemFactory. The
-	// factory runs after the WAL is assembled and preloaded, so a
-	// redo-logged engine (storage/disk) replays WALRecords before the node
-	// serves anything.
-	Engine storage.Factory
-
-	// StartDown assembles the node in the crashed state: the transport
-	// serves (answering ErrSiteDown) but no workers run and no session is
-	// installed until Recover. A process restarted after a real SIGKILL
-	// starts this way — its peers excluded it while it was dead, so serving
-	// from fresh in-memory state before running the §3.4 recovery
-	// procedure would hand out stale data.
-	StartDown bool
-	// SessionCounter, when above InitialSession, restores the site's
-	// stable session counter (§3.1 keeps it on stable storage). cmd/srnode
-	// reloads it from its state dir so a restarted process never reuses a
-	// session number.
-	SessionCounter proto.Session
-	// SessionSink receives every advanced session counter value (see
-	// storage.Store.SetSessionSink); cmd/srnode persists it.
-	SessionSink func(proto.Session)
-	// WALRecords preloads 2PC records recovered from an external stable
-	// log, so a restarted coordinator answers decision queries from its
-	// durable history instead of presuming abort on everything.
-	WALRecords []wal.Record
-	// WALSink receives every appended WAL batch (see wal.Log.SetSink);
-	// cmd/srnode spills it to disk.
-	WALSink func([]wal.Record)
 	// Epoch is this process's incarnation number (0 for the first life).
 	// It seeds the transaction-ID counter (txn.Sequencer.SeedTxnIDs) so a
 	// respawned process never re-allocates an ID its dead incarnation may
 	// have left prepared — in doubt — at a peer. cmd/srnode wires it from
 	// -epoch, which the chaos harness bumps on every respawn.
 	Epoch uint64
-	// ReuseSessionBug is a chaos-testing hook (SRNODE_BUG=reuse-session):
-	// type-1 claims reuse the current session counter instead of advancing
-	// it, deliberately violating §3.1 so the trace suite's detection and
-	// the schedule shrinker can be exercised end to end. Never set it
-	// outside fault-injection tests.
-	ReuseSessionBug bool
 }
 
 func (c Config) validate() error {
@@ -141,36 +74,24 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Node is one running site. Create with New, then Start.
+// defaultLockTimeout is how long a srnode site waits for a lock when
+// Config.LockTimeout is unset. It is a safety net against cross-site
+// deadlock, not a tuning point: over real sockets a holder can be several
+// scheduling quanta away, so it is much longer than the simulator's 250 ms.
+const defaultLockTimeout = 2 * time.Second
+
+// Node is one running site over TCP. Create with New, then Start.
 type Node struct {
-	cfg Config
-	cat *replication.Catalog
-
+	*Site
 	Transport *tcpnet.Transport
-	Store     storage.Engine
-	Locks     *lockmgr.Manager
-	Log       *wal.Log
-	DM        *dm.Manager
-	TM        *txn.Manager
-	Session   *session.Manager
-	Recovery  *recovery.Manager
-	Janitor   *recovery.Janitor
-
-	mu      sync.Mutex
-	up      bool
-	started bool
 }
 
 // New assembles a node. The node starts nominally up and operational with
-// session number 1, like core.New's sites; call Start to begin serving.
+// session number 1 (unless StartDown); call Start to begin serving.
 func New(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Profile.Name == "" {
-		cfg.Profile = replication.ROWAA
-	}
-
 	ids := make([]proto.SiteID, 0, cfg.Sites)
 	for i := 1; i <= cfg.Sites; i++ {
 		ids = append(ids, proto.SiteID(i))
@@ -180,21 +101,17 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 
-	n := &Node{cfg: cfg, cat: cat, up: true}
-
 	// Transaction IDs and commit sequence numbers come from a strided
 	// sequencer: each process draws from its own residue class, so IDs are
 	// cluster-unique without a shared counter. Strided commit counters are
-	// not globally ordered on their own; the DM and TM fold every commit
-	// sequence number they learn from peers back into the sequencer
-	// (Lamport-style), keeping version comparisons aligned with commit
-	// order across coordinators. The transport stamps its span events with
-	// the same high-water mark, so multi-process trace merges order spans by
-	// observed commit history.
+	// not globally ordered on their own; the site folds every commit
+	// sequence number it learns from peers back into the sequencer, and the
+	// transport stamps its span events with the same high-water mark, so
+	// multi-process trace merges order spans by observed commit history.
 	seq := txn.NewStridedSequencer(cfg.Site, cfg.Sites)
 	seq.SeedTxnIDs(cfg.Epoch)
 
-	n.Transport = tcpnet.New(tcpnet.Config{
+	tr := tcpnet.New(tcpnet.Config{
 		Self:        cfg.Site,
 		Addrs:       cfg.Addrs,
 		Listener:    cfg.Listener,
@@ -204,277 +121,31 @@ func New(cfg Config) (*Node, error) {
 		Lamport:     seq.HighCommitSeq,
 	})
 
-	// The WAL assembles before storage so a redo-logged engine can replay
-	// the preloaded records the moment its factory runs.
-	n.Log = wal.New()
-	if len(cfg.WALRecords) > 0 {
-		n.Log.Preload(cfg.WALRecords)
+	sc := cfg.SiteConfig
+	if sc.LockTimeout == 0 {
+		sc.LockTimeout = defaultLockTimeout
 	}
-	if cfg.WALSink != nil {
-		n.Log.SetSink(cfg.WALSink)
-	}
-
-	var items []proto.Item
-	items = append(items, cat.ItemsAt(cfg.Site)...)
-	for _, j := range ids {
-		items = append(items, proto.NSItem(j))
-	}
-	factory := cfg.Engine
-	if factory == nil {
-		factory = storage.MemFactory
-	}
-	n.Store, err = factory(storage.Deps{
-		Site:          cfg.Site,
-		Items:         items,
-		InitialWriter: txn.InitialTxn,
-		Log:           n.Log,
-	})
+	// No Clock (the wall clock), Recorder, Spool or Hooks: a process has no
+	// virtual time, no cluster-wide history and no in-process fault hooks.
+	site, err := NewSite(Env{Net: tr, Catalog: cat, Seq: seq, Seed: 1}, sc)
 	if err != nil {
-		return nil, fmt.Errorf("node: storage engine: %w", err)
+		return nil, fmt.Errorf("node: %w", err)
 	}
-	// Seed NS values only where the copy still carries its initial version:
-	// a reopened durable engine keeps the NS vector it recovered, which a
-	// blanket re-seed would clobber.
-	for _, j := range ids {
-		if _, ver, err := n.Store.Committed(proto.NSItem(j)); err == nil && ver != (proto.Version{Writer: txn.InitialTxn}) {
-			continue
-		}
-		if err := n.Store.Seed(proto.NSItem(j), proto.Value(InitialSession)); err != nil {
-			return nil, err
-		}
-	}
-	n.Store.SetSessionCounter(InitialSession)
-	if cfg.SessionCounter > InitialSession {
-		n.Store.SetSessionCounter(cfg.SessionCounter)
-	}
-	if cfg.SessionSink != nil {
-		n.Store.SetSessionSink(cfg.SessionSink)
-	}
-
-	n.Locks = lockmgr.New(lockmgr.Config{
-		Timeout: cfg.LockTimeout,
-		Policy:  cfg.LockPolicy,
-	})
-
-	tracking := dm.TrackNone
-	switch cfg.Identify {
-	case recovery.IdentifyFailLock:
-		tracking = dm.TrackFailLock
-	case recovery.IdentifyMissingList:
-		tracking = dm.TrackMissingList
-	}
-	n.DM = dm.New(dm.Config{
-		Site:     cfg.Site,
-		Store:    n.Store,
-		Locks:    n.Locks,
-		Log:      n.Log,
-		Tracking: tracking,
-		Obs:      cfg.Obs,
-		Seq:      seq,
-	}, dm.Callbacks{
-		OnUnreadableRead: func(item proto.Item) {
-			if n.Recovery != nil {
-				n.Recovery.RequestCopy(item)
-			}
-		},
-		ActiveTxn: func(id proto.TxnID) bool {
-			return n.TM != nil && n.TM.Active(id)
-		},
-	})
-	n.DM.SetSession(InitialSession)
-
-	n.TM = txn.New(txn.Config{
-		Site:         cfg.Site,
-		Net:          n.Transport,
-		Local:        n.DM,
-		Catalog:      cat,
-		Profile:      cfg.Profile,
-		Seq:          seq,
-		Obs:          cfg.Obs,
-		MaxAttempts:  cfg.MaxAttempts,
-		RetryBackoff: cfg.RetryBackoff,
-		Seed:         int64(cfg.Site) + 1,
-	}, txn.Callbacks{
-		OnSiteDown: func(down proto.SiteID, observed proto.Session) {
-			if n.Session != nil {
-				n.Session.ReportDown(down, observed)
-			}
-		},
-	})
-
-	n.Session = session.New(session.Config{
-		Site:               cfg.Site,
-		TM:                 n.TM,
-		Local:              n.DM,
-		Net:                n.Transport,
-		Catalog:            cat,
-		Obs:                cfg.Obs,
-		Debounce:           cfg.DetectorDebounce,
-		UnsafeReuseSession: cfg.ReuseSessionBug,
-	})
-	n.Recovery = recovery.New(recovery.Config{
-		Site:          cfg.Site,
-		TM:            n.TM,
-		Local:         n.DM,
-		Net:           n.Transport,
-		Catalog:       cat,
-		Session:       n.Session,
-		Seq:           seq,
-		Obs:           cfg.Obs,
-		Identify:      cfg.Identify,
-		CopierMode:    cfg.CopierMode,
-		CopierWorkers: cfg.CopierWorkers,
-	})
-	n.Janitor = recovery.NewJanitor(recovery.JanitorConfig{
-		Site:     cfg.Site,
-		Local:    n.DM,
-		Net:      n.Transport,
-		Catalog:  cat,
-		Interval: cfg.JanitorInterval,
-		StaleAge: cfg.JanitorStaleAge,
-	})
-
-	n.Transport.SetHandler(n.handle)
-
-	// A restarted process assembles crashed-side-up: peers already excluded
-	// it, so it must run the recovery procedure (not serve fresh in-memory
-	// state) before going operational. The crash event marks the down state
-	// in this process's own trace.
-	if cfg.StartDown {
-		n.up = false
-		n.DM.Crash()
-		cfg.Obs.SiteCrash(cfg.Site)
-	}
-	return n, nil
+	tr.SetHandler(site.Handle)
+	return &Node{Site: site, Transport: tr}, nil
 }
-
-// handle is the node's wire dispatcher. A crashed node answers every
-// request with ErrSiteDown: the process stays alive (its in-memory "stable"
-// storage must survive for recovery), but to its peers it is
-// indistinguishable from a refused connection.
-func (n *Node) handle(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-	if !n.DM.Alive() {
-		return nil, fmt.Errorf("site %v crashed: %w", n.cfg.Site, proto.ErrSiteDown)
-	}
-	switch msg.(type) {
-	case proto.SpoolAppendReq, proto.SpoolFetchReq:
-		return nil, fmt.Errorf("site %v has no spool store", n.cfg.Site)
-	default:
-		return n.DM.Handle(ctx, from, msg)
-	}
-}
-
-// Catalog returns the item placement.
-func (n *Node) Catalog() *replication.Catalog { return n.cat }
-
-// Net returns the node's transport as the generic interface.
-func (n *Node) Net() transport.Transport { return n.Transport }
 
 // Start begins serving the transport and launches the background workers.
 func (n *Node) Start() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.started {
-		return nil
-	}
 	if err := n.Transport.Start(); err != nil {
 		return err
 	}
-	n.started = true
-	// A StartDown node serves the transport (answering ErrSiteDown) but
-	// launches no workers until Recover flips it up.
-	if n.up {
-		n.startWorkers()
-	}
+	n.Site.Start()
 	return nil
 }
 
 // Stop shuts the workers and the transport down.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.started {
-		return
-	}
-	n.started = false
-	n.stopWorkers()
+	n.Site.Stop()
 	n.Transport.Close()
-}
-
-func (n *Node) startWorkers() {
-	n.Session.Start()
-	n.Recovery.Start()
-	n.Janitor.Start()
-}
-
-func (n *Node) stopWorkers() {
-	n.Janitor.Stop()
-	n.Recovery.Stop()
-	n.Session.Stop()
-}
-
-// Up reports whether the node is up (not crashed).
-func (n *Node) Up() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.up
-}
-
-// Operational reports whether the node accepts user transactions.
-func (n *Node) Operational() bool { return n.DM.Operational() }
-
-// Crash fail-stops the node: volatile state is lost, background workers
-// stop, and every subsequent request is answered with ErrSiteDown until
-// Recover.
-func (n *Node) Crash() {
-	n.mu.Lock()
-	if !n.up {
-		n.mu.Unlock()
-		return
-	}
-	n.up = false
-	started := n.started
-	n.mu.Unlock()
-
-	n.cfg.Obs.SiteCrash(n.cfg.Site)
-	if started {
-		n.stopWorkers()
-	}
-	n.DM.Crash()
-	n.TM.CrashReset()
-	n.Session.CrashReset()
-}
-
-// Recover restarts a crashed node and runs the paper's recovery procedure:
-// resolve in-doubt transactions, mark out-of-date copies, claim the site
-// nominally up (type-1), and let copiers refresh in the background. The
-// node is operational when Recover returns.
-func (n *Node) Recover(ctx context.Context) (recovery.Report, error) {
-	n.mu.Lock()
-	if n.up {
-		n.mu.Unlock()
-		return recovery.Report{}, fmt.Errorf("site %v is not down", n.cfg.Site)
-	}
-	n.up = true
-	started := n.started
-	n.mu.Unlock()
-
-	n.DM.Restart()
-	if started {
-		n.startWorkers()
-	}
-	if n.cfg.Profile.Name != replication.ROWAA.Name {
-		return n.Recovery.RecoverBaseline(ctx)
-	}
-	return n.Recovery.Recover(ctx)
-}
-
-// WaitCurrent blocks until every local copy is readable again.
-func (n *Node) WaitCurrent(ctx context.Context) error {
-	return n.Recovery.WaitCurrent(ctx)
-}
-
-// Exec runs body as a user transaction coordinated by this node.
-func (n *Node) Exec(ctx context.Context, body func(context.Context, *txn.Tx) error) error {
-	return n.TM.Run(ctx, body)
 }

@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"siterecovery/internal/node"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/txn"
 )
 
 // newTrio starts three nodes over real localhost TCP, each owning a full
-// replica of items x and y.
-func newTrio(t *testing.T) map[proto.SiteID]*node.Node {
+// replica of items x and y, all emitting into hub (nil for none).
+func newTrio(t *testing.T, hub *obs.Hub) map[proto.SiteID]*node.Node {
 	t.Helper()
 	const sites = 3
 	listeners := make(map[proto.SiteID]net.Listener, sites)
@@ -33,14 +34,17 @@ func newTrio(t *testing.T) map[proto.SiteID]*node.Node {
 	for i := 1; i <= sites; i++ {
 		id := proto.SiteID(i)
 		n, err := node.New(node.Config{
-			Site:             id,
-			Sites:            sites,
-			Addrs:            addrs,
-			Listener:         listeners[id],
-			Placement:        placement,
-			JanitorInterval:  50 * time.Millisecond,
-			JanitorStaleAge:  250 * time.Millisecond,
-			DetectorDebounce: 20 * time.Millisecond,
+			SiteConfig: node.SiteConfig{
+				Site:             id,
+				JanitorInterval:  50 * time.Millisecond,
+				JanitorStaleAge:  250 * time.Millisecond,
+				DetectorDebounce: 20 * time.Millisecond,
+				Obs:              hub,
+			},
+			Sites:     sites,
+			Addrs:     addrs,
+			Listener:  listeners[id],
+			Placement: placement,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +58,7 @@ func newTrio(t *testing.T) map[proto.SiteID]*node.Node {
 	return nodes
 }
 
-func nodeWrite(t *testing.T, n *node.Node, item proto.Item, v proto.Value) {
+func nodeWrite(t *testing.T, n *node.Site, item proto.Item, v proto.Value) {
 	t.Helper()
 	err := n.Exec(context.Background(), func(ctx context.Context, tx *txn.Tx) error {
 		return tx.Write(ctx, item, v)
@@ -64,7 +68,7 @@ func nodeWrite(t *testing.T, n *node.Node, item proto.Item, v proto.Value) {
 	}
 }
 
-func nodeRead(t *testing.T, n *node.Node, item proto.Item) proto.Value {
+func nodeRead(t *testing.T, n *node.Site, item proto.Item) proto.Value {
 	t.Helper()
 	var got proto.Value
 	err := n.Exec(context.Background(), func(ctx context.Context, tx *txn.Tx) error {
@@ -79,7 +83,7 @@ func nodeRead(t *testing.T, n *node.Node, item proto.Item) proto.Value {
 }
 
 func TestTrioCommitCrashRecover(t *testing.T) {
-	nodes := newTrio(t)
+	nodes := newTrio(t, nil)
 	ctx := context.Background()
 
 	// A read-write transaction coordinated by node 1 replicates everywhere.
@@ -93,7 +97,7 @@ func TestTrioCommitCrashRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read-write txn: %v", err)
 	}
-	if got := nodeRead(t, nodes[2], "x"); got != 41 {
+	if got := nodeRead(t, nodes[2].Site, "x"); got != 41 {
 		t.Fatalf("x at node 2 = %d, want 41", got)
 	}
 
@@ -101,19 +105,8 @@ func TestTrioCommitCrashRecover(t *testing.T) {
 	// detector's type-2 claim then excludes it, and writes proceed on the
 	// survivors.
 	nodes[3].Crash()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		err := nodes[1].Exec(ctx, func(ctx context.Context, tx *txn.Tx) error {
-			return tx.Write(ctx, "x", 100)
-		})
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("write never succeeded after crash: %v", err)
-		}
-	}
-	nodeWrite(t, nodes[1], "y", 7)
+	writeUntilExcluded(t, nodes[1].Site, "x", 100)
+	nodeWrite(t, nodes[1].Site, "y", 7)
 
 	// Recover node 3: type-1 control transaction, then copiers.
 	report, err := nodes[3].Recover(ctx)
@@ -133,10 +126,10 @@ func TestTrioCommitCrashRecover(t *testing.T) {
 	}
 
 	// The recovered node serves current data from its local copies.
-	if got := nodeRead(t, nodes[3], "x"); got != 100 {
+	if got := nodeRead(t, nodes[3].Site, "x"); got != 100 {
 		t.Fatalf("x at recovered node = %d, want 100", got)
 	}
-	if got := nodeRead(t, nodes[3], "y"); got != 7 {
+	if got := nodeRead(t, nodes[3].Site, "y"); got != 7 {
 		t.Fatalf("y at recovered node = %d, want 7", got)
 	}
 }

@@ -16,12 +16,3 @@ func TestMemConformance(t *testing.T) {
 		return storage.NewMem(site, items, initialWriter)
 	})
 }
-
-// TestDeprecatedAliases keeps the pre-Engine names compiling and working.
-func TestDeprecatedAliases(t *testing.T) {
-	var s *storage.Store = storage.New(1, []proto.Item{"x"}, 1)
-	var e storage.Engine = s
-	if !e.HasCopy("x") {
-		t.Fatal("alias-constructed store lost its copy")
-	}
-}

@@ -125,8 +125,9 @@ type Deps struct {
 	Log           *wal.Log
 }
 
-// Factory builds the storage engine for one site. node.Config.Engine and
-// core.WithStorage accept one; nil means MemFactory.
+// Factory builds the storage engine for one site. node.SiteConfig.Engine
+// (reached through core.Config.Storage and node.Config.Engine) accepts one;
+// nil means MemFactory.
 type Factory func(Deps) (Engine, error)
 
 // MemFactory is the default engine factory: the in-memory force-at-commit
@@ -155,11 +156,6 @@ type Mem struct {
 	pending    map[proto.TxnID]map[proto.Item]proto.Value
 }
 
-// Store is the original name of the in-memory engine.
-//
-// Deprecated: use Mem. The alias keeps pre-Engine callers compiling.
-type Store = Mem
-
 // NewMem returns an in-memory engine for site holding the given items, each
 // initialized to value 0 written by initialWriter (the synthetic initial
 // transaction of the serializability theory).
@@ -174,13 +170,6 @@ func NewMem(site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) *M
 		s.copies[item] = stableCopy{version: proto.Version{Writer: initialWriter}}
 	}
 	return s
-}
-
-// New is the original constructor name for the in-memory engine.
-//
-// Deprecated: use NewMem, or assemble through a Factory.
-func New(site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) *Mem {
-	return NewMem(site, items, initialWriter)
 }
 
 // Site returns the owning site.

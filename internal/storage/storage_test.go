@@ -10,9 +10,9 @@ import (
 
 const initialTxn proto.TxnID = 1
 
-func newStore(t *testing.T, items ...proto.Item) *Store {
+func newStore(t *testing.T, items ...proto.Item) *Mem {
 	t.Helper()
-	return New(3, items, initialTxn)
+	return NewMem(3, items, initialTxn)
 }
 
 func TestInitialState(t *testing.T) {

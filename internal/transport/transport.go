@@ -13,10 +13,10 @@
 // The package also owns the fan-out policy. Multi-replica phases (write-all,
 // prepare, commit, claim broadcasts) go through Fanout, which runs the calls
 // concurrently — multi-replica latency is the max of the replicas, not the
-// sum — unless the transport declares itself sequential. The simulator runs
-// sequential by default because the deterministic harnesses (scripted srsim,
-// the chaos engine) require one totally ordered event stream per seed; see
-// DESIGN.md §10.
+// sum — unless the transport declares itself sequential. The simulator
+// always does, because the deterministic harnesses (scripted srsim, the
+// chaos engine) require one totally ordered event stream per seed; tcpnet
+// never does. See DESIGN.md §10.
 package transport
 
 import (
@@ -38,10 +38,9 @@ type Transport interface {
 }
 
 // Sequentialer is implemented by transports whose fan-outs must run one
-// call at a time. The network simulator reports true unless parallel
-// fan-out was explicitly enabled: deterministic harnesses need the calls —
-// and therefore the RNG draws and trace events they cause — in one
-// reproducible order.
+// call at a time. The network simulator reports true: deterministic
+// harnesses need the calls — and therefore the RNG draws and trace events
+// they cause — in one reproducible order.
 type Sequentialer interface {
 	SequentialFanout() bool
 }

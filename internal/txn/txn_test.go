@@ -60,7 +60,7 @@ func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harnes
 		for _, s := range sites {
 			items = append(items, proto.NSItem(s))
 		}
-		st := storage.New(site, items, InitialTxn)
+		st := storage.NewMem(site, items, InitialTxn)
 		for _, s := range sites {
 			if err := st.Seed(proto.NSItem(s), 1); err != nil {
 				t.Fatal(err)
