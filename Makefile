@@ -36,12 +36,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Mirrors the wire micro-benchmark CI step: one iteration each of
-# BenchmarkCodec/<kind> (ns, allocs and wire bytes per message kind) and
-# BenchmarkCall (loopback echo, 1 and 2 callers), so they stay compiled and
-# runnable. For numbers: make bench-micro BENCHTIME=2s
+# BenchmarkCodec/<kind> (ns, allocs and wire bytes per message kind),
+# BenchmarkCall (loopback echo, 1 and 2 callers) and BenchmarkFanout (one
+# 3-site round: self and two peers), so they stay compiled and runnable. For
+# numbers: make bench-micro BENCHTIME=2s
 BENCHTIME ?= 1x
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall' -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
 
 # Mirrors the perf-trend CI job: the deterministic srload profile
 # (concurrency 1, fixed seed) against netsim and a 3-process TCP cluster,

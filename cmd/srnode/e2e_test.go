@@ -191,9 +191,12 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 				t.Fatalf("y at site 1 = %d, want 13", got)
 			}
 
-			// Take site 3 down. Writes at site 1 fail until the failure
-			// detector's type-2 control transaction excludes it, then proceed
-			// on survivors.
+			// Take site 3 down — once it has installed what it voted on: the
+			// replies above came at the durable decision, and the disk model
+			// below expects y=13 to be in the victim's redo log, not in doubt.
+			// Writes at site 1 fail until the failure detector's type-2
+			// control transaction excludes it, then proceed on survivors.
+			c.waitDecided(t)
 			model.down(t, c)
 			deadline := time.Now().Add(20 * time.Second)
 			for {
@@ -278,6 +281,9 @@ type e2eCluster struct {
 	gens    []int
 	// extraArgs are appended to every spawn (e.g. -store disk).
 	extraArgs []string
+	// peerSpecs overrides the -peers map of individual sites (by index), so
+	// a test can route some of a site's links through a fault proxy.
+	peerSpecs map[int]string
 	// items is the -items list every site serves.
 	items string
 	// stderr keeps each site's latest incarnation's standard error (also
@@ -317,9 +323,13 @@ func (c *e2eCluster) spawn(t *testing.T, i int, startDown bool) {
 	c.gens[i]++
 	exportPath := filepath.Join(c.outDir, fmt.Sprintf("site%d.gen%d.jsonl", i+1, c.gens[i]))
 	c.exports[i] = append(c.exports[i], exportPath)
+	peers := c.peerSpec
+	if spec, ok := c.peerSpecs[i]; ok {
+		peers = spec
+	}
 	args := []string{
 		"-site", fmt.Sprint(i + 1),
-		"-peers", c.peerSpec,
+		"-peers", peers,
 		"-items", c.items,
 		"-control", c.controlAddrs[i],
 		"-export", exportPath,
@@ -369,13 +379,52 @@ func (c *e2eCluster) waitReachable(t *testing.T, i int) {
 	t.Fatalf("site %d control never came back: %v", i+1, lastErr)
 }
 
+// waitDecided polls GET /status at every reachable site until none holds a
+// prepared transaction whose decision has not landed. Phase two is posted,
+// so a committed reply says the decision is durable at the coordinator, not
+// that every participant has installed: anything that looks at a copy, a log
+// or an export without going through a transaction waits here first.
+func (c *e2eCluster) waitDecided(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i, ctrl := range c.controlAddrs {
+		for {
+			n, err := prepared(ctrl)
+			if err != nil || n == 0 {
+				break // a dead process holds nothing
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("site %d still holds %d prepared transactions", i+1, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// prepared reads "prepared" off GET /status: the transactions the site has
+// voted on and not yet learned the outcome of.
+func prepared(ctrl string) (int, error) {
+	resp, err := http.Get("http://" + ctrl + "/status")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Prepared int `json:"prepared"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st.Prepared, err
+}
+
 // streams flushes live processes and returns one event stream per site:
 // each site's incarnation exports concatenated, with a kill-cut marker
 // where a SIGKILL truncated the previous life (the same stitching the
 // chaos harness does). A killed incarnation's file may be empty — only the
-// combined stream must be non-empty.
+// combined stream must be non-empty. It waits for in-flight decisions
+// first, so the server side of every posted commit span has finished.
 func (c *e2eCluster) streams(t *testing.T) [][]obs.Event {
 	t.Helper()
+	c.waitDecided(t)
 	streams := make([][]obs.Event, len(c.exports))
 	for i, paths := range c.exports {
 		if code, body := post(t, c.controlAddrs[i], "/flush"); code != http.StatusOK {
@@ -413,7 +462,7 @@ func checkRuntimeSurface(t *testing.T, ctrl string) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: %d", resp.StatusCode)
 	}
-	for _, want := range []string{"sr_go_goroutines", "sr_go_heap_alloc_bytes", "sr_rpc_client_"} {
+	for _, want := range []string{"sr_go_goroutines", "sr_go_heap_alloc_bytes", "sr_rpc_client_", "sr_dm_prepared"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}

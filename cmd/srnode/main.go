@@ -11,8 +11,9 @@
 //
 // Control endpoints:
 //
-//	GET  /status          {"site":1,"up":true,"operational":true,"session":2}
+//	GET  /status          {"site":1,"up":true,"operational":true,"session":2,"prepared":0}
 //	POST /exec?item=x&value=7   run a read-write txn writing value to item
+//	POST /txn             run a JSON read/write transaction (load.TxnRequest)
 //	GET  /read?item=x     read item through a user transaction
 //	GET  /ns              this site's committed nominal-session vector
 //	POST /crash           fail-stop this site (volatile state lost)
@@ -21,6 +22,14 @@
 //	GET  /metrics         Prometheus exposition incl. Go runtime gauges
 //	GET  /trace           recent events (?n=K, ?since=S, ?format=json)
 //	GET  /debug/pprof/    Go profiling endpoints
+//
+// POST /exec and POST /txn answer when the commit decision is durable at this
+// site; the other sites install asynchronously, under the exclusive locks
+// they have held since they voted, so a transaction anywhere still reads the
+// new values. Only a non-transactional peek (GET /storage?item=) can see a
+// copy the decision has not reached yet: "prepared" in GET /status, and
+// sr_dm_prepared in GET /metrics, count the transactions a site has voted on
+// and not yet learned the outcome of, and are 0 once it has caught up.
 //
 // With -export PATH the node writes its event stream (including the RPC
 // span events the TCP transport records) as JSONL; merge the per-site files
@@ -275,7 +284,11 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			}}
 		},
 	})
-	mux.Handle("GET /metrics", intro)
+	// sr_dm_prepared is read off the data manager at scrape time.
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		hub.Registry().Gauge(int(id), "dm", "prepared").Set(int64(n.DM.Prepared()))
+		intro.ServeHTTP(w, r)
+	})
 	mux.Handle("GET /trace", intro)
 	mux.Handle("GET /sites", intro)
 	mux.Handle("GET /debug/pprof/", intro)
@@ -291,6 +304,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			"up":          n.Up(),
 			"operational": n.Operational(),
 			"session":     n.DM.Session(),
+			"prepared":    n.DM.Prepared(),
 		})
 	})
 

@@ -293,6 +293,10 @@ func (c *cluster) getJSON(ctx context.Context, site proto.SiteID, path string, o
 type status struct {
 	Up          bool `json:"up"`
 	Operational bool `json:"operational"`
+	// Prepared counts transactions the site voted on and has not yet
+	// learned the outcome of: coordinators answer at the durable decision,
+	// so a site's copies are settled only when this is 0.
+	Prepared int `json:"prepared"`
 }
 
 // waitStatus polls /status until the site answers (and, when operational is

@@ -320,7 +320,8 @@ func (r *runner) recoverSite(ctx context.Context, site proto.SiteID, attempts in
 // convergence: clear every network fault, wait out in-flight transactions,
 // respawn the killed, recover the down, repair type-2 exclusions (an
 // excluded-but-running site must crash and re-recover, as in the simulator's
-// quiesce), then require every site to agree on every item.
+// quiesce), wait until no site holds a prepared transaction whose decision
+// has not landed, then require every site to agree on every item.
 func (r *runner) quiesce(ctx context.Context) ([]chaos.Failure, error) {
 	var fails []chaos.Failure
 	r.c.proxy.ClearAll()
@@ -382,8 +383,43 @@ func (r *runner) quiesce(ctx context.Context) ([]chaos.Failure, error) {
 		}
 	}
 
+	if err := r.waitDecided(ctx); err != nil {
+		fails = append(fails, chaos.Failure{Invariant: "proc-quiesce", Detail: err.Error()})
+	}
 	fails = append(fails, r.checkConverged(ctx)...)
 	return fails, nil
+}
+
+// waitDecided polls GET /status until every site reports "prepared": 0.
+// Phase two is posted, not acknowledged, so a committed client reply does not
+// mean the participants have installed: a decision still in flight lands in
+// microseconds, one lost to a fault is fetched by the participant's janitor
+// (stale age plus a sweep interval), and only then are the copies — and the
+// server sides of the posted commit spans in the exports — complete.
+func (r *runner) waitDecided(ctx context.Context) error {
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		var pending []string
+		for _, s := range r.c.sites {
+			sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			var st status
+			err := r.c.getJSON(sctx, s, "/status", &st)
+			cancel()
+			if err != nil {
+				return fmt.Errorf("status site %v: %w", s, err)
+			}
+			if st.Prepared > 0 {
+				pending = append(pending, fmt.Sprintf("site %v: %d", s, st.Prepared))
+			}
+		}
+		if len(pending) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) || ctx.Err() != nil {
+			return fmt.Errorf("prepared transactions never learned their outcome: %v", pending)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // excludedSites reports up sites that some up-and-operational peer's

@@ -664,6 +664,24 @@ func (m *Manager) StaleTxns(maxAge time.Duration) []StaleTxn {
 	return out
 }
 
+// Prepared reports how many transactions this site has voted yes on and not
+// yet learned the outcome of. A coordinator answers its client at the durable
+// decision, before the participants have it, so this — not the client's reply
+// — is what says a site's copies reflect every decided transaction:
+// non-transactional readers (replica comparisons in tests, srnode's GET
+// /status and sr_dm_prepared) wait for it to reach 0.
+func (m *Manager) Prepared() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, t := range m.inflight {
+		if t.prepared {
+			n++
+		}
+	}
+	return n
+}
+
 // StalePrepared returns the prepared subset of StaleTxns (kept for tests
 // that exercise classic in-doubt resolution).
 func (m *Manager) StalePrepared(maxAge time.Duration) []proto.TxnMeta {

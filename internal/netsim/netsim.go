@@ -133,11 +133,6 @@ func (n *Network) LossRate() float64 {
 	return n.loss
 }
 
-// SequentialFanout implements transport.Sequentialer: fan-outs through the
-// simulator run one call at a time, so the RNG draws and trace events they
-// cause come in one reproducible order per seed.
-func (n *Network) SequentialFanout() bool { return true }
-
 // Register attaches a handler for site. Re-registering replaces the handler.
 func (n *Network) Register(site proto.SiteID, h Handler) {
 	n.mu.Lock()
@@ -221,10 +216,36 @@ func (n *Network) Sites() []proto.SiteID {
 	return sites
 }
 
+// Send is Call: the simulator completes every exchange before it returns, so
+// a fan-out's requests — and the RNG draws and trace events they cause — come
+// in one reproducible order per seed.
+func (n *Network) Send(ctx context.Context, from, to proto.SiteID, msg proto.Message) transport.Pending {
+	return transport.Done(n.Call(ctx, from, to, msg))
+}
+
+// Post is Call with the reply dropped: the same draws, the same events and
+// the same failures as an acknowledged request, so a seed's trace does not
+// depend on which requests the protocol posts.
+func (n *Network) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
+	_, err := n.Call(ctx, from, to, msg)
+	return err
+}
+
 // Call sends msg from one site to another and waits for the reply. Transport
 // failures are proto.ErrSiteDown and proto.ErrDropped; any other error comes
 // from the remote handler and is part of the protocol, not the transport.
+// A site reaches its own handler over the local bus: no latency, no loss, no
+// message counted, whatever the network thinks of the site.
 func (n *Network) Call(ctx context.Context, from, to proto.SiteID, msg proto.Message) (proto.Message, error) {
+	if from == to {
+		n.mu.Lock()
+		nd := n.nodes[from]
+		n.mu.Unlock()
+		if nd == nil {
+			return nil, fmt.Errorf("site %v is not registered: %w", from, proto.ErrSiteDown)
+		}
+		return nd.handler(ctx, from, msg)
+	}
 	kind := msg.Kind()
 	n.bump(kind, func(s *Stat) { s.Sent++ })
 	n.cfg.Obs.MsgSent(from, to, kind)

@@ -102,6 +102,9 @@ func TestOneSiteTwoTransports(t *testing.T) {
 			if err := c.site(2).WaitCurrent(ctx); err != nil {
 				t.Fatalf("WaitCurrent: %v", err)
 			}
+			// The stores are read directly below, not through a transaction,
+			// so wait out any decision still on its way to a participant.
+			waitDecided(t, 5*time.Second, c.site(1), c.site(2), c.site(3))
 			for item, want := range map[proto.Item]proto.Value{"x": 100, "y": 7} {
 				for id := proto.SiteID(1); id <= 3; id++ {
 					if v, _, err := c.site(id).Store.Committed(item); err != nil || v != want {

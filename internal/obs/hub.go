@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"siterecovery/internal/clock"
@@ -54,6 +55,11 @@ type Hub struct {
 	// cluster-unique but retried under the same ID.
 	spanMu sync.Mutex
 	spans  map[spanKey]time.Time
+
+	// rpcs caches what MsgSent, SpanStart and SpanFinish resolve per (site,
+	// side, kind); see rpc.
+	rpcMu sync.Mutex
+	rpcs  atomic.Pointer[map[rpcKey]*rpcHandles]
 }
 
 type spanKey struct {
@@ -73,13 +79,15 @@ func NewHub(opts Options) *Hub {
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
-	return &Hub{
+	h := &Hub{
 		clk:   opts.Clock,
 		reg:   opts.Registry,
 		tr:    NewTracer(opts.TraceCapacity),
 		sinks: append([]Sink(nil), opts.Sinks...),
 		spans: make(map[spanKey]time.Time),
 	}
+	h.rpcs.Store(&map[rpcKey]*rpcHandles{})
+	return h
 }
 
 // Registry returns the metric registry (nil on a nil hub).
@@ -368,7 +376,7 @@ func (h *Hub) MsgSent(from, to proto.SiteID, kind string) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(from), "net", "sent."+kind).Inc()
+	h.rpc(rpcKey{site: from, kind: kind}).count.Inc()
 }
 
 // MsgDropped records the network losing a message of the given kind.

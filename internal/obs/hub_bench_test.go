@@ -79,14 +79,36 @@ func BenchmarkSpanEmitNoHub(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanEmitHub measures the live-hub span path (ring buffer only).
+// spanOnce drives what one side of one RPC emits on a live hub.
+func spanOnce(h *obs.Hub, sc obs.SpanContext) {
+	h.MsgSent(1, 2, "prepare")
+	h.SpanStart(1, 2, sc, obs.SideClient, "prepare", 12)
+	h.SpanFinish(1, 2, sc, obs.SideClient, "prepare", 13, 250, nil)
+}
+
+// BenchmarkSpanEmitHub measures the live-hub span path (ring buffer only):
+// the per-RPC cost every srnode pays, since /metrics needs a hub. The
+// instruments and the Detail string are resolved once per (site, side, kind),
+// so the steady state formats nothing and takes no registry lock; the
+// ceiling is asserted by TestSpanEmitHubAllocCeiling.
 func BenchmarkSpanEmitHub(b *testing.B) {
 	h := obs.NewHub(obs.Options{})
 	sc := obs.SpanContext{Root: 7, Span: 0x1000000000003, Parent: 9, Origin: 1}
 	b.ReportAllocs()
 	for b.Loop() {
-		h.SpanStart(1, 2, sc, obs.SideClient, "prepare", 12)
-		h.SpanFinish(1, 2, sc, obs.SideClient, "prepare", 13, 250, nil)
+		spanOnce(h, sc)
+	}
+}
+
+// TestSpanEmitHubAllocCeiling pins the live-hub span path at zero
+// allocations per RPC side once its handles are cached (it was five: three
+// metric names and two Detail strings concatenated per call).
+func TestSpanEmitHubAllocCeiling(t *testing.T) {
+	h := obs.NewHub(obs.Options{})
+	sc := obs.SpanContext{Root: 7, Span: 0x1000000000003, Parent: 9, Origin: 1}
+	spanOnce(h, sc) // resolve the handles
+	if allocs := testing.AllocsPerRun(200, func() { spanOnce(h, sc) }); allocs > 0 {
+		t.Errorf("live-hub span emits allocate %.1f times per RPC side, want 0", allocs)
 	}
 }
 

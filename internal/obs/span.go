@@ -2,9 +2,11 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"siterecovery/internal/metrics"
 	"siterecovery/internal/proto"
 )
 
@@ -94,7 +96,64 @@ func SpanFrom(ctx context.Context) (SpanContext, bool) {
 const (
 	SideClient = "client"
 	SideServer = "server"
+	// SidePost is the client side of a posted (one-way) request. It is a
+	// recording argument only: the events and metrics are the client side's,
+	// and the events' Detail carries PostedMark after the kind.
+	SidePost = "post"
 )
+
+// PostedMark follows the kind in the Detail of a posted request's client
+// events: "client:commit/post". A posted span has a request edge only — no
+// response frame exists, so its server side may finish long after its client
+// side did, and nothing orders the two finishes.
+const PostedMark = "/post"
+
+// rpcKey names one side of one kind of RPC at one site; the empty side keys
+// MsgSent's counter.
+type rpcKey struct {
+	site       proto.SiteID
+	side, kind string
+}
+
+// rpcHandles is what an RPC side touches on every request, resolved once:
+// the registry instruments and the Detail string of its events.
+type rpcHandles struct {
+	count   *metrics.Counter // rpc/<side>.<kind>, or net/sent.<kind>
+	latency *metrics.IntHist // rpc/<side>_latency_us.<kind>
+	detail  string           // "side:kind", with PostedMark when posted
+}
+
+// rpc returns the handles for key, building them on first use. The table is
+// copied on write, so the per-request lookup takes no lock.
+func (h *Hub) rpc(key rpcKey) *rpcHandles {
+	if e := (*h.rpcs.Load())[key]; e != nil {
+		return e
+	}
+	h.rpcMu.Lock()
+	defer h.rpcMu.Unlock()
+	old := *h.rpcs.Load()
+	if e := old[key]; e != nil {
+		return e
+	}
+	e := &rpcHandles{}
+	if side, site := key.side, int(key.site); side == "" {
+		e.count = h.reg.Counter(site, "net", "sent."+key.kind)
+	} else {
+		e.detail = side + ":" + key.kind
+		if side == SidePost {
+			side, e.detail = SideClient, SideClient+":"+key.kind+PostedMark
+		}
+		e.count = h.reg.Counter(site, "rpc", side+"."+key.kind)
+		e.latency = h.reg.IntHist(site, "rpc", side+"_latency_us."+key.kind)
+	}
+	grown := make(map[rpcKey]*rpcHandles, len(old)+1)
+	for k, v := range old {
+		grown[k] = v
+	}
+	grown[key] = e
+	h.rpcs.Store(&grown)
+	return e
+}
 
 // SpanStart records one side of an RPC beginning. site is the recording
 // site, peer the other end, kind the message kind, and lamport the recording
@@ -105,11 +164,12 @@ func (h *Hub) SpanStart(site, peer proto.SiteID, sc SpanContext, side, kind stri
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "rpc", side+"."+kind).Inc()
+	e := h.rpc(rpcKey{site, side, kind})
+	e.count.Inc()
 	h.emit(Event{
 		Type: EvSpanStart, Site: site, Peer: peer,
 		Txn: sc.Root, Span: sc.Span, Parent: sc.Parent,
-		Lamport: lamport, Detail: side + ":" + kind,
+		Lamport: lamport, Detail: e.detail,
 	})
 }
 
@@ -120,11 +180,12 @@ func (h *Hub) SpanFinish(site, peer proto.SiteID, sc SpanContext, side, kind str
 	if h == nil {
 		return
 	}
-	detail := side + ":" + kind
+	e := h.rpc(rpcKey{site, side, kind})
+	detail := e.detail
 	if err != nil {
 		detail += "!" + AbortReason(err)
 	}
-	h.reg.IntHist(int(site), "rpc", side+"_latency_us."+kind).Observe(d.Microseconds())
+	e.latency.Observe(d.Microseconds())
 	h.emit(Event{
 		Type: EvSpanFinish, Site: site, Peer: peer,
 		Txn: sc.Root, Span: sc.Span, Parent: sc.Parent,
@@ -133,28 +194,24 @@ func (h *Hub) SpanFinish(site, peer proto.SiteID, sc SpanContext, side, kind str
 }
 
 // SpanSide splits a span event's Detail back into (side, kind, reason):
-// "client:prepare" or "server:read!site-down". It returns ok=false for
-// events that are not span events or whose detail does not parse.
+// "client:prepare", "server:read!site-down" or "client:commit/post" (kind
+// "commit"; SpanPosted reports the mark). It returns ok=false for events that
+// are not span events or whose detail does not parse.
 func SpanSide(e Event) (side, kind, reason string, ok bool) {
 	if e.Type != EvSpanStart && e.Type != EvSpanFinish {
 		return "", "", "", false
 	}
-	d := e.Detail
-	for i := 0; i < len(d); i++ {
-		if d[i] == ':' {
-			side, d = d[:i], d[i+1:]
-			break
-		}
-	}
+	side, d, _ := strings.Cut(e.Detail, ":")
 	if side != SideClient && side != SideServer {
 		return "", "", "", false
 	}
-	kind = d
-	for i := 0; i < len(d); i++ {
-		if d[i] == '!' {
-			kind, reason = d[:i], d[i+1:]
-			break
-		}
-	}
-	return side, kind, reason, true
+	kind, reason, _ = strings.Cut(d, "!")
+	return side, strings.TrimSuffix(kind, PostedMark), reason, true
+}
+
+// SpanPosted reports whether e is a client-side event of a posted request.
+func SpanPosted(e Event) bool {
+	_, _, _, ok := SpanSide(e)
+	sideKind, _, _ := strings.Cut(e.Detail, "!")
+	return ok && strings.HasSuffix(sideKind, PostedMark)
 }

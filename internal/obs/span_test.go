@@ -1,13 +1,16 @@
 package obs_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"siterecovery/internal/metrics"
 	"siterecovery/internal/obs"
+	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
 )
 
@@ -81,6 +84,55 @@ func TestSpanStartFinishEvents(t *testing.T) {
 	}
 	if got := reg.Counter(1, "rpc", "client.prepare").Value(); got != 1 {
 		t.Errorf("rpc client.prepare counter = %d, want 1", got)
+	}
+}
+
+// TestPostedSpanIsAMarkedClientSide: a posted request records as the client
+// side — same metric names, Detail still beginning "client:" — with the
+// posted mark after the kind, and the mark survives the JSONL export and
+// SpanSide, with and without a failure reason.
+func TestPostedSpanIsAMarkedClientSide(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var buf bytes.Buffer
+	sink := export.NewJSONL(&buf)
+	h := obs.NewHub(obs.Options{Registry: reg, Sinks: []obs.Sink{sink}})
+	sc := obs.SpanContext{Root: 42, Span: obs.NewSpanID(1), Origin: 1}
+
+	h.SpanStart(1, 3, sc, obs.SidePost, "commit", 12)
+	h.SpanFinish(1, 3, sc, obs.SidePost, "commit", 12, 9*time.Microsecond, nil)
+	h.SpanFinish(1, 3, sc, obs.SidePost, "commit", 12, 9*time.Microsecond, proto.ErrSiteDown)
+	h.SpanStart(1, 3, sc, obs.SideClient, "commit", 12)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := export.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDetail := []string{"client:commit/post", "client:commit/post", "client:commit/post!site-down", "client:commit"}
+	wantReason := []string{"", "", "site-down", ""}
+	for i, e := range evs {
+		if e.Detail != wantDetail[i] {
+			t.Errorf("event %d detail = %q, want %q", i, e.Detail, wantDetail[i])
+		}
+		side, kind, reason, ok := obs.SpanSide(e)
+		if !ok || side != obs.SideClient || kind != "commit" || reason != wantReason[i] {
+			t.Errorf("SpanSide(event %d) = %q %q %q %v", i, side, kind, reason, ok)
+		}
+		if got, want := obs.SpanPosted(e), i < 3; got != want {
+			t.Errorf("SpanPosted(event %d) = %v, want %v", i, got, want)
+		}
+	}
+	if got := reg.Counter(1, "rpc", "client.commit").Value(); got != 2 {
+		t.Errorf("rpc client.commit counter = %d, want 2 (posted and acknowledged starts share it)", got)
+	}
+	if got := reg.IntHist(1, "rpc", "client_latency_us.commit").Count(); got != 2 {
+		t.Errorf("rpc client_latency_us.commit count = %d, want 2", got)
+	}
+	for key := range reg.Snapshot() {
+		if strings.Contains(key.Name, "post") {
+			t.Errorf("posted spans created an instrument of their own: %v", key)
+		}
 	}
 }
 

@@ -406,11 +406,10 @@ func (m *Manager) queryDecision(ctx context.Context, origin proto.SiteID, id pro
 
 // witnessDecision implements the cooperative-termination witness query: ask
 // every peer (excluding self and the coordinator) for the outcome of id and
-// return the first decisive answer — a commit or abort — in site order. On a
-// sequential transport the probes stop at the first decisive answer,
-// preserving the historical message counts; on a concurrent transport all
-// peers are asked at once and the scan over the ordered results picks the
-// same verdict.
+// return the first decisive answer — a commit or abort — in site order. Where
+// an answer is in when its send returns (the simulator) the queries stop at
+// the first decisive one; otherwise all peers are asked at once and the scan
+// over the ordered results picks the same verdict.
 func witnessDecision(ctx context.Context, net transport.Transport, self, origin proto.SiteID, sites []proto.SiteID, id proto.TxnID) (proto.TxnState, uint64, bool) {
 	var peers []proto.SiteID
 	for _, j := range sites {
@@ -418,29 +417,15 @@ func witnessDecision(ctx context.Context, net transport.Transport, self, origin 
 			peers = append(peers, j)
 		}
 	}
-	decisive := func(resp proto.Message, err error) bool {
-		if err != nil {
-			return false
-		}
-		dr, ok := resp.(proto.DecisionResp)
-		return ok && (dr.State == proto.StateCommitted || dr.State == proto.StateAborted)
+	decisive := func(r transport.Result) bool {
+		dr, ok := r.Resp.(proto.DecisionResp)
+		return r.Err == nil && ok && (dr.State == proto.StateCommitted || dr.State == proto.StateAborted)
 	}
-	var results []transport.Result
-	if transport.IsSequential(net) {
-		for _, j := range peers {
-			resp, err := net.Call(ctx, self, j, proto.DecisionReq{Txn: id})
-			results = append(results, transport.Result{Site: j, Resp: resp, Err: err})
-			if decisive(resp, err) {
-				break
-			}
-		}
-	} else {
-		results = transport.Fanout(false, peers, func(j proto.SiteID) (proto.Message, error) {
-			return net.Call(ctx, self, j, proto.DecisionReq{Txn: id})
-		}, nil)
-	}
+	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+		return net.Send(ctx, self, j, proto.DecisionReq{Txn: id})
+	}, decisive)
 	for _, r := range results {
-		if !decisive(r.Resp, r.Err) {
+		if !decisive(r) {
 			continue
 		}
 		dr := r.Resp.(proto.DecisionResp)
@@ -468,8 +453,8 @@ func (m *Manager) markOutOfDate(ctx context.Context) (int, error) {
 		}
 		// Fetch every peer's fail-lock/missing-list bookkeeping at once and
 		// merge the answers in site order.
-		results := transport.Fanout(transport.IsSequential(m.cfg.Net), peers, func(j proto.SiteID) (proto.Message, error) {
-			return m.cfg.Net.Call(ctx, m.cfg.Site, j, proto.MissedFetchReq{For: m.cfg.Site})
+		results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+			return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.MissedFetchReq{For: m.cfg.Site})
 		}, nil)
 		marked := make(map[proto.Item]bool)
 		for _, r := range results {

@@ -72,8 +72,8 @@ func (m *Manager) applySpool(ctx context.Context) int {
 		}
 	}
 	// Drain every spooler at once; the replay below merges in site order.
-	results := transport.Fanout(transport.IsSequential(m.cfg.Net), peers, func(j proto.SiteID) (proto.Message, error) {
-		return m.cfg.Net.Call(ctx, m.cfg.Site, j, proto.SpoolFetchReq{For: m.cfg.Site})
+	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+		return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.SpoolFetchReq{For: m.cfg.Site})
 	}, nil)
 	var updates []proto.SpooledUpdate
 	for _, r := range results {

@@ -14,6 +14,8 @@ import (
 
 // stubNet is a transport stub for the probe path: each peer answers with a
 // canned reply (or a transport error), and the stub records the call order.
+// A sequential stub has the reply when Send returns, as the simulator does;
+// otherwise the reply comes at Wait, as over tcpnet.
 type stubNet struct {
 	sequential bool
 	replies    map[proto.SiteID]stubReply
@@ -38,7 +40,20 @@ func (s *stubNet) Call(ctx context.Context, from, to proto.SiteID, msg proto.Mes
 	return r.resp, r.err
 }
 
-func (s *stubNet) SequentialFanout() bool { return s.sequential }
+func (s *stubNet) Send(ctx context.Context, from, to proto.SiteID, msg proto.Message) transport.Pending {
+	resp, err := s.Call(ctx, from, to, msg)
+	if s.sequential {
+		return transport.Done(resp, err)
+	}
+	return transport.InFlight(stubReply{resp, err})
+}
+
+func (s *stubNet) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
+	_, err := s.Call(ctx, from, to, msg)
+	return err
+}
+
+func (r stubReply) Wait() (proto.Message, error) { return r.resp, r.err }
 
 func (s *stubNet) callCount() int {
 	s.mu.Lock()
@@ -47,7 +62,6 @@ func (s *stubNet) callCount() int {
 }
 
 var _ transport.Transport = (*stubNet)(nil)
-var _ transport.Sequentialer = (*stubNet)(nil)
 
 func probeManager(t *testing.T, net *stubNet, sites int) *session.Manager {
 	t.Helper()
@@ -144,8 +158,8 @@ func TestFindOperationalPeer(t *testing.T) {
 }
 
 // TestFindOperationalPeerShortCircuits pins the message-count contract: a
-// sequential transport stops probing at the first operational answer, while
-// a concurrent transport probes every peer exactly once.
+// transport that answers at send time stops probing at the first operational
+// answer, while one that answers later probes every peer exactly once.
 func TestFindOperationalPeerShortCircuits(t *testing.T) {
 	replies := map[proto.SiteID]stubReply{2: up(2), 3: up(3), 4: up(4)}
 

@@ -278,9 +278,10 @@ func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims map[prot
 	}
 
 	// Write 0 to all available copies of NS[d]: the nominally-up sites
-	// minus the ones being claimed down. The per-site write batches fan
-	// out across the up sites; each batch is ordered by claimed site ID so
-	// the message stream is reproducible on a sequential transport.
+	// minus the ones being claimed down. The writes fan out across the up
+	// sites; each site's writes go one after another in claimed site order
+	// (the first of them is the fan-out's send, the rest follow its reply),
+	// so the simulator's message stream is reproducible.
 	downList := claimedSet(targetsDown)
 	var upSites []proto.SiteID
 	for _, j := range m.cfg.Catalog.Sites() {
@@ -288,23 +289,25 @@ func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims map[prot
 			upSites = append(upSites, j)
 		}
 	}
-	var claimsMu sync.Mutex
-	results := transport.Fanout(transport.IsSequential(m.cfg.Net), upSites, func(j proto.SiteID) (proto.Message, error) {
-		for _, d := range downList {
-			err := tx.RawWrite(ctx, []proto.SiteID{j}, proto.NSItem(d), proto.Value(proto.NoSession))
-			if err != nil {
-				if errors.Is(err, proto.ErrSiteDown) {
-					// Another site crashed during the control transaction:
-					// remember it and retry claiming the union (§3.4).
-					claimsMu.Lock()
-					claims[j] = vec[j]
-					claimsMu.Unlock()
+	results := transport.Fanout(upSites, func(j proto.SiteID) transport.Pending {
+		p := tx.SendRawWrite(ctx, j, proto.NSItem(downList[0]), proto.Value(proto.NoSession))
+		for _, d := range downList[1:] {
+			p = p.Then(func(_ proto.Message, err error) (proto.Message, error) {
+				if err != nil {
+					return nil, err
 				}
-				return nil, err
-			}
+				return nil, tx.RawWrite(ctx, []proto.SiteID{j}, proto.NSItem(d), proto.Value(proto.NoSession))
+			})
 		}
-		return nil, nil
-	}, func(error) bool { return true })
+		return p.Then(func(_ proto.Message, err error) (proto.Message, error) {
+			if errors.Is(err, proto.ErrSiteDown) {
+				// Another site crashed during the control transaction:
+				// remember it and retry claiming the union (§3.4).
+				claims[j] = vec[j]
+			}
+			return nil, err
+		})
+	}, transport.Failed)
 	return transport.FirstError(results)
 }
 
@@ -401,16 +404,16 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 		// Write it to our own copy of NS[self] and to every nominally-up
 		// site's copy, fanned out across the targets. The crashed site is
 		// picked in target order after the fan-out so the §3.4 retry path
-		// does not depend on goroutine scheduling.
+		// does not depend on which reply came back first.
 		targets := []proto.SiteID{self}
 		for _, j := range m.cfg.Catalog.Sites() {
 			if j != self && vec[j] != proto.NoSession {
 				targets = append(targets, j)
 			}
 		}
-		results := transport.Fanout(transport.IsSequential(m.cfg.Net), targets, func(j proto.SiteID) (proto.Message, error) {
-			return nil, tx.RawWrite(ctx, []proto.SiteID{j}, proto.NSItem(self), proto.Value(sn))
-		}, func(error) bool { return true })
+		results := transport.Fanout(targets, func(j proto.SiteID) transport.Pending {
+			return tx.SendRawWrite(ctx, j, proto.NSItem(self), proto.Value(sn))
+		}, transport.Failed)
 		for _, r := range results {
 			if r.Site == 0 {
 				continue // fan-out halted before reaching this target
@@ -444,40 +447,26 @@ func (m *Manager) vectorSource(ctx context.Context) (proto.SiteID, error) {
 
 // FindOperationalPeer probes the other sites and returns the lowest-ID
 // operational one. The paper's recovery requires at least one: with none,
-// recovery must wait (§3.4). On a sequential transport the probes run in
-// site order and stop at the first operational answer; on a concurrent
-// transport every peer is probed at once and the lowest-ID operational
-// answer wins, so both paths pick the same peer.
+// recovery must wait (§3.4). Where a probe's answer is in when its send
+// returns (the simulator) the probes stop at the first operational answer;
+// otherwise every peer is probed at once and the lowest-ID operational
+// answer wins, so both pick the same peer.
 func (m *Manager) FindOperationalPeer(ctx context.Context) (proto.SiteID, error) {
-	if transport.IsSequential(m.cfg.Net) {
-		for _, j := range m.cfg.Catalog.Sites() {
-			if j == m.cfg.Site {
-				continue
-			}
-			resp, err := m.cfg.Net.Call(ctx, m.cfg.Site, j, proto.ProbeReq{})
-			if err != nil {
-				continue
-			}
-			if pr, ok := resp.(proto.ProbeResp); ok && pr.Operational {
-				return j, nil
-			}
-		}
-		return 0, fmt.Errorf("no operational peer: %w", proto.ErrUnavailable)
-	}
 	var peers []proto.SiteID
 	for _, j := range m.cfg.Catalog.Sites() {
 		if j != m.cfg.Site {
 			peers = append(peers, j)
 		}
 	}
-	results := transport.Fanout(false, peers, func(j proto.SiteID) (proto.Message, error) {
-		return m.cfg.Net.Call(ctx, m.cfg.Site, j, proto.ProbeReq{})
-	}, nil)
+	operational := func(r transport.Result) bool {
+		pr, ok := r.Resp.(proto.ProbeResp)
+		return r.Err == nil && ok && pr.Operational
+	}
+	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+		return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.ProbeReq{})
+	}, operational)
 	for _, r := range results { // results follow ascending site order
-		if r.Err != nil {
-			continue
-		}
-		if pr, ok := r.Resp.(proto.ProbeResp); ok && pr.Operational {
+		if operational(r) {
 			return r.Site, nil
 		}
 	}

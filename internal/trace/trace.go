@@ -14,7 +14,10 @@
 //     client side finishes (the response frame came back) — the latter only
 //     when the client finish is successful, since a client that timed out
 //     gave up without observing the server, whose stalled request may be
-//     delivered and served long after.
+//     delivered and served long after, and never for a posted span
+//     (obs.SpanPosted): no response frame exists, the client side finished
+//     when the request was written, and the server side may finish long
+//     after that.
 //
 // Among causally unordered events, the tie-break is (effective Lamport
 // commit seq, timestamp, site): span events are stamped with their site's
@@ -162,8 +165,10 @@ func Merge(streams ...[]obs.Event) Merged {
 			// the stalled request could still be delivered and served
 			// arbitrarily late — ordering that server finish before the
 			// client's local timeout would be false causality (and, under
-			// byte-stream faults, produces real cycles).
-			if _, _, reason, ok := obs.SpanSide(nodes[p.client.finish].ev); ok && reason == "" {
+			// byte-stream faults, produces real cycles). A posted request has
+			// no response at all.
+			fin := nodes[p.client.finish].ev
+			if _, _, reason, ok := obs.SpanSide(fin); ok && reason == "" && !obs.SpanPosted(fin) {
 				addEdge(p.server.finish, p.client.finish) // response frame returned
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/transport"
 )
 
 // BenchmarkCall times a loopback echo: a 2-op prepare-carrying BatchReq out,
@@ -46,5 +47,38 @@ func BenchmarkCall(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// BenchmarkFanout times one fan-out round over loopback the way a commit's
+// phase one runs it: the same BatchReq to the sending site itself and to two
+// peers, every vote collected, on one goroutine.
+func BenchmarkFanout(b *testing.B) {
+	req := proto.BatchReq{
+		Txn: proto.TxnMeta{ID: 1 << 40, Class: proto.ClassUser, Origin: 1}, Mode: proto.CheckSession, Expect: 1, Prepare: true,
+		Ops: []proto.BatchOp{{Item: "k00017", Value: 123456789}, {Item: "k01234", Value: 987654321}},
+	}
+	trs := newPair(b, 3)
+	for _, tr := range trs {
+		tr.SetHandler(func(context.Context, proto.SiteID, proto.Message) (proto.Message, error) {
+			return proto.BatchResp{Vote: true, MaxSeq: 42}, nil
+		})
+	}
+	ctx := context.Background()
+	targets := []proto.SiteID{1, 2, 3}
+	round := func() error {
+		return transport.FirstError(transport.Fanout(targets, func(to proto.SiteID) transport.Pending {
+			return trs[1].Send(ctx, 1, to, req)
+		}, transport.Failed))
+	}
+	if err := round(); err != nil { // dial outside the timing
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := round(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -17,6 +17,8 @@ func FuzzFrameHeader(f *testing.F) {
 	for _, h := range []reqHeader{
 		{id: 1, from: 1, budgetUS: 5_000_000},
 		{id: 1 << 40, from: 3, budgetUS: -7, traced: true, span: obs.SpanContext{Root: 9, Span: 3<<48 | 5, Parent: 2, Origin: 3}},
+		{id: 2, from: 1, budgetUS: 5_000_000, oneWay: true},
+		{id: 3, from: 2, budgetUS: 1, oneWay: true, traced: true, span: obs.SpanContext{Root: 9, Span: 2<<48 | 6, Parent: 2, Origin: 2}},
 	} {
 		f.Add(append(appendReqHeader(nil, h), probe...))
 	}

@@ -5,14 +5,26 @@
 // protocol layers above — transaction manager, session manager, recovery —
 // stay unchanged.
 //
-// Calls are multiplexed: each site keeps ONE connection per peer, every
+// Requests are multiplexed: each site keeps ONE connection per peer, every
 // request frame carries a transport-assigned request ID, and a per-connection
 // demux goroutine routes response frames (which may arrive out of order) back
-// to their waiting callers. The serving side dispatches each inbound frame on
-// its own goroutine, so a slow handler never blocks later requests on the
-// same connection. This replaces the PR 4 conn-per-call pool, where N
-// concurrent calls to one peer cost N TCP connections and a response had to
-// be read before the next request could use the conn.
+// to their waiting callers. Send writes the request frame and returns; the
+// reply is collected by Pending.Wait, so one goroutine can have a request
+// outstanding at every peer and a fan-out round costs one write per remote
+// target and no goroutine. A request to the site itself is not framed at all:
+// its Pending runs the local handler on the goroutine that waits for it. Post
+// sets the one-way bit in the request header: the serving side runs the
+// handler and writes no response frame, and the sender registers nothing to
+// wait on. A peer that answers a posted request anyway is harmless — the
+// demux drops responses nobody is registered for.
+//
+// The serving side hands each inbound frame to a worker goroutine — a parked
+// one when there is one, a new one otherwise — so a slow handler never blocks
+// later requests on the same connection, and a connection keeps as many
+// workers (with their grown stacks) as it ever had requests in progress at
+// once. Each handler runs under a context that carries the caller's deadline
+// but arms its timer and its registration with the transport's base context
+// only if the handler actually waits on it.
 //
 // Failure semantics follow the paper's fail-stop model: a connection refused
 // (after brief retries, to ride over peer startup) or any transport-level
@@ -20,10 +32,6 @@
 // reports for a crashed site. Handler errors cross the wire as
 // proto.WireError, so errors.Is against the protocol sentinels keeps working
 // across processes.
-//
-// tcpnet deliberately does not implement transport.Sequentialer: a real
-// network has no deterministic schedule to preserve, so every fan-out runs
-// in parallel and multi-replica latency is the max of the replicas.
 package tcpnet
 
 import (
@@ -70,11 +78,11 @@ type Config struct {
 	// context carries no earlier deadline. Defaults to 5s.
 	CallTimeout time.Duration
 	// Obs, when non-nil, records distributed-tracing span events (client
-	// side in Call, server side in dispatch) and per-kind RPC metrics. The
-	// span context read from the caller's context via obs.SpanFrom is
-	// propagated inside the request frame, so the server side of a span
-	// shares its ID and root transaction with the client side. A nil hub
-	// costs nothing and sends no trace block.
+	// side in Send and Post, server side in dispatch) and per-kind RPC
+	// metrics. The span context read from the caller's context via
+	// obs.SpanFrom is propagated inside the request frame, so the server
+	// side of a span shares its ID and root transaction with the client
+	// side. A nil hub costs nothing and sends no trace block.
 	Obs *obs.Hub
 	// Lamport, when non-nil, supplies the site's high-water Lamport commit
 	// sequence; span events are stamped with it so a causal merge across
@@ -108,26 +116,31 @@ func (c Config) withDefaults() Config {
 //	response header  uvarint id | status (0 ok, 1 error)
 //	response body    the proto reply message, or a proto.WireError
 //
-// The bracketed trace block is present when flags has flagTraced. Header and
-// body are each delimited, and their decoders ignore bytes past the fields
-// they know, so a newer peer may append fields to either (proto/codec.go
-// states the rule); nothing is ever inserted or reordered.
+// The bracketed trace block is present when flags has flagTraced; a request
+// with flagOneWay gets no response frame. Header and body are each delimited,
+// and their decoders ignore bytes past the fields they know, so a newer peer
+// may append fields to either (proto/codec.go states the rule); nothing is
+// ever inserted or reordered.
 
-const flagTraced = 1
+const (
+	flagTraced = 1 << iota
+	flagOneWay
+)
 
 // reqHeader is the decoded request header: a connection-scoped request ID
 // for demuxing the (possibly out-of-order) response stream, the sender's
-// site ID, the caller's remaining time budget, and the optional
-// distributed-tracing context. Carrying the budget (a duration, not an
-// absolute time, so clocks need not be synchronized) lets the serving side
-// stop an abandoned handler at roughly the moment the caller gives up
-// instead of running out the full CallTimeout while holding locks. It is in
-// microseconds and always present; zero or less means the caller has already
-// given up.
+// site ID, the caller's remaining time budget, whether the sender wants no
+// response, and the optional distributed-tracing context. Carrying the
+// budget (a duration, not an absolute time, so clocks need not be
+// synchronized) lets the serving side stop an abandoned handler at roughly
+// the moment the caller gives up instead of running out the full CallTimeout
+// while holding locks. It is in microseconds and always present; zero or
+// less means the caller has already given up.
 type reqHeader struct {
 	id       uint64
 	from     proto.SiteID
 	budgetUS int64
+	oneWay   bool
 	// span is the span context both sides of this call share; sent only
 	// when traced. A sender without a hub sends no trace block at all.
 	traced bool
@@ -140,14 +153,19 @@ func appendReqHeader(b []byte, h reqHeader) []byte {
 	b = binary.AppendUvarint(b, h.id)
 	b = binary.AppendVarint(b, int64(h.from))
 	b = binary.AppendVarint(b, h.budgetUS)
+	var flags byte
 	if h.traced {
-		b = append(b, flagTraced)
+		flags |= flagTraced
+	}
+	if h.oneWay {
+		flags |= flagOneWay
+	}
+	b = append(b, flags)
+	if h.traced {
 		b = binary.AppendUvarint(b, uint64(h.span.Root))
 		b = binary.AppendUvarint(b, h.span.Span)
 		b = binary.AppendUvarint(b, h.span.Parent)
 		b = binary.AppendVarint(b, int64(h.span.Origin))
-	} else {
-		b = append(b, 0)
 	}
 	b[at] = byte(len(b) - at - 1)
 	return b
@@ -170,7 +188,9 @@ func parseReqHeader(p []byte) (h reqHeader, body []byte, err error) {
 	h.id = r.Uint()
 	h.from = proto.SiteID(r.Int())
 	h.budgetUS = r.Int()
-	if r.Byte()&flagTraced != 0 {
+	flags := r.Byte()
+	h.oneWay = flags&flagOneWay != 0
+	if flags&flagTraced != 0 {
 		h.traced = true
 		h.span = obs.SpanContext{
 			Root:   proto.TxnID(r.Uint()),
@@ -476,18 +496,41 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 	}
 }
 
+// inbound is one decoded request frame on its way to a worker; err is the
+// body's decode error.
+type inbound struct {
+	h   reqHeader
+	msg proto.Message
+	err error
+}
+
+// servedConn is the serving side of one inbound connection.
+type servedConn struct {
+	t    *Transport
+	conn net.Conn
+	// wmu serializes response-frame writes.
+	wmu sync.Mutex
+	// work hands a request to a parked worker. It is unbuffered, so a send
+	// that does not block found a worker waiting.
+	work chan inbound
+	wg   sync.WaitGroup
+}
+
 // serveConn handles one inbound connection: request frames are read and
-// decoded in order into one reused buffer, but each is dispatched on its own
-// goroutine and its response frame written (serialized by wmu) whenever the
-// handler finishes — so a slow handler does not block later requests on the
-// same connection, and responses may cross the wire out of order.
+// decoded in order into one reused buffer, each is handed to a worker — a
+// parked one if there is one, else a new one — and its response frame is
+// written (serialized by wmu) whenever the handler finishes. So a slow
+// handler does not block later requests on the same connection, and
+// responses may cross the wire out of order. Workers park between requests
+// and live until the connection closes: a goroutine started per frame would
+// regrow its stack inside every handler.
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
-	var hwg sync.WaitGroup
-	var wmu sync.Mutex
+	s := &servedConn{t: t, conn: conn, work: make(chan inbound)}
 	defer func() {
 		conn.Close()
-		hwg.Wait()
+		close(s.work)
+		s.wg.Wait()
 		t.mu.Lock()
 		delete(t.serving, conn)
 		t.mu.Unlock()
@@ -503,34 +546,119 @@ func (t *Transport) serveConn(conn net.Conn) {
 		if err != nil {
 			return // no request ID to answer under: the stream is corrupt
 		}
-		msg, err := proto.DecodeMessage(body)
-		hwg.Add(1)
-		go func() {
-			defer hwg.Done()
-			t.serve(conn, &wmu, h, msg, err)
-		}()
+		in := inbound{h: h}
+		in.msg, in.err = proto.DecodeMessage(body)
+		select {
+		case s.work <- in:
+		default:
+			s.wg.Add(1)
+			go s.worker(in)
+		}
+	}
+}
+
+// worker serves in, then whatever the read loop hands it next, until the
+// connection closes.
+func (s *servedConn) worker(in inbound) {
+	defer s.wg.Done()
+	for ok := true; ok; in, ok = <-s.work {
+		s.serve(in)
 	}
 }
 
 // serve answers one request: it runs the handler (unless the message did
-// not decode) and writes the response frame, built in a pooled buffer, with
-// one Write.
-func (t *Transport) serve(conn net.Conn, wmu *sync.Mutex, h reqHeader, msg proto.Message, err error) {
+// not decode) and, unless the request was posted, writes the response frame,
+// built in a pooled buffer, with one Write.
+func (s *servedConn) serve(in inbound) {
 	var reply proto.Message
+	err := in.err
 	if err == nil {
-		reply, err = t.dispatch(h, msg)
+		reply, err = s.t.dispatch(in.h, in.msg)
+	}
+	if in.h.oneWay {
+		return
 	}
 	fb := framePool.Get().(*frameBuf)
-	fb.b = appendResponse(fb.b[:0], h.id, reply, err)
-	wmu.Lock()
-	_, err = conn.Write(fb.b)
-	wmu.Unlock()
+	fb.b = appendResponse(fb.b[:0], in.h.id, reply, err)
+	s.wmu.Lock()
+	_, err = s.conn.Write(fb.b)
+	s.wmu.Unlock()
 	putFrame(fb)
 	if err != nil {
 		// The response stream is poisoned; drop the connection so the read
 		// loop exits and the peer re-establishes.
-		conn.Close()
+		s.conn.Close()
 	}
+}
+
+// handlerCtx is the context an inbound handler runs under: done when the
+// caller's carried time budget runs out or the transport closes. Its
+// deadline is exact from the start, but the timer and the registration with
+// the transport's base context exist only once something asks for Done —
+// most handlers never wait, and building a context.WithDeadline for each
+// request was a tenth of a participant's CPU.
+type handlerCtx struct {
+	base     context.Context
+	deadline time.Time
+
+	mu       sync.Mutex
+	armed    context.Context
+	cancel   context.CancelFunc
+	released bool
+}
+
+func (c *handlerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *handlerCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed, c.cancel = context.WithDeadline(c.base, c.deadline)
+		if c.released {
+			c.cancel()
+		}
+	}
+	return c.armed.Done()
+}
+
+// current returns the armed context, nil while nothing has asked for Done.
+func (c *handlerCtx) current() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.armed
+}
+
+func (c *handlerCtx) Err() error {
+	if armed := c.current(); armed != nil {
+		return armed.Err()
+	}
+	if err := c.base.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(c.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// Value defers to the armed context once there is one, so a context derived
+// from this one finds the standard library's cancellation parent in it and
+// needs no goroutine to follow Done.
+func (c *handlerCtx) Value(key any) any {
+	if armed := c.current(); armed != nil {
+		return armed.Value(key)
+	}
+	return c.base.Value(key)
+}
+
+// release ends the context when its handler returns.
+func (c *handlerCtx) release() {
+	c.mu.Lock()
+	c.released = true
+	if c.cancel != nil {
+		c.cancel()
+	}
+	c.mu.Unlock()
 }
 
 // dispatch runs the handler for one decoded request.
@@ -540,16 +668,16 @@ func (t *Transport) dispatch(req reqHeader, msg proto.Message) (proto.Message, e
 		return nil, err
 	}
 	// Bound the handler by the caller's carried time budget (never more than
-	// CallTimeout), derived from baseCtx so Close also cancels it: a request
-	// whose caller has given up stops waiting on locks instead of running
-	// out the full CallTimeout. A spent budget gives a context that is
-	// already cancelled.
+	// CallTimeout), under baseCtx so Close also cancels it: a request whose
+	// caller has given up stops waiting on locks instead of running out the
+	// full CallTimeout. A spent budget gives a context that is already done.
 	timeout := t.cfg.CallTimeout
 	if req.budgetUS < timeout.Microseconds() {
 		timeout = time.Duration(req.budgetUS) * time.Microsecond
 	}
-	ctx, cancel := context.WithTimeout(t.baseCtx, timeout)
-	defer cancel()
+	hctx := &handlerCtx{base: t.baseCtx, deadline: time.Now().Add(timeout)}
+	defer hctx.release()
+	var ctx context.Context = hctx
 	// Propagate the caller's span context into the handler even without a
 	// local hub: nested RPCs the handler makes must still carry their causal
 	// parent. With a hub, the server side of the span is recorded too.
@@ -570,13 +698,56 @@ func (t *Transport) dispatch(req reqHeader, msg proto.Message) (proto.Message, e
 	return reply, err
 }
 
-// Call implements transport.Transport: one request/response exchange with
-// site to, multiplexed onto the shared per-peer connection. Calls to Self
-// are served by the local handler directly, matching the simulator's local
-// bus.
-func (t *Transport) Call(ctx context.Context, from, to proto.SiteID, msg proto.Message) (proto.Message, error) {
+// checkOrigin rejects a request that claims to come from another site.
+func (t *Transport) checkOrigin(from proto.SiteID) error {
 	if from != t.cfg.Self {
-		return nil, fmt.Errorf("tcpnet: call from %v on site %v's transport", from, t.cfg.Self)
+		return fmt.Errorf("tcpnet: call from %v on site %v's transport", from, t.cfg.Self)
+	}
+	return nil
+}
+
+// Send implements transport.Transport: it writes one request frame onto the
+// shared per-peer connection and returns; Wait collects the reply. A request
+// to Self is served by the local handler when it is waited for, on the
+// waiting goroutine.
+func (t *Transport) Send(ctx context.Context, from, to proto.SiteID, msg proto.Message) transport.Pending {
+	if err := t.checkOrigin(from); err != nil {
+		return transport.Done(nil, err)
+	}
+	if to == t.cfg.Self {
+		h, err := t.loadHandler()
+		if err != nil {
+			return transport.Done(nil, err)
+		}
+		return transport.Inline(&selfCall{h: h, ctx: ctx, from: from, msg: msg})
+	}
+	c := &call{t: t, ctx: ctx, to: to}
+	if err := c.send(msg, false); err != nil {
+		return transport.Done(nil, err)
+	}
+	return transport.InFlight(c)
+}
+
+// Post implements transport.Transport: one request frame with the one-way
+// bit set, nothing registered for a reply. A nil error means the frame was
+// written whole.
+func (t *Transport) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
+	if err := t.checkOrigin(from); err != nil {
+		return err
+	}
+	if to == t.cfg.Self {
+		_, err := t.Call(ctx, from, to, msg)
+		return err
+	}
+	c := call{t: t, ctx: ctx, to: to}
+	return c.send(msg, true)
+}
+
+// Call implements transport.Transport: Send, then Wait. Calls to Self are
+// served by the local handler directly, matching the simulator's local bus.
+func (t *Transport) Call(ctx context.Context, from, to proto.SiteID, msg proto.Message) (proto.Message, error) {
+	if err := t.checkOrigin(from); err != nil {
+		return nil, err
 	}
 	if to == t.cfg.Self {
 		h, err := t.loadHandler()
@@ -585,30 +756,23 @@ func (t *Transport) Call(ctx context.Context, from, to proto.SiteID, msg proto.M
 		}
 		return h(ctx, from, msg)
 	}
-
-	// With a hub installed, the remote call becomes one client-side span:
-	// its context is read from ctx (parent and root), a fresh span ID is
-	// allocated here, and the same context rides the request frame so the
-	// serving side records the matching server span. Self-calls above stay
-	// untraced, matching the simulator's local bus.
-	if t.cfg.Obs == nil {
-		return t.callRemote(ctx, to, msg, false, obs.SpanContext{})
+	c := call{t: t, ctx: ctx, to: to}
+	if err := c.send(msg, false); err != nil {
+		return nil, err
 	}
-	parent, _ := obs.SpanFrom(ctx)
-	sc := obs.SpanContext{
-		Root:   parent.Root,
-		Span:   obs.NewSpanID(t.cfg.Self),
-		Parent: parent.Span,
-		Origin: t.cfg.Self,
-	}
-	kind := msg.Kind()
-	t.cfg.Obs.MsgSent(from, to, kind)
-	t.cfg.Obs.SpanStart(t.cfg.Self, to, sc, obs.SideClient, kind, t.lamport())
-	start := time.Now()
-	reply, err := t.callRemote(ctx, to, msg, true, sc)
-	t.cfg.Obs.SpanFinish(t.cfg.Self, to, sc, obs.SideClient, kind, t.lamport(), time.Since(start), err)
-	return reply, err
+	return c.Wait()
 }
+
+// selfCall is a request to the sending site: the handler runs in Wait.
+// Requests to Self are untraced, matching the simulator's local bus.
+type selfCall struct {
+	h    transport.Handler
+	ctx  context.Context
+	from proto.SiteID
+	msg  proto.Message
+}
+
+func (c *selfCall) Wait() (proto.Message, error) { return c.h(c.ctx, c.from, c.msg) }
 
 // lamport reads the configured Lamport clock, 0 when none is wired.
 func (t *Transport) lamport() uint64 {
@@ -618,12 +782,71 @@ func (t *Transport) lamport() uint64 {
 	return t.cfg.Lamport()
 }
 
-// callRemote performs the request/response exchange with a remote site,
-// sending sc in the request frame's trace block when traced.
-func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.Message, traced bool, sc obs.SpanContext) (proto.Message, error) {
-	deadline := time.Now().Add(t.cfg.CallTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+// call is the client side of one request to a remote site.
+type call struct {
+	t   *Transport
+	ctx context.Context
+	to  proto.SiteID
+
+	// Set by a send that registered for a reply.
+	pc       *peerConn
+	id       uint64
+	ch       chan callResult
+	deadline time.Time
+
+	// With a hub installed, the request is one client-side span: its context
+	// is read from ctx (parent and root), a fresh span ID is allocated in
+	// send, and the same context rides the request frame so the serving side
+	// records the matching server span.
+	traced bool
+	side   string // obs.SideClient, or obs.SidePost for a posted request
+	kind   string
+	sc     obs.SpanContext
+	start  time.Time
+}
+
+// send opens the client span and writes the request frame. The span of a
+// request that will not be waited for — it was posted, or it failed here —
+// is finished at once.
+func (c *call) send(msg proto.Message, oneWay bool) error {
+	t := c.t
+	if hub := t.cfg.Obs; hub != nil {
+		parent, _ := obs.SpanFrom(c.ctx)
+		c.sc = obs.SpanContext{
+			Root:   parent.Root,
+			Span:   obs.NewSpanID(t.cfg.Self),
+			Parent: parent.Span,
+			Origin: t.cfg.Self,
+		}
+		c.traced, c.side, c.kind = true, obs.SideClient, msg.Kind()
+		if oneWay {
+			c.side = obs.SidePost
+		}
+		hub.MsgSent(t.cfg.Self, c.to, c.kind)
+		hub.SpanStart(t.cfg.Self, c.to, c.sc, c.side, c.kind, t.lamport())
+		c.start = time.Now()
+	}
+	err := c.write(msg, oneWay)
+	if err != nil || oneWay {
+		c.finish(err)
+	}
+	return err
+}
+
+// finish closes the client span.
+func (c *call) finish(err error) {
+	if c.traced {
+		c.t.cfg.Obs.SpanFinish(c.t.cfg.Self, c.to, c.sc, c.side, c.kind, c.t.lamport(), time.Since(c.start), err)
+	}
+}
+
+// write frames msg and writes it to the peer's connection, registering for
+// the reply first unless the request is one-way.
+func (c *call) write(msg proto.Message, oneWay bool) error {
+	t, ctx, to := c.t, c.ctx, c.to
+	c.deadline = time.Now().Add(t.cfg.CallTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(c.deadline) {
+		c.deadline = d
 	}
 	fb := framePool.Get().(*frameBuf)
 	defer putFrame(fb)
@@ -631,69 +854,91 @@ func (t *Transport) callRemote(ctx context.Context, to proto.SiteID, msg proto.M
 	// The shared connection may have been closed by the peer since its last
 	// use; a registration or write failure means the request frame never
 	// arrived intact (a partial frame fails the peer's length-prefixed read
-	// and is never dispatched), so a fresh connection is dialed and the call
-	// retried. Once the frame was fully written — or the connection was
-	// freshly dialed by this call — a failure is conclusive: the peer may
-	// already have received and executed the request, and resending it would
-	// execute a non-idempotent message twice. Under fail-stop the conclusive
-	// case is a site crash.
+	// and is never dispatched), so a fresh connection is dialed and the
+	// request retried. Once the frame was fully written — or the connection
+	// was freshly dialed by this request — a failure is conclusive: the peer
+	// may already have received and executed the request, and resending it
+	// would execute a non-idempotent message twice. Under fail-stop the
+	// conclusive case is a site crash.
 	for {
 		pc, fresh, err := t.getPeer(ctx, to)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		id := t.nextID.Add(1)
 		fb.b, err = appendRequest(fb.b[:0], reqHeader{
 			id: id, from: t.cfg.Self,
-			budgetUS: time.Until(deadline).Microseconds(),
-			traced:   traced, span: sc,
+			budgetUS: time.Until(c.deadline).Microseconds(),
+			oneWay:   oneWay,
+			traced:   c.traced, span: c.sc,
 		}, msg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ch, err := pc.register(id)
-		if err != nil {
-			// Nothing written; a dead shared conn is replaced and retried.
-			t.dropPeer(to, pc)
-			if fresh {
-				return nil, fmt.Errorf("site %v: connection lost (%v): %w", to, err, proto.ErrSiteDown)
+		if !oneWay {
+			ch, err := pc.register(id)
+			if err != nil {
+				// Nothing written; a dead shared conn is replaced and retried.
+				t.dropPeer(to, pc)
+				if fresh {
+					return fmt.Errorf("site %v: connection lost (%v): %w", to, err, proto.ErrSiteDown)
+				}
+				continue
 			}
-			continue
+			c.pc, c.id, c.ch = pc, id, ch
 		}
 		pc.wmu.Lock()
-		pc.conn.SetWriteDeadline(deadline)
+		pc.conn.SetWriteDeadline(c.deadline)
 		_, err = pc.conn.Write(fb.b)
 		pc.wmu.Unlock()
-		if err != nil {
-			pc.unregister(id)
-			t.dropPeer(to, pc)
-			if fresh {
-				return nil, fmt.Errorf("site %v: write failed (%v): %w", to, err, proto.ErrSiteDown)
-			}
-			continue
+		if err == nil {
+			return nil
 		}
-		return t.await(ctx, to, pc, id, ch, deadline)
+		if !oneWay {
+			pc.unregister(id)
+		}
+		t.dropPeer(to, pc)
+		if fresh {
+			return fmt.Errorf("site %v: write failed (%v): %w", to, err, proto.ErrSiteDown)
+		}
 	}
 }
 
-// await blocks until the demux loop delivers the response for id, the
-// connection dies, or the deadline passes. The frame was already written, so
-// every failure here is conclusive (at-most-once: never resent).
-func (t *Transport) await(ctx context.Context, to proto.SiteID, pc *peerConn, id uint64, ch chan callResult, deadline time.Time) (proto.Message, error) {
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case resp, ok := <-ch:
+// Wait blocks until the demux loop delivers the response, the connection
+// dies, or the deadline passes, and closes the client span. The frame was
+// already written, so every failure here is conclusive (at-most-once: never
+// resent).
+func (c *call) Wait() (proto.Message, error) {
+	reply, err := c.await()
+	c.finish(err)
+	return reply, err
+}
+
+func (c *call) await() (proto.Message, error) {
+	received := func(resp callResult, ok bool) (proto.Message, error) {
 		if !ok {
-			return nil, fmt.Errorf("site %v: connection lost awaiting reply: %w", to, proto.ErrSiteDown)
+			return nil, fmt.Errorf("site %v: connection lost awaiting reply: %w", c.to, proto.ErrSiteDown)
 		}
 		return resp.msg, resp.err
+	}
+	// In a fan-out the reply is often in by the time it is waited for, and
+	// then no timer is needed.
+	select {
+	case resp, ok := <-c.ch:
+		return received(resp, ok)
+	default:
+	}
+	timer := time.NewTimer(time.Until(c.deadline))
+	defer timer.Stop()
+	select {
+	case resp, ok := <-c.ch:
+		return received(resp, ok)
 	case <-timer.C:
-		pc.unregister(id)
-		return nil, fmt.Errorf("site %v: call timed out: %w", to, proto.ErrSiteDown)
-	case <-ctx.Done():
-		pc.unregister(id)
-		return nil, fmt.Errorf("site %v: %v: %w", to, ctx.Err(), proto.ErrSiteDown)
+		c.pc.unregister(c.id)
+		return nil, fmt.Errorf("site %v: call timed out: %w", c.to, proto.ErrSiteDown)
+	case <-c.ctx.Done():
+		c.pc.unregister(c.id)
+		return nil, fmt.Errorf("site %v: %v: %w", c.to, c.ctx.Err(), proto.ErrSiteDown)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // newPair starts n transports on pre-bound localhost ports so every peer
 // knows the full address map up front, the way srnode processes do.
-func newPair(t *testing.T, n int) map[proto.SiteID]*Transport {
+func newPair(t testing.TB, n int) map[proto.SiteID]*Transport {
 	t.Helper()
 	listeners := make(map[proto.SiteID]net.Listener, n)
 	addrs := make(map[proto.SiteID]string, n)
@@ -126,13 +126,10 @@ func TestCallValidatesOrigin(t *testing.T) {
 	}
 }
 
-// TestParallelCalls exercises the connection pool under concurrent fan-out
-// (tcpnet does not implement Sequentialer, so this is its normal mode).
+// TestParallelCalls exercises the shared per-peer connections under
+// concurrent callers.
 func TestParallelCalls(t *testing.T) {
 	trs := newPair(t, 4)
-	if transport.IsSequential(trs[1]) {
-		t.Fatal("tcpnet must not report sequential fan-out")
-	}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 120)

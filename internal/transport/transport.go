@@ -3,25 +3,31 @@
 // commit, session-number checks, NS-claim broadcasts, probes — crosses a
 // Transport.
 //
+// The seam has three verbs. Send puts a request on the wire and returns a
+// Pending; Pending.Wait collects the reply. Post sends a request whose reply
+// the sender does not use — the commit decision of a transaction whose
+// outcome is already durable — and the serving side writes none. Call is
+// Send followed at once by Wait.
+//
 // Two implementations exist. internal/netsim is the in-process simulator
 // (latency, loss, partitions, byte-deterministic chaos traces); it carries
-// messages as plain Go values and never serializes. internal/transport/tcpnet
-// is a real length-prefixed TCP transport that frames the same messages with
-// the internal/proto wire codec, so each site can run as its own OS process
-// (cmd/srnode).
+// messages as plain Go values, never serializes, and completes every request
+// before Send or Post returns. internal/transport/tcpnet is a real
+// length-prefixed TCP transport that frames the same messages with the
+// internal/proto wire codec, so each site can run as its own OS process
+// (cmd/srnode); its Send returns as soon as the frame is written.
 //
-// The package also owns the fan-out policy. Multi-replica phases (write-all,
-// prepare, commit, claim broadcasts) go through Fanout, which runs the calls
-// concurrently — multi-replica latency is the max of the replicas, not the
-// sum — unless the transport declares itself sequential. The simulator
-// always does, because the deterministic harnesses (scripted srsim, the
-// chaos engine) require one totally ordered event stream per seed; tcpnet
-// never does. See DESIGN.md §10.
+// The package also owns the fan-out loop. Multi-replica phases (write-all,
+// prepare, claim broadcasts) go through Fanout, which sends to every target
+// in order and then collects every reply, all on the calling goroutine:
+// over tcpnet the replicas work at the same time and the round costs the
+// slowest of them, over netsim each request is complete before the next is
+// sent, so a seed produces one totally ordered event stream. See DESIGN.md
+// §10.
 package transport
 
 import (
 	"context"
-	"sync"
 
 	"siterecovery/internal/proto"
 )
@@ -30,28 +36,80 @@ import (
 // Both the simulator and the TCP transport deliver into a Handler.
 type Handler func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error)
 
-// Transport carries one request/response exchange between two sites.
-// Transport-level failures are proto.ErrSiteDown and proto.ErrDropped; any
-// other error comes from the remote handler and is part of the protocol.
+// Transport carries requests between sites. Transport-level failures are
+// proto.ErrSiteDown and proto.ErrDropped; any other error comes from the
+// remote handler and is part of the protocol.
 type Transport interface {
+	// Send starts one request/response exchange and returns without waiting
+	// for the reply. A request to the sending site itself goes to its own
+	// handler without touching the wire.
+	Send(ctx context.Context, from, to proto.SiteID, msg proto.Message) Pending
+	// Post delivers msg for its effect only: the remote handler runs and no
+	// reply comes back. A nil error means the request left this site, not
+	// that it was served.
+	Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error
+	// Call is Send followed by Wait.
 	Call(ctx context.Context, from, to proto.SiteID, msg proto.Message) (proto.Message, error)
 }
 
-// Sequentialer is implemented by transports whose fan-outs must run one
-// call at a time. The network simulator reports true: deterministic
-// harnesses need the calls — and therefore the RNG draws and trace events
-// they cause — in one reproducible order.
-type Sequentialer interface {
-	SequentialFanout() bool
+// Waiter is the transport's half of a Pending that is still in flight.
+type Waiter interface {
+	// Wait blocks for the reply. It is called at most once.
+	Wait() (proto.Message, error)
 }
 
-// IsSequential reports whether fan-outs through t must be serialized.
-// Transports that do not implement Sequentialer (such as tcpnet) fan out
-// concurrently.
-func IsSequential(t Transport) bool {
-	s, ok := t.(Sequentialer)
-	return ok && s.SequentialFanout()
+// Pending is a request that was sent and whose reply has not been collected.
+// Wait must be called exactly once, on the goroutine that sent. A Pending is
+// either complete — the outcome was known when Send returned, as always on
+// netsim and on a tcpnet send that failed — or in flight.
+type Pending struct {
+	w      Waiter
+	inline bool
+	resp   proto.Message
+	err    error
 }
+
+// Done returns a complete Pending carrying an outcome.
+func Done(resp proto.Message, err error) Pending { return Pending{resp: resp, err: err} }
+
+// InFlight returns a Pending whose request is with a peer; w collects the
+// reply.
+func InFlight(w Waiter) Pending { return Pending{w: w} }
+
+// Inline returns a Pending whose request has not run yet: w serves it on the
+// waiting goroutine. Fanout waits for these before any InFlight one, so the
+// local work overlaps the peers'.
+func Inline(w Waiter) Pending { return Pending{w: w, inline: true} }
+
+// Complete reports whether Wait returns without blocking or doing work.
+func (p Pending) Complete() bool { return p.w == nil }
+
+// Wait returns the reply.
+func (p Pending) Wait() (proto.Message, error) {
+	if p.w == nil {
+		return p.resp, p.err
+	}
+	return p.w.Wait()
+}
+
+// Then returns a Pending whose outcome is f applied to p's: the bookkeeping
+// a sender does on a reply (folding a commit sequence number, turning a "no"
+// vote into an error). On a complete p, f runs now, so on netsim a fan-out's
+// halt predicate sees what a loop of calls would have seen; otherwise f runs
+// inside Wait, on the waiting goroutine.
+func (p Pending) Then(f func(proto.Message, error) (proto.Message, error)) Pending {
+	if p.w == nil {
+		return Done(f(p.resp, p.err))
+	}
+	return Pending{w: &then{w: p.w, f: f}, inline: p.inline}
+}
+
+type then struct {
+	w Waiter
+	f func(proto.Message, error) (proto.Message, error)
+}
+
+func (t *then) Wait() (proto.Message, error) { return t.f(t.w.Wait()) }
 
 // Result is one target's outcome in a fan-out.
 type Result struct {
@@ -60,42 +118,56 @@ type Result struct {
 	Err  error
 }
 
-// Fanout issues call once per target and returns the results indexed like
-// targets. With sequential false the calls run concurrently and all targets
-// are always attempted. With sequential true the calls run one at a time in
-// target order, and haltOn — when non-nil — is consulted after each failure:
-// returning true stops the fan-out early, leaving the remaining results
-// zero-valued (Site 0). Callers use haltOn to preserve the short-circuit
-// message counts of a sequential loop; it is irrelevant to the parallel
-// path, where every call is already in flight.
-func Fanout(sequential bool, targets []proto.SiteID, call func(to proto.SiteID) (proto.Message, error), haltOn func(error) bool) []Result {
+// Fanout sends to every target in order, then collects every reply, and
+// returns the results indexed like targets. It starts no goroutine.
+//
+// halt, when non-nil, is consulted on each result that is already complete
+// when its send returns; returning true stops the loop, leaving the results
+// of the targets not yet sent to zero-valued (Site 0). On netsim every
+// result is complete at send time, so halt reproduces the message counts of
+// a loop that calls one target at a time; on tcpnet only a send that could
+// not be written completes that early — replies arrive after every frame is
+// out, when there is nothing left to halt.
+func Fanout(targets []proto.SiteID, send func(to proto.SiteID) Pending, halt func(Result) bool) []Result {
 	results := make([]Result, len(targets))
-	if sequential {
-		for i, site := range targets {
-			resp, err := call(site)
-			results[i] = Result{Site: site, Resp: resp, Err: err}
-			if err != nil && haltOn != nil && haltOn(err) {
-				break
-			}
+	var buf [4]Pending // rounds are a handful of sites; larger ones allocate
+	pending := buf[:0]
+	if len(targets) > len(buf) {
+		pending = make([]Pending, 0, len(targets))
+	}
+	inFlight := 0
+	for i, site := range targets {
+		p := send(site)
+		pending = append(pending, p)
+		results[i].Site = site
+		if !p.Complete() {
+			inFlight++
+			continue
 		}
+		results[i].Resp, results[i].Err = p.Wait()
+		if halt != nil && halt(results[i]) {
+			break
+		}
+	}
+	if inFlight == 0 {
 		return results
 	}
-	var wg sync.WaitGroup
-	for i, site := range targets {
-		wg.Add(1)
-		go func(i int, site proto.SiteID) {
-			defer wg.Done()
-			resp, err := call(site)
-			results[i] = Result{Site: site, Resp: resp, Err: err}
-		}(i, site)
+	for _, inline := range [2]bool{true, false} {
+		for i, p := range pending {
+			if !p.Complete() && p.inline == inline {
+				results[i].Resp, results[i].Err = p.Wait()
+			}
+		}
 	}
-	wg.Wait()
 	return results
 }
 
-// FirstError returns the first non-nil error in target order, or nil.
-// Fan-out callers use it so the reported failure does not depend on
-// goroutine scheduling.
+// Failed reports whether r carries an error: the halt predicate of a fan-out
+// that stops at the first failure.
+func Failed(r Result) bool { return r.Err != nil }
+
+// FirstError returns the first non-nil error in target order, or nil, so
+// the failure a fan-out reports does not depend on which reply came first.
 func FirstError(results []Result) error {
 	for _, r := range results {
 		if r.Err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/transport"
 )
 
 // The raw operations below are the building blocks for control transactions
@@ -63,19 +64,31 @@ func (t *Tx) RawWrite(ctx context.Context, sites []proto.SiteID, item proto.Item
 		return fmt.Errorf("transaction %v already finished", t.meta.ID)
 	}
 	for _, site := range sites {
-		if _, err := t.physical(ctx, site, proto.WriteReq{
-			Txn:   t.meta,
-			Item:  item,
-			Value: value,
-			Mode:  proto.CheckNone,
-		}); err != nil {
-			return fmt.Errorf("raw write %q at %v: %w", item, site, err)
+		if _, err := t.SendRawWrite(ctx, site, item, value).Wait(); err != nil {
+			return err
 		}
 	}
-	t.m.mu.Lock()
-	t.rawWrote = true
-	t.m.mu.Unlock()
 	return nil
+}
+
+// SendRawWrite starts a RawWrite of the copy at one site, for callers that
+// fan a raw write out across sites.
+func (t *Tx) SendRawWrite(ctx context.Context, site proto.SiteID, item proto.Item, value proto.Value) transport.Pending {
+	if t.done {
+		return transport.Done(nil, fmt.Errorf("transaction %v already finished", t.meta.ID))
+	}
+	return t.sendPhysical(ctx, site, proto.WriteReq{
+		Txn:   t.meta,
+		Item:  item,
+		Value: value,
+		Mode:  proto.CheckNone,
+	}).Then(func(resp proto.Message, err error) (proto.Message, error) {
+		if err != nil {
+			return nil, fmt.Errorf("raw write %q at %v: %w", item, site, err)
+		}
+		t.rawWrote = true
+		return resp, nil
+	})
 }
 
 // LockLocalExclusive pins the local copy of item with an exclusive lock
@@ -86,16 +99,12 @@ func (t *Tx) LockLocalExclusive(ctx context.Context, item proto.Item) error {
 	if t.done {
 		return fmt.Errorf("transaction %v already finished", t.meta.ID)
 	}
-	t.m.mu.Lock()
 	t.attempted[t.m.cfg.Site] = true
-	t.m.mu.Unlock()
 	if err := t.m.cfg.Local.LockExclusive(ctx, t.meta, item); err != nil {
 		return err
 	}
-	t.m.mu.Lock()
 	t.parts[t.m.cfg.Site] = true
 	t.wparts[t.m.cfg.Site] = true
-	t.m.mu.Unlock()
 	return nil
 }
 
@@ -110,13 +119,9 @@ func (t *Tx) LocalUnreadable(item proto.Item) bool {
 // item: at commit it installs value under the original writer's version.
 // The caller must hold the exclusive lock via LockLocalExclusive.
 func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version proto.Version) {
-	t.m.mu.Lock()
 	t.attempted[t.m.cfg.Site] = true
 	t.parts[t.m.cfg.Site] = true
 	t.wparts[t.m.cfg.Site] = true
-	t.m.mu.Unlock()
 	t.m.cfg.Local.BufferRefresh(t.meta, item, value, version)
-	t.m.mu.Lock()
 	t.rawWrote = true
-	t.m.mu.Unlock()
 }

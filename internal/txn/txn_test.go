@@ -3,6 +3,8 @@ package txn
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"siterecovery/internal/proto"
 	"siterecovery/internal/replication"
 	"siterecovery/internal/storage"
+	"siterecovery/internal/transport"
 	"siterecovery/internal/wal"
 )
 
@@ -489,10 +492,92 @@ func TestStridedSequencerObserveLamport(t *testing.T) {
 	}
 }
 
-// TestSequentialPrepareHaltsOnNoVote pins the historical short-circuit: on a
-// sequential transport a participant's no-vote stops the prepare fan-out
-// before any later participant is prepared, keeping the per-seed message
-// stream of the deterministic simulator identical to the pre-fan-out loop.
+// lossyPosts is the simulator with phase two made visible: it records what
+// is posted and what is sent, and — when losing — drops every posted message
+// on the floor, as a connection dying under a written frame would.
+type lossyPosts struct {
+	*netsim.Network
+	losing        bool
+	posted, acked []string
+}
+
+func (n *lossyPosts) Send(ctx context.Context, from, to proto.SiteID, msg proto.Message) transport.Pending {
+	n.acked = append(n.acked, fmt.Sprintf("%s->%d", msg.Kind(), to))
+	return n.Network.Send(ctx, from, to, msg)
+}
+
+func (n *lossyPosts) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
+	n.posted = append(n.posted, fmt.Sprintf("%s->%d", msg.Kind(), to))
+	if n.losing {
+		return nil
+	}
+	return n.Network.Post(ctx, from, to, msg)
+}
+
+// TestCommitReturnsAtTheDecision pins phase two: the decision goes to the
+// remote participants as posts — nothing else is ever posted — and to the
+// local one as an ordinary request, and Commit succeeds on the logged
+// decision alone. With every post lost the remote participants stay
+// prepared, holding the write, and commit when the decision service tells
+// them the outcome the coordinator logged.
+func TestCommitReturnsAtTheDecision(t *testing.T) {
+	h := newHarness(t, replication.ROWAA, Callbacks{})
+	net := &lossyPosts{Network: h.net}
+	h.tms[1].cfg.Net = net
+	ctx := context.Background()
+	write := func(v proto.Value) {
+		t.Helper()
+		if err := h.tms[1].Run(ctx, func(ctx context.Context, tx *Tx) error { return tx.Write(ctx, "x", v) }); err != nil {
+			t.Fatalf("write x=%d: %v", v, err)
+		}
+	}
+
+	write(7)
+	if want := []string{"commit->2", "commit->3"}; !reflect.DeepEqual(net.posted, want) {
+		t.Fatalf("posted %v, want %v", net.posted, want)
+	}
+	if got := net.acked[len(net.acked)-4:]; !reflect.DeepEqual(got, []string{"batch->1", "batch->2", "batch->3", "commit->1"}) {
+		t.Fatalf("acknowledged requests end %v, want the three batches and the local commit", got)
+	}
+	for site, d := range h.dms {
+		if v, _, _ := d.Store().Committed("x"); v != 7 || d.Prepared() != 0 {
+			t.Fatalf("site %v: x = %d with %d prepared, want 7 installed", site, v, d.Prepared())
+		}
+	}
+
+	net.losing, net.posted = true, nil
+	write(8)
+	if v, _, _ := h.dms[1].Store().Committed("x"); v != 8 {
+		t.Fatalf("coordinator's own copy = %d, want 8", v)
+	}
+	for _, site := range []proto.SiteID{2, 3} {
+		d := h.dms[site]
+		if v, _, _ := d.Store().Committed("x"); v != 7 || d.Prepared() != 1 {
+			t.Fatalf("site %v: x = %d with %d prepared, want the old 7 and the write still prepared", site, v, d.Prepared())
+		}
+		// What the janitor does: ask the coordinator, apply its answer.
+		st := d.StalePrepared(0)
+		resp, err := h.net.Call(ctx, site, 1, proto.DecisionReq{Txn: st[0].ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr := resp.(proto.DecisionResp)
+		if dr.State != proto.StateCommitted {
+			t.Fatalf("coordinator's answer for %v = %+v, want committed", st[0].ID, dr)
+		}
+		if err := d.ForceCommit(st[0].ID, dr.CommitSeq); err != nil {
+			t.Fatal(err)
+		}
+		if v, _, _ := d.Store().Committed("x"); v != 8 || d.Prepared() != 0 {
+			t.Fatalf("site %v after the decision query: x = %d with %d prepared, want 8", site, v, d.Prepared())
+		}
+	}
+}
+
+// TestSequentialPrepareHaltsOnNoVote pins the short-circuit: where votes are
+// in when their sends return (the simulator), a participant's no-vote stops
+// the prepare fan-out before any later participant is prepared, keeping the
+// per-seed message stream identical to a loop of calls.
 func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 	h := newHarness(t, replication.ROWAA, Callbacks{})
 	prepares3 := 0
@@ -524,7 +609,7 @@ func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 		t.Fatalf("Commit err = %v, want ErrTxnAborted (no-vote)", err)
 	}
 	if prepares3 != 0 {
-		t.Fatalf("site 3 received %d PrepareReqs after site 2 voted no; sequential fan-out must halt", prepares3)
+		t.Fatalf("site 3 received %d PrepareReqs after site 2 voted no; the fan-out must halt", prepares3)
 	}
 }
 
