@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos proc-chaos fuzz e2e load perf-check disk-engine
+.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos proc-chaos fuzz e2e disk-engine
 
-all: lint build test
+all: lint build test bench-test
 
 build:
 	$(GO) build ./...
@@ -43,17 +43,6 @@ bench:
 BENCHTIME ?= 1x
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
-
-# Mirrors the perf-trend CI job: the deterministic srload profile
-# (concurrency 1, fixed seed) against netsim and a 3-process TCP cluster,
-# then the regression gate against the committed BENCH_PR6.json baseline.
-# msgs/committed-txn is deterministic and gated at the strict 10%; p95
-# latency gets machine-variance slack.
-load:
-	$(GO) run ./cmd/srload -cluster all -txns 150 -concurrency 1 -seed 1 -json bench/out/BENCH_PR6.json
-
-perf-check: load
-	$(GO) run ./cmd/srbench -check -baseline BENCH_PR6.json -fresh bench/out/BENCH_PR6.json -latency-slack 3.0
 
 # Fuzz the binary wire format: message bodies, then tcpnet's frame headers
 # (FUZZTIME each, to adjust). Go runs one fuzz target per invocation.
@@ -98,13 +87,14 @@ trace-cluster:
 		bench/out/cluster-trace/crash-http/site2.gen0.jsonl \
 		bench/out/cluster-trace/crash-http/site3.gen0.jsonl
 
-# Mirrors the disk-engine CI job: the shared engine conformance battery
-# against both storage engines, the disk SIGKILL e2e leg (local WAL redo
+# Mirrors the disk-engine CI job: the storage front's tests and the shared
+# table conformance battery against both copy tables, the disk SIGKILL e2e leg (local WAL redo
 # restores committed pages before the type-1 claim), and a seeded srchaos
 # run with every srnode on -store=disk.
 disk-engine:
 	$(GO) test -race -count=1 ./internal/storage/... ./internal/wal/
 	$(GO) test -race -count=1 -run 'TestE2EThreeSiteCluster/sigkill-disk' ./cmd/srnode/
+	rm -rf bench/out/disk-chaos
 	$(GO) run ./cmd/srchaos -seed 1 -steps 30 -store disk -outdir bench/out/disk-chaos
 
 # Mirrors the proc-chaos CI job: schedule determinism, the scripted

@@ -4,15 +4,11 @@
 // Usage:
 //
 //	srbench [-run E3] [-scale quick|full] [-csv] [-json BENCH.json]
-//	srbench -check [-baseline BENCH_PR6.json] [-fresh bench/out/BENCH_PR6.json]
 //	srbench -list
 //
 // With -json, srbench additionally writes a machine-readable per-experiment
 // summary — wall time, protocol throughput, abort rate, and commit-latency
 // percentiles read off the observability hub.
-//
-// With -check, srbench is the perf-trend gate instead: it compares a fresh
-// srload bench file against the committed BENCH_PR6.json baseline.
 package main
 
 import (
@@ -36,20 +32,8 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		showObs  = flag.Bool("metrics", false, "print each experiment's protocol-metrics delta")
 		jsonPath = flag.String("json", "", "write a machine-readable per-experiment summary to this file")
-		check    = flag.Bool("check", false, "compare a fresh srload bench file against the committed baseline and fail on regressions")
-		baseline = flag.String("baseline", "BENCH_PR6.json", "committed baseline bench file for -check")
-		fresh    = flag.String("fresh", "bench/out/BENCH_PR6.json", "fresh bench file for -check")
-		msgSlack = flag.Float64("msgs-slack", 0.10, "allowed fractional msgs/committed-txn increase for -check")
-		latSlack = flag.Float64("latency-slack", 0.10, "allowed fractional p95 commit-latency increase for -check")
 	)
 	flag.Parse()
-	if *check {
-		if err := runCheck(*baseline, *fresh, *msgSlack, *latSlack); err != nil {
-			fmt.Fprintln(os.Stderr, "srbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := realMain(*run, *scale, *csv, *list, *showObs, *jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "srbench:", err)
 		os.Exit(1)

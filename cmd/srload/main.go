@@ -10,11 +10,7 @@
 //	srload                          # netsim + tcp columns, unpaced
 //	srload -cluster netsim -qps 500 -txns 1000 -dist zipf
 //	srload -cluster netsim -concurrency 1 -seed 7   # deterministic profile
-//	srload -crash -json bench/out/BENCH_PR6.json
-//
-// With -json, srload writes the machine-readable BENCH_PR6 bench file the
-// CI perf-trend gate (srbench -check) compares against the committed
-// baseline.
+//	srload -crash
 package main
 
 import (
@@ -45,9 +41,7 @@ type options struct {
 	readFrac    float64
 	ops         int
 	dist        workload.Dist
-	distName    string
 	seed        int64
-	jsonPath    string
 	crash       bool
 	srnodeBin   string
 }
@@ -66,17 +60,15 @@ func main() {
 	flag.IntVar(&o.ops, "ops", 4, "logical operations per transaction")
 	flag.StringVar(&distName, "dist", "zipf", "item-access distribution: uniform|zipf|hotspot")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for arrivals and the workload mix")
-	flag.StringVar(&o.jsonPath, "json", "", "write the machine-readable bench file here")
 	flag.BoolVar(&o.crash, "crash", false, fmt.Sprintf("crash site %d at txns/3 and recover it at 2*txns/3", crashSite))
 	flag.StringVar(&o.srnodeBin, "srnode", "", "prebuilt srnode binary for the TCP cluster (default: go build ./cmd/srnode)")
 	flag.Parse()
 
-	dist, err := parseDist(distName)
-	if err != nil {
+	var err error
+	if o.dist, err = parseDist(distName); err != nil {
 		fmt.Fprintln(os.Stderr, "srload:", err)
 		os.Exit(2)
 	}
-	o.dist, o.distName = dist, distName
 	if o.crash && o.sites < 3 {
 		fmt.Fprintln(os.Stderr, "srload: -crash needs at least 3 sites")
 		os.Exit(2)
@@ -89,19 +81,7 @@ func main() {
 }
 
 func realMain(o options) error {
-	bench := load.BenchFile{
-		Schema:       load.BenchSchema,
-		Sites:        o.sites,
-		Items:        o.items,
-		Replicas:     o.replicas,
-		OpsPerTxn:    o.ops,
-		ReadFraction: o.readFrac,
-		Dist:         o.distName,
-		TargetQPS:    o.qps,
-		Txns:         o.txns,
-		Concurrency:  o.concurrency,
-		Seed:         o.seed,
-	}
+	var results []load.Report
 	ctx := context.Background()
 
 	if o.cluster == "netsim" || o.cluster == "all" {
@@ -109,26 +89,19 @@ func realMain(o options) error {
 		if err != nil {
 			return fmt.Errorf("netsim: %w", err)
 		}
-		bench.Results = append(bench.Results, rep)
+		results = append(results, rep)
 	}
 	if o.cluster == "tcp" || o.cluster == "all" {
 		rep, err := runTCP(ctx, o, "tcp")
 		if err != nil {
 			return fmt.Errorf("tcp: %w", err)
 		}
-		bench.Results = append(bench.Results, rep)
+		results = append(results, rep)
 	}
-	if len(bench.Results) == 0 {
+	if len(results) == 0 {
 		return fmt.Errorf("unknown -cluster %q: want netsim|tcp|all", o.cluster)
 	}
-
-	printTable(bench)
-	if o.jsonPath != "" {
-		if err := bench.WriteFile(o.jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
+	printTable(results)
 	return nil
 }
 
@@ -222,10 +195,10 @@ func parseDist(s string) (workload.Dist, error) {
 	}
 }
 
-func printTable(b load.BenchFile) {
+func printTable(results []load.Report) {
 	fmt.Printf("%-16s %9s %9s %7s %12s %9s %9s %9s %11s\n",
 		"run", "arrivals", "commit", "abort", "tput (txn/s)", "p50 (us)", "p95 (us)", "p99 (us)", "msgs/txn")
-	for _, r := range b.Results {
+	for _, r := range results {
 		msgs := "-"
 		if r.MsgsPerCommit > 0 {
 			msgs = fmt.Sprintf("%.1f", r.MsgsPerCommit)

@@ -198,7 +198,11 @@ func WALConsistent() Invariant {
 					}
 				}
 			}
-			for _, copy := range s.Store.Snapshot() {
+			copies, err := s.Store.Snapshot()
+			if err != nil {
+				return fmt.Errorf("site %v snapshot: %w", id, err)
+			}
+			for _, copy := range copies {
 				if copy.Unreadable {
 					continue
 				}

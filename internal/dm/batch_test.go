@@ -33,7 +33,7 @@ func TestBatchExecutesAtomicallyAndVotes(t *testing.T) {
 
 	// Both writes are pending under exclusive locks, and the piggybacked
 	// prepare logged one record carrying the whole write set in one sync.
-	if !f.store.HasPending(10) {
+	if len(f.store.Pending(10)) == 0 {
 		t.Fatal("no pending writes after batch")
 	}
 	if held := f.locks.Held(10); len(held) != 2 {
@@ -77,7 +77,7 @@ func TestBatchGateRejectionLeavesNoState(t *testing.T) {
 	if !errors.Is(err, proto.ErrSessionMismatch) {
 		t.Fatalf("err = %v, want ErrSessionMismatch", err)
 	}
-	if f.store.HasPending(10) {
+	if len(f.store.Pending(10)) != 0 {
 		t.Fatal("gate-rejected batch left pending writes")
 	}
 	if held := f.locks.Held(10); len(held) != 0 {
@@ -100,7 +100,7 @@ func TestBatchMidFailureDropsEveryBufferedWrite(t *testing.T) {
 	if !errors.Is(err, storage.ErrNoCopy) {
 		t.Fatalf("err = %v, want ErrNoCopy", err)
 	}
-	if f.store.HasPending(10) {
+	if len(f.store.Pending(10)) != 0 {
 		t.Fatal("failed batch left pending writes behind")
 	}
 	if f.log.Len() != 0 {

@@ -105,15 +105,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type refreshVal struct {
-	value   proto.Value
-	version proto.Version
-}
-
 type txnLocal struct {
 	meta       proto.TxnMeta
 	missedBy   map[proto.Item][]proto.SiteID
-	refreshes  map[proto.Item]refreshVal
 	prepared   bool
 	preparedAt time.Time
 	createdAt  time.Time
@@ -267,7 +261,6 @@ func (m *Manager) track(meta proto.TxnMeta) *txnLocal {
 		t = &txnLocal{
 			meta:      meta,
 			missedBy:  make(map[proto.Item][]proto.SiteID),
-			refreshes: make(map[proto.Item]refreshVal),
 			createdAt: m.cfg.Clock.Now(),
 		}
 		m.inflight[meta.ID] = t
@@ -376,11 +369,9 @@ func (m *Manager) LockExclusive(ctx context.Context, meta proto.TxnMeta, item pr
 // installed under the original writer's version (package history's
 // recording contract). The caller must already hold the X lock via
 // LockExclusive.
-func (m *Manager) BufferRefresh(meta proto.TxnMeta, item proto.Item, value proto.Value, version proto.Version) {
-	t := m.track(meta)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t.refreshes[item] = refreshVal{value: value, version: version}
+func (m *Manager) BufferRefresh(meta proto.TxnMeta, item proto.Item, value proto.Value, version proto.Version) error {
+	m.track(meta)
+	return m.cfg.Store.BufferRefresh(meta.ID, item, value, version)
 }
 
 // IsUnreadable exposes the copy mark to the local recovery driver.
@@ -410,25 +401,14 @@ func (m *Manager) prepare(t *txnLocal) (vote bool, maxSeq uint64) {
 	if m.cfg.Locks.Wounded(id) {
 		return false, 0
 	}
-	pending := m.cfg.Store.PendingWrites(id)
-	writes := make([]wal.WriteRec, 0, len(pending))
-	for item, value := range pending {
-		writes = append(writes, wal.WriteRec{Item: item, Value: value})
-	}
 	m.mu.Lock()
-	for item, rv := range t.refreshes {
-		writes = append(writes, wal.WriteRec{
-			Item: item, Value: rv.value, Refresh: true, Version: rv.version,
-		})
-	}
 	t.prepared = true
 	t.preparedAt = m.cfg.Clock.Now()
 	m.mu.Unlock()
-	sort.Slice(writes, func(i, j int) bool { return writes[i].Item < writes[j].Item })
 
 	m.cfg.Log.Append(wal.Record{
 		Type: wal.RecordPrepare, Role: wal.RoleParticipant,
-		Txn: id, Writes: writes, Origin: t.meta.Origin,
+		Txn: id, Writes: m.cfg.Store.Pending(id), Origin: t.meta.Origin,
 	})
 	if m.cfg.Seq != nil {
 		maxSeq = m.cfg.Seq.HighCommitSeq()
@@ -451,8 +431,12 @@ func (m *Manager) observeSeq(seq uint64) {
 	}
 }
 
-// finishCommit installs txn's pending writes and refreshes, applies the
-// missed-update bookkeeping, logs, records history, and releases locks.
+// finishCommit installs everything txn buffered, applies the missed-update
+// bookkeeping, logs, records history, and releases locks. If the install
+// fails the transaction goes back in flight as prepared with its locks, its
+// pending set and the copies' marks intact; the zero preparedAt makes it
+// stale immediately (as in AdoptInDoubt), so the janitor's next sweep
+// re-asks the decision and retries the commit.
 func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64) error {
 	m.observeSeq(commitSeq)
 	m.mu.Lock()
@@ -465,40 +449,34 @@ func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64) error {
 		return fmt.Errorf("%v commit %v: %w", m.cfg.Site, txn, proto.ErrUnknownTxn)
 	}
 	delete(m.inflight, txn)
-	missedBy := t.missedBy
-	refreshes := t.refreshes
 	m.mu.Unlock()
 
-	version := proto.Version{Counter: commitSeq, Writer: txn}
-	pendingValues := m.cfg.Store.PendingWrites(txn)
-	installed := m.cfg.Store.InstallPending(txn, version)
-	for _, item := range installed {
+	installed, err := m.cfg.Store.InstallPending(txn, proto.Version{Counter: commitSeq, Writer: txn})
+	if err != nil {
+		m.mu.Lock()
+		t.prepared, t.preparedAt = true, time.Time{}
+		m.inflight[txn] = t
+		m.mu.Unlock()
+		m.cfg.Obs.InstallError(m.cfg.Site)
+		return fmt.Errorf("%v commit %v: %w", m.cfg.Site, txn, err)
+	}
+	for _, w := range installed {
 		if m.cfg.Recorder != nil {
-			m.cfg.Recorder.Write(txn, item, m.cfg.Site, txn)
+			m.cfg.Recorder.Write(txn, w.Item, m.cfg.Site, w.Version.Writer)
 		}
-		m.noteMissed(item, missedBy[item])
+		if w.Refresh {
+			m.observeSeq(w.Version.Counter)
+			continue
+		}
+		missedBy := t.missedBy[w.Item]
+		m.noteMissed(w.Item, missedBy)
 		if m.cfg.Spool != nil {
-			for _, site := range missedBy[item] {
+			for _, site := range missedBy {
 				m.cfg.Spool.Append(site, proto.SpooledUpdate{
-					Item: item, Value: pendingValues[item],
+					Item: w.Item, Value: w.Value,
 					CommitSeq: commitSeq, Writer: txn,
 				})
 			}
-		}
-	}
-	// Refreshes carry authoritative snapshots read from an operational
-	// site under this transaction's locks; they install unconditionally.
-	// Version counters are per-writer commit sequences, not a global
-	// order, so a current NS value ("site up" from a fresh type-1 claim)
-	// can carry a numerically smaller version than the stale marker it
-	// must replace — a guarded install would resurrect the stale copy.
-	for item, rv := range refreshes {
-		m.observeSeq(rv.version.Counter)
-		if err := m.cfg.Store.InstallRefresh(item, rv.value, rv.version); err != nil {
-			return err
-		}
-		if m.cfg.Recorder != nil {
-			m.cfg.Recorder.Write(txn, item, m.cfg.Site, rv.version.Writer)
 		}
 	}
 
@@ -682,18 +660,6 @@ func (m *Manager) Prepared() int {
 	return n
 }
 
-// StalePrepared returns the prepared subset of StaleTxns (kept for tests
-// that exercise classic in-doubt resolution).
-func (m *Manager) StalePrepared(maxAge time.Duration) []proto.TxnMeta {
-	var out []proto.TxnMeta
-	for _, st := range m.StaleTxns(maxAge) {
-		if st.Prepared {
-			out = append(out, st.Meta)
-		}
-	}
-	return out
-}
-
 // ForceCommit applies a commit decision learned via cooperative
 // termination.
 func (m *Manager) ForceCommit(txn proto.TxnID, commitSeq uint64) error {
@@ -783,10 +749,9 @@ func (m *Manager) AdoptInDoubt(d InDoubtTxn) {
 		return
 	}
 	m.inflight[d.Txn] = &txnLocal{
-		meta:      proto.TxnMeta{ID: d.Txn, Origin: d.Origin, Class: proto.ClassUser},
-		missedBy:  make(map[proto.Item][]proto.SiteID),
-		refreshes: make(map[proto.Item]refreshVal),
-		prepared:  true,
+		meta:     proto.TxnMeta{ID: d.Txn, Origin: d.Origin, Class: proto.ClassUser},
+		missedBy: make(map[proto.Item][]proto.SiteID),
+		prepared: true,
 	}
 }
 

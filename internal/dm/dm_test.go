@@ -17,7 +17,7 @@ const initialTxn proto.TxnID = 1
 
 type fixture struct {
 	dm    *Manager
-	store *storage.Mem
+	store *storage.Store
 	locks *lockmgr.Manager
 	log   *wal.Log
 	rec   *history.Recorder
@@ -25,8 +25,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, tracking Tracking, cb Callbacks) *fixture {
 	t.Helper()
-	st := storage.NewMem(1, []proto.Item{"x", "y"}, initialTxn)
-	st.AddItem(proto.NSItem(1), initialTxn)
+	st := storage.NewMem(1, []proto.Item{"x", "y", proto.NSItem(1)}, initialTxn)
 	locks := lockmgr.New(lockmgr.Config{Timeout: 200 * time.Millisecond})
 	log := wal.New()
 	rec := history.NewRecorder()
@@ -356,9 +355,9 @@ func TestStalePreparedAndCooperativeTermination(t *testing.T) {
 	call(t, f, proto.PrepareReq{Txn: meta(txn, proto.ClassUser)})
 
 	time.Sleep(5 * time.Millisecond)
-	stale := f.dm.StalePrepared(time.Millisecond)
-	if len(stale) != 1 || stale[0].ID != txn || stale[0].Origin != 2 {
-		t.Fatalf("StalePrepared = %v", stale)
+	stale := f.dm.StaleTxns(time.Millisecond)
+	if len(stale) != 1 || !stale[0].Prepared || stale[0].Meta.ID != txn || stale[0].Meta.Origin != 2 {
+		t.Fatalf("StaleTxns = %+v", stale)
 	}
 
 	// The janitor learned "committed" from the coordinator's log.
@@ -368,7 +367,7 @@ func TestStalePreparedAndCooperativeTermination(t *testing.T) {
 	if v, ver, _ := f.store.Committed("x"); v != 5 || ver.Counter != 11 {
 		t.Fatalf("x = (%v, %v)", v, ver)
 	}
-	if len(f.dm.StalePrepared(0)) != 0 {
+	if len(f.dm.StaleTxns(0)) != 0 {
 		t.Fatal("resolved txn still stale")
 	}
 }
@@ -397,7 +396,9 @@ func TestRefreshInstallsOriginalVersion(t *testing.T) {
 		t.Fatalf("LockExclusive: %v", err)
 	}
 	orig := proto.Version{Counter: 4, Writer: 7}
-	f.dm.BufferRefresh(copier, "x", 77, orig)
+	if err := f.dm.BufferRefresh(copier, "x", 77, orig); err != nil {
+		t.Fatalf("BufferRefresh: %v", err)
+	}
 
 	call(t, f, proto.PrepareReq{Txn: copier})
 	call(t, f, proto.CommitReq{Txn: copier, CommitSeq: 9})
@@ -514,7 +515,9 @@ func TestCommitSeqClockObservation(t *testing.T) {
 	if err := m.LockExclusive(context.Background(), copier, "x"); err != nil {
 		t.Fatal(err)
 	}
-	m.BufferRefresh(copier, "x", 99, proto.Version{Counter: 61, Writer: 9})
+	if err := m.BufferRefresh(copier, "x", 99, proto.Version{Counter: 61, Writer: 9}); err != nil {
+		t.Fatal(err)
+	}
 	call2(proto.PrepareReq{Txn: copier})
 	call2(proto.CommitReq{Txn: copier, CommitSeq: 48})
 	if seq.high != 61 {

@@ -99,9 +99,9 @@ type Config struct {
 // fault was outstanding (between a crash and the completion of its
 // recover), and how they fared.
 type WindowStats struct {
-	Arrivals  uint64 `json:"arrivals"`
-	Committed uint64 `json:"committed"`
-	Failed    uint64 `json:"failed"`
+	Arrivals  uint64
+	Committed uint64
+	Failed    uint64
 }
 
 // Result aggregates one run.

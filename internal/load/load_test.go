@@ -71,6 +71,47 @@ func TestDeterministicAtConcurrencyOne(t *testing.T) {
 	if other := run(8); other.SpecDigest == a.SpecDigest {
 		t.Fatalf("different seeds produced the same digest %s", a.SpecDigest)
 	}
+
+	// The deterministic profile, `srload -cluster netsim -txns 150
+	// -concurrency 1 -seed 1`, pins two facts no latency gate can: the
+	// generated workload has not drifted (spec digest), and 150 commits cost
+	// 568 wire messages, 3.79 per commit — the one-batch-per-site commit
+	// path stays won only while a count that drifts back up fails here.
+	cl, err := core.New(core.Config{
+		Sites:     3,
+		Placement: workload.UniformPlacement(48, 3, 3, 1),
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	cl.Start()
+	defer cl.Stop()
+	targets, _ := ClusterTargets(cl)
+	res, err := Run(context.Background(), Config{
+		Targets: targets,
+		Generator: workload.GeneratorConfig{
+			Items:        testItems(48),
+			Dist:         workload.Zipf,
+			ReadFraction: 0.5,
+			OpsPerTxn:    4,
+		},
+		Txns:        150,
+		Concurrency: 1,
+		Timeout:     30 * time.Second,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var wire uint64
+	for _, stat := range cl.Network().Stats() {
+		wire += stat.Sent
+	}
+	if res.Committed != 150 || wire != 568 || res.SpecDigest != "295e20b7318b0b3a" {
+		t.Fatalf("deterministic profile: %d committed, %d wire messages, digest %s; want 150, 568, 295e20b7318b0b3a",
+			res.Committed, wire, res.SpecDigest)
+	}
 }
 
 // TestOpenLoopPacing checks the Poisson arrival process roughly hits the

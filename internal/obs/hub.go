@@ -255,6 +255,15 @@ func (h *Hub) NotOperational(site proto.SiteID, id proto.TxnID) {
 	h.emit(Event{Type: EvNotOperational, Site: site, Txn: id})
 }
 
+// InstallError counts a commit-time install the storage engine refused; the
+// transaction stays prepared and the janitor retries it. Metrics only.
+func (h *Hub) InstallError(site proto.SiteID) {
+	if h == nil {
+		return
+	}
+	h.reg.Counter(int(site), "storage", "install_errors").Inc()
+}
+
 // SiteDownObserved records a TM observing a physical operation fail with
 // ErrSiteDown; observed is the session number its view held for the target.
 func (h *Hub) SiteDownObserved(observer, target proto.SiteID, observed proto.Session) {

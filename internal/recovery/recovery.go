@@ -635,13 +635,11 @@ func (m *Manager) copyOne(ctx context.Context, item proto.Item) error {
 			if m.cfg.Identify == IdentifyVersionDiff && ver == localVer {
 				// §5: compare version numbers first; the copy is current,
 				// so clear the mark without transferring data.
-				tx.BufferLocalRefresh(item, localVal, localVer)
 				skipped, copySource = true, source
-				return nil
+				return tx.BufferLocalRefresh(item, localVal, localVer)
 			}
-			tx.BufferLocalRefresh(item, v, ver)
 			transferred, copySource = true, source
-			return nil
+			return tx.BufferLocalRefresh(item, v, ver)
 		}
 		if lastErr != nil {
 			return fmt.Errorf("copier %q: %w", item, lastErr)

@@ -387,7 +387,9 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 			if err := tx.LockLocalExclusive(ctx, proto.NSItem(j)); err != nil {
 				return err
 			}
-			tx.BufferLocalRefresh(proto.NSItem(j), v, ver)
+			if err := tx.BufferLocalRefresh(proto.NSItem(j), v, ver); err != nil {
+				return err
+			}
 		}
 
 		// Choose the session number for the next operational session from

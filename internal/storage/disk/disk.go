@@ -5,7 +5,10 @@
 // checksums, replays the log's physical redo records over anything the heap
 // file missed, and so rebuilds readable committed state from local stable
 // storage alone — a recovering site then only needs peers for pages that
-// actually changed while it was down.
+// actually changed while it was down. That is all this package holds: the
+// stable copies, as a storage.Table. Everything volatile (unreadable marks,
+// pending sets) and the session counter belong to the storage.Store front
+// that Engine embeds.
 package disk
 
 import (
@@ -14,7 +17,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"siterecovery/internal/proto"
@@ -47,24 +49,22 @@ type slotRef struct {
 	slot int
 }
 
-// Engine is the disk-backed storage.Engine. Create with Open or Factory.
+// Engine is the disk-backed storage.Engine: the shared storage.Store front
+// over a heap-file copy table. Create with Open or Factory.
 type Engine struct {
-	site proto.SiteID
-	log  *wal.Log
-	path string
+	*storage.Store
+	heap *table
+}
+
+// table is the disk storage.Table: pages, pool and redo, nothing volatile.
+type table struct {
+	log *wal.Log
 
 	mu   sync.Mutex
 	file *os.File
 	pool *pool
 	dir  map[proto.Item]slotRef
 	free []int // free bytes per page; len(free) is the page count
-	// volatile state — identical split to storage.Mem
-	unreadable map[proto.Item]bool
-	pending    map[proto.TxnID]map[proto.Item]proto.Value
-	// session counter: in-memory plus sink, like Mem; srnode's statedir
-	// session file remains the cross-restart authority.
-	session     proto.Session
-	sessionSink func(proto.Session)
 
 	corruptPages             int
 	redoApplied, redoSkipped int
@@ -88,82 +88,80 @@ func Open(dir string, poolPages int, d storage.Deps) (*Engine, error) {
 	if d.Log == nil {
 		return nil, fmt.Errorf("disk engine for site %v: storage.Deps.Log is required (redo records go to the site WAL)", d.Site)
 	}
+	t, err := openTable(dir, poolPages, d.Log)
+	if err != nil {
+		return nil, err
+	}
+	store, err := storage.NewStore(d, t)
+	if err == nil {
+		err = t.redo(proto.Version{Writer: d.InitialWriter})
+	}
+	if err != nil {
+		t.file.Close()
+		return nil, err
+	}
+	return &Engine{Store: store, heap: t}, nil
+}
+
+// openTable opens the heap file under dir and loads what it holds.
+func openTable(dir string, poolPages int, log *wal.Log) (*table, error) {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("disk engine: %w", err)
 	}
-	path := filepath.Join(dir, HeapFileName)
-	file, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	file, err := os.OpenFile(filepath.Join(dir, HeapFileName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("disk engine: %w", err)
 	}
-	e := &Engine{
-		site:       d.Site,
-		log:        d.Log,
-		path:       path,
-		file:       file,
-		dir:        make(map[proto.Item]slotRef),
-		unreadable: make(map[proto.Item]bool),
-		pending:    make(map[proto.TxnID]map[proto.Item]proto.Value),
-	}
-	e.pool = newPool(poolPages, e, e.log.DurableLSN)
-	if err := e.load(); err != nil {
+	t := &table{log: log, file: file, dir: make(map[proto.Item]slotRef)}
+	t.pool = newPool(poolPages, t, log.DurableLSN)
+	if err := t.load(); err != nil {
 		file.Close()
 		return nil, err
 	}
-	for _, item := range d.Items {
-		if err := e.addItemLocked(item, d.InitialWriter); err != nil {
-			file.Close()
-			return nil, err
-		}
-	}
-	if err := e.redo(d.InitialWriter); err != nil {
-		file.Close()
-		return nil, err
-	}
-	return e, nil
+	return t, nil
 }
 
 // load scans the heap file, verifying checksums and building the item
 // directory. A page failing verification is dropped (its items come back
 // via the redo pass or re-layout) rather than trusted.
-func (e *Engine) load() error {
-	info, err := e.file.Stat()
+func (t *table) load() error {
+	info, err := t.file.Stat()
 	if err != nil {
 		return fmt.Errorf("disk engine: %w", err)
 	}
 	nPages := int(info.Size() / PageSize)
 	buf := make([]byte, PageSize)
 	for id := 0; id < nPages; id++ {
-		if err := e.readPage(uint32(id), buf); err != nil {
+		if err := t.readPage(uint32(id), buf); err != nil {
 			return err
 		}
 		if pageZero(buf) { // hole from out-of-order flushes: an empty page
-			e.free = append(e.free, PageSize-pageHdrSize)
+			t.free = append(t.free, PageSize-pageHdrSize)
 			continue
 		}
 		if !pageVerify(buf) {
 			// Torn write: drop the page and rewrite it empty; its contents
 			// come back from the redo pass (or item re-layout) below.
-			e.corruptPages++
+			t.corruptPages++
 			pageInit(buf)
 			pageSeal(buf)
-			if err := e.writePage(uint32(id), buf); err != nil {
+			if err := t.writePage(uint32(id), buf); err != nil {
 				return err
 			}
-			e.free = append(e.free, PageSize-pageHdrSize)
+			t.free = append(t.free, PageSize-pageHdrSize)
 			continue
 		}
 		for slot := 0; slot < pageNumSlots(buf); slot++ {
 			item, _, _ := pageTuple(buf, slot)
-			if _, dup := e.dir[item]; dup {
+			if _, dup := t.dir[item]; dup {
 				continue
 			}
-			e.dir[item] = slotRef{page: uint32(id), slot: slot}
+			t.dir[item] = slotRef{page: uint32(id), slot: slot}
 		}
-		e.free = append(e.free, pageFree(buf))
+		t.free = append(t.free, pageFree(buf))
 	}
 	return nil
 }
@@ -179,27 +177,28 @@ func (e *Engine) load() error {
 // already on a flushed page just rewrites the same bytes before later
 // records land the final state. Version equality only feeds the stats:
 // a record whose version is already on the page (flushed pre-crash)
-// counts as skipped, anything else as applied.
-func (e *Engine) redo(initialWriter proto.TxnID) error {
-	durable := e.log.DurableLSN()
-	for _, rec := range e.log.ScanRedo() {
+// counts as skipped, anything else as applied. An item the log mentions
+// but the layout lacks is added under initial first.
+func (t *table) redo(initial proto.Version) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	durable := t.log.DurableLSN()
+	for _, rec := range t.log.ScanRedo() {
 		for _, w := range rec.Writes {
-			if _, ok := e.dir[w.Item]; !ok {
-				if err := e.addItemLocked(w.Item, initialWriter); err != nil {
-					return err
-				}
+			if err := t.add(w.Item, initial); err != nil {
+				return err
 			}
-			f, slot, _, ver, err := e.tuple(w.Item)
+			f, slot, _, ver, err := t.tuple(w.Item)
 			if err != nil {
 				return err
 			}
 			if ver == w.Version {
-				e.redoSkipped++
+				t.redoSkipped++
 				continue
 			}
 			pageUpdate(f.data, slot, w.Value, w.Version)
-			e.pool.touch(f, durable)
-			e.redoApplied++
+			t.pool.touch(f, durable)
+			t.redoApplied++
 		}
 	}
 	return nil
@@ -208,8 +207,8 @@ func (e *Engine) redo(initialWriter proto.TxnID) error {
 // readPage implements pageIO: a raw page read, zero-padded past the
 // current end of file so freshly allocated (never flushed) pages read back
 // as zeroes.
-func (e *Engine) readPage(id uint32, buf []byte) error {
-	n, err := e.file.ReadAt(buf, int64(id)*PageSize)
+func (t *table) readPage(id uint32, buf []byte) error {
+	n, err := t.file.ReadAt(buf, int64(id)*PageSize)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("disk engine: read page %d: %w", id, err)
 	}
@@ -220,20 +219,21 @@ func (e *Engine) readPage(id uint32, buf []byte) error {
 }
 
 // writePage implements pageIO.
-func (e *Engine) writePage(id uint32, buf []byte) error {
-	if _, err := e.file.WriteAt(buf, int64(id)*PageSize); err != nil {
+func (t *table) writePage(id uint32, buf []byte) error {
+	if _, err := t.file.WriteAt(buf, int64(id)*PageSize); err != nil {
 		return fmt.Errorf("disk engine: write page %d: %w", id, err)
 	}
 	return nil
 }
 
-// tuple resolves item to its buffered frame and decoded tuple.
-func (e *Engine) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version, error) {
-	ref, ok := e.dir[item]
+// tuple resolves item to its buffered frame and decoded tuple. The caller
+// holds mu.
+func (t *table) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version, error) {
+	ref, ok := t.dir[item]
 	if !ok {
-		return nil, 0, 0, proto.Version{}, fmt.Errorf("%v %q: %w", e.site, item, storage.ErrNoCopy)
+		return nil, 0, 0, proto.Version{}, fmt.Errorf("%q: %w", item, storage.ErrNoCopy)
 	}
-	f, err := e.pool.get(ref.page)
+	f, err := t.pool.get(ref.page)
 	if err != nil {
 		return nil, 0, 0, proto.Version{}, err
 	}
@@ -241,12 +241,12 @@ func (e *Engine) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version
 	return f, ref.slot, value, ver, nil
 }
 
-// addItemLocked lays out a new tuple on the first page with room,
-// allocating a fresh page when none has any. Allocation itself is not
-// redo-logged: the initial layout is reconstructed from storage.Deps.Items
-// (and from redo records mentioning the item) at the next open.
-func (e *Engine) addItemLocked(item proto.Item, initialWriter proto.TxnID) error {
-	if _, ok := e.dir[item]; ok {
+// add lays out a new tuple on the first page with room, allocating a fresh
+// page when none has any. Allocation itself is not redo-logged: the initial
+// layout is reconstructed from storage.Deps.Items (and from redo records
+// mentioning the item) at the next open. The caller holds mu.
+func (t *table) add(item proto.Item, version proto.Version) error {
+	if _, ok := t.dir[item]; ok {
 		return nil
 	}
 	if len(item) > maxItemBytes {
@@ -254,332 +254,115 @@ func (e *Engine) addItemLocked(item proto.Item, initialWriter proto.TxnID) error
 	}
 	need := slotSize + tupleSize(item)
 	page := -1
-	for id, free := range e.free {
+	for id, free := range t.free {
 		if free >= need {
 			page = id
 			break
 		}
 	}
 	if page < 0 {
-		page = len(e.free)
-		e.free = append(e.free, PageSize-pageHdrSize)
+		page = len(t.free)
+		t.free = append(t.free, PageSize-pageHdrSize)
 	}
-	f, err := e.pool.get(uint32(page))
+	f, err := t.pool.get(uint32(page))
 	if err != nil {
 		return err
 	}
-	slot, ok := pageInsert(f.data, item, 0, proto.Version{Writer: initialWriter})
+	slot, ok := pageInsert(f.data, item, 0, version)
 	if !ok {
 		return fmt.Errorf("disk engine: page %d rejected %q despite free-space accounting", page, item)
 	}
-	e.pool.touch(f, e.log.DurableLSN())
-	e.free[page] = pageFree(f.data)
-	e.dir[item] = slotRef{page: uint32(page), slot: slot}
+	t.pool.touch(f, t.log.DurableLSN())
+	t.free[page] = pageFree(f.data)
+	t.dir[item] = slotRef{page: uint32(page), slot: slot}
 	return nil
 }
 
-// install redo-logs nothing itself; callers append first, then pass the
-// returned LSN here so the page is stamped no earlier than its covering
-// record.
-func (e *Engine) installLocked(item proto.Item, value proto.Value, ver proto.Version, lsn uint64) error {
-	f, slot, _, _, err := e.tuple(item)
-	if err != nil {
-		return err
-	}
-	pageUpdate(f.data, slot, value, ver)
-	e.pool.touch(f, lsn)
-	return nil
-}
-
-// Site returns the owning site.
-func (e *Engine) Site() proto.SiteID { return e.site }
-
-// AddItem adds a local copy (NS layout and tests). Failures to grow the
-// heap surface at the next access as a missing copy.
-func (e *Engine) AddItem(item proto.Item, initialWriter proto.TxnID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_ = e.addItemLocked(item, initialWriter)
-}
-
-// HasCopy reports whether the site stores a copy of item.
-func (e *Engine) HasCopy(item proto.Item) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.dir[item]
+// Has implements storage.Table.
+func (t *table) Has(item proto.Item) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.dir[item]
 	return ok
 }
 
-// Items lists the local copies in sorted order.
-func (e *Engine) Items() []proto.Item {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	items := make([]proto.Item, 0, len(e.dir))
-	for item := range e.dir {
+// Items implements storage.Table.
+func (t *table) Items() []proto.Item {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	items := make([]proto.Item, 0, len(t.dir))
+	for item := range t.dir {
 		items = append(items, item)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	return items
 }
 
-// Committed returns the committed value and version of the local copy.
-func (e *Engine) Committed(item proto.Item) (proto.Value, proto.Version, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, _, value, ver, err := e.tuple(item)
-	if err != nil {
-		return 0, proto.Version{}, err
-	}
-	return value, ver, nil
+// Add implements storage.Table.
+func (t *table) Add(item proto.Item, version proto.Version) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.add(item, version)
 }
 
-// IsUnreadable reports whether the copy is marked as possibly stale.
-func (e *Engine) IsUnreadable(item proto.Item) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.unreadable[item]
+// Get implements storage.Table.
+func (t *table) Get(item proto.Item) (proto.Value, proto.Version, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, _, value, ver, err := t.tuple(item)
+	return value, ver, err
 }
 
-// MarkUnreadable marks the copy as possibly stale; no local copy, no-op.
-func (e *Engine) MarkUnreadable(item proto.Item) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.dir[item]; ok {
-		e.unreadable[item] = true
-	}
-}
-
-// MarkAllUnreadable marks every local copy except NS items.
-func (e *Engine) MarkAllUnreadable() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for item := range e.dir {
-		if _, isNS := proto.IsNSItem(item); isNS {
-			continue
-		}
-		e.unreadable[item] = true
-		n++
-	}
-	return n
-}
-
-// ClearUnreadable removes the stale mark from a copy.
-func (e *Engine) ClearUnreadable(item proto.Item) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.unreadable, item)
-}
-
-// UnreadableItems lists the currently marked copies in sorted order.
-func (e *Engine) UnreadableItems() []proto.Item {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	items := make([]proto.Item, 0, len(e.unreadable))
-	for item := range e.unreadable {
-		items = append(items, item)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	return items
-}
-
-// BufferWrite records value as the pending write of txn on item. Pending
-// writes are volatile: they touch no page until InstallPending.
-func (e *Engine) BufferWrite(txn proto.TxnID, item proto.Item, value proto.Value) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.dir[item]; !ok {
-		return fmt.Errorf("%v %q: %w", e.site, item, storage.ErrNoCopy)
-	}
-	m, ok := e.pending[txn]
-	if !ok {
-		m = make(map[proto.Item]proto.Value)
-		e.pending[txn] = m
-	}
-	m[item] = value
-	return nil
-}
-
-// PendingWrites returns a copy of txn's buffered writes.
-func (e *Engine) PendingWrites(txn proto.TxnID) map[proto.Item]proto.Value {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := e.pending[txn]
-	out := make(map[proto.Item]proto.Value, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// HasPending reports whether txn has buffered writes here.
-func (e *Engine) HasPending(txn proto.TxnID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.pending[txn]
-	return ok
-}
-
-// DropPending discards txn's buffered writes (abort path).
-func (e *Engine) DropPending(txn proto.TxnID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.pending, txn)
-}
-
-// InstallPending commits txn's buffered writes under version: the writes
-// are appended to the WAL as one physical redo record (one log force),
-// then applied to the buffered pages — never the other way around.
-func (e *Engine) InstallPending(txn proto.TxnID, version proto.Version) []proto.Item {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := e.pending[txn]
-	items := make([]proto.Item, 0, len(m))
-	for item := range m {
-		items = append(items, item)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	if len(items) > 0 {
-		writes := make([]wal.WriteRec, 0, len(items))
-		for _, item := range items {
-			writes = append(writes, wal.WriteRec{Item: item, Value: m[item], Version: version})
-		}
-		lsn := e.log.AppendRedo(txn, writes)
-		for _, item := range items {
-			_ = e.installLocked(item, m[item], version, lsn)
-			delete(e.unreadable, item)
+// Put implements storage.Table: the writes are appended to the WAL as one
+// physical redo record (one log force), then applied to the buffered pages,
+// each stamped no earlier than the covering record's LSN — never the other
+// way around. A page that cannot be read mid-batch leaves the writes before
+// it applied and the record logged; the error tells the caller, who still
+// holds the transaction's locks, to Put the batch again.
+func (t *table) Put(txn proto.TxnID, writes []wal.WriteRec) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, w := range writes {
+		if _, ok := t.dir[w.Item]; !ok {
+			return fmt.Errorf("%q: %w", w.Item, storage.ErrNoCopy)
 		}
 	}
-	delete(e.pending, txn)
-	return items
-}
-
-// InstallDirect commits a single value under an explicit version (spool
-// replay, in-doubt redo), redo-logging it first. The install is skipped
-// unless version is newer; the unreadable mark clears either way.
-func (e *Engine) InstallDirect(item proto.Item, value proto.Value, version proto.Version) (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, _, _, cur, err := e.tuple(item)
-	if err != nil {
-		return false, err
-	}
-	installed := cur.Less(version)
-	if installed {
-		lsn := e.log.AppendRedo(0, []wal.WriteRec{{Item: item, Value: value, Version: version}})
-		if err := e.installLocked(item, value, version, lsn); err != nil {
-			return false, err
-		}
-	}
-	delete(e.unreadable, item)
-	return installed, nil
-}
-
-// InstallRefresh replaces the local copy with an authoritative snapshot
-// from an operational site — no version comparison, matching the
-// unconditional install order of the live 2PC path — and redo-logs it so
-// a later replay reproduces the same last-record-wins state.
-func (e *Engine) InstallRefresh(item proto.Item, value proto.Value, version proto.Version) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, _, _, _, err := e.tuple(item); err != nil {
-		return err
-	}
-	lsn := e.log.AppendRedo(0, []wal.WriteRec{{Item: item, Value: value, Version: version}})
-	if err := e.installLocked(item, value, version, lsn); err != nil {
-		return err
-	}
-	delete(e.unreadable, item)
-	return nil
-}
-
-// Seed overwrites the value of a copy in place, keeping its version.
-// Seeding is assembly-time initialization, not a commit, so it is not
-// redo-logged; a crash before flush loses it and assembly re-seeds.
-func (e *Engine) Seed(item proto.Item, value proto.Value) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f, slot, _, ver, err := e.tuple(item)
-	if err != nil {
-		return err
-	}
-	pageUpdate(f.data, slot, value, ver)
-	e.pool.touch(f, e.log.DurableLSN())
-	return nil
-}
-
-// NextSession durably advances and returns the site's session counter.
-func (e *Engine) NextSession() proto.Session {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.session++
-	if e.sessionSink != nil {
-		e.sessionSink(e.session)
-	}
-	return e.session
-}
-
-// SetSessionSink installs the §3.1 stable-counter hook (see storage.Mem).
-func (e *Engine) SetSessionSink(sink func(proto.Session)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sessionSink = sink
-}
-
-// CurrentSessionCounter reports the highest session number used so far.
-func (e *Engine) CurrentSessionCounter() proto.Session {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.session
-}
-
-// SetSessionCounter overrides the stable counter.
-func (e *Engine) SetSessionCounter(v proto.Session) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.session = v
-}
-
-// Crash wipes all volatile state: unreadable marks and pending writes.
-// Buffered pages survive — they are logically durable, every install
-// having forced its redo record first — as do the heap file and counter.
-func (e *Engine) Crash() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.unreadable = make(map[proto.Item]bool)
-	e.pending = make(map[proto.TxnID]map[proto.Item]proto.Value)
-}
-
-// Snapshot returns the state of every local copy, sorted by item.
-func (e *Engine) Snapshot() []storage.Copy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]storage.Copy, 0, len(e.dir))
-	for item := range e.dir {
-		_, _, value, ver, err := e.tuple(item)
+	lsn := t.log.AppendRedo(txn, writes)
+	for _, w := range writes {
+		f, slot, _, _, err := t.tuple(w.Item)
 		if err != nil {
-			continue
+			return err
 		}
-		out = append(out, storage.Copy{
-			Item:       item,
-			Value:      value,
-			Version:    ver,
-			Unreadable: e.unreadable[item],
-		})
+		pageUpdate(f.data, slot, w.Value, w.Version)
+		t.pool.touch(f, lsn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item < out[j].Item })
-	return out
+	return nil
+}
+
+// SetValue implements storage.Table. Seeding is assembly-time
+// initialization, not a commit, so it is not redo-logged; a crash before
+// flush loses it and assembly re-seeds.
+func (t *table) SetValue(item proto.Item, value proto.Value) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f, slot, _, ver, err := t.tuple(item)
+	if err != nil {
+		return err
+	}
+	pageUpdate(f.data, slot, value, ver)
+	t.pool.touch(f, t.log.DurableLSN())
+	return nil
 }
 
 // Flush checkpoints: every dirty page goes to the heap file (WAL rule
 // enforced per page) and the file is fsynced.
 func (e *Engine) Flush() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.pool.flushAll(); err != nil {
+	t := e.heap
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.pool.flushAll(); err != nil {
 		return err
 	}
-	if err := e.file.Sync(); err != nil {
+	if err := t.file.Sync(); err != nil {
 		return fmt.Errorf("disk engine: sync: %w", err)
 	}
 	return nil
@@ -588,29 +371,27 @@ func (e *Engine) Flush() error {
 // Close flushes and closes the heap file.
 func (e *Engine) Close() error {
 	if err := e.Flush(); err != nil {
-		e.file.Close()
+		e.heap.file.Close()
 		return err
 	}
-	return e.file.Close()
+	return e.heap.file.Close()
 }
-
-// Path returns the heap file's path (test artifacts).
-func (e *Engine) Path() string { return e.path }
 
 // Stats reports disk- and recovery-side counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	t := e.heap
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return Stats{
-		Pages:        len(e.free),
-		Items:        len(e.dir),
-		CorruptPages: e.corruptPages,
-		RedoApplied:  e.redoApplied,
-		RedoSkipped:  e.redoSkipped,
-		PoolHits:     e.pool.hits,
-		PoolMisses:   e.pool.misses,
-		Evictions:    e.pool.evictions,
-		Flushes:      e.pool.flushes,
+		Pages:        len(t.free),
+		Items:        len(t.dir),
+		CorruptPages: t.corruptPages,
+		RedoApplied:  t.redoApplied,
+		RedoSkipped:  t.redoSkipped,
+		PoolHits:     t.pool.hits,
+		PoolMisses:   t.pool.misses,
+		Evictions:    t.pool.evictions,
+		Flushes:      t.pool.flushes,
 	}
 }
 

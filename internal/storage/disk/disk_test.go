@@ -20,20 +20,18 @@ func openT(t *testing.T, dir string, poolPages int, log *wal.Log, items ...proto
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { e.file.Close() })
+	t.Cleanup(func() { e.heap.file.Close() })
 	return e
 }
 
 func TestDiskConformance(t *testing.T) {
-	enginetest.Run(t, func(t *testing.T, site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) storage.Engine {
-		e, err := Open(t.TempDir(), 4, storage.Deps{
-			Site: site, Items: items, InitialWriter: initialWriter, Log: wal.New(),
-		})
+	enginetest.Run(t, func(t *testing.T) storage.Table {
+		tb, err := openTable(t.TempDir(), 4, wal.New())
 		if err != nil {
-			t.Fatalf("Open: %v", err)
+			t.Fatalf("openTable: %v", err)
 		}
-		t.Cleanup(func() { e.file.Close() })
-		return e
+		t.Cleanup(func() { tb.file.Close() })
+		return tb
 	})
 }
 
@@ -83,7 +81,9 @@ func TestRedoRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ver := proto.Version{Counter: 3, Writer: 9}
-	e.InstallPending(9, ver)
+	if _, err := e.InstallPending(9, ver); err != nil {
+		t.Fatal(err)
+	}
 	// No Flush, no Close: the engine is simply dropped, like SIGKILL.
 
 	redos := log.ScanRedo()
@@ -127,11 +127,15 @@ func TestRedoNonMonotoneVersions(t *testing.T) {
 	if err := e.BufferWrite(50, "ns-2", -1); err != nil { // exclusion: down
 		t.Fatal(err)
 	}
-	e.InstallPending(50, proto.Version{Counter: 9, Writer: 50})
+	if _, err := e.InstallPending(50, proto.Version{Counter: 9, Writer: 50}); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.BufferWrite(7, "ns-2", 4); err != nil { // claim: up, session 4
 		t.Fatal(err)
 	}
-	e.InstallPending(7, proto.Version{Counter: 2, Writer: 7})
+	if _, err := e.InstallPending(7, proto.Version{Counter: 2, Writer: 7}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Live state: the later, numerically smaller version won.
 	if v, ver, err := e.Committed("ns-2"); err != nil || v != 4 || ver != (proto.Version{Counter: 2, Writer: 7}) {
@@ -225,13 +229,55 @@ func TestWALBeforeData(t *testing.T) {
 	if log.DurableLSN() != before+1 {
 		t.Fatalf("install did not force a redo record: LSN %d -> %d", before, log.DurableLSN())
 	}
-	for _, f := range e.pool.frames {
+	for _, f := range e.heap.pool.frames {
 		if f.dirty && f.pageLSN > log.DurableLSN() {
 			t.Fatalf("page %d has pageLSN %d beyond durable %d", f.id, f.pageLSN, log.DurableLSN())
 		}
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatalf("checkpoint tripped the WAL-before-data check: %v", err)
+	}
+}
+
+// TestClaimShapedCommitLogsOneRedoRecord: a type-1-shaped transaction — three
+// NS refreshes under the versions they carry and one write under the commit
+// version — forces exactly one redo record, and a SIGKILL-style reopen
+// rebuilds all four copies from it.
+func TestClaimShapedCommitLogsOneRedoRecord(t *testing.T) {
+	dir := t.TempDir()
+	log := wal.New()
+	items := []proto.Item{proto.NSItem(1), proto.NSItem(2), proto.NSItem(3), proto.NSItem(4)}
+	e := openT(t, dir, 4, log, items...)
+	const claim proto.TxnID = 30
+	want := map[proto.Item]storage.Copy{}
+	for i, item := range items[:3] {
+		c := storage.Copy{Item: item, Value: proto.Value(i + 2), Version: proto.Version{Counter: uint64(9 - i), Writer: proto.TxnID(20 + i)}}
+		if err := e.BufferRefresh(claim, item, c.Value, c.Version); err != nil {
+			t.Fatal(err)
+		}
+		want[item] = c
+	}
+	if err := e.BufferWrite(claim, items[3], 5); err != nil {
+		t.Fatal(err)
+	}
+	commit := proto.Version{Counter: 4, Writer: claim}
+	want[items[3]] = storage.Copy{Item: items[3], Value: 5, Version: commit}
+	if _, err := e.InstallPending(claim, commit); err != nil {
+		t.Fatal(err)
+	}
+	redos := log.ScanRedo()
+	if len(redos) != 1 || redos[0].Txn != claim || len(redos[0].Writes) != 4 {
+		t.Fatalf("ScanRedo = %+v, want one record of txn %v with four writes", redos, claim)
+	}
+
+	re := openT(t, dir, 4, log, items...) // no Flush, no Close: SIGKILL
+	if st := re.Stats(); st.RedoApplied != 4 {
+		t.Fatalf("RedoApplied = %d, want 4", st.RedoApplied)
+	}
+	for _, item := range items {
+		if v, ver, err := re.Committed(item); err != nil || v != want[item].Value || ver != want[item].Version {
+			t.Fatalf("redone Committed(%s) = %d %v %v, want %+v", item, v, ver, err, want[item])
+		}
 	}
 }
 

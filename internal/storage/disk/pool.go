@@ -17,7 +17,7 @@ type pageIO interface {
 	writePage(id uint32, buf []byte) error
 }
 
-// pool is a small LRU buffer pool. It is not self-locking: the engine's
+// pool is a small LRU buffer pool. It is not self-locking: the table's
 // mutex serializes all access. Dirty pages are flushed on eviction, and
 // only after the log confirms their pageLSN durable (WAL-before-data).
 type pool struct {
@@ -39,7 +39,7 @@ func newPool(capacity int, io pageIO, durable func() uint64) *pool {
 	}
 }
 
-// get pins nothing (single-threaded under the engine lock): it returns the
+// get pins nothing (single-threaded under the table lock): it returns the
 // frame for id, reading it from the heap file on a miss. A page beyond the
 // file's current end reads back as an empty page, so freshly allocated
 // pages survive eviction before their first flush.

@@ -1,9 +1,11 @@
-// Package enginetest is the storage.Engine conformance suite: one shared
-// battery of table-driven and randomized (testing/quick) tests that every
-// engine must pass, so dm/node/core can swap engines without behavioral
-// drift. storage.Mem doubles as the semantic oracle for the randomized
-// battery — an engine conforms exactly when it is observationally
-// equivalent to the map-based model.
+// Package enginetest is the storage.Table conformance suite: one shared
+// battery every engine's copy table must pass, so dm/node/core can swap
+// engines without behavioral drift. It checks the table contract directly
+// (no-copy errors, idempotent Add, Put atomic per batch, SetValue keeping
+// the version), then the storage.Store front's contract over that table,
+// and finally drives the front over the table under test and the front over
+// the map table — the semantic oracle — through one randomized
+// (testing/quick) op stream and requires identical observable state.
 package enginetest
 
 import (
@@ -15,19 +17,38 @@ import (
 
 	"siterecovery/internal/proto"
 	"siterecovery/internal/storage"
+	"siterecovery/internal/wal"
 )
 
-// Maker builds a fresh engine for one conformance subtest. Implementations
-// back it with whatever scaffolding they need (temp dirs, WALs); each call
-// must return an independent engine.
-type Maker func(t *testing.T, site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) storage.Engine
+// Maker builds a fresh, empty table for one conformance subtest.
+// Implementations back it with whatever scaffolding they need (temp dirs,
+// WALs); each call must return an independent table.
+type Maker func(t *testing.T) storage.Table
+
+// FailingTable refuses Put while Fail is set: the adversary for tests of
+// what the layers above a table do with an install error.
+type FailingTable struct {
+	storage.Table
+	Fail bool
+}
+
+// Put implements storage.Table.
+func (f *FailingTable) Put(txn proto.TxnID, writes []wal.WriteRec) error {
+	if f.Fail {
+		return errors.New("injected put failure")
+	}
+	return f.Table.Put(txn, writes)
+}
 
 const initialTxn proto.TxnID = 1
 
-// Run executes the full conformance battery against mk's engines.
+var initialVersion = proto.Version{Writer: initialTxn}
+
+// Run executes the full conformance battery against mk's tables.
 func Run(t *testing.T, mk Maker) {
 	t.Run("InitialState", func(t *testing.T) { testInitialState(t, mk) })
 	t.Run("NoCopy", func(t *testing.T) { testNoCopy(t, mk) })
+	t.Run("PutAtomicPerBatch", func(t *testing.T) { testPutAtomicPerBatch(t, mk) })
 	t.Run("PendingIsolation", func(t *testing.T) { testPendingIsolation(t, mk) })
 	t.Run("InstallDirectGuard", func(t *testing.T) { testInstallDirectGuard(t, mk) })
 	t.Run("InstallRefreshUnconditional", func(t *testing.T) { testInstallRefresh(t, mk) })
@@ -38,21 +59,29 @@ func Run(t *testing.T, mk Maker) {
 	t.Run("QuickVsOracle", func(t *testing.T) { testQuickVsOracle(t, mk) })
 }
 
+// front lays items out on a fresh table and returns the front over it
+// beside the table itself.
+func front(t *testing.T, mk Maker, site proto.SiteID, items ...proto.Item) (*storage.Store, storage.Table) {
+	t.Helper()
+	tb := mk(t)
+	e, err := storage.NewStore(storage.Deps{Site: site, Items: items, InitialWriter: initialTxn}, tb)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	return e, tb
+}
+
 func testInitialState(t *testing.T, mk Maker) {
-	e := mk(t, 3, []proto.Item{"y", "x", proto.NSItem(1)}, initialTxn)
-	if e.Site() != 3 {
-		t.Fatalf("Site() = %v, want 3", e.Site())
-	}
+	e, tb := front(t, mk, 3, "y", "x", proto.NSItem(1))
 	want := []proto.Item{proto.NSItem(1), "x", "y"}
-	if got := e.Items(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Items() = %v, want sorted %v", got, want)
+	if got := e.Items(); e.Site() != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("site %v Items() = %v, want site 3 and sorted %v", e.Site(), got, want)
 	}
-	if !e.HasCopy("x") || e.HasCopy("z") {
-		t.Fatalf("HasCopy wrong: x=%v z=%v", e.HasCopy("x"), e.HasCopy("z"))
+	if got := tb.Items(); len(got) != 3 || !tb.Has("x") || tb.Has("z") {
+		t.Fatalf("table Items() = %v, Has(x) %v, Has(z) %v", got, tb.Has("x"), tb.Has("z"))
 	}
-	v, ver, err := e.Committed("x")
-	if err != nil || v != 0 || ver != (proto.Version{Writer: initialTxn}) {
-		t.Fatalf("Committed(x) = %v %v %v, want 0 {0 %d} nil", v, ver, err, initialTxn)
+	if v, ver, err := tb.Get("x"); err != nil || v != 0 || ver != initialVersion {
+		t.Fatalf("Get(x) = %v %v %v, want 0 %v nil", v, ver, err, initialVersion)
 	}
 	if e.IsUnreadable("x") || len(e.UnreadableItems()) != 0 {
 		t.Fatal("fresh engine has unreadable marks")
@@ -60,181 +89,185 @@ func testInitialState(t *testing.T, mk Maker) {
 }
 
 func testNoCopy(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x"}, initialTxn)
-	if _, _, err := e.Committed("nope"); !errors.Is(err, storage.ErrNoCopy) {
-		t.Fatalf("Committed(missing) err = %v, want ErrNoCopy", err)
+	e, tb := front(t, mk, 1, "x")
+	if _, _, err := tb.Get("nope"); !errors.Is(err, storage.ErrNoCopy) {
+		t.Fatalf("Get(missing) err = %v, want ErrNoCopy", err)
 	}
+	if err := tb.SetValue("nope", 1); !errors.Is(err, storage.ErrNoCopy) {
+		t.Fatalf("SetValue(missing) err = %v, want ErrNoCopy", err)
+	}
+	// The front refuses to buffer or mark what the table does not hold.
 	if err := e.BufferWrite(7, "nope", 1); !errors.Is(err, storage.ErrNoCopy) {
 		t.Fatalf("BufferWrite(missing) err = %v, want ErrNoCopy", err)
+	}
+	if err := e.BufferRefresh(7, "nope", 1, initialVersion); !errors.Is(err, storage.ErrNoCopy) {
+		t.Fatalf("BufferRefresh(missing) err = %v, want ErrNoCopy", err)
 	}
 	if _, err := e.InstallDirect("nope", 1, proto.Version{Counter: 1, Writer: 7}); !errors.Is(err, storage.ErrNoCopy) {
 		t.Fatalf("InstallDirect(missing) err = %v, want ErrNoCopy", err)
 	}
-	if err := e.Seed("nope", 1); !errors.Is(err, storage.ErrNoCopy) {
-		t.Fatalf("Seed(missing) err = %v, want ErrNoCopy", err)
-	}
-	e.MarkUnreadable("nope") // must be a no-op
+	e.MarkUnreadable("nope")
 	if len(e.UnreadableItems()) != 0 {
 		t.Fatal("MarkUnreadable on missing copy left a mark")
 	}
 }
 
-func testPendingIsolation(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x", "y"}, initialTxn)
-	const txn proto.TxnID = 9
-	if err := e.BufferWrite(txn, "x", 41); err != nil {
+// testPutAtomicPerBatch: a batch naming a missing copy applies none of its
+// writes; a good batch applies all of them, each under its own version, and
+// compares no versions doing so.
+func testPutAtomicPerBatch(t *testing.T, mk Maker) {
+	_, tb := front(t, mk, 1, "x", "y")
+	high := proto.Version{Counter: 9, Writer: 5}
+	if err := tb.Put(5, []wal.WriteRec{{Item: "x", Value: 1, Version: high}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BufferWrite(txn, "y", 42); err != nil {
+	err := tb.Put(6, []wal.WriteRec{
+		{Item: "x", Value: 2, Version: proto.Version{Counter: 10, Writer: 6}},
+		{Item: "nope", Value: 3, Version: proto.Version{Counter: 10, Writer: 6}},
+	})
+	if !errors.Is(err, storage.ErrNoCopy) {
+		t.Fatalf("Put with a missing copy err = %v, want ErrNoCopy", err)
+	}
+	if v, ver, _ := tb.Get("x"); v != 1 || ver != high {
+		t.Fatalf("failed batch was partly applied: x = %d %v", v, ver)
+	}
+	low := proto.Version{Counter: 2, Writer: 7}
+	err = tb.Put(7, []wal.WriteRec{
+		{Item: "x", Value: 4, Refresh: true, Version: low},
+		{Item: "y", Value: 5, Version: proto.Version{Counter: 11, Writer: 7}},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := e.Committed("x"); v != 0 {
-		t.Fatalf("pending write visible through Committed: %d", v)
+	if v, ver, _ := tb.Get("x"); v != 4 || ver != low {
+		t.Fatalf("x = %d %v, want 4 under the numerically older %v", v, ver, low)
 	}
-	if !e.HasPending(txn) || e.HasPending(txn+1) {
-		t.Fatal("HasPending wrong")
+	if v, ver, _ := tb.Get("y"); v != 5 || ver.Counter != 11 {
+		t.Fatalf("y = %d %v, want 5 under counter 11", v, ver)
 	}
-	got := e.PendingWrites(txn)
-	if len(got) != 2 || got["x"] != 41 || got["y"] != 42 {
-		t.Fatalf("PendingWrites = %v", got)
-	}
-	got["x"] = 99 // must be a copy
-	if e.PendingWrites(txn)["x"] != 41 {
-		t.Fatal("PendingWrites returned the live map")
-	}
+}
 
+// testPendingIsolation: nothing a transaction buffers reaches the table
+// before InstallPending, and nothing it dropped ever does.
+func testPendingIsolation(t *testing.T, mk Maker) {
+	e, tb := front(t, mk, 1, "x", "y")
+	const txn proto.TxnID = 9
+	if err := errors.Join(e.BufferWrite(txn, "y", 42), e.BufferWrite(txn, "x", 41)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := tb.Get("x"); v != 0 {
+		t.Fatalf("pending write reached the table: %d", v)
+	}
 	e.MarkUnreadable("x")
 	ver := proto.Version{Counter: 5, Writer: txn}
-	items := e.InstallPending(txn, ver)
-	if !reflect.DeepEqual(items, []proto.Item{"x", "y"}) {
-		t.Fatalf("InstallPending items = %v", items)
+	installed, err := e.InstallPending(txn, ver)
+	want := []wal.WriteRec{{Item: "x", Value: 41, Version: ver}, {Item: "y", Value: 42, Version: ver}}
+	if err != nil || !reflect.DeepEqual(installed, want) {
+		t.Fatalf("InstallPending = %+v %v, want %+v", installed, err, want)
 	}
-	if e.HasPending(txn) {
-		t.Fatal("InstallPending left the buffer")
-	}
-	if e.IsUnreadable("x") {
-		t.Fatal("InstallPending left the unreadable mark")
-	}
-	if v, gotVer, _ := e.Committed("x"); v != 41 || gotVer != ver {
-		t.Fatalf("Committed(x) after install = %d %v", v, gotVer)
+	if v, gotVer, _ := tb.Get("x"); v != 41 || gotVer != ver || e.IsUnreadable("x") {
+		t.Fatalf("after install: x = %d %v, unreadable %v", v, gotVer, e.IsUnreadable("x"))
 	}
 
-	// Abort path: dropped writes never surface.
-	if err := e.BufferWrite(txn, "x", 77); err != nil {
+	// Abort path: dropped writes and refreshes never surface.
+	if err := errors.Join(e.BufferWrite(txn, "x", 77), e.BufferRefresh(txn, "y", 78, proto.Version{Counter: 1, Writer: 3})); err != nil {
 		t.Fatal(err)
 	}
 	e.DropPending(txn)
-	if e.HasPending(txn) {
-		t.Fatal("DropPending left the buffer")
+	if installed, err := e.InstallPending(txn, ver); err != nil || len(installed) != 0 {
+		t.Fatalf("InstallPending after drop = %+v %v, want nothing", installed, err)
 	}
-	if v, _, _ := e.Committed("x"); v != 41 {
-		t.Fatalf("dropped pending write surfaced: %d", v)
+	if x, _, _ := tb.Get("x"); x != 41 {
+		t.Fatalf("dropped pending write surfaced: %d", x)
+	}
+	if y, _, _ := tb.Get("y"); y != 42 {
+		t.Fatalf("dropped pending refresh surfaced: %d", y)
 	}
 }
 
+// testInstallDirectGuard: the front's one version comparison reads the
+// version the table holds.
 func testInstallDirectGuard(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x"}, initialTxn)
+	e, tb := front(t, mk, 1, "x")
 	newer := proto.Version{Counter: 10, Writer: 5}
-	installed, err := e.InstallDirect("x", 100, newer)
-	if err != nil || !installed {
+	if installed, err := e.InstallDirect("x", 100, newer); err != nil || !installed {
 		t.Fatalf("InstallDirect newer = %v %v", installed, err)
 	}
-	// Same version again: skipped, mark still cleared.
+	// Same or older version: skipped, mark still cleared.
 	e.MarkUnreadable("x")
-	installed, err = e.InstallDirect("x", 200, newer)
-	if err != nil || installed {
-		t.Fatalf("InstallDirect equal version = %v %v, want skip", installed, err)
+	for _, ver := range []proto.Version{newer, {Counter: 9, Writer: 5}} {
+		if installed, err := e.InstallDirect("x", 200, ver); err != nil || installed {
+			t.Fatalf("InstallDirect %v over %v = %v %v, want skip", ver, newer, installed, err)
+		}
 	}
-	if e.IsUnreadable("x") {
-		t.Fatal("skipped InstallDirect kept the unreadable mark")
+	if v, _, _ := tb.Get("x"); v != 100 || e.IsUnreadable("x") {
+		t.Fatalf("skipped installs: x = %d, unreadable %v", v, e.IsUnreadable("x"))
 	}
-	if v, _, _ := e.Committed("x"); v != 100 {
-		t.Fatalf("equal-version install overwrote: %d", v)
-	}
-	// Older version: skipped.
-	if installed, _ = e.InstallDirect("x", 300, proto.Version{Counter: 9, Writer: 5}); installed {
-		t.Fatal("older version installed")
-	}
-	// Newer counter wins.
-	if installed, _ = e.InstallDirect("x", 400, proto.Version{Counter: 11, Writer: 2}); !installed {
+	if installed, _ := e.InstallDirect("x", 400, proto.Version{Counter: 11, Writer: 2}); !installed {
 		t.Fatal("newer version skipped")
 	}
-	if v, _, _ := e.Committed("x"); v != 400 {
-		t.Fatalf("Committed = %d, want 400", v)
+	if v, _, _ := tb.Get("x"); v != 400 {
+		t.Fatalf("Get = %d, want 400", v)
 	}
 }
 
-// testInstallRefresh pins the authoritative-snapshot semantics: a refresh
-// replaces the local copy even when its version is numerically older —
-// the shape a type-1 claim's "site up" takes when it overwrites an
-// exclusion's higher-sequence "site down" — and clears the mark.
+// testInstallRefresh pins the authoritative-snapshot semantics through the
+// commit path: a buffered refresh replaces the local copy even when its
+// version is numerically older — the shape a type-1 claim's "site up" takes
+// when it overwrites an exclusion's higher-sequence "site down" — keeps the
+// version it carries, not the commit version, and clears the mark.
 func testInstallRefresh(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x"}, initialTxn)
+	e, tb := front(t, mk, 1, "x")
 	if _, err := e.InstallDirect("x", 100, proto.Version{Counter: 10, Writer: 5}); err != nil {
 		t.Fatal(err)
 	}
 	e.MarkUnreadable("x")
 	older := proto.Version{Counter: 2, Writer: 7}
-	if err := e.InstallRefresh("x", 42, older); err != nil {
-		t.Fatalf("InstallRefresh = %v", err)
+	if err := e.BufferRefresh(20, "x", 42, older); err != nil {
+		t.Fatalf("BufferRefresh = %v", err)
 	}
-	if v, ver, err := e.Committed("x"); err != nil || v != 42 || ver != older {
-		t.Fatalf("refreshed Committed = %d %v %v, want 42 %v", v, ver, err, older)
+	if _, err := e.InstallPending(20, proto.Version{Counter: 30, Writer: 20}); err != nil {
+		t.Fatalf("InstallPending = %v", err)
+	}
+	if v, ver, err := tb.Get("x"); err != nil || v != 42 || ver != older {
+		t.Fatalf("refreshed Get = %d %v %v, want 42 %v", v, ver, err, older)
 	}
 	if e.IsUnreadable("x") {
-		t.Fatal("InstallRefresh kept the unreadable mark")
-	}
-	if err := e.InstallRefresh("nope", 1, older); !errors.Is(err, storage.ErrNoCopy) {
-		t.Fatalf("InstallRefresh(missing) err = %v, want ErrNoCopy", err)
+		t.Fatal("installed refresh kept the unreadable mark")
 	}
 }
 
+// testUnreadable: marks follow the table's items, NS copies exempt.
 func testUnreadable(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x", "y", proto.NSItem(1), proto.NSItem(2)}, initialTxn)
+	e, _ := front(t, mk, 1, "x", "y", proto.NSItem(1), proto.NSItem(2))
 	e.MarkUnreadable("y")
 	if !e.IsUnreadable("y") || e.IsUnreadable("x") {
 		t.Fatal("MarkUnreadable wrong")
 	}
-	n := e.MarkAllUnreadable()
-	if n != 2 {
-		t.Fatalf("MarkAllUnreadable = %d, want 2 (NS items exempt)", n)
-	}
-	if e.IsUnreadable(proto.NSItem(1)) {
-		t.Fatal("MarkAllUnreadable marked an NS item")
+	if n := e.MarkAllUnreadable(); n != 2 || e.IsUnreadable(proto.NSItem(1)) {
+		t.Fatalf("MarkAllUnreadable = %d, NS marked %v; want 2 (NS items exempt)", n, e.IsUnreadable(proto.NSItem(1)))
 	}
 	if got := e.UnreadableItems(); !reflect.DeepEqual(got, []proto.Item{"x", "y"}) {
 		t.Fatalf("UnreadableItems = %v", got)
 	}
-	e.ClearUnreadable("x")
-	if e.IsUnreadable("x") || !e.IsUnreadable("y") {
-		t.Fatal("ClearUnreadable wrong")
-	}
 }
 
 func testSessionMonotonic(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x"}, initialTxn)
+	e, _ := front(t, mk, 1, "x")
 	var seen []proto.Session
 	e.SetSessionSink(func(s proto.Session) { seen = append(seen, s) })
 	e.SetSessionCounter(4)
-	if got := e.CurrentSessionCounter(); got != 4 {
-		t.Fatalf("CurrentSessionCounter = %d", got)
+	if a, b := e.NextSession(), e.NextSession(); a != 5 || b != 6 {
+		t.Fatalf("NextSession after 4 = %d, %d; want 5, 6", a, b)
 	}
-	if got := e.NextSession(); got != 5 {
-		t.Fatalf("NextSession = %d, want 5", got)
-	}
-	if got := e.NextSession(); got != 6 {
-		t.Fatalf("NextSession = %d, want 6", got)
-	}
-	if !reflect.DeepEqual(seen, []proto.Session{5, 6}) {
-		t.Fatalf("session sink saw %v, want [5 6]", seen)
-	}
-	if got := e.CurrentSessionCounter(); got != 6 {
-		t.Fatalf("CurrentSessionCounter = %d, want 6", got)
+	if got := e.CurrentSessionCounter(); got != 6 || !reflect.DeepEqual(seen, []proto.Session{5, 6}) {
+		t.Fatalf("CurrentSessionCounter = %d, sink saw %v; want 6, [5 6]", got, seen)
 	}
 }
 
+// testCrashWipesVolatile: Crash is the front's; the table must not notice.
 func testCrashWipesVolatile(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x", "y"}, initialTxn)
+	e, tb := front(t, mk, 1, "x", "y")
 	ver := proto.Version{Counter: 3, Writer: 8}
 	if _, err := e.InstallDirect("x", 50, ver); err != nil {
 		t.Fatal(err)
@@ -247,13 +280,10 @@ func testCrashWipesVolatile(t *testing.T, mk Maker) {
 
 	e.Crash()
 
-	if e.IsUnreadable("y") || len(e.UnreadableItems()) != 0 {
-		t.Fatal("Crash kept unreadable marks")
+	if len(e.UnreadableItems()) != 0 || len(e.Pending(9)) != 0 {
+		t.Fatal("Crash kept unreadable marks or pending writes")
 	}
-	if e.HasPending(9) {
-		t.Fatal("Crash kept pending writes")
-	}
-	if v, gotVer, err := e.Committed("x"); err != nil || v != 50 || gotVer != ver {
+	if v, gotVer, err := tb.Get("x"); err != nil || v != 50 || gotVer != ver {
 		t.Fatalf("Crash lost stable copy: %d %v %v", v, gotVer, err)
 	}
 	if got := e.CurrentSessionCounter(); got != 7 {
@@ -262,21 +292,25 @@ func testCrashWipesVolatile(t *testing.T, mk Maker) {
 }
 
 func testAddItemSeed(t *testing.T, mk Maker) {
-	e := mk(t, 1, []proto.Item{"x"}, initialTxn)
-	e.AddItem("z", initialTxn)
-	e.AddItem("z", 99) // idempotent: keeps the first layout
-	if v, ver, err := e.Committed("z"); err != nil || v != 0 || ver != (proto.Version{Writer: initialTxn}) {
+	e, tb := front(t, mk, 1, "x")
+	// Add is idempotent: the second layout of z keeps the first.
+	if err := errors.Join(tb.Add("z", initialVersion), tb.Add("z", proto.Version{Writer: 99})); err != nil {
+		t.Fatal(err)
+	}
+	if v, ver, err := tb.Get("z"); err != nil || v != 0 || ver != initialVersion {
 		t.Fatalf("added item = %d %v %v", v, ver, err)
 	}
 	if err := e.Seed("z", 123); err != nil {
 		t.Fatal(err)
 	}
-	if v, ver, _ := e.Committed("z"); v != 123 || ver != (proto.Version{Writer: initialTxn}) {
-		t.Fatalf("Seed changed version or missed value: %d %v", v, ver)
+	e.MarkUnreadable("z")
+	snap, err := e.Snapshot()
+	want := []storage.Copy{
+		{Item: "x", Version: initialVersion},
+		{Item: "z", Value: 123, Version: initialVersion, Unreadable: true},
 	}
-	snap := e.Snapshot()
-	if len(snap) != 2 || snap[0].Item != "x" || snap[1].Item != "z" || snap[1].Value != 123 {
-		t.Fatalf("Snapshot = %+v", snap)
+	if err != nil || !reflect.DeepEqual(snap, want) {
+		t.Fatalf("Snapshot after Seed = %+v %v, want %+v (value set, version kept)", snap, err, want)
 	}
 }
 
@@ -301,12 +335,13 @@ func (opSpec) Generate(r *rand.Rand, _ int) reflect.Value {
 	})
 }
 
-// testQuickVsOracle drives the engine and a storage.Mem oracle through the
-// same randomized op stream and requires identical observable state.
+// testQuickVsOracle drives the front over the table under test and the
+// front over the map table through the same randomized op stream and
+// requires identical observable state.
 func testQuickVsOracle(t *testing.T, mk Maker) {
 	items := []proto.Item{"a", "b", "c", "d", proto.NSItem(1)}
 	property := func(ops []opSpec) bool {
-		e := mk(t, 2, items, initialTxn)
+		e, _ := front(t, mk, 2, items...)
 		oracle := storage.NewMem(2, items, initialTxn)
 		for _, op := range ops {
 			item := items[int(op.Item)%len(items)]
@@ -314,11 +349,17 @@ func testQuickVsOracle(t *testing.T, mk Maker) {
 			ver := proto.Version{Counter: uint64(op.Counter), Writer: txn}
 			switch op.Kind {
 			case 0, 1:
-				_ = e.BufferWrite(txn, item, op.Value)
-				_ = oracle.BufferWrite(txn, item, op.Value)
+				if err := errors.Join(e.BufferWrite(txn, item, op.Value), oracle.BufferWrite(txn, item, op.Value)); err != nil {
+					t.Logf("BufferWrite(%s): %v", item, err)
+					return false
+				}
 			case 2:
-				e.InstallPending(txn, ver)
-				oracle.InstallPending(txn, ver)
+				got, gotErr := e.InstallPending(txn, ver)
+				want, wantErr := oracle.InstallPending(txn, ver)
+				if gotErr != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
+					t.Logf("InstallPending diverged: %+v/%v vs %+v/%v", got, gotErr, want, wantErr)
+					return false
+				}
 			case 3:
 				e.DropPending(txn)
 				oracle.DropPending(txn)
@@ -333,8 +374,13 @@ func testQuickVsOracle(t *testing.T, mk Maker) {
 				e.MarkUnreadable(item)
 				oracle.MarkUnreadable(item)
 			case 6:
-				e.ClearUnreadable(item)
-				oracle.ClearUnreadable(item)
+				// A refresh under another writer's version, numerically
+				// unrelated to the copy's.
+				refreshed := proto.Version{Counter: uint64(op.Counter), Writer: proto.TxnID(op.Value)}
+				if err := errors.Join(e.BufferRefresh(txn, item, op.Value, refreshed), oracle.BufferRefresh(txn, item, op.Value, refreshed)); err != nil {
+					t.Logf("BufferRefresh(%s): %v", item, err)
+					return false
+				}
 			case 7:
 				if e.MarkAllUnreadable() != oracle.MarkAllUnreadable() {
 					t.Log("MarkAllUnreadable count diverged")
@@ -350,8 +396,10 @@ func testQuickVsOracle(t *testing.T, mk Maker) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(e.Snapshot(), oracle.Snapshot()) {
-			t.Logf("Snapshot diverged:\n engine %+v\n oracle %+v", e.Snapshot(), oracle.Snapshot())
+		got, gotErr := e.Snapshot()
+		want, wantErr := oracle.Snapshot()
+		if gotErr != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
+			t.Logf("Snapshot diverged:\n engine %+v %v\n oracle %+v %v", got, gotErr, want, wantErr)
 			return false
 		}
 		if !reflect.DeepEqual(e.UnreadableItems(), oracle.UnreadableItems()) {
@@ -369,6 +417,6 @@ func testQuickVsOracle(t *testing.T, mk Maker) {
 		Rand:     rand.New(rand.NewSource(1986)), // deterministic battery
 	}
 	if err := quick.Check(property, cfg); err != nil {
-		t.Fatalf("engine diverged from Mem oracle: %v", err)
+		t.Fatalf("table diverged from the map-table oracle: %v", err)
 	}
 }

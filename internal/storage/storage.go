@@ -1,22 +1,22 @@
 // Package storage is the per-site store of physical data copies.
 //
-// An Engine models one site's disk-plus-memory state with an explicit split
-// between what survives a crash and what does not:
+// It is split along the line the paper's failure model draws (§3.1, §3.4):
 //
 //   - stable (survives Crash): the committed value and version of every
 //     local physical copy, and the site's session-number counter;
 //   - volatile (lost on Crash): unreadable marks, and pending (uncommitted)
-//     writes buffered for in-flight transactions.
+//     writes and copier refreshes buffered for in-flight transactions.
 //
-// Two engines implement the interface. Mem (this package) keeps copies in a
-// map and models force-at-commit durability: InstallPending synchronously
-// moves a value into stable state, so page-level crash recovery is
-// unnecessary and internal/wal only remembers two-phase-commit outcomes.
-// The disk engine (storage/disk) keeps copies on slotted heap pages behind a
-// buffer pool and is redo-logged: installs append physical redo records to
-// the write-ahead log before touching pages (WAL-before-data), and a restart
-// replays the log to rebuild committed state that never reached the heap
-// file.
+// Store, the front, owns everything volatile plus the session counter, once,
+// for every engine. What an engine supplies is a Table: the stable copies
+// and nothing else. The map table in this package models force-at-commit
+// durability: Put synchronously moves values into stable state, so
+// page-level crash recovery is unnecessary and internal/wal only remembers
+// two-phase-commit outcomes. The disk table (storage/disk) keeps copies on
+// slotted heap pages behind a buffer pool and is redo-logged: Put appends a
+// physical redo record to the write-ahead log before touching pages
+// (WAL-before-data), and a restart replays the log to rebuild committed
+// state that never reached the heap file.
 package storage
 
 import (
@@ -39,17 +39,12 @@ type Copy struct {
 	Unreadable bool
 }
 
-// Engine is the pluggable storage seam: the per-site store of physical
-// copies that internal/dm, internal/node, and internal/core operate
-// against. Every implementation must preserve the stable/volatile split
-// documented on each method — storage/enginetest is the conformance suite
-// that checks it.
+// Engine is the per-site store of physical copies that internal/dm,
+// internal/node, and internal/core operate against. *Store implements it;
+// the disk engine satisfies it by embedding one.
 type Engine interface {
 	// Site returns the owning site.
 	Site() proto.SiteID
-	// AddItem adds a local copy initialized to value 0 under initialWriter's
-	// version. Adding an existing item is a no-op.
-	AddItem(item proto.Item, initialWriter proto.TxnID)
 	// HasCopy reports whether the site stores a copy of item.
 	HasCopy(item proto.Item) bool
 	// Items lists the local copies in sorted order.
@@ -66,36 +61,32 @@ type Engine interface {
 	// MarkAllUnreadable marks every local copy except NS items and returns
 	// how many it marked.
 	MarkAllUnreadable() int
-	// ClearUnreadable removes the stale mark from a copy.
-	ClearUnreadable(item proto.Item)
 	// UnreadableItems lists the currently marked copies in sorted order.
 	UnreadableItems() []proto.Item
-	// BufferWrite records value as the pending write of txn on item.
+	// BufferWrite records value as the pending write of txn on item; it is
+	// installed under the version InstallPending is given.
 	BufferWrite(txn proto.TxnID, item proto.Item, value proto.Value) error
-	// PendingWrites returns a copy of txn's buffered writes.
-	PendingWrites(txn proto.TxnID) map[proto.Item]proto.Value
-	// HasPending reports whether txn has buffered writes here.
-	HasPending(txn proto.TxnID) bool
-	// DropPending discards txn's buffered writes (abort path).
+	// BufferRefresh records a copier-style refresh of item in txn's pending
+	// set: an authoritative snapshot read from an operational site, which
+	// InstallPending installs under the version it carries (the original
+	// writer's) instead of the commit version.
+	BufferRefresh(txn proto.TxnID, item proto.Item, value proto.Value, version proto.Version) error
+	// Pending returns a copy of everything txn has buffered, sorted by
+	// item: what its prepare record must carry.
+	Pending(txn proto.TxnID) []wal.WriteRec
+	// DropPending discards everything txn buffered (abort path).
 	DropPending(txn proto.TxnID)
-	// InstallPending commits txn's buffered writes under version, clearing
-	// unreadable marks on the written copies, and returns the installed
-	// items in sorted order.
-	InstallPending(txn proto.TxnID, version proto.Version) []proto.Item
+	// InstallPending commits everything txn buffered as one batch — writes
+	// under version, refreshes under their own — clearing the unreadable
+	// marks of the written copies, and returns what it installed, sorted by
+	// item. On an error nothing is forgotten: the pending set and the marks
+	// are intact and the call can be repeated.
+	InstallPending(txn proto.TxnID, version proto.Version) ([]wal.WriteRec, error)
 	// InstallDirect commits a single value under an explicit version,
 	// bypassing the pending buffer; the install is skipped (but the
 	// unreadable mark still cleared) unless version is newer than the local
 	// copy's. It reports whether the value was written.
 	InstallDirect(item proto.Item, value proto.Value, version proto.Version) (bool, error)
-	// InstallRefresh commits an authoritative snapshot read from an
-	// operational site, replacing the local copy unconditionally and
-	// clearing its unreadable mark. Copier and session-claim refreshes
-	// need this: version counters carry per-writer commit sequences and
-	// are not monotone across writers, so a current value can legitimately
-	// carry a numerically smaller version than the stale copy it replaces
-	// (e.g. a type-1 claim's "site up" overwriting an exclusion's "site
-	// down"). Callers serialize via the copier's exclusive local lock.
-	InstallRefresh(item proto.Item, value proto.Value, version proto.Version) error
 	// Seed overwrites the value of a copy in place, keeping its current
 	// version (cluster assembly only).
 	Seed(item proto.Item, value proto.Value) error
@@ -108,16 +99,38 @@ type Engine interface {
 	CurrentSessionCounter() proto.Session
 	// SetSessionCounter overrides the stable counter.
 	SetSessionCounter(v proto.Session)
-	// Crash wipes all volatile state (unreadable marks, pending writes);
+	// Crash wipes all volatile state (unreadable marks, pending sets);
 	// stable copies and the session counter survive.
 	Crash()
 	// Snapshot returns the state of every local copy, sorted by item.
-	Snapshot() []Copy
+	Snapshot() ([]Copy, error)
+}
+
+// Table is what a storage engine implements: one site's stable copies.
+// Implementations lock themselves; a missing copy is an error wrapping
+// ErrNoCopy. storage/enginetest is the conformance battery.
+type Table interface {
+	// Has reports whether the table holds a copy of item.
+	Has(item proto.Item) bool
+	// Items lists the copies, in any order.
+	Items() []proto.Item
+	// Add lays out a copy of item with value 0 under version. Adding an
+	// existing item is a no-op.
+	Add(item proto.Item, version proto.Version) error
+	// Get returns the committed value and version of a copy.
+	Get(item proto.Item) (proto.Value, proto.Version, error)
+	// Put durably replaces the value and version of every written copy,
+	// unconditionally and in slice order; txn labels the batch in the
+	// engine's log. A write to an item with no copy fails the batch before
+	// any of it is applied. The table may keep writes.
+	Put(txn proto.TxnID, writes []wal.WriteRec) error
+	// SetValue overwrites the value of a copy in place, keeping its version.
+	SetValue(item proto.Item, value proto.Value) error
 }
 
 // Deps is what cluster assembly hands an engine factory: the identity and
 // initial layout of the site, plus the site's stable log for engines that
-// write physical redo records (Mem ignores it).
+// write physical redo records (the map table ignores it).
 type Deps struct {
 	Site          proto.SiteID
 	Items         []proto.Item
@@ -136,88 +149,84 @@ func MemFactory(d Deps) (Engine, error) {
 	return NewMem(d.Site, d.Items, d.InitialWriter), nil
 }
 
-type stableCopy struct {
-	value   proto.Value
-	version proto.Version
-}
-
-// Mem holds one site's physical copies in memory with force-at-commit
-// durability. Create with NewMem.
-type Mem struct {
-	site proto.SiteID
+// Store is the front every engine shares: the volatile half of one site's
+// storage and its session counter, over the engine's Table. mu guards the
+// fields below it and is held across a table Put, so installs are atomic
+// with the marks they clear and serialized against each other; reads of
+// committed copies go straight to the table.
+type Store struct {
+	site  proto.SiteID
+	table Table
 
 	mu sync.Mutex
-	// stable state
-	copies      map[proto.Item]stableCopy
-	session     proto.Session // highest session number ever used by this site
+	// stable: highest session number ever used by this site. In memory plus
+	// sink; srnode's statedir session file is the cross-restart authority.
+	session     proto.Session
 	sessionSink func(proto.Session)
-	// volatile state
+	// volatile
 	unreadable map[proto.Item]bool
-	pending    map[proto.TxnID]map[proto.Item]proto.Value
+	pending    map[proto.TxnID][]wal.WriteRec // per transaction, sorted by item
 }
 
-// NewMem returns an in-memory engine for site holding the given items, each
-// initialized to value 0 written by initialWriter (the synthetic initial
-// transaction of the serializability theory).
-func NewMem(site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) *Mem {
-	s := &Mem{
-		site:       site,
-		copies:     make(map[proto.Item]stableCopy, len(items)),
-		unreadable: make(map[proto.Item]bool),
-		pending:    make(map[proto.TxnID]map[proto.Item]proto.Value),
+// NewStore returns the front for d.Site over table, first laying out every
+// item of d.Items the table does not hold yet, initialized to value 0
+// written by d.InitialWriter (the synthetic initial transaction of the
+// serializability theory).
+func NewStore(d Deps, table Table) (*Store, error) {
+	for _, item := range d.Items {
+		if err := table.Add(item, proto.Version{Writer: d.InitialWriter}); err != nil {
+			return nil, fmt.Errorf("%v layout: %w", d.Site, err)
+		}
 	}
-	for _, item := range items {
-		s.copies[item] = stableCopy{version: proto.Version{Writer: initialWriter}}
+	return &Store{
+		site:       d.Site,
+		table:      table,
+		unreadable: make(map[proto.Item]bool),
+		pending:    make(map[proto.TxnID][]wal.WriteRec),
+	}, nil
+}
+
+// NewMem returns an in-memory engine for site holding the given items: the
+// front over a fresh map table.
+func NewMem(site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) *Store {
+	s, err := NewStore(Deps{Site: site, Items: items, InitialWriter: initialWriter}, NewMemTable())
+	if err != nil {
+		panic(err) // the map table's Add cannot fail
 	}
 	return s
 }
 
-// Site returns the owning site.
-func (s *Mem) Site() proto.SiteID { return s.site }
-
-// AddItem adds a local copy (used to lay out NS items and by tests).
-func (s *Mem) AddItem(item proto.Item, initialWriter proto.TxnID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.copies[item]; !ok {
-		s.copies[item] = stableCopy{version: proto.Version{Writer: initialWriter}}
+// at names the owning site in a table error.
+func (s *Store) at(err error) error {
+	if err != nil {
+		err = fmt.Errorf("%v %w", s.site, err)
 	}
+	return err
 }
 
-// HasCopy reports whether the site stores a copy of item.
-func (s *Mem) HasCopy(item proto.Item) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.copies[item]
-	return ok
-}
-
-// Items lists the local copies in sorted order.
-func (s *Mem) Items() []proto.Item {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	items := make([]proto.Item, 0, len(s.copies))
-	for item := range s.copies {
-		items = append(items, item)
-	}
+func sortItems(items []proto.Item) []proto.Item {
 	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	return items
 }
 
+// Site returns the owning site.
+func (s *Store) Site() proto.SiteID { return s.site }
+
+// HasCopy reports whether the site stores a copy of item.
+func (s *Store) HasCopy(item proto.Item) bool { return s.table.Has(item) }
+
+// Items lists the local copies in sorted order.
+func (s *Store) Items() []proto.Item { return sortItems(s.table.Items()) }
+
 // Committed returns the committed value and version of the local copy.
 // It does not consult the unreadable mark; callers gate on IsUnreadable.
-func (s *Mem) Committed(item proto.Item) (proto.Value, proto.Version, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.copies[item]
-	if !ok {
-		return 0, proto.Version{}, fmt.Errorf("%v %q: %w", s.site, item, ErrNoCopy)
-	}
-	return c.value, c.version, nil
+func (s *Store) Committed(item proto.Item) (proto.Value, proto.Version, error) {
+	value, version, err := s.table.Get(item)
+	return value, version, s.at(err)
 }
 
 // IsUnreadable reports whether the copy is marked as possibly stale.
-func (s *Mem) IsUnreadable(item proto.Item) bool {
+func (s *Store) IsUnreadable(item proto.Item) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.unreadable[item]
@@ -225,22 +234,24 @@ func (s *Mem) IsUnreadable(item proto.Item) bool {
 
 // MarkUnreadable marks the copy as possibly stale. Marking an item with no
 // local copy is a no-op.
-func (s *Mem) MarkUnreadable(item proto.Item) {
+func (s *Store) MarkUnreadable(item proto.Item) {
+	if !s.table.Has(item) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.copies[item]; ok {
-		s.unreadable[item] = true
-	}
+	s.unreadable[item] = true
 }
 
 // MarkAllUnreadable marks every local copy, the conservative step 2 of the
 // recovery procedure. NS items are exempt: their copies are refreshed by the
 // type-1 control transaction itself.
-func (s *Mem) MarkAllUnreadable() int {
+func (s *Store) MarkAllUnreadable() int {
+	items := s.table.Items()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for item := range s.copies {
+	for _, item := range items {
 		if _, isNS := proto.IsNSItem(item); isNS {
 			continue
 		}
@@ -250,142 +261,129 @@ func (s *Mem) MarkAllUnreadable() int {
 	return n
 }
 
-// ClearUnreadable removes the stale mark from a copy.
-func (s *Mem) ClearUnreadable(item proto.Item) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.unreadable, item)
-}
-
 // UnreadableItems lists the currently marked copies in sorted order.
-func (s *Mem) UnreadableItems() []proto.Item {
+func (s *Store) UnreadableItems() []proto.Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	items := make([]proto.Item, 0, len(s.unreadable))
 	for item := range s.unreadable {
 		items = append(items, item)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	return items
+	return sortItems(items)
 }
 
 // BufferWrite records value as the pending write of txn on item. The value
-// becomes visible only when Install moves it to stable state.
-func (s *Mem) BufferWrite(txn proto.TxnID, item proto.Item, value proto.Value) error {
+// becomes visible only when InstallPending moves it to stable state.
+func (s *Store) BufferWrite(txn proto.TxnID, item proto.Item, value proto.Value) error {
+	return s.buffer(txn, wal.WriteRec{Item: item, Value: value})
+}
+
+// BufferRefresh records a copier-style refresh in the same pending set
+// BufferWrite uses. The caller holds the exclusive lock on the local copy.
+func (s *Store) BufferRefresh(txn proto.TxnID, item proto.Item, value proto.Value, version proto.Version) error {
+	return s.buffer(txn, wal.WriteRec{Item: item, Value: value, Refresh: true, Version: version})
+}
+
+// buffer puts w in txn's pending set, replacing whatever the transaction
+// buffered for the same item before.
+func (s *Store) buffer(txn proto.TxnID, w wal.WriteRec) error {
+	if !s.table.Has(w.Item) {
+		return s.at(noCopy(w.Item))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.copies[item]; !ok {
-		return fmt.Errorf("%v %q: %w", s.site, item, ErrNoCopy)
+	set := s.pending[txn]
+	i := sort.Search(len(set), func(i int) bool { return set[i].Item >= w.Item })
+	if i == len(set) || set[i].Item != w.Item {
+		set = append(set, wal.WriteRec{})
+		copy(set[i+1:], set[i:])
 	}
-	m, ok := s.pending[txn]
-	if !ok {
-		m = make(map[proto.Item]proto.Value)
-		s.pending[txn] = m
-	}
-	m[item] = value
+	set[i] = w
+	s.pending[txn] = set
 	return nil
 }
 
-// PendingWrites returns a copy of txn's buffered writes.
-func (s *Mem) PendingWrites(txn proto.TxnID) map[proto.Item]proto.Value {
+// Pending returns a copy of everything txn has buffered, sorted by item.
+func (s *Store) Pending(txn proto.TxnID) []wal.WriteRec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.pending[txn]
-	out := make(map[proto.Item]proto.Value, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return append([]wal.WriteRec(nil), s.pending[txn]...)
 }
 
-// HasPending reports whether txn has buffered writes here.
-func (s *Mem) HasPending(txn proto.TxnID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.pending[txn]
-	return ok
-}
-
-// DropPending discards txn's buffered writes (abort path).
-func (s *Mem) DropPending(txn proto.TxnID) {
+// DropPending discards everything txn buffered (abort path).
+func (s *Store) DropPending(txn proto.TxnID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pending, txn)
 }
 
-// InstallPending commits txn's buffered writes under the given version,
-// clearing unreadable marks on the written copies, and discards the buffer.
-// It returns the installed items.
-func (s *Mem) InstallPending(txn proto.TxnID, version proto.Version) []proto.Item {
+// InstallPending is the one commit-time install: everything txn buffered
+// under its exclusive locks goes to the table as one Put, writes under
+// version and refreshes under the version they carry. It compares no
+// versions. The transaction holds the lock on every copy it replaces and a
+// refresh is an authoritative snapshot read under that lock, while version
+// counters are per-writer commit sequences, not a global order: a current
+// NS value ("site up" from a fresh type-1 claim) can carry a numerically
+// smaller version than the stale marker it must replace, and a guard would
+// resurrect the stale copy.
+func (s *Store) InstallPending(txn proto.TxnID, version proto.Version) ([]wal.WriteRec, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.pending[txn]
-	items := make([]proto.Item, 0, len(m))
-	for item, value := range m {
-		s.copies[item] = stableCopy{value: value, version: version}
-		delete(s.unreadable, item)
-		items = append(items, item)
+	writes := s.pending[txn]
+	if len(writes) == 0 {
+		return nil, nil
+	}
+	for i := range writes {
+		if !writes[i].Refresh {
+			writes[i].Version = version
+		}
+	}
+	if err := s.table.Put(txn, writes); err != nil {
+		return nil, s.at(err)
+	}
+	for _, w := range writes {
+		delete(s.unreadable, w.Item)
 	}
 	delete(s.pending, txn)
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	return items
+	return writes, nil
 }
 
-// InstallDirect commits a single value under an explicit version, bypassing
-// the pending buffer. Copier refreshes use it to install the source copy's
-// original version (the copier acts on behalf of the original writer, per
-// the revised READ-FROM semantics of §4.1), and the spooler baseline uses it
-// to replay missed updates. If the local copy already carries the same or a
-// newer version the install is skipped and the unreadable mark still
-// cleared; it returns whether the value was written.
-func (s *Mem) InstallDirect(item proto.Item, value proto.Value, version proto.Version) (bool, error) {
+// InstallDirect commits a single value under an explicit version for the
+// callers that hold no lock and replay out of order: the spooler baseline
+// replaying missed updates, and the redo of an in-doubt transaction whose
+// install died with the crash. If the local copy already carries the same
+// or a newer version the install is skipped and the unreadable mark still
+// cleared; it returns whether the value was written. This is the only
+// version comparison in the storage layer, and it stays until version order
+// is sound across writers (ROADMAP item 3), when it can be deleted.
+func (s *Store) InstallDirect(item proto.Item, value proto.Value, version proto.Version) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.copies[item]
-	if !ok {
-		return false, fmt.Errorf("%v %q: %w", s.site, item, ErrNoCopy)
+	_, current, err := s.table.Get(item)
+	if err != nil {
+		return false, s.at(err)
 	}
-	installed := c.version.Less(version)
+	installed := current.Less(version)
 	if installed {
-		s.copies[item] = stableCopy{value: value, version: version}
+		if err := s.table.Put(0, []wal.WriteRec{{Item: item, Value: value, Version: version}}); err != nil {
+			return false, s.at(err)
+		}
 	}
 	delete(s.unreadable, item)
 	return installed, nil
-}
-
-// InstallRefresh replaces the local copy with an authoritative snapshot
-// from an operational site, regardless of how the versions compare, and
-// clears the unreadable mark.
-func (s *Mem) InstallRefresh(item proto.Item, value proto.Value, version proto.Version) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.copies[item]; !ok {
-		return fmt.Errorf("%v %q: %w", s.site, item, ErrNoCopy)
-	}
-	s.copies[item] = stableCopy{value: value, version: version}
-	delete(s.unreadable, item)
-	return nil
 }
 
 // Seed overwrites the value of a copy in place, keeping its initial
 // version. Cluster assembly uses it to lay down initial values (for
 // example, the nominal session numbers of an already-running system)
 // attributed to the synthetic initial transaction.
-func (s *Mem) Seed(item proto.Item, value proto.Value) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.copies[item]
-	if !ok {
-		return fmt.Errorf("%v %q: %w", s.site, item, ErrNoCopy)
-	}
-	c.value = value
-	s.copies[item] = c
-	return nil
+func (s *Store) Seed(item proto.Item, value proto.Value) error {
+	return s.at(s.table.SetValue(item, value))
 }
 
 // NextSession durably advances and returns the site's session counter.
 // Session numbers are unique in the site's history (§3.1).
-func (s *Mem) NextSession() proto.Session {
+func (s *Store) NextSession() proto.Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.session++
@@ -400,52 +398,132 @@ func (s *Mem) NextSession() proto.Session {
 // hook. cmd/srnode persists it to disk so a SIGKILLed, restarted process
 // cannot reuse a session number. The sink runs under the store lock, so
 // observers see counter values in order.
-func (s *Mem) SetSessionSink(sink func(proto.Session)) {
+func (s *Store) SetSessionSink(sink func(proto.Session)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sessionSink = sink
 }
 
 // CurrentSessionCounter reports the highest session number used so far.
-func (s *Mem) CurrentSessionCounter() proto.Session {
+func (s *Store) CurrentSessionCounter() proto.Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.session
 }
 
 // SetSessionCounter overrides the stable counter (session-recycling tests).
-func (s *Mem) SetSessionCounter(v proto.Session) {
+func (s *Store) SetSessionCounter(v proto.Session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.session = v
 }
 
-// Crash wipes all volatile state: unreadable marks and pending writes.
-// Stable copies and the session counter survive.
-func (s *Mem) Crash() {
+// Crash wipes all volatile state: unreadable marks and pending sets. The
+// table and the session counter survive — a disk table's buffered pages
+// included, which are logically durable, every Put having forced its redo
+// record first.
+func (s *Store) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.unreadable = make(map[proto.Item]bool)
-	s.pending = make(map[proto.TxnID]map[proto.Item]proto.Value)
+	s.pending = make(map[proto.TxnID][]wal.WriteRec)
 }
 
 // Snapshot returns the state of every local copy, sorted by item, for
-// debugging and assertions.
-func (s *Mem) Snapshot() []Copy {
+// debugging and assertions. A copy that cannot be read fails the snapshot
+// instead of being left out of it.
+func (s *Store) Snapshot() ([]Copy, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Copy, 0, len(s.copies))
-	for item, c := range s.copies {
-		out = append(out, Copy{
-			Item:       item,
-			Value:      c.value,
-			Version:    c.version,
-			Unreadable: s.unreadable[item],
-		})
+	items := sortItems(s.table.Items())
+	out := make([]Copy, 0, len(items))
+	for _, item := range items {
+		value, version, err := s.table.Get(item)
+		if err != nil {
+			return nil, s.at(err)
+		}
+		out = append(out, Copy{Item: item, Value: value, Version: version, Unreadable: s.unreadable[item]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item < out[j].Item })
-	return out
+	return out, nil
 }
 
-// compile-time conformance
-var _ Engine = (*Mem)(nil)
+type stableCopy struct {
+	value   proto.Value
+	version proto.Version
+}
+
+// memTable is the map Table: force-at-commit, nothing to recover. The
+// randomized conformance battery uses it as the oracle for the disk table.
+type memTable struct {
+	mu     sync.Mutex
+	copies map[proto.Item]stableCopy
+}
+
+// NewMemTable returns an empty in-memory Table.
+func NewMemTable() Table {
+	return &memTable{copies: make(map[proto.Item]stableCopy)}
+}
+
+func noCopy(item proto.Item) error { return fmt.Errorf("%q: %w", item, ErrNoCopy) }
+
+func (t *memTable) Has(item proto.Item) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.copies[item]
+	return ok
+}
+
+func (t *memTable) Items() []proto.Item {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	items := make([]proto.Item, 0, len(t.copies))
+	for item := range t.copies {
+		items = append(items, item)
+	}
+	return items
+}
+
+func (t *memTable) Add(item proto.Item, version proto.Version) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.copies[item]; !ok {
+		t.copies[item] = stableCopy{version: version}
+	}
+	return nil
+}
+
+func (t *memTable) Get(item proto.Item) (proto.Value, proto.Version, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.copies[item]
+	if !ok {
+		return 0, proto.Version{}, noCopy(item)
+	}
+	return c.value, c.version, nil
+}
+
+func (t *memTable) Put(_ proto.TxnID, writes []wal.WriteRec) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, w := range writes {
+		if _, ok := t.copies[w.Item]; !ok {
+			return noCopy(w.Item)
+		}
+	}
+	for _, w := range writes {
+		t.copies[w.Item] = stableCopy{value: w.Value, version: w.Version}
+	}
+	return nil
+}
+
+func (t *memTable) SetValue(item proto.Item, value proto.Value) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.copies[item]
+	if !ok {
+		return noCopy(item)
+	}
+	c.value = value
+	t.copies[item] = c
+	return nil
+}

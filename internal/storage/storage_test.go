@@ -2,15 +2,21 @@ package storage
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/wal"
 )
+
+// These tests are the volatile half's: the pending set, the marks, the
+// session counter and Crash exist once, in Store, so they are checked once,
+// over the map table. What a table must do for them is storage/enginetest's.
 
 const initialTxn proto.TxnID = 1
 
-func newStore(t *testing.T, items ...proto.Item) *Mem {
+func newStore(t *testing.T, items ...proto.Item) *Store {
 	t.Helper()
 	return NewMem(3, items, initialTxn)
 }
@@ -29,6 +35,9 @@ func TestInitialState(t *testing.T) {
 	}
 	if _, _, err := s.Committed("nope"); !errors.Is(err, ErrNoCopy) {
 		t.Errorf("Committed(nope) err = %v, want ErrNoCopy", err)
+	}
+	if err := s.Seed("nope", 1); !errors.Is(err, ErrNoCopy) {
+		t.Errorf("Seed(nope) err = %v, want ErrNoCopy", err)
 	}
 	items := s.Items()
 	if len(items) != 2 || items[0] != "x" || items[1] != "y" {
@@ -51,46 +60,61 @@ func TestBufferInstallLifecycle(t *testing.T) {
 	if v, _, _ := s.Committed("x"); v != 0 {
 		t.Fatalf("pending write leaked: Committed(x) = %d", v)
 	}
-	if !s.HasPending(txn) {
-		t.Fatal("HasPending = false")
+	if got := s.Pending(txn); !reflect.DeepEqual(got, []wal.WriteRec{{Item: "x", Value: 42}}) {
+		t.Fatalf("Pending = %+v", got)
 	}
-	got := s.PendingWrites(txn)
-	if len(got) != 1 || got["x"] != 42 {
-		t.Fatalf("PendingWrites = %v", got)
+	// The set is keyed by item and sorted: a second write of y replaces the
+	// first, and y, buffered first, still sorts after x.
+	other := proto.TxnID(12)
+	for _, w := range []wal.WriteRec{{Item: "y", Value: 1}, {Item: "x", Value: 2}, {Item: "y", Value: 3}} {
+		if err := s.BufferWrite(other, w.Item, w.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Pending(other); !reflect.DeepEqual(got, []wal.WriteRec{{Item: "x", Value: 2}, {Item: "y", Value: 3}}) {
+		t.Fatalf("Pending = %+v, want x then y, y's later value", got)
 	}
 
 	ver := proto.Version{Counter: 5, Writer: txn}
-	installed := s.InstallPending(txn, ver)
-	if len(installed) != 1 || installed[0] != "x" {
-		t.Fatalf("InstallPending = %v", installed)
+	installed, err := s.InstallPending(txn, ver)
+	if err != nil || !reflect.DeepEqual(installed, []wal.WriteRec{{Item: "x", Value: 42, Version: ver}}) {
+		t.Fatalf("InstallPending = %+v %v", installed, err)
 	}
 	v, gotVer, err := s.Committed("x")
 	if err != nil || v != 42 || gotVer != ver {
 		t.Fatalf("after install Committed(x) = (%v, %v, %v)", v, gotVer, err)
 	}
-	if s.HasPending(txn) {
+	if len(s.Pending(txn)) != 0 {
 		t.Fatal("pending buffer must be cleared after install")
 	}
 }
 
 func TestDropPending(t *testing.T) {
-	s := newStore(t, "x")
+	s := newStore(t, "x", "y")
 	txn := proto.TxnID(10)
 	if err := s.BufferWrite(txn, "x", 7); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.BufferRefresh(txn, "y", 8, proto.Version{Counter: 2, Writer: 4}); err != nil {
+		t.Fatal(err)
+	}
 	s.DropPending(txn)
-	if s.HasPending(txn) {
-		t.Fatal("DropPending left buffered writes")
+	if len(s.Pending(txn)) != 0 {
+		t.Fatal("DropPending left buffered writes or refreshes")
+	}
+	if installed, err := s.InstallPending(txn, proto.Version{Counter: 3, Writer: txn}); err != nil || len(installed) != 0 {
+		t.Fatalf("InstallPending after DropPending = %+v %v", installed, err)
 	}
 	if v, _, _ := s.Committed("x"); v != 0 {
 		t.Fatalf("aborted write visible: %d", v)
 	}
+	if v, _, _ := s.Committed("y"); v != 0 {
+		t.Fatalf("aborted refresh visible: %d", v)
+	}
 }
 
 func TestUnreadableMarks(t *testing.T) {
-	s := newStore(t, "x", "y")
-	s.AddItem(proto.NSItem(1), initialTxn)
+	s := newStore(t, "x", "y", proto.NSItem(1))
 
 	n := s.MarkAllUnreadable()
 	if n != 2 {
@@ -107,19 +131,16 @@ func TestUnreadableMarks(t *testing.T) {
 		t.Fatalf("UnreadableItems = %v", got)
 	}
 
-	s.ClearUnreadable("x")
-	if s.IsUnreadable("x") {
-		t.Fatal("ClearUnreadable did not clear")
-	}
-
-	// A committing write clears the mark (paper §3.2).
+	// A committing write clears the mark of the copy it wrote (paper §3.2).
 	txn := proto.TxnID(11)
 	if err := s.BufferWrite(txn, "y", 9); err != nil {
 		t.Fatal(err)
 	}
-	s.InstallPending(txn, proto.Version{Counter: 1, Writer: txn})
-	if s.IsUnreadable("y") {
-		t.Fatal("install must clear the unreadable mark")
+	if _, err := s.InstallPending(txn, proto.Version{Counter: 1, Writer: txn}); err != nil {
+		t.Fatal(err)
+	}
+	if s.IsUnreadable("y") || !s.IsUnreadable("x") {
+		t.Fatal("install must clear the unreadable mark of y and leave x's")
 	}
 }
 
@@ -176,8 +197,13 @@ func TestCrashClearsVolatileOnly(t *testing.T) {
 	if err := s.BufferWrite(txnA, "x", 50); err != nil {
 		t.Fatal(err)
 	}
-	s.InstallPending(txnA, proto.Version{Counter: 3, Writer: txnA})
+	if _, err := s.InstallPending(txnA, proto.Version{Counter: 3, Writer: txnA}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.BufferWrite(txnB, "y", 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BufferRefresh(txnB, "x", 61, proto.Version{Counter: 1, Writer: 2}); err != nil {
 		t.Fatal(err)
 	}
 	s.MarkUnreadable("y")
@@ -185,8 +211,8 @@ func TestCrashClearsVolatileOnly(t *testing.T) {
 
 	s.Crash()
 
-	if s.HasPending(txnB) {
-		t.Fatal("pending writes must not survive a crash")
+	if len(s.Pending(txnB)) != 0 {
+		t.Fatal("pending writes and refreshes must not survive a crash")
 	}
 	if s.IsUnreadable("y") {
 		t.Fatal("unreadable marks must not survive a crash")
@@ -223,8 +249,8 @@ func TestSessionCounterMonotonic(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	s := newStore(t, "b", "a")
 	s.MarkUnreadable("a")
-	snap := s.Snapshot()
-	if len(snap) != 2 || snap[0].Item != "a" || snap[1].Item != "b" {
+	snap, err := s.Snapshot()
+	if err != nil || len(snap) != 2 || snap[0].Item != "a" || snap[1].Item != "b" {
 		t.Fatalf("Snapshot order wrong: %v", snap)
 	}
 	if !snap[0].Unreadable || snap[1].Unreadable {
@@ -238,9 +264,55 @@ func TestPendingWritesIsolatedCopy(t *testing.T) {
 	if err := s.BufferWrite(txn, "x", 1); err != nil {
 		t.Fatal(err)
 	}
-	m := s.PendingWrites(txn)
-	m["x"] = 999 // mutating the returned map must not affect the store
-	if got := s.PendingWrites(txn)["x"]; got != 1 {
-		t.Fatalf("PendingWrites leaked internal state: %d", got)
+	if len(s.Pending(txn+1)) != 0 {
+		t.Fatal("another transaction sees txn's pending set")
+	}
+	p := s.Pending(txn)
+	p[0].Value = 999 // mutating the returned slice must not affect the store
+	if got := s.Pending(txn)[0].Value; got != 1 {
+		t.Fatalf("Pending leaked internal state: %d", got)
+	}
+}
+
+// TestRefreshAndWriteInstallUnderTwoVersions is the type-1 claim's shape: one
+// transaction refreshes some copies and writes another, and one install puts
+// each under its own version — the refresh even where the version it carries
+// is numerically older than the copy it replaces.
+func TestRefreshAndWriteInstallUnderTwoVersions(t *testing.T) {
+	s := newStore(t, "ns-1", "ns-2")
+	down := proto.Version{Counter: 9, Writer: 50}
+	if _, err := s.InstallDirect("ns-2", -1, down); err != nil { // an exclusion's "site down"
+		t.Fatal(err)
+	}
+	s.MarkUnreadable("ns-2")
+
+	claim := proto.TxnID(7)
+	up := proto.Version{Counter: 2, Writer: 6} // numerically older, yet current
+	if err := s.BufferRefresh(claim, "ns-2", 4, up); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BufferWrite(claim, "ns-1", 3); err != nil {
+		t.Fatal(err)
+	}
+	prepared := s.Pending(claim) // what the one prepare record carries
+	want := []wal.WriteRec{{Item: "ns-1", Value: 3}, {Item: "ns-2", Value: 4, Refresh: true, Version: up}}
+	if !reflect.DeepEqual(prepared, want) {
+		t.Fatalf("Pending = %+v, want %+v", prepared, want)
+	}
+
+	commit := proto.Version{Counter: 12, Writer: claim}
+	installed, err := s.InstallPending(claim, commit)
+	want[0].Version = commit
+	if err != nil || !reflect.DeepEqual(installed, want) {
+		t.Fatalf("InstallPending = %+v %v, want %+v", installed, err, want)
+	}
+	if v, ver, _ := s.Committed("ns-1"); v != 3 || ver != commit {
+		t.Fatalf("written copy = %d %v, want 3 under the commit version", v, ver)
+	}
+	if v, ver, _ := s.Committed("ns-2"); v != 4 || ver != up {
+		t.Fatalf("refreshed copy = %d %v, want 4 under the version the refresh carried", v, ver)
+	}
+	if s.IsUnreadable("ns-2") {
+		t.Fatal("installed refresh kept the unreadable mark")
 	}
 }

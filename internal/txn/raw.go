@@ -118,10 +118,13 @@ func (t *Tx) LocalUnreadable(item proto.Item) bool {
 // BufferLocalRefresh buffers a copier-style refresh of the local copy of
 // item: at commit it installs value under the original writer's version.
 // The caller must hold the exclusive lock via LockLocalExclusive.
-func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version proto.Version) {
+func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version proto.Version) error {
 	t.attempted[t.m.cfg.Site] = true
 	t.parts[t.m.cfg.Site] = true
 	t.wparts[t.m.cfg.Site] = true
-	t.m.cfg.Local.BufferRefresh(t.meta, item, value, version)
+	if err := t.m.cfg.Local.BufferRefresh(t.meta, item, value, version); err != nil {
+		return err
+	}
 	t.rawWrote = true
+	return nil
 }

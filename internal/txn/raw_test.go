@@ -92,8 +92,7 @@ func TestLockRefreshLifecycle(t *testing.T) {
 		if !tx.LocalUnreadable("x") {
 			t.Error("LocalUnreadable = false, want true")
 		}
-		tx.BufferLocalRefresh("x", 123, orig)
-		return nil
+		return tx.BufferLocalRefresh("x", 123, orig)
 	})
 	if err != nil {
 		t.Fatalf("copier txn: %v", err)

@@ -556,16 +556,20 @@ func TestCommitReturnsAtTheDecision(t *testing.T) {
 			t.Fatalf("site %v: x = %d with %d prepared, want the old 7 and the write still prepared", site, v, d.Prepared())
 		}
 		// What the janitor does: ask the coordinator, apply its answer.
-		st := d.StalePrepared(0)
-		resp, err := h.net.Call(ctx, site, 1, proto.DecisionReq{Txn: st[0].ID})
+		st := d.StaleTxns(0)
+		if len(st) != 1 || !st[0].Prepared {
+			t.Fatalf("site %v: StaleTxns = %+v, want the one prepared write", site, st)
+		}
+		id := st[0].Meta.ID
+		resp, err := h.net.Call(ctx, site, 1, proto.DecisionReq{Txn: id})
 		if err != nil {
 			t.Fatal(err)
 		}
 		dr := resp.(proto.DecisionResp)
 		if dr.State != proto.StateCommitted {
-			t.Fatalf("coordinator's answer for %v = %+v, want committed", st[0].ID, dr)
+			t.Fatalf("coordinator's answer for %v = %+v, want committed", id, dr)
 		}
-		if err := d.ForceCommit(st[0].ID, dr.CommitSeq); err != nil {
+		if err := d.ForceCommit(id, dr.CommitSeq); err != nil {
 			t.Fatal(err)
 		}
 		if v, _, _ := d.Store().Committed("x"); v != 8 || d.Prepared() != 0 {

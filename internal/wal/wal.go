@@ -237,17 +237,6 @@ func (l *Log) InDoubt() []proto.TxnID {
 	return out
 }
 
-// PreparedItems returns the items of the write set logged with txn's
-// participant prepare record, or nil if none.
-func (l *Log) PreparedItems(txn proto.TxnID) []proto.Item {
-	writes, _ := l.PreparedRecord(txn)
-	items := make([]proto.Item, 0, len(writes))
-	for _, w := range writes {
-		items = append(items, w.Item)
-	}
-	return items
-}
-
 // PreparedRecord returns the write set and coordinator site logged with
 // txn's participant prepare record.
 func (l *Log) PreparedRecord(txn proto.TxnID) ([]WriteRec, proto.SiteID) {

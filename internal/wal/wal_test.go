@@ -102,15 +102,11 @@ func TestPreparedRecordCarriesWritesAndOrigin(t *testing.T) {
 		},
 	})
 	writes, origin := l.PreparedRecord(7)
-	if origin != 4 || len(writes) != 2 {
+	if origin != 4 || len(writes) != 2 || writes[0].Item != "x" || writes[1].Item != "y" {
 		t.Fatalf("PreparedRecord = (%v, %v)", writes, origin)
 	}
 	if !writes[1].Refresh || writes[1].Version.Writer != 2 {
 		t.Fatalf("refresh record = %+v", writes[1])
-	}
-	items := l.PreparedItems(7)
-	if len(items) != 2 || items[0] != "x" || items[1] != "y" {
-		t.Fatalf("PreparedItems = %v", items)
 	}
 	// Returned slice is a copy.
 	writes[0].Item = "mutated"
