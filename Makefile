@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos proc-chaos fuzz e2e disk-engine
+.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos certify proc-chaos fuzz e2e disk-engine loc
 
 all: lint build test bench-test
 
@@ -68,6 +68,13 @@ SEED ?= 1
 chaos:
 	$(GO) run ./cmd/srsim -chaos -seed $(SEED) -steps 60
 
+# Mirrors the chaos-soak workflow's certification step: E7 at full scale
+# certifies 24 seed-drawn concurrent crash/recover runs one-serializable
+# (all four identification strategies, all three access distributions) and
+# exits non-zero, naming the seed and the 1-STG cycle, on a violation.
+certify:
+	$(GO) run ./cmd/srbench -run E7 -scale full
+
 # Mirrors the trace-artifacts CI job: export the deterministic scripted
 # scenario and derive the offline report.
 trace:
@@ -108,3 +115,8 @@ proc-chaos:
 	SRCHAOS_E2E=1 $(GO) test -count=1 -run TestProcInjectedBugCaughtAndShrinks ./internal/chaos/proc/
 	rm -rf bench/out/proc-chaos
 	$(GO) run ./cmd/srchaos -seed 1 -steps 30 -outdir bench/out/proc-chaos -shrink
+
+# Non-test Go lines outside the frozen bench/ module: the number CHANGES.md
+# quotes for every PR.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1

@@ -3,16 +3,15 @@
 //
 // Usage:
 //
-//	srbench [-run E3] [-scale quick|full] [-csv] [-json BENCH.json]
+//	srbench [-run E3] [-scale quick|full] [-csv] [-metrics]
 //	srbench -list
 //
-// With -json, srbench additionally writes a machine-readable per-experiment
-// summary — wall time, protocol throughput, abort rate, and commit-latency
-// percentiles read off the observability hub.
+// -run E7 -scale full is the certification fuzz: it certifies two dozen randomized
+// concurrent crash/recover runs 1-SR and exits non-zero, naming the seed and
+// the cycle, on a violation.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,89 +19,25 @@ import (
 	"time"
 
 	"siterecovery/internal/experiments"
-	"siterecovery/internal/metrics"
 	"siterecovery/internal/obs"
 )
 
 func main() {
 	var (
-		run      = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		scale    = flag.String("scale", "quick", "experiment scale: quick or full")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		showObs  = flag.Bool("metrics", false, "print each experiment's protocol-metrics delta")
-		jsonPath = flag.String("json", "", "write a machine-readable per-experiment summary to this file")
+		run     = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+		scale   = flag.String("scale", "quick", "experiment scale: quick or full")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		showObs = flag.Bool("metrics", false, "print each experiment's protocol-metrics delta")
 	)
 	flag.Parse()
-	if err := realMain(*run, *scale, *csv, *list, *showObs, *jsonPath); err != nil {
+	if err := realMain(*run, *scale, *csv, *list, *showObs); err != nil {
 		fmt.Fprintln(os.Stderr, "srbench:", err)
 		os.Exit(1)
 	}
 }
 
-// latencySummary is the JSON form of one commit-latency distribution, in
-// microseconds, with bucket-bound percentiles from the metrics registry.
-type latencySummary struct {
-	Count uint64  `json:"count"`
-	P50   int64   `json:"p50"`
-	P95   int64   `json:"p95"`
-	P99   int64   `json:"p99"`
-	Max   int64   `json:"max"`
-	Mean  float64 `json:"mean"`
-}
-
-// benchRecord is one experiment's machine-readable summary.
-type benchRecord struct {
-	ID             string          `json:"id"`
-	Title          string          `json:"title"`
-	Scale          string          `json:"scale"`
-	ElapsedMS      float64         `json:"elapsed_ms"`
-	Rows           int             `json:"rows"`
-	Committed      uint64          `json:"committed"`
-	Aborted        uint64          `json:"aborted"`
-	GiveUps        uint64          `json:"giveups"`
-	AbortRate      float64         `json:"abort_rate"`
-	ThroughputTxnS float64         `json:"throughput_txn_s"`
-	CommitLatency  *latencySummary `json:"commit_latency_us,omitempty"`
-}
-
-// summarize reads one experiment's protocol activity off its hub.
-func summarize(r experiments.Runner, scaleName string, hub *obs.Hub, elapsed time.Duration, rows int) benchRecord {
-	rec := benchRecord{
-		ID: r.ID, Title: r.Title, Scale: scaleName,
-		ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6, Rows: rows,
-	}
-	for k, v := range hub.Snapshot() {
-		if k.Subsystem != "txn" || v.Kind != metrics.KindCounter {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(k.Name, "commit."):
-			rec.Committed += v.Count
-		case strings.HasPrefix(k.Name, "abort."):
-			rec.Aborted += v.Count
-		case k.Name == "giveup":
-			rec.GiveUps += v.Count
-		}
-	}
-	if n := rec.Committed + rec.Aborted; n > 0 {
-		rec.AbortRate = float64(rec.Aborted) / float64(n)
-	}
-	if elapsed > 0 {
-		rec.ThroughputTxnS = float64(rec.Committed) / elapsed.Seconds()
-	}
-	if h := hub.Registry().MergedIntHist("txn", "commit_latency_us"); h.Count() > 0 {
-		rec.CommitLatency = &latencySummary{
-			Count: h.Count(),
-			P50:   h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-			Max:  h.Max(),
-			Mean: float64(h.Sum()) / float64(h.Count()),
-		}
-	}
-	return rec
-}
-
-func realMain(run, scaleName string, csv, list, showObs bool, jsonPath string) error {
+func realMain(run, scaleName string, csv, list, showObs bool) error {
 	if list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-4s %s\n     claim: %s\n", r.ID, r.Title, r.Claim)
@@ -133,20 +68,18 @@ func realMain(run, scaleName string, csv, list, showObs bool, jsonPath string) e
 		}
 	}
 
-	// With -metrics or -json, every cluster the experiments build picks up
-	// a process-wide hub installed fresh per experiment, so each
-	// experiment's counters, latency histograms, and deltas are its own.
-	// The trace ring is sized small: only the registry matters here.
-	observe := showObs || jsonPath != ""
-	if observe {
+	// With -metrics, every cluster the experiments build picks up a
+	// process-wide hub installed fresh per experiment, so each experiment's
+	// counters, latency histograms, and deltas are its own. The trace ring
+	// is sized small: only the registry matters here.
+	if showObs {
 		defer obs.SetDefault(nil)
 	}
 
-	var records []benchRecord
 	for _, r := range selected {
 		fmt.Printf("### %s: %s\nclaim: %s\n", r.ID, r.Title, r.Claim)
 		var hub *obs.Hub
-		if observe {
+		if showObs {
 			hub = obs.NewHub(obs.Options{TraceCapacity: 1})
 			obs.SetDefault(hub)
 		}
@@ -170,26 +103,6 @@ func realMain(run, scaleName string, csv, list, showObs bool, jsonPath string) e
 			}
 			fmt.Println()
 		}
-		if jsonPath != "" {
-			records = append(records, summarize(r, scaleName, hub, elapsed, len(table.Rows)))
-		}
-	}
-
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(records)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", jsonPath, len(records))
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
-// Command srload is the open-loop production load harness: Poisson
-// arrivals at a target QPS (or unpaced, for the throughput ceiling),
-// Zipfian key skew, and a configurable read/write mix, driven against the
-// in-process netsim cluster and against a real multi-process srnode cluster
-// over localhost TCP — with an optional mid-run crash/recover phase so
-// availability under load is measured, not assumed.
+// Command srload is the production load harness: open-loop Poisson
+// arrivals at a target QPS, or unpaced -concurrency closed-loop clients for
+// the throughput ceiling; Zipfian key skew and a configurable read/write
+// mix, driven against the in-process netsim cluster and against a real
+// multi-process srnode cluster over localhost TCP — with an optional mid-run
+// crash/recover phase so availability under load is measured, not assumed.
 //
 // Usage:
 //
@@ -51,8 +51,8 @@ func main() {
 	var distName string
 	flag.StringVar(&o.cluster, "cluster", "all", "which clusters to drive: netsim|tcp|all")
 	flag.IntVar(&o.txns, "txns", 200, "total arrivals per run column")
-	flag.Float64Var(&o.qps, "qps", 0, "target arrivals/sec (Poisson); 0 = unpaced, the throughput-ceiling profile")
-	flag.IntVar(&o.concurrency, "concurrency", 8, "max in-flight transactions; 1 = deterministic inline execution")
+	flag.Float64Var(&o.qps, "qps", 0, "target arrivals/sec (Poisson, open loop); 0 = unpaced: -concurrency closed-loop clients")
+	flag.IntVar(&o.concurrency, "concurrency", 8, "max in-flight transactions (unpaced: the number of clients); 1 = deterministic inline execution")
 	flag.IntVar(&o.items, "items", 48, "logical items")
 	flag.IntVar(&o.sites, "sites", 3, "cluster sites")
 	flag.IntVar(&o.replicas, "replicas", 3, "replication degree on netsim (TCP items are always fully replicated)")
@@ -164,10 +164,7 @@ func faultSchedule(o options) []load.Fault {
 	if !o.crash {
 		return nil
 	}
-	return []load.Fault{
-		{AfterArrival: o.txns / 3, Kind: load.FaultCrash, Site: crashSite},
-		{AfterArrival: 2 * o.txns / 3, Kind: load.FaultRecover, Site: crashSite},
-	}
+	return load.CrashRecoverCycles(crashSite, 1, o.txns)
 }
 
 // surviving drops the crash-phase victim from the coordinator rotation so

@@ -120,7 +120,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ident, err := parseIdentify(*identify)
+	ident, err := recovery.ParseIdentify(*identify)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "srnode:", err)
 		os.Exit(2)
@@ -249,21 +249,6 @@ func parsePeers(spec string) (map[proto.SiteID]string, error) {
 	return addrs, nil
 }
 
-func parseIdentify(s string) (recovery.Identify, error) {
-	switch s {
-	case "markall":
-		return recovery.IdentifyMarkAll, nil
-	case "versiondiff":
-		return recovery.IdentifyVersionDiff, nil
-	case "faillock":
-		return recovery.IdentifyFailLock, nil
-	case "missinglist":
-		return recovery.IdentifyMissingList, nil
-	default:
-		return 0, fmt.Errorf("unknown -identify %q", s)
-	}
-}
-
 func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL) *http.ServeMux {
 	mux := http.NewServeMux()
 
@@ -348,17 +333,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 		ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
 		defer cancel()
 		err := n.Exec(ctx, func(ctx context.Context, tx *txn.Tx) error {
-			for _, item := range req.Reads {
-				if _, err := tx.Read(ctx, item); err != nil {
-					return err
-				}
-			}
-			for _, wr := range req.Writes {
-				if err := tx.Write(ctx, wr.Item, wr.Value); err != nil {
-					return err
-				}
-			}
-			return nil
+			return load.Apply(ctx, tx, req)
 		})
 		if err != nil {
 			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})

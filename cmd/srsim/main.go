@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/obs/export"
 	"siterecovery/internal/obshttp"
@@ -52,9 +53,16 @@ import (
 	"siterecovery/internal/workload"
 )
 
-type eventFlags []workload.Event
+// event is one -crash or -recover flag entry.
+type event struct {
+	after time.Duration // offset from workload start
+	site  proto.SiteID
+	crash bool
+}
 
-func (e *eventFlags) add(kind workload.EventKind, spec string) error {
+type eventFlags []event
+
+func (e *eventFlags) add(crash bool, spec string) error {
 	parts := strings.SplitN(spec, "@", 2)
 	if len(parts) != 2 {
 		return fmt.Errorf("event %q: want site@offset (e.g. 3@300ms)", spec)
@@ -67,7 +75,7 @@ func (e *eventFlags) add(kind workload.EventKind, spec string) error {
 	if err != nil {
 		return fmt.Errorf("event %q: bad offset: %w", spec, err)
 	}
-	*e = append(*e, workload.Event{After: after, Site: proto.SiteID(site), Kind: kind})
+	*e = append(*e, event{after: after, site: proto.SiteID(site), crash: crash})
 	return nil
 }
 
@@ -108,28 +116,12 @@ func main() {
 	}
 }
 
-// identifyByName resolves the -identify flag.
-func identifyByName(name string) (recovery.Identify, error) {
-	switch name {
-	case "markall":
-		return recovery.IdentifyMarkAll, nil
-	case "versiondiff":
-		return recovery.IdentifyVersionDiff, nil
-	case "faillock":
-		return recovery.IdentifyFailLock, nil
-	case "missinglist":
-		return recovery.IdentifyMissingList, nil
-	default:
-		return 0, fmt.Errorf("unknown identification %q", name)
-	}
-}
-
 func run(sites, items, degree, clients int, duration time.Duration, profileName, identifyName string, spool bool, seed int64, crashes, recovers, httpAddr, exportPath string) error {
 	prof, err := replication.ProfileByName(profileName)
 	if err != nil {
 		return err
 	}
-	ident, err := identifyByName(identifyName)
+	ident, err := recovery.ParseIdentify(identifyName)
 	if err != nil {
 		return err
 	}
@@ -160,16 +152,16 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 
 	var schedule eventFlags
 	for _, spec := range splitNonEmpty(crashes) {
-		if err := schedule.add(workload.EventCrash, spec); err != nil {
+		if err := schedule.add(true, spec); err != nil {
 			return err
 		}
 	}
 	for _, spec := range splitNonEmpty(recovers) {
-		if err := schedule.add(workload.EventRecover, spec); err != nil {
+		if err := schedule.add(false, spec); err != nil {
 			return err
 		}
 	}
-	sort.Slice(schedule, func(i, j int) bool { return schedule[i].After < schedule[j].After })
+	sort.Slice(schedule, func(i, j int) bool { return schedule[i].after < schedule[j].after })
 
 	cluster, err := core.New(core.Config{
 		Sites:     sites,
@@ -201,30 +193,34 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 	ctx, cancel := context.WithTimeout(context.Background(), duration+60*time.Second)
 	defer cancel()
 
-	done := make(chan driverResult, 1)
+	var res load.Result
+	var runErr error
+	done := make(chan struct{})
 	go func() {
-		res, err := workload.Run(ctx, cluster, workload.DriverConfig{
-			Clients:  clients,
-			Duration: duration,
+		defer close(done)
+		driverCtx, stop := context.WithTimeout(ctx, duration)
+		defer stop()
+		targets, _ := load.ClusterTargets(cluster)
+		res, runErr = load.Run(driverCtx, load.Config{
+			Targets:     targets,
+			Concurrency: clients,
+			Seed:        seed,
 			Generator: workload.GeneratorConfig{
-				Items: cluster.Catalog().Items(),
-				Seed:  seed, OpsPerTxn: 3, ReadFraction: 0.6, Dist: workload.Zipf,
+				Items: cluster.Catalog().Items(), OpsPerTxn: 3, ReadFraction: 0.6, Dist: workload.Zipf,
 			},
 		})
-		done <- driverResult{res, err}
 	}()
 
 	start := time.Now()
 	for _, ev := range schedule {
-		wait := ev.After - time.Since(start)
+		wait := ev.after - time.Since(start)
 		if wait > 0 {
 			time.Sleep(wait)
 		}
-		switch ev.Kind {
-		case workload.EventCrash:
-			cluster.Crash(ev.Site)
-			fmt.Printf("%8s  CRASH    %v\n", time.Since(start).Round(time.Millisecond), ev.Site)
-		case workload.EventRecover:
+		if ev.crash {
+			cluster.Crash(ev.site)
+			fmt.Printf("%8s  CRASH    %v\n", time.Since(start).Round(time.Millisecond), ev.site)
+		} else {
 			go func(site proto.SiteID) {
 				report, err := cluster.Recover(ctx, site)
 				if err != nil {
@@ -235,15 +231,14 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 					time.Since(start).Round(time.Millisecond), site,
 					report.Session, report.Marked, report.Replayed,
 					report.TimeToOperational.Round(10*time.Microsecond))
-			}(ev.Site)
+			}(ev.site)
 		}
 	}
 
-	dres := <-done
-	if dres.err != nil {
-		return dres.err
+	<-done
+	if runErr != nil {
+		return runErr
 	}
-	res := dres.res
 
 	// Quiesce and verify.
 	for _, s := range cluster.Sites() {
@@ -284,11 +279,6 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 		fmt.Println("(the naive profile is expected to diverge under failures — that is the paper's point)")
 	}
 	return nil
-}
-
-type driverResult struct {
-	res workload.Result
-	err error
 }
 
 // siteStatus adapts a cluster to the introspection server's /sites feed.

@@ -12,6 +12,7 @@ import (
 	"siterecovery/internal/obs"
 	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
+	"siterecovery/internal/recovery"
 	"siterecovery/internal/txn"
 	"siterecovery/internal/workload"
 )
@@ -33,7 +34,7 @@ func runObserve(sites, items, degree int, seed int64, identifyName string, showM
 	if degree < 2 {
 		return fmt.Errorf("observability demo needs replication degree >= 2 (have %d)", degree)
 	}
-	ident, err := identifyByName(identifyName)
+	ident, err := recovery.ParseIdentify(identifyName)
 	if err != nil {
 		return err
 	}

@@ -94,6 +94,28 @@ type cluster struct {
 	client   *http.Client
 }
 
+// claimDir creates dir, or refuses one an earlier run used: fresh srnodes
+// spawned over that run's statedirs never finish recovering, and its exports
+// would be merged into this run's timeline.
+func claimDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		for _, pattern := range []string{"state*", "site*.gen*.jsonl"} {
+			if used, _ := filepath.Match(pattern, e.Name()); used {
+				return fmt.Errorf("proc: %s is left over from an earlier run; use an empty directory",
+					filepath.Join(dir, e.Name()))
+			}
+		}
+	}
+	return nil
+}
+
 // startCluster reserves addresses, builds the full proxy link matrix, and
 // spawns one srnode per site, waiting for all to become operational.
 func startCluster(ctx context.Context, opts Options, sites, items int, identify string) (*cluster, error) {
@@ -115,7 +137,7 @@ func startCluster(ctx context.Context, opts Options, sites, items int, identify 
 			return nil, err
 		}
 		c.dir = dir
-	} else if err := os.MkdirAll(c.dir, 0o755); err != nil {
+	} else if err := claimDir(c.dir); err != nil {
 		return nil, err
 	}
 	for i := 1; i <= sites; i++ {

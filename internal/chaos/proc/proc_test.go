@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,23 @@ import (
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 )
+
+// TestProcRefusesUsedDir: a directory holding an earlier run's statedir or
+// exports is refused by name before any srnode starts (the binary here does
+// not exist), instead of hanging in recovery over the stale state.
+func TestProcRefusesUsedDir(t *testing.T) {
+	for _, leftover := range []string{"state1", "site2.gen1.jsonl"} {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, leftover), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, err := proc.Run(context.Background(), proc.Generate(proc.GenConfig{Seed: 1, Steps: 3}),
+			proc.Options{Bin: filepath.Join(dir, "no-such-srnode"), Dir: dir})
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, leftover)) {
+			t.Fatalf("Run over %s: err = %v, want a refusal naming it", leftover, err)
+		}
+	}
+}
 
 // TestProcScheduleDeterminism pins the reproducibility contract srchaos
 // advertises: the same seed and sizing always generate the same schedule,

@@ -8,6 +8,7 @@ import (
 
 	"siterecovery/internal/clock"
 	"siterecovery/internal/core"
+	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
@@ -53,9 +54,9 @@ func Run(ctx context.Context, sched Schedule, opts Options) (RunResult, error) {
 	if len(opts.Invariants) == 0 {
 		opts.Invariants = DefaultSuite()
 	}
-	ident, err := identifyByName(sched.Identify)
+	ident, err := recovery.ParseIdentify(sched.Identify)
 	if err != nil {
-		return RunResult{}, err
+		return RunResult{}, fmt.Errorf("schedule: %w", err)
 	}
 
 	var traceBuf bytes.Buffer
@@ -113,22 +114,6 @@ func Run(ctx context.Context, sched Schedule, opts Options) (RunResult, error) {
 		Info:     r.info,
 		Failures: Check(cluster, r.info, opts.Invariants),
 	}, nil
-}
-
-// identifyByName resolves a schedule's identification strategy.
-func identifyByName(name string) (recovery.Identify, error) {
-	switch name {
-	case "markall":
-		return recovery.IdentifyMarkAll, nil
-	case "versiondiff":
-		return recovery.IdentifyVersionDiff, nil
-	case "faillock":
-		return recovery.IdentifyFailLock, nil
-	case "missinglist":
-		return recovery.IdentifyMissingList, nil
-	default:
-		return 0, fmt.Errorf("schedule: unknown identification %q", name)
-	}
 }
 
 type runner struct {
@@ -216,18 +201,12 @@ func (r *runner) apply(ctx context.Context, step Step) bool {
 		if s == nil || !s.Up() || !s.Operational() {
 			return false
 		}
+		t := load.Txn{Reads: step.Reads}
+		for i, item := range step.Writes {
+			t.Writes = append(t.Writes, load.Write{Item: item, Value: step.Values[i]})
+		}
 		err := c.Exec(ctx, step.Site, func(ctx context.Context, tx *txn.Tx) error {
-			for _, item := range step.Reads {
-				if _, err := tx.Read(ctx, item); err != nil {
-					return err
-				}
-			}
-			for i, item := range step.Writes {
-				if err := tx.Write(ctx, item, step.Values[i]); err != nil {
-					return err
-				}
-			}
-			return nil
+			return load.Apply(ctx, tx, t)
 		})
 		if err != nil {
 			r.info.TxnAborted++

@@ -9,6 +9,7 @@ import (
 	"siterecovery/internal/chaos"
 	"siterecovery/internal/core"
 	"siterecovery/internal/history"
+	"siterecovery/internal/load"
 	"siterecovery/internal/lockmgr"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
@@ -33,12 +34,13 @@ func TestMessageLossRobustness(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	res, err := workload.Run(ctx, c, workload.DriverConfig{
-		Clients:  3,
-		Duration: 400 * time.Millisecond,
-		Generator: workload.GeneratorConfig{
-			Items: c.Catalog().Items(), Seed: 99, OpsPerTxn: 2,
-		},
+	targets, _ := load.ClusterTargets(c)
+	res, err := load.Run(ctx, load.Config{
+		Targets:     targets,
+		Txns:        150,
+		Concurrency: 3,
+		Seed:        99,
+		Generator:   workload.GeneratorConfig{Items: c.Catalog().Items(), OpsPerTxn: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +75,13 @@ func TestWoundWaitCluster(t *testing.T) {
 	c := newFaultCluster(t, cfg)
 	ctx := context.Background()
 
-	res, err := workload.Run(ctx, c, workload.DriverConfig{
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		Generator: workload.GeneratorConfig{
-			Items: c.Catalog().Items(), Seed: 5, OpsPerTxn: 2, ReadFraction: 0.3,
-		},
+	targets, _ := load.ClusterTargets(c)
+	res, err := load.Run(ctx, load.Config{
+		Targets:     targets,
+		Txns:        100,
+		Concurrency: 4,
+		Seed:        5,
+		Generator:   workload.GeneratorConfig{Items: c.Catalog().Items(), OpsPerTxn: 2, ReadFraction: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)

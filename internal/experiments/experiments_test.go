@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"siterecovery/internal/recovery"
+	"siterecovery/internal/workload"
 )
 
 func TestRegistry(t *testing.T) {
@@ -206,6 +209,26 @@ func TestE7CertificationShape(t *testing.T) {
 	}
 	if v := cellFloat(t, random[0][4]); v != 0 {
 		t.Errorf("randomized rowaa runs produced %v violations", v)
+	}
+}
+
+// TestE7FullScaleCoverage: the seeds -scale full certifies draw every
+// identification strategy, every access distribution and both cycle counts,
+// so the fold of srcheck into E7 fuzzes what srcheck fuzzed.
+func TestE7FullScaleCoverage(t *testing.T) {
+	identifies := map[recovery.Identify]bool{}
+	dists := map[workload.Dist]bool{}
+	cycles := map[int]bool{}
+	for i := 0; i < fullRandomizedRuns; i++ {
+		p := drawRandomized(randomizedSeed(i))
+		if p.victim < 2 || p.victim > randomizedSites {
+			t.Fatalf("run %d: victim %v; site 1 hosts the clients and must stay up", i, p.victim)
+		}
+		identifies[p.identify], dists[p.dist], cycles[p.cycles] = true, true, true
+	}
+	if fullRandomizedRuns < 20 || len(identifies) != 4 || len(dists) != 3 || len(cycles) != 2 {
+		t.Fatalf("%d full-scale runs cover %d/4 strategies, %d/3 distributions, %d/2 cycle counts",
+			fullRandomizedRuns, len(identifies), len(dists), len(cycles))
 	}
 }
 

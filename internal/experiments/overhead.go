@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/load"
 	"siterecovery/internal/lockmgr"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/replication"
@@ -58,14 +59,15 @@ func RunE5(scale Scale) (*Table, error) {
 		}
 		c.Start()
 
-		genItems := c.Catalog().Items()
-		res, err := workload.Run(context.Background(), c, workload.DriverConfig{
-			Clients:  clients,
-			Duration: duration,
-			Generator: workload.GeneratorConfig{
-				Items: genItems, Seed: 5, OpsPerTxn: 3, ReadFraction: 0.6,
-			},
+		ctx, cancel := context.WithTimeout(context.Background(), duration)
+		targets, _ := load.ClusterTargets(c)
+		res, err := load.Run(ctx, load.Config{
+			Targets:     targets,
+			Concurrency: clients,
+			Seed:        5,
+			Generator:   workload.GeneratorConfig{Items: c.Catalog().Items(), OpsPerTxn: 3, ReadFraction: 0.6},
 		})
+		cancel()
 		if err != nil {
 			c.Stop()
 			return nil, fmt.Errorf("E5 %s: %w", v.name, err)
@@ -93,12 +95,9 @@ func RunE5(scale Scale) (*Table, error) {
 // operation, and a bounded burst per failure/recovery event, independent of
 // user-transaction volume.
 func RunE9(scale Scale) (*Table, error) {
-	items := 40
-	duration := 300 * time.Millisecond
-	cycles := 2
+	items, txns, cycles := 40, 1000, 2
 	if scale == Full {
-		duration = 2 * time.Second
-		cycles = 6
+		txns, cycles = 6000, 6
 	}
 	table := &Table{
 		ID:      "E9",
@@ -106,7 +105,7 @@ func RunE9(scale Scale) (*Table, error) {
 		Columns: []string{"sites", "fail_events", "user_txns", "type1_committed", "type2_committed", "ctrl_per_event"},
 	}
 	for _, sites := range []int{3, 5, 8} {
-		for _, withFailures := range []bool{false, true} {
+		for _, failCycles := range []int{0, cycles} {
 			c, err := core.New(core.Config{
 				Sites:     sites,
 				Placement: workload.UniformPlacement(items, 3, sites, 11),
@@ -116,43 +115,26 @@ func RunE9(scale Scale) (*Table, error) {
 			}
 			c.Start()
 
+			// Clients coordinate everywhere but at the victim, so the same
+			// arrivals run with and without the failures.
+			victim := proto.SiteID(sites)
+			targets, ctl := load.ClusterTargets(c, c.Sites()[:sites-1]...)
+			faults := load.CrashRecoverCycles(victim, failCycles, txns)
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-			done := make(chan error, 1)
-			go func() {
-				_, err := workload.Run(ctx, c, workload.DriverConfig{
-					Clients:  sites,
-					Duration: duration,
-					Generator: workload.GeneratorConfig{
-						Items: c.Catalog().Items(), Seed: 3, OpsPerTxn: 2,
-					},
-				})
-				done <- err
-			}()
-
-			events := 0
-			if withFailures {
-				per := duration / time.Duration(cycles*2+1)
-				victim := proto.SiteID(sites)
-				var schedule []workload.Event
-				for i := 0; i < cycles; i++ {
-					schedule = append(schedule,
-						workload.Event{After: time.Duration(2*i+1) * per, Site: victim, Kind: workload.EventCrash},
-						workload.Event{After: time.Duration(2*i+2) * per, Site: victim, Kind: workload.EventRecover},
-					)
-				}
-				if err := workload.RunSchedule(ctx, c, nil, schedule); err != nil {
-					cancel()
-					c.Stop()
-					return nil, err
-				}
-				events = cycles * 2
-			}
-			if err := <-done; err != nil {
-				cancel()
+			_, err = load.Run(ctx, load.Config{
+				Targets:     targets,
+				Txns:        txns,
+				Concurrency: sites,
+				Seed:        3,
+				Generator:   workload.GeneratorConfig{Items: c.Catalog().Items(), OpsPerTxn: 2},
+				Faults:      faults,
+				Controller:  ctl,
+			})
+			cancel()
+			if err != nil {
 				c.Stop()
 				return nil, fmt.Errorf("E9 driver: %w", err)
 			}
-			cancel()
 
 			var t1, t2 uint64
 			var userTxns uint64
@@ -165,12 +147,12 @@ func RunE9(scale Scale) (*Table, error) {
 			c.Stop()
 
 			perEvent := "n/a"
-			if events > 0 {
+			if events := len(faults); events > 0 {
 				perEvent = fmt.Sprintf("%.1f", float64(t1+t2)/float64(events))
 			}
 			table.AddRow(
 				fmt.Sprintf("%d", sites),
-				fmt.Sprintf("%d", events),
+				fmt.Sprintf("%d", len(faults)),
 				fmt.Sprintf("%d", userTxns),
 				fmt.Sprintf("%d", t1),
 				fmt.Sprintf("%d", t2),

@@ -7,6 +7,7 @@ import (
 
 	"siterecovery/internal/chaos"
 	"siterecovery/internal/core"
+	"siterecovery/internal/load"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/txn"
@@ -181,11 +182,12 @@ func RunE10(scale Scale) (*Table, error) {
 	driverCtx, stopDriver := context.WithCancel(ctx)
 	driverDone := make(chan error, 1)
 	go func() {
-		_, err := workload.Run(driverCtx, c, workload.DriverConfig{
-			Clients: 2, ClientSites: []proto.SiteID{1, 2},
-			Generator: workload.GeneratorConfig{
-				Items: c.Catalog().Items(), Seed: 9, OpsPerTxn: 2, ReadFraction: 0.3,
-			},
+		targets, _ := load.ClusterTargets(c, 1, 2)
+		_, err := load.Run(driverCtx, load.Config{
+			Targets:     targets,
+			Concurrency: 2,
+			Seed:        9,
+			Generator:   workload.GeneratorConfig{Items: c.Catalog().Items(), OpsPerTxn: 2, ReadFraction: 0.3},
 		})
 		driverDone <- err
 	}()

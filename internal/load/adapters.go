@@ -25,7 +25,7 @@ func ClusterTargets(cluster *core.Cluster, sites ...proto.SiteID) ([]Executor, C
 	for _, site := range sites {
 		targets = append(targets, func(ctx context.Context, t Txn) error {
 			return cluster.Exec(ctx, site, func(ctx context.Context, tx *txn.Tx) error {
-				return applyTxn(ctx, tx, t)
+				return Apply(ctx, tx, t)
 			})
 		})
 	}
@@ -40,8 +40,10 @@ func (cc clusterController) Recover(ctx context.Context, site proto.SiteID) erro
 	return err
 }
 
-// applyTxn runs a generated transaction body: all reads, then all writes.
-func applyTxn(ctx context.Context, tx *txn.Tx, t Txn) error {
+// Apply runs a generated transaction's body on tx: every read, then every
+// write. It is the one such body — netsim executors, srnode's POST /txn and
+// the chaos runner's transaction step all call it.
+func Apply(ctx context.Context, tx *txn.Tx, t Txn) error {
 	for _, item := range t.Reads {
 		if _, err := tx.Read(ctx, item); err != nil {
 			return err
@@ -55,19 +57,6 @@ func applyTxn(ctx context.Context, tx *txn.Tx, t Txn) error {
 	return nil
 }
 
-// TxnRequest is the JSON body of srnode's POST /txn control endpoint — the
-// wire form of a Txn.
-type TxnRequest struct {
-	Reads  []proto.Item `json:"reads,omitempty"`
-	Writes []TxnWrite   `json:"writes,omitempty"`
-}
-
-// TxnWrite is one write in a TxnRequest.
-type TxnWrite struct {
-	Item  proto.Item  `json:"item"`
-	Value proto.Value `json:"value"`
-}
-
 // HTTPTarget returns an executor that posts transactions to an srnode
 // control endpoint (POST /txn) at baseURL, e.g. "http://127.0.0.1:8101".
 func HTTPTarget(client *http.Client, baseURL string) Executor {
@@ -75,11 +64,7 @@ func HTTPTarget(client *http.Client, baseURL string) Executor {
 		client = http.DefaultClient
 	}
 	return func(ctx context.Context, t Txn) error {
-		reqBody := TxnRequest{Reads: t.Reads, Writes: make([]TxnWrite, 0, len(t.Writes))}
-		for _, w := range t.Writes {
-			reqBody.Writes = append(reqBody.Writes, TxnWrite{Item: w.Item, Value: w.Value})
-		}
-		payload, err := json.Marshal(reqBody)
+		payload, err := json.Marshal(t)
 		if err != nil {
 			return err
 		}

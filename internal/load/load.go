@@ -1,12 +1,15 @@
-// Package load is the open-loop production load harness: transactions
-// arrive on a target-QPS Poisson process from a seeded RNG (not when the
-// previous one finishes, as the closed-loop internal/workload driver does),
-// so queueing delay under saturation shows up in the measured latency
-// instead of silently throttling the offered load. The driver is
-// executor-agnostic — the same run drives an in-process netsim cluster, an
-// in-process TCP node, or a multi-process srnode cluster over its HTTP
-// control surface (see adapters.go) — and can inject a crash/recover phase
-// mid-run so availability under load is measured, not assumed.
+// Package load is the one way harness code puts traffic and faults on a
+// cluster: load.Run generates seeded transactions, hands them to executors,
+// fires a crash/recover schedule keyed to the arrival sequence, and counts
+// what committed. TargetQPS picks the shape. Paced (> 0), arrivals follow a
+// Poisson process whether or not earlier ones have finished (open loop), so
+// queueing delay under saturation shows up in the measured latency instead
+// of silently throttling the offered load. Unpaced, Concurrency closed-loop
+// clients each issue the next transaction when their last one settles, and
+// latency is service time. The driver is executor-agnostic — the same run
+// drives an in-process netsim cluster, an in-process TCP node, or a
+// multi-process srnode cluster over its HTTP control surface (see
+// adapters.go).
 package load
 
 import (
@@ -25,18 +28,26 @@ import (
 	"siterecovery/internal/workload"
 )
 
-// Write is one write operation of a generated transaction.
-type Write struct {
-	Item  proto.Item
-	Value proto.Value
+// TxnRequest is one fully materialized transaction: read every item in
+// Reads, then apply every Write (Apply is that body). The driver generates
+// these, executors run them, and the JSON form is the body of srnode's
+// POST /txn control endpoint.
+type TxnRequest struct {
+	Reads  []proto.Item `json:"reads,omitempty"`
+	Writes []TxnWrite   `json:"writes,omitempty"`
 }
 
-// Txn is one fully materialized transaction: read every item in Reads,
-// then apply every Write. The driver generates these; executors run them.
-type Txn struct {
-	Reads  []proto.Item
-	Writes []Write
+// TxnWrite is one write operation of a TxnRequest.
+type TxnWrite struct {
+	Item  proto.Item  `json:"item"`
+	Value proto.Value `json:"value"`
 }
+
+// Txn and Write are the in-process names for the same two types.
+type (
+	Txn   = TxnRequest
+	Write = TxnWrite
+)
 
 // Executor runs one transaction to commit or failure. Implementations wrap
 // a netsim cluster site, a TCP node, or an srnode control endpoint.
@@ -62,13 +73,27 @@ type Fault struct {
 	Site         proto.SiteID
 }
 
+// CrashRecoverCycles schedules cycles crash/recover rounds of site over a
+// run of txns arrivals: the run is cut into 2*cycles+1 equal spans and the
+// site is down for every second one.
+func CrashRecoverCycles(site proto.SiteID, cycles, txns int) []Fault {
+	span := txns / (2*cycles + 1)
+	faults := make([]Fault, 0, 2*cycles)
+	for i := 0; i < cycles; i++ {
+		faults = append(faults,
+			Fault{AfterArrival: (2*i + 1) * span, Kind: FaultCrash, Site: site},
+			Fault{AfterArrival: (2*i + 2) * span, Kind: FaultRecover, Site: site})
+	}
+	return faults
+}
+
 // Controller applies faults to whatever cluster the executors target.
 type Controller interface {
 	Crash(site proto.SiteID)
 	Recover(ctx context.Context, site proto.SiteID) error
 }
 
-// Config tunes one open-loop run.
+// Config tunes one run.
 type Config struct {
 	// Targets are the per-coordinator executors; arrivals round-robin
 	// over them. Required.
@@ -77,10 +102,12 @@ type Config struct {
 	// Config.Seed so one knob reproduces the whole run.
 	Generator workload.GeneratorConfig
 	// TargetQPS paces arrivals with Poisson inter-arrival gaps drawn
-	// from the seeded RNG. <= 0 disables pacing (arrivals are issued
-	// back-to-back — the throughput-ceiling profile).
+	// from the seeded RNG (open loop). <= 0 disables pacing: an arrival
+	// happens when one of Concurrency clients is free (closed loop — the
+	// throughput-ceiling profile).
 	TargetQPS float64
-	// Txns is the total number of arrivals. Required.
+	// Txns is the total number of arrivals. <= 0 runs until the context
+	// ends, which must then be able to.
 	Txns int
 	// Concurrency caps in-flight transactions. Concurrency 1 executes
 	// each arrival inline before the next is generated, which makes a
@@ -104,14 +131,18 @@ type WindowStats struct {
 	Failed    uint64
 }
 
-// Result aggregates one run.
+// Result aggregates one run. An arrival still executing when the run's
+// context ended is counted in Arrivals only: the cluster neither committed
+// nor refused it, the run stopped looking.
 type Result struct {
 	Arrivals  uint64
 	Committed uint64
 	Failed    uint64
 	Elapsed   time.Duration
-	// Latency holds commit latencies measured from arrival dispatch, so
-	// under saturation it includes time queued behind the concurrency cap.
+	// Latency holds commit latencies measured from the arrival. A paced
+	// arrival waits for a concurrency slot after it arrives, so under
+	// saturation its latency includes that queueing; an unpaced arrival is
+	// the slot becoming free, so its latency is the executor's service time.
 	Latency *metrics.Histogram
 	// SpecDigest fingerprints the generated transaction stream (items,
 	// order, and values). Two runs with the same Config produce the same
@@ -129,12 +160,20 @@ func (r Result) Throughput() float64 {
 	return float64(r.Committed) / r.Elapsed.Seconds()
 }
 
-func (c *Config) validate() error {
+// Availability reports the committed fraction of settled arrivals.
+func (r Result) Availability() float64 {
+	if r.Committed+r.Failed == 0 {
+		return 1
+	}
+	return float64(r.Committed) / float64(r.Committed+r.Failed)
+}
+
+func (c *Config) validate(ctx context.Context) error {
 	if len(c.Targets) == 0 {
 		return fmt.Errorf("load: config needs at least one target executor")
 	}
-	if c.Txns <= 0 {
-		return fmt.Errorf("load: config needs Txns > 0")
+	if c.Txns <= 0 && ctx.Done() == nil {
+		return fmt.Errorf("load: config needs Txns > 0 or a context that ends")
 	}
 	if len(c.Faults) > 0 && c.Controller == nil {
 		return fmt.Errorf("load: faults scheduled without a controller")
@@ -148,11 +187,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Run drives the targets with cfg.Txns open-loop arrivals and returns the
-// aggregate result. The context cancels the run early; transactions already
-// in flight still settle.
+// Run drives the targets with cfg.Txns arrivals, or until the context ends,
+// and returns the aggregate result. Transactions in flight when the context
+// ends are waited for and counted as neither committed nor failed.
 func Run(ctx context.Context, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(ctx); err != nil {
 		return Result{}, err
 	}
 	gcfg := cfg.Generator
@@ -178,24 +217,25 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	digest := fnv.New64a()
 	sem := make(chan struct{}, cfg.Concurrency)
 
+	paced, inline := cfg.TargetQPS > 0, cfg.Concurrency == 1
+
 	fire := func(f Fault) {
 		switch f.Kind {
 		case FaultCrash:
 			faultDepth.Add(1)
 			cfg.Controller.Crash(f.Site)
 		case FaultRecover:
-			if cfg.Concurrency == 1 {
-				// Inline keeps the deterministic profile deterministic.
-				_ = cfg.Controller.Recover(ctx, f.Site)
-				faultDepth.Add(-1)
-				return
-			}
 			recoveries.Add(1)
-			go func() {
+			recoverSite := func() {
 				defer recoveries.Done()
 				_ = cfg.Controller.Recover(ctx, f.Site)
 				faultDepth.Add(-1)
-			}()
+			}
+			if inline {
+				recoverSite() // keeps the deterministic profile deterministic
+			} else {
+				go recoverSite()
+			}
 		}
 	}
 
@@ -203,12 +243,12 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	next := start
 	fi := 0
 	arrivals := 0
-	for i := 0; i < cfg.Txns && ctx.Err() == nil; i++ {
+	for i := 0; (cfg.Txns <= 0 || i < cfg.Txns) && ctx.Err() == nil; i++ {
 		for fi < len(faults) && faults[fi].AfterArrival <= i {
 			fire(faults[fi])
 			fi++
 		}
-		if cfg.TargetQPS > 0 {
+		if paced {
 			gap := time.Duration(arrivalRNG.ExpFloat64() / cfg.TargetQPS * float64(time.Second))
 			next = next.Add(gap)
 			if wait := time.Until(next); wait > 0 {
@@ -216,10 +256,19 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 				case <-time.After(wait):
 				case <-ctx.Done():
 				}
-				if ctx.Err() != nil {
-					break
-				}
 			}
+		} else if !inline {
+			// Closed loop: the slot is taken before the arrival is generated
+			// and stamped, so a transaction's latency never includes the wait
+			// for a free client and no goroutine exists for a transaction
+			// that cannot run yet.
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+			}
+		}
+		if ctx.Err() != nil {
+			break // the run ended while this arrival was waiting to happen
 		}
 		t := materialize(gen, digest)
 		target := cfg.Targets[i%len(cfg.Targets)]
@@ -233,27 +282,32 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			tctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 			err := target(tctx, t)
 			cancel()
-			if err == nil {
+			switch {
+			case err == nil:
 				committed.Inc()
 				hist.Observe(time.Since(dispatched))
 				if faulted {
 					fwComm.Inc()
 				}
-			} else {
+			case ctx.Err() != nil:
+				// Cut off by the end of the run, not refused by the cluster.
+			default:
 				failed.Inc()
 				if faulted {
 					fwFail.Inc()
 				}
 			}
 		}
-		if cfg.Concurrency == 1 {
+		if inline {
 			exec()
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
+			if paced {
+				sem <- struct{}{}
+			}
 			defer func() { <-sem }()
 			exec()
 		}()

@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -111,6 +112,107 @@ func TestDeterministicAtConcurrencyOne(t *testing.T) {
 	if res.Committed != 150 || wire != 568 || res.SpecDigest != "295e20b7318b0b3a" {
 		t.Fatalf("deterministic profile: %d committed, %d wire messages, digest %s; want 150, 568, 295e20b7318b0b3a",
 			res.Committed, wire, res.SpecDigest)
+	}
+}
+
+// TestUnpacedLatencyIsServiceTime: unpaced, an arrival is a client coming
+// free, so eight clients on a low-contention cluster see about the latency
+// one client sees — not their position in a queue of pre-stamped arrivals,
+// which read ~1500x higher — and the concurrent history still certifies.
+func TestUnpacedLatencyIsServiceTime(t *testing.T) {
+	run := func(concurrency int) Result {
+		cl, err := core.New(core.Config{
+			Sites:     3,
+			Placement: workload.UniformPlacement(1000, 3, 3, 1),
+		})
+		if err != nil {
+			t.Fatalf("core.New: %v", err)
+		}
+		cl.Start()
+		defer cl.Stop()
+		targets, _ := ClusterTargets(cl)
+		res, err := Run(context.Background(), Config{
+			Targets:     targets,
+			Generator:   workload.GeneratorConfig{Items: testItems(1000), OpsPerTxn: 2},
+			Txns:        1000,
+			Concurrency: concurrency,
+			Seed:        3,
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if res.Committed == 0 || res.Latency.Count() != res.Committed {
+			t.Fatalf("concurrency %d: %d latency samples for %d commits", concurrency, res.Latency.Count(), res.Committed)
+		}
+		if ok, cycle := cl.CertifyOneSR(); !ok {
+			t.Fatalf("concurrency %d: run not 1-SR: %v", concurrency, cycle)
+		}
+		return res
+	}
+	one, eight := run(1).Latency.Quantile(0.5), run(8).Latency.Quantile(0.5)
+	if eight > 10*one {
+		t.Fatalf("p50 at concurrency 8 = %v, over 10x the %v at concurrency 1: latency counts queueing", eight, one)
+	}
+}
+
+// TestUnpacedGoroutinesBounded: the closed loop takes its slot before it
+// spawns, so the executors never see more goroutines than clients.
+func TestUnpacedGoroutinesBounded(t *testing.T) {
+	const concurrency = 8
+	baseline := runtime.NumGoroutine()
+	var peak atomic.Int64
+	exec := Executor(func(context.Context, Txn) error {
+		n := int64(runtime.NumGoroutine())
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		time.Sleep(50 * time.Microsecond)
+		return nil
+	})
+	if _, err := Run(context.Background(), Config{
+		Targets:     []Executor{exec},
+		Generator:   workload.GeneratorConfig{Items: testItems(4)},
+		Txns:        400,
+		Concurrency: concurrency,
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// The slack covers finished clients that have released their slot but
+	// not yet exited.
+	if limit := int64(baseline + concurrency + 8); peak.Load() > limit {
+		t.Fatalf("peak %d goroutines, want <= %d: one per arrival, not one per client", peak.Load(), limit)
+	}
+}
+
+// TestContextBoundedRun: with no Txns the run lasts as long as its context,
+// and transactions the deadline cuts off are not failures.
+func TestContextBoundedRun(t *testing.T) {
+	if _, err := Run(context.Background(), Config{
+		Targets:   []Executor{func(context.Context, Txn) error { return nil }},
+		Generator: workload.GeneratorConfig{Items: testItems(4)},
+	}); err == nil {
+		t.Fatal("unbounded Txns on a context that never ends accepted")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	blocked := Executor(func(ctx context.Context, _ Txn) error {
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	res, err := Run(ctx, Config{
+		Targets:     []Executor{blocked},
+		Generator:   workload.GeneratorConfig{Items: testItems(4)},
+		Concurrency: 4,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Arrivals != 4 || res.Committed != 0 || res.Failed != 0 {
+		t.Fatalf("arrivals %d committed %d failed %d, want 4 cut-off arrivals and nothing else",
+			res.Arrivals, res.Committed, res.Failed)
+	}
+	if res.Elapsed < 100*time.Millisecond || res.Elapsed > 5*time.Second {
+		t.Fatalf("run took %v, want about its 100ms deadline", res.Elapsed)
 	}
 }
 

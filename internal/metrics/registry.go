@@ -155,23 +155,6 @@ func (h *IntHist) quantileLocked(q float64) int64 {
 	return h.max
 }
 
-// merge folds other's samples into h.
-func (h *IntHist) merge(other *IntHist) {
-	other.mu.Lock()
-	buckets, count, sum, max := other.buckets, other.count, other.sum, other.max
-	other.mu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, n := range buckets {
-		h.buckets[i] += n
-	}
-	h.count += count
-	h.sum += sum
-	if max > h.max {
-		h.max = max
-	}
-}
-
 // Sum reports the total of all samples.
 func (h *IntHist) Sum() int64 {
 	h.mu.Lock()
@@ -242,25 +225,6 @@ func (r *Registry) IntHist(site int, subsystem, name string) *IntHist {
 		r.hists[k] = h
 	}
 	return h
-}
-
-// MergedIntHist folds every site's histogram named subsystem/name into one
-// detached histogram, so cluster-wide percentiles can be read off per-site
-// instruments without the emitters aggregating twice.
-func (r *Registry) MergedIntHist(subsystem, name string) *IntHist {
-	r.mu.Lock()
-	matched := make([]*IntHist, 0, 8)
-	for k, h := range r.hists {
-		if k.Subsystem == subsystem && k.Name == name {
-			matched = append(matched, h)
-		}
-	}
-	r.mu.Unlock()
-	out := &IntHist{}
-	for _, h := range matched {
-		out.merge(h)
-	}
-	return out
 }
 
 // SampleKind tags what a Sample was read from.

@@ -182,28 +182,6 @@ func TestIntHistQuantile(t *testing.T) {
 	}
 }
 
-func TestMergedIntHist(t *testing.T) {
-	r := NewRegistry()
-	r.IntHist(1, "txn", "commit_latency_us").Observe(10)
-	r.IntHist(2, "txn", "commit_latency_us").Observe(20)
-	r.IntHist(2, "txn", "commit_latency_us").Observe(400)
-	r.IntHist(1, "txn", "attempts").Observe(999) // different name: excluded
-
-	m := r.MergedIntHist("txn", "commit_latency_us")
-	if got := m.Count(); got != 3 {
-		t.Fatalf("merged count = %d, want 3", got)
-	}
-	if got := m.Sum(); got != 430 {
-		t.Errorf("merged sum = %d, want 430", got)
-	}
-	if got := m.Max(); got != 400 {
-		t.Errorf("merged max = %d, want 400", got)
-	}
-	if got := m.Quantile(0.5); got > 31 {
-		t.Errorf("merged p50 = %d, want a small-bucket bound", got)
-	}
-}
-
 func TestSnapshotHistPercentiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.IntHist(1, "txn", "commit_latency_us")

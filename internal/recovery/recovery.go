@@ -71,6 +71,23 @@ func (i Identify) String() string {
 	}
 }
 
+// ParseIdentify is the inverse of String: it resolves the name every
+// -identify flag and chaos schedule uses.
+func ParseIdentify(name string) (Identify, error) {
+	switch name {
+	case "markall":
+		return IdentifyMarkAll, nil
+	case "versiondiff":
+		return IdentifyVersionDiff, nil
+	case "faillock":
+		return IdentifyFailLock, nil
+	case "missinglist":
+		return IdentifyMissingList, nil
+	default:
+		return 0, fmt.Errorf("unknown identification %q (markall|versiondiff|faillock|missinglist)", name)
+	}
+}
+
 // CopierMode selects when copiers run (§3.2 leaves it open).
 type CopierMode int
 

@@ -3,6 +3,8 @@ package recovery_test
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -437,5 +439,25 @@ func TestJanitorSweepResolvesStrandedLocks(t *testing.T) {
 	aborts := c.Site(2).Janitor.Stats().ForcedAborts + c.Site(3).Janitor.Stats().ForcedAborts
 	if aborts == 0 {
 		t.Fatal("janitor recorded no forced aborts")
+	}
+}
+
+// TestParseIdentifyRoundTrip: every strategy's String parses back to it, and
+// an unknown name is refused with the bad value in the message (srnode and
+// srsim print it and exit).
+func TestParseIdentifyRoundTrip(t *testing.T) {
+	for _, want := range []recovery.Identify{
+		recovery.IdentifyMarkAll, recovery.IdentifyVersionDiff,
+		recovery.IdentifyFailLock, recovery.IdentifyMissingList,
+	} {
+		got, err := recovery.ParseIdentify(want.String())
+		if err != nil || got != want {
+			t.Errorf("ParseIdentify(%q) = %v, %v; want %v", want.String(), got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "identify(7)", "MarkAll"} {
+		if got, err := recovery.ParseIdentify(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseIdentify(%q) = %v, %v; want an error naming it", bad, got, err)
+		}
 	}
 }

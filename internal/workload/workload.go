@@ -1,7 +1,6 @@
-// Package workload generates transaction mixes, item placements, and
-// failure schedules for the experiment harness: closed-loop clients issuing
-// read/write transactions over configurable access distributions, and
-// crash/recover event schedules injected into a running cluster.
+// Package workload generates what the harness puts on a cluster: item
+// placements, and transaction specs drawn from configurable access
+// distributions. Driving them against a cluster is internal/load's job.
 package workload
 
 import (

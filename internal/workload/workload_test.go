@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"context"
 	"testing"
-	"time"
 
-	"siterecovery/internal/core"
 	"siterecovery/internal/proto"
 )
 
@@ -129,73 +126,5 @@ func TestZipfAndHotspotSkew(t *testing.T) {
 		if frac := float64(hot) / n; frac < 0.5 {
 			t.Errorf("dist %d: hot fraction %.2f, want skewed > 0.5", dist, frac)
 		}
-	}
-}
-
-func TestDriverRunsAgainstCluster(t *testing.T) {
-	items := make([]proto.Item, 10)
-	for i := range items {
-		items[i] = ItemName(i)
-	}
-	c, err := core.New(core.Config{
-		Sites:     3,
-		Placement: FullPlacement(10, 3),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
-
-	res, err := Run(context.Background(), c, DriverConfig{
-		Clients:   3,
-		Duration:  300 * time.Millisecond,
-		Generator: GeneratorConfig{Items: items, Seed: 3, OpsPerTxn: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed == 0 {
-		t.Fatal("driver committed nothing")
-	}
-	if res.Availability() < 0.5 {
-		t.Fatalf("availability %.2f too low on a healthy cluster", res.Availability())
-	}
-	if res.Latency.Count() != res.Committed {
-		t.Fatalf("latency samples %d != committed %d", res.Latency.Count(), res.Committed)
-	}
-	if ok, cycle := c.CertifyOneSR(); !ok {
-		t.Fatalf("driver run not 1-SR: %v", cycle)
-	}
-}
-
-func TestRunSchedule(t *testing.T) {
-	items := make([]proto.Item, 4)
-	for i := range items {
-		items[i] = ItemName(i)
-	}
-	c, err := core.New(core.Config{
-		Sites:     3,
-		Placement: FullPlacement(4, 3),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
-
-	err = RunSchedule(context.Background(), c, nil, []Event{
-		{After: 0, Site: 2, Kind: EventCrash},
-		{After: 30 * time.Millisecond, Site: 2, Kind: EventRecover},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !c.Site(2).Operational() {
-		if time.Now().After(deadline) {
-			t.Fatal("site 2 never recovered")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
