@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,11 +208,17 @@ func TestStrayReplyToPostIsDropped(t *testing.T) {
 // whatever order the handlers finish in.
 func TestSendWaitPipelinesOnOneGoroutine(t *testing.T) {
 	trs := newPair(t, 2)
-	var arrived sync.WaitGroup
-	arrived.Add(3)
+	var arrived atomic.Int32
+	allIn := make(chan struct{})
 	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		arrived.Done()
-		arrived.Wait() // no handler answers until every request is in
+		if arrived.Add(1) == 3 {
+			close(allIn)
+		}
+		select { // no handler answers until every request is in
+		case <-allIn:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return proto.ReadResp{Value: proto.Value(len(msg.(proto.ReadReq).Item))}, nil
 	})
 	ctx := context.Background()
@@ -234,9 +239,10 @@ func TestSendWaitPipelinesOnOneGoroutine(t *testing.T) {
 }
 
 // TestServingWorkersAreReused: sequential requests on one connection are all
-// served by one parked worker — the goroutine count does not grow with the
-// number of frames — while concurrent slow handlers still each get a worker,
-// and every worker exits when the transport closes.
+// served by the goroutine that reads them — the goroutine count does not move
+// with the number of frames — while handlers that wait on their contexts at
+// once are one goroutine each (plus the one reading), a later request is not
+// stuck behind them, and every one of them exits when the transport closes.
 func TestServingWorkersAreReused(t *testing.T) {
 	trs := newPair(t, 2)
 	gate := make(chan struct{})
@@ -244,7 +250,11 @@ func TestServingWorkersAreReused(t *testing.T) {
 	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 		if msg.(proto.ReadReq).Item == "slow" {
 			slow.Done()
-			<-gate
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
 		return proto.ReadResp{}, nil
 	})
@@ -254,16 +264,13 @@ func TestServingWorkersAreReused(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	call("warm") // dial; the serving side starts its first worker
+	call("warm") // dial; the serving side starts reading
 	call("warm")
-	base := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
 		call("fast")
-	}
-	// A request can arrive in the instant before the worker that answered
-	// the previous one has parked, and start a second; never one per frame.
-	if got := runtime.NumGoroutine(); got > base+2 {
-		t.Fatalf("200 sequential requests grew the goroutine count from %d to %d", base, got)
+		if got := serving(); got != 1 {
+			t.Fatalf("sequential request %d: %d serving goroutines, want the one reader", i, got)
+		}
 	}
 
 	const concurrent = 4
@@ -276,13 +283,18 @@ func TestServingWorkersAreReused(t *testing.T) {
 			call("slow")
 		}()
 	}
-	slow.Wait()  // all four are in their handlers at once: four workers
-	call("fast") // and a fifth request is not stuck behind them
+	slow.Wait() // all four are in their handlers at once
+	// Four waiting handlers and the reader they handed the connection to.
+	waitFor(t, func() bool { return serving() == concurrent+1 })
+	call("fast") // a fifth request is not stuck behind them
 	close(gate)
 	callers.Wait()
+	waitFor(t, func() bool { return serving() == 1 })
 
 	trs[1].Close()
-	trs[2].Close() // waits for the read loops and every worker
+	trs[2].Close() // waits for every reader and handler
+	// Close waited for them to finish; give the last one its final return.
+	waitFor(t, func() bool { return serving() == 0 })
 }
 
 // countingCtx counts how often its Done channel is asked for: every

@@ -18,13 +18,21 @@
 // wait on. A peer that answers a posted request anyway is harmless — the
 // demux drops responses nobody is registered for.
 //
-// The serving side hands each inbound frame to a worker goroutine — a parked
-// one when there is one, a new one otherwise — so a slow handler never blocks
-// later requests on the same connection, and a connection keeps as many
-// workers (with their grown stacks) as it ever had requests in progress at
-// once. Each handler runs under a context that carries the caller's deadline
-// but arms its timer and its registration with the transport's base context
-// only if the handler actually waits on it.
+// The serving side serves a frame on the goroutine that read it: no hand-off,
+// no wake-up, no second thread per frame. What keeps a connection from
+// stalling behind one request is the handler's context. The first Done() on
+// it — where lockmgr.Acquire's wait and a nested call's Wait both arrive
+// before they block — passes the connection's read side to a fresh goroutine,
+// and the old one finishes its handler, writes its response and exits. A frame
+// that arrives with more request bytes already buffered behind it passes the
+// read side on before it is served, so a pipelined burst runs its handlers
+// concurrently. The rule for handlers is therefore: a handler that waits on
+// its context never blocks later requests on the same connection; one that
+// blocks without consulting its context (a bare channel receive, a sleep)
+// holds up every frame behind it until it returns. Each handler runs under a
+// context that carries the caller's deadline but arms its timer and its
+// registration with the transport's base context only if the handler asks
+// for Done.
 //
 // Failure semantics follow the paper's fail-stop model: a connection refused
 // (after brief retries, to ride over peer startup) or any transport-level
@@ -491,95 +499,82 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 		}
 		t.serving[conn] = true
 		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.serveConn(conn)
+		s := &servedConn{t: t, conn: conn, r: bufio.NewReader(conn)}
+		s.handOff()
 	}
 }
 
-// inbound is one decoded request frame on its way to a worker; err is the
-// body's decode error.
-type inbound struct {
-	h   reqHeader
-	msg proto.Message
-	err error
-}
-
-// servedConn is the serving side of one inbound connection.
+// servedConn is the serving side of one inbound connection. Its read side —
+// r and the frame buffer buf — belongs to one goroutine at a time, the one in
+// readLoop; every goroutine the connection starts is counted in t.wg.
 type servedConn struct {
 	t    *Transport
 	conn net.Conn
+	r    *bufio.Reader
+	buf  []byte
 	// wmu serializes response-frame writes.
 	wmu sync.Mutex
-	// work hands a request to a parked worker. It is unbuffered, so a send
-	// that does not block found a worker waiting.
-	work chan inbound
-	wg   sync.WaitGroup
 }
 
-// serveConn handles one inbound connection: request frames are read and
-// decoded in order into one reused buffer, each is handed to a worker — a
-// parked one if there is one, else a new one — and its response frame is
-// written (serialized by wmu) whenever the handler finishes. So a slow
-// handler does not block later requests on the same connection, and
-// responses may cross the wire out of order. Workers park between requests
-// and live until the connection closes: a goroutine started per frame would
-// regrow its stack inside every handler.
-func (t *Transport) serveConn(conn net.Conn) {
-	defer t.wg.Done()
-	s := &servedConn{t: t, conn: conn, work: make(chan inbound)}
-	defer func() {
-		conn.Close()
-		close(s.work)
-		s.wg.Wait()
-		t.mu.Lock()
-		delete(t.serving, conn)
-		t.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
-	var buf []byte
+// readLoop reads request frames in order and serves each one itself, so an
+// uncontended request costs no goroutine hand-off. It gives the read side
+// away — to a new readLoop goroutine — in two cases: the frame it just
+// decoded has more request bytes buffered behind it (before serving, so a
+// pipelined burst is served concurrently), or the handler asked its context
+// for Done and is about to wait (handlerCtx.Done). Either way this goroutine
+// finishes the one handler it is running, writes the response and exits;
+// responses may cross the wire out of order. The goroutine that finds the
+// stream ended, or corrupt, retires the connection.
+func (s *servedConn) readLoop() {
+	defer s.t.wg.Done()
 	for {
 		var err error
-		if buf, err = readFrame(r, buf); err != nil {
-			return // peer closed, or stream corrupt: drop the connection
+		if s.buf, err = readFrame(s.r, s.buf); err != nil {
+			break // peer closed, or the stream is corrupt
 		}
-		h, body, err := parseReqHeader(buf)
+		h, body, err := parseReqHeader(s.buf)
 		if err != nil {
-			return // no request ID to answer under: the stream is corrupt
+			break // no request ID to answer under: the stream is corrupt
 		}
-		in := inbound{h: h}
-		in.msg, in.err = proto.DecodeMessage(body)
-		select {
-		case s.work <- in:
-		default:
-			s.wg.Add(1)
-			go s.worker(in)
+		// The decoded message shares nothing with buf, which the next reader
+		// overwrites.
+		msg, err := proto.DecodeMessage(body)
+		reading := s.r.Buffered() == 0
+		if !reading {
+			s.handOff()
+		}
+		if !s.serve(h, msg, err, reading) {
+			return
 		}
 	}
+	s.conn.Close()
+	s.t.mu.Lock()
+	delete(s.t.serving, s.conn)
+	s.t.mu.Unlock()
 }
 
-// worker serves in, then whatever the read loop hands it next, until the
-// connection closes.
-func (s *servedConn) worker(in inbound) {
-	defer s.wg.Done()
-	for ok := true; ok; in, ok = <-s.work {
-		s.serve(in)
-	}
+// handOff starts the goroutine that takes over the read side. The caller
+// owns the read side and must not touch it afterwards.
+func (s *servedConn) handOff() {
+	s.t.wg.Add(1)
+	go s.readLoop()
 }
 
 // serve answers one request: it runs the handler (unless the message did
 // not decode) and, unless the request was posted, writes the response frame,
-// built in a pooled buffer, with one Write.
-func (s *servedConn) serve(in inbound) {
+// built in a pooled buffer, with one Write. reading says the calling
+// goroutine owns the connection's read side, and the result whether it still
+// does: the handler's context may have given it away.
+func (s *servedConn) serve(h reqHeader, msg proto.Message, err error, reading bool) bool {
 	var reply proto.Message
-	err := in.err
 	if err == nil {
-		reply, err = s.t.dispatch(in.h, in.msg)
+		reply, reading, err = s.dispatch(h, msg, reading)
 	}
-	if in.h.oneWay {
-		return
+	if h.oneWay {
+		return reading
 	}
 	fb := framePool.Get().(*frameBuf)
-	fb.b = appendResponse(fb.b[:0], in.h.id, reply, err)
+	fb.b = appendResponse(fb.b[:0], h.id, reply, err)
 	s.wmu.Lock()
 	_, err = s.conn.Write(fb.b)
 	s.wmu.Unlock()
@@ -589,6 +584,7 @@ func (s *servedConn) serve(in inbound) {
 		// loop exits and the peer re-establishes.
 		s.conn.Close()
 	}
+	return reading
 }
 
 // handlerCtx is the context an inbound handler runs under: done when the
@@ -597,11 +593,20 @@ func (s *servedConn) serve(in inbound) {
 // the transport's base context exist only once something asks for Done —
 // most handlers never wait, and building a context.WithDeadline for each
 // request was a tenth of a participant's CPU.
+//
+// Done is also where a handler that is about to wait lets go of the
+// connection: when the goroutine running it still owns the read side
+// (reader non-nil), the first Done hands the read side to a new goroutine
+// before returning the channel the handler will block on. That happens at
+// most once, under mu, and only until release: a Done after the handler
+// returned — from a goroutine it leaked, or a context derived from this one
+// — must not start a second reader on the connection's bufio.Reader.
 type handlerCtx struct {
 	base     context.Context
 	deadline time.Time
 
 	mu       sync.Mutex
+	reader   *servedConn
 	armed    context.Context
 	cancel   context.CancelFunc
 	released bool
@@ -612,6 +617,10 @@ func (c *handlerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 func (c *handlerCtx) Done() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.reader != nil && !c.released {
+		c.reader.handOff()
+		c.reader = nil
+	}
 	if c.armed == nil {
 		c.armed, c.cancel = context.WithDeadline(c.base, c.deadline)
 		if c.released {
@@ -651,21 +660,25 @@ func (c *handlerCtx) Value(key any) any {
 	return c.base.Value(key)
 }
 
-// release ends the context when its handler returns.
-func (c *handlerCtx) release() {
+// release ends the context when its handler returns, and reports whether
+// the handler's goroutine still owns the read side it came in with.
+func (c *handlerCtx) release() (reading bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.released = true
 	if c.cancel != nil {
 		c.cancel()
 	}
-	c.mu.Unlock()
+	return c.reader != nil
 }
 
-// dispatch runs the handler for one decoded request.
-func (t *Transport) dispatch(req reqHeader, msg proto.Message) (proto.Message, error) {
+// dispatch runs the handler for one decoded request. reading and the
+// second result are serve's.
+func (s *servedConn) dispatch(req reqHeader, msg proto.Message, reading bool) (proto.Message, bool, error) {
+	t := s.t
 	h, err := t.loadHandler()
 	if err != nil {
-		return nil, err
+		return nil, reading, err
 	}
 	// Bound the handler by the caller's carried time budget (never more than
 	// CallTimeout), under baseCtx so Close also cancels it: a request whose
@@ -676,7 +689,9 @@ func (t *Transport) dispatch(req reqHeader, msg proto.Message) (proto.Message, e
 		timeout = time.Duration(req.budgetUS) * time.Microsecond
 	}
 	hctx := &handlerCtx{base: t.baseCtx, deadline: time.Now().Add(timeout)}
-	defer hctx.release()
+	if reading {
+		hctx.reader = s
+	}
 	var ctx context.Context = hctx
 	// Propagate the caller's span context into the handler even without a
 	// local hub: nested RPCs the handler makes must still carry their causal
@@ -695,7 +710,7 @@ func (t *Transport) dispatch(req reqHeader, msg proto.Message) (proto.Message, e
 	if traced {
 		t.cfg.Obs.SpanFinish(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.lamport(), time.Since(start), err)
 	}
-	return reply, err
+	return reply, hctx.release(), err
 }
 
 // checkOrigin rejects a request that claims to come from another site.

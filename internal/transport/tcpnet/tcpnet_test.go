@@ -436,7 +436,11 @@ func TestMultiplexedCallsShareOneConnection(t *testing.T) {
 	started := make(chan struct{}, inflight)
 	client, accepts := newCountedPeer(t, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 		started <- struct{}{}
-		<-gate // hold every request in flight simultaneously
+		select { // hold every request in flight simultaneously
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		rr := msg.(proto.ReadReq)
 		return proto.ReadResp{Value: proto.Value(len(rr.Item))}, nil
 	})
@@ -476,8 +480,9 @@ func TestMultiplexedCallsShareOneConnection(t *testing.T) {
 
 // TestSlowResponseDoesNotBlockLaterRequests checks head-of-line freedom on
 // both sides: a request whose handler stalls must not delay a later request
-// on the same connection, because the server dispatches frames concurrently
-// and the client demuxes out-of-order responses.
+// on the same connection, because a handler that waits on its context gives
+// the connection's read side away and the client demuxes out-of-order
+// responses.
 func TestSlowResponseDoesNotBlockLaterRequests(t *testing.T) {
 	slowGate := make(chan struct{})
 	slowArrived := make(chan struct{})
@@ -485,7 +490,11 @@ func TestSlowResponseDoesNotBlockLaterRequests(t *testing.T) {
 		rr := msg.(proto.ReadReq)
 		if rr.Item == "slow" {
 			close(slowArrived)
-			<-slowGate
+			select {
+			case <-slowGate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
 		return proto.ReadResp{Value: 1}, nil
 	})
