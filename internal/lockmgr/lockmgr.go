@@ -6,9 +6,14 @@
 // states and wait queues under its own mutex, so transactions contending on
 // different keys never serialize on a single table lock — the difference
 // between one global mutex and usable throughput under the skewed,
-// many-client workloads cmd/srload generates. Cross-key state (the wounded
-// set) lives behind a separate small mutex that is only ever taken after a
-// shard mutex, never before, so no lock-ordering cycle exists.
+// many-client workloads cmd/srload generates. Cross-key state — each
+// transaction's record of the keys it has asked for, and its wound flag —
+// lives behind a separate small mutex that is only ever taken after a shard
+// mutex, never before, so no lock-ordering cycle exists.
+//
+// The uncontended path allocates nothing in steady state: a lock's holders
+// are a small slice, idle lock states and transaction records are recycled,
+// and a request (with its channel) exists only once a transaction queues.
 //
 // Two deadlock-resolution policies are provided, as an ablation of the
 // "works with a large group of concurrency control algorithms" claim:
@@ -27,10 +32,12 @@
 package lockmgr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,10 +131,15 @@ type Manager struct {
 	seed   maphash.Seed
 	shards []*shard
 
-	// wmu guards wounded, the cross-shard wound-wait state. Lock ordering:
-	// a shard mutex may be held when wmu is taken, never the reverse.
-	wmu     sync.Mutex
-	wounded map[proto.TxnID]bool
+	// tmu guards the cross-shard state: txns, each record in it, and the
+	// free list. Lock ordering: a shard mutex may be held when tmu is taken,
+	// never the reverse.
+	tmu  sync.Mutex
+	txns map[proto.TxnID]*txnRec
+	free []*txnRec
+	// nwounded counts the records whose wounded flag is set, so that the
+	// check every Acquire starts with costs no mutex while nobody is wounded.
+	nwounded atomic.Int32
 
 	acquired atomic.Uint64
 	waited   atomic.Uint64
@@ -135,19 +147,27 @@ type Manager struct {
 	wounds   atomic.Uint64
 }
 
-// shard is one hash partition of the lock table, with its own mutex, lock
-// states, and per-transaction bookkeeping for keys living in this shard.
+// shard is one hash partition of the lock table, with its own mutex and the
+// lock states of the keys living in it. A key has a lock state only while it
+// is held or waited for; idle states wait on free to be reused.
 type shard struct {
+	idx   int
 	mu    sync.Mutex
 	locks map[string]*lockState
-	txns  map[proto.TxnID]*txnState
+	free  []*lockState
+}
+
+type holder struct {
+	txn  proto.TxnID
+	mode Mode
 }
 
 type lockState struct {
-	holders map[proto.TxnID]Mode
+	holders []holder
 	queue   []*request
 }
 
+// request is one queued Acquire.
 type request struct {
 	txn     proto.TxnID
 	mode    Mode
@@ -155,29 +175,34 @@ type request struct {
 	ready   chan error // buffered; receives nil on grant, error on kill
 }
 
-// txnState is one transaction's footprint within ONE shard: the locks it
-// holds and the requests it has queued on this shard's keys.
-type txnState struct {
-	held map[string]Mode
-	// pending requests of this transaction, by resource, so a wound or
-	// release can fail them promptly
-	waiting map[string]*request
+// txnRec is one transaction's footprint across the whole table: every key it
+// has been granted or has queued on since its last ReleaseAll. A key stays
+// listed after ReleaseOne, a timeout or a kill, and an upgrade may list it
+// twice; ReleaseAll and the wound sweep visit each listed key and find out
+// under its shard mutex what the transaction still has there. Records are
+// reached only through Manager.txns, under tmu, until ReleaseAll takes one
+// out of the map and owns it.
+type txnRec struct {
+	keys    []txnKey
+	wounded bool
+}
+
+type txnKey struct {
+	shard int
+	key   string
 }
 
 // New returns a lock manager.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:     cfg,
-		seed:    maphash.MakeSeed(),
-		shards:  make([]*shard, cfg.Shards),
-		wounded: make(map[proto.TxnID]bool),
+		cfg:    cfg,
+		seed:   maphash.MakeSeed(),
+		shards: make([]*shard, cfg.Shards),
+		txns:   make(map[proto.TxnID]*txnRec),
 	}
 	for i := range m.shards {
-		m.shards[i] = &shard{
-			locks: make(map[string]*lockState),
-			txns:  make(map[proto.TxnID]*txnState),
-		}
+		m.shards[i] = &shard{idx: i, locks: make(map[string]*lockState)}
 	}
 	return m
 }
@@ -192,9 +217,31 @@ func (m *Manager) shardFor(key string) *shard {
 
 // isWounded reads the cross-shard wound flag.
 func (m *Manager) isWounded(txn proto.TxnID) bool {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	return m.wounded[txn]
+	if m.nwounded.Load() == 0 {
+		return false
+	}
+	m.tmu.Lock()
+	defer m.tmu.Unlock()
+	rec := m.txns[txn]
+	return rec != nil && rec.wounded
+}
+
+// noteKey lists key in txn's record, making the record on first use. Called
+// with the key's shard mutex held, before txn is granted or queued there, so
+// a ReleaseAll that finds the record finds the key.
+func (m *Manager) noteKey(txn proto.TxnID, s *shard, key string) {
+	m.tmu.Lock()
+	rec := m.txns[txn]
+	if rec == nil {
+		if n := len(m.free); n > 0 {
+			rec, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			rec = &txnRec{}
+		}
+		m.txns[txn] = rec
+	}
+	rec.keys = append(rec.keys, txnKey{s.idx, key})
+	m.tmu.Unlock()
 }
 
 // Acquire obtains a lock on key in the given mode on behalf of txn,
@@ -208,27 +255,28 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	}
 	s := m.shardFor(key)
 	s.mu.Lock()
-	ts := s.txnState(txn)
 	ls := s.lockState(key)
 
-	held := ts.held[key]
-	if held >= mode {
+	held := ls.holderIndex(txn)
+	if held >= 0 && ls.holders[held].mode >= mode {
 		m.acquired.Add(1)
 		s.mu.Unlock()
 		return nil // re-entrant
 	}
-
-	req := &request{txn: txn, mode: mode, upgrade: held == Shared && mode == Exclusive}
-	if grantable(ls, req) {
-		grantLocked(ls, ts, key, req)
+	upgrade := held >= 0 // holds Shared, wants Exclusive
+	if !upgrade {
+		m.noteKey(txn, s, key) // a holder's key is listed already
+	}
+	if grantable(ls, mode, upgrade) {
+		ls.grant(txn, mode)
 		m.acquired.Add(1)
 		s.mu.Unlock()
 		return nil
 	}
 
 	// Must wait.
-	req.ready = make(chan error, 1)
-	if req.upgrade {
+	req := &request{txn: txn, mode: mode, upgrade: upgrade, ready: make(chan error, 1)}
+	if upgrade {
 		// Upgrades go to the head of the queue: the upgrader's Shared hold
 		// already blocks every queued Exclusive, so ordering it first is
 		// the only deadlock-free choice.
@@ -236,20 +284,19 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	} else {
 		ls.queue = append(ls.queue, req)
 	}
-	ts.waiting[key] = req
 
 	var victims []proto.TxnID
 	if m.cfg.Policy == PolicyWoundWait {
 		victims = m.woundYoungerHoldersLocked(ls, txn)
 	}
 	// Re-check the wound flag now that the request is enqueued (shard mutex
-	// still held, wmu nested inside — the allowed order). Either this
+	// still held, tmu nested inside — the allowed order). Either this
 	// enqueue is visible to a concurrent wound's shard sweep, or the sweep's
 	// mark is visible here; both ways the wounded waiter unblocks promptly
 	// instead of riding out the timeout.
 	if m.isWounded(txn) {
-		s.removeQueued(key, req)
-		delete(ts.waiting, key)
+		ls.removeQueued(req)
+		s.retire(key, ls)
 		s.mu.Unlock()
 		return fmt.Errorf("lock %q: %w", key, proto.ErrWounded)
 	}
@@ -259,7 +306,7 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	// shard's mutex (shard mutexes never nest).
 	m.sweepWoundedWaiters(victims)
 
-	timeout := m.cfg.Clock.After(m.cfg.Timeout)
+	var gaveUp error
 	select {
 	case err := <-req.ready:
 		if err != nil {
@@ -268,50 +315,35 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 		m.acquired.Add(1)
 		m.waited.Add(1)
 		return nil
-	case <-timeout:
-		granted, killErr := m.cancelWait(s, txn, key, req)
-		switch {
-		case killErr != nil:
-			return fmt.Errorf("lock %q: %w", key, killErr)
-		case granted:
-			return nil // grant won the race; the lock is held
-		default:
-			m.timeouts.Add(1)
-			return fmt.Errorf("lock %q: %w", key, proto.ErrLockTimeout)
-		}
+	case <-m.cfg.Clock.After(m.cfg.Timeout):
+		gaveUp = proto.ErrLockTimeout
 	case <-ctx.Done():
-		granted, killErr := m.cancelWait(s, txn, key, req)
-		switch {
-		case killErr != nil:
-			return fmt.Errorf("lock %q: %w", key, killErr)
-		case granted:
-			return nil
-		default:
-			return fmt.Errorf("lock %q: %w", key, ctx.Err())
-		}
+		gaveUp = ctx.Err()
 	}
+	granted, killErr := m.cancelWait(s, key, req)
+	switch {
+	case killErr != nil:
+		return fmt.Errorf("lock %q: %w", key, killErr)
+	case granted:
+		return nil // grant won the race; the lock is held
+	case gaveUp == proto.ErrLockTimeout:
+		m.timeouts.Add(1)
+	}
+	return fmt.Errorf("lock %q: %w", key, gaveUp)
 }
 
 // cancelWait removes a queued request after a timeout or cancellation and
 // promotes any waiters the removal unblocked. If the request was resolved
 // concurrently it reports the outcome instead: granted (the caller holds the
 // lock) or the kill error.
-func (m *Manager) cancelWait(s *shard, txn proto.TxnID, key string, req *request) (granted bool, killErr error) {
+func (m *Manager) cancelWait(s *shard, key string, req *request) (granted bool, killErr error) {
 	s.mu.Lock()
-	ls := s.locks[key]
-	if ls != nil {
-		for i, r := range ls.queue {
-			if r == req {
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-				if ts := s.txns[txn]; ts != nil {
-					delete(ts.waiting, key)
-				}
-				grants := s.promoteLocked(key, ls)
-				s.mu.Unlock()
-				deliver(grants)
-				return false, nil // successfully cancelled
-			}
-		}
+	if ls := s.locks[key]; ls != nil && ls.removeQueued(req) {
+		grants := ls.promote(nil)
+		s.retire(key, ls)
+		s.mu.Unlock()
+		deliver(grants)
+		return false, nil // successfully cancelled
 	}
 	s.mu.Unlock()
 	// Not in the queue: the request was resolved concurrently.
@@ -323,54 +355,65 @@ func (m *Manager) cancelWait(s *shard, txn proto.TxnID, key string, req *request
 
 // ReleaseAll releases every lock held by txn, fails its queued requests,
 // and forgets the transaction. It is the only release operation: strict
-// two-phase locking releases at commit or abort only.
+// two-phase locking releases at commit or abort only. Shards are visited in
+// index order and keys in sorted order within each, and only the shards the
+// transaction has keys in.
 func (m *Manager) ReleaseAll(txn proto.TxnID) {
-	for _, s := range m.shards {
+	// Forgetting the record also clears the wound flag. A concurrent wound
+	// marks only transactions it finds a record for, so none can appear for
+	// this one until it acquires again.
+	m.tmu.Lock()
+	rec := m.txns[txn]
+	if rec == nil {
+		m.tmu.Unlock()
+		return
+	}
+	delete(m.txns, txn)
+	if rec.wounded {
+		rec.wounded = false
+		m.nwounded.Add(-1)
+	}
+	m.tmu.Unlock()
+
+	keys := rec.keys
+	sortKeys(keys)
+	var grants []grant
+	for i := 0; i < len(keys); {
+		s := m.shards[keys[i].shard]
+		grants = grants[:0]
 		s.mu.Lock()
-		ts := s.txns[txn]
-		if ts == nil {
-			s.mu.Unlock()
-			continue
-		}
-		delete(s.txns, txn)
-
-		keys := make([]string, 0, len(ts.held)+len(ts.waiting))
-		for key := range ts.held {
-			keys = append(keys, key)
-		}
-		for key := range ts.waiting {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-
-		var grants []grant
-		for _, key := range keys {
+		for ; i < len(keys) && keys[i].shard == s.idx; i++ {
+			key := keys[i].key
 			ls := s.locks[key]
-			if ls == nil {
+			if ls == nil || i > 0 && keys[i-1] == keys[i] {
 				continue
 			}
-			delete(ls.holders, txn)
-			if req := ts.waiting[key]; req != nil {
-				s.removeQueued(key, req)
-				delete(ts.waiting, key)
-				// Resolve the request: its Acquire may be parked in the
-				// wait select or already racing us in cancelWait.
-				grants = append(grants, grant{req: req, err: ErrReleased})
-			}
-			grants = append(grants, s.promoteLocked(key, ls)...)
-			if len(ls.holders) == 0 && len(ls.queue) == 0 {
-				delete(s.locks, key)
-			}
+			ls.removeHolder(txn)
+			// Resolve the transaction's own requests: their Acquires may be
+			// parked in the wait select or already racing us in cancelWait.
+			grants = ls.failQueued(txn, ErrReleased, grants)
+			grants = ls.promote(grants)
+			s.retire(key, ls)
 		}
 		s.mu.Unlock()
 		deliver(grants)
 	}
-	// Clear the wound flag last, after every shard has forgotten the
-	// transaction: a concurrent wound only marks transactions it finds
-	// holding a lock, so no marked entry can appear after this point.
-	m.wmu.Lock()
-	delete(m.wounded, txn)
-	m.wmu.Unlock()
+
+	clear(keys) // drop the key strings
+	rec.keys = keys[:0]
+	m.tmu.Lock()
+	m.free = append(m.free, rec)
+	m.tmu.Unlock()
+}
+
+// sortKeys orders a record's keys by shard, then key.
+func sortKeys(keys []txnKey) {
+	slices.SortFunc(keys, func(a, b txnKey) int {
+		if c := cmp.Compare(a.shard, b.shard); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key, b.key)
+	})
 }
 
 // ReleaseOne releases txn's lock on a single key and promotes waiters.
@@ -381,18 +424,14 @@ func (m *Manager) ReleaseAll(txn proto.TxnID) {
 func (m *Manager) ReleaseOne(txn proto.TxnID, key string) {
 	s := m.shardFor(key)
 	s.mu.Lock()
-	ts := s.txns[txn]
 	ls := s.locks[key]
-	if ts == nil || ls == nil {
+	if ls == nil {
 		s.mu.Unlock()
 		return
 	}
-	delete(ts.held, key)
-	delete(ls.holders, txn)
-	grants := s.promoteLocked(key, ls)
-	if len(ls.holders) == 0 && len(ls.queue) == 0 {
-		delete(s.locks, key)
-	}
+	ls.removeHolder(txn)
+	grants := ls.promote(nil)
+	s.retire(key, ls)
 	s.mu.Unlock()
 	deliver(grants)
 }
@@ -403,14 +442,25 @@ func (m *Manager) Wounded(txn proto.TxnID) bool {
 	return m.isWounded(txn)
 }
 
+// keysOf copies the keys listed for txn.
+func (m *Manager) keysOf(txn proto.TxnID) []txnKey {
+	m.tmu.Lock()
+	defer m.tmu.Unlock()
+	if rec := m.txns[txn]; rec != nil {
+		return append([]txnKey(nil), rec.keys...)
+	}
+	return nil
+}
+
 // Held returns the locks currently held by txn (for tests and debugging).
 func (m *Manager) Held(txn proto.TxnID) map[string]Mode {
 	out := make(map[string]Mode)
-	for _, s := range m.shards {
+	for _, k := range m.keysOf(txn) {
+		s := m.shards[k.shard]
 		s.mu.Lock()
-		if ts := s.txns[txn]; ts != nil {
-			for k, v := range ts.held {
-				out[k] = v
+		if ls := s.locks[k.key]; ls != nil {
+			if i := ls.holderIndex(txn); i >= 0 {
+				out[k.key] = ls.holders[i].mode
 			}
 		}
 		s.mu.Unlock()
@@ -435,8 +485,8 @@ func (m *Manager) OutstandingLocks() []HeldLock {
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for key, ls := range s.locks {
-			for txn, mode := range ls.holders {
-				out = append(out, HeldLock{Key: key, Txn: txn, Mode: mode})
+			for _, h := range ls.holders {
+				out = append(out, HeldLock{Key: key, Txn: h.txn, Mode: h.mode})
 			}
 		}
 		s.mu.Unlock()
@@ -470,12 +520,14 @@ func (m *Manager) CrashReset() {
 			waiters = append(waiters, ls.queue...)
 		}
 		s.locks = make(map[string]*lockState)
-		s.txns = make(map[proto.TxnID]*txnState)
+		s.free = nil
 		s.mu.Unlock()
 	}
-	m.wmu.Lock()
-	m.wounded = make(map[proto.TxnID]bool)
-	m.wmu.Unlock()
+	m.tmu.Lock()
+	m.txns = make(map[proto.TxnID]*txnRec)
+	m.free = nil
+	m.nwounded.Store(0)
+	m.tmu.Unlock()
 	for _, req := range waiters {
 		req.ready <- proto.ErrTxnAborted
 	}
@@ -483,61 +535,105 @@ func (m *Manager) CrashReset() {
 
 // --- shard internals (s.mu held unless noted) ---
 
-func (s *shard) txnState(txn proto.TxnID) *txnState {
-	ts, ok := s.txns[txn]
-	if !ok {
-		ts = &txnState{held: make(map[string]Mode), waiting: make(map[string]*request)}
-		s.txns[txn] = ts
-	}
-	return ts
-}
-
+// lockState returns key's lock state, taking an idle one when the key has
+// none.
 func (s *shard) lockState(key string) *lockState {
 	ls, ok := s.locks[key]
 	if !ok {
-		ls = &lockState{holders: make(map[proto.TxnID]Mode)}
+		if n := len(s.free); n > 0 {
+			ls, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			ls = &lockState{}
+		}
 		s.locks[key] = ls
 	}
 	return ls
 }
 
-// removeQueued drops req from key's wait queue if still present.
-func (s *shard) removeQueued(key string, req *request) {
-	ls := s.locks[key]
-	if ls == nil {
-		return
-	}
-	for i, r := range ls.queue {
-		if r == req {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			return
-		}
+// retire takes key's lock state out of the table once nothing holds or
+// awaits it, keeping it (and its slices' capacity) for the next key.
+func (s *shard) retire(key string, ls *lockState) {
+	if len(ls.holders) == 0 && len(ls.queue) == 0 {
+		delete(s.locks, key)
+		s.free = append(s.free, ls)
 	}
 }
 
-// grantable reports whether req can be granted right now, respecting FIFO
-// fairness: a fresh request is only granted immediately when nothing is
+// holderIndex finds txn among the holders, -1 when it holds nothing here.
+func (ls *lockState) holderIndex(txn proto.TxnID) int {
+	for i, h := range ls.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+func (ls *lockState) removeHolder(txn proto.TxnID) {
+	if i := ls.holderIndex(txn); i >= 0 {
+		ls.holders = append(ls.holders[:i], ls.holders[i+1:]...)
+	}
+}
+
+// grant makes txn a holder in mode, or raises the mode it holds.
+func (ls *lockState) grant(txn proto.TxnID, mode Mode) {
+	if i := ls.holderIndex(txn); i >= 0 {
+		ls.holders[i].mode = mode
+		return
+	}
+	ls.holders = append(ls.holders, holder{txn, mode})
+}
+
+// removeQueued drops req from the wait queue and reports whether it was
+// still there; whoever removes a request is the one to resolve it.
+func (ls *lockState) removeQueued(req *request) bool {
+	for i, r := range ls.queue {
+		if r == req {
+			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// failQueued removes every request txn has queued here and appends its
+// resolution with err to grants.
+func (ls *lockState) failQueued(txn proto.TxnID, err error, grants []grant) []grant {
+	kept := ls.queue[:0]
+	for _, r := range ls.queue {
+		if r.txn == txn {
+			grants = append(grants, grant{req: r, err: err})
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	clear(ls.queue[len(kept):])
+	ls.queue = kept
+	return grants
+}
+
+// grantable reports whether a fresh request can be granted right now,
+// respecting FIFO fairness: it is only granted immediately when nothing is
 // queued ahead of it (upgrades exempt).
-func grantable(ls *lockState, req *request) bool {
-	if req.upgrade {
+func grantable(ls *lockState, mode Mode, upgrade bool) bool {
+	if upgrade {
 		// Sole holder required.
 		return len(ls.holders) == 1
 	}
-	if len(ls.queue) > 0 {
-		return false
+	return len(ls.queue) == 0 && ls.compatible(mode)
+}
+
+// compatible reports whether a new holder in mode can join the holders.
+func (ls *lockState) compatible(mode Mode) bool {
+	if mode == Exclusive {
+		return len(ls.holders) == 0
 	}
-	for _, mode := range ls.holders {
-		if mode == Exclusive || req.mode == Exclusive {
+	for _, h := range ls.holders {
+		if h.mode == Exclusive {
 			return false
 		}
 	}
 	return true
-}
-
-func grantLocked(ls *lockState, ts *txnState, key string, req *request) {
-	ls.holders[req.txn] = req.mode
-	ts.held[key] = req.mode
-	delete(ts.waiting, key)
 }
 
 // grant resolves one queued request: err nil hands it the lock, non-nil
@@ -557,26 +653,20 @@ func deliver(grants []grant) {
 	}
 }
 
-// promoteLocked grants queued requests that have become compatible, in
-// queue order, and returns the grants to signal outside the lock.
-func (s *shard) promoteLocked(key string, ls *lockState) []grant {
-	var grants []grant
+// promote grants queued requests that have become compatible, in queue
+// order, and appends the grants to signal outside the lock.
+func (ls *lockState) promote(grants []grant) []grant {
 	for len(ls.queue) > 0 {
 		req := ls.queue[0]
-		ts := s.txns[req.txn]
-		if ts == nil {
-			// Owner vanished (released/crashed). Fail the stale request
-			// rather than dropping it silently: its waiter may be mid-
-			// cancel and counting on a resolution signal.
-			ls.queue = ls.queue[1:]
-			grants = append(grants, grant{req: req, err: ErrReleased})
-			continue
-		}
-		if !compatibleWithHolders(ls, req) {
+		if req.upgrade {
+			if i := ls.holderIndex(req.txn); i < 0 || len(ls.holders) != 1 {
+				break
+			}
+		} else if !ls.compatible(req.mode) {
 			break
 		}
 		ls.queue = ls.queue[1:]
-		grantLocked(ls, ts, key, req)
+		ls.grant(req.txn, req.mode)
 		grants = append(grants, grant{req: req})
 		if req.mode == Exclusive {
 			break
@@ -585,68 +675,50 @@ func (s *shard) promoteLocked(key string, ls *lockState) []grant {
 	return grants
 }
 
-func compatibleWithHolders(ls *lockState, req *request) bool {
-	if req.upgrade {
-		_, holds := ls.holders[req.txn]
-		return holds && len(ls.holders) == 1
-	}
-	for _, mode := range ls.holders {
-		if mode == Exclusive || req.mode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
 // woundYoungerHoldersLocked implements wound-wait: the waiting transaction
 // marks every younger holder of the contested lock wounded (the contested
-// key's shard mutex is held; wmu nests inside it). The victims' queued
+// key's shard mutex is held; tmu nests inside it). The victims' queued
 // requests — which may live in any shard — are failed by the caller via
 // sweepWoundedWaiters once the shard mutex is released, and their future
 // Acquire calls are rejected by the wound flag; their manager will abort
 // them and ReleaseAll.
 func (m *Manager) woundYoungerHoldersLocked(ls *lockState, waiter proto.TxnID) []proto.TxnID {
 	var victims []proto.TxnID
-	m.wmu.Lock()
-	for holder := range ls.holders {
-		if holder <= waiter { // older or self: wait politely
+	m.tmu.Lock()
+	for _, h := range ls.holders {
+		if h.txn <= waiter { // older or self: wait politely
 			continue
 		}
-		if m.wounded[holder] {
+		// A holder without a record is inside ReleaseAll already.
+		rec := m.txns[h.txn]
+		if rec == nil || rec.wounded {
 			continue
 		}
-		m.wounded[holder] = true
+		rec.wounded = true
+		m.nwounded.Add(1)
 		m.wounds.Add(1)
-		victims = append(victims, holder)
+		victims = append(victims, h.txn)
 	}
-	m.wmu.Unlock()
+	m.tmu.Unlock()
 	return victims
 }
 
 // sweepWoundedWaiters fails every queued request of the freshly wounded
-// victims, across all shards, so they unblock fast. Called without any shard
-// mutex held.
+// victims, at every key they have listed, so they unblock fast. Called
+// without any shard mutex held.
 func (m *Manager) sweepWoundedWaiters(victims []proto.TxnID) {
-	if len(victims) == 0 {
-		return
-	}
-	var killed []*request
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for _, victim := range victims {
-			ts := s.txns[victim]
-			if ts == nil {
-				continue
+	for _, victim := range victims {
+		var killed []grant
+		for _, k := range m.keysOf(victim) {
+			s := m.shards[k.shard]
+			s.mu.Lock()
+			if ls := s.locks[k.key]; ls != nil {
+				killed = ls.failQueued(victim, proto.ErrWounded, killed)
+				// The victim still holds its locks, so nothing queued behind
+				// its requests can be promoted and the state stays in use.
 			}
-			for key, req := range ts.waiting {
-				s.removeQueued(key, req)
-				delete(ts.waiting, key)
-				killed = append(killed, req)
-			}
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
-	}
-	for _, req := range killed {
-		req.ready <- proto.ErrWounded
+		deliver(killed)
 	}
 }
