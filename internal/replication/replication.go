@@ -233,27 +233,39 @@ func (c *Catalog) Quorum(item proto.Item) (int, error) {
 }
 
 // View is a transaction's consistent view of the system configuration: the
-// nominal session vector it read at start (§3.2).
+// nominal session vector it read at start (§3.2), one entry per site in
+// ascending site order.
 type View struct {
-	Sessions map[proto.SiteID]proto.Session
+	Sessions []SiteSession
+}
+
+// SiteSession is one site's entry in a View.
+type SiteSession struct {
+	Site    proto.SiteID
+	Session proto.Session
 }
 
 // Up reports whether site is nominally up in the view.
-func (v View) Up(site proto.SiteID) bool {
-	return v.Sessions[site] != proto.NoSession
-}
+func (v View) Up(site proto.SiteID) bool { return v.Session(site) != proto.NoSession }
 
-// Session returns the nominal session number of site in the view.
-func (v View) Session(site proto.SiteID) proto.Session { return v.Sessions[site] }
+// Session returns the nominal session number of site in the view; a site
+// the view does not list is down.
+func (v View) Session(site proto.SiteID) proto.Session {
+	for _, e := range v.Sessions {
+		if e.Site == site {
+			return e.Session
+		}
+	}
+	return proto.NoSession
+}
 
 // UpSites lists the nominally-up sites in ascending order.
 func (v View) UpSites() []proto.SiteID {
 	var out []proto.SiteID
-	for site, s := range v.Sessions {
-		if s != proto.NoSession {
-			out = append(out, site)
+	for _, e := range v.Sessions {
+		if e.Session != proto.NoSession {
+			out = append(out, e.Site)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

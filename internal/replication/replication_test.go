@@ -125,9 +125,7 @@ func TestQuorumMajorityProperty(t *testing.T) {
 }
 
 func TestView(t *testing.T) {
-	v := View{Sessions: map[proto.SiteID]proto.Session{
-		1: 5, 2: 0, 3: 7,
-	}}
+	v := View{Sessions: []SiteSession{{1, 5}, {2, 0}, {3, 7}}}
 	if !v.Up(1) || v.Up(2) || !v.Up(3) || v.Up(9) {
 		t.Fatal("Up wrong")
 	}

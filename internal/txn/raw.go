@@ -99,12 +99,12 @@ func (t *Tx) LockLocalExclusive(ctx context.Context, item proto.Item) error {
 	if t.done {
 		return fmt.Errorf("transaction %v already finished", t.meta.ID)
 	}
-	t.attempted[t.m.cfg.Site] = true
+	t.attempted.add(t.m.cfg.Site)
 	if err := t.m.cfg.Local.LockExclusive(ctx, t.meta, item); err != nil {
 		return err
 	}
-	t.parts[t.m.cfg.Site] = true
-	t.wparts[t.m.cfg.Site] = true
+	t.parts.add(t.m.cfg.Site)
+	t.wparts.add(t.m.cfg.Site)
 	return nil
 }
 
@@ -119,9 +119,9 @@ func (t *Tx) LocalUnreadable(item proto.Item) bool {
 // item: at commit it installs value under the original writer's version.
 // The caller must hold the exclusive lock via LockLocalExclusive.
 func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version proto.Version) error {
-	t.attempted[t.m.cfg.Site] = true
-	t.parts[t.m.cfg.Site] = true
-	t.wparts[t.m.cfg.Site] = true
+	t.attempted.add(t.m.cfg.Site)
+	t.parts.add(t.m.cfg.Site)
+	t.wparts.add(t.m.cfg.Site)
 	if err := t.m.cfg.Local.BufferRefresh(t.meta, item, value, version); err != nil {
 		return err
 	}
