@@ -69,8 +69,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -249,6 +251,11 @@ func parsePeers(spec string) (map[proto.SiteID]string, error) {
 	return addrs, nil
 }
 
+// maxTxnBody bounds a POST /txn body, which is read whole: tcpnet's maxFrame,
+// so nothing a client can say in a transaction is refused here and accepted
+// nowhere else.
+const maxTxnBody = 1 << 20
+
 func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL) *http.ServeMux {
 	mux := http.NewServeMux()
 
@@ -282,6 +289,11 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(v)
 	}
+	// What writeJSON(w, 200, {"committed": true}) sends, without the encoder.
+	writeCommitted := func(w http.ResponseWriter) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("{\"committed\":true}\n"))
+	}
 
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -313,7 +325,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"committed": true})
+		writeCommitted(w)
 	})
 
 	// POST /txn runs an arbitrary read/write transaction from a JSON body
@@ -321,9 +333,17 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	// This is the srload driving surface — /exec only covers the fixed
 	// read-then-write shape.
 	mux.HandleFunc("POST /txn", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTxnBody))
 		var req load.TxnRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad JSON body: " + err.Error()})
+		if err == nil {
+			req, err = decodeTxn(body)
+		}
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, map[string]any{"error": "bad JSON body: " + err.Error()})
 			return
 		}
 		if len(req.Reads) == 0 && len(req.Writes) == 0 {
@@ -332,14 +352,14 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
 		defer cancel()
-		err := n.Exec(ctx, func(ctx context.Context, tx *txn.Tx) error {
+		err = n.Exec(ctx, func(ctx context.Context, tx *txn.Tx) error {
 			return load.Apply(ctx, tx, req)
 		})
 		if err != nil {
 			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"committed": true})
+		writeCommitted(w)
 	})
 
 	mux.HandleFunc("GET /read", func(w http.ResponseWriter, r *http.Request) {

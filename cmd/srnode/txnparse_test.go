@@ -1,0 +1,118 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"siterecovery/internal/load"
+	"siterecovery/internal/obs"
+	"siterecovery/internal/proto"
+)
+
+// viaJSON is the decode POST /txn did before it had a scanner.
+func viaJSON(body []byte) (load.TxnRequest, error) {
+	var req load.TxnRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
+// FuzzParseTxn: whatever the scanner accepts, encoding/json decodes to the
+// same value — so the scanner can only ever be a faster way to the same
+// answer, never a second dialect.
+func FuzzParseTxn(f *testing.F) {
+	for _, req := range []load.TxnRequest{
+		{},
+		{Reads: []proto.Item{"a"}},
+		{Reads: []proto.Item{"k00017", "k00042"}, Writes: []load.TxnWrite{{Item: "k00042", Value: -7}}},
+		{Writes: []load.TxnWrite{{Item: "x", Value: 1 << 62}, {Item: "y <&> z", Value: -1 << 63}}},
+	} {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, s := range []string{
+		`{"reads":[]}`, `{"writes":[]}`, `{"reads":["a"],"writes":[]}`,
+		`{"writes":[{"item":"x","value":007}]}`, `{"writes":[{"item":"x","value":-0}]}`,
+		`{"writes":[{"item":"x","value":1e3}]}`, `{"writes":[{"item":"x","value":1.0}]}`,
+		`{"writes":[{"item":"x","value":9223372036854775808}]}`, `{"writes":[{"item":"x","value":-}]}`,
+		`{"reads":["ab"]}`, `{"reads":["a\"b"]}`, `{"reads":["é"]}`, "{\"reads\":[\"a\tb\"]}",
+		`{"reads":["a"],"reads":["b"]}`, `{"writes":[{"item":"x","value":1}],"reads":["a"]}`,
+		`{"writes":[{"value":1,"item":"x"}]}`, `{"writes":[{"item":"x","value":1,"item":"y"}]}`,
+		`{"reads":["a"]} `, `{"reads":["a"]}{"reads":["b"]}`, ` {"reads":["a"]}`, `{"reads": ["a"]}`,
+		`{"reads":["a",]}`, `{"reads":["a"],}`, `{"reads":["a"]`, `{"other":1}`, `null`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := parseTxn(body)
+		if !ok {
+			return
+		}
+		want, err := viaJSON(body)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner accepted %q as %+v; encoding/json says %+v, %v", body, got, want, err)
+		}
+	})
+}
+
+// TestParseTxnTakesWhatClientsSend: the scanner is only worth having if it
+// accepts the bytes load.HTTPTarget and the ledger's clients produce.
+func TestParseTxnTakesWhatClientsSend(t *testing.T) {
+	for _, req := range []load.TxnRequest{
+		{Reads: []proto.Item{"k00017", "k00042"}},
+		{Writes: []load.TxnWrite{{Item: "k00042", Value: -7}}},
+		{Reads: []proto.Item{"a"}, Writes: []load.TxnWrite{{Item: "a", Value: 1}, {Item: "b", Value: 0}}},
+	} {
+		body, _ := json.Marshal(req)
+		if got, ok := parseTxn(body); !ok || !reflect.DeepEqual(got, req) {
+			t.Errorf("parseTxn(%s) = %+v, %v", body, got, ok)
+		}
+	}
+}
+
+// TestDecodeTxnFallsBack: every body the endpoint took before the scanner
+// still decodes, and a bad one fails with encoding/json's own words.
+func TestDecodeTxnFallsBack(t *testing.T) {
+	for _, body := range []string{
+		"{\n  \"reads\": [\"a\", \"b\"],\n  \"writes\": [{\"item\": \"x\", \"value\": 3}]\n}\n",
+		`{"writes":[{"value":3,"item":"x"}],"reads":["a","b"]}`,
+		`{"reads":["a","b"],"writes":[{"item":"x","value":3}],"ignored":true}`,
+		`{"reads":["a","b"],"writes":[{"item":"x","value":3}]} trailing`,
+		`{"reads":[]}`, `{}`,
+		`{"reads":["a"`, `{"reads":"a"}`, `{"writes":[{"item":"x","value":1.5}]}`, `not json`, ``,
+	} {
+		got, err := decodeTxn([]byte(body))
+		want, wantErr := viaJSON([]byte(body))
+		if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Errorf("decodeTxn(%q) = %+v, %v; before the scanner: %+v, %v", body, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestTxnBodyIsBounded: the handler reads the whole body now, so it must not
+// read more than a frame's worth; an oversized one is a 413 with the usual
+// error JSON, and an empty transaction is still a 400.
+func TestTxnBodyIsBounded(t *testing.T) {
+	mux := controlMux(1, nil, obs.NewHub(obs.Options{}), nil) // neither request reaches the node
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/txn", strings.NewReader(body)))
+		return rec
+	}
+	big := post(`{"reads":["` + strings.Repeat("k", 2<<20) + `"]}`)
+	var msg struct{ Error string }
+	if err := json.Unmarshal(big.Body.Bytes(), &msg); err != nil || big.Code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(msg.Error, "too large") || big.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("2 MiB body: status %d, body %q (%v)", big.Code, big.Body, err)
+	}
+	if rec := post(`{}`); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "empty transaction") {
+		t.Errorf("empty transaction: status %d, body %q", rec.Code, rec.Body)
+	}
+}
