@@ -330,12 +330,13 @@ func (n *Network) replyPath(ctx context.Context, from, to proto.SiteID, kind str
 	caller, fok := n.nodes[from]
 	partitioned := tok && fok &&
 		target.group != caller.group && target.group != 0 && caller.group != 0
+	targetDown, callerDown := !tok || target.down, !fok || caller.down
 	n.mu.Unlock()
-	if !tok || target.down {
+	if targetDown {
 		n.bump(kind, func(s *Stat) { s.Refused++ })
 		return fmt.Errorf("reply from %v: %w", to, proto.ErrSiteDown)
 	}
-	if !fok || caller.down {
+	if callerDown {
 		n.bump(kind, func(s *Stat) { s.Refused++ })
 		return fmt.Errorf("reply to crashed %v: %w", from, proto.ErrSiteDown)
 	}

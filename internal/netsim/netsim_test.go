@@ -424,3 +424,44 @@ func TestPartitionImplicitLeftoverGroup(t *testing.T) {
 		t.Fatalf("cross call err = %v", err)
 	}
 }
+
+// TestCrashRacesReplyPath: SetDown while calls to the site are in their
+// reply path. The down flags are read under the network mutex, so -race has
+// nothing to report, and every call either gets its reply or ErrSiteDown.
+func TestCrashRacesReplyPath(t *testing.T) {
+	n := New(Config{})
+	n.Register(1, echoHandler(t))
+	n.Register(2, echoHandler(t))
+
+	stop := make(chan struct{})
+	var flips sync.WaitGroup
+	flips.Add(1)
+	go func() {
+		defer flips.Done()
+		for down := true; ; down = !down {
+			select {
+			case <-stop:
+				n.SetDown(2, false)
+				return
+			default:
+				n.SetDown(2, down)
+			}
+		}
+	}()
+	var calls sync.WaitGroup
+	for range 4 {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			for range 500 {
+				if _, err := n.Call(context.Background(), 1, 2, proto.ProbeReq{}); err != nil && !errors.Is(err, proto.ErrSiteDown) {
+					t.Errorf("call during crash flips: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	calls.Wait()
+	close(stop)
+	flips.Wait()
+}
