@@ -35,21 +35,28 @@ lint:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Mirrors the wire micro-benchmark CI step: one iteration each of
+# Mirrors the hot-path micro-benchmark CI step: one iteration each of
 # BenchmarkCodec/<kind> (ns, allocs and wire bytes per message kind),
-# BenchmarkCall (loopback echo, 1 and 2 callers) and BenchmarkFanout (one
-# 3-site round: self and two peers), so they stay compiled and runnable. For
-# numbers: make bench-micro BENCHTIME=2s
+# BenchmarkCall (loopback echo, 1 and 2 callers), BenchmarkFanout (one
+# 3-site round: self and two peers) and the four root benchmarks whose
+# allocs/op TestHotPathAllocCeilings pins (one uncontended lock, an empty, a
+# one-read and a read-write transaction), so they stay compiled and runnable
+# and allocs/op is printed on every run. For numbers: make bench-micro
+# BENCHTIME=2s
 BENCHTIME ?= 1x
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
+	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkTxnReadOnly|BenchmarkTxnReadWrite|BenchmarkSessionVectorRead' -benchmem -benchtime $(BENCHTIME) .
 
-# Fuzz the binary wire format: message bodies, then tcpnet's frame headers
-# (FUZZTIME each, to adjust). Go runs one fuzz target per invocation.
+# Fuzz what arrives from outside: the binary wire format's message bodies,
+# tcpnet's frame headers, and srnode's POST /txn scanner against
+# encoding/json (FUZZTIME each, to adjust). Go runs one fuzz target per
+# invocation.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzFrameHeader -fuzztime $(FUZZTIME) ./internal/transport/tcpnet
+	$(GO) test -run '^$$' -fuzz FuzzParseTxn -fuzztime $(FUZZTIME) ./cmd/srnode
 
 # Mirrors the tcp-e2e CI job: transport, node, and 3-process srnode
 # cluster tests under the race detector.

@@ -57,7 +57,7 @@ func BenchmarkE10Recycling(b *testing.B)        { benchExperiment(b, "E10") }
 
 // --- micro-benchmarks of the protocol hot paths ---
 
-func benchCluster(b *testing.B, sites, items, degree int) *core.Cluster {
+func benchCluster(b testing.TB, sites, items, degree int) *core.Cluster {
 	b.Helper()
 	c, err := core.New(core.Config{
 		Sites:     sites,
@@ -71,32 +71,34 @@ func benchCluster(b *testing.B, sites, items, degree int) *core.Cluster {
 	return c
 }
 
-// BenchmarkTxnReadOnly measures a single-read user transaction end to end,
-// including the implicit session-vector read.
-func BenchmarkTxnReadOnly(b *testing.B) {
-	c := benchCluster(b, 3, 16, 3)
+// The hot-path micro-benchmarks take their loop bodies from the constructors
+// below, so that TestHotPathAllocCeilings pins the allocations of exactly what
+// the benchmarks time.
+
+// txnReadOnly is a single-read user transaction end to end, including the
+// implicit session-vector read.
+func txnReadOnly(tb testing.TB) func() {
+	c := benchCluster(tb, 3, 16, 3)
 	item := c.Catalog().Items()[0]
 	ctx := context.Background()
-	b.ResetTimer()
-	for b.Loop() {
+	return func() {
 		err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
 			_, err := tx.Read(ctx, item)
 			return err
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTxnReadWrite measures a read-modify-write transaction with
-// two-phase commit across three replicas.
-func BenchmarkTxnReadWrite(b *testing.B) {
-	c := benchCluster(b, 3, 16, 3)
+// txnReadWrite is a read-modify-write transaction with two-phase commit
+// across three replicas.
+func txnReadWrite(tb testing.TB) func() {
+	c := benchCluster(tb, 3, 16, 3)
 	item := c.Catalog().Items()[0]
 	ctx := context.Background()
-	b.ResetTimer()
-	for b.Loop() {
+	return func() {
 		err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
 			v, err := tx.Read(ctx, item)
 			if err != nil {
@@ -105,7 +107,79 @@ func BenchmarkTxnReadWrite(b *testing.B) {
 			return tx.Write(ctx, item, v+1)
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+	}
+}
+
+// lockAcquireRelease is the lock manager's uncontended path.
+func lockAcquireRelease(tb testing.TB) func() {
+	m := lockmgr.New(lockmgr.Config{})
+	ctx := context.Background()
+	return func() {
+		if err := m.Acquire(ctx, 1, "x", lockmgr.Exclusive); err != nil {
+			tb.Fatal(err)
+		}
+		m.ReleaseAll(1)
+	}
+}
+
+// sessionVectorRead isolates the paper's per-transaction overhead: an empty
+// user transaction does exactly the implicit local read of the nominal
+// session vector (n shared locks + n local reads, no messages), then a
+// read-only release.
+func sessionVectorRead(sites int) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		c := benchCluster(tb, sites, 4, 2)
+		ctx := context.Background()
+		return func() {
+			err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
+				return nil
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+func benchBody(b *testing.B, body func(testing.TB) func()) {
+	run := body(b)
+	b.ResetTimer()
+	for b.Loop() {
+		run()
+	}
+}
+
+func BenchmarkTxnReadOnly(b *testing.B)        { benchBody(b, txnReadOnly) }
+func BenchmarkTxnReadWrite(b *testing.B)       { benchBody(b, txnReadWrite) }
+func BenchmarkLockAcquireRelease(b *testing.B) { benchBody(b, lockAcquireRelease) }
+func BenchmarkSessionVectorRead(b *testing.B) {
+	for _, sites := range []int{3, 5, 8} {
+		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) { benchBody(b, sessionVectorRead(sites)) })
+	}
+}
+
+// TestHotPathAllocCeilings holds the four bodies to the allocation counts
+// this code reaches, so a map or a closure creeping back onto the path where
+// nothing waits fails a test instead of a benchmark nobody reads. The counts
+// were 9, 73, 143 and 57 before the lock table stopped allocating and an
+// attempt stopped keeping maps.
+func TestHotPathAllocCeilings(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(testing.TB) func()
+		max  float64
+	}{
+		{"LockAcquireRelease", lockAcquireRelease, 0},
+		{"SessionVectorRead/sites=3", sessionVectorRead(3), 21},
+		{"TxnReadOnly", txnReadOnly, 26},
+		{"TxnReadWrite", txnReadWrite, 67},
+	} {
+		run := c.body(t)
+		run() // first use makes what steady state reuses
+		if got := testing.AllocsPerRun(200, run); got > c.max {
+			t.Errorf("%s allocates %.0f times per run, ceiling %.0f", c.name, got, c.max)
 		}
 	}
 }
@@ -152,19 +226,6 @@ func BenchmarkRecoveryRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkLockAcquireRelease measures the lock manager's uncontended path.
-func BenchmarkLockAcquireRelease(b *testing.B) {
-	m := lockmgr.New(lockmgr.Config{})
-	ctx := context.Background()
-	b.ResetTimer()
-	for b.Loop() {
-		if err := m.Acquire(ctx, 1, "x", lockmgr.Exclusive); err != nil {
-			b.Fatal(err)
-		}
-		m.ReleaseAll(1)
-	}
-}
-
 // BenchmarkNetsimRoundTrip measures one simulated RPC.
 func BenchmarkNetsimRoundTrip(b *testing.B) {
 	n := netsim.New(netsim.Config{})
@@ -204,36 +265,5 @@ func BenchmarkCertifyOneSR(b *testing.B) {
 		if ok, cycle := h.CertifyOneSR(history.DomainDB); !ok {
 			b.Fatalf("synthetic history rejected: %v", cycle)
 		}
-	}
-}
-
-// BenchmarkSessionVectorRead isolates the paper's per-transaction overhead:
-// the implicit local read of the nominal session vector (n shared locks +
-// n local reads, no messages).
-func BenchmarkSessionVectorRead(b *testing.B) {
-	for _, sites := range []int{3, 5, 8} {
-		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
-			c, err := core.New(core.Config{
-				Sites:     sites,
-				Placement: workload.UniformPlacement(4, 2, sites, 1),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.Start()
-			b.Cleanup(c.Stop)
-			ctx := context.Background()
-			b.ResetTimer()
-			for b.Loop() {
-				// An empty user transaction does exactly the implicit
-				// vector read, then a read-only release.
-				err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
