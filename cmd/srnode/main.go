@@ -251,11 +251,6 @@ func parsePeers(spec string) (map[proto.SiteID]string, error) {
 	return addrs, nil
 }
 
-// maxTxnBody bounds a POST /txn body, which is read whole: tcpnet's maxFrame,
-// so nothing a client can say in a transaction is refused here and accepted
-// nowhere else.
-const maxTxnBody = 1 << 20
-
 func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL) *http.ServeMux {
 	mux := http.NewServeMux()
 
@@ -333,7 +328,8 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	// This is the srload driving surface — /exec only covers the fixed
 	// read-then-write shape.
 	mux.HandleFunc("POST /txn", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTxnBody))
+		// The body is read whole, so it is bounded: 1 MiB, tcpnet's maxFrame.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		var req load.TxnRequest
 		if err == nil {
 			req, err = decodeTxn(body)

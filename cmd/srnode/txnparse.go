@@ -9,113 +9,95 @@ import (
 	"siterecovery/internal/proto"
 )
 
-// decodeTxn decodes a POST /txn body. Bodies in the form clients actually
-// send skip encoding/json's reflection; everything else is decoded exactly as
-// before, by a json.Decoder (first value wins, trailing bytes ignored), so
-// the accepted language and the error texts are encoding/json's.
+// decodeTxn decodes a POST /txn body: by parseTxn when it is in the form
+// clients send, otherwise exactly as before the scanner — a json.Decoder,
+// first value wins, trailing bytes ignored — so the accepted language and the
+// error texts stay encoding/json's.
 func decodeTxn(body []byte) (load.TxnRequest, error) {
-	if req, ok := parseTxn(body); ok {
+	req, ok := parseTxn(body)
+	if ok {
 		return req, nil
 	}
-	var req load.TxnRequest
+	req = load.TxnRequest{}
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
 	return req, err
 }
 
-// parseTxn scans the compact form json.Marshal gives a load.TxnRequest:
+// parseTxn scans the compact form json.Marshal gives a load.TxnRequest,
 //
 //	{"reads":["a","b"],"writes":[{"item":"x","value":-3}]}
 //
-// either member optional, in that order. It reports ok=false on anything
-// else — whitespace, escapes, non-ASCII, empty arrays, other, repeated or
-// reordered keys, a number that is not a plain int64, trailing bytes — and
-// whenever it reports ok=true, encoding/json decodes the same bytes to the
+// either member optional, in that order, without reflection. Anything else
+// — whitespace, escapes, non-ASCII, empty arrays, other, repeated or
+// reordered keys, a number that is not a plain int64, trailing bytes — is
+// ok=false, and whenever ok=true encoding/json decodes the same bytes to the
 // same value (FuzzParseTxn).
 func parseTxn(b []byte) (req load.TxnRequest, ok bool) {
 	p := txnScanner{b: b}
-	if !p.lit("{") {
-		return req, false
-	}
+	p.want("{")
 	sep := ""
 	if p.lit(`"reads":[`) {
 		for more := true; more; more = p.lit(",") {
-			s, ok := p.str()
-			if !ok {
-				return req, false
-			}
-			req.Reads = append(req.Reads, proto.Item(s))
+			req.Reads = append(req.Reads, proto.Item(p.str()))
 		}
-		if !p.lit("]") {
-			return req, false
-		}
+		p.want("]")
 		sep = ","
 	}
 	if p.lit(sep + `"writes":[`) {
 		for more := true; more; more = p.lit(",") {
-			if !p.lit(`{"item":`) {
-				return req, false
-			}
-			s, ok := p.str()
-			if !ok || !p.lit(`,"value":`) {
-				return req, false
-			}
-			v, ok := p.num()
-			if !ok || !p.lit("}") {
-				return req, false
-			}
-			req.Writes = append(req.Writes, load.TxnWrite{Item: proto.Item(s), Value: proto.Value(v)})
+			p.want(`{"item":`)
+			item := proto.Item(p.str())
+			p.want(`,"value":`)
+			req.Writes = append(req.Writes, load.TxnWrite{Item: item, Value: proto.Value(p.num())})
+			p.want("}")
 		}
-		if !p.lit("]") {
-			return req, false
-		}
+		p.want("]")
 	}
-	return req, p.lit("}") && p.i == len(p.b)
+	p.want("}")
+	return req, !p.bad && p.i == len(b)
 }
 
-// txnScanner is parseTxn's cursor over the body.
+// txnScanner is parseTxn's cursor. The first mismatch sets bad, after which
+// nothing matches and the cursor stays put.
 type txnScanner struct {
-	b []byte
-	i int
+	b   []byte
+	i   int
+	bad bool
 }
 
 // lit consumes s if it comes next.
 func (p *txnScanner) lit(s string) bool {
-	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+	if p.bad || len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
 		return false
 	}
 	p.i += len(s)
 	return true
 }
 
+// want is a lit that must match.
+func (p *txnScanner) want(s string) { p.bad = !p.lit(s) }
+
 // str consumes a quoted string of printable ASCII with no escapes.
-func (p *txnScanner) str() (string, bool) {
-	if !p.lit(`"`) {
-		return "", false
+func (p *txnScanner) str() string {
+	p.want(`"`)
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] >= 0x20 && p.b[p.i] <= 0x7e && p.b[p.i] != '"' && p.b[p.i] != '\\' {
+		p.i++
 	}
-	for start := p.i; p.i < len(p.b); p.i++ {
-		switch c := p.b[p.i]; {
-		case c == '"':
-			p.i++
-			return string(p.b[start : p.i-1]), true
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return "", false
-		}
-	}
-	return "", false
+	p.want(`"`)
+	return string(p.b[start:max(start, p.i-1)])
 }
 
-// num consumes a JSON integer that fits an int64: no fraction, no exponent,
-// no leading zeros.
-func (p *txnScanner) num() (int64, bool) {
+// num consumes a JSON integer that fits an int64: no fraction or exponent
+// (the "}" wanted next refuses them), no leading zeros.
+func (p *txnScanner) num() int64 {
 	start := p.i
 	p.lit("-")
 	digits := p.i
 	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
 		p.i++
 	}
-	if p.i == digits || p.b[digits] == '0' && p.i-digits > 1 {
-		return 0, false
-	}
 	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
-	return v, err == nil
+	p.bad = p.bad || err != nil || p.b[digits] == '0' && p.i-digits > 1
+	return v
 }

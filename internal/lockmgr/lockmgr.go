@@ -11,10 +11,6 @@
 // lives behind a separate small mutex that is only ever taken after a shard
 // mutex, never before, so no lock-ordering cycle exists.
 //
-// The uncontended path allocates nothing in steady state: a lock's holders
-// are a small slice, idle lock states and transaction records are recycled,
-// and a request (with its channel) exists only once a transaction queues.
-//
 // Two deadlock-resolution policies are provided, as an ablation of the
 // "works with a large group of concurrency control algorithms" claim:
 //
@@ -131,14 +127,14 @@ type Manager struct {
 	seed   maphash.Seed
 	shards []*shard
 
-	// tmu guards the cross-shard state: txns, each record in it, and the
-	// free list. Lock ordering: a shard mutex may be held when tmu is taken,
-	// never the reverse.
+	// tmu guards the cross-shard state: txns, every record in it, and free.
+	// Lock ordering: a shard mutex may be held when tmu is taken, never the
+	// reverse.
 	tmu  sync.Mutex
 	txns map[proto.TxnID]*txnRec
 	free []*txnRec
-	// nwounded counts the records whose wounded flag is set, so that the
-	// check every Acquire starts with costs no mutex while nobody is wounded.
+	// nwounded counts the records flagged wounded, so the check every
+	// Acquire starts with takes no mutex while nobody is.
 	nwounded atomic.Int32
 
 	acquired atomic.Uint64
@@ -147,9 +143,8 @@ type Manager struct {
 	wounds   atomic.Uint64
 }
 
-// shard is one hash partition of the lock table, with its own mutex and the
-// lock states of the keys living in it. A key has a lock state only while it
-// is held or waited for; idle states wait on free to be reused.
+// shard is one hash partition of the lock table. A key has a lock state only
+// while it is held or waited for; idle states wait on free to be reused.
 type shard struct {
 	idx   int
 	mu    sync.Mutex
@@ -175,13 +170,12 @@ type request struct {
 	ready   chan error // buffered; receives nil on grant, error on kill
 }
 
-// txnRec is one transaction's footprint across the whole table: every key it
-// has been granted or has queued on since its last ReleaseAll. A key stays
-// listed after ReleaseOne, a timeout or a kill, and an upgrade may list it
-// twice; ReleaseAll and the wound sweep visit each listed key and find out
-// under its shard mutex what the transaction still has there. Records are
-// reached only through Manager.txns, under tmu, until ReleaseAll takes one
-// out of the map and owns it.
+// txnRec is one transaction's footprint across the table: every key it was
+// granted or queued on since its last ReleaseAll. A key stays listed after
+// ReleaseOne, a timeout or a kill; ReleaseAll and the wound sweep visit each
+// and find out under its shard mutex what the transaction still has there.
+// Records are reached only through Manager.txns, under tmu, until ReleaseAll
+// takes one out of the map and owns it.
 type txnRec struct {
 	keys    []txnKey
 	wounded bool
@@ -215,8 +209,9 @@ func (m *Manager) shardFor(key string) *shard {
 	return m.shards[maphash.String(m.seed, key)%uint64(len(m.shards))]
 }
 
-// isWounded reads the cross-shard wound flag.
-func (m *Manager) isWounded(txn proto.TxnID) bool {
+// Wounded reports whether txn has been wounded by an older transaction.
+// Transaction managers check it at operation boundaries.
+func (m *Manager) Wounded(txn proto.TxnID) bool {
 	if m.nwounded.Load() == 0 {
 		return false
 	}
@@ -250,7 +245,7 @@ func (m *Manager) noteKey(txn proto.TxnID, s *shard, key string) {
 // supported and take priority over queued waiters (an upgrader already
 // excludes any queued Exclusive from ever being granted first).
 func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode Mode) error {
-	if m.isWounded(txn) {
+	if m.Wounded(txn) {
 		return fmt.Errorf("lock %q: %w", key, proto.ErrWounded)
 	}
 	s := m.shardFor(key)
@@ -267,7 +262,9 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	if !upgrade {
 		m.noteKey(txn, s, key) // a holder's key is listed already
 	}
-	if grantable(ls, mode, upgrade) {
+	// FIFO fairness: a fresh request is granted at once only when nothing is
+	// queued ahead of it; an upgrade needs to be the sole holder.
+	if upgrade && len(ls.holders) == 1 || !upgrade && len(ls.queue) == 0 && ls.compatible(mode) {
 		ls.grant(txn, mode)
 		m.acquired.Add(1)
 		s.mu.Unlock()
@@ -294,7 +291,7 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	// enqueue is visible to a concurrent wound's shard sweep, or the sweep's
 	// mark is visible here; both ways the wounded waiter unblocks promptly
 	// instead of riding out the timeout.
-	if m.isWounded(txn) {
+	if m.Wounded(txn) {
 		ls.removeQueued(req)
 		s.retire(key, ls)
 		s.mu.Unlock()
@@ -359,9 +356,8 @@ func (m *Manager) cancelWait(s *shard, key string, req *request) (granted bool, 
 // index order and keys in sorted order within each, and only the shards the
 // transaction has keys in.
 func (m *Manager) ReleaseAll(txn proto.TxnID) {
-	// Forgetting the record also clears the wound flag. A concurrent wound
-	// marks only transactions it finds a record for, so none can appear for
-	// this one until it acquires again.
+	// Forgetting the record clears the wound flag too; a concurrent wound
+	// marks only transactions it finds a record for.
 	m.tmu.Lock()
 	rec := m.txns[txn]
 	if rec == nil {
@@ -376,7 +372,9 @@ func (m *Manager) ReleaseAll(txn proto.TxnID) {
 	m.tmu.Unlock()
 
 	keys := rec.keys
-	sortKeys(keys)
+	slices.SortFunc(keys, func(a, b txnKey) int {
+		return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.key, b.key))
+	})
 	var grants []grant
 	for i := 0; i < len(keys); {
 		s := m.shards[keys[i].shard]
@@ -406,16 +404,6 @@ func (m *Manager) ReleaseAll(txn proto.TxnID) {
 	m.tmu.Unlock()
 }
 
-// sortKeys orders a record's keys by shard, then key.
-func sortKeys(keys []txnKey) {
-	slices.SortFunc(keys, func(a, b txnKey) int {
-		if c := cmp.Compare(a.shard, b.shard); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.key, b.key)
-	})
-}
-
 // ReleaseOne releases txn's lock on a single key and promotes waiters.
 // Strict two-phase locking forbids early release of a lock that protected
 // an observed value; the only legitimate use is backing out of a lock whose
@@ -434,12 +422,6 @@ func (m *Manager) ReleaseOne(txn proto.TxnID, key string) {
 	s.retire(key, ls)
 	s.mu.Unlock()
 	deliver(grants)
-}
-
-// Wounded reports whether txn has been wounded by an older transaction.
-// Transaction managers check it at operation boundaries.
-func (m *Manager) Wounded(txn proto.TxnID) bool {
-	return m.isWounded(txn)
 }
 
 // keysOf copies the keys listed for txn.
@@ -535,8 +517,7 @@ func (m *Manager) CrashReset() {
 
 // --- shard internals (s.mu held unless noted) ---
 
-// lockState returns key's lock state, taking an idle one when the key has
-// none.
+// lockState returns key's lock state, an idle one when the key has none.
 func (s *shard) lockState(key string) *lockState {
 	ls, ok := s.locks[key]
 	if !ok {
@@ -612,17 +593,6 @@ func (ls *lockState) failQueued(txn proto.TxnID, err error, grants []grant) []gr
 	return grants
 }
 
-// grantable reports whether a fresh request can be granted right now,
-// respecting FIFO fairness: it is only granted immediately when nothing is
-// queued ahead of it (upgrades exempt).
-func grantable(ls *lockState, mode Mode, upgrade bool) bool {
-	if upgrade {
-		// Sole holder required.
-		return len(ls.holders) == 1
-	}
-	return len(ls.queue) == 0 && ls.compatible(mode)
-}
-
 // compatible reports whether a new holder in mode can join the holders.
 func (ls *lockState) compatible(mode Mode) bool {
 	if mode == Exclusive {
@@ -676,12 +646,11 @@ func (ls *lockState) promote(grants []grant) []grant {
 }
 
 // woundYoungerHoldersLocked implements wound-wait: the waiting transaction
-// marks every younger holder of the contested lock wounded (the contested
-// key's shard mutex is held; tmu nests inside it). The victims' queued
-// requests — which may live in any shard — are failed by the caller via
-// sweepWoundedWaiters once the shard mutex is released, and their future
-// Acquire calls are rejected by the wound flag; their manager will abort
-// them and ReleaseAll.
+// marks every younger holder of the contested lock wounded (the key's shard
+// mutex is held; tmu nests inside it). The caller fails the victims' queued
+// requests, in whatever shard, via sweepWoundedWaiters once the shard mutex
+// is released; their future Acquires are rejected by the flag, and their
+// manager will abort them and ReleaseAll.
 func (m *Manager) woundYoungerHoldersLocked(ls *lockState, waiter proto.TxnID) []proto.TxnID {
 	var victims []proto.TxnID
 	m.tmu.Lock()
@@ -714,8 +683,6 @@ func (m *Manager) sweepWoundedWaiters(victims []proto.TxnID) {
 			s.mu.Lock()
 			if ls := s.locks[k.key]; ls != nil {
 				killed = ls.failQueued(victim, proto.ErrWounded, killed)
-				// The victim still holds its locks, so nothing queued behind
-				// its requests can be promoted and the state stays in use.
 			}
 			s.mu.Unlock()
 		}

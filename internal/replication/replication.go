@@ -258,14 +258,3 @@ func (v View) Session(site proto.SiteID) proto.Session {
 	}
 	return proto.NoSession
 }
-
-// UpSites lists the nominally-up sites in ascending order.
-func (v View) UpSites() []proto.SiteID {
-	var out []proto.SiteID
-	for _, e := range v.Sessions {
-		if e.Session != proto.NoSession {
-			out = append(out, e.Site)
-		}
-	}
-	return out
-}

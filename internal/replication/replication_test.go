@@ -132,10 +132,6 @@ func TestView(t *testing.T) {
 	if v.Session(3) != 7 || v.Session(9) != 0 {
 		t.Fatal("Session wrong")
 	}
-	up := v.UpSites()
-	if len(up) != 2 || up[0] != 1 || up[1] != 3 {
-		t.Fatalf("UpSites = %v", up)
-	}
 }
 
 func TestCatalogSitesIsACopy(t *testing.T) {

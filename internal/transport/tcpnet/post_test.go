@@ -358,6 +358,9 @@ func TestUncontendedHandlerRegistersNothingOnBaseCtx(t *testing.T) {
 		entered <- struct{}{}
 		<-ctx.Done()
 		stopped <- ctx.Err()
+		// Both ends' timers fire together; let the caller's own timeout, not
+		// this error racing back, be what the abandoned call reports.
+		time.Sleep(20 * time.Millisecond)
 		return nil, ctx.Err()
 	})
 	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

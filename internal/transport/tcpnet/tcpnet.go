@@ -19,20 +19,15 @@
 // demux drops responses nobody is registered for.
 //
 // The serving side serves a frame on the goroutine that read it: no hand-off,
-// no wake-up, no second thread per frame. What keeps a connection from
-// stalling behind one request is the handler's context. The first Done() on
-// it — where lockmgr.Acquire's wait and a nested call's Wait both arrive
-// before they block — passes the connection's read side to a fresh goroutine,
-// and the old one finishes its handler, writes its response and exits. A frame
-// that arrives with more request bytes already buffered behind it passes the
-// read side on before it is served, so a pipelined burst runs its handlers
-// concurrently. The rule for handlers is therefore: a handler that waits on
-// its context never blocks later requests on the same connection; one that
-// blocks without consulting its context (a bare channel receive, a sleep)
-// holds up every frame behind it until it returns. Each handler runs under a
-// context that carries the caller's deadline but arms its timer and its
-// registration with the transport's base context only if the handler asks
-// for Done.
+// no wake-up per frame. The first Done() on the handler's context — where
+// lockmgr.Acquire's wait and a nested call's Wait arrive before they block —
+// passes the connection's read side to a fresh goroutine, as does a frame
+// with more request bytes already buffered behind it. So a handler that waits
+// on its context never blocks later requests on the same connection; one that
+// blocks without consulting it (a bare channel receive, a sleep) holds up
+// every frame behind it. The context carries the caller's deadline but arms
+// its timer and its registration with the transport's base context only when
+// asked for Done.
 //
 // Failure semantics follow the paper's fail-stop model: a connection refused
 // (after brief retries, to ride over peer startup) or any transport-level
@@ -516,13 +511,12 @@ type servedConn struct {
 	wmu sync.Mutex
 }
 
-// readLoop reads request frames in order and serves each one itself, so an
-// uncontended request costs no goroutine hand-off. It gives the read side
-// away — to a new readLoop goroutine — in two cases: the frame it just
-// decoded has more request bytes buffered behind it (before serving, so a
-// pipelined burst is served concurrently), or the handler asked its context
-// for Done and is about to wait (handlerCtx.Done). Either way this goroutine
-// finishes the one handler it is running, writes the response and exits;
+// readLoop reads request frames in order and serves each one itself. It
+// gives the read side away — to a new readLoop goroutine — when the frame it
+// just decoded has more request bytes buffered behind it (before serving, so
+// a pipelined burst is served concurrently) or when the handler asks its
+// context for Done and is about to wait (handlerCtx.Done). Either way this
+// goroutine finishes its one handler, writes the response and exits;
 // responses may cross the wire out of order. The goroutine that finds the
 // stream ended, or corrupt, retires the connection.
 func (s *servedConn) readLoop() {
@@ -594,13 +588,12 @@ func (s *servedConn) serve(h reqHeader, msg proto.Message, err error, reading bo
 // most handlers never wait, and building a context.WithDeadline for each
 // request was a tenth of a participant's CPU.
 //
-// Done is also where a handler that is about to wait lets go of the
-// connection: when the goroutine running it still owns the read side
-// (reader non-nil), the first Done hands the read side to a new goroutine
-// before returning the channel the handler will block on. That happens at
-// most once, under mu, and only until release: a Done after the handler
-// returned — from a goroutine it leaked, or a context derived from this one
-// — must not start a second reader on the connection's bufio.Reader.
+// Done is also where a handler about to wait lets go of the connection: while
+// its goroutine still owns the read side (reader non-nil), the first Done
+// hands that to a new goroutine before returning the channel. At most once,
+// under mu, and only until release: a Done after the handler returned — from
+// a goroutine it leaked, or a derived context — must not start a second
+// reader on the connection's bufio.Reader.
 type handlerCtx struct {
 	base     context.Context
 	deadline time.Time
