@@ -287,7 +287,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	// What writeJSON(w, 200, {"committed": true}) sends, without the encoder.
 	writeCommitted := func(w http.ResponseWriter) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte("{\"committed\":true}\n"))
+		io.WriteString(w, "{\"committed\":true}\n")
 	}
 
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {

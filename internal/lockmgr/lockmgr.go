@@ -568,28 +568,22 @@ func (ls *lockState) grant(txn proto.TxnID, mode Mode) {
 // removeQueued drops req from the wait queue and reports whether it was
 // still there; whoever removes a request is the one to resolve it.
 func (ls *lockState) removeQueued(req *request) bool {
-	for i, r := range ls.queue {
-		if r == req {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			return true
-		}
+	i := slices.Index(ls.queue, req)
+	if i >= 0 {
+		ls.queue = slices.Delete(ls.queue, i, i+1)
 	}
-	return false
+	return i >= 0
 }
 
 // failQueued removes every request txn has queued here and appends its
 // resolution with err to grants.
 func (ls *lockState) failQueued(txn proto.TxnID, err error, grants []grant) []grant {
-	kept := ls.queue[:0]
-	for _, r := range ls.queue {
+	ls.queue = slices.DeleteFunc(ls.queue, func(r *request) bool {
 		if r.txn == txn {
 			grants = append(grants, grant{req: r, err: err})
-		} else {
-			kept = append(kept, r)
 		}
-	}
-	clear(ls.queue[len(kept):])
-	ls.queue = kept
+		return r.txn == txn
+	})
 	return grants
 }
 

@@ -610,7 +610,7 @@ func (c *handlerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 func (c *handlerCtx) Done() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.reader != nil && !c.released {
+	if c.reader != nil {
 		c.reader.handOff()
 		c.reader = nil
 	}
@@ -662,7 +662,8 @@ func (c *handlerCtx) release() (reading bool) {
 	if c.cancel != nil {
 		c.cancel()
 	}
-	return c.reader != nil
+	reading, c.reader = c.reader != nil, nil // a later Done hands nothing off
+	return reading
 }
 
 // dispatch runs the handler for one decoded request. reading and the
