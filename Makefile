@@ -58,10 +58,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameHeader -fuzztime $(FUZZTIME) ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -fuzz FuzzParseTxn -fuzztime $(FUZZTIME) ./cmd/srnode
 
-# Mirrors the tcp-e2e CI job: transport, node, and 3-process srnode
-# cluster tests under the race detector.
+# Mirrors the tcp-e2e CI job: transport, node, the 3-process srnode
+# cluster tests, proc.Cluster itself (one writer shared by every process)
+# and srload's TCP column under the race detector.
 e2e:
-	$(GO) test -race -count=1 ./internal/transport/... ./internal/node/ ./cmd/srnode/
+	$(GO) test -race -count=1 ./internal/transport/... ./internal/node/ ./cmd/srnode/ ./internal/chaos/proc/ ./cmd/srload/
 
 # Mirrors the coverage CI job.
 cover:

@@ -25,10 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 
 	"siterecovery/internal/chaos"
 	"siterecovery/internal/chaos/proc"
@@ -72,8 +70,9 @@ func run(seed int64, steps, sites, items int, identify, store, schedulePath, out
 			return err
 		}
 	} else {
-		sched = proc.Generate(proc.GenConfig{
-			Seed: seed, Steps: steps, Sites: sites, Items: items, Identify: identify,
+		sched = chaos.Generate(chaos.GenConfig{
+			Seed: seed, Steps: steps, Sites: sites, Items: items, Degree: sites,
+			Identify: identify, Mix: proc.Mix,
 		})
 	}
 
@@ -91,12 +90,12 @@ func run(seed int64, steps, sites, items int, identify, store, schedulePath, out
 		return err
 	}
 	if bin == "" {
-		if bin, err = buildSrnode(outdir); err != nil {
+		if bin, err = proc.Build(outdir); err != nil {
 			return err
 		}
 	}
 
-	opts := proc.Options{Bin: bin, Dir: outdir, Store: store}
+	opts := proc.Options{Config: proc.Config{Bin: bin, Dir: outdir, Args: []string{"-store", store}}}
 	if verbose {
 		opts.Stderr = os.Stderr
 		opts.Log = func(msg string) { fmt.Fprintln(os.Stderr, "srchaos:", msg) }
@@ -132,19 +131,4 @@ func run(seed int64, steps, sites, items int, identify, store, schedulePath, out
 		}
 	}
 	return errViolations
-}
-
-// buildSrnode compiles the srnode binary into the artifact directory so the
-// harness runs against the working tree's exact code.
-func buildSrnode(outdir string) (string, error) {
-	bin := filepath.Join(outdir, "srnode")
-	if runtime.GOOS == "windows" {
-		bin += ".exe"
-	}
-	cmd := exec.Command("go", "build", "-o", bin, "siterecovery/cmd/srnode")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return "", fmt.Errorf("go build srnode: %v\n%s", err, out)
-	}
-	return bin, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -11,15 +12,19 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"siterecovery/internal/chaos/proc"
+	"siterecovery/internal/load"
+	"siterecovery/internal/proto"
 )
 
 var sentLine = regexp.MustCompile(`(?m)^sr_net_sent_([a-z_]+)_total\{[^}]*\} (\d+)$`)
 
-// sentCounts scrapes ctrl's /metrics for the wire messages that site has
+// sentCounts scrapes url's /metrics for the wire messages that site has
 // sent so far, by message kind (sr_net_sent_<kind>_total).
-func sentCounts(t *testing.T, ctrl string) map[string]int {
+func sentCounts(t *testing.T, url string) map[string]int {
 	t.Helper()
-	resp, err := http.Get("http://" + ctrl + "/metrics")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -48,22 +53,13 @@ func TestE2ECommitPathWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning e2e test in -short mode")
 	}
-	c := newE2ECluster(t, buildSrnode(t), t.TempDir())
-	c.items = "a,b,c,d"
-	for i := range c.peerAddrs {
-		c.spawn(t, i, false)
-	}
-	for i := range c.peerAddrs {
-		waitOperational(t, c.controlAddrs[i])
-	}
-	coord := c.controlAddrs[0]
+	c := newCluster(t, proc.Config{Dir: t.TempDir(), Args: []string{"-items", "a,b,c,d"}})
+	must(t, c.Start(context.Background()))
+	coord := c.URL(1)
 	kinds := []string{"batch", "commit", "write", "prepare", "read", "abort"}
 
 	before := sentCounts(t, coord)
-	if code, body := postJSON(t, coord, "/txn",
-		`{"writes":[{"item":"d","value":4},{"item":"b","value":2},{"item":"c","value":3},{"item":"a","value":1}]}`); code != http.StatusOK {
-		t.Fatalf("4-write txn: %d %s", code, body)
-	}
+	runTxn(t, c, 1, load.Txn{Writes: []load.Write{{Item: "d", Value: 4}, {Item: "b", Value: 2}, {Item: "c", Value: 3}, {Item: "a", Value: 1}}})
 	after := sentCounts(t, coord)
 	want := map[string]int{"batch": 2, "commit": 2}
 	for _, kind := range kinds {
@@ -71,14 +67,12 @@ func TestE2ECommitPathWireCost(t *testing.T) {
 			t.Errorf("4-write txn moved %d %q messages from the coordinator, want %d", got, kind, want[kind])
 		}
 	}
-	if got := readItem(t, c.controlAddrs[2], "d"); got != 4 {
+	if got := readItem(t, c, 3, "d"); got != 4 {
 		t.Fatalf("d at site 3 = %d, want 4", got)
 	}
 
 	before = sentCounts(t, coord)
-	if code, body := postJSON(t, coord, "/txn", `{"reads":["a","b","c","d"]}`); code != http.StatusOK {
-		t.Fatalf("read-only txn: %d %s", code, body)
-	}
+	runTxn(t, c, 1, load.Txn{Reads: []proto.Item{"a", "b", "c", "d"}})
 	after = sentCounts(t, coord)
 	for _, kind := range kinds {
 		if got := after[kind] - before[kind]; got != 0 {
@@ -98,8 +92,9 @@ func TestE2EStatedirPersistFailureFailStops(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform")
 	}
-	const victim = 2 // index of site 3
+	const victim = proto.SiteID(3)
 	outDir := t.TempDir()
+	c := newCluster(t, proc.Config{Dir: outDir})
 	stateDir := filepath.Join(outDir, "state3")
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -107,36 +102,23 @@ func TestE2EStatedirPersistFailureFailStops(t *testing.T) {
 	if err := os.Symlink("/dev/full", filepath.Join(stateDir, "wal.jsonl")); err != nil {
 		t.Fatal(err)
 	}
-
-	c := newE2ECluster(t, buildSrnode(t), outDir)
-	for i := range c.peerAddrs {
-		c.spawn(t, i, false)
-	}
-	for i := range c.peerAddrs {
-		waitOperational(t, c.controlAddrs[i])
-	}
+	must(t, c.Start(context.Background()))
 
 	// Coordinate at the victim: its own prepare record is the first thing
 	// the commit must force. The client must not see an acknowledgement.
-	resp, err := http.Post("http://"+c.controlAddrs[victim]+"/exec?item=x&value=9", "", nil)
-	if err == nil {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("site 3 acknowledged a commit it could not persist: %s", body)
-		}
+	if code, body, err := c.Post(context.Background(), victim, "/exec?item=x&value=9"); err == nil && code == http.StatusOK {
+		t.Fatalf("site 3 acknowledged a commit it could not persist: %s", body)
 	}
 
-	werr := c.procs[victim].Wait()
+	log, werr := c.Wait(victim)
 	var exit *exec.ExitError
 	if !errors.As(werr, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("site 3 exit = %v, want exit status 1", werr)
 	}
-	if log := c.stderr[victim].String(); !strings.Contains(log, "statedir wal persist failed") ||
-		!strings.Contains(log, "no space left on device") {
+	if !strings.Contains(log, "statedir wal persist failed") || !strings.Contains(log, "no space left on device") {
 		t.Fatalf("site 3 stderr does not name the persist failure:\n%s", log)
 	}
-	if _, err := http.Get("http://" + c.controlAddrs[victim] + "/status"); err == nil {
+	if _, err := http.Get(c.URL(victim) + "/status"); err == nil {
 		t.Fatal("site 3 still serves its control port after the persist failure")
 	}
 }

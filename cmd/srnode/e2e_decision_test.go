@@ -1,16 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
-	"siterecovery/internal/chaos"
+	"siterecovery/internal/chaos/proc"
 	"siterecovery/internal/faultproxy"
 	"siterecovery/internal/proto"
-	"siterecovery/internal/trace"
 )
 
 // The coordinator answers its client at the durable decision and posts the
@@ -20,75 +19,49 @@ import (
 // closes it: the janitor's decision query against a respawned coordinator,
 // and RecoverInDoubt at a respawned participant.
 
-// decisionCluster is a 3-site cluster whose site 1 reaches the given peers
-// (site indices) through proxy, every such link wedged before its first byte.
-func decisionCluster(t *testing.T, proxy *faultproxy.Proxy, via ...int) *e2eCluster {
+// decisionCluster is a 3-site cluster whose links all run through proxy,
+// site 1's links to the given peers wedged before their first byte.
+func decisionCluster(t *testing.T, proxy *faultproxy.Proxy, via ...proto.SiteID) *proc.Cluster {
 	t.Helper()
-	c := newE2ECluster(t, buildSrnode(t), t.TempDir())
-	spec := fmt.Sprintf("1=%s", c.peerAddrs[0])
-	for i := 1; i < len(c.peerAddrs); i++ {
-		addr := c.peerAddrs[i]
-		for _, v := range via {
-			if v == i {
-				var err error
-				if addr, err = proxy.AddLink(1, proto.SiteID(i+1), c.peerAddrs[i]); err != nil {
-					t.Fatal(err)
-				}
-				if err := proxy.SetFault(1, proto.SiteID(i+1), faultproxy.Fault{Stall: true}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		spec += fmt.Sprintf(",%d=%s", i+1, addr)
+	c := newCluster(t, proc.Config{Dir: t.TempDir(), Proxy: proxy})
+	for _, to := range via {
+		must(t, proxy.SetFault(1, to, faultproxy.Fault{Stall: true}))
 	}
-	c.peerSpecs = map[int]string{0: spec}
-	for i := range c.peerAddrs {
-		c.spawn(t, i, false)
-	}
-	for i := range c.peerAddrs {
-		waitOperational(t, c.controlAddrs[i])
-	}
+	must(t, c.Start(context.Background()))
 	return c
 }
 
-func preparedAt(t *testing.T, ctrl string) int {
+func preparedAt(t *testing.T, c *proc.Cluster, site proto.SiteID) int {
 	t.Helper()
-	n, err := prepared(ctrl)
-	if err != nil {
-		t.Fatalf("GET /status: %v", err)
+	var st struct {
+		Prepared int `json:"prepared"`
 	}
-	return n
+	must(t, c.GetJSON(context.Background(), site, "/status", &st))
+	return st.Prepared
 }
 
 // letVoteHoldDecision lets exactly one frame through the wedged link from
-// site 1 to site `to`+1 — the batch that carries the prepare — by raising
+// site 1 to site `to` — the batch that carries the prepare — by raising
 // the stall's byte budget a byte at a time until the participant reports a
 // prepared transaction. The budget is then spent, so whatever the
 // coordinator writes next on that link, the decision, is held in the proxy.
-func letVoteHoldDecision(t *testing.T, c *e2eCluster, proxy *faultproxy.Proxy, to int) {
+func letVoteHoldDecision(t *testing.T, c *proc.Cluster, proxy *faultproxy.Proxy, to proto.SiteID) {
 	t.Helper()
-	for budget := int64(1); preparedAt(t, c.controlAddrs[to]) == 0; budget++ {
+	for budget := int64(1); preparedAt(t, c, to) == 0; budget++ {
 		if budget > 4096 {
-			t.Fatalf("site %d never prepared with %d bytes let through", to+1, budget)
+			t.Fatalf("site %d never prepared with %d bytes let through", to, budget)
 		}
-		if err := proxy.SetFault(1, proto.SiteID(to+1), faultproxy.Fault{Stall: true, StallAfter: budget}); err != nil {
-			t.Fatal(err)
-		}
+		must(t, proxy.SetFault(1, to, faultproxy.Fault{Stall: true, StallAfter: budget}))
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // execAsync starts POST /exec at site 1 and returns where its status lands.
-func execAsync(c *e2eCluster, path string) <-chan int {
+func execAsync(c *proc.Cluster, path string) <-chan int {
 	done := make(chan int, 1)
 	go func() {
-		resp, err := http.Post("http://"+c.controlAddrs[0]+path, "", nil)
-		if err != nil {
-			done <- 0
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
+		code, _, _ := c.Post(context.Background(), 1, path)
+		done <- code
 	}()
 	return done
 }
@@ -105,17 +78,6 @@ func waitExec(t *testing.T, done <-chan int) {
 	}
 }
 
-func checkMergedTrace(t *testing.T, c *e2eCluster) {
-	t.Helper()
-	merged := trace.Merge(c.streams(t)...)
-	if len(merged.Violations) != 0 {
-		t.Fatalf("causal merge found violations: %v", merged.Violations)
-	}
-	if fails := chaos.CheckTrace(merged, chaos.TraceSuite()); len(fails) != 0 {
-		t.Fatalf("trace invariants failed: %v", fails)
-	}
-}
-
 // TestE2ECoordinatorKilledAfterReply: both participants have voted, the
 // coordinator has logged the decision and answered its client, and is
 // SIGKILLed before either decision frame gets anywhere. The participants sit
@@ -128,39 +90,30 @@ func TestE2ECoordinatorKilledAfterReply(t *testing.T) {
 	}
 	proxy := faultproxy.New()
 	defer proxy.Close()
-	c := decisionCluster(t, proxy, 1, 2)
+	ctx := context.Background()
+	c := decisionCluster(t, proxy, 2, 3)
 
 	done := execAsync(c, "/exec?item=x&value=41")
-	letVoteHoldDecision(t, c, proxy, 1)
 	letVoteHoldDecision(t, c, proxy, 2)
+	letVoteHoldDecision(t, c, proxy, 3)
 	waitExec(t, done)
-	c.kill(0) // the held decision frames die with its connections
+	c.Kill(1) // the held decision frames die with its connections
 
-	for _, p := range []int{1, 2} {
-		if got := preparedAt(t, c.controlAddrs[p]); got != 1 {
-			t.Fatalf("site %d holds %d prepared transactions after the coordinator died, want 1", p+1, got)
+	for _, p := range []proto.SiteID{2, 3} {
+		if got := preparedAt(t, c, p); got != 1 {
+			t.Fatalf("site %d holds %d prepared transactions after the coordinator died, want 1", p, got)
 		}
-		if st := getStorage(t, c.controlAddrs[p], "x"); st.Value == 41 {
-			t.Fatalf("site %d installed x=41 without a decision", p+1)
+		if st := getStorage(t, c, p, "x"); st.Value == 41 {
+			t.Fatalf("site %d installed x=41 without a decision", p)
 		}
 	}
 
 	proxy.ClearAll()
-	c.spawn(t, 0, true)
-	c.waitReachable(t, 0)
-	if code, body := post(t, c.controlAddrs[0], "/recover"); code != http.StatusOK {
+	must(t, c.Respawn(ctx, 1))
+	if code, body := post(t, c, 1, "/recover"); code != http.StatusOK {
 		t.Fatalf("recover site 1: %d %s", code, body)
 	}
-	c.waitDecided(t)
-	for i, ctrl := range c.controlAddrs {
-		if st := getStorage(t, ctrl, "x"); st.Value != 41 || st.Unreadable {
-			t.Errorf("x at site %d = %+v, want 41 and readable", i+1, st)
-		}
-		if got := readItem(t, ctrl, "x"); got != 41 {
-			t.Errorf("x read at site %d = %d, want 41", i+1, got)
-		}
-	}
-	checkMergedTrace(t, c)
+	checkConvergedX(t, c)
 }
 
 // TestE2EParticipantKilledBetweenVoteAndDecision: site 3 has voted, the
@@ -175,20 +128,19 @@ func TestE2EParticipantKilledBetweenVoteAndDecision(t *testing.T) {
 	}
 	proxy := faultproxy.New()
 	defer proxy.Close()
-	c := decisionCluster(t, proxy, 2)
+	c := decisionCluster(t, proxy, 3)
 
 	done := execAsync(c, "/exec?item=x&value=41")
-	letVoteHoldDecision(t, c, proxy, 2)
+	letVoteHoldDecision(t, c, proxy, 3)
 	waitExec(t, done)
-	if got := preparedAt(t, c.controlAddrs[2]); got != 1 {
+	if got := preparedAt(t, c, 3); got != 1 {
 		t.Fatalf("site 3 holds %d prepared transactions with its decision held, want 1", got)
 	}
-	c.kill(2)
+	c.Kill(3)
 	proxy.ClearAll()
 
-	c.spawn(t, 2, true)
-	c.waitReachable(t, 2)
-	code, body := post(t, c.controlAddrs[2], "/recover")
+	must(t, c.Respawn(context.Background(), 3))
+	code, body := post(t, c, 3, "/recover")
 	if code != http.StatusOK {
 		t.Fatalf("recover site 3: %d %s", code, body)
 	}
@@ -201,13 +153,20 @@ func TestE2EParticipantKilledBetweenVoteAndDecision(t *testing.T) {
 	if report.InDoubt < 1 {
 		t.Fatalf("recover report %s: inDoubt = %d, want >= 1 (the vote whose decision never arrived)", body, report.InDoubt)
 	}
-	c.waitDecided(t)
-	for i, ctrl := range c.controlAddrs {
-		if st := getStorage(t, ctrl, "x"); st.Value != 41 || st.Unreadable {
-			t.Errorf("x at site %d = %+v, want 41 and readable", i+1, st)
+	checkConvergedX(t, c)
+}
+
+// checkConvergedX requires every site, once no decision is in flight, to
+// hold x=41 readable and to read it back, and the merged trace to be clean.
+func checkConvergedX(t *testing.T, c *proc.Cluster) {
+	t.Helper()
+	must(t, c.WaitDecided(context.Background()))
+	for site := proto.SiteID(1); site <= 3; site++ {
+		if st := getStorage(t, c, site, "x"); st.Value != 41 || st.Unreadable {
+			t.Errorf("x at site %d = %+v, want 41 and readable", site, st)
 		}
-		if got := readItem(t, ctrl, "x"); got != 41 {
-			t.Errorf("x read at site %d = %d, want 41", i+1, got)
+		if got := readItem(t, c, site, "x"); got != 41 {
+			t.Errorf("x read at site %d = %d, want 41", site, got)
 		}
 	}
 	checkMergedTrace(t, c)

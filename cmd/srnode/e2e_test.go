@@ -1,23 +1,20 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"siterecovery/internal/chaos"
-	"siterecovery/internal/freeport"
+	"siterecovery/internal/chaos/proc"
+	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
-	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/trace"
 )
@@ -47,9 +44,10 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 		t.Skip("skipping process-spawning e2e test in -short mode")
 	}
 
-	bin := buildSrnode(t)
+	bin := srnodeBin(t)
+	ctx := context.Background()
 
-	const victim = 2 // index of site 3, the site taken down
+	const victim = proto.SiteID(3) // the site taken down
 
 	models := []struct {
 		name string
@@ -65,10 +63,10 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 		// it back; wantY is the recovered site's expected y either way.
 		writeYDown bool
 		wantY      int64
-		down       func(t *testing.T, c *e2eCluster)
+		down       func(t *testing.T, c *proc.Cluster)
 		// preRecover runs after bringBack but before POST /recover.
-		preRecover func(t *testing.T, c *e2eCluster)
-		bringBack  func(t *testing.T, c *e2eCluster)
+		preRecover func(t *testing.T, c *proc.Cluster)
+		bringBack  func(t *testing.T, c *proc.Cluster)
 		// checkReport inspects the /recover response body.
 		checkReport func(t *testing.T, body []byte)
 	}{
@@ -77,26 +75,25 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			strictOrder: true,
 			writeYDown:  true,
 			wantY:       7,
-			down: func(t *testing.T, c *e2eCluster) {
-				if code, body := post(t, c.controlAddrs[victim], "/crash"); code != http.StatusOK {
+			down: func(t *testing.T, c *proc.Cluster) {
+				if code, body := post(t, c, victim, "/crash"); code != http.StatusOK {
 					t.Fatalf("crash site 3: %d %s", code, body)
 				}
 			},
-			bringBack: func(t *testing.T, c *e2eCluster) {},
+			bringBack: func(t *testing.T, c *proc.Cluster) {},
 		},
 		{
 			name:        "sigkill",
 			strictOrder: false,
 			writeYDown:  true,
 			wantY:       7,
-			down: func(t *testing.T, c *e2eCluster) {
-				c.kill(victim)
+			down: func(t *testing.T, c *proc.Cluster) {
+				c.Kill(victim)
 			},
-			bringBack: func(t *testing.T, c *e2eCluster) {
+			bringBack: func(t *testing.T, c *proc.Cluster) {
 				// Respawn over the same statedir and addresses: a restarted
 				// process is a DOWN site until /recover runs.
-				c.spawn(t, victim, true)
-				c.waitReachable(t, victim)
+				must(t, c.Respawn(ctx, victim))
 			},
 		},
 		{
@@ -105,19 +102,18 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			args:        []string{"-store", "disk", "-identify", "versiondiff", "-pool-pages", "8"},
 			writeYDown:  false,
 			wantY:       13,
-			down: func(t *testing.T, c *e2eCluster) {
-				c.kill(victim)
+			down: func(t *testing.T, c *proc.Cluster) {
+				c.Kill(victim)
 			},
-			bringBack: func(t *testing.T, c *e2eCluster) {
-				c.spawn(t, victim, true)
-				c.waitReachable(t, victim)
+			bringBack: func(t *testing.T, c *proc.Cluster) {
+				must(t, c.Respawn(ctx, victim))
 			},
-			preRecover: func(t *testing.T, c *e2eCluster) {
+			preRecover: func(t *testing.T, c *proc.Cluster) {
 				// The site is still DOWN — no claim has run, no peer has been
 				// asked for a page — yet its committed copy of y must already
 				// read 13 from the local redo pass, and the engine must report
 				// having replayed records at open.
-				st := getStorage(t, c.controlAddrs[victim], "y")
+				st := getStorage(t, c, victim, "y")
 				if st.Engine != "disk" {
 					t.Fatalf("engine = %q, want disk", st.Engine)
 				}
@@ -160,34 +156,21 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			} else {
 				outDir = filepath.Join(outDir, model.name)
 			}
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-
-			c := newE2ECluster(t, bin, outDir)
-			c.extraArgs = model.args
-			for i := range c.peerAddrs {
-				c.spawn(t, i, false)
-			}
-			for i := range c.peerAddrs {
-				waitOperational(t, c.controlAddrs[i])
-			}
+			c := newCluster(t, proc.Config{Bin: bin, Dir: outDir, Args: model.args})
+			must(t, c.Start(ctx))
 
 			// A read-write transaction at site 1 replicates to every copy.
-			if code, body := post(t, c.controlAddrs[0], "/exec?item=x&value=41"); code != http.StatusOK {
+			if code, body := post(t, c, 1, "/exec?item=x&value=41"); code != http.StatusOK {
 				t.Fatalf("exec at site 1: %d %s", code, body)
 			}
-			if got := readItem(t, c.controlAddrs[1], "x"); got != 41 {
+			if got := readItem(t, c, 2, "x"); got != 41 {
 				t.Fatalf("x at site 2 = %d, want 41", got)
 			}
 
 			// The srload driving surface: an arbitrary read/write transaction
 			// via POST /txn, committed at site 2, visible at site 1.
-			if code, body := postJSON(t, c.controlAddrs[1], "/txn",
-				`{"reads":["x"],"writes":[{"item":"y","value":13}]}`); code != http.StatusOK {
-				t.Fatalf("txn at site 2: %d %s", code, body)
-			}
-			if got := readItem(t, c.controlAddrs[0], "y"); got != 13 {
+			runTxn(t, c, 2, load.Txn{Reads: []proto.Item{"x"}, Writes: []load.Write{{Item: "y", Value: 13}}})
+			if got := readItem(t, c, 1, "y"); got != 13 {
 				t.Fatalf("y at site 1 = %d, want 13", got)
 			}
 
@@ -196,11 +179,11 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			// below expects y=13 to be in the victim's redo log, not in doubt.
 			// Writes at site 1 fail until the failure detector's type-2
 			// control transaction excludes it, then proceed on survivors.
-			c.waitDecided(t)
+			must(t, c.WaitDecided(ctx))
 			model.down(t, c)
 			deadline := time.Now().Add(20 * time.Second)
 			for {
-				code, body := post(t, c.controlAddrs[0], "/exec?item=x&value=100")
+				code, body := post(t, c, 1, "/exec?item=x&value=100")
 				if code == http.StatusOK {
 					break
 				}
@@ -210,7 +193,7 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 				time.Sleep(50 * time.Millisecond)
 			}
 			if model.writeYDown {
-				if code, body := post(t, c.controlAddrs[0], "/exec?item=y&value=7"); code != http.StatusOK {
+				if code, body := post(t, c, 1, "/exec?item=y&value=7"); code != http.StatusOK {
 					t.Fatalf("write y on survivors: %d %s", code, body)
 				}
 			}
@@ -222,7 +205,7 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			if model.preRecover != nil {
 				model.preRecover(t, c)
 			}
-			code, body := post(t, c.controlAddrs[victim], "/recover")
+			code, body := post(t, c, victim, "/recover")
 			if code != http.StatusOK {
 				t.Fatalf("recover site 3: %d %s", code, body)
 			}
@@ -242,218 +225,88 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			// The recovered site serves current data from its local copies —
 			// under sigkill those pages died with the process and came back
 			// through the copiers (mem) or local redo plus one copier (disk).
-			if got := readItem(t, c.controlAddrs[victim], "x"); got != 100 {
+			if got := readItem(t, c, victim, "x"); got != 100 {
 				t.Fatalf("x at recovered site = %d, want 100", got)
 			}
-			if got := readItem(t, c.controlAddrs[victim], "y"); got != model.wantY {
+			if got := readItem(t, c, victim, "y"); got != model.wantY {
 				t.Fatalf("y at recovered site = %d, want %d", got, model.wantY)
 			}
 
 			// The runtime surface rides on the control port.
-			checkRuntimeSurface(t, c.controlAddrs[0])
+			checkRuntimeSurface(t, c.URL(1))
 
 			// Merge the per-site traces into one causal timeline and verify
 			// the whole lifecycle — commit, crash, exclusion, type-1
 			// recovery — reconstructs from the exports alone.
-			merged := trace.Merge(c.streams(t)...)
-			if len(merged.Violations) != 0 {
-				t.Fatalf("causal merge found violations: %v", merged.Violations)
-			}
-			if fails := chaos.CheckTrace(merged, chaos.TraceSuite()); len(fails) != 0 {
-				t.Fatalf("trace invariants failed: %v", fails)
-			}
-			checkMergedTimeline(t, merged, model.strictOrder)
+			checkMergedTimeline(t, checkMergedTrace(t, c), model.strictOrder)
 		})
 	}
 }
 
-// e2eCluster tracks one lifecycle run's processes, addresses, and
-// per-incarnation export files.
-type e2eCluster struct {
-	bin, outDir  string
-	peerSpec     string
-	peerAddrs    []string
-	controlAddrs []string
-	procs        []*exec.Cmd
-	// exports collects every incarnation's JSONL path per site; gens counts
-	// incarnations (it feeds -epoch so relaunches never alias identifiers).
-	exports [][]string
-	gens    []int
-	// extraArgs are appended to every spawn (e.g. -store disk).
-	extraArgs []string
-	// peerSpecs overrides the -peers map of individual sites (by index), so
-	// a test can route some of a site's links through a fault proxy.
-	peerSpecs map[int]string
-	// items is the -items list every site serves.
-	items string
-	// stderr keeps each site's latest incarnation's standard error (also
-	// copied to the test's own); read it only after that process was reaped.
-	stderr []*bytes.Buffer
-}
-
-func newE2ECluster(t *testing.T, bin, outDir string) *e2eCluster {
+// newCluster creates a 3-site cluster from cfg without spawning it,
+// building srnode when cfg.Bin is empty. Every process's output is copied to
+// the test's stderr, and the cluster stops when the test ends.
+func newCluster(t *testing.T, cfg proc.Config) *proc.Cluster {
 	t.Helper()
-	const sites = 3
-	c := &e2eCluster{
-		bin: bin, outDir: outDir,
-		peerAddrs:    make([]string, sites),
-		controlAddrs: make([]string, sites),
-		procs:        make([]*exec.Cmd, sites),
-		exports:      make([][]string, sites),
-		gens:         make([]int, sites),
-		items:        "x,y",
-		stderr:       make([]*bytes.Buffer, sites),
+	if cfg.Bin == "" {
+		cfg.Bin = srnodeBin(t)
 	}
-	for i := 0; i < sites; i++ {
-		c.peerAddrs[i] = freeAddr(t)
-		c.controlAddrs[i] = freeAddr(t)
-		c.gens[i] = -1
-		if i > 0 {
-			c.peerSpec += ","
-		}
-		c.peerSpec += fmt.Sprintf("%d=%s", i+1, c.peerAddrs[i])
+	cfg.Sites, cfg.Stderr = 3, os.Stderr
+	c, err := proc.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(c.Stop)
 	return c
 }
 
-// spawn launches site i's next incarnation. The statedir and addresses are
-// stable across incarnations; the export file and epoch are per-incarnation.
-func (c *e2eCluster) spawn(t *testing.T, i int, startDown bool) {
+func srnodeBin(t *testing.T) string {
 	t.Helper()
-	c.gens[i]++
-	exportPath := filepath.Join(c.outDir, fmt.Sprintf("site%d.gen%d.jsonl", i+1, c.gens[i]))
-	c.exports[i] = append(c.exports[i], exportPath)
-	peers := c.peerSpec
-	if spec, ok := c.peerSpecs[i]; ok {
-		peers = spec
-	}
-	args := []string{
-		"-site", fmt.Sprint(i + 1),
-		"-peers", peers,
-		"-items", c.items,
-		"-control", c.controlAddrs[i],
-		"-export", exportPath,
-		"-statedir", filepath.Join(c.outDir, fmt.Sprintf("state%d", i+1)),
-		"-epoch", fmt.Sprint(c.gens[i]),
-	}
-	if startDown {
-		args = append(args, "-start-down")
-	}
-	args = append(args, c.extraArgs...)
-	cmd := exec.Command(c.bin, args...)
-	c.stderr[i] = new(bytes.Buffer)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = io.MultiWriter(os.Stderr, c.stderr[i])
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start srnode %d: %v", i+1, err)
-	}
-	c.procs[i] = cmd
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-}
-
-// kill SIGKILLs site i and reaps it, freeing its addresses for a respawn.
-func (c *e2eCluster) kill(i int) {
-	c.procs[i].Process.Kill()
-	c.procs[i].Wait()
-}
-
-// waitReachable polls /status until the control server answers, without
-// requiring the site to be operational (a -start-down respawn is NOT).
-func (c *e2eCluster) waitReachable(t *testing.T, i int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	var lastErr error
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + c.controlAddrs[i] + "/status")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return
-		}
-		lastErr = err
-		time.Sleep(25 * time.Millisecond)
-	}
-	t.Fatalf("site %d control never came back: %v", i+1, lastErr)
-}
-
-// waitDecided polls GET /status at every reachable site until none holds a
-// prepared transaction whose decision has not landed. Phase two is posted,
-// so a committed reply says the decision is durable at the coordinator, not
-// that every participant has installed: anything that looks at a copy, a log
-// or an export without going through a transaction waits here first.
-func (c *e2eCluster) waitDecided(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for i, ctrl := range c.controlAddrs {
-		for {
-			n, err := prepared(ctrl)
-			if err != nil || n == 0 {
-				break // a dead process holds nothing
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("site %d still holds %d prepared transactions", i+1, n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
-// prepared reads "prepared" off GET /status: the transactions the site has
-// voted on and not yet learned the outcome of.
-func prepared(ctrl string) (int, error) {
-	resp, err := http.Get("http://" + ctrl + "/status")
+	bin, err := proc.Build(t.TempDir())
 	if err != nil {
-		return 0, err
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st struct {
-		Prepared int `json:"prepared"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st.Prepared, err
+	return bin
 }
 
-// streams flushes live processes and returns one event stream per site:
-// each site's incarnation exports concatenated, with a kill-cut marker
-// where a SIGKILL truncated the previous life (the same stitching the
-// chaos harness does). A killed incarnation's file may be empty — only the
-// combined stream must be non-empty. It waits for in-flight decisions
-// first, so the server side of every posted commit span has finished.
-func (c *e2eCluster) streams(t *testing.T) [][]obs.Event {
+func must(t *testing.T, err error) {
 	t.Helper()
-	c.waitDecided(t)
-	streams := make([][]obs.Event, len(c.exports))
-	for i, paths := range c.exports {
-		if code, body := post(t, c.controlAddrs[i], "/flush"); code != http.StatusOK {
-			t.Fatalf("flush site %d: %d %s", i+1, code, body)
-		}
-		var evs []obs.Event
-		for g, path := range paths {
-			if g > 0 {
-				evs = append(evs, obs.Event{Type: obs.EvSiteCrash, Site: proto.SiteID(i + 1), Detail: obs.DetailSigkill})
-			}
-			got, err := export.DecodeFile(path)
-			if err != nil {
-				t.Fatalf("decode site %d gen %d export: %v", i+1, g, err)
-			}
-			evs = append(evs, got...)
-		}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkMergedTrace waits out in-flight decisions, so the server side of
+// every posted commit span has finished; stitches each site's incarnation
+// exports, every one of which must hold events; merges them into one causal
+// timeline; and requires the merge and the trace-invariant suite to find
+// nothing.
+func checkMergedTrace(t *testing.T, c *proc.Cluster) trace.Merged {
+	t.Helper()
+	ctx := context.Background()
+	must(t, c.WaitDecided(ctx))
+	streams, err := c.Streams(ctx)
+	must(t, err)
+	for i, evs := range streams {
 		if len(evs) == 0 {
 			t.Fatalf("site %d exported no events", i+1)
 		}
-		streams[i] = evs
 	}
-	return streams
+	merged := trace.Merge(streams...)
+	if len(merged.Violations) != 0 {
+		t.Fatalf("causal merge found violations: %v", merged.Violations)
+	}
+	if fails := chaos.CheckTrace(merged, chaos.TraceSuite()); len(fails) != 0 {
+		t.Fatalf("trace invariants failed: %v", fails)
+	}
+	return merged
 }
 
 // checkRuntimeSurface asserts /metrics carries the Go runtime gauges and
 // the RPC span counters, and that pprof is mounted.
-func checkRuntimeSurface(t *testing.T, ctrl string) {
+func checkRuntimeSurface(t *testing.T, url string) {
 	t.Helper()
-	resp, err := http.Get("http://" + ctrl + "/metrics")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -467,7 +320,7 @@ func checkRuntimeSurface(t *testing.T, ctrl string) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	resp, err = http.Get("http://" + ctrl + "/debug/pprof/")
+	resp, err = http.Get(url + "/debug/pprof/")
 	if err != nil {
 		t.Fatalf("GET /debug/pprof/: %v", err)
 	}
@@ -552,90 +405,29 @@ func checkMergedTimeline(t *testing.T, merged trace.Merged, strictOrder bool) {
 	}
 }
 
-func buildSrnode(t *testing.T) string {
+func post(t *testing.T, c *proc.Cluster, site proto.SiteID, path string) (int, []byte) {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "srnode")
-	if runtime.GOOS == "windows" {
-		bin += ".exe"
-	}
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
+	code, body, err := c.Post(context.Background(), site, path)
 	if err != nil {
-		t.Fatalf("go build srnode: %v\n%s", err, out)
+		t.Fatalf("POST %s at site %v: %v", path, site, err)
 	}
-	return bin
+	return code, body
 }
 
-// freeAddr takes a localhost address for an srnode process to bind.
-func freeAddr(t *testing.T) string {
+// runTxn commits tx at site through POST /txn with srload's client.
+func runTxn(t *testing.T, c *proc.Cluster, site proto.SiteID, tx load.Txn) {
 	t.Helper()
-	addr, err := freeport.Addr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return addr
-}
-
-func waitOperational(t *testing.T, ctrl string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get("http://" + ctrl + "/status")
-		if err == nil {
-			var st struct {
-				Up          bool `json:"up"`
-				Operational bool `json:"operational"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err == nil && st.Up && st.Operational {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("site at %s never became operational: %v", ctrl, err)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if err := load.HTTPTarget(c.URL(site))(context.Background(), tx); err != nil {
+		t.Fatalf("txn at site %v: %v", site, err)
 	}
 }
 
-func post(t *testing.T, ctrl, path string) (int, []byte) {
+func readItem(t *testing.T, c *proc.Cluster, site proto.SiteID, item string) int64 {
 	t.Helper()
-	resp, err := http.Post("http://"+ctrl+path, "", nil)
-	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	buf, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, buf
-}
-
-func postJSON(t *testing.T, ctrl, path, body string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post("http://"+ctrl+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	buf, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, buf
-}
-
-func readItem(t *testing.T, ctrl, item string) int64 {
-	t.Helper()
-	resp, err := http.Get("http://" + ctrl + "/read?item=" + item)
-	if err != nil {
-		t.Fatalf("GET /read?item=%s: %v", item, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		buf, _ := io.ReadAll(resp.Body)
-		t.Fatalf("read %s: %d %s", item, resp.StatusCode, buf)
-	}
 	var out struct {
 		Value int64 `json:"value"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.GetJSON(context.Background(), site, "/read?item="+item, &out); err != nil {
 		t.Fatalf("read %s: %v", item, err)
 	}
 	return out.Value
@@ -656,20 +448,11 @@ type storagePeek struct {
 	} `json:"stats"`
 }
 
-func getStorage(t *testing.T, ctrl, item string) storagePeek {
+func getStorage(t *testing.T, c *proc.Cluster, site proto.SiteID, item string) storagePeek {
 	t.Helper()
-	resp, err := http.Get("http://" + ctrl + "/storage?item=" + item)
-	if err != nil {
-		t.Fatalf("GET /storage?item=%s: %v", item, err)
-	}
-	defer resp.Body.Close()
-	buf, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("storage %s: %d %s", item, resp.StatusCode, buf)
-	}
 	var out storagePeek
-	if err := json.Unmarshal(buf, &out); err != nil {
-		t.Fatalf("storage %s: %s: %v", item, buf, err)
+	if err := c.GetJSON(context.Background(), site, "/storage?item="+item, &out); err != nil {
+		t.Fatalf("storage %s: %v", item, err)
 	}
 	return out
 }

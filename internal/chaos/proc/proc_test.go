@@ -1,13 +1,13 @@
 package proc_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +18,12 @@ import (
 	"siterecovery/internal/proto"
 )
 
+// generate draws a process-chaos schedule the way srchaos does: the proc
+// mix over a fully replicated cluster of 3 sites and 8 items.
+func generate(seed int64, steps int) chaos.Schedule {
+	return chaos.Generate(chaos.GenConfig{Seed: seed, Steps: steps, Sites: 3, Items: 8, Degree: 3, Mix: proc.Mix})
+}
+
 // TestProcRefusesUsedDir: a directory holding an earlier run's statedir or
 // exports is refused by name before any srnode starts (the binary here does
 // not exist), instead of hanging in recovery over the stale state.
@@ -27,11 +33,29 @@ func TestProcRefusesUsedDir(t *testing.T) {
 		if err := os.Mkdir(filepath.Join(dir, leftover), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		_, err := proc.Run(context.Background(), proc.Generate(proc.GenConfig{Seed: 1, Steps: 3}),
-			proc.Options{Bin: filepath.Join(dir, "no-such-srnode"), Dir: dir})
+		_, err := proc.Run(context.Background(), generate(1, 3),
+			proc.Options{Config: proc.Config{Bin: filepath.Join(dir, "no-such-srnode"), Dir: dir}})
 		if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, leftover)) {
 			t.Fatalf("Run over %s: err = %v, want a refusal naming it", leftover, err)
 		}
+	}
+}
+
+// TestProcRefusesPartialReplication: srnode -items places every item at
+// every site, so a schedule naming another placement (a netsim reproducer
+// with Degree 2 of 4 sites) is refused, naming both numbers, before any
+// srnode starts (the binary here does not exist) — not replayed against a
+// placement it does not describe.
+func TestProcRefusesPartialReplication(t *testing.T) {
+	sched := chaos.Generate(chaos.GenConfig{Seed: 1, Steps: 3, Sites: 4, Degree: 2})
+	dir := t.TempDir()
+	_, err := proc.Run(context.Background(), sched,
+		proc.Options{Config: proc.Config{Bin: filepath.Join(dir, "no-such-srnode"), Dir: filepath.Join(dir, "out")}})
+	if err == nil || !strings.Contains(err.Error(), "2 of 4 sites") {
+		t.Fatalf("Run of a degree-2 schedule on 4 sites: err = %v, want a refusal naming 2 and 4", err)
+	}
+	if _, serr := os.Stat(filepath.Join(dir, "out")); !os.IsNotExist(serr) {
+		t.Fatalf("refused run still claimed its directory: %v", serr)
 	}
 }
 
@@ -40,8 +64,7 @@ func TestProcRefusesUsedDir(t *testing.T) {
 // byte for byte, so a CI failure replays from its logged seed alone. This
 // test spawns no processes and always runs.
 func TestProcScheduleDeterminism(t *testing.T) {
-	cfg := proc.GenConfig{Seed: 42, Steps: 30, Sites: 3, Items: 8}
-	a, b := proc.Generate(cfg), proc.Generate(cfg)
+	a, b := generate(42, 30), generate(42, 30)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed generated different schedules")
 	}
@@ -53,7 +76,7 @@ func TestProcScheduleDeterminism(t *testing.T) {
 	if string(aj) != string(bj) {
 		t.Fatal("same seed generated different schedule JSON")
 	}
-	if c := proc.Generate(proc.GenConfig{Seed: 43, Steps: 30, Sites: 3, Items: 8}); reflect.DeepEqual(a, c) {
+	if c := generate(43, 30); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds generated identical schedules")
 	}
 
@@ -63,10 +86,11 @@ func TestProcScheduleDeterminism(t *testing.T) {
 	}
 
 	// The proc vocabulary actually appears: across a handful of seeds the
-	// generator emits both proc-only kinds (seeded, so this cannot flake).
+	// generator emits both proc-only kinds (seeded, so this cannot flake),
+	// and never the netsim-only loss burst.
 	kinds := map[chaos.StepKind]bool{}
 	for seed := int64(1); seed <= 10; seed++ {
-		for _, s := range proc.Generate(proc.GenConfig{Seed: seed, Steps: 40}).Steps {
+		for _, s := range generate(seed, 40).Steps {
 			kinds[s.Kind] = true
 		}
 	}
@@ -74,6 +98,9 @@ func TestProcScheduleDeterminism(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("no %q step generated across seeds 1..10", want)
 		}
+	}
+	if kinds[chaos.StepLoss] {
+		t.Error("the proc mix generated a loss step")
 	}
 
 	// Schedules survive the JSON round-trip shrink reproducers rely on.
@@ -83,6 +110,34 @@ func TestProcScheduleDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, back) {
 		t.Fatal("schedule did not survive JSON round-trip")
+	}
+}
+
+// TestClusterSharedStderr gives all three processes of a Cluster one
+// bytes.Buffer: every process copies its output through its own goroutine,
+// so the cluster must hand the shared writer whole writes one at a time.
+// make e2e runs it under -race. It also starts a Cluster without a Dir, as
+// srload does: no statedir, no export.
+func TestClusterSharedStderr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-spawning test in -short mode")
+	}
+	var out bytes.Buffer
+	c, err := proc.NewCluster(proc.Config{Bin: srnodeBin(t), Sites: 3, Stderr: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	for s := 1; s <= 3; s++ {
+		if want := fmt.Sprintf("srnode: site %d serving peers on ", s); !strings.Contains(out.String(), want) {
+			t.Errorf("shared output lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -215,7 +270,7 @@ func scenarioSchedule(steps []chaos.Step) chaos.Schedule {
 
 func scenarioOptions(t *testing.T, env []string) proc.Options {
 	t.Helper()
-	opts := proc.Options{Bin: buildSrnode(t), Dir: t.TempDir(), Env: env}
+	opts := proc.Options{Config: proc.Config{Bin: srnodeBin(t), Dir: t.TempDir(), Env: env}}
 	if testing.Verbose() {
 		opts.Log = func(msg string) { t.Log(msg) }
 	}
@@ -241,16 +296,11 @@ func runScenario(t *testing.T, sched chaos.Schedule, env []string) *proc.Result 
 	return res
 }
 
-func buildSrnode(t *testing.T) string {
+func srnodeBin(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "srnode")
-	if runtime.GOOS == "windows" {
-		bin += ".exe"
-	}
-	cmd := exec.Command("go", "build", "-o", bin, "siterecovery/cmd/srnode")
-	out, err := cmd.CombinedOutput()
+	bin, err := proc.Build(t.TempDir())
 	if err != nil {
-		t.Fatalf("go build srnode: %v\n%s", err, out)
+		t.Fatal(err)
 	}
 	return bin
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,19 +15,52 @@ import (
 	"siterecovery/internal/faultproxy"
 	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
-	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/trace"
+	"siterecovery/internal/workload"
 )
+
+// Mix is the process-cluster fault mix for chaos.Generate: polite crashes
+// (POST /crash) and SIGKILLs share the crash budget, recovery is favored so
+// runs end mostly up, and the proxy's slow links and mid-stream wedges take
+// the place of the simulator's loss bursts and copier stalls.
+var Mix = chaos.Mix{
+	Rolls: []chaos.Roll{
+		{Below: 0.08, Kind: chaos.StepCrash},
+		{Below: 0.16, Kind: chaos.StepKill},
+		{Below: 0.32, Kind: chaos.StepRecover},
+		{Below: 0.38, Kind: chaos.StepPartition},
+		{Below: 0.44, Kind: chaos.StepHeal},
+		{Below: 0.52, Kind: chaos.StepSlow},
+		{Below: 0.56, Kind: chaos.StepStall},
+		{Below: 0.60, Kind: chaos.StepResume},
+	},
+	ReadFraction: 0.4,
+}
+
+// Options configures a process-cluster chaos run: the Cluster's Config,
+// whose Bin and Dir are required here — Dir receives every artifact:
+// statedirs, per-incarnation exports, combined per-site streams
+// (siteN.jsonl), the merged timeline (merged.jsonl) — and whose Args follow
+// the schedule's -items and -identify. Run sets Sites and Proxy itself: the
+// schedule's size, and a fresh proxy it owns.
+type Options struct {
+	Config
+	// Log receives progress lines (nil is silent).
+	Log func(string)
+}
+
+func (o Options) logf(format string, args ...any) {
+	if o.Log != nil {
+		o.Log(fmt.Sprintf(format, args...))
+	}
+}
 
 // Result is everything a process-chaos run produced.
 type Result struct {
 	Schedule chaos.Schedule  `json:"schedule"`
 	Info     chaos.Info      `json:"info"`
 	Failures []chaos.Failure `json:"failures,omitempty"`
-	// Dir holds the artifacts: per-incarnation exports, combined per-site
-	// streams, merged.jsonl, statedirs.
-	Dir string `json:"dir"`
 	// Merged is the causally ordered cluster timeline (not serialized; read
 	// merged.jsonl for the on-disk form).
 	Merged trace.Merged `json:"-"`
@@ -45,31 +79,41 @@ const stallTearAfter = 64
 // Run replays a schedule against a fresh srnode process cluster, quiesces,
 // and checks the merged trace plus replica convergence. The returned
 // Failures are empty for a passing run; an error means the harness itself
-// could not run (no binary, spawn failure), not that an invariant failed.
+// could not run (no binary, spawn failure, a schedule it cannot place), not
+// that an invariant failed.
 func Run(ctx context.Context, sched chaos.Schedule, opts Options) (*Result, error) {
-	if opts.Bin == "" {
-		return nil, fmt.Errorf("proc.Run: Options.Bin is required")
+	if opts.Bin == "" || opts.Dir == "" {
+		return nil, fmt.Errorf("proc.Run: Options.Bin and Options.Dir are required")
 	}
-	sites, items := sched.Sites, sched.Items
-	if sites == 0 {
-		sites = 3
+	if sched.Degree != sched.Sites {
+		return nil, fmt.Errorf("proc.Run: the schedule places each item at %d of %d sites; srnode -items replicates every item at every site",
+			sched.Degree, sched.Sites)
 	}
-	if items == 0 {
-		items = 8
+	items := make([]string, sched.Items)
+	for i := range items {
+		items[i] = string(workload.ItemName(i))
 	}
-	c, err := startCluster(ctx, opts, sites, items, sched.Identify)
+	cfg := opts.Config
+	cfg.Sites, cfg.Proxy = sched.Sites, faultproxy.New()
+	defer cfg.Proxy.Close()
+	cfg.Args = append([]string{"-items", strings.Join(items, ","), "-identify", sched.Identify}, opts.Args...)
+	c, err := NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer c.stop()
+	defer c.Stop()
+	if err := c.Start(ctx); err != nil {
+		return nil, err
+	}
+	opts.logf("cluster up: %d sites, %d items, artifacts in %s", sched.Sites, sched.Items, opts.Dir)
 
-	res := &Result{Schedule: sched, Dir: c.dir}
-	r := &runner{c: c, opts: opts, info: &res.Info}
-	r.crashed = map[proto.SiteID]bool{}
-	r.killed = map[proto.SiteID]bool{}
-	r.slowed = map[proto.SiteID]bool{}
-	r.stalled = map[proto.SiteID]bool{}
-	r.txnSem = make(chan struct{}, 8)
+	res := &Result{Schedule: sched}
+	r := &runner{
+		c: c, proxy: cfg.Proxy, items: items, opts: opts, info: &res.Info,
+		crashed: map[proto.SiteID]bool{}, killed: map[proto.SiteID]bool{},
+		slowed: map[proto.SiteID]bool{}, stalled: map[proto.SiteID]bool{},
+		txnSem: make(chan struct{}, 8),
+	}
 
 	for i, step := range sched.Steps {
 		if err := ctx.Err(); err != nil {
@@ -107,9 +151,11 @@ func Run(ctx context.Context, sched chaos.Schedule, opts Options) (*Result, erro
 // links are slowed or wedged. It reports a step as run or skipped (shrunken
 // schedules are routinely ill-formed; skipping must be deterministic).
 type runner struct {
-	c    *cluster
-	opts Options
-	info *chaos.Info
+	c     *Cluster
+	proxy *faultproxy.Proxy
+	items []string
+	opts  Options
+	info  *chaos.Info
 
 	crashed map[proto.SiteID]bool // alive process refusing service
 	killed  map[proto.SiteID]bool // process dead, awaiting respawn
@@ -145,9 +191,9 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 		if !r.validSite(step.Site) || r.down(step.Site) || r.upCount() < 2 {
 			return false
 		}
-		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		cctx, cancel := context.WithTimeout(ctx, callTimeout)
 		defer cancel()
-		if _, _, err := r.c.post(cctx, step.Site, "/crash", ""); err != nil {
+		if _, _, err := r.c.Post(cctx, step.Site, "/crash"); err != nil {
 			return false
 		}
 		r.crashed[step.Site] = true
@@ -163,7 +209,7 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 		if !r.crashed[step.Site] && r.upCount() < 2 {
 			return false
 		}
-		r.c.kill(step.Site)
+		r.c.Kill(step.Site)
 		r.killed[step.Site] = true
 		delete(r.crashed, step.Site)
 		r.info.Crashes++
@@ -174,17 +220,11 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 			return false
 		}
 		if r.killed[step.Site] {
-			if err := r.c.spawn(step.Site, true); err != nil {
+			if err := r.c.Respawn(ctx, step.Site); err != nil {
 				return false
 			}
 			delete(r.killed, step.Site)
 			r.crashed[step.Site] = true
-			wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
-			err := r.c.waitStatus(wctx, step.Site, false)
-			cancel()
-			if err != nil {
-				return false
-			}
 		}
 		if err := r.recoverSite(ctx, step.Site, 3); err != nil {
 			// The site stays down (still crashed); quiesce retries later.
@@ -199,11 +239,11 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 		if len(step.Groups) == 0 {
 			return false
 		}
-		r.c.proxy.Partition(step.Groups)
+		r.proxy.Partition(step.Groups)
 		return true
 
 	case chaos.StepHeal:
-		r.c.proxy.Heal()
+		r.proxy.Heal()
 		return true
 
 	case chaos.StepSlow:
@@ -215,7 +255,7 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 			return false
 		}
 		r.slowed[step.Site] = delay > 0
-		r.c.proxy.Update(func(from, to proto.SiteID, f *faultproxy.Fault) {
+		r.proxy.Update(func(from, to proto.SiteID, f *faultproxy.Fault) {
 			if from == step.Site || to == step.Site {
 				f.Delay = delay
 			}
@@ -230,7 +270,7 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 			return false
 		}
 		r.stalled[step.Site] = true
-		r.c.proxy.Update(func(from, to proto.SiteID, f *faultproxy.Fault) {
+		r.proxy.Update(func(from, to proto.SiteID, f *faultproxy.Fault) {
 			if from == step.Site || to == step.Site {
 				f.Stall = true
 				f.StallAfter = stallTearAfter
@@ -243,7 +283,7 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 			return false
 		}
 		delete(r.stalled, step.Site)
-		r.c.proxy.Update(func(from, to proto.SiteID, f *faultproxy.Fault) {
+		r.proxy.Update(func(from, to proto.SiteID, f *faultproxy.Fault) {
 			if from == step.Site || to == step.Site {
 				f.Stall = false
 				f.StallReply = false
@@ -256,19 +296,11 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 		if !r.validSite(step.Site) || r.down(step.Site) {
 			return false
 		}
-		req := load.TxnRequest{Reads: step.Reads}
+		t := load.Txn{Reads: step.Reads}
 		for i, item := range step.Writes {
-			var v proto.Value
-			if i < len(step.Values) {
-				v = step.Values[i]
-			}
-			req.Writes = append(req.Writes, load.TxnWrite{Item: item, Value: v})
+			t.Writes = append(t.Writes, load.Write{Item: item, Value: step.Values[i]})
 		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return false
-		}
-		site := step.Site
+		target := load.HTTPTarget(r.c.URL(step.Site))
 		r.txnWG.Add(1)
 		go func() {
 			defer r.txnWG.Done()
@@ -276,8 +308,7 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 			defer func() { <-r.txnSem }()
 			tctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 			defer cancel()
-			code, _, err := r.c.post(tctx, site, "/txn", string(body))
-			if err == nil && code == 200 {
+			if target(tctx, t) == nil {
 				r.committed.Add(1)
 			} else {
 				r.aborted.Add(1)
@@ -296,24 +327,21 @@ func (r *runner) runStep(ctx context.Context, step chaos.Step) bool {
 // failed recovery can leave the node in a half-claimed limbo, so the harness
 // re-crashes it (a no-op for an already-down site) and tries again.
 func (r *runner) recoverSite(ctx context.Context, site proto.SiteID, attempts int) error {
-	var lastBody []byte
+	var err error
 	for i := 0; i < attempts; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
 		rctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-		code, body, err := r.c.post(rctx, site, "/recover", "")
+		err = r.c.Recover(rctx, site)
 		cancel()
-		if err == nil && code == 200 {
+		if err == nil {
 			return nil
 		}
-		lastBody = body
-		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		r.c.post(cctx, site, "/crash", "")
-		cancel()
+		r.c.Crash(site)
 		time.Sleep(200 * time.Millisecond)
 	}
-	return fmt.Errorf("site %v recovery failed after %d attempts: %s", site, attempts, lastBody)
+	return fmt.Errorf("site %v recovery failed after %d attempts: %w", site, attempts, err)
 }
 
 // quiesce drains the run to a stable, fully-up cluster and checks replica
@@ -324,7 +352,7 @@ func (r *runner) recoverSite(ctx context.Context, site proto.SiteID, attempts in
 // has not landed, then require every site to agree on every item.
 func (r *runner) quiesce(ctx context.Context) ([]chaos.Failure, error) {
 	var fails []chaos.Failure
-	r.c.proxy.ClearAll()
+	r.proxy.ClearAll()
 	r.stalled = map[proto.SiteID]bool{}
 	r.slowed = map[proto.SiteID]bool{}
 	r.txnWG.Wait()
@@ -333,17 +361,11 @@ func (r *runner) quiesce(ctx context.Context) ([]chaos.Failure, error) {
 		if !r.killed[s] {
 			continue
 		}
-		if err := r.c.spawn(s, true); err != nil {
-			return nil, fmt.Errorf("quiesce respawn: %w", err)
+		if err := r.c.Respawn(ctx, s); err != nil {
+			return nil, fmt.Errorf("quiesce respawn site %v: %w", s, err)
 		}
 		delete(r.killed, s)
 		r.crashed[s] = true
-		wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
-		err := r.c.waitStatus(wctx, s, false)
-		cancel()
-		if err != nil {
-			return nil, fmt.Errorf("quiesce respawn site %v: %w", s, err)
-		}
 	}
 	for _, s := range r.c.sites {
 		if !r.crashed[s] {
@@ -372,9 +394,7 @@ func (r *runner) quiesce(ctx context.Context) ([]chaos.Failure, error) {
 		}
 		for _, s := range excluded {
 			r.opts.logf("quiesce: repairing excluded site %v", s)
-			cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-			r.c.post(cctx, s, "/crash", "")
-			cancel()
+			r.c.Crash(s)
 			if err := r.recoverSite(ctx, s, 5); err != nil {
 				fails = append(fails, chaos.Failure{Invariant: "proc-quiesce", Detail: err.Error()})
 				continue
@@ -383,43 +403,11 @@ func (r *runner) quiesce(ctx context.Context) ([]chaos.Failure, error) {
 		}
 	}
 
-	if err := r.waitDecided(ctx); err != nil {
+	if err := r.c.WaitDecided(ctx); err != nil {
 		fails = append(fails, chaos.Failure{Invariant: "proc-quiesce", Detail: err.Error()})
 	}
 	fails = append(fails, r.checkConverged(ctx)...)
 	return fails, nil
-}
-
-// waitDecided polls GET /status until every site reports "prepared": 0.
-// Phase two is posted, not acknowledged, so a committed client reply does not
-// mean the participants have installed: a decision still in flight lands in
-// microseconds, one lost to a fault is fetched by the participant's janitor
-// (stale age plus a sweep interval), and only then are the copies — and the
-// server sides of the posted commit spans in the exports — complete.
-func (r *runner) waitDecided(ctx context.Context) error {
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		var pending []string
-		for _, s := range r.c.sites {
-			sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-			var st status
-			err := r.c.getJSON(sctx, s, "/status", &st)
-			cancel()
-			if err != nil {
-				return fmt.Errorf("status site %v: %w", s, err)
-			}
-			if st.Prepared > 0 {
-				pending = append(pending, fmt.Sprintf("site %v: %d", s, st.Prepared))
-			}
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) || ctx.Err() != nil {
-			return fmt.Errorf("prepared transactions never learned their outcome: %v", pending)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }
 
 // excludedSites reports up sites that some up-and-operational peer's
@@ -434,10 +422,7 @@ func (r *runner) excludedSites(ctx context.Context) ([]proto.SiteID, error) {
 	statuses := map[proto.SiteID]status{}
 	vectors := map[proto.SiteID]map[string]proto.Session{}
 	for _, s := range r.c.sites {
-		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		var st status
-		err := r.c.getJSON(sctx, s, "/status", &st)
-		cancel()
+		st, err := r.c.status(ctx, s)
 		if err != nil {
 			return nil, fmt.Errorf("status site %v: %w", s, err)
 		}
@@ -445,9 +430,9 @@ func (r *runner) excludedSites(ctx context.Context) ([]proto.SiteID, error) {
 		if !st.Up || !st.Operational {
 			continue
 		}
-		sctx, cancel = context.WithTimeout(ctx, 5*time.Second)
+		sctx, cancel := context.WithTimeout(ctx, callTimeout)
 		var ns nsResp
-		err = r.c.getJSON(sctx, s, "/ns", &ns)
+		err = r.c.GetJSON(sctx, s, "/ns", &ns)
 		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("ns site %v: %w", s, err)
@@ -483,14 +468,14 @@ func (r *runner) checkConverged(ctx context.Context) []chaos.Failure {
 	var last []chaos.Failure
 	for {
 		last = nil
-		for _, item := range r.c.items {
+		for _, item := range r.items {
 			values := map[proto.SiteID]proto.Value{}
 			for _, s := range r.c.sites {
 				rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 				var out struct {
 					Value proto.Value `json:"value"`
 				}
-				err := r.c.getJSON(rctx, s, "/read?item="+string(item), &out)
+				err := r.c.GetJSON(rctx, s, "/read?item="+item, &out)
 				cancel()
 				if err != nil {
 					last = append(last, chaos.Failure{
@@ -528,56 +513,22 @@ func (r *runner) checkConverged(ctx context.Context) []chaos.Failure {
 	}
 }
 
-// collectTrace flushes every live incarnation's export, concatenates each
-// site's per-incarnation streams with kill-cut markers where a SIGKILL
-// truncated one, writes the combined site streams and the causally merged
-// timeline, and runs the full trace-invariant suite.
+// collectTrace stitches every site's stream (Cluster.Streams), writes the
+// combined site streams and the causally merged timeline, and runs the full
+// trace-invariant suite.
 func (r *runner) collectTrace(ctx context.Context) ([]chaos.Failure, trace.Merged, error) {
 	var fails []chaos.Failure
-	for _, s := range r.c.sites {
-		if !r.c.procs[s].alive {
-			continue
-		}
-		fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		code, body, err := r.c.post(fctx, s, "/flush", "")
-		cancel()
-		if err != nil || code != 200 {
-			fails = append(fails, chaos.Failure{
-				Invariant: "proc-export",
-				Detail:    fmt.Sprintf("flush site %v: code=%d err=%v body=%s", s, code, err, body),
-			})
-		}
+	streams, err := r.c.Streams(ctx)
+	if err != nil {
+		fails = append(fails, chaos.Failure{Invariant: "proc-export", Detail: err.Error()})
 	}
-
-	streams := make([][]obs.Event, 0, len(r.c.sites))
-	for _, s := range r.c.sites {
-		p := r.c.procs[s]
-		var evs []obs.Event
-		for g, path := range p.exports {
-			if g > 0 {
-				// The previous incarnation died by SIGKILL; everything it had
-				// not flushed is gone. The marker tells the trace invariants
-				// to treat state open at this site as lost, not violated.
-				evs = append(evs, obs.Event{Type: obs.EvSiteCrash, Site: s, Detail: obs.DetailSigkill})
-			}
-			got, err := export.DecodeFile(path)
-			if err != nil {
-				fails = append(fails, chaos.Failure{
-					Invariant: "proc-export",
-					Detail:    fmt.Sprintf("decode %s: %v", filepath.Base(path), err),
-				})
-				continue
-			}
-			evs = append(evs, got...)
-		}
-		if err := writeJSONL(filepath.Join(r.c.dir, fmt.Sprintf("site%d.jsonl", s)), evs); err != nil {
+	for i, evs := range streams {
+		if err := writeJSONL(filepath.Join(r.c.cfg.Dir, fmt.Sprintf("site%d.jsonl", i+1)), evs); err != nil {
 			return nil, trace.Merged{}, err
 		}
-		streams = append(streams, evs)
 	}
-
 	merged := trace.Merge(streams...)
-	if err := writeJSONL(filepath.Join(r.c.dir, "merged.jsonl"), merged.Events); err != nil {
+	if err := writeJSONL(filepath.Join(r.c.cfg.Dir, "merged.jsonl"), merged.Events); err != nil {
 		return nil, trace.Merged{}, err
 	}
 	fails = append(fails, chaos.CheckTrace(merged, chaos.TraceSuite())...)

@@ -22,9 +22,7 @@ func Shrink(ctx context.Context, sched chaos.Schedule, failure chaos.Failure, op
 	run := func(ctx context.Context, s chaos.Schedule) ([]chaos.Failure, error) {
 		attempt++
 		o := opts
-		if o.Dir != "" {
-			o.Dir = filepath.Join(o.Dir, fmt.Sprintf("shrink%03d", attempt))
-		}
+		o.Dir = filepath.Join(o.Dir, fmt.Sprintf("shrink%03d", attempt))
 		res, err := Run(ctx, s, o)
 		if err != nil {
 			return nil, err

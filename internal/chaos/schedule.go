@@ -123,7 +123,8 @@ func (s Schedule) WriteFile(path string) error {
 	return f.Close()
 }
 
-// DecodeSchedule reads one schedule from r, rejecting unknown versions.
+// DecodeSchedule reads one schedule from r, rejecting unknown versions, an
+// empty cluster, and a txn step without exactly one value per write.
 func DecodeSchedule(r io.Reader) (Schedule, error) {
 	var s Schedule
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -134,6 +135,11 @@ func DecodeSchedule(r io.Reader) (Schedule, error) {
 	}
 	if s.Sites <= 0 || s.Items <= 0 || s.Degree <= 0 {
 		return Schedule{}, fmt.Errorf("schedule header invalid: sites=%d items=%d degree=%d", s.Sites, s.Items, s.Degree)
+	}
+	for i, st := range s.Steps {
+		if st.Kind == StepTxn && len(st.Values) != len(st.Writes) {
+			return Schedule{}, fmt.Errorf("schedule step %d: txn has %d writes but %d values", i, len(st.Writes), len(st.Values))
+		}
 	}
 	return s, nil
 }

@@ -59,10 +59,9 @@ func Apply(ctx context.Context, tx *txn.Tx, t Txn) error {
 
 // HTTPTarget returns an executor that posts transactions to an srnode
 // control endpoint (POST /txn) at baseURL, e.g. "http://127.0.0.1:8101".
-func HTTPTarget(client *http.Client, baseURL string) Executor {
-	if client == nil {
-		client = http.DefaultClient
-	}
+// It is the one /txn client: srload, the process chaos runner and the
+// process tests all post through it.
+func HTTPTarget(baseURL string) Executor {
 	return func(ctx context.Context, t Txn) error {
 		payload, err := json.Marshal(t)
 		if err != nil {
@@ -73,7 +72,7 @@ func HTTPTarget(client *http.Client, baseURL string) Executor {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return err
 		}
@@ -85,50 +84,4 @@ func HTTPTarget(client *http.Client, baseURL string) Executor {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-}
-
-// HTTPController drives crash/recover through srnode control endpoints,
-// mapping each site ID to its control base URL.
-type HTTPController struct {
-	Client *http.Client
-	URLs   map[proto.SiteID]string
-}
-
-func (hc HTTPController) post(ctx context.Context, site proto.SiteID, path string) error {
-	base, ok := hc.URLs[site]
-	if !ok {
-		return fmt.Errorf("load: no control URL for site %v", site)
-	}
-	client := hc.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// Crash fail-stops the site. Errors are swallowed (the Controller interface
-// mirrors core.Cluster.Crash, which cannot fail); a failed crash shows up
-// as the fault window committing everything.
-func (hc HTTPController) Crash(site proto.SiteID) {
-	_ = hc.post(context.Background(), site, "/crash")
-}
-
-// Recover runs the paper's recovery protocol on the site and waits for it
-// to report current.
-func (hc HTTPController) Recover(ctx context.Context, site proto.SiteID) error {
-	return hc.post(ctx, site, "/recover")
 }
