@@ -40,23 +40,28 @@ bench:
 # BenchmarkCall (loopback echo, 1 and 2 callers), BenchmarkFanout (one
 # 3-site round: self and two peers) and the four root benchmarks whose
 # allocs/op TestHotPathAllocCeilings pins (one uncontended lock, an empty, a
-# one-read and a read-write transaction), so they stay compiled and runnable
-# and allocs/op is printed on every run. For numbers: make bench-micro
+# one-read and a read-write transaction), plus the disk engine's install with
+# an eviction and a dirty flush on every op (B/op shows whether a page miss
+# allocates a frame), so they stay compiled and runnable and allocs/op is
+# printed on every run. For numbers: make bench-micro
 # BENCHTIME=2s
 BENCHTIME ?= 1x
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkTxnReadOnly|BenchmarkTxnReadWrite|BenchmarkSessionVectorRead' -benchmem -benchtime $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkInstallEvict' -benchmem -benchtime $(BENCHTIME) ./internal/storage/disk
 
 # Fuzz what arrives from outside: the binary wire format's message bodies,
 # tcpnet's frame headers, and srnode's POST /txn scanner against
-# encoding/json (FUZZTIME each, to adjust). Go runs one fuzz target per
+# encoding/json; and what goes to disk: the hand-written WAL line encoder
+# against json.Encoder (FUZZTIME each, to adjust). Go runs one fuzz target per
 # invocation.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzFrameHeader -fuzztime $(FUZZTIME) ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -fuzz FuzzParseTxn -fuzztime $(FUZZTIME) ./cmd/srnode
+	$(GO) test -run '^$$' -fuzz FuzzRecordJSON -fuzztime $(FUZZTIME) ./internal/wal
 
 # Mirrors the tcp-e2e CI job: transport, node, the 3-process srnode
 # cluster tests, proc.Cluster itself (one writer shared by every process)

@@ -31,9 +31,10 @@ import (
 // Data pages are deliberately NOT persisted: they are the paper's
 // "out-of-date copies", rebuilt from live peers by the copiers under the
 // chosen identification strategy. The counter file is replaced atomically
-// (write + rename); the log is append-only with a sync per batch, and its
-// loader tolerates a torn final line the same way the trace decoder does —
-// a kill can land mid-append.
+// and durably (fsynced temp file, rename, directory fsync); the log is
+// append-only, one hand-encoded write and one fsync per batch. A kill can
+// land mid-append, so the loader drops an unterminated last line and
+// truncates it away: the sink's next append would otherwise extend it.
 
 // stableState is the on-disk state a restarting srnode reloads.
 type stableState struct {
@@ -60,7 +61,7 @@ func loadState(dir string) (*stableState, error) {
 		return nil, fmt.Errorf("statedir: %w", err)
 	}
 
-	f, err := os.Open(filepath.Join(dir, "wal.jsonl"))
+	f, err := os.OpenFile(filepath.Join(dir, "wal.jsonl"), os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		return st, nil
 	}
@@ -75,43 +76,47 @@ func loadState(dir string) (*stableState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("statedir: %w", err)
 	}
-	st.Records, err = decodeWAL(io.LimitReader(f, fi.Size()))
+	var end int64
+	st.Records, end, err = decodeWAL(io.LimitReader(f, fi.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("statedir: wal.jsonl: %w", err)
+	}
+	if end < fi.Size() {
+		if err := f.Truncate(end); err != nil {
+			return nil, fmt.Errorf("statedir: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return nil, fmt.Errorf("statedir: %w", err)
+		}
 	}
 	return st, nil
 }
 
-// decodeWAL reads the persisted log, dropping an unterminated torn final
-// line (a SIGKILL mid-append) but rejecting corruption anywhere else.
-func decodeWAL(r io.Reader) ([]wal.Record, error) {
+// decodeWAL reads the persisted log and the byte length of its complete
+// lines. An unterminated final line is a torn append (a SIGKILL mid-write,
+// never acknowledged) and is dropped; corruption anywhere else is refused.
+func decodeWAL(r io.Reader) ([]wal.Record, int64, error) {
 	var out []wal.Record
+	var end int64
 	br := bufio.NewReader(r)
-	line := 0
-	for {
+	for line := 1; ; line++ {
 		b, err := br.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return nil, err
+		if err == io.EOF {
+			return out, end, nil
 		}
-		atEOF := err == io.EOF
-		terminated := len(b) > 0 && b[len(b)-1] == '\n'
-		if len(b) > 0 {
-			line++
+		if err != nil {
+			return nil, 0, err
 		}
+		end += int64(len(b))
 		b = bytes.TrimRight(b, "\r\n")
-		if len(b) > 0 {
-			var rec wal.Record
-			if uerr := json.Unmarshal(b, &rec); uerr != nil {
-				if atEOF && !terminated {
-					return out, nil // torn tail from a killed appender
-				}
-				return nil, fmt.Errorf("line %d: %w", line, uerr)
-			}
-			out = append(out, rec)
+		if len(b) == 0 {
+			continue
 		}
-		if atEOF {
-			return out, nil
+		var rec wal.Record
+		if err := json.Unmarshal(b, &rec); err != nil {
+			return nil, 0, fmt.Errorf("line %d: %w", line, err)
 		}
+		out = append(out, rec)
 	}
 }
 
@@ -124,30 +129,28 @@ func decodeWAL(r io.Reader) ([]wal.Record, error) {
 // returns, and therefore before the vote or acknowledgement goes out.
 func (st *stableState) sinks() (func(proto.Session), func([]wal.Record), error) {
 	walFile, err := os.OpenFile(filepath.Join(st.dir, "wal.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		err = syncDir(st.dir)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("statedir: %w", err)
 	}
 
 	sessionPath := filepath.Join(st.dir, "session")
 	sessionSink := func(s proto.Session) {
-		tmp := sessionPath + ".tmp"
-		if err := os.WriteFile(tmp, []byte(strconv.FormatUint(uint64(s), 10)+"\n"), 0o644); err != nil {
-			failStop("session", err)
-		}
-		if err := os.Rename(tmp, sessionPath); err != nil {
+		if err := replaceFile(sessionPath, []byte(strconv.FormatUint(uint64(s), 10)+"\n")); err != nil {
 			failStop("session", err)
 		}
 	}
 
+	// The sink runs under wal.Log's mutex, so one buffer serves every batch.
+	var buf []byte
 	walSink := func(recs []wal.Record) {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
-				failStop("wal", err)
-			}
+		buf = buf[:0]
+		for i := range recs {
+			buf = wal.AppendRecordJSON(buf, &recs[i])
 		}
-		if _, err := walFile.Write(buf.Bytes()); err != nil {
+		if _, err := walFile.Write(buf); err != nil {
 			failStop("wal", err)
 		}
 		if err := walFile.Sync(); err != nil {
@@ -155,6 +158,40 @@ func (st *stableState) sinks() (func(proto.Session), func([]wal.Record), error) 
 		}
 	}
 	return sessionSink, walSink, nil
+}
+
+// replaceFile durably replaces path's contents: write and fsync a temp
+// file, rename it over path, then fsync the directory holding both.
+func replaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the names created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // only read: Sync reports what matters
+	return d.Sync()
 }
 
 // failStop halts the site on a stable-storage failure.

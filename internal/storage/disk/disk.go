@@ -227,7 +227,8 @@ func (t *table) writePage(id uint32, buf []byte) error {
 }
 
 // tuple resolves item to its buffered frame and decoded tuple. The caller
-// holds mu.
+// holds mu and must be done with the frame before its next pool.get, which
+// may reuse it for another page.
 func (t *table) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version, error) {
 	ref, ok := t.dir[item]
 	if !ok {

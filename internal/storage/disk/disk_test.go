@@ -178,6 +178,70 @@ func TestEvictionSpansPages(t *testing.T) {
 	}
 }
 
+// memPages is a heap file of three pages held in memory.
+type memPages [3][PageSize]byte
+
+func (m *memPages) readPage(id uint32, buf []byte) error  { copy(buf, m[id][:]); return nil }
+func (m *memPages) writePage(id uint32, buf []byte) error { copy(m[id][:], buf); return nil }
+
+// TestPoolMissAllocatesNothing cycles dirty pages through a pool one frame
+// too small for them, so every get evicts, flushes and rereads — into the
+// frames carved at creation, allocating nothing.
+func TestPoolMissAllocatesNothing(t *testing.T) {
+	p := newPool(2, new(memPages), func() uint64 { return 0 })
+	var id uint32
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := p.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.touch(f, 0)
+		id = (id + 1) % 3
+	})
+	if allocs != 0 {
+		t.Fatalf("pool miss allocates %v, want 0", allocs)
+	}
+	if p.hits != 0 || p.flushes != p.evictions || p.evictions+2 != p.misses {
+		t.Fatalf("hits %d misses %d evictions %d flushes %d: want every get a dirty eviction",
+			p.hits, p.misses, p.evictions, p.flushes)
+	}
+}
+
+// BenchmarkInstallEvict installs one write per op on a two-frame pool,
+// cycling over one item on each of three pages, so every install evicts
+// and flushes a dirty page and reads another.
+func BenchmarkInstallEvict(b *testing.B) {
+	var items []proto.Item
+	for i := 0; i < 300; i++ {
+		items = append(items, proto.Item(fmt.Sprintf("item-%03d", i)))
+	}
+	e, err := Open(b.TempDir(), 2, storage.Deps{Site: 1, Items: items, InitialWriter: 1, Log: wal.New()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.heap.file.Close()
+	var perPage []proto.Item
+	for _, item := range items {
+		if ref := e.heap.dir[item]; int(ref.page) == len(perPage) {
+			perPage = append(perPage, item)
+		}
+	}
+	if len(perPage) != 3 {
+		b.Fatalf("items span %d pages, want 3", len(perPage))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := proto.TxnID(i + 2)
+		if err := e.BufferWrite(id, perPage[i%3], proto.Value(i)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.InstallPending(id, proto.Version{Counter: uint64(i + 1), Writer: id}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestTornPageDropped corrupts a flushed page on disk; open must detect the
 // checksum mismatch, drop the page, and rebuild its contents from redo.
 func TestTornPageDropped(t *testing.T) {

@@ -2,7 +2,7 @@ package disk
 
 import "fmt"
 
-// frame is one buffered page.
+// frame is one buffered page. lastUse 0 marks a frame that holds no page.
 type frame struct {
 	id      uint32
 	data    []byte
@@ -17,51 +17,61 @@ type pageIO interface {
 	writePage(id uint32, buf []byte) error
 }
 
-// pool is a small LRU buffer pool. It is not self-locking: the table's
-// mutex serializes all access. Dirty pages are flushed on eviction, and
-// only after the log confirms their pageLSN durable (WAL-before-data).
+// pool is a small LRU buffer pool over a fixed set of frames carved from
+// one slab when it is created: a miss reuses the least recently used frame
+// in place, so serving pages allocates nothing after open. It is not
+// self-locking: the table's mutex serializes all access. Dirty pages are
+// flushed on eviction, and only after the log confirms their pageLSN
+// durable (WAL-before-data).
 type pool struct {
-	capacity int
-	frames   map[uint32]*frame
-	tick     uint64
-	io       pageIO
-	durable  func() uint64
+	frames  []frame           // all of them, resident or free
+	index   map[uint32]*frame // resident page id -> its frame
+	tick    uint64
+	io      pageIO
+	durable func() uint64
 
 	hits, misses, evictions, flushes uint64
 }
 
 func newPool(capacity int, io pageIO, durable func() uint64) *pool {
+	slab := make([]byte, capacity*PageSize)
+	frames := make([]frame, capacity)
+	for i := range frames {
+		frames[i].data = slab[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+	}
 	return &pool{
-		capacity: capacity,
-		frames:   make(map[uint32]*frame, capacity),
-		io:       io,
-		durable:  durable,
+		frames:  frames,
+		index:   make(map[uint32]*frame, capacity),
+		io:      io,
+		durable: durable,
 	}
 }
 
 // get pins nothing (single-threaded under the table lock): it returns the
-// frame for id, reading it from the heap file on a miss. A page beyond the
-// file's current end reads back as an empty page, so freshly allocated
-// pages survive eviction before their first flush.
+// frame for id, reading it from the heap file on a miss into the frame it
+// evicts. The frame is therefore only valid until the next get. A page
+// beyond the file's current end reads back as an empty page, so freshly
+// allocated pages survive eviction before their first flush.
 func (p *pool) get(id uint32) (*frame, error) {
 	p.tick++
-	if f, ok := p.frames[id]; ok {
+	if f, ok := p.index[id]; ok {
 		f.lastUse = p.tick
 		p.hits++
 		return f, nil
 	}
 	p.misses++
-	if err := p.evictFor(1); err != nil {
+	f, err := p.evict()
+	if err != nil {
 		return nil, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), lastUse: p.tick}
 	if err := p.io.readPage(id, f.data); err != nil {
-		return nil, err
+		return nil, err // f stays free
 	}
 	if pageZero(f.data) {
 		pageInit(f.data)
 	}
-	p.frames[id] = f
+	*f = frame{id: id, data: f.data, lastUse: p.tick}
+	p.index[id] = f
 	return f, nil
 }
 
@@ -73,27 +83,27 @@ func (p *pool) touch(f *frame, lsn uint64) {
 	}
 }
 
-// evictFor makes room for n more frames, flushing dirty victims.
-func (p *pool) evictFor(n int) error {
-	for len(p.frames)+n > p.capacity {
-		var victim *frame
-		for _, f := range p.frames {
-			if victim == nil || f.lastUse < victim.lastUse {
-				victim = f
-			}
+// evict returns a free frame: one never used if any, else the least
+// recently used resident one, flushed first if dirty.
+func (p *pool) evict() (*frame, error) {
+	victim := &p.frames[0]
+	for i := range p.frames {
+		if p.frames[i].lastUse < victim.lastUse {
+			victim = &p.frames[i]
 		}
-		if victim == nil {
-			return nil
-		}
-		if victim.dirty {
-			if err := p.flush(victim); err != nil {
-				return err
-			}
-		}
-		delete(p.frames, victim.id)
-		p.evictions++
 	}
-	return nil
+	if victim.lastUse == 0 {
+		return victim, nil
+	}
+	if victim.dirty {
+		if err := p.flush(victim); err != nil {
+			return nil, err
+		}
+	}
+	delete(p.index, victim.id)
+	victim.lastUse = 0
+	p.evictions++
+	return victim, nil
 }
 
 // flush seals and writes one dirty frame, enforcing the WAL-before-data
@@ -116,8 +126,8 @@ func (p *pool) flush(f *frame) error {
 
 // flushAll writes every dirty frame (checkpoint / clean shutdown).
 func (p *pool) flushAll() error {
-	for _, f := range p.frames {
-		if f.dirty {
+	for i := range p.frames {
+		if f := &p.frames[i]; f.dirty {
 			if err := p.flush(f); err != nil {
 				return err
 			}

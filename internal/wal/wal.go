@@ -12,6 +12,8 @@
 package wal
 
 import (
+	"encoding/json"
+	"strconv"
 	"sync"
 
 	"siterecovery/internal/proto"
@@ -67,6 +69,50 @@ type Record struct {
 	Origin    proto.SiteID // prepare records: the coordinator site
 }
 
+// AppendRecordJSON appends rec to dst exactly as json.Encoder.Encode writes
+// it, trailing newline included, without reflection: one line per field.
+func AppendRecordJSON(dst []byte, rec *Record) []byte {
+	dst = strconv.AppendInt(append(dst, `{"Type":`...), int64(rec.Type), 10)
+	dst = strconv.AppendInt(append(dst, `,"Role":`...), int64(rec.Role), 10)
+	dst = strconv.AppendUint(append(dst, `,"Txn":`...), uint64(rec.Txn), 10)
+	dst = strconv.AppendUint(append(dst, `,"CommitSeq":`...), rec.CommitSeq, 10)
+	dst = append(dst, `,"Writes":`...)
+	if rec.Writes == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range rec.Writes {
+			w := &rec.Writes[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(append(dst, `{"Item":`...), string(w.Item))
+			dst = strconv.AppendInt(append(dst, `,"Value":`...), int64(w.Value), 10)
+			dst = strconv.AppendBool(append(dst, `,"Refresh":`...), w.Refresh)
+			dst = strconv.AppendUint(append(dst, `,"Version":{"Counter":`...), w.Version.Counter, 10)
+			dst = strconv.AppendUint(append(dst, `,"Writer":`...), uint64(w.Version.Writer), 10)
+			dst = append(dst, "}}"...)
+		}
+		dst = append(dst, ']')
+	}
+	dst = strconv.AppendInt(append(dst, `,"Origin":`...), int64(rec.Origin), 10)
+	return append(dst, "}\n"...)
+}
+
+// appendJSONString quotes s. A byte outside printable ASCII, or one that
+// encoding/json escapes, sends s through json.Marshal so escapes match it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
 // Log is an append-only stable log. The zero value is not usable; create
 // with New.
 type Log struct {
@@ -95,7 +141,8 @@ func New() *Log {
 
 // SetSink installs a callback receiving every subsequently appended batch,
 // synchronously and in append order (the callback runs inside the log
-// force, so a record reported appended has already reached the sink).
+// force, so a record reported appended has already reached the sink). The
+// batch is the log's own storage: the callback must not modify or keep it.
 // Preloaded records are not replayed into it.
 func (l *Log) SetSink(sink func([]Record)) {
 	l.mu.Lock()
@@ -119,10 +166,7 @@ func (l *Log) Append(rec Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.appendLocked(rec)
-	if l.sink != nil {
-		l.sink([]Record{rec})
-	}
-	l.syncs++
+	l.force(1)
 }
 
 // AppendGroup is the group-commit entry point: it durably adds all records
@@ -138,10 +182,7 @@ func (l *Log) AppendGroup(recs []Record) {
 	for _, rec := range recs {
 		l.appendLocked(rec)
 	}
-	if l.sink != nil {
-		l.sink(recs)
-	}
-	l.syncs++
+	l.force(len(recs))
 }
 
 // AppendRedo durably adds a physical redo record for the values txn
@@ -152,13 +193,19 @@ func (l *Log) AppendGroup(recs []Record) {
 func (l *Log) AppendRedo(txn proto.TxnID, writes []WriteRec) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := Record{Type: RecordRedo, Role: RoleParticipant, Txn: txn, Writes: writes}
-	l.appendLocked(rec)
+	l.appendLocked(Record{Type: RecordRedo, Role: RoleParticipant, Txn: txn, Writes: writes})
+	l.force(1)
+	return uint64(len(l.records))
+}
+
+// force hands the last n appended records to the sink as one batch, a view
+// of the log itself rather than a copy, and charges one sync.
+func (l *Log) force(n int) {
 	if l.sink != nil {
-		l.sink([]Record{rec})
+		end := len(l.records)
+		l.sink(l.records[end-n : end : end])
 	}
 	l.syncs++
-	return uint64(len(l.records))
 }
 
 // DurableLSN reports the log sequence number through which records are
