@@ -28,7 +28,7 @@ func main() {
 		scale   = flag.String("scale", "quick", "experiment scale: quick or full")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		showObs = flag.Bool("metrics", false, "print each experiment's protocol-metrics delta")
+		showObs = flag.Bool("metrics", false, "print each experiment's protocol metrics")
 	)
 	flag.Parse()
 	if err := realMain(*run, *scale, *csv, *list, *showObs); err != nil {
@@ -70,8 +70,8 @@ func realMain(run, scaleName string, csv, list, showObs bool) error {
 
 	// With -metrics, every cluster the experiments build picks up a
 	// process-wide hub installed fresh per experiment, so each experiment's
-	// counters, latency histograms, and deltas are its own. The trace ring
-	// is sized small: only the registry matters here.
+	// counters and latency histograms are its own. The trace ring is sized
+	// small: only the instruments matter here.
 	if showObs {
 		defer obs.SetDefault(nil)
 	}
@@ -83,7 +83,6 @@ func realMain(run, scaleName string, csv, list, showObs bool) error {
 			hub = obs.NewHub(obs.Options{TraceCapacity: 1})
 			obs.SetDefault(hub)
 		}
-		before := hub.Snapshot()
 		start := time.Now()
 		table, err := r.Run(scale)
 		elapsed := time.Since(start)
@@ -97,8 +96,8 @@ func realMain(run, scaleName string, csv, list, showObs bool) error {
 		}
 		fmt.Printf("(%s in %s)\n\n", r.ID, elapsed.Round(time.Millisecond))
 		if showObs {
-			fmt.Printf("%s protocol-metrics delta:\n", r.ID)
-			if err := hub.Snapshot().Diff(before).WriteText(os.Stdout); err != nil {
+			fmt.Printf("%s protocol metrics:\n", r.ID)
+			if err := hub.WriteText(os.Stdout); err != nil {
 				return err
 			}
 			fmt.Println()

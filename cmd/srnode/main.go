@@ -259,9 +259,8 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	// serves "/" too, but the explicit control routes below take precedence
 	// for their exact paths.
 	intro := obshttp.Handler(obshttp.Config{
-		Hub:     hub,
-		Runtime: true,
-		Pprof:   true,
+		Hub:   hub,
+		Pprof: true,
 		Sites: func() []obshttp.SiteStatus {
 			return []obshttp.SiteStatus{{
 				Site:        int(id),
@@ -273,7 +272,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	})
 	// sr_dm_prepared is read off the data manager at scrape time.
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		hub.Registry().Gauge(int(id), "dm", "prepared").Set(int64(n.DM.Prepared()))
+		hub.SetLevel(id, "dm", "prepared", int64(n.DM.Prepared()))
 		intro.ServeHTTP(w, r)
 	})
 	mux.Handle("GET /trace", intro)

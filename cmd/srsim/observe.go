@@ -202,7 +202,7 @@ func runObserve(sites, items, degree int, seed int64, identifyName string, showM
 
 	if showMetrics {
 		fmt.Println("\n--- metrics ---")
-		if err := hub.Snapshot().WriteText(os.Stdout); err != nil {
+		if err := hub.WriteText(os.Stdout); err != nil {
 			return err
 		}
 	}

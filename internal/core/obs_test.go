@@ -78,14 +78,13 @@ func TestObservabilityThroughCrashRecover(t *testing.T) {
 		}
 	}
 
-	reg := hub.Registry()
-	if got := reg.Counter(2, "dm", "session_mismatch").Value(); got == 0 {
+	if got := hub.Value(2, "dm", "session_mismatch"); got == 0 {
 		t.Error("session-mismatch counter did not move")
 	}
-	if got := reg.Counter(2, "copier", "data_copy").Value(); got == 0 {
+	if got := hub.Value(2, "copier", "data_copy"); got == 0 {
 		t.Error("data-copy counter did not move")
 	}
-	if got := reg.Counter(1, "session", "type2_committed").Value(); got != 1 {
+	if got := hub.Value(1, "session", "type2_committed"); got != 1 {
 		t.Errorf("type2_committed = %d, want 1", got)
 	}
 	mustCertify(t, c)
@@ -103,7 +102,7 @@ func TestClusterDefaultHub(t *testing.T) {
 		t.Fatal("cluster did not adopt the default hub")
 	}
 	write(t, c, 1, "a", 1)
-	if got := hub.Registry().Counter(1, "txn", "commit.user").Value(); got != 1 {
+	if got := hub.Value(1, "txn", "commit.user"); got != 1 {
 		t.Errorf("commit counter via default hub = %d, want 1", got)
 	}
 }

@@ -52,7 +52,7 @@ func TestInstallErrorKeepsTxnPreparedUntilJanitorRetries(t *testing.T) {
 	if err := handle(proto.CommitReq{Txn: meta, CommitSeq: 12}); err == nil {
 		t.Fatal("commit over a failing table reported success")
 	}
-	if got := hub.Registry().Counter(1, "storage", "install_errors").Value(); got != 1 {
+	if got := hub.Value(1, "storage", "install_errors"); got != 1 {
 		t.Fatalf("storage/install_errors = %d, want 1", got)
 	}
 	if held := locks.Held(meta.ID); len(held) != 1 {

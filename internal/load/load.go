@@ -208,8 +208,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	sort.SliceStable(faults, func(i, j int) bool { return faults[i].AfterArrival < faults[j].AfterArrival })
 
 	var (
-		committed, failed     metrics.Counter
-		fwArr, fwComm, fwFail metrics.Counter
+		committed, failed     atomic.Uint64
+		fwArr, fwComm, fwFail atomic.Uint64
 		hist                  metrics.Histogram
 		faultDepth            atomic.Int64
 		wg, recoveries        sync.WaitGroup
@@ -274,7 +274,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		target := cfg.Targets[i%len(cfg.Targets)]
 		faulted := faultDepth.Load() > 0
 		if faulted {
-			fwArr.Inc()
+			fwArr.Add(1)
 		}
 		arrivals++
 		dispatched := time.Now()
@@ -284,17 +284,17 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			cancel()
 			switch {
 			case err == nil:
-				committed.Inc()
+				committed.Add(1)
 				hist.Observe(time.Since(dispatched))
 				if faulted {
-					fwComm.Inc()
+					fwComm.Add(1)
 				}
 			case ctx.Err() != nil:
 				// Cut off by the end of the run, not refused by the cluster.
 			default:
-				failed.Inc()
+				failed.Add(1)
 				if faulted {
-					fwFail.Inc()
+					fwFail.Add(1)
 				}
 			}
 		}
@@ -322,17 +322,17 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	res := Result{
 		Arrivals:   uint64(arrivals),
-		Committed:  committed.Value(),
-		Failed:     failed.Value(),
+		Committed:  committed.Load(),
+		Failed:     failed.Load(),
 		Elapsed:    time.Since(start),
 		Latency:    &hist,
 		SpecDigest: fmt.Sprintf("%016x", digest.Sum64()),
 	}
 	if len(faults) > 0 {
 		res.FaultWindow = WindowStats{
-			Arrivals:  fwArr.Value(),
-			Committed: fwComm.Value(),
-			Failed:    fwFail.Value(),
+			Arrivals:  fwArr.Load(),
+			Committed: fwComm.Load(),
+			Failed:    fwFail.Load(),
 		}
 	}
 	return res, nil

@@ -3,36 +3,51 @@ package metrics
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value = %d, want 5", got)
+func TestIntHist(t *testing.T) {
+	var h IntHist
+	for _, v := range []int64{1, 1, 2, 5} {
+		h.Observe(v)
+	}
+	if got := h.Count(); got != 4 {
+		t.Errorf("Count = %d, want 4", got)
+	}
+	if got := h.Sum(); got != 9 {
+		t.Errorf("Sum = %d, want 9", got)
+	}
+	if got := h.Max(); got != 5 {
+		t.Errorf("Max = %d, want 5", got)
 	}
 }
 
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for range 10 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range 100 {
-				c.Inc()
-			}
-		}()
+func TestIntHistQuantile(t *testing.T) {
+	h := &IntHist{}
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("empty hist p50 = %d, want 0", got)
 	}
-	wg.Wait()
-	if got := c.Value(); got != 1000 {
-		t.Fatalf("Value = %d, want 1000", got)
+	// 100 samples of 1, one of 1000: p50 sits in the {0,1} bucket, p99+
+	// reaches the outlier's bucket, capped at the observed max.
+	for i := 0; i < 100; i++ {
+		h.Observe(1)
+	}
+	h.Observe(1000)
+	if got := h.Quantile(0.5); got != 1 {
+		t.Errorf("p50 = %d, want 1", got)
+	}
+	if got := h.Quantile(1); got != 1000 {
+		t.Errorf("p100 = %d, want the observed max 1000", got)
+	}
+	if got := h.Quantile(0.995); got != 1000 {
+		t.Errorf("p99.5 = %d, want capped at max 1000", got)
+	}
+	// 100 of 101 samples are 1, so even p99 stays in the first bucket.
+	count, sum, hi, p50, _, p99 := h.Summary()
+	if count != 101 || sum != 1100 || hi != 1000 || p50 != 1 || p99 != 1 {
+		t.Errorf("Summary = count %d sum %d max %d p50 %d p99 %d", count, sum, hi, p50, p99)
 	}
 }
 

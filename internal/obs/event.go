@@ -1,6 +1,7 @@
 // Package obs is the protocol-level observability layer: a ring-buffer
-// event tracer plus a per-site metrics registry behind one nil-safe Hub that
-// the transaction, data, session, recovery, and network layers emit into.
+// event tracer plus a table of per-site instruments behind one nil-safe Hub
+// that the transaction, data, session, recovery, and network layers emit
+// into, and that renders those instruments as text or Prometheus exposition.
 //
 // The hub is deliberately passive: a nil *Hub is a valid no-op sink with
 // zero cost on the hot paths, so every Config in the repository can carry

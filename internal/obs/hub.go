@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"siterecovery/internal/clock"
-	"siterecovery/internal/metrics"
 	"siterecovery/internal/proto"
 )
 
@@ -21,9 +20,6 @@ type Options struct {
 	Clock clock.Clock
 	// TraceCapacity bounds the event ring; DefaultTraceCapacity if zero.
 	TraceCapacity int
-	// Registry receives the metric side of every emit; a fresh one is
-	// created if nil.
-	Registry *metrics.Registry
 	// Sinks receive every stamped event as it is emitted, in emit order,
 	// after the event enters the ring. The set is fixed at construction so
 	// the fan-out loop needs no locking on the hot path.
@@ -38,28 +34,26 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Hub is the sink the protocol layers emit into: every emit both appends a
-// typed event to the tracer and bumps the corresponding registry
-// instrument. A nil *Hub is a valid no-op sink — every method checks the
-// receiver first and allocates nothing on that path, so hot paths can emit
-// unconditionally.
+// Hub is the sink the protocol layers emit into and the only metrics
+// surface: every emit both appends a typed event to the tracer and bumps an
+// instrument in the hub's table, which WriteText and WritePrometheus render.
+// A nil *Hub is a valid no-op sink — every method checks the receiver first
+// and allocates nothing on that path, so hot paths can emit unconditionally.
 type Hub struct {
 	clk   clock.Clock
-	reg   *metrics.Registry
 	tr    *Tracer
 	sinks []Sink
 
 	// spans tracks open transaction attempts (TxnBegin seen, outcome not
-	// yet) so commit/abort can observe the attempt's latency into the
-	// registry. Keyed per coordinating site because TxnIDs are
-	// cluster-unique but retried under the same ID.
+	// yet) so commit/abort can observe the attempt's latency. Keyed per
+	// coordinating site because TxnIDs are cluster-unique but retried under
+	// the same ID.
 	spanMu sync.Mutex
 	spans  map[spanKey]time.Time
 
-	// rpcs caches what MsgSent, SpanStart and SpanFinish resolve per (site,
-	// side, kind); see rpc.
-	rpcMu sync.Mutex
-	rpcs  atomic.Pointer[map[rpcKey]*rpcHandles]
+	// table holds every instrument by key; see lookup.
+	tableMu sync.Mutex
+	table   atomic.Pointer[map[key]*instrument]
 }
 
 type spanKey struct {
@@ -76,26 +70,14 @@ func NewHub(opts Options) *Hub {
 	if opts.Clock == nil {
 		opts.Clock = clock.New()
 	}
-	if opts.Registry == nil {
-		opts.Registry = metrics.NewRegistry()
-	}
 	h := &Hub{
 		clk:   opts.Clock,
-		reg:   opts.Registry,
 		tr:    NewTracer(opts.TraceCapacity),
 		sinks: append([]Sink(nil), opts.Sinks...),
 		spans: make(map[spanKey]time.Time),
 	}
-	h.rpcs.Store(&map[rpcKey]*rpcHandles{})
+	h.table.Store(&map[key]*instrument{})
 	return h
-}
-
-// Registry returns the metric registry (nil on a nil hub).
-func (h *Hub) Registry() *metrics.Registry {
-	if h == nil {
-		return nil
-	}
-	return h.reg
 }
 
 // Tracer returns the event tracer (nil on a nil hub).
@@ -106,14 +88,6 @@ func (h *Hub) Tracer() *Tracer {
 	return h.tr
 }
 
-// Snapshot reads the registry (nil snapshot on a nil hub).
-func (h *Hub) Snapshot() metrics.Snapshot {
-	if h == nil {
-		return nil
-	}
-	return h.reg.Snapshot()
-}
-
 // emit stamps and appends one event, fans it out to the sinks, and returns
 // the stamped event so span bookkeeping can reuse its timestamp. Ring
 // wrap-around is surfaced as the cluster-level obs.events.dropped counter so
@@ -122,7 +96,7 @@ func (h *Hub) emit(e Event) Event {
 	e.At = h.clk.Now()
 	e, dropped := h.tr.Append(e)
 	if dropped {
-		h.reg.Counter(0, "obs", "events.dropped").Inc()
+		h.inc(key{0, "obs", "events", "dropped"})
 	}
 	for _, s := range h.sinks {
 		s.Emit(e)
@@ -194,7 +168,7 @@ func (h *Hub) TxnBegin(site proto.SiteID, id proto.TxnID, class proto.TxnClass, 
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "txn", "begin."+class.String()).Inc()
+	h.inc(key{site, "txn", "begin", class.String()})
 	ev := h.emit(Event{Type: EvTxnBegin, Site: site, Txn: id, Class: class, Attempt: attempt})
 	h.spanBegin(site, id, ev.At)
 }
@@ -205,11 +179,11 @@ func (h *Hub) TxnCommit(site proto.SiteID, id proto.TxnID, class proto.TxnClass,
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "txn", "commit."+class.String()).Inc()
-	h.reg.IntHist(int(site), "txn", "attempts").Observe(int64(attempt))
+	h.inc(key{site, "txn", "commit", class.String()})
+	h.observe(key{site, "txn", "attempts", ""}, int64(attempt))
 	ev := h.emit(Event{Type: EvTxnCommit, Site: site, Txn: id, Class: class, Attempt: attempt})
 	if d, ok := h.spanEnd(site, id, ev.At); ok {
-		h.reg.IntHist(int(site), "txn", "commit_latency_us").Observe(d.Microseconds())
+		h.observe(key{site, "txn", "commit_latency_us", ""}, d.Microseconds())
 	}
 }
 
@@ -219,10 +193,10 @@ func (h *Hub) TxnAbort(site proto.SiteID, id proto.TxnID, class proto.TxnClass, 
 		return
 	}
 	reason := AbortReason(err)
-	h.reg.Counter(int(site), "txn", "abort."+reason).Inc()
+	h.inc(key{site, "txn", "abort", reason})
 	ev := h.emit(Event{Type: EvTxnAbort, Site: site, Txn: id, Class: class, Attempt: attempt, Detail: reason})
 	if d, ok := h.spanEnd(site, id, ev.At); ok {
-		h.reg.IntHist(int(site), "txn", "abort_latency_us").Observe(d.Microseconds())
+		h.observe(key{site, "txn", "abort_latency_us", ""}, d.Microseconds())
 	}
 }
 
@@ -231,7 +205,7 @@ func (h *Hub) TxnGiveUp(site proto.SiteID, class proto.TxnClass, attempts int) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "txn", "giveup").Inc()
+	h.inc(key{site, "txn", "giveup", ""})
 	h.emit(Event{Type: EvTxnGiveUp, Site: site, Class: class, Attempt: attempts})
 }
 
@@ -241,7 +215,7 @@ func (h *Hub) SessionMismatch(site proto.SiteID, id proto.TxnID, carried, actual
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "dm", "session_mismatch").Inc()
+	h.inc(key{site, "dm", "session_mismatch", ""})
 	h.emit(Event{Type: EvSessionMismatch, Site: site, Txn: id, Expect: carried, Actual: actual})
 }
 
@@ -251,7 +225,7 @@ func (h *Hub) NotOperational(site proto.SiteID, id proto.TxnID) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "dm", "not_operational").Inc()
+	h.inc(key{site, "dm", "not_operational", ""})
 	h.emit(Event{Type: EvNotOperational, Site: site, Txn: id})
 }
 
@@ -261,7 +235,7 @@ func (h *Hub) InstallError(site proto.SiteID) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "storage", "install_errors").Inc()
+	h.inc(key{site, "storage", "install_errors", ""})
 }
 
 // SiteDownObserved records a TM observing a physical operation fail with
@@ -270,7 +244,7 @@ func (h *Hub) SiteDownObserved(observer, target proto.SiteID, observed proto.Ses
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(observer), "txn", "site_down_observed").Inc()
+	h.inc(key{observer, "txn", "site_down_observed", ""})
 	h.emit(Event{Type: EvSiteDownObserved, Site: observer, Peer: target, Expect: observed})
 }
 
@@ -280,7 +254,7 @@ func (h *Hub) Control1(site proto.SiteID, session proto.Session) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "session", "type1_committed").Inc()
+	h.inc(key{site, "session", "type1_committed", ""})
 	h.emit(Event{Type: EvControl1, Site: site, Actual: session})
 }
 
@@ -289,7 +263,7 @@ func (h *Hub) Control1Fail(site proto.SiteID, err error) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "session", "type1_failed").Inc()
+	h.inc(key{site, "session", "type1_failed", ""})
 	h.emit(Event{Type: EvControl1Fail, Site: site, Detail: AbortReason(err)})
 }
 
@@ -299,7 +273,7 @@ func (h *Hub) Control2(site proto.SiteID, claimed []proto.SiteID) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "session", "type2_committed").Inc()
+	h.inc(key{site, "session", "type2_committed", ""})
 	h.emit(Event{Type: EvControl2, Site: site, Detail: siteList(claimed)})
 }
 
@@ -308,7 +282,7 @@ func (h *Hub) Control2Skip(site proto.SiteID) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "session", "type2_skipped").Inc()
+	h.inc(key{site, "session", "type2_skipped", ""})
 	h.emit(Event{Type: EvControl2Skip, Site: site})
 }
 
@@ -317,7 +291,7 @@ func (h *Hub) Control2Fail(site proto.SiteID, err error) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "session", "type2_failed").Inc()
+	h.inc(key{site, "session", "type2_failed", ""})
 	h.emit(Event{Type: EvControl2Fail, Site: site, Detail: AbortReason(err)})
 }
 
@@ -326,7 +300,7 @@ func (h *Hub) RecoveryStart(site proto.SiteID) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "recovery", "started").Inc()
+	h.inc(key{site, "recovery", "started", ""})
 	h.emit(Event{Type: EvRecoveryStart, Site: site})
 }
 
@@ -336,8 +310,8 @@ func (h *Hub) RecoveryDone(site proto.SiteID, session proto.Session, marked int)
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "recovery", "completed").Inc()
-	h.reg.Counter(int(site), "recovery", "marked").Add(uint64(marked))
+	h.inc(key{site, "recovery", "completed", ""})
+	h.lookup(key{site, "recovery", "marked", ""}, counter).v.Add(int64(marked))
 	h.emit(Event{Type: EvRecoveryDone, Site: site, Actual: session, Attempt: marked})
 }
 
@@ -346,7 +320,7 @@ func (h *Hub) CopierCopy(site proto.SiteID, item proto.Item, source proto.SiteID
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "copier", "data_copy").Inc()
+	h.inc(key{site, "copier", "data_copy", ""})
 	h.emit(Event{Type: EvCopierCopy, Site: site, Item: item, Peer: source})
 }
 
@@ -355,7 +329,7 @@ func (h *Hub) CopierSkip(site proto.SiteID, item proto.Item, source proto.SiteID
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "copier", "version_skip").Inc()
+	h.inc(key{site, "copier", "version_skip", ""})
 	h.emit(Event{Type: EvCopierSkip, Site: site, Item: item, Peer: source})
 }
 
@@ -364,7 +338,7 @@ func (h *Hub) CopierTotalFailure(site proto.SiteID, item proto.Item) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "copier", "total_failure").Inc()
+	h.inc(key{site, "copier", "total_failure", ""})
 	h.emit(Event{Type: EvCopierTotalFailure, Site: site, Item: item})
 }
 
@@ -374,7 +348,7 @@ func (h *Hub) SiteCrash(site proto.SiteID) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(int(site), "site", "crashes").Inc()
+	h.inc(key{site, "site", "crashes", ""})
 	h.emit(Event{Type: EvSiteCrash, Site: site})
 }
 
@@ -385,7 +359,7 @@ func (h *Hub) MsgSent(from, to proto.SiteID, kind string) {
 	if h == nil {
 		return
 	}
-	h.rpc(rpcKey{site: from, kind: kind}).count.Inc()
+	h.inc(key{from, "net", "sent", kind})
 }
 
 // MsgDropped records the network losing a message of the given kind.
@@ -393,7 +367,7 @@ func (h *Hub) MsgDropped(from, to proto.SiteID, kind string) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(0, "net", "dropped").Inc()
+	h.inc(key{0, "net", "dropped", ""})
 	h.emit(Event{Type: EvMsgDropped, Site: from, Peer: to, Detail: kind})
 }
 
@@ -402,7 +376,7 @@ func (h *Hub) Partitioned(detail string) {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(0, "net", "partitions").Inc()
+	h.inc(key{0, "net", "partitions", ""})
 	h.emit(Event{Type: EvPartition, Detail: detail})
 }
 
@@ -411,7 +385,7 @@ func (h *Hub) Healed() {
 	if h == nil {
 		return
 	}
-	h.reg.Counter(0, "net", "heals").Inc()
+	h.inc(key{0, "net", "heals", ""})
 	h.emit(Event{Type: EvHeal})
 }
 

@@ -88,9 +88,9 @@ func spanOnce(h *obs.Hub, sc obs.SpanContext) {
 
 // BenchmarkSpanEmitHub measures the live-hub span path (ring buffer only):
 // the per-RPC cost every srnode pays, since /metrics needs a hub. The
-// instruments and the Detail string are resolved once per (site, side, kind),
-// so the steady state formats nothing and takes no registry lock; the
-// ceiling is asserted by TestSpanEmitHubAllocCeiling.
+// instruments, Detail strings included, are created once per (site, side,
+// kind), so the steady state formats nothing and takes no lock on the hub's
+// table; the ceiling is asserted by TestSpanEmitHubAllocCeiling.
 func BenchmarkSpanEmitHub(b *testing.B) {
 	h := obs.NewHub(obs.Options{})
 	sc := obs.SpanContext{Root: 7, Span: 0x1000000000003, Parent: 9, Origin: 1}
@@ -100,15 +100,22 @@ func BenchmarkSpanEmitHub(b *testing.B) {
 	}
 }
 
-// TestSpanEmitHubAllocCeiling pins the live-hub span path at zero
-// allocations per RPC side once its handles are cached (it was five: three
-// metric names and two Detail strings concatenated per call).
+// TestSpanEmitHubAllocCeiling pins the live-hub span and transaction paths
+// at zero allocations once their instruments exist: no metric name or Detail
+// string is built per call (the span path once built five, a transaction
+// attempt one per outcome).
 func TestSpanEmitHubAllocCeiling(t *testing.T) {
 	h := obs.NewHub(obs.Options{})
 	sc := obs.SpanContext{Root: 7, Span: 0x1000000000003, Parent: 9, Origin: 1}
-	spanOnce(h, sc) // resolve the handles
-	if allocs := testing.AllocsPerRun(200, func() { spanOnce(h, sc) }); allocs > 0 {
-		t.Errorf("live-hub span emits allocate %.1f times per RPC side, want 0", allocs)
+	run := func() {
+		spanOnce(h, sc)
+		emitOnce(h)
+		h.TxnBegin(1, 8, proto.ClassUser, 1)
+		h.TxnAbort(1, 8, proto.ClassUser, 1, proto.ErrSiteDown)
+	}
+	run() // create the instruments
+	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
+		t.Errorf("live-hub emits allocate %.1f times per run, want 0", allocs)
 	}
 }
 

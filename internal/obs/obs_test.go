@@ -101,8 +101,13 @@ func TestNilHubIsNoop(t *testing.T) {
 	h.MsgDropped(1, 2, "read")
 	h.Partitioned("[1]|[2]")
 	h.Healed()
-	if h.Registry() != nil || h.Tracer() != nil || h.Snapshot() != nil {
-		t.Error("nil hub accessors must return nil")
+	h.SetLevel(1, "dm", "prepared", 3)
+	if h.Tracer() != nil || h.Value(1, "dm", "prepared") != 0 {
+		t.Error("nil hub accessors must return nil and zero")
+	}
+	var b strings.Builder
+	if err := h.WritePrometheus(&b); err != nil || b.Len() != 0 {
+		t.Errorf("nil hub exposition = %q, %v; want empty", b.String(), err)
 	}
 
 	// The hot-path emits must not allocate on the nil path: they sit inside
@@ -130,12 +135,11 @@ func TestHubBumpsRegistry(t *testing.T) {
 	h.CopierCopy(2, "item-7", 4)
 	h.MsgDropped(1, 2, "read")
 
-	reg := h.Registry()
 	checks := []struct {
-		site int
+		site proto.SiteID
 		sub  string
 		name string
-		want uint64
+		want int64
 	}{
 		{1, "txn", "begin.user", 1},
 		{1, "txn", "commit.user", 1},
@@ -145,11 +149,11 @@ func TestHubBumpsRegistry(t *testing.T) {
 		{0, "net", "dropped", 1},
 	}
 	for _, c := range checks {
-		if got := reg.Counter(c.site, c.sub, c.name).Value(); got != c.want {
+		if got := h.Value(c.site, c.sub, c.name); got != c.want {
 			t.Errorf("counter site%d/%s/%s = %d, want %d", c.site, c.sub, c.name, got, c.want)
 		}
 	}
-	if got := reg.IntHist(1, "txn", "attempts").Sum(); got != 2 {
+	if got := h.lookup(key{1, "txn", "attempts", ""}, hist).h.Sum(); got != 2 {
 		t.Errorf("attempts hist sum = %d, want 2 (the committed attempt count)", got)
 	}
 	if got := h.Tracer().Len(); got != 6 {

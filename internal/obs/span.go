@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"siterecovery/internal/metrics"
 	"siterecovery/internal/proto"
 )
 
@@ -108,51 +107,22 @@ const (
 // side did, and nothing orders the two finishes.
 const PostedMark = "/post"
 
-// rpcKey names one side of one kind of RPC at one site; the empty side keys
-// MsgSent's counter.
-type rpcKey struct {
-	site       proto.SiteID
-	side, kind string
+// rpcNames names the counter and the latency histogram of a recording side;
+// a posted request records as the client side.
+func rpcNames(side string) (count, latency string) {
+	if side == SideServer {
+		return "server", "server_latency_us"
+	}
+	return "client", "client_latency_us"
 }
 
-// rpcHandles is what an RPC side touches on every request, resolved once:
-// the registry instruments and the Detail string of its events.
-type rpcHandles struct {
-	count   *metrics.Counter // rpc/<side>.<kind>, or net/sent.<kind>
-	latency *metrics.IntHist // rpc/<side>_latency_us.<kind>
-	detail  string           // "side:kind", with PostedMark when posted
-}
-
-// rpc returns the handles for key, building them on first use. The table is
-// copied on write, so the per-request lookup takes no lock.
-func (h *Hub) rpc(key rpcKey) *rpcHandles {
-	if e := (*h.rpcs.Load())[key]; e != nil {
-		return e
+// spanDetail is the Detail of a span event recorded on side against rpc
+// instrument in: "side:kind", with PostedMark only when posted.
+func (in *instrument) spanDetail(side string) string {
+	if side == SidePost {
+		return in.detail
 	}
-	h.rpcMu.Lock()
-	defer h.rpcMu.Unlock()
-	old := *h.rpcs.Load()
-	if e := old[key]; e != nil {
-		return e
-	}
-	e := &rpcHandles{}
-	if side, site := key.side, int(key.site); side == "" {
-		e.count = h.reg.Counter(site, "net", "sent."+key.kind)
-	} else {
-		e.detail = side + ":" + key.kind
-		if side == SidePost {
-			side, e.detail = SideClient, SideClient+":"+key.kind+PostedMark
-		}
-		e.count = h.reg.Counter(site, "rpc", side+"."+key.kind)
-		e.latency = h.reg.IntHist(site, "rpc", side+"_latency_us."+key.kind)
-	}
-	grown := make(map[rpcKey]*rpcHandles, len(old)+1)
-	for k, v := range old {
-		grown[k] = v
-	}
-	grown[key] = e
-	h.rpcs.Store(&grown)
-	return e
+	return in.detail[:len(in.detail)-len(PostedMark)]
 }
 
 // SpanStart records one side of an RPC beginning. site is the recording
@@ -164,12 +134,13 @@ func (h *Hub) SpanStart(site, peer proto.SiteID, sc SpanContext, side, kind stri
 	if h == nil {
 		return
 	}
-	e := h.rpc(rpcKey{site, side, kind})
-	e.count.Inc()
+	name, _ := rpcNames(side)
+	in := h.lookup(key{site, "rpc", name, kind}, counter)
+	in.v.Add(1)
 	h.emit(Event{
 		Type: EvSpanStart, Site: site, Peer: peer,
 		Txn: sc.Root, Span: sc.Span, Parent: sc.Parent,
-		Lamport: lamport, Detail: e.detail,
+		Lamport: lamport, Detail: in.spanDetail(side),
 	})
 }
 
@@ -180,12 +151,13 @@ func (h *Hub) SpanFinish(site, peer proto.SiteID, sc SpanContext, side, kind str
 	if h == nil {
 		return
 	}
-	e := h.rpc(rpcKey{site, side, kind})
-	detail := e.detail
+	_, name := rpcNames(side)
+	in := h.lookup(key{site, "rpc", name, kind}, hist)
+	in.h.Observe(d.Microseconds())
+	detail := in.spanDetail(side)
 	if err != nil {
 		detail += "!" + AbortReason(err)
 	}
-	e.latency.Observe(d.Microseconds())
 	h.emit(Event{
 		Type: EvSpanFinish, Site: site, Peer: peer,
 		Txn: sc.Root, Span: sc.Span, Parent: sc.Parent,

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"siterecovery/internal/metrics"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/obs/export"
 	"siterecovery/internal/proto"
@@ -55,8 +54,7 @@ func TestNewSpanIDUniqueAndSiteTagged(t *testing.T) {
 }
 
 func TestSpanStartFinishEvents(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := obs.NewHub(obs.Options{Registry: reg})
+	h := obs.NewHub(obs.Options{})
 	sc := obs.SpanContext{Root: 42, Span: obs.NewSpanID(1), Parent: 7, Origin: 1}
 
 	h.SpanStart(1, 3, sc, obs.SideClient, "prepare", 12)
@@ -82,7 +80,7 @@ func TestSpanStartFinishEvents(t *testing.T) {
 	if side, kind, reason, ok := obs.SpanSide(fin); !ok || side != obs.SideClient || kind != "prepare" || reason != "other" {
 		t.Errorf("SpanSide(finish) = %q %q %q %v", side, kind, reason, ok)
 	}
-	if got := reg.Counter(1, "rpc", "client.prepare").Value(); got != 1 {
+	if got := h.Value(1, "rpc", "client.prepare"); got != 1 {
 		t.Errorf("rpc client.prepare counter = %d, want 1", got)
 	}
 }
@@ -92,10 +90,9 @@ func TestSpanStartFinishEvents(t *testing.T) {
 // posted mark after the kind, and the mark survives the JSONL export and
 // SpanSide, with and without a failure reason.
 func TestPostedSpanIsAMarkedClientSide(t *testing.T) {
-	reg := metrics.NewRegistry()
 	var buf bytes.Buffer
 	sink := export.NewJSONL(&buf)
-	h := obs.NewHub(obs.Options{Registry: reg, Sinks: []obs.Sink{sink}})
+	h := obs.NewHub(obs.Options{Sinks: []obs.Sink{sink}})
 	sc := obs.SpanContext{Root: 42, Span: obs.NewSpanID(1), Origin: 1}
 
 	h.SpanStart(1, 3, sc, obs.SidePost, "commit", 12)
@@ -123,16 +120,18 @@ func TestPostedSpanIsAMarkedClientSide(t *testing.T) {
 			t.Errorf("SpanPosted(event %d) = %v, want %v", i, got, want)
 		}
 	}
-	if got := reg.Counter(1, "rpc", "client.commit").Value(); got != 2 {
+	if got := h.Value(1, "rpc", "client.commit"); got != 2 {
 		t.Errorf("rpc client.commit counter = %d, want 2 (posted and acknowledged starts share it)", got)
 	}
-	if got := reg.IntHist(1, "rpc", "client_latency_us.commit").Count(); got != 2 {
+	if got := h.Value(1, "rpc", "client_latency_us.commit"); got != 2 {
 		t.Errorf("rpc client_latency_us.commit count = %d, want 2", got)
 	}
-	for key := range reg.Snapshot() {
-		if strings.Contains(key.Name, "post") {
-			t.Errorf("posted spans created an instrument of their own: %v", key)
-		}
+	var table strings.Builder
+	if err := h.WriteText(&table); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(table.String(), "post") {
+		t.Errorf("posted spans created an instrument of their own:\n%s", table.String())
 	}
 }
 
@@ -149,8 +148,7 @@ func TestSpanSideRejectsNonSpanEvents(t *testing.T) {
 // counted into the cluster-level obs.events.dropped metric, matching the
 // tracer's own Dropped() accounting.
 func TestDroppedEventsCounted(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := obs.NewHub(obs.Options{Registry: reg, TraceCapacity: 8})
+	h := obs.NewHub(obs.Options{TraceCapacity: 8})
 	for i := 0; i < 20; i++ {
 		h.SiteCrash(proto.SiteID(i%3 + 1))
 	}
@@ -158,7 +156,7 @@ func TestDroppedEventsCounted(t *testing.T) {
 	if got := h.Tracer().Dropped(); got != wantDropped {
 		t.Fatalf("Tracer.Dropped = %d, want %d", got, wantDropped)
 	}
-	if got := reg.Counter(0, "obs", "events.dropped").Value(); got != wantDropped {
+	if got := h.Value(0, "obs", "events.dropped"); got != wantDropped {
 		t.Errorf("obs.events.dropped counter = %d, want %d", got, wantDropped)
 	}
 }

@@ -1,22 +1,23 @@
 // Package obshttp serves live introspection over HTTP for a running
 // cluster's observability hub: Prometheus-scrapeable metrics, the recent
 // event trace, and per-site session status. It is deliberately read-only —
-// every handler renders hub state and touches nothing — so mounting it on a
-// long-running simulation cannot perturb the protocol under observation.
+// every handler renders hub state and touches no protocol state (a scrape
+// only copies the runtime gauges into the hub's levels) — so mounting it on
+// a long-running simulation cannot perturb the protocol under observation.
 //
 // Endpoints:
 //
 //	/         index listing the endpoints
-//	/metrics  Prometheus text exposition; ?format=json for the JSON snapshot
+//	/metrics  Prometheus text exposition of the hub's instruments, plus Go
+//	          runtime gauges (goroutines, heap, GC) under the "go" subsystem
 //	/trace    recent events, newest last; ?n=K bounds the count (default
 //	          100), ?since=S keeps only events with sequence number > S
 //	          (for incremental tailing), ?format=json for a JSON array
 //	/sites    JSON array of per-site status (up, operational, session)
 //
-// With Config.Runtime the /metrics snapshot additionally carries Go runtime
-// gauges (goroutines, heap, GC) under the "go" subsystem; with Config.Pprof
-// the standard net/http/pprof handlers are mounted at /debug/pprof/. Both
-// read runtime state only — the read-only contract holds.
+// With Config.Pprof the standard net/http/pprof handlers are mounted at
+// /debug/pprof/. The runtime gauges and the profiles read runtime state only,
+// so the read-only contract holds.
 package obshttp
 
 import (
@@ -29,7 +30,6 @@ import (
 	"strconv"
 	"time"
 
-	"siterecovery/internal/metrics"
 	"siterecovery/internal/obs"
 )
 
@@ -43,35 +43,28 @@ type SiteStatus struct {
 
 // Config wires a handler to its data sources.
 type Config struct {
-	// Hub supplies the metrics snapshot and the event trace. A nil hub
-	// serves empty (but well-formed) responses.
+	// Hub supplies the metrics and the event trace. A nil hub serves the
+	// runtime gauges and otherwise empty (but well-formed) responses.
 	Hub *obs.Hub
 	// Sites supplies the per-site status for /sites; nil serves an empty
 	// list. It is called per request, so it should read live state.
 	Sites func() []SiteStatus
-	// Runtime merges Go runtime gauges (goroutines, heap bytes/objects, GC
-	// runs and pause time) into every /metrics response, keyed under the
-	// "go" subsystem at cluster scope.
-	Runtime bool
 	// Pprof mounts the standard net/http/pprof handlers at /debug/pprof/
 	// so a live cluster node can be profiled without a side port.
 	Pprof bool
 }
 
-// runtimeMetrics reads the Go runtime into cluster-scope gauges. The keys
-// render in Prometheus form as sr_go_goroutines, sr_go_heap_alloc_bytes,
-// sr_go_heap_objects, sr_go_gc_runs, and sr_go_gc_pause_total_ns.
-func runtimeMetrics() metrics.Snapshot {
+// setRuntimeLevels copies the Go runtime into cluster-scope levels on hub,
+// rendered as sr_go_goroutines, sr_go_heap_alloc_bytes, sr_go_heap_objects,
+// sr_go_gc_runs and sr_go_gc_pause_total_ns.
+func setRuntimeLevels(hub *obs.Hub) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	g := func(v int64) metrics.Sample { return metrics.Sample{Kind: metrics.KindGauge, Sum: v} }
-	return metrics.Snapshot{
-		{Site: 0, Subsystem: "go", Name: "goroutines"}:        g(int64(runtime.NumGoroutine())),
-		{Site: 0, Subsystem: "go", Name: "heap_alloc_bytes"}:  g(int64(ms.HeapAlloc)),
-		{Site: 0, Subsystem: "go", Name: "heap_objects"}:      g(int64(ms.HeapObjects)),
-		{Site: 0, Subsystem: "go", Name: "gc_runs"}:           g(int64(ms.NumGC)),
-		{Site: 0, Subsystem: "go", Name: "gc_pause_total_ns"}: g(int64(ms.PauseTotalNs)),
-	}
+	hub.SetLevel(0, "go", "goroutines", int64(runtime.NumGoroutine()))
+	hub.SetLevel(0, "go", "heap_alloc_bytes", int64(ms.HeapAlloc))
+	hub.SetLevel(0, "go", "heap_objects", int64(ms.HeapObjects))
+	hub.SetLevel(0, "go", "gc_runs", int64(ms.NumGC))
+	hub.SetLevel(0, "go", "gc_pause_total_ns", int64(ms.PauseTotalNs))
 }
 
 // defaultTraceN bounds /trace responses when the request does not say.
@@ -79,6 +72,11 @@ const defaultTraceN = 100
 
 // Handler returns the introspection mux.
 func Handler(cfg Config) http.Handler {
+	hub := cfg.Hub
+	if hub == nil {
+		// An empty hub of its own keeps the runtime gauges served.
+		hub = obs.NewHub(obs.Options{TraceCapacity: 1})
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -87,7 +85,7 @@ func Handler(cfg Config) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, "siterecovery live introspection\n\n"+
-			"/metrics  Prometheus text exposition (?format=json for the JSON snapshot)\n"+
+			"/metrics  Prometheus text exposition\n"+
 			"/trace    recent events (?n=K, ?since=S, ?format=json)\n"+
 			"/sites    per-site session status (JSON)\n")
 		if cfg.Pprof {
@@ -95,26 +93,9 @@ func Handler(cfg Config) http.Handler {
 		}
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// A nil hub yields a nil Snapshot, which both writers render as
-		// the empty (but well-formed) document.
-		snap := cfg.Hub.Snapshot()
-		if cfg.Runtime {
-			rt := runtimeMetrics()
-			if snap == nil {
-				snap = rt
-			} else {
-				for k, v := range rt {
-					snap[k] = v
-				}
-			}
-		}
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = snap.WriteJSON(w)
-			return
-		}
+		setRuntimeLevels(hub)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = snap.WritePrometheus(w)
+		_ = hub.WritePrometheus(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		n := defaultTraceN
@@ -126,10 +107,7 @@ func Handler(cfg Config) http.Handler {
 			}
 			n = v
 		}
-		var events []obs.Event
-		if tr := cfg.Hub.Tracer(); tr != nil {
-			events = tr.Events()
-		}
+		events := hub.Tracer().Events()
 		if arg := r.URL.Query().Get("since"); arg != "" {
 			since, err := strconv.ParseUint(arg, 10, 64)
 			if err != nil {

@@ -79,27 +79,23 @@ func TestMetricsPrometheus(t *testing.T) {
 		}
 	}
 
-	// Byte-determinism: the same snapshot renders identically.
+	// Byte-determinism: the same hub state renders identically; only the
+	// runtime gauges move between scrapes.
 	_, body2, _ := get(t, srv, "/metrics")
-	if body != body2 {
+	if withoutRuntime(body) != withoutRuntime(body2) {
 		t.Error("repeated scrapes of the same state differ")
 	}
 }
 
-func TestMetricsJSON(t *testing.T) {
-	srv := httptest.NewServer(Handler(Config{Hub: testHub()}))
-	defer srv.Close()
-	code, body, ctype := get(t, srv, "/metrics?format=json")
-	if code != http.StatusOK || !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("status %d, content type %q", code, ctype)
+// withoutRuntime drops the sr_go_* samples from an exposition.
+func withoutRuntime(body string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if !strings.HasPrefix(line, "sr_go_") {
+			b.WriteString(line)
+		}
 	}
-	var samples []map[string]any
-	if err := json.Unmarshal([]byte(body), &samples); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("empty snapshot")
-	}
+	return b.String()
 }
 
 func TestTrace(t *testing.T) {
@@ -160,7 +156,7 @@ func TestSites(t *testing.T) {
 func TestNilHub(t *testing.T) {
 	srv := httptest.NewServer(Handler(Config{}))
 	defer srv.Close()
-	for _, path := range []string{"/", "/metrics", "/metrics?format=json", "/trace", "/trace?format=json", "/sites"} {
+	for _, path := range []string{"/", "/metrics", "/trace", "/trace?format=json", "/sites"} {
 		code, _, _ := get(t, srv, path)
 		if code != http.StatusOK {
 			t.Errorf("%s: status %d", path, code)
@@ -191,10 +187,10 @@ func TestStartClose(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetrics requires the Go runtime gauges to appear (and be valid
-// exposition) only when opted in.
+// TestRuntimeMetrics requires the Go runtime gauges to appear, as valid
+// exposition, on every scrape.
 func TestRuntimeMetrics(t *testing.T) {
-	srv := httptest.NewServer(Handler(Config{Hub: testHub(), Runtime: true}))
+	srv := httptest.NewServer(Handler(Config{Hub: testHub()}))
 	defer srv.Close()
 	code, body, _ := get(t, srv, "/metrics")
 	if code != http.StatusOK {
@@ -217,18 +213,11 @@ func TestRuntimeMetrics(t *testing.T) {
 		t.Error("hub metrics lost when runtime gauges merged in")
 	}
 
-	// A nil hub with Runtime on still serves the runtime gauges.
-	srv2 := httptest.NewServer(Handler(Config{Runtime: true}))
+	// A nil hub still serves the runtime gauges.
+	srv2 := httptest.NewServer(Handler(Config{}))
 	defer srv2.Close()
 	if _, body2, _ := get(t, srv2, "/metrics"); !strings.Contains(body2, "sr_go_goroutines") {
-		t.Error("nil hub with Runtime on lacks runtime gauges")
-	}
-
-	// Default config stays runtime-free.
-	srv3 := httptest.NewServer(Handler(Config{Hub: testHub()}))
-	defer srv3.Close()
-	if _, body3, _ := get(t, srv3, "/metrics"); strings.Contains(body3, "sr_go_") {
-		t.Error("runtime gauges served without opt-in")
+		t.Error("nil hub lacks runtime gauges")
 	}
 }
 
@@ -317,7 +306,7 @@ func TestDroppedCounterExposed(t *testing.T) {
 // emitting; run under -race this is the data-race check for the read path.
 func TestConcurrentScrapeAndEmit(t *testing.T) {
 	h := obs.NewHub(obs.Options{TraceCapacity: 64})
-	srv := httptest.NewServer(Handler(Config{Hub: h, Runtime: true}))
+	srv := httptest.NewServer(Handler(Config{Hub: h}))
 	defer srv.Close()
 
 	stop := make(chan struct{})
@@ -334,7 +323,7 @@ func TestConcurrentScrapeAndEmit(t *testing.T) {
 			h.TxnCommit(proto.SiteID(1+i%3), proto.TxnID(i), proto.ClassUser, 1)
 		}
 	}()
-	paths := []string{"/metrics", "/metrics?format=json", "/trace", "/trace?format=json&since=5", "/sites"}
+	paths := []string{"/metrics", "/trace", "/trace?format=json", "/trace?format=json&since=5", "/sites"}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -96,7 +96,7 @@ func TestPostIsTracedAsAMarkedClientSpan(t *testing.T) {
 			t.Errorf("server event = %+v, want server:commit on span %x", e, client[0].Span)
 		}
 	}
-	if got := hubs[1].Registry().Counter(1, "net", "sent.commit").Value(); got != 1 {
+	if got := hubs[1].Value(1, "net", "sent.commit"); got != 1 {
 		t.Errorf("sent.commit = %d, want 1: a posted request is still a message sent", got)
 	}
 
