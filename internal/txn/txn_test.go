@@ -14,6 +14,7 @@ import (
 	"siterecovery/internal/history"
 	"siterecovery/internal/lockmgr"
 	"siterecovery/internal/netsim"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/replication"
 	"siterecovery/internal/storage"
@@ -31,6 +32,7 @@ type harness struct {
 	dms   map[proto.SiteID]*dm.Manager
 	tms   map[proto.SiteID]*Manager
 	locks map[proto.SiteID]*lockmgr.Manager
+	hub   *obs.Hub
 }
 
 func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harness {
@@ -56,6 +58,7 @@ func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harnes
 		dms:   make(map[proto.SiteID]*dm.Manager),
 		tms:   make(map[proto.SiteID]*Manager),
 		locks: make(map[proto.SiteID]*lockmgr.Manager),
+		hub:   obs.NewHub(obs.Options{}),
 	}
 	for _, site := range sites {
 		var items []proto.Item
@@ -81,7 +84,7 @@ func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harnes
 		net.Register(site, d.Handle)
 		h.tms[site] = New(Config{
 			Site: site, Net: net, Local: d, Catalog: cat, Profile: profile,
-			Recorder: rec, Seq: seq, MaxAttempts: 6,
+			Recorder: rec, Seq: seq, MaxAttempts: 6, Obs: h.hub,
 		}, cb)
 	}
 	return h
@@ -359,6 +362,11 @@ func TestAbortRequestedNotRetried(t *testing.T) {
 	st := h.tms[1].Stats()
 	if st.Committed != 0 || st.Aborted != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// The give-up reports the one attempt made, not MaxAttempts.
+	evs := h.hub.Tracer().Events()
+	if last := evs[len(evs)-1]; last.Type != obs.EvTxnGiveUp || last.Attempt != 1 {
+		t.Fatalf("last event = %v, want a give-up after attempt 1", last)
 	}
 }
 
