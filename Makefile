@@ -40,16 +40,18 @@ bench:
 # BenchmarkCall (loopback echo, 1 and 2 callers), BenchmarkFanout (one
 # 3-site round: self and two peers) and the four root benchmarks whose
 # allocs/op TestHotPathAllocCeilings pins (one uncontended lock, an empty, a
-# one-read and a read-write transaction), plus the disk engine's install with
-# an eviction and a dirty flush on every op (B/op shows whether a page miss
-# allocates a frame), so they stay compiled and runnable and allocs/op is
-# printed on every run. For numbers: make bench-micro
-# BENCHTIME=2s
+# one-read and a read-write transaction), the disk engine's install with an
+# eviction and a dirty flush on every op (B/op shows whether a page miss
+# allocates a frame), and the live hub's transaction and span emits (0
+# allocs/op, pinned by TestSpanEmitHubAllocCeiling), so they stay compiled
+# and runnable and allocs/op is printed on every run. For numbers: make
+# bench-micro BENCHTIME=2s
 BENCHTIME ?= 1x
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkTxnReadOnly|BenchmarkTxnReadWrite|BenchmarkSessionVectorRead' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkInstallEvict' -benchmem -benchtime $(BENCHTIME) ./internal/storage/disk
+	$(GO) test -run '^$$' -bench 'BenchmarkEmitHub|BenchmarkSpanEmitHub' -benchmem -benchtime $(BENCHTIME) ./internal/obs
 
 # Fuzz what arrives from outside: the binary wire format's message bodies,
 # tcpnet's frame headers, and srnode's POST /txn scanner against
@@ -89,10 +91,14 @@ certify:
 	$(GO) run ./cmd/srbench -run E7 -scale full
 
 # Mirrors the trace-artifacts CI job: export the deterministic scripted
-# scenario and derive the offline report.
+# scenario and derive the offline report, then check that the scenario's
+# trace-and-metrics stdout is byte-identical across two runs.
 trace:
 	$(GO) run ./cmd/srsim -trace -metrics -export trace.jsonl
 	$(GO) run ./cmd/srtrace trace.jsonl
+	$(GO) run ./cmd/srsim -trace -metrics > /tmp/srsim-metrics-a.txt
+	$(GO) run ./cmd/srsim -trace -metrics > /tmp/srsim-metrics-b.txt
+	cmp /tmp/srsim-metrics-a.txt /tmp/srsim-metrics-b.txt
 
 # Mirrors the tcp-e2e trace-merge step: run the 3-process cluster e2e with
 # per-site JSONL exports (once per crash model), then causally merge the
