@@ -42,15 +42,18 @@ bench:
 # allocs/op TestHotPathAllocCeilings pins (one uncontended lock, an empty, a
 # one-read and a read-write transaction), the disk engine's install with an
 # eviction and a dirty flush on every op (B/op shows whether a page miss
-# allocates a frame), and the live hub's transaction and span emits (0
-# allocs/op, pinned by TestSpanEmitHubAllocCeiling), so they stay compiled
-# and runnable and allocs/op is printed on every run. For numbers: make
-# bench-micro BENCHTIME=2s
+# allocates a frame), the WAL's prepare + commit pair (retained-B/op is what
+# the log still holds per decided transaction), and the live hub's
+# transaction and span emits (0 allocs/op, pinned by
+# TestSpanEmitHubAllocCeiling), so they stay compiled and runnable and
+# allocs/op is printed on every run. For numbers: make bench-micro
+# BENCHTIME=2s
 BENCHTIME ?= 1x
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkTxnReadOnly|BenchmarkTxnReadWrite|BenchmarkSessionVectorRead' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkInstallEvict' -benchmem -benchtime $(BENCHTIME) ./internal/storage/disk
+	$(GO) test -run '^$$' -bench 'BenchmarkLogPrepareCommit' -benchmem -benchtime $(BENCHTIME) ./internal/wal
 	$(GO) test -run '^$$' -bench 'BenchmarkEmitHub|BenchmarkSpanEmitHub' -benchmem -benchtime $(BENCHTIME) ./internal/obs
 
 # Fuzz what arrives from outside: the binary wire format's message bodies,

@@ -18,11 +18,13 @@ import (
 	"siterecovery/internal/proto"
 )
 
-var sentLine = regexp.MustCompile(`(?m)^sr_net_sent_([a-z_]+)_total\{[^}]*\} (\d+)$`)
+var (
+	sentLine      = regexp.MustCompile(`(?m)^sr_net_sent_([a-z_]+)_total\{[^}]*\} (\d+)$`)
+	decisionsLine = regexp.MustCompile(`(?m)^sr_wal_decisions\{[^}]*\} (\d+)$`)
+)
 
-// sentCounts scrapes url's /metrics for the wire messages that site has
-// sent so far, by message kind (sr_net_sent_<kind>_total).
-func sentCounts(t *testing.T, url string) map[string]int {
+// scrape returns url's /metrics body.
+func scrape(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -33,8 +35,15 @@ func sentCounts(t *testing.T, url string) map[string]int {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: %d %v", resp.StatusCode, err)
 	}
+	return string(body)
+}
+
+// sentCounts scrapes url's /metrics for the wire messages that site has
+// sent so far, by message kind (sr_net_sent_<kind>_total).
+func sentCounts(t *testing.T, url string) map[string]int {
+	t.Helper()
 	out := map[string]int{}
-	for _, m := range sentLine.FindAllStringSubmatch(string(body), -1) {
+	for _, m := range sentLine.FindAllStringSubmatch(scrape(t, url), -1) {
 		n, err := strconv.Atoi(m[2])
 		if err != nil {
 			t.Fatalf("metric line %q: %v", m[0], err)
@@ -44,11 +53,28 @@ func sentCounts(t *testing.T, url string) map[string]int {
 	return out
 }
 
+// walDecisions scrapes how many transactions url's site holds a logged
+// decision for (sr_wal_decisions).
+func walDecisions(t *testing.T, url string) int {
+	t.Helper()
+	m := decisionsLine.FindStringSubmatch(scrape(t, url))
+	if m == nil {
+		t.Fatal("/metrics has no sr_wal_decisions line")
+	}
+	n, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatalf("sr_wal_decisions %q: %v", m[1], err)
+	}
+	return n
+}
+
 // TestE2ECommitPathWireCost pins the commit path's cost on the real TCP
 // cluster, counted where the messages leave the coordinator: a 4-write
 // transaction over 3 sites sends each of the 2 remote participants one batch
 // (vote piggybacked) and one commit — no per-item write, no prepare round —
-// and a read-only transaction never leaves the coordinator.
+// and a read-only transaction never leaves the coordinator. The
+// coordinator's decision index (sr_wal_decisions) grows by one per writing
+// commit and not at all for a read-only one, which logs nothing.
 func TestE2ECommitPathWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning e2e test in -short mode")
@@ -58,6 +84,7 @@ func TestE2ECommitPathWireCost(t *testing.T) {
 	coord := c.URL(1)
 	kinds := []string{"batch", "commit", "write", "prepare", "read", "abort"}
 
+	decided := walDecisions(t, coord)
 	before := sentCounts(t, coord)
 	runTxn(t, c, 1, load.Txn{Writes: []load.Write{{Item: "d", Value: 4}, {Item: "b", Value: 2}, {Item: "c", Value: 3}, {Item: "a", Value: 1}}})
 	after := sentCounts(t, coord)
@@ -78,6 +105,13 @@ func TestE2ECommitPathWireCost(t *testing.T) {
 		if got := after[kind] - before[kind]; got != 0 {
 			t.Errorf("read-only txn moved %d %q messages from the coordinator, want 0", got, kind)
 		}
+	}
+
+	for v := proto.Value(1); v <= 3; v++ {
+		runTxn(t, c, 1, load.Txn{Writes: []load.Write{{Item: "a", Value: v}}})
+	}
+	if got := walDecisions(t, coord) - decided; got != 4 {
+		t.Errorf("sr_wal_decisions rose by %d over 4 writing commits and 1 read-only, want 4", got)
 	}
 }
 

@@ -270,9 +270,10 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			}}
 		},
 	})
-	// sr_dm_prepared is read off the data manager at scrape time.
+	// Levels read off the site at scrape time.
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		hub.SetLevel(id, "dm", "prepared", int64(n.DM.Prepared()))
+		hub.SetLevel(id, "wal", "decisions", int64(n.Log.Decisions()))
 		intro.ServeHTTP(w, r)
 	})
 	mux.Handle("GET /trace", intro)

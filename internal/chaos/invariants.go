@@ -18,7 +18,6 @@ import (
 	"siterecovery/internal/core"
 	"siterecovery/internal/history"
 	"siterecovery/internal/proto"
-	"siterecovery/internal/wal"
 )
 
 // Info summarizes what a chaos run actually did, so invariants (and test
@@ -187,15 +186,13 @@ func WALConsistent() Invariant {
 			if indoubt := s.Log.InDoubt(); len(indoubt) > 0 {
 				return fmt.Errorf("site %v still in doubt about %v after quiesce", id, indoubt)
 			}
-			for _, rec := range s.Log.Scan() {
-				if rec.Type == wal.RecordCommit {
-					info, ok := h.Txn(rec.Txn)
-					if !ok {
-						return fmt.Errorf("site %v logged commit of unknown txn %v", id, rec.Txn)
-					}
-					if !info.Committed {
-						return fmt.Errorf("site %v logged commit of txn %v, which the history has uncommitted", id, rec.Txn)
-					}
+			for _, txn := range s.Log.Committed() {
+				info, ok := h.Txn(txn)
+				if !ok {
+					return fmt.Errorf("site %v logged commit of unknown txn %v", id, txn)
+				}
+				if !info.Committed {
+					return fmt.Errorf("site %v logged commit of txn %v, which the history has uncommitted", id, txn)
 				}
 			}
 			copies, err := s.Store.Snapshot()

@@ -7,6 +7,7 @@ import (
 
 	"siterecovery/internal/proto"
 	"siterecovery/internal/storage"
+	"siterecovery/internal/wal"
 )
 
 func userBatch(txn proto.TxnID, expect proto.Session, ops ...proto.BatchOp) proto.BatchReq {
@@ -21,6 +22,8 @@ func userBatch(txn proto.TxnID, expect proto.Session, ops ...proto.BatchOp) prot
 
 func TestBatchExecutesAtomicallyAndVotes(t *testing.T) {
 	f := newFixture(t, TrackNone, Callbacks{})
+	syncs := 0
+	f.log.SetSink(func([]wal.Record) { syncs++ })
 
 	resp := call(t, f, userBatch(10, 5,
 		proto.BatchOp{Item: "x", Value: 7, MissedBy: []proto.SiteID{3}},
@@ -39,8 +42,8 @@ func TestBatchExecutesAtomicallyAndVotes(t *testing.T) {
 	if held := f.locks.Held(10); len(held) != 2 {
 		t.Fatalf("held locks = %v, want x and y", held)
 	}
-	if got := f.log.Syncs(); got != 1 {
-		t.Fatalf("prepare of a 2-op batch cost %d log syncs, want 1", got)
+	if syncs != 1 {
+		t.Fatalf("prepare of a 2-op batch cost %d log syncs, want 1", syncs)
 	}
 	writes, origin := f.log.PreparedRecord(10)
 	if origin != 2 || len(writes) != 2 || writes[0].Item != "x" || writes[1].Item != "y" {
@@ -83,8 +86,8 @@ func TestBatchGateRejectionLeavesNoState(t *testing.T) {
 	if held := f.locks.Held(10); len(held) != 0 {
 		t.Fatalf("gate-rejected batch left locks %v", held)
 	}
-	if f.log.Len() != 0 {
-		t.Fatalf("gate-rejected batch logged %d records", f.log.Len())
+	if f.log.DurableLSN() != 0 {
+		t.Fatalf("gate-rejected batch logged %d records", f.log.DurableLSN())
 	}
 }
 
@@ -103,8 +106,8 @@ func TestBatchMidFailureDropsEveryBufferedWrite(t *testing.T) {
 	if len(f.store.Pending(10)) != 0 {
 		t.Fatal("failed batch left pending writes behind")
 	}
-	if f.log.Len() != 0 {
-		t.Fatalf("failed batch logged %d records", f.log.Len())
+	if f.log.DurableLSN() != 0 {
+		t.Fatalf("failed batch logged %d records", f.log.DurableLSN())
 	}
 	// The lock taken before the failure is released by the coordinator's
 	// abort broadcast.

@@ -178,12 +178,8 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 	// The log assembles before storage so a redo-logged engine can replay
 	// the preloaded records the moment its factory runs.
 	s.Log = wal.New()
-	if len(cfg.WALRecords) > 0 {
-		s.Log.Preload(cfg.WALRecords)
-	}
-	if cfg.WALSink != nil {
-		s.Log.SetSink(cfg.WALSink)
-	}
+	s.Log.Preload(cfg.WALRecords)
+	s.Log.SetSink(cfg.WALSink)
 
 	ids := cat.Sites()
 	var items []proto.Item

@@ -81,9 +81,9 @@ func Factory(dir string, poolPages int) storage.Factory {
 }
 
 // Open opens (creating if absent) the heap file under dir, lays out any of
-// d.Items not already present, and runs the redo pass over d.Log's physical
-// redo records so committed state the heap file missed becomes readable
-// again before the engine serves its first call.
+// d.Items not already present, and replays the redo records d.Log was
+// preloaded with (taking them from it), so committed state the heap file
+// missed becomes readable again before the engine serves its first call.
 func Open(dir string, poolPages int, d storage.Deps) (*Engine, error) {
 	if d.Log == nil {
 		return nil, fmt.Errorf("disk engine for site %v: storage.Deps.Log is required (redo records go to the site WAL)", d.Site)
@@ -166,7 +166,7 @@ func (t *table) load() error {
 	return nil
 }
 
-// redo replays the log's physical redo records strictly in log order, so
+// redo replays the log's preloaded redo records strictly in log order, so
 // each item ends at the value of its LAST logged install. Replay must not
 // version-guard: versions here carry the writer's commit sequence, which is
 // not monotone across writers, and the live install path (InstallPending

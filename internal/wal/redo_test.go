@@ -8,20 +8,21 @@ import (
 )
 
 // TestAppendRedo checks the physical-redo surface: LSN accounting, sink
-// delivery, one sync per append, and that redo records stay invisible to
-// the 2PC outcome indexes.
+// delivery, one sync per append, that redo records stay invisible to the
+// 2PC outcome indexes, and that only a preloaded log holds redo.
 func TestAppendRedo(t *testing.T) {
 	l := New()
 	var sunk []Record
-	l.SetSink(func(recs []Record) { sunk = append(sunk, recs...) })
+	syncs := 0
+	l.SetSink(func(recs []Record) { syncs++; sunk = append(sunk, recs...) })
 
 	writes := []WriteRec{{Item: "x", Value: 41, Version: proto.Version{Counter: 3, Writer: 9}}}
 	lsn := l.AppendRedo(9, writes)
 	if lsn != 1 || l.DurableLSN() != 1 {
 		t.Fatalf("LSN = %d, durable = %d, want 1/1", lsn, l.DurableLSN())
 	}
-	if l.Syncs() != 1 {
-		t.Fatalf("Syncs = %d, want 1", l.Syncs())
+	if syncs != 1 {
+		t.Fatalf("syncs = %d, want 1", syncs)
 	}
 	if len(sunk) != 1 || sunk[0].Type != RecordRedo {
 		t.Fatalf("sink saw %+v", sunk)
@@ -36,18 +37,24 @@ func TestAppendRedo(t *testing.T) {
 	}
 
 	l.Append(Record{Type: RecordCommit, Role: RoleCoordinator, Txn: 5, CommitSeq: 2})
-	redos := l.ScanRedo()
-	if len(redos) != 1 || !reflect.DeepEqual(redos[0].Writes, writes) {
-		t.Fatalf("ScanRedo = %+v", redos)
-	}
 	if l.DurableLSN() != 2 {
 		t.Fatalf("DurableLSN = %d, want 2", l.DurableLSN())
 	}
+	if redos := l.ScanRedo(); len(redos) != 0 {
+		t.Fatalf("live log kept its redo: %+v", redos)
+	}
 
-	// Preload round trip: a reloaded log serves the same redo records.
+	// Preload round trip: a log reloaded from what the sink kept hands its
+	// redo records over once, and keeps the LSN and the outcomes.
 	re := New()
-	re.Preload(l.Scan())
-	if got := re.ScanRedo(); !reflect.DeepEqual(got, redos) {
-		t.Fatalf("preloaded ScanRedo = %+v, want %+v", got, redos)
+	re.Preload(sunk)
+	if got := re.ScanRedo(); len(got) != 1 || !reflect.DeepEqual(got[0].Writes, writes) {
+		t.Fatalf("preloaded ScanRedo = %+v", got)
+	}
+	if got := re.ScanRedo(); len(got) != 0 {
+		t.Fatalf("second ScanRedo = %+v, want nothing", got)
+	}
+	if st, seq := re.Outcome(5); re.DurableLSN() != 2 || st != proto.StateCommitted || seq != 2 {
+		t.Fatalf("preloaded LSN %d, Outcome(5) = (%v, %d)", re.DurableLSN(), st, seq)
 	}
 }

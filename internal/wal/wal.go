@@ -9,10 +9,13 @@
 // dirtied — and replays them at restart to rebuild committed state that
 // never reached the heap file. Records survive Crash unconditionally; the
 // log is the "stable storage" of the paper's model.
+// A Log keeps only the indexes it answers from; the records themselves exist
+// only in the sink (SetSink), and a restart rebuilds the indexes from them.
 package wal
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -113,37 +116,42 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// Log is an append-only stable log. The zero value is not usable; create
-// with New.
+// Log is a site's append-only stable log. The zero value is not usable;
+// create with New.
 type Log struct {
-	mu      sync.Mutex
-	records []Record
-	// outcome index: last decision per transaction
-	state map[proto.TxnID]Record
-	// prepared index: participant prepare records awaiting a decision
-	prepared map[proto.TxnID]bool
-	// syncs models the force-to-disk cost: one per Append, one per
-	// AppendGroup regardless of how many records the group carries.
-	syncs uint64
+	mu  sync.Mutex
+	lsn uint64 // records appended or preloaded; every append forces
+	// decisions and prepared are all Outcome, InDoubt and PreparedRecord
+	// read: the last decision per transaction, and the participant prepare
+	// record of each transaction still in doubt (its decision drops it).
+	decisions map[proto.TxnID]decision
+	prepared  map[proto.TxnID]Record
+	redo      []Record // preloaded redo records, until ScanRedo
 	// sink, when set, receives every appended batch before the append
 	// returns — the hook cmd/srnode uses to spill records to a real on-disk
 	// log so a SIGKILLed process can answer decision queries after restart.
-	sink func([]Record)
+	sink  func([]Record)
+	batch []Record // every sink batch, cleared after its force
 }
+
+// decision is a decided transaction in one word: its commit sequence number
+// (a count of commits, far below 2^63) above a committed bit. An abort is 0.
+type decision uint64
 
 // New returns an empty log.
 func New() *Log {
 	return &Log{
-		state:    make(map[proto.TxnID]Record),
-		prepared: make(map[proto.TxnID]bool),
+		decisions: make(map[proto.TxnID]decision),
+		prepared:  make(map[proto.TxnID]Record),
 	}
 }
 
 // SetSink installs a callback receiving every subsequently appended batch,
 // synchronously and in append order (the callback runs inside the log
 // force, so a record reported appended has already reached the sink). The
-// batch is the log's own storage: the callback must not modify or keep it.
-// Preloaded records are not replayed into it.
+// sink is the only place the log's history is kept. The batch is a buffer
+// the log reuses for the next force: the callback must not modify or keep
+// it. Preloaded records are not replayed into it.
 func (l *Log) SetSink(sink func([]Record)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -151,13 +159,17 @@ func (l *Log) SetSink(sink func([]Record)) {
 }
 
 // Preload replays records recovered from an external stable log (see
-// SetSink) into the indexes, without charging syncs or re-notifying the
-// sink. It must run before the log is in service.
+// SetSink) into the indexes and the LSN without forcing them to the sink
+// again, and holds their redo records for ScanRedo. It must run before the
+// log is in service.
 func (l *Log) Preload(recs []Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, rec := range recs {
-		l.appendLocked(rec)
+	for i := range recs {
+		l.index(&recs[i])
+		if recs[i].Type == RecordRedo {
+			l.redo = append(l.redo, recs[i])
+		}
 	}
 }
 
@@ -165,8 +177,8 @@ func (l *Log) Preload(recs []Record) {
 func (l *Log) Append(rec Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.appendLocked(rec)
-	l.force(1)
+	l.index(&rec)
+	l.force(rec)
 }
 
 // AppendGroup is the group-commit entry point: it durably adds all records
@@ -179,10 +191,10 @@ func (l *Log) AppendGroup(recs []Record) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, rec := range recs {
-		l.appendLocked(rec)
+	for i := range recs {
+		l.index(&recs[i])
 	}
-	l.force(len(recs))
+	l.force(recs...)
 }
 
 // AppendRedo durably adds a physical redo record for the values txn
@@ -193,19 +205,19 @@ func (l *Log) AppendGroup(recs []Record) {
 func (l *Log) AppendRedo(txn proto.TxnID, writes []WriteRec) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.appendLocked(Record{Type: RecordRedo, Role: RoleParticipant, Txn: txn, Writes: writes})
-	l.force(1)
-	return uint64(len(l.records))
+	l.lsn++
+	l.force(Record{Type: RecordRedo, Role: RoleParticipant, Txn: txn, Writes: writes})
+	return l.lsn
 }
 
-// force hands the last n appended records to the sink as one batch, a view
-// of the log itself rather than a copy, and charges one sync.
-func (l *Log) force(n int) {
+// force is one stable-storage sync: it hands recs to the sink as one batch,
+// built in the log's reused buffer.
+func (l *Log) force(recs ...Record) {
 	if l.sink != nil {
-		end := len(l.records)
-		l.sink(l.records[end-n : end : end])
+		l.batch = append(l.batch[:0], recs...)
+		l.sink(l.batch)
+		clear(l.batch)
 	}
-	l.syncs++
 }
 
 // DurableLSN reports the log sequence number through which records are
@@ -215,42 +227,36 @@ func (l *Log) force(n int) {
 func (l *Log) DurableLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return uint64(len(l.records))
+	return l.lsn
 }
 
-// ScanRedo returns the physical redo records in append order: the disk
-// engine's restart pass replays them against the heap file, skipping any
-// whose version the on-disk page already carries.
+// ScanRedo hands over the redo records Preload brought in, in append order,
+// and forgets them: the disk engine's restart pass replays them against the
+// heap file. Redo appended since lives only in the sink.
 func (l *Log) ScanRedo() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Record
-	for _, rec := range l.records {
-		if rec.Type == RecordRedo {
-			out = append(out, rec)
-		}
-	}
+	out := l.redo
+	l.redo = nil
 	return out
 }
 
-func (l *Log) appendLocked(rec Record) {
-	l.records = append(l.records, rec)
+// index advances the LSN past rec and updates the outcome indexes.
+func (l *Log) index(rec *Record) {
+	l.lsn++
 	switch rec.Type {
 	case RecordPrepare:
 		if rec.Role == RoleParticipant {
-			l.prepared[rec.Txn] = true
+			l.prepared[rec.Txn] = *rec
 		}
 	case RecordCommit, RecordAbort:
-		l.state[rec.Txn] = rec
+		var d decision // an abort
+		if rec.Type == RecordCommit {
+			d = decision(rec.CommitSeq<<1 | 1)
+		}
+		l.decisions[rec.Txn] = d
 		delete(l.prepared, rec.Txn)
 	}
-}
-
-// Syncs reports how many stable-storage syncs the log has performed.
-func (l *Log) Syncs() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncs
 }
 
 // Outcome reports the durable outcome of txn at this site: StateCommitted or
@@ -260,16 +266,39 @@ func (l *Log) Syncs() uint64 {
 func (l *Log) Outcome(txn proto.TxnID) (proto.TxnState, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if rec, ok := l.state[txn]; ok {
-		if rec.Type == RecordCommit {
-			return proto.StateCommitted, rec.CommitSeq
+	if d, ok := l.decisions[txn]; ok {
+		if d&1 == 1 {
+			return proto.StateCommitted, uint64(d >> 1)
 		}
 		return proto.StateAborted, 0
 	}
-	if l.prepared[txn] {
+	if _, ok := l.prepared[txn]; ok {
 		return proto.StatePrepared, 0
 	}
 	return proto.StateUnknown, 0
+}
+
+// Decisions reports how many transactions the log holds a decision for:
+// the one index that still grows with commits.
+func (l *Log) Decisions() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.decisions)
+}
+
+// Committed lists, in ascending order, the transactions the log holds a
+// commit decision for.
+func (l *Log) Committed() []proto.TxnID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []proto.TxnID
+	for txn, d := range l.decisions {
+		if d&1 == 1 {
+			out = append(out, txn)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // InDoubt lists transactions this site prepared but never saw decided.
@@ -285,33 +314,10 @@ func (l *Log) InDoubt() []proto.TxnID {
 }
 
 // PreparedRecord returns the write set and coordinator site logged with
-// txn's participant prepare record.
+// the participant prepare record of txn, while txn is in doubt.
 func (l *Log) PreparedRecord(txn proto.TxnID) ([]WriteRec, proto.SiteID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(l.records) - 1; i >= 0; i-- {
-		rec := l.records[i]
-		if rec.Txn == txn && rec.Type == RecordPrepare && rec.Role == RoleParticipant {
-			out := make([]WriteRec, len(rec.Writes))
-			copy(out, rec.Writes)
-			return out, rec.Origin
-		}
-	}
-	return nil, 0
-}
-
-// Len reports the number of records (for tests and stats).
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
-// Scan returns a copy of the full log in append order.
-func (l *Log) Scan() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
-	return out
+	rec := l.prepared[txn]
+	return slices.Clone(rec.Writes), rec.Origin
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -66,21 +67,30 @@ func TestInDoubt(t *testing.T) {
 	}
 }
 
-func TestScanPreservesOrderAndIsACopy(t *testing.T) {
+// TestSinkPreservesOrderAndIsReused: the sink sees every record in append
+// order, one batch per force, in a buffer the log clears and reuses.
+func TestSinkPreservesOrderAndIsReused(t *testing.T) {
 	l := New()
-	l.Append(Record{Type: RecordPrepare, Role: RoleParticipant, Txn: 1})
+	var seen []Record
+	var batches [][]Record
+	l.SetSink(func(recs []Record) {
+		seen = append(seen, recs...)
+		batches = append(batches, recs)
+	})
+	l.AppendGroup([]Record{
+		{Type: RecordPrepare, Role: RoleParticipant, Txn: 1, Writes: []WriteRec{{Item: "x"}}},
+		{Type: RecordCommit, Role: RoleCoordinator, Txn: 2, CommitSeq: 6},
+	})
 	l.Append(Record{Type: RecordCommit, Role: RoleParticipant, Txn: 1, CommitSeq: 5})
 
-	scan := l.Scan()
-	if len(scan) != 2 || l.Len() != 2 {
-		t.Fatalf("Scan len = %d, Len = %d", len(scan), l.Len())
+	if len(seen) != 3 || len(batches) != 2 || l.DurableLSN() != 3 {
+		t.Fatalf("sink saw %d records in %d batches, LSN %d; want 3, 2, 3", len(seen), len(batches), l.DurableLSN())
 	}
-	if scan[0].Type != RecordPrepare || scan[1].Type != RecordCommit {
-		t.Fatalf("Scan order wrong: %v", scan)
+	if seen[0].Type != RecordPrepare || seen[1].Txn != 2 || seen[2].Txn != 1 || seen[2].CommitSeq != 5 {
+		t.Fatalf("sink order wrong: %+v", seen)
 	}
-	scan[0].Txn = 99
-	if l.Scan()[0].Txn != 1 {
-		t.Fatal("Scan must return a copy")
+	if &batches[0][0] != &batches[1][0] || batches[1][0].Txn != 0 || batches[0][1].Txn != 0 {
+		t.Fatalf("sink batches are not one buffer cleared after each force: %+v", batches)
 	}
 }
 
@@ -132,8 +142,16 @@ func TestLatestPrepareRecordWins(t *testing.T) {
 	}
 }
 
+// forces counts the batches l hands its sink: one per log force.
+func forces(l *Log) *int {
+	n := new(int)
+	l.SetSink(func([]Record) { *n++ })
+	return n
+}
+
 func TestAppendGroupCostsOneSync(t *testing.T) {
 	l := New()
+	syncs := forces(l)
 	recs := []Record{
 		{Type: RecordPrepare, Role: RoleParticipant, Txn: 10, Origin: 1,
 			Writes: []WriteRec{{Item: "x", Value: 1}}},
@@ -141,11 +159,11 @@ func TestAppendGroupCostsOneSync(t *testing.T) {
 		{Type: RecordAbort, Role: RoleParticipant, Txn: 11},
 	}
 	l.AppendGroup(recs)
-	if got := l.Syncs(); got != 1 {
-		t.Fatalf("AppendGroup of %d records cost %d syncs, want 1", len(recs), got)
+	if *syncs != 1 {
+		t.Fatalf("AppendGroup of %d records cost %d syncs, want 1", len(recs), *syncs)
 	}
-	if l.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", l.Len(), len(recs))
+	if l.DurableLSN() != uint64(len(recs)) {
+		t.Fatalf("DurableLSN = %d, want %d", l.DurableLSN(), len(recs))
 	}
 	// The grouped records still maintain the outcome indexes.
 	if state, seq := l.Outcome(10); state != proto.StateCommitted || seq != 4 {
@@ -156,15 +174,89 @@ func TestAppendGroupCostsOneSync(t *testing.T) {
 	}
 	// Per-record Append costs one sync each.
 	per := New()
+	perSyncs := forces(per)
 	for _, rec := range recs {
 		per.Append(rec)
 	}
-	if got := per.Syncs(); got != uint64(len(recs)) {
-		t.Fatalf("per-record appends cost %d syncs, want %d", got, len(recs))
+	if *perSyncs != len(recs) {
+		t.Fatalf("per-record appends cost %d syncs, want %d", *perSyncs, len(recs))
 	}
 	// Empty group is free.
 	l.AppendGroup(nil)
-	if got := l.Syncs(); got != 1 {
-		t.Fatalf("empty AppendGroup changed sync count to %d", got)
+	if *syncs != 1 {
+		t.Fatalf("empty AppendGroup changed sync count to %d", *syncs)
 	}
+}
+
+// prepareCommit logs what a participant logs for one transaction: a prepare
+// record with a fresh four-write set, then the commit decision.
+func prepareCommit(l *Log, txn proto.TxnID) {
+	writes := make([]WriteRec, 4)
+	for i, item := range [...]proto.Item{"a", "b", "c", "d"} {
+		writes[i] = WriteRec{Item: item, Value: proto.Value(txn)}
+	}
+	l.Append(Record{Type: RecordPrepare, Role: RoleParticipant, Txn: txn, Origin: 1, Writes: writes})
+	l.Append(Record{Type: RecordCommit, Role: RoleParticipant, Txn: txn, CommitSeq: uint64(txn)})
+}
+
+// liveHeap reports the bytes of live heap objects after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestLogKeepsNoHistory: a decided transaction leaves only its decision in
+// memory, not its records or its write set, and the indexes still answer
+// for a transaction left in doubt.
+func TestLogKeepsNoHistory(t *testing.T) {
+	const txns = 20000
+	l := New()
+	l.SetSink(func([]Record) {})
+	before := liveHeap()
+	for txn := proto.TxnID(1); txn <= txns; txn++ {
+		prepareCommit(l, txn)
+	}
+	if grown := (liveHeap() - before) / txns; grown >= 100 {
+		t.Fatalf("the log holds %d B per decided transaction, want < 100", grown)
+	}
+
+	l.Append(Record{Type: RecordPrepare, Role: RoleParticipant, Txn: txns + 1, Origin: 2,
+		Writes: []WriteRec{{Item: "x", Value: 3}}})
+	if st, seq := l.Outcome(7); st != proto.StateCommitted || seq != 7 {
+		t.Fatalf("Outcome(7) = (%v, %d), want (committed, 7)", st, seq)
+	}
+	if st, _ := l.Outcome(txns + 1); st != proto.StatePrepared {
+		t.Fatalf("Outcome of the in-doubt txn = %v, want prepared", st)
+	}
+	if got := l.InDoubt(); len(got) != 1 || got[0] != txns+1 {
+		t.Fatalf("InDoubt = %v, want [%d]", got, txns+1)
+	}
+	if writes, origin := l.PreparedRecord(txns + 1); origin != 2 || len(writes) != 1 || writes[0].Item != "x" {
+		t.Fatalf("PreparedRecord = (%v, %v)", writes, origin)
+	}
+	if w, o := l.PreparedRecord(7); w != nil || o != 0 {
+		t.Fatalf("decided txn still has a prepare record: (%v, %v)", w, o)
+	}
+	if n := l.Decisions(); n != txns {
+		t.Fatalf("Decisions = %d, want %d", n, txns)
+	}
+}
+
+// BenchmarkLogPrepareCommit logs one participant's prepare and commit per op
+// through a sink, and reports the heap the log still holds afterwards per
+// decided transaction (retained-B/op).
+func BenchmarkLogPrepareCommit(b *testing.B) {
+	l := New()
+	l.SetSink(func([]Record) {})
+	b.ReportAllocs()
+	before := liveHeap()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prepareCommit(l, proto.TxnID(i+1))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(liveHeap()-before)/float64(b.N), "retained-B/op")
+	runtime.KeepAlive(l)
 }
