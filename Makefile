@@ -59,7 +59,8 @@ bench-micro:
 # Fuzz what arrives from outside: the binary wire format's message bodies,
 # tcpnet's frame headers, and srnode's POST /txn scanner against
 # encoding/json; and what goes to disk: the hand-written WAL line encoder
-# against json.Encoder (FUZZTIME each, to adjust). Go runs one fuzz target per
+# against json.Encoder, and the WAL loader against any file tail a dead
+# process can leave (FUZZTIME each, to adjust). Go runs one fuzz target per
 # invocation.
 FUZZTIME ?= 10s
 fuzz:
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameHeader -fuzztime $(FUZZTIME) ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -fuzz FuzzParseTxn -fuzztime $(FUZZTIME) ./cmd/srnode
 	$(GO) test -run '^$$' -fuzz FuzzRecordJSON -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzWALTail -fuzztime $(FUZZTIME) ./internal/wal
 
 # Mirrors the tcp-e2e CI job: transport, node, the 3-process srnode
 # cluster tests, proc.Cluster itself (one writer shared by every process)

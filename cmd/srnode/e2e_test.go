@@ -16,7 +16,9 @@ import (
 	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
+	"siterecovery/internal/storage/disk"
 	"siterecovery/internal/trace"
+	"siterecovery/internal/wal"
 )
 
 // TestE2EThreeSiteCluster builds the srnode binary, launches a 3-site
@@ -220,6 +222,17 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 			}
 			if model.checkReport != nil {
 				model.checkReport(t, body)
+			}
+			// The statedir is the log file, plus the heap file under
+			// -store=disk: the session counter rides the log.
+			entries, err := os.ReadDir(filepath.Join(outDir, "state3"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.Name() != wal.FileName && e.Name() != disk.HeapFileName {
+					t.Fatalf("statedir holds %s beside the log", e.Name())
+				}
 			}
 
 			// The recovered site serves current data from its local copies —

@@ -41,14 +41,17 @@
 // storage and WAL survive for /recover — see internal/node.
 //
 // Two flags extend the crash model to real process death. With -statedir
-// the session counter and 2PC log are spilled to disk (see state.go), so a
-// SIGKILLed process can be relaunched over the same directory without
-// violating the §3.1 uniqueness of session numbers or forgetting commit
-// decisions. The relaunch must pass -start-down: a restarted site is a DOWN
-// site — it serves ErrSiteDown to peers until POST /recover runs the
-// paper's recovery procedure, exactly like an in-process crash. A statedir
-// write, sync or rename error fail-stops the process (exit status 1): a site
-// that cannot make its votes durable must not keep voting.
+// the 2PC log, which also carries the §3.1 session counter, lives in
+// statedir/wal.jsonl (wal.Open), so a SIGKILLed process can be relaunched
+// over the same directory without violating the uniqueness of session
+// numbers or forgetting commit decisions. Data pages are deliberately not
+// persisted with -store=mem: they are the paper's out-of-date copies,
+// rebuilt from live peers by the copiers. The relaunch must pass
+// -start-down: a restarted site is a DOWN site — it serves ErrSiteDown to
+// peers until POST /recover runs the paper's recovery procedure, exactly
+// like an in-process crash. A statedir write or sync error fail-stops the
+// process (exit status 1): a site that cannot make its votes durable must
+// not keep voting.
 //
 // -store=disk (requires -statedir) swaps in the heap-page engine of
 // internal/storage/disk: committed copies live on slotted pages in
@@ -91,6 +94,7 @@ import (
 	"siterecovery/internal/replication"
 	"siterecovery/internal/storage/disk"
 	"siterecovery/internal/txn"
+	"siterecovery/internal/wal"
 )
 
 func main() {
@@ -104,7 +108,7 @@ func main() {
 		poolPages = flag.Int("pool-pages", 0, "disk engine buffer-pool capacity in pages (0 = default)")
 		lock      = flag.String("lock", "timeout", "deadlock policy: timeout|wound (wound-wait resolves cross-site deadlocks without waiting out the lock timeout)")
 		exportTo  = flag.String("export", "", "write this site's event stream (JSONL) here; merge per-site files with 'srtrace -merge'")
-		statedir  = flag.String("statedir", "", "persist the stable slice (session counter, 2PC log) here so a SIGKILLed process restarts correctly")
+		statedir  = flag.String("statedir", "", "persist the stable slice (the 2PC log and its session counter) here so a SIGKILLed process restarts correctly")
 		startDown = flag.Bool("start-down", false, "assemble in the crashed state: serve ErrSiteDown to peers until POST /recover (a restarted-after-SIGKILL process is a down site, not a fresh one)")
 		epoch     = flag.Uint64("epoch", 0, "incarnation epoch; pass a distinct value per relaunch of the same site so a respawned process never re-allocates its dead incarnation's span or transaction IDs")
 	)
@@ -182,16 +186,12 @@ func main() {
 		Epoch:     *epoch,
 	}
 	if *statedir != "" {
-		st, err := loadState(*statedir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "srnode:", err)
+		cfg.Log, err = wal.Open(*statedir, func(err error) {
+			fmt.Fprintf(os.Stderr, "srnode: statedir wal persist failed, site fail-stops: %v\n", err)
 			os.Exit(1)
-		}
-		cfg.SessionCounter = st.Session
-		cfg.WALRecords = st.Records
-		cfg.SessionSink, cfg.WALSink, err = st.sinks()
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "srnode:", err)
+			fmt.Fprintln(os.Stderr, "srnode: statedir:", err)
 			os.Exit(1)
 		}
 	}

@@ -9,9 +9,9 @@
 //   - StepCrash: POST /crash — the process stays alive, its in-memory
 //     "stable" state intact, and refuses service (the netsim crash model).
 //   - StepKill: SIGKILL — the process dies mid-whatever it was doing. Only
-//     state the node spilled to its -statedir (the §3.1 session counter,
-//     the 2PC log) survives into the respawned incarnation; everything
-//     else, including buffered trace exports, is genuinely lost.
+//     state the node spilled to its -statedir (the 2PC log, which carries
+//     the §3.1 session counter) survives into the respawned incarnation;
+//     everything else, including buffered trace exports, is genuinely lost.
 //
 // After a schedule runs, the harness quiesces: faults clear, killed
 // processes respawn (-start-down, over the same statedir and listen

@@ -756,8 +756,9 @@ func (m *Manager) AdoptInDoubt(d InDoubtTxn) {
 }
 
 // Store exposes the underlying store to the site assembly (recovery marks,
-// snapshots, session counter).
+// snapshots).
 func (m *Manager) Store() storage.Engine { return m.cfg.Store }
 
-// Log exposes the stable log (coordinator-side decision logging).
+// Log exposes the stable log (coordinator-side decision logging, the
+// session counter).
 func (m *Manager) Log() *wal.Log { return m.cfg.Log }

@@ -13,16 +13,15 @@
 // number) and the dispatcher answers everything with proto.ErrSiteDown,
 // exactly what peers would see from a refused connection — while stable
 // storage and the log survive for Recover to use. For REAL process death
-// (SIGKILL), the genuinely-stable slice the paper requires — the session
-// counter (§3.1) and the 2PC log (§3.4) — can be spilled through
-// SessionSink/WALSink and restored on the next start via
-// SessionCounter/WALRecords + StartDown. With the in-memory engine, data
-// pages die with the process and are rebuilt from live peers by the
-// copiers — the out-of-date copies story the recovery procedure exists to
-// handle; with the disk engine (storage/disk), the redo pass rebuilds
-// committed pages from the preloaded WAL before the node even assembles,
-// so only pages that actually changed while the process was dead need a
-// peer.
+// (SIGKILL), the genuinely-stable slice the paper requires — the 2PC log
+// (§3.4), which also carries the session counter (§3.1) — lives in one file
+// when SiteConfig.Log comes from wal.Open, and the next start reopens it
+// with StartDown. With the in-memory engine, data pages die with the
+// process and are rebuilt from live peers by the copiers — the out-of-date
+// copies story the recovery procedure exists to handle; with the disk
+// engine (storage/disk), the redo pass rebuilds committed pages from the
+// reopened log before the node even assembles, so only pages that actually
+// changed while the process was dead need a peer.
 package node
 
 import (
@@ -38,9 +37,8 @@ import (
 
 // Config assembles one site over TCP.
 type Config struct {
-	// SiteConfig is the site itself; Site is required. cmd/srnode reloads
-	// SessionCounter/WALRecords from its state dir and persists what
-	// SessionSink/WALSink receive.
+	// SiteConfig is the site itself; Site is required. cmd/srnode opens its
+	// Log over its state dir.
 	SiteConfig
 	// Sites is the total number of sites in the cluster. Required.
 	Sites int

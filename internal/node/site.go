@@ -24,7 +24,7 @@ import (
 
 // InitialSession is the session number every site starts with: a cluster
 // models an already-running system.
-const InitialSession proto.Session = 1
+const InitialSession = wal.InitialSession
 
 // Hooks expose two-phase-commit instants so tests can crash sites at the
 // nastiest moments.
@@ -97,10 +97,16 @@ type SiteConfig struct {
 	// Obs receives protocol events and metrics; nil is a no-op sink.
 	Obs *obs.Hub
 	// Engine picks the storage engine; nil means storage.MemFactory. The
-	// factory runs after the WAL is assembled and preloaded, so a
-	// redo-logged engine (storage/disk) replays WALRecords before the site
-	// serves anything.
+	// factory runs after the log is assembled, so a redo-logged engine
+	// (storage/disk) replays what the log loaded before the site serves
+	// anything.
 	Engine storage.Factory
+	// Log is the site's stable log, which also holds its §3.1 session
+	// counter; nil means wal.New(), a log that survives Crash but not the
+	// process. cmd/srnode passes wal.Open over its -statedir, so a restarted
+	// process answers decision queries from its durable history and never
+	// reuses a session number.
+	Log *wal.Log
 
 	// StartDown assembles the site in the crashed state: its dispatcher
 	// answers ErrSiteDown, no workers run and no session is installed until
@@ -109,21 +115,6 @@ type SiteConfig struct {
 	// in-memory state before running the §3.4 recovery procedure would hand
 	// out stale data.
 	StartDown bool
-	// SessionCounter, when above InitialSession, restores the site's
-	// stable session counter (§3.1 keeps it on stable storage). cmd/srnode
-	// reloads it from its state dir so a restarted process never reuses a
-	// session number.
-	SessionCounter proto.Session
-	// SessionSink receives every advanced session counter value (see
-	// storage.Engine.SetSessionSink); cmd/srnode persists it.
-	SessionSink func(proto.Session)
-	// WALRecords preloads 2PC records recovered from an external stable
-	// log, so a restarted coordinator answers decision queries from its
-	// durable history instead of presuming abort on everything.
-	WALRecords []wal.Record
-	// WALSink receives every appended WAL batch (see wal.Log.SetSink);
-	// cmd/srnode spills it to disk.
-	WALSink func([]wal.Record)
 	// ReuseSessionBug is a chaos-testing hook (SRNODE_BUG=reuse-session):
 	// type-1 claims reuse the current session counter instead of advancing
 	// it, deliberately violating §3.1 so the trace suite's detection and
@@ -167,19 +158,16 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 		cfg.Profile = replication.ROWAA
 	}
 	id, cat, seq := cfg.Site, env.Catalog, env.Seq
-	// The Site keeps only what its lifecycle reads later, so the preloaded
-	// WAL records are not pinned for the life of the process.
 	s := &Site{
-		ID: id, Spool: env.Spool, up: true,
+		ID: id, Log: cfg.Log, Spool: env.Spool, up: true,
 		profile: cfg.Profile, obs: cfg.Obs,
 		disableJanitor: env.DisableJanitor, disableDetector: env.DisableDetector,
 	}
-
-	// The log assembles before storage so a redo-logged engine can replay
-	// the preloaded records the moment its factory runs.
-	s.Log = wal.New()
-	s.Log.Preload(cfg.WALRecords)
-	s.Log.SetSink(cfg.WALSink)
+	// The log comes before storage so a redo-logged engine can replay the
+	// records it loaded the moment its factory runs.
+	if s.Log == nil {
+		s.Log = wal.New()
+	}
 
 	ids := cat.Sites()
 	var items []proto.Item
@@ -211,13 +199,6 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 		if err := s.Store.Seed(proto.NSItem(j), proto.Value(InitialSession)); err != nil {
 			return nil, err
 		}
-	}
-	s.Store.SetSessionCounter(InitialSession)
-	if cfg.SessionCounter > InitialSession {
-		s.Store.SetSessionCounter(cfg.SessionCounter)
-	}
-	if cfg.SessionSink != nil {
-		s.Store.SetSessionSink(cfg.SessionSink)
 	}
 
 	s.Locks = lockmgr.New(lockmgr.Config{

@@ -353,9 +353,9 @@ func (m *Manager) Recover(ctx context.Context) (Report, error) {
 
 // resolveInDoubt applies cooperative termination to one in-doubt
 // transaction found after the crash. Committed outcomes are redone from the
-// prepare record; undecided ones leave their write sets marked unreadable
-// (copiers will observe the eventual outcome through ordinary locking at
-// the operational sites).
+// prepare record; undecided ones, and committed ones whose redo failed,
+// leave their write sets marked unreadable (copiers will observe the
+// eventual outcome through ordinary locking at the operational sites).
 func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
 	// Decision traffic for this transaction is attributed to its own root ID
 	// under the recovery span.
@@ -367,29 +367,34 @@ func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
 	state, seq := m.queryDecision(ctx, d.Origin, d.Txn)
 	switch state {
 	case proto.StateCommitted:
-		_ = m.cfg.Local.ResolveRecoveredOutcome(d, true, seq)
-		m.mu.Lock()
-		m.stats.InDoubtCommitted++
-		m.mu.Unlock()
+		if m.cfg.Local.ResolveRecoveredOutcome(d, true, seq) == nil {
+			m.mu.Lock()
+			m.stats.InDoubtCommitted++
+			m.mu.Unlock()
+			return
+		}
+		// The redo failed: the local copies are stale, and no peer lists
+		// them as missed, so they must not stay readable.
 	case proto.StateAborted, proto.StateUnknown:
-		// Unknown from a reachable coordinator is presumed abort.
+		// Unknown from a reachable coordinator is presumed abort. Logging an
+		// abort cannot fail.
 		_ = m.cfg.Local.ResolveRecoveredOutcome(d, false, 0)
 		m.mu.Lock()
 		m.stats.InDoubtAborted++
 		m.mu.Unlock()
-	default:
-		// Still undecided (coordinator active, or unreachable with no
-		// witness): stay conservative — mark the write set, leave the
-		// record in doubt, and hand the transaction back to the janitor so
-		// cooperative termination keeps retrying once peers are reachable.
-		for _, item := range d.Items() {
-			m.cfg.Local.Store().MarkUnreadable(item)
-		}
-		m.cfg.Local.AdoptInDoubt(d)
-		m.mu.Lock()
-		m.stats.InDoubtUnresolved++
-		m.mu.Unlock()
+		return
 	}
+	// Still undecided (coordinator active, or unreachable with no witness),
+	// or decided but not installed: stay conservative — mark the write set,
+	// leave the record in doubt, and hand the transaction back to the
+	// janitor so cooperative termination keeps retrying.
+	for _, item := range d.Items() {
+		m.cfg.Local.Store().MarkUnreadable(item)
+	}
+	m.cfg.Local.AdoptInDoubt(d)
+	m.mu.Lock()
+	m.stats.InDoubtUnresolved++
+	m.mu.Unlock()
 }
 
 // queryDecision implements the decision lookup: coordinator first (its

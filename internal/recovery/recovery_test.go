@@ -12,6 +12,8 @@ import (
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/replication"
+	"siterecovery/internal/storage"
+	"siterecovery/internal/storage/enginetest"
 	"siterecovery/internal/txn"
 )
 
@@ -216,6 +218,66 @@ func TestTotallyFailedItemDetected(t *testing.T) {
 	}
 	if div := c.CopiesConverged(); len(div) != 0 {
 		t.Fatalf("divergent copies after resolution: %v", div)
+	}
+}
+
+// TestFailedInDoubtRedoMarksTheCopy: site 3 votes yes on a write of a and
+// crashes before the commit reaches it. At recovery the coordinator answers
+// "committed", but redoing the write fails. Site 3 was up when a was
+// written, so no peer's fail-locks list it: unless the in-doubt branch marks
+// the copy, it stays stale and readable.
+func TestFailedInDoubtRedoMarksTheCopy(t *testing.T) {
+	var table *enginetest.FailingTable
+	var c *core.Cluster
+	cfg := core.Config{
+		Sites:           3,
+		Placement:       fullPlacement([]proto.Item{"a"}, 3),
+		Identify:        recovery.IdentifyFailLock,
+		CopierWorkers:   -1,
+		DisableJanitor:  true,
+		DisableDetector: true,
+		Storage: func(d storage.Deps) (storage.Engine, error) {
+			var tb storage.Table = storage.NewMemTable()
+			if d.Site == 3 {
+				table = &enginetest.FailingTable{Table: tb}
+				tb = table
+			}
+			return storage.NewStore(d, tb)
+		},
+	}
+	cfg.Hooks.OnPrepared = func(site proto.SiteID, _ proto.TxnID) {
+		switch {
+		case site == 1 && c.Site(3).Up():
+			c.Crash(3) // voted, decision not yet sent
+		case site == 3:
+			table.Fail = false // the redo is over; let the type-1 claim install
+		}
+	}
+	c = newCluster(t, cfg)
+	ctx := context.Background()
+	if err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
+		return tx.Write(ctx, "a", 7)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	table.Fail = true
+	report, err := c.Recover(ctx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Site(3).Recovery.Stats()
+	if report.InDoubt != 1 || st.InDoubtUnresolved != 1 || st.InDoubtCommitted != 0 {
+		t.Fatalf("in doubt %d, stats %+v; want the one failed redo counted unresolved", report.InDoubt, st)
+	}
+	if !c.Site(3).Store.IsUnreadable("a") {
+		t.Fatal("the copy whose redo failed is readable")
+	}
+	if n := c.Site(3).Recovery.DrainNow(ctx); n != 0 {
+		t.Fatalf("DrainNow left %d unreadable", n)
+	}
+	if v, _, _ := c.Site(3).Store.Committed("a"); v != 7 {
+		t.Fatalf("a at site 3 = %d after the copier, want 7", v)
 	}
 }
 

@@ -139,7 +139,7 @@ func (m *Manager) RecoverBaseline(ctx context.Context) (Report, error) {
 		m.resolveInDoubt(ctx, d)
 	}
 
-	sn := m.cfg.Local.Store().NextSession()
+	sn := m.cfg.Local.Log().NextSession()
 	m.cfg.Local.SetSession(sn)
 	report.Session = sn
 	report.TimeToOperational = m.cfg.Clock.Since(start)

@@ -398,9 +398,9 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 		// by reading the counter without advancing it.
 		var sn proto.Session
 		if m.cfg.UnsafeReuseSession {
-			sn = m.cfg.Local.Store().CurrentSessionCounter()
+			sn = m.cfg.Local.Log().Session()
 		} else {
-			sn = m.cfg.Local.Store().NextSession()
+			sn = m.cfg.Local.Log().NextSession()
 		}
 
 		// Write it to our own copy of NS[self] and to every nominally-up

@@ -6,13 +6,14 @@ import (
 	"siterecovery/internal/proto"
 	"siterecovery/internal/storage"
 	"siterecovery/internal/storage/enginetest"
+	"siterecovery/internal/wal"
 )
 
 // TestMemConformance runs the shared table battery against the map table
 // (which is also the battery's oracle — the randomized subtest then
 // degenerates to a self-check, but the table-driven ones still bite).
 func TestMemConformance(t *testing.T) {
-	enginetest.Run(t, func(*testing.T) storage.Table { return storage.NewMemTable() })
+	enginetest.Run(t, func(*testing.T, *wal.Log) storage.Table { return storage.NewMemTable() })
 }
 
 // TestInstallErrorForgetsNothing: a table error reaches the caller and

@@ -7,8 +7,7 @@
 // storage alone — a recovering site then only needs peers for pages that
 // actually changed while it was down. That is all this package holds: the
 // stable copies, as a storage.Table. Everything volatile (unreadable marks,
-// pending sets) and the session counter belong to the storage.Store front
-// that Engine embeds.
+// pending sets) belongs to the storage.Store front that Engine embeds.
 package disk
 
 import (
@@ -81,8 +80,8 @@ func Factory(dir string, poolPages int) storage.Factory {
 }
 
 // Open opens (creating if absent) the heap file under dir, lays out any of
-// d.Items not already present, and replays the redo records d.Log was
-// preloaded with (taking them from it), so committed state the heap file
+// d.Items not already present, and replays the redo records d.Log loaded
+// (taking them from it), so committed state the heap file
 // missed becomes readable again before the engine serves its first call.
 func Open(dir string, poolPages int, d storage.Deps) (*Engine, error) {
 	if d.Log == nil {

@@ -24,30 +24,22 @@ func openT(t *testing.T, dir string, poolPages int, log *wal.Log, items ...proto
 	return e
 }
 
-// capturingLog returns a fresh log and what its sink has kept so far: the
-// records srnode's wal.jsonl would hold.
-func capturingLog() (*wal.Log, *[]wal.Record) {
-	log, kept := wal.New(), new([]wal.Record)
-	log.SetSink(func(batch []wal.Record) {
-		for _, rec := range batch {
-			rec.Writes = append([]wal.WriteRec(nil), rec.Writes...)
-			*kept = append(*kept, rec)
-		}
-	})
-	return log, kept
-}
-
-// restarted is srnode's restart after a SIGKILL: a fresh log preloaded with
-// what the dead process's sink kept.
-func restarted(kept []wal.Record) *wal.Log {
-	log := wal.New()
-	log.Preload(kept)
+// openLog opens the log in dir the way srnode opens its statedir. Opening it
+// again over the same dir, with the engine dropped unflushed and the first
+// log never closed, is srnode's restart after a SIGKILL.
+func openLog(t *testing.T, dir string) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(dir, func(err error) { t.Errorf("wal persist: %v", err) })
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	t.Cleanup(func() { log.Close() })
 	return log
 }
 
 func TestDiskConformance(t *testing.T) {
-	enginetest.Run(t, func(t *testing.T) storage.Table {
-		tb, err := openTable(t.TempDir(), 4, wal.New())
+	enginetest.Run(t, func(t *testing.T, log *wal.Log) storage.Table {
+		tb, err := openTable(t.TempDir(), 4, log)
 		if err != nil {
 			t.Fatalf("openTable: %v", err)
 		}
@@ -93,7 +85,7 @@ func TestFlushReopen(t *testing.T) {
 // physical redo records at the next open.
 func TestRedoRecovery(t *testing.T) {
 	dir := t.TempDir()
-	log, kept := capturingLog()
+	log := openLog(t, dir)
 	e := openT(t, dir, 4, log, "x", "y")
 	if err := e.BufferWrite(9, "x", 41); err != nil {
 		t.Fatal(err)
@@ -107,11 +99,11 @@ func TestRedoRecovery(t *testing.T) {
 	}
 	// No Flush, no Close: the engine is simply dropped, like SIGKILL.
 
-	if len(*kept) != 1 || (*kept)[0].Type != wal.RecordRedo || len((*kept)[0].Writes) != 2 {
-		t.Fatalf("sink kept %+v, want one redo record with two writes", *kept)
+	if n := log.DurableLSN(); n != 1 {
+		t.Fatalf("the install forced %d records, want one redo record", n)
 	}
 
-	re := openT(t, dir, 4, restarted(*kept), "x", "y")
+	re := openT(t, dir, 4, openLog(t, dir), "x", "y")
 	if v, gotVer, err := re.Committed("x"); err != nil || v != 41 || gotVer != ver {
 		t.Fatalf("redone Committed(x) = %d %v %v", v, gotVer, err)
 	}
@@ -126,7 +118,7 @@ func TestRedoRecovery(t *testing.T) {
 	if err := re.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	again := openT(t, dir, 4, restarted(*kept), "x", "y")
+	again := openT(t, dir, 4, openLog(t, dir), "x", "y")
 	if st := again.Stats(); st.RedoApplied != 0 || st.RedoSkipped != 2 {
 		t.Fatalf("post-flush stats = %+v, want 2 skipped", st)
 	}
@@ -142,8 +134,7 @@ func TestRedoRecovery(t *testing.T) {
 // skip every live peer.
 func TestRedoNonMonotoneVersions(t *testing.T) {
 	dir := t.TempDir()
-	log, kept := capturingLog()
-	e := openT(t, dir, 4, log, "ns-2")
+	e := openT(t, dir, 4, openLog(t, dir), "ns-2")
 	if err := e.BufferWrite(50, "ns-2", -1); err != nil { // exclusion: down
 		t.Fatal(err)
 	}
@@ -162,8 +153,8 @@ func TestRedoNonMonotoneVersions(t *testing.T) {
 		t.Fatalf("live Committed = %d %v %v", v, ver, err)
 	}
 
-	// SIGKILL: drop the engine, replay what the sink kept.
-	re := openT(t, dir, 4, restarted(*kept), "ns-2")
+	// SIGKILL: drop the engine, replay what the log file kept.
+	re := openT(t, dir, 4, openLog(t, dir), "ns-2")
 	if v, ver, err := re.Committed("ns-2"); err != nil || v != 4 || ver != (proto.Version{Counter: 2, Writer: 7}) {
 		t.Fatalf("redone Committed = %d %v %v", v, ver, err)
 	}
@@ -199,17 +190,16 @@ func TestEvictionSpansPages(t *testing.T) {
 }
 
 // TestRestartReplaysTheSink is srnode's SIGKILL restart: installs across
-// evictions of a one-frame pool, the engine dropped unflushed, a fresh log
-// preloaded with what the sink kept, and a reopen. Every value comes back,
-// and once Open has replayed the redo the log no longer holds it.
+// evictions of a one-frame pool, the engine dropped unflushed, the log file
+// reopened, and the engine with it. Every value comes back, and once Open
+// has replayed the redo the log no longer holds it.
 func TestRestartReplaysTheSink(t *testing.T) {
 	var items []proto.Item
 	for i := 0; i < 300; i++ {
 		items = append(items, proto.Item(fmt.Sprintf("item-%03d", i)))
 	}
 	dir := t.TempDir()
-	log, kept := capturingLog()
-	e := openT(t, dir, 1, log, items...)
+	e := openT(t, dir, 1, openLog(t, dir), items...)
 	for i, item := range items {
 		if _, err := e.InstallDirect(item, proto.Value(i+1000), proto.Version{Counter: uint64(i + 1), Writer: 2}); err != nil {
 			t.Fatal(err)
@@ -219,7 +209,7 @@ func TestRestartReplaysTheSink(t *testing.T) {
 		t.Fatal("one-frame pool never evicted")
 	}
 
-	fresh := restarted(*kept)
+	fresh := openLog(t, dir)
 	re := openT(t, dir, 1, fresh, items...)
 	for i, item := range items {
 		want := proto.Version{Counter: uint64(i + 1), Writer: 2}
@@ -303,8 +293,7 @@ func BenchmarkInstallEvict(b *testing.B) {
 // checksum mismatch, drop the page, and rebuild its contents from redo.
 func TestTornPageDropped(t *testing.T) {
 	dir := t.TempDir()
-	log, kept := capturingLog()
-	e := openT(t, dir, 4, log, "x")
+	e := openT(t, dir, 4, openLog(t, dir), "x")
 	ver := proto.Version{Counter: 2, Writer: 6}
 	if _, err := e.InstallDirect("x", 55, ver); err != nil {
 		t.Fatal(err)
@@ -323,7 +312,7 @@ func TestTornPageDropped(t *testing.T) {
 	}
 	f.Close()
 
-	re := openT(t, dir, 4, restarted(*kept), "x")
+	re := openT(t, dir, 4, openLog(t, dir), "x")
 	st := re.Stats()
 	if st.CorruptPages != 1 {
 		t.Fatalf("CorruptPages = %d, want 1", st.CorruptPages)
@@ -366,7 +355,7 @@ func TestWALBeforeData(t *testing.T) {
 // rebuilds all four copies from it.
 func TestClaimShapedCommitLogsOneRedoRecord(t *testing.T) {
 	dir := t.TempDir()
-	log, kept := capturingLog()
+	log := openLog(t, dir)
 	items := []proto.Item{proto.NSItem(1), proto.NSItem(2), proto.NSItem(3), proto.NSItem(4)}
 	e := openT(t, dir, 4, log, items...)
 	const claim proto.TxnID = 30
@@ -386,11 +375,11 @@ func TestClaimShapedCommitLogsOneRedoRecord(t *testing.T) {
 	if _, err := e.InstallPending(claim, commit); err != nil {
 		t.Fatal(err)
 	}
-	if len(*kept) != 1 || (*kept)[0].Txn != claim || len((*kept)[0].Writes) != 4 {
-		t.Fatalf("sink kept %+v, want one redo record of txn %v with four writes", *kept, claim)
+	if n := log.DurableLSN(); n != 1 {
+		t.Fatalf("the claim forced %d records, want one redo record", n)
 	}
 
-	re := openT(t, dir, 4, restarted(*kept), items...) // no Flush, no Close: SIGKILL
+	re := openT(t, dir, 4, openLog(t, dir), items...) // no Flush, no Close: SIGKILL
 	if st := re.Stats(); st.RedoApplied != 4 {
 		t.Fatalf("RedoApplied = %d, want 4", st.RedoApplied)
 	}

@@ -3,16 +3,16 @@
 // It is split along the line the paper's failure model draws (§3.1, §3.4):
 //
 //   - stable (survives Crash): the committed value and version of every
-//     local physical copy, and the site's session-number counter;
+//     local physical copy (the session counter is the log's: internal/wal);
 //   - volatile (lost on Crash): unreadable marks, and pending (uncommitted)
 //     writes and copier refreshes buffered for in-flight transactions.
 //
-// Store, the front, owns everything volatile plus the session counter, once,
-// for every engine. What an engine supplies is a Table: the stable copies
-// and nothing else. The map table in this package models force-at-commit
-// durability: Put synchronously moves values into stable state, so
-// page-level crash recovery is unnecessary and internal/wal only remembers
-// two-phase-commit outcomes. The disk table (storage/disk) keeps copies on
+// Store, the front, owns everything volatile, once, for every engine. What
+// an engine supplies is a Table: the stable copies and nothing else. The map
+// table in this package models force-at-commit durability: Put
+// synchronously moves values into stable state, so page-level crash
+// recovery is unnecessary and internal/wal only remembers two-phase-commit
+// outcomes. The disk table (storage/disk) keeps copies on
 // slotted heap pages behind a buffer pool and is redo-logged: Put appends a
 // physical redo record to the write-ahead log before touching pages
 // (WAL-before-data), and a restart replays the log to rebuild committed
@@ -90,17 +90,8 @@ type Engine interface {
 	// Seed overwrites the value of a copy in place, keeping its current
 	// version (cluster assembly only).
 	Seed(item proto.Item, value proto.Value) error
-	// NextSession durably advances and returns the site's session counter.
-	NextSession() proto.Session
-	// SetSessionSink installs a callback invoked with every advanced
-	// counter value before NextSession returns, in order.
-	SetSessionSink(sink func(proto.Session))
-	// CurrentSessionCounter reports the highest session number used so far.
-	CurrentSessionCounter() proto.Session
-	// SetSessionCounter overrides the stable counter.
-	SetSessionCounter(v proto.Session)
 	// Crash wipes all volatile state (unreadable marks, pending sets);
-	// stable copies and the session counter survive.
+	// stable copies survive.
 	Crash()
 	// Snapshot returns the state of every local copy, sorted by item.
 	Snapshot() ([]Copy, error)
@@ -150,20 +141,15 @@ func MemFactory(d Deps) (Engine, error) {
 }
 
 // Store is the front every engine shares: the volatile half of one site's
-// storage and its session counter, over the engine's Table. mu guards the
-// fields below it and is held across a table Put, so installs are atomic
-// with the marks they clear and serialized against each other; reads of
-// committed copies go straight to the table.
+// storage, over the engine's Table. mu guards the fields below it and is
+// held across a table Put, so installs are atomic with the marks they clear
+// and serialized against each other; reads of committed copies go straight
+// to the table.
 type Store struct {
 	site  proto.SiteID
 	table Table
 
-	mu sync.Mutex
-	// stable: highest session number ever used by this site. In memory plus
-	// sink; srnode's statedir session file is the cross-restart authority.
-	session     proto.Session
-	sessionSink func(proto.Session)
-	// volatile
+	mu         sync.Mutex
 	unreadable map[proto.Item]bool
 	pending    map[proto.TxnID][]wal.WriteRec // per transaction, sorted by item
 }
@@ -381,47 +367,9 @@ func (s *Store) Seed(item proto.Item, value proto.Value) error {
 	return s.at(s.table.SetValue(item, value))
 }
 
-// NextSession durably advances and returns the site's session counter.
-// Session numbers are unique in the site's history (§3.1).
-func (s *Store) NextSession() proto.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.session++
-	if s.sessionSink != nil {
-		s.sessionSink(s.session)
-	}
-	return s.session
-}
-
-// SetSessionSink installs a callback invoked with every advanced counter
-// value before NextSession returns: the §3.1 "counter on stable storage"
-// hook. cmd/srnode persists it to disk so a SIGKILLed, restarted process
-// cannot reuse a session number. The sink runs under the store lock, so
-// observers see counter values in order.
-func (s *Store) SetSessionSink(sink func(proto.Session)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sessionSink = sink
-}
-
-// CurrentSessionCounter reports the highest session number used so far.
-func (s *Store) CurrentSessionCounter() proto.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.session
-}
-
-// SetSessionCounter overrides the stable counter (session-recycling tests).
-func (s *Store) SetSessionCounter(v proto.Session) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.session = v
-}
-
 // Crash wipes all volatile state: unreadable marks and pending sets. The
-// table and the session counter survive — a disk table's buffered pages
-// included, which are logically durable, every Put having forced its redo
-// record first.
+// table survives — a disk table's buffered pages included, which are
+// logically durable, every Put having forced its redo record first.
 func (s *Store) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,15 +4,14 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"siterecovery/internal/proto"
 	"siterecovery/internal/wal"
 )
 
-// These tests are the volatile half's: the pending set, the marks, the
-// session counter and Crash exist once, in Store, so they are checked once,
-// over the map table. What a table must do for them is storage/enginetest's.
+// These tests are the volatile half's: the pending set, the marks and Crash
+// exist once, in Store, so they are checked once, over the map table. What a
+// table must do for them is storage/enginetest's.
 
 const initialTxn proto.TxnID = 1
 
@@ -207,7 +206,6 @@ func TestCrashClearsVolatileOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.MarkUnreadable("y")
-	first := s.NextSession()
 
 	s.Crash()
 
@@ -219,30 +217,6 @@ func TestCrashClearsVolatileOnly(t *testing.T) {
 	}
 	if v, _, _ := s.Committed("x"); v != 50 {
 		t.Fatalf("committed data lost in crash: x = %d", v)
-	}
-	if got := s.CurrentSessionCounter(); got != first {
-		t.Fatalf("session counter lost in crash: %d != %d", got, first)
-	}
-	if next := s.NextSession(); next != first+1 {
-		t.Fatalf("NextSession after crash = %d, want %d", next, first+1)
-	}
-}
-
-func TestSessionCounterMonotonic(t *testing.T) {
-	s := newStore(t, "x")
-	f := func(n uint8) bool {
-		prev := s.CurrentSessionCounter()
-		for range int(n%16) + 1 {
-			next := s.NextSession()
-			if next <= prev {
-				return false
-			}
-			prev = next
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

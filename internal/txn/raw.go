@@ -31,7 +31,7 @@ type RawReadOpt struct {
 // RawRead reads the copy of item at a specific site.
 func (t *Tx) RawRead(ctx context.Context, site proto.SiteID, item proto.Item, opt RawReadOpt) (proto.Value, proto.Version, error) {
 	if t.done {
-		return 0, proto.Version{}, fmt.Errorf("transaction %v already finished", t.meta.ID)
+		return 0, proto.Version{}, t.finished()
 	}
 	mode := opt.Mode
 	if mode == 0 {
@@ -61,7 +61,7 @@ func (t *Tx) RawRead(ctx context.Context, site proto.SiteID, item proto.Item, op
 // use it to update the nominal session numbers at every available site.
 func (t *Tx) RawWrite(ctx context.Context, sites []proto.SiteID, item proto.Item, value proto.Value) error {
 	if t.done {
-		return fmt.Errorf("transaction %v already finished", t.meta.ID)
+		return t.finished()
 	}
 	for _, site := range sites {
 		if _, err := t.SendRawWrite(ctx, site, item, value).Wait(); err != nil {
@@ -75,7 +75,7 @@ func (t *Tx) RawWrite(ctx context.Context, sites []proto.SiteID, item proto.Item
 // fan a raw write out across sites.
 func (t *Tx) SendRawWrite(ctx context.Context, site proto.SiteID, item proto.Item, value proto.Value) transport.Pending {
 	if t.done {
-		return transport.Done(nil, fmt.Errorf("transaction %v already finished", t.meta.ID))
+		return transport.Done(nil, t.finished())
 	}
 	return t.sendPhysical(ctx, site, proto.WriteReq{
 		Txn:   t.meta,
@@ -97,7 +97,7 @@ func (t *Tx) SendRawWrite(ctx context.Context, site proto.SiteID, item proto.Ite
 // copier's source read and its install.
 func (t *Tx) LockLocalExclusive(ctx context.Context, item proto.Item) error {
 	if t.done {
-		return fmt.Errorf("transaction %v already finished", t.meta.ID)
+		return t.finished()
 	}
 	t.attempted.add(t.m.cfg.Site)
 	if err := t.m.cfg.Local.LockExclusive(ctx, t.meta, item); err != nil {
@@ -119,6 +119,9 @@ func (t *Tx) LocalUnreadable(item proto.Item) bool {
 // item: at commit it installs value under the original writer's version.
 // The caller must hold the exclusive lock via LockLocalExclusive.
 func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version proto.Version) error {
+	if t.done {
+		return t.finished()
+	}
 	t.attempted.add(t.m.cfg.Site)
 	t.parts.add(t.m.cfg.Site)
 	t.wparts.add(t.m.cfg.Site)

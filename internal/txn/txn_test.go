@@ -72,7 +72,6 @@ func newHarness(t *testing.T, profile replication.Profile, cb Callbacks) *harnes
 				t.Fatal(err)
 			}
 		}
-		st.SetSessionCounter(1)
 		locks := lockmgr.New(lockmgr.Config{Timeout: 150 * time.Millisecond})
 		d := dm.New(dm.Config{
 			Site: site, Store: st, Locks: locks, Log: wal.New(),

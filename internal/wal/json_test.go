@@ -8,7 +8,7 @@ import (
 	"siterecovery/internal/proto"
 )
 
-// FuzzRecordJSON: AppendRecordJSON writes byte for byte what
+// FuzzRecordJSON: appendRecordJSON writes byte for byte what
 // json.Encoder.Encode writes, so a log line reads back through
 // encoding/json exactly as before.
 func FuzzRecordJSON(f *testing.F) {
@@ -50,9 +50,9 @@ func FuzzRecordJSON(f *testing.F) {
 			t.Fatal(err)
 		}
 		prefix := []byte("prefix ")
-		got := AppendRecordJSON(prefix, &rec)
+		got := appendRecordJSON(prefix, &rec)
 		if !bytes.Equal(got[len(prefix):], want.Bytes()) || string(got[:len(prefix)]) != "prefix " {
-			t.Fatalf("AppendRecordJSON:\n got %q\nwant %q", got, want.Bytes())
+			t.Fatalf("appendRecordJSON:\n got %q\nwant %q", got, want.Bytes())
 		}
 	})
 }

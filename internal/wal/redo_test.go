@@ -9,12 +9,14 @@ import (
 
 // TestAppendRedo checks the physical-redo surface: LSN accounting, sink
 // delivery, one sync per append, that redo records stay invisible to the
-// 2PC outcome indexes, and that only a preloaded log holds redo.
+// 2PC outcome indexes, and that only a reopened log holds redo.
 func TestAppendRedo(t *testing.T) {
-	l := New()
+	dir := t.TempDir()
+	l := openT(t, dir)
+	sink := l.sink
 	var sunk []Record
 	syncs := 0
-	l.SetSink(func(recs []Record) { syncs++; sunk = append(sunk, recs...) })
+	l.SetSink(func(recs []Record) { syncs++; sunk = append(sunk, recs...); sink(recs) })
 
 	writes := []WriteRec{{Item: "x", Value: 41, Version: proto.Version{Counter: 3, Writer: 9}}}
 	lsn := l.AppendRedo(9, writes)
@@ -44,17 +46,16 @@ func TestAppendRedo(t *testing.T) {
 		t.Fatalf("live log kept its redo: %+v", redos)
 	}
 
-	// Preload round trip: a log reloaded from what the sink kept hands its
-	// redo records over once, and keeps the LSN and the outcomes.
-	re := New()
-	re.Preload(sunk)
+	// A reopened log hands its redo records over once, and keeps the LSN and
+	// the outcomes.
+	re := openT(t, dir)
 	if got := re.ScanRedo(); len(got) != 1 || !reflect.DeepEqual(got[0].Writes, writes) {
-		t.Fatalf("preloaded ScanRedo = %+v", got)
+		t.Fatalf("reopened ScanRedo = %+v", got)
 	}
 	if got := re.ScanRedo(); len(got) != 0 {
 		t.Fatalf("second ScanRedo = %+v, want nothing", got)
 	}
 	if st, seq := re.Outcome(5); re.DurableLSN() != 2 || st != proto.StateCommitted || seq != 2 {
-		t.Fatalf("preloaded LSN %d, Outcome(5) = (%v, %d)", re.DurableLSN(), st, seq)
+		t.Fatalf("reopened LSN %d, Outcome(5) = (%v, %d)", re.DurableLSN(), st, seq)
 	}
 }

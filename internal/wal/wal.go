@@ -1,22 +1,26 @@
-// Package wal is a per-site stable write-ahead log.
+// Package wal is a per-site stable write-ahead log, and the only stable
+// state a site keeps beside its data pages.
 //
 // The log durably remembers two-phase-commit state so a site can answer
 // outcome queries (cooperative termination) and find its in-doubt
-// transactions after a crash. For the force-at-commit in-memory engine that
-// is its whole job: installed values need no redo. The disk engine
-// (storage/disk) additionally appends physical redo records (AppendRedo) —
-// item, value, version triples forced before the corresponding heap page is
-// dirtied — and replays them at restart to rebuild committed state that
-// never reached the heap file. Records survive Crash unconditionally; the
-// log is the "stable storage" of the paper's model.
+// transactions after a crash, and the §3.1 session counter as session
+// records (NextSession), so a session number is durable before it is used
+// and never reused. For the force-at-commit in-memory engine that is its
+// whole job: installed values need no redo. The disk engine (storage/disk)
+// additionally appends physical redo records (AppendRedo) — item, value,
+// version triples forced before the corresponding heap page is dirtied —
+// and replays them at restart to rebuild committed state that never reached
+// the heap file. Records survive Crash unconditionally; the log is the
+// "stable storage" of the paper's model.
+//
 // A Log keeps only the indexes it answers from; the records themselves exist
-// only in the sink (SetSink), and a restart rebuilds the indexes from them.
+// only in the sink. Open keeps them in a file (file.go) and rebuilds the
+// indexes from it at restart; New keeps them nowhere unless SetSink says.
 package wal
 
 import (
-	"encoding/json"
+	"os"
 	"slices"
-	"strconv"
 	"sync"
 
 	"siterecovery/internal/proto"
@@ -40,6 +44,9 @@ const (
 	// dirties the corresponding heap pages (WAL-before-data). The
 	// force-at-commit in-memory engine never writes these.
 	RecordRedo
+	// RecordSession is one advance of the §3.1 session counter; CommitSeq
+	// carries the new value, and no other field is set.
+	RecordSession
 )
 
 // Role says which 2PC role wrote the record.
@@ -50,6 +57,11 @@ const (
 	RoleCoordinator Role = iota + 1
 	RoleParticipant
 )
+
+// InitialSession is the session number every site starts with, so the
+// counter of a log holding no session record: a cluster models an
+// already-running system, and a site's first claim takes session 2.
+const InitialSession proto.Session = 1
 
 // WriteRec is one buffered write captured by a participant prepare record,
 // sufficient to redo the install if the decision outlives the crash.
@@ -67,82 +79,40 @@ type Record struct {
 	Type      RecordType
 	Role      Role
 	Txn       proto.TxnID
-	CommitSeq uint64       // set on RecordCommit
+	CommitSeq uint64       // set on RecordCommit; the counter on RecordSession
 	Writes    []WriteRec   // prepare records: the participant's write set
 	Origin    proto.SiteID // prepare records: the coordinator site
 }
 
-// AppendRecordJSON appends rec to dst exactly as json.Encoder.Encode writes
-// it, trailing newline included, without reflection: one line per field.
-func AppendRecordJSON(dst []byte, rec *Record) []byte {
-	dst = strconv.AppendInt(append(dst, `{"Type":`...), int64(rec.Type), 10)
-	dst = strconv.AppendInt(append(dst, `,"Role":`...), int64(rec.Role), 10)
-	dst = strconv.AppendUint(append(dst, `,"Txn":`...), uint64(rec.Txn), 10)
-	dst = strconv.AppendUint(append(dst, `,"CommitSeq":`...), rec.CommitSeq, 10)
-	dst = append(dst, `,"Writes":`...)
-	if rec.Writes == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range rec.Writes {
-			w := &rec.Writes[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(append(dst, `{"Item":`...), string(w.Item))
-			dst = strconv.AppendInt(append(dst, `,"Value":`...), int64(w.Value), 10)
-			dst = strconv.AppendBool(append(dst, `,"Refresh":`...), w.Refresh)
-			dst = strconv.AppendUint(append(dst, `,"Version":{"Counter":`...), w.Version.Counter, 10)
-			dst = strconv.AppendUint(append(dst, `,"Writer":`...), uint64(w.Version.Writer), 10)
-			dst = append(dst, "}}"...)
-		}
-		dst = append(dst, ']')
-	}
-	dst = strconv.AppendInt(append(dst, `,"Origin":`...), int64(rec.Origin), 10)
-	return append(dst, "}\n"...)
-}
-
-// appendJSONString quotes s. A byte outside printable ASCII, or one that
-// encoding/json escapes, sends s through json.Marshal so escapes match it.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
 // Log is a site's append-only stable log. The zero value is not usable;
-// create with New.
+// create with New or Open.
 type Log struct {
 	mu  sync.Mutex
-	lsn uint64 // records appended or preloaded; every append forces
+	lsn uint64 // records appended or loaded; every append forces
 	// decisions and prepared are all Outcome, InDoubt and PreparedRecord
 	// read: the last decision per transaction, and the participant prepare
 	// record of each transaction still in doubt (its decision drops it).
 	decisions map[proto.TxnID]decision
 	prepared  map[proto.TxnID]Record
-	redo      []Record // preloaded redo records, until ScanRedo
+	redo      []Record      // loaded redo records, until ScanRedo
+	session   proto.Session // the highest session number handed out
 	// sink, when set, receives every appended batch before the append
-	// returns — the hook cmd/srnode uses to spill records to a real on-disk
-	// log so a SIGKILLed process can answer decision queries after restart.
+	// returns: Open's appends to the file, or whatever SetSink installed.
 	sink  func([]Record)
 	batch []Record // every sink batch, cleared after its force
+	file  *os.File // what Open opened, for Close
 }
 
 // decision is a decided transaction in one word: its commit sequence number
 // (a count of commits, far below 2^63) above a committed bit. An abort is 0.
 type decision uint64
 
-// New returns an empty log.
+// New returns an empty log that keeps no records.
 func New() *Log {
 	return &Log{
 		decisions: make(map[proto.TxnID]decision),
 		prepared:  make(map[proto.TxnID]Record),
+		session:   InitialSession,
 	}
 }
 
@@ -151,26 +121,22 @@ func New() *Log {
 // force, so a record reported appended has already reached the sink). The
 // sink is the only place the log's history is kept. The batch is a buffer
 // the log reuses for the next force: the callback must not modify or keep
-// it. Preloaded records are not replayed into it.
+// it.
 func (l *Log) SetSink(sink func([]Record)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sink = sink
 }
 
-// Preload replays records recovered from an external stable log (see
-// SetSink) into the indexes and the LSN without forcing them to the sink
-// again, and holds their redo records for ScanRedo. It must run before the
-// log is in service.
-func (l *Log) Preload(recs []Record) {
+// Close closes the file Open opened; a log from New has none. An append
+// after it fails like any other write to the file.
+func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range recs {
-		l.index(&recs[i])
-		if recs[i].Type == RecordRedo {
-			l.redo = append(l.redo, recs[i])
-		}
+	if l.file == nil {
+		return nil
 	}
+	return l.file.Close()
 }
 
 // Append durably adds a record, costing one stable-storage sync.
@@ -210,6 +176,26 @@ func (l *Log) AppendRedo(txn proto.TxnID, writes []WriteRec) uint64 {
 	return l.lsn
 }
 
+// NextSession durably advances the §3.1 session counter and returns the new
+// value: its session record reaches the sink before NextSession returns, so
+// a session number is unique in the site's history even across a restart.
+func (l *Log) NextSession() proto.Session {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rec := Record{Type: RecordSession, CommitSeq: uint64(l.session) + 1}
+	l.index(&rec)
+	l.force(rec)
+	return l.session
+}
+
+// Session reports the highest session number the log has handed out, or
+// InitialSession if none.
+func (l *Log) Session() proto.Session {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.session
+}
+
 // force is one stable-storage sync: it hands recs to the sink as one batch,
 // built in the log's reused buffer.
 func (l *Log) force(recs ...Record) {
@@ -230,8 +216,8 @@ func (l *Log) DurableLSN() uint64 {
 	return l.lsn
 }
 
-// ScanRedo hands over the redo records Preload brought in, in append order,
-// and forgets them: the disk engine's restart pass replays them against the
+// ScanRedo hands over the redo records Open loaded, in append order, and
+// forgets them: the disk engine's restart pass replays them against the
 // heap file. Redo appended since lives only in the sink.
 func (l *Log) ScanRedo() []Record {
 	l.mu.Lock()
@@ -241,7 +227,7 @@ func (l *Log) ScanRedo() []Record {
 	return out
 }
 
-// index advances the LSN past rec and updates the outcome indexes.
+// index advances the LSN past rec and updates the indexes.
 func (l *Log) index(rec *Record) {
 	l.lsn++
 	switch rec.Type {
@@ -256,6 +242,8 @@ func (l *Log) index(rec *Record) {
 		}
 		l.decisions[rec.Txn] = d
 		delete(l.prepared, rec.Txn)
+	case RecordSession:
+		l.session = max(l.session, proto.Session(rec.CommitSeq))
 	}
 }
 

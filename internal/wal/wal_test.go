@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"siterecovery/internal/proto"
 )
@@ -91,6 +93,46 @@ func TestSinkPreservesOrderAndIsReused(t *testing.T) {
 	}
 	if &batches[0][0] != &batches[1][0] || batches[1][0].Txn != 0 || batches[0][1].Txn != 0 {
 		t.Fatalf("sink batches are not one buffer cleared after each force: %+v", batches)
+	}
+}
+
+// TestSessionMonotonic: the counter starts at InitialSession, and each
+// advance is one session record through the sink, in order, that touches no
+// 2PC index.
+func TestSessionMonotonic(t *testing.T) {
+	l := New()
+	var seen []Record
+	l.SetSink(func(recs []Record) { seen = append(seen, recs...) })
+	if got := l.Session(); got != InitialSession {
+		t.Fatalf("fresh Session = %d, want %d", got, InitialSession)
+	}
+	if a, b := l.NextSession(), l.NextSession(); a != 2 || b != 3 {
+		t.Fatalf("NextSession from 1 = %d, %d; want 2, 3", a, b)
+	}
+	want := []Record{{Type: RecordSession, CommitSeq: 2}, {Type: RecordSession, CommitSeq: 3}}
+	if l.Session() != 3 || l.DurableLSN() != 2 || !reflect.DeepEqual(seen, want) {
+		t.Fatalf("Session %d, LSN %d, sink saw %+v; want 3, 2, %+v", l.Session(), l.DurableLSN(), seen, want)
+	}
+	if l.Decisions() != 0 || len(l.InDoubt()) != 0 {
+		t.Fatal("session records reached the 2PC indexes")
+	}
+}
+
+func TestSessionCounterMonotonic(t *testing.T) {
+	l := New()
+	f := func(n uint8) bool {
+		prev := l.Session()
+		for range int(n%16) + 1 {
+			next := l.NextSession()
+			if next <= prev || l.Session() != next {
+				return false
+			}
+			prev = next
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
