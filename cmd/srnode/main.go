@@ -451,7 +451,14 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	mux.HandleFunc("POST /recover", func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), 60*time.Second)
 		defer cancel()
-		before := n.Recovery.Stats()
+		// Copier deltas for THIS recovery: dataCopies counts refreshes that
+		// actually moved bytes from a peer, versionSkips the ones the
+		// version compare proved already current locally. WaitCurrent
+		// returns only once the hub's copier counts are settled.
+		copies := func() (int64, int64) {
+			return hub.Value(id, "copier", "data_copy"), hub.Value(id, "copier", "version_skip")
+		}
+		copiesBefore, skipsBefore := copies()
 		report, err := n.Recover(ctx)
 		if err != nil {
 			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
@@ -461,16 +468,13 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			writeJSON(w, http.StatusConflict, map[string]any{"error": "wait current: " + err.Error()})
 			return
 		}
-		// Copier deltas for THIS recovery: dataCopies counts refreshes that
-		// actually moved bytes from a peer, versionSkips the ones the
-		// version compare proved already current locally.
-		after := n.Recovery.Stats()
+		copiesAfter, skipsAfter := copies()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"session":      report.Session,
 			"marked":       report.Marked,
 			"inDoubt":      report.InDoubt,
-			"dataCopies":   after.DataCopies - before.DataCopies,
-			"versionSkips": after.VersionSkips - before.VersionSkips,
+			"dataCopies":   copiesAfter - copiesBefore,
+			"versionSkips": skipsAfter - skipsBefore,
 		})
 	})
 

@@ -130,25 +130,21 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 		method = core.MethodSpooler
 	}
 
-	// Observability: only pay for the hub when someone is looking at it.
-	var hub *obs.Hub
-	var sink *export.JSONL
-	if httpAddr != "" || exportPath != "" {
-		var sinks []obs.Sink
-		if exportPath != "" {
-			sink, err = export.Create(exportPath)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if cerr := sink.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "srsim: export:", cerr)
-				}
-			}()
-			sinks = append(sinks, sink)
+	// The hub feeds -http, -export and the run summary's counts.
+	var sinks []obs.Sink
+	if exportPath != "" {
+		sink, err := export.Create(exportPath)
+		if err != nil {
+			return err
 		}
-		hub = obs.NewHub(obs.Options{Sinks: sinks})
+		defer func() {
+			if cerr := sink.Close(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "srsim: export:", cerr)
+			}
+		}()
+		sinks = append(sinks, sink)
 	}
+	hub := obs.NewHub(obs.Options{Sinks: sinks})
 
 	var schedule eventFlags
 	for _, spec := range splitNonEmpty(crashes) {
@@ -256,11 +252,11 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 		res.Latency.Quantile(0.5), res.Latency.Quantile(0.99), res.Latency.Max())
 	fmt.Printf("messages:     %d total\n", cluster.Network().TotalSent())
 	for _, s := range cluster.Sites() {
-		st := cluster.Site(s).Session.Stats()
-		rst := cluster.Site(s).Recovery.Stats()
-		if st.Type1Committed+st.Type2Committed+rst.CopiersRun > 0 {
+		t1, t2 := hub.Value(s, "session", "type1_committed"), hub.Value(s, "session", "type2_committed")
+		copiers := hub.Value(s, "txn", "commit.copier")
+		if t1+t2+copiers > 0 {
 			fmt.Printf("site %v:       type1=%d type2=%d copiers=%d copies=%d\n",
-				s, st.Type1Committed, st.Type2Committed, rst.CopiersRun, rst.DataCopies)
+				s, t1, t2, copiers, hub.Value(s, "copier", "data_copy"))
 		}
 	}
 

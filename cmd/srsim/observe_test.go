@@ -1,0 +1,43 @@
+package main
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+// TestObserveGolden pins the scripted scenario at its default flags byte for
+// byte: the stdout of srsim -trace -metrics, and the JSONL file srsim -trace
+// -export writes. A change that means to move either updates the hash here
+// and says why.
+func TestObserveGolden(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "srsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
+	stdout, err := exec.Command(bin, "-trace", "-metrics").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sum(stdout), "234ebfedc67585a2e84c859fe4000d1be24c7d1d2308828301aa0acf9db5bf6b"; got != want {
+		t.Errorf("srsim -trace -metrics stdout: sha256 %s, want %s", got, want)
+	}
+
+	path := filepath.Join(dir, "trace.jsonl")
+	if err := exec.Command(bin, "-trace", "-export", path).Run(); err != nil {
+		t.Fatal(err)
+	}
+	exported, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sum(exported), "6f69855ce9bd84b4cb6bc1dfdd329805c56b4011547f4926f074443f942f6db2"; got != want {
+		t.Errorf("srsim -trace -export file: sha256 %s, want %s", got, want)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/txn"
@@ -39,6 +40,7 @@ func run() error {
 		Sites:     warehouses,
 		Placement: workload.UniformPlacement(products, 3, warehouses, 2024),
 		Identify:  recovery.IdentifyMissingList,
+		Obs:       obs.NewHub(obs.Options{}),
 	})
 	if err != nil {
 		return err
@@ -112,9 +114,9 @@ func run() error {
 		if err := cluster.WaitCurrent(ctx, site); err != nil {
 			return err
 		}
-		st := cluster.Site(site).Recovery.Stats()
 		fmt.Printf("warehouse %v: back online in %s, refreshed %d changed record(s) (copiers run so far: %d)\n",
-			site, report.TimeToOperational.Round(10*time.Microsecond), report.Marked, st.CopiersRun)
+			site, report.TimeToOperational.Round(10*time.Microsecond), report.Marked,
+			cluster.Obs().Value(site, "txn", "commit.copier"))
 	}
 	close(stop)
 	orders := <-traffic

@@ -129,6 +129,20 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunTraceGolden pins the trace of srsim -chaos -seed 1 -steps 60 byte
+// for byte, so a change that moves any event of a chaos run shows here.
+func TestRunTraceGolden(t *testing.T) {
+	const want = "e724b33f31a454dd52396af691b87b7d000eb6f9cb5cdade120d88135c41bd54"
+	sched := chaos.Generate(chaos.GenConfig{Seed: 1, Steps: 60, Sites: 5, Items: 50, Degree: 3})
+	res, err := chaos.Run(testCtx(t), sched, chaos.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(res.Trace)); got != want {
+		t.Errorf("seed 1 trace: sha256 %s, want %s", got, want)
+	}
+}
+
 // TestSoak sweeps seeds across identification strategies; every run must
 // satisfy the full invariant suite. -short trims the sweep.
 func TestSoak(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"siterecovery/internal/history"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/replication"
@@ -226,6 +227,7 @@ func TestFailLockIdentificationMarksOnlyUpdated(t *testing.T) {
 
 func TestDetectorExcludesCrashedSite(t *testing.T) {
 	cfg := testConfig(3)
+	cfg.Obs = obs.NewHub(obs.Options{})
 	c := newCluster(t, cfg)
 	ctx := context.Background()
 
@@ -252,9 +254,7 @@ func TestDetectorExcludesCrashedSite(t *testing.T) {
 			t.Fatalf("ns_%d[3] = (%v, %v), want 0", site, v, err)
 		}
 	}
-	st := c.Site(1).Session.Stats()
-	st2 := c.Site(2).Session.Stats()
-	if st.Type2Committed+st2.Type2Committed == 0 {
+	if c.Obs().Value(1, "session", "type2_committed")+c.Obs().Value(2, "session", "type2_committed") == 0 {
 		t.Fatal("no type-2 control transaction committed")
 	}
 	mustCertify(t, c)
@@ -386,6 +386,7 @@ func TestCoordinatorCrashBeforeDecisionPresumesAbort(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.JanitorInterval = 20 * time.Millisecond
 	cfg.JanitorStaleAge = 50 * time.Millisecond
+	cfg.Obs = obs.NewHub(obs.Options{})
 	cfg.Hooks.OnPrepared = func(site proto.SiteID, id proto.TxnID) {
 		if site == 1 {
 			select {
@@ -413,9 +414,7 @@ func TestCoordinatorCrashBeforeDecisionPresumesAbort(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if v := readCommitted(t, c, 2, "a"); v == 0 {
-			aborted := c.Site(2).Janitor.Stats().ForcedAborts +
-				c.Site(3).Janitor.Stats().ForcedAborts
-			if aborted > 0 {
+			if c.Obs().Value(2, "dm", "forced.abort")+c.Obs().Value(3, "dm", "forced.abort") > 0 {
 				break
 			}
 		}

@@ -661,15 +661,20 @@ func (m *Manager) Prepared() int {
 }
 
 // ForceCommit applies a commit decision learned via cooperative
-// termination.
+// termination, counted as dm/forced.commit once it lands.
 func (m *Manager) ForceCommit(txn proto.TxnID, commitSeq uint64) error {
-	return m.finishCommit(txn, commitSeq)
+	if err := m.finishCommit(txn, commitSeq); err != nil {
+		return err
+	}
+	m.cfg.Obs.Forced(m.cfg.Site, "commit")
+	return nil
 }
 
 // ForceAbort applies an abort decision learned via cooperative termination
-// (or presumed abort).
+// (or presumed abort), counted as dm/forced.abort.
 func (m *Manager) ForceAbort(txn proto.TxnID) {
 	m.finishAbort(txn)
+	m.cfg.Obs.Forced(m.cfg.Site, "abort")
 }
 
 // InDoubtTxn is an in-doubt transaction found in the stable log after a

@@ -74,8 +74,8 @@ func TestInstallErrorKeepsTxnPreparedUntilJanitorRetries(t *testing.T) {
 	tb.Fail = false
 	j := recovery.NewJanitor(recovery.JanitorConfig{Site: 1, Local: m, StaleAge: time.Hour})
 	j.Sweep(ctx)
-	if st := j.Stats(); st.ForcedCommits != 1 {
-		t.Fatalf("janitor stats = %+v, want one forced commit", st)
+	if got := hub.Value(1, "dm", "forced.commit"); got != 1 {
+		t.Fatalf("dm/forced.commit = %d, want one forced commit", got)
 	}
 	if v, ver, _ := store.Committed("x"); v != 7 || ver != (proto.Version{Counter: 12, Writer: meta.ID}) {
 		t.Fatalf("x after the retry = %d %v, want 7 under {12 %v}", v, ver, meta.ID)

@@ -232,6 +232,27 @@ func TestE7FullScaleCoverage(t *testing.T) {
 	}
 }
 
+// TestE9CountsOnlyUserCommits: user_txns counts committed user transactions,
+// so it can never exceed the arrivals (1000 per row at quick scale), however
+// many control and copier transactions the failure rows add.
+func TestE9CountsOnlyUserCommits(t *testing.T) {
+	const arrivals = 1000
+	tab, err := RunE9(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("\n%s", tab)
+	failing := findRows(tab, func(r []string) bool { return r[1] != "0" })
+	if len(failing) != 3 {
+		t.Fatalf("want 3 failure rows, got %v", failing)
+	}
+	for _, row := range failing {
+		if user := cellFloat(t, row[2]); user > arrivals {
+			t.Errorf("%s sites: user_txns %v > %d arrivals", row[0], user, arrivals)
+		}
+	}
+}
+
 func TestE10SessionLifecycleShape(t *testing.T) {
 	tab, err := RunE10(Quick)
 	if err != nil {

@@ -109,6 +109,7 @@ func RunE9(scale Scale) (*Table, error) {
 			c, err := core.New(core.Config{
 				Sites:     sites,
 				Placement: workload.UniformPlacement(items, 3, sites, 11),
+				Obs:       clusterHub(),
 			})
 			if err != nil {
 				return nil, err
@@ -120,6 +121,8 @@ func RunE9(scale Scale) (*Table, error) {
 			victim := proto.SiteID(sites)
 			targets, ctl := load.ClusterTargets(c, c.Sites()[:sites-1]...)
 			faults := load.CrashRecoverCycles(victim, failCycles, txns)
+			counts := []string{"txn/commit.user", "session/type1_committed", "session/type2_committed"}
+			before := hubSums(c, counts, c.Sites()...)
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			_, err = load.Run(ctx, load.Config{
 				Targets:     targets,
@@ -136,14 +139,8 @@ func RunE9(scale Scale) (*Table, error) {
 				return nil, fmt.Errorf("E9 driver: %w", err)
 			}
 
-			var t1, t2 uint64
-			var userTxns uint64
-			for _, s := range c.Sites() {
-				st := c.Site(s).Session.Stats()
-				t1 += st.Type1Committed
-				t2 += st.Type2Committed
-				userTxns += c.Site(s).TM.Stats().Committed
-			}
+			after := hubSums(c, counts, c.Sites()...)
+			userTxns, t1, t2 := after[0]-before[0], after[1]-before[1], after[2]-before[2]
 			c.Stop()
 
 			perEvent := "n/a"

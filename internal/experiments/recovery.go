@@ -3,14 +3,44 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/txn"
 	"siterecovery/internal/workload"
 )
+
+// clusterHub is the hub an experiment's clusters emit into and its counts
+// are read from: the one srbench -metrics installs per experiment, so the
+// metrics table still shows them, or else a private one.
+func clusterHub() *obs.Hub {
+	if h := obs.Default(); h != nil {
+		return h
+	}
+	return obs.NewHub(obs.Options{TraceCapacity: 1})
+}
+
+// hubSums reads named hub counters ("copier/data_copy") summed over sites.
+// The clusters one experiment builds can share srbench's hub, so a
+// cluster's own counts are the difference of two reads.
+func hubSums(c *core.Cluster, names []string, sites ...proto.SiteID) []int64 {
+	out := make([]int64, len(names))
+	for i, name := range names {
+		sub, n, _ := strings.Cut(name, "/")
+		for _, s := range sites {
+			out[i] += c.Obs().Value(s, sub, n)
+		}
+	}
+	return out
+}
+
+// copierCounts are the recovered site's copier transactions committed, data
+// copies and version skips.
+var copierCounts = []string{"txn/commit.copier", "copier/data_copy", "copier/version_skip"}
 
 // recoveryCluster builds a fully replicated 3-site cluster for recovery
 // latency experiments.
@@ -21,6 +51,7 @@ func recoveryCluster(items int, method core.RecoveryMethod, identify recovery.Id
 		Method:     method,
 		Identify:   identify,
 		CopierMode: copier,
+		Obs:        clusterHub(),
 	})
 	if err != nil {
 		return nil, err
@@ -85,6 +116,7 @@ func RunE3(scale Scale) (*Table, error) {
 				return nil, err
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			before := hubSums(c, copierCounts, 3)
 			start := time.Now()
 			report, err := c.Recover(ctx, 3)
 			if err != nil {
@@ -98,7 +130,7 @@ func RunE3(scale Scale) (*Table, error) {
 				return nil, err
 			}
 			current := time.Since(start)
-			copied := c.Site(3).Recovery.Stats().DataCopies
+			copied := hubSums(c, copierCounts, 3)[1] - before[1]
 			cancel()
 			c.Stop()
 			table.AddRow(
@@ -172,6 +204,7 @@ func RunE4(scale Scale) (*Table, error) {
 				return nil, err
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			before := hubSums(c, copierCounts, 3)
 			report, err := c.Recover(ctx, 3)
 			if err != nil {
 				cancel()
@@ -183,15 +216,15 @@ func RunE4(scale Scale) (*Table, error) {
 				c.Stop()
 				return nil, err
 			}
-			st := c.Site(3).Recovery.Stats()
+			after := hubSums(c, copierCounts, 3)
 			cancel()
 			c.Stop()
 			table.AddRow(
 				fmt.Sprintf("%.2f", frac), ident.String(),
 				fmt.Sprintf("%d", report.Marked),
-				fmt.Sprintf("%d", st.CopiersRun),
-				fmt.Sprintf("%d", st.DataCopies),
-				fmt.Sprintf("%d", st.VersionSkips),
+				fmt.Sprintf("%d", after[0]-before[0]),
+				fmt.Sprintf("%d", after[1]-before[1]),
+				fmt.Sprintf("%d", after[2]-before[2]),
 			)
 		}
 	}
@@ -228,6 +261,7 @@ func RunE8(scale Scale) (*Table, error) {
 			return nil, err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		before := hubSums(c, copierCounts, 3)
 		start := time.Now()
 		if _, err := c.Recover(ctx, 3); err != nil {
 			cancel()
@@ -263,7 +297,7 @@ func RunE8(scale Scale) (*Table, error) {
 			return nil, err
 		}
 		current := time.Since(start)
-		st := c.Site(3).Recovery.Stats()
+		copiers := hubSums(c, copierCounts, 3)[0] - before[0]
 		cancel()
 		c.Stop()
 		table.AddRow(
@@ -271,7 +305,7 @@ func RunE8(scale Scale) (*Table, error) {
 			current.Round(10*time.Microsecond).String(),
 			fmt.Sprintf("%d", len(hist.samples)),
 			hist.quantile(0.99).Round(10*time.Microsecond).String(),
-			fmt.Sprintf("%d", st.CopiersRun),
+			fmt.Sprintf("%d", copiers),
 		)
 	}
 	return table, nil

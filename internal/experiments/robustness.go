@@ -89,6 +89,7 @@ func RunE6(scale Scale) (*Table, error) {
 		c, err := core.New(core.Config{
 			Sites:     5,
 			Placement: workload.FullPlacement(items, 5),
+			Obs:       clusterHub(),
 		})
 		if err != nil {
 			return nil, err
@@ -100,6 +101,8 @@ func RunE6(scale Scale) (*Table, error) {
 			c.Stop()
 			return nil, fmt.Errorf("E6 %q setup: %w", sc.name, err)
 		}
+		claims := []string{"session/type1_failed", "session/type2_committed"}
+		before := hubSums(c, claims, victim)
 		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 		_, err = c.Recover(ctx, victim)
 		recovered := err == nil
@@ -113,14 +116,14 @@ func RunE6(scale Scale) (*Table, error) {
 				}
 			}
 		}
-		st := c.Site(victim).Session.Stats()
+		after := hubSums(c, claims, victim)
 		cancel()
 		c.Stop()
 		table.AddRow(
 			sc.name,
 			fmt.Sprintf("%v", recovered),
-			fmt.Sprintf("%d", st.Type1Failed),
-			fmt.Sprintf("%d", st.Type2Committed),
+			fmt.Sprintf("%d", after[0]-before[0]),
+			fmt.Sprintf("%d", after[1]-before[1]),
 			converged,
 		)
 	}

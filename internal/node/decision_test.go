@@ -9,6 +9,7 @@ import (
 	"siterecovery/internal/faultproxy"
 	"siterecovery/internal/lockmgr"
 	"siterecovery/internal/node"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/replication"
 	"siterecovery/internal/transport/tcpnet"
@@ -28,7 +29,7 @@ const (
 // newHookedTrio is newTrio with the pieces node.New does not expose: a lock
 // policy, 2PC hooks at site 1, and — with a proxy — site 1's link to site 2
 // routed through a faultproxy. It assembles each site the way node.New does.
-func newHookedTrio(t *testing.T, policy lockmgr.Policy, hooks node.Hooks, proxy *faultproxy.Proxy) map[proto.SiteID]*node.Site {
+func newHookedTrio(t *testing.T, hub *obs.Hub, policy lockmgr.Policy, hooks node.Hooks, proxy *faultproxy.Proxy) map[proto.SiteID]*node.Site {
 	t.Helper()
 	all := []proto.SiteID{1, 2, 3}
 	listeners := map[proto.SiteID]net.Listener{}
@@ -67,6 +68,7 @@ func newHookedTrio(t *testing.T, policy lockmgr.Policy, hooks node.Hooks, proxy 
 			JanitorInterval:  decisionJanitorInterval,
 			JanitorStaleAge:  decisionJanitorStaleAge,
 			DetectorDebounce: 20 * time.Millisecond,
+			Obs:              hub,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +95,7 @@ func newHookedTrio(t *testing.T, policy lockmgr.Policy, hooks node.Hooks, proxy 
 func TestReadAfterCommitSeesTheWriteEverywhere(t *testing.T) {
 	for name, policy := range map[string]lockmgr.Policy{"timeout": lockmgr.PolicyTimeout, "wound-wait": lockmgr.PolicyWoundWait} {
 		t.Run(name, func(t *testing.T) {
-			sites := newHookedTrio(t, policy, node.Hooks{}, nil)
+			sites := newHookedTrio(t, nil, policy, node.Hooks{}, nil)
 			for round := 1; round <= 1000; round++ {
 				want := proto.Value(round)
 				nodeWrite(t, sites[1], "x", want)
@@ -134,7 +136,8 @@ func TestStalledDecisionIsFetchedByTheParticipant(t *testing.T) {
 	defer proxy.Close()
 	var stallNext atomic.Bool
 	stallNext.Store(true)
-	sites := newHookedTrio(t, lockmgr.PolicyWoundWait, node.Hooks{
+	hub := obs.NewHub(obs.Options{})
+	sites := newHookedTrio(t, hub, lockmgr.PolicyWoundWait, node.Hooks{
 		OnDecided: func(proto.SiteID, proto.TxnID) {
 			if !stallNext.CompareAndSwap(true, false) {
 				return
@@ -167,8 +170,8 @@ func TestStalledDecisionIsFetchedByTheParticipant(t *testing.T) {
 		t.Errorf("the participant resolved after %v, want about the stale age (%v) plus a sweep (%v)",
 			resolved, decisionJanitorStaleAge, decisionJanitorInterval)
 	}
-	if st := sites[2].Janitor.Stats(); st.ForcedCommits != 1 {
-		t.Errorf("site 2 janitor stats = %+v, want one forced commit", st)
+	if got := hub.Value(2, "dm", "forced.commit"); got != 1 {
+		t.Errorf("site 2 dm/forced.commit = %d, want one forced commit", got)
 	}
 	for id, s := range sites {
 		if v, _, err := s.Store.Committed("x"); err != nil || v != 41 {

@@ -49,6 +49,11 @@ func goldenHub() *Hub {
 	h.Control2Fail(2, proto.ErrSiteDown)
 	h.RecoveryStart(3)
 	h.RecoveryDone(3, 2, 4)
+	h.InDoubt(3, "committed")
+	h.InDoubt(3, "aborted")
+	h.InDoubt(3, "unresolved")
+	h.Forced(2, "commit")
+	h.Forced(2, "abort")
 	h.CopierCopy(3, "x", 1)
 	h.CopierCopy(3, "y", 2)
 	h.CopierSkip(3, "z", 1)

@@ -315,6 +315,24 @@ func (h *Hub) RecoveryDone(site proto.SiteID, session proto.Session, marked int)
 	h.emit(Event{Type: EvRecoveryDone, Site: site, Actual: session, Attempt: marked})
 }
 
+// InDoubt counts an in-doubt transaction recovery found in the site's log,
+// by outcome: "committed", "aborted" or "unresolved". Metrics only.
+func (h *Hub) InDoubt(site proto.SiteID, outcome string) {
+	if h == nil {
+		return
+	}
+	h.inc(key{site, "recovery", "in_doubt", outcome})
+}
+
+// Forced counts a decision cooperative termination applied at a
+// participant: "commit" or "abort". Metrics only.
+func (h *Hub) Forced(site proto.SiteID, decision string) {
+	if h == nil {
+		return
+	}
+	h.inc(key{site, "dm", "forced", decision})
+}
+
 // CopierCopy records a copier transferring item's data from source.
 func (h *Hub) CopierCopy(site proto.SiteID, item proto.Item, source proto.SiteID) {
 	if h == nil {

@@ -40,15 +40,6 @@ func (c JanitorConfig) withDefaults() JanitorConfig {
 	return c
 }
 
-// JanitorStats counts janitor resolutions.
-type JanitorStats struct {
-	Sweeps          uint64
-	ForcedCommits   uint64
-	ForcedAborts    uint64
-	LeftBlocked     uint64 // prepared, coordinator down, no witness: classic 2PC blocking
-	StillInProgress uint64
-}
-
 // Janitor is the cooperative-termination protocol the paper assumes from
 // [9, 10]: it resolves in-flight transactions at this site whose
 // coordinator has gone silent. A prepared transaction commits if any site
@@ -56,14 +47,14 @@ type JanitorStats struct {
 // abort or — under presumed abort — no longer knows the transaction, and
 // stays blocked only in the classic all-prepared/coordinator-down window.
 // An unprepared transaction whose coordinator died can never have
-// committed, so it aborts.
+// committed, so it aborts. The decisions it applies are counted where they
+// land, as dm/forced.commit and dm/forced.abort.
 type Janitor struct {
 	cfg JanitorConfig
 
-	mu    sync.Mutex
-	stats JanitorStats
-	stop  chan struct{}
-	done  chan struct{}
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
 }
 
 // NewJanitor returns a janitor.
@@ -96,13 +87,6 @@ func (j *Janitor) Stop() {
 	<-done
 }
 
-// Stats returns a snapshot of the counters.
-func (j *Janitor) Stats() JanitorStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stats
-}
-
 func (j *Janitor) loop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	for {
@@ -118,9 +102,6 @@ func (j *Janitor) loop(stop <-chan struct{}, done chan<- struct{}) {
 // Sweep resolves every stale in-flight transaction it can. It is exported
 // so tests and experiments can force a sweep deterministically.
 func (j *Janitor) Sweep(ctx context.Context) {
-	j.mu.Lock()
-	j.stats.Sweeps++
-	j.mu.Unlock()
 	for _, st := range j.cfg.Local.StaleTxns(j.cfg.StaleAge) {
 		j.resolve(ctx, st)
 	}
@@ -133,46 +114,33 @@ func (j *Janitor) resolve(ctx context.Context, st dm.StaleTxn) {
 		Root: st.Meta.ID, Span: obs.NewSpanID(j.cfg.Site), Origin: j.cfg.Site,
 	})
 	state, seq, reached := j.askDecision(ctx, st.Meta.Origin, st.Meta.ID)
-	if reached {
-		switch state {
-		case proto.StateCommitted:
-			if err := j.cfg.Local.ForceCommit(st.Meta.ID, seq); err == nil {
-				j.bump(func(s *JanitorStats) { s.ForcedCommits++ })
-			}
-		case proto.StateAborted, proto.StateUnknown:
-			// Presumed abort: a coordinator that no longer knows the
-			// transaction will never commit it.
+	if !reached {
+		if !st.Prepared {
+			// We never voted, so the transaction cannot have committed.
 			j.cfg.Local.ForceAbort(st.Meta.ID)
-			j.bump(func(s *JanitorStats) { s.ForcedAborts++ })
-		default:
-			j.bump(func(s *JanitorStats) { s.StillInProgress++ })
+			return
 		}
-		return
+		// Coordinator unreachable: look for a witness among the other
+		// sites. With none, all prepared and the coordinator down, the
+		// transaction stays blocked (2PC's known window); the coordinator's
+		// recovery will answer from its log.
+		var decisive bool
+		state, seq, decisive = witnessDecision(ctx, j.cfg.Net, j.cfg.Site, st.Meta.Origin, j.cfg.Catalog.Sites(), st.Meta.ID)
+		if !decisive {
+			return
+		}
 	}
-
-	// Coordinator unreachable.
-	if !st.Prepared {
-		// We never voted, so the transaction cannot have committed.
+	switch state {
+	case proto.StateCommitted:
+		// A failed install leaves the transaction prepared for the next
+		// sweep.
+		_ = j.cfg.Local.ForceCommit(st.Meta.ID, seq)
+	case proto.StateAborted, proto.StateUnknown:
+		// Presumed abort: a coordinator that no longer knows the
+		// transaction will never commit it.
 		j.cfg.Local.ForceAbort(st.Meta.ID)
-		j.bump(func(s *JanitorStats) { s.ForcedAborts++ })
-		return
 	}
-	// Cooperative termination: look for a witness among the other sites.
-	if state, seq, decisive := witnessDecision(ctx, j.cfg.Net, j.cfg.Site, st.Meta.Origin, j.cfg.Catalog.Sites(), st.Meta.ID); decisive {
-		switch state {
-		case proto.StateCommitted:
-			if err := j.cfg.Local.ForceCommit(st.Meta.ID, seq); err == nil {
-				j.bump(func(s *JanitorStats) { s.ForcedCommits++ })
-			}
-		case proto.StateAborted:
-			j.cfg.Local.ForceAbort(st.Meta.ID)
-			j.bump(func(s *JanitorStats) { s.ForcedAborts++ })
-		}
-		return
-	}
-	// All prepared, coordinator down, no witness: blocked (2PC's known
-	// window); the coordinator's recovery will answer from its log.
-	j.bump(func(s *JanitorStats) { s.LeftBlocked++ })
+	// Anything else is still in progress at its coordinator.
 }
 
 // askDecision queries the coordinator, locally when this site coordinated.
@@ -194,10 +162,4 @@ func (j *Janitor) askDecision(ctx context.Context, origin proto.SiteID, id proto
 		return proto.StateUnknown, 0, false
 	}
 	return dr.State, dr.CommitSeq, true
-}
-
-func (j *Janitor) bump(f func(*JanitorStats)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	f(&j.stats)
 }

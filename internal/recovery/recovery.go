@@ -16,6 +16,10 @@
 // assumes from the transaction-resolution literature [9, 10]: each site
 // periodically resolves in-flight transactions whose coordinator went
 // silent, with presumed-abort semantics.
+//
+// Neither keeps counters: recoveries, in-doubt outcomes, copies and skips
+// are counted on the obs hub (recovery/*, copier/*), and the janitor's
+// decisions where they land, as dm/forced.commit and dm/forced.abort.
 package recovery
 
 import (
@@ -100,21 +104,6 @@ const (
 	CopierOnDemand
 )
 
-// Stats counts recovery activity.
-type Stats struct {
-	Recoveries        uint64
-	Marked            uint64 // copies marked unreadable across recoveries
-	CopiersRun        uint64 // copier transactions committed
-	DataCopies        uint64 // copier refreshes that transferred data
-	VersionSkips      uint64 // copier refreshes skipped by version compare
-	TotallyFailed     uint64 // copier gave up: no readable copy anywhere
-	TotalResolved     uint64 // totally failed items resurrected
-	SpoolReplayed     uint64 // spooled updates applied (spooler baseline)
-	InDoubtCommitted  uint64
-	InDoubtAborted    uint64
-	InDoubtUnresolved uint64
-}
-
 // Report summarizes one recovery.
 type Report struct {
 	Session           proto.Session
@@ -175,12 +164,12 @@ type Manager struct {
 	cfg Config
 
 	mu      sync.Mutex
-	stats   Stats
 	pending map[proto.Item]bool
-	// inflight counts copyOne calls between entry and stats accounting.
-	// A copier clears the unreadable mark when its transaction commits,
-	// slightly before it bumps DataCopies/VersionSkips; WaitCurrent waits
-	// for inflight to drain so its return means the stats are settled.
+	// inflight counts copyOne calls between entry and return. A copier
+	// clears the unreadable mark when its transaction commits, slightly
+	// before it counts copier/data_copy or copier/version_skip on the hub;
+	// WaitCurrent waits for inflight to drain so its return means those
+	// counts are settled.
 	inflight int
 	// stallGate is non-nil while the copier path is stalled; resuming
 	// closes it, waking any parked workers.
@@ -269,13 +258,6 @@ func (m *Manager) Stalled() bool {
 	return m.stallGate != nil
 }
 
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
-
 // RequestCopy enqueues a copier for item, deduplicating concurrent
 // requests. It is safe from the DM's unreadable-read callback.
 func (m *Manager) RequestCopy(item proto.Item) {
@@ -325,9 +307,6 @@ func (m *Manager) Recover(ctx context.Context) (Report, error) {
 		return report, fmt.Errorf("recover %v: identify out-of-date: %w", m.cfg.Site, err)
 	}
 	report.Marked = marked
-	m.mu.Lock()
-	m.stats.Marked += uint64(marked)
-	m.mu.Unlock()
 
 	// Steps 3-4: claim nominally up, then load the session number.
 	sn, err := m.cfg.Session.ClaimUp(ctx)
@@ -337,10 +316,6 @@ func (m *Manager) Recover(ctx context.Context) (Report, error) {
 	m.cfg.Local.SetSession(sn)
 	report.Session = sn
 	report.TimeToOperational = m.cfg.Clock.Since(start)
-
-	m.mu.Lock()
-	m.stats.Recoveries++
-	m.mu.Unlock()
 	m.cfg.Obs.RecoveryDone(m.cfg.Site, sn, marked)
 
 	// Step 5: data recovery proceeds concurrently with user transactions.
@@ -352,10 +327,12 @@ func (m *Manager) Recover(ctx context.Context) (Report, error) {
 }
 
 // resolveInDoubt applies cooperative termination to one in-doubt
-// transaction found after the crash. Committed outcomes are redone from the
-// prepare record; undecided ones, and committed ones whose redo failed,
-// leave their write sets marked unreadable (copiers will observe the
-// eventual outcome through ordinary locking at the operational sites).
+// transaction found after the crash and counts its outcome as
+// recovery/in_doubt.committed, .aborted or .unresolved. Committed outcomes
+// are redone from the prepare record; undecided ones, and committed ones
+// whose redo failed, leave their write sets marked unreadable (copiers will
+// observe the eventual outcome through ordinary locking at the operational
+// sites).
 func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
 	// Decision traffic for this transaction is attributed to its own root ID
 	// under the recovery span.
@@ -368,9 +345,7 @@ func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
 	switch state {
 	case proto.StateCommitted:
 		if m.cfg.Local.ResolveRecoveredOutcome(d, true, seq) == nil {
-			m.mu.Lock()
-			m.stats.InDoubtCommitted++
-			m.mu.Unlock()
+			m.cfg.Obs.InDoubt(m.cfg.Site, "committed")
 			return
 		}
 		// The redo failed: the local copies are stale, and no peer lists
@@ -379,9 +354,7 @@ func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
 		// Unknown from a reachable coordinator is presumed abort. Logging an
 		// abort cannot fail.
 		_ = m.cfg.Local.ResolveRecoveredOutcome(d, false, 0)
-		m.mu.Lock()
-		m.stats.InDoubtAborted++
-		m.mu.Unlock()
+		m.cfg.Obs.InDoubt(m.cfg.Site, "aborted")
 		return
 	}
 	// Still undecided (coordinator active, or unreachable with no witness),
@@ -392,9 +365,7 @@ func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
 		m.cfg.Local.Store().MarkUnreadable(item)
 	}
 	m.cfg.Local.AdoptInDoubt(d)
-	m.mu.Lock()
-	m.stats.InDoubtUnresolved++
-	m.mu.Unlock()
+	m.cfg.Obs.InDoubt(m.cfg.Site, "unresolved")
 }
 
 // queryDecision implements the decision lookup: coordinator first (its
@@ -513,7 +484,7 @@ func (m *Manager) Flush() {
 // WaitCurrent blocks until no local copy is marked unreadable (fully
 // current) and no copier is mid-flight, flushing the queue as needed, or
 // until the context is done. Waiting out the in-flight copiers makes the
-// copier stats (DataCopies, VersionSkips) settled on return.
+// hub's copier counts settled on return.
 func (m *Manager) WaitCurrent(ctx context.Context) error {
 	for {
 		items := m.cfg.Local.Store().UnreadableItems()
@@ -564,7 +535,7 @@ func (m *Manager) copierLoop(poolCtx context.Context, stop <-chan struct{}) {
 }
 
 // CopyNow runs one copier transaction for item synchronously, with the
-// same stats and total-failure accounting as the worker pool. It is how
+// same hub counts and total-failure accounting as the worker pool. It is how
 // deterministic harnesses drive data recovery when the pool is disabled
 // (CopierWorkers < 0): every copy happens at a known point in the
 // caller's step sequence. A stalled manager returns ErrStalled without
@@ -574,10 +545,7 @@ func (m *Manager) CopyNow(ctx context.Context, item proto.Item) error {
 		return ErrStalled
 	}
 	err := m.copyOne(ctx, item)
-	if err != nil && errors.Is(err, proto.ErrTotalFailure) {
-		m.mu.Lock()
-		m.stats.TotallyFailed++
-		m.mu.Unlock()
+	if errors.Is(err, proto.ErrTotalFailure) {
 		m.cfg.Obs.CopierTotalFailure(m.cfg.Site, item)
 	}
 	return err
@@ -674,15 +642,6 @@ func (m *Manager) copyOne(ctx context.Context, item proto.Item) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.stats.CopiersRun++
-	if transferred {
-		m.stats.DataCopies++
-	}
-	if skipped {
-		m.stats.VersionSkips++
-	}
-	m.mu.Unlock()
 	if transferred {
 		m.cfg.Obs.CopierCopy(m.cfg.Site, item, copySource)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/replication"
@@ -29,8 +30,13 @@ func fullPlacement(items []proto.Item, sites int) map[proto.Item][]proto.SiteID 
 	return placement
 }
 
+// newCluster builds and starts a cluster, with a hub to read its counts from
+// unless cfg brings one.
 func newCluster(t *testing.T, cfg core.Config) *core.Cluster {
 	t.Helper()
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewHub(obs.Options{})
+	}
 	c, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,12 +89,11 @@ func TestVersionDiffSkipsCurrentCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := c.Site(3).Recovery.Stats()
-	if st.DataCopies != 2 {
-		t.Errorf("DataCopies = %d, want 2 (only updated items transfer)", st.DataCopies)
+	if got := c.Obs().Value(3, "copier", "data_copy"); got != 2 {
+		t.Errorf("copier/data_copy = %d, want 2 (only updated items transfer)", got)
 	}
-	if st.VersionSkips != uint64(len(items)-2) {
-		t.Errorf("VersionSkips = %d, want %d", st.VersionSkips, len(items)-2)
+	if got := c.Obs().Value(3, "copier", "version_skip"); got != int64(len(items)-2) {
+		t.Errorf("copier/version_skip = %d, want %d", got, len(items)-2)
 	}
 }
 
@@ -111,9 +116,8 @@ func TestMarkAllCopiesEverything(t *testing.T) {
 	if err := c.WaitCurrent(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Site(3).Recovery.Stats()
-	if st.CopiersRun != uint64(len(items)) {
-		t.Errorf("CopiersRun = %d, want %d", st.CopiersRun, len(items))
+	if got := c.Obs().Value(3, "txn", "commit.copier"); got != int64(len(items)) {
+		t.Errorf("txn/commit.copier = %d, want %d", got, len(items))
 	}
 }
 
@@ -190,7 +194,7 @@ func TestTotallyFailedItemDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Site(3).Recovery.Stats().TotallyFailed == 0 {
+	for c.Obs().Value(3, "copier", "total_failure") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("copier never reported the totally-failed item")
 		}
@@ -266,9 +270,10 @@ func TestFailedInDoubtRedoMarksTheCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Site(3).Recovery.Stats()
-	if report.InDoubt != 1 || st.InDoubtUnresolved != 1 || st.InDoubtCommitted != 0 {
-		t.Fatalf("in doubt %d, stats %+v; want the one failed redo counted unresolved", report.InDoubt, st)
+	unresolved, committed := c.Obs().Value(3, "recovery", "in_doubt.unresolved"), c.Obs().Value(3, "recovery", "in_doubt.committed")
+	if report.InDoubt != 1 || unresolved != 1 || committed != 0 {
+		t.Fatalf("in doubt %d, in_doubt.unresolved %d, in_doubt.committed %d; want the one failed redo counted unresolved",
+			report.InDoubt, unresolved, committed)
 	}
 	if !c.Site(3).Store.IsUnreadable("a") {
 		t.Fatal("the copy whose redo failed is readable")
@@ -313,20 +318,33 @@ func TestBaselineRecoveryForQuorum(t *testing.T) {
 	}
 }
 
+// TestJanitorStatsExposed: a write whose coordinator (site 2) never heard of
+// it strands a lock at site 1; site 1's background janitor presumes abort,
+// and the decision shows on the hub as dm/forced.abort.
 func TestJanitorStatsExposed(t *testing.T) {
 	items := []proto.Item{"a"}
 	cfg := core.Config{
 		Sites:           3,
 		Placement:       fullPlacement(items, 3),
 		JanitorInterval: 10 * time.Millisecond,
+		JanitorStaleAge: 20 * time.Millisecond,
 	}
 	c := newCluster(t, cfg)
+	orphan := proto.TxnMeta{ID: 1 << 40, Class: proto.ClassUser, Origin: 2}
+	if _, err := c.Site(1).DM.Handle(context.Background(), 2, proto.WriteReq{
+		Txn: orphan, Item: "a", Value: 1, Mode: proto.CheckSession, Expect: core.InitialSession,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Site(1).Janitor.Stats().Sweeps == 0 {
+	for c.Obs().Value(1, "dm", "forced.abort") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("janitor never swept")
+			t.Fatal("janitor never presumed the orphan aborted")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if held := c.Site(1).Locks.Held(orphan.ID); len(held) != 0 {
+		t.Fatalf("orphan still holds %v", held)
 	}
 }
 
@@ -359,10 +377,6 @@ func TestSpooledRecoveryReplaysInOrder(t *testing.T) {
 	}
 	if v, _, _ := c.Site(3).Store.Committed("b"); v != 7 {
 		t.Fatalf("replayed b = %d, want 7", v)
-	}
-	st := c.Site(3).Recovery.Stats()
-	if st.SpoolReplayed != 6 {
-		t.Fatalf("SpoolReplayed = %d", st.SpoolReplayed)
 	}
 	// The spool at the peers is drained.
 	for _, s := range []proto.SiteID{1, 2} {
@@ -412,9 +426,8 @@ func TestSynchronousCopyWithPoolDisabled(t *testing.T) {
 	if v, _, err := c.Site(3).Store.Committed("a"); err != nil || v != 10 {
 		t.Fatalf("drained copy a = (%d, %v), want 10", v, err)
 	}
-	st := rec.Stats()
-	if st.CopiersRun != uint64(len(items)) {
-		t.Errorf("CopiersRun = %d, want %d", st.CopiersRun, len(items))
+	if got := c.Obs().Value(3, "txn", "commit.copier"); got != int64(len(items)) {
+		t.Errorf("txn/commit.copier = %d, want %d", got, len(items))
 	}
 }
 
@@ -454,6 +467,7 @@ func TestJanitorSweepResolvesStrandedLocks(t *testing.T) {
 		JanitorInterval: 10 * time.Millisecond,
 		JanitorStaleAge: 30 * time.Millisecond,
 		Hooks:           core.Hooks{},
+		Obs:             obs.NewHub(obs.Options{}),
 	}
 	var c *core.Cluster
 	crashed := make(chan struct{}, 1)
@@ -498,8 +512,7 @@ func TestJanitorSweepResolvesStrandedLocks(t *testing.T) {
 			t.Fatalf("stranded locks never released: %v", err)
 		}
 	}
-	aborts := c.Site(2).Janitor.Stats().ForcedAborts + c.Site(3).Janitor.Stats().ForcedAborts
-	if aborts == 0 {
+	if c.Obs().Value(2, "dm", "forced.abort")+c.Obs().Value(3, "dm", "forced.abort") == 0 {
 		t.Fatal("janitor recorded no forced aborts")
 	}
 }
@@ -521,5 +534,36 @@ func TestParseIdentifyRoundTrip(t *testing.T) {
 		if got, err := recovery.ParseIdentify(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
 			t.Errorf("ParseIdentify(%q) = %v, %v; want an error naming it", bad, got, err)
 		}
+	}
+}
+
+// TestEveryRecoveryPathIsTraced: the spooler baseline and the non-ROWAA
+// profiles recover through their own procedures, and each must still open
+// and close the site's recovery in the trace and count it on the hub, or
+// srtrace never closes the down window and recovery/completed misses it.
+func TestEveryRecoveryPathIsTraced(t *testing.T) {
+	for name, cfg := range map[string]core.Config{
+		"spooler": {Method: core.MethodSpooler},
+		"rowa":    {Profile: replication.ROWA},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Sites, cfg.Placement = 3, fullPlacement([]proto.Item{"a"}, 3)
+			c := newCluster(t, cfg)
+			c.Crash(3)
+			if _, err := c.Recover(context.Background(), 3); err != nil {
+				t.Fatal(err)
+			}
+			var started, done bool
+			for _, e := range c.Obs().Tracer().Events() {
+				started = started || e.Type == obs.EvRecoveryStart && e.Site == 3
+				done = done || e.Type == obs.EvRecoveryDone && e.Site == 3
+			}
+			if !started || !done {
+				t.Fatalf("trace has recovery.start %v, recovery.done %v for site 3; want both", started, done)
+			}
+			if got := c.Obs().Value(3, "recovery", "completed"); got != 1 {
+				t.Fatalf("recovery/completed = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -25,6 +25,7 @@ import (
 func (m *Manager) RecoverSpooled(ctx context.Context) (Report, error) {
 	start := m.cfg.Clock.Now()
 	report := Report{}
+	m.cfg.Obs.RecoveryStart(m.cfg.Site)
 	ctx = obs.WithSpan(ctx, obs.SpanContext{
 		Span: obs.NewSpanID(m.cfg.Site), Origin: m.cfg.Site,
 	})
@@ -49,10 +50,7 @@ func (m *Manager) RecoverSpooled(ctx context.Context) (Report, error) {
 	m.cfg.Local.SetSession(sn)
 	report.Session = sn
 	report.TimeToOperational = m.cfg.Clock.Since(start)
-
-	m.mu.Lock()
-	m.stats.Recoveries++
-	m.mu.Unlock()
+	m.cfg.Obs.RecoveryDone(m.cfg.Site, sn, 0)
 
 	// In-doubt leftovers (marked unreadable, not covered by the spool)
 	// still need copiers.
@@ -118,9 +116,6 @@ func (m *Manager) applySpool(ctx context.Context) int {
 	if replayTxn != 0 && m.cfg.Seq != nil {
 		m.cfg.Recorder.Commit(replayTxn, m.cfg.Seq.NextCommitSeq())
 	}
-	m.mu.Lock()
-	m.stats.SpoolReplayed += uint64(applied)
-	m.mu.Unlock()
 	return applied
 }
 
@@ -132,6 +127,7 @@ func (m *Manager) applySpool(ctx context.Context) int {
 func (m *Manager) RecoverBaseline(ctx context.Context) (Report, error) {
 	start := m.cfg.Clock.Now()
 	report := Report{}
+	m.cfg.Obs.RecoveryStart(m.cfg.Site)
 
 	inDoubt := m.cfg.Local.RecoverInDoubt()
 	report.InDoubt = len(inDoubt)
@@ -143,9 +139,6 @@ func (m *Manager) RecoverBaseline(ctx context.Context) (Report, error) {
 	m.cfg.Local.SetSession(sn)
 	report.Session = sn
 	report.TimeToOperational = m.cfg.Clock.Since(start)
-
-	m.mu.Lock()
-	m.stats.Recoveries++
-	m.mu.Unlock()
+	m.cfg.Obs.RecoveryDone(m.cfg.Site, sn, 0)
 	return report, nil
 }

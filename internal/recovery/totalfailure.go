@@ -25,7 +25,7 @@ func (m *Manager) ResolveTotalFailure(ctx context.Context, item proto.Item) erro
 	if err != nil {
 		return err
 	}
-	err = m.cfg.TM.Run(ctx, func(ctx context.Context, tx *txn.Tx) error {
+	return m.cfg.TM.Run(ctx, func(ctx context.Context, tx *txn.Tx) error {
 		view := tx.View()
 		for _, site := range replicas {
 			if !view.Up(site) {
@@ -63,11 +63,4 @@ func (m *Manager) ResolveTotalFailure(ctx context.Context, item proto.Item) erro
 		// transaction's version and clears every mark.
 		return tx.Write(ctx, item, bestValue)
 	})
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.stats.TotalResolved++
-	m.mu.Unlock()
-	return nil
 }

@@ -16,7 +16,9 @@
 //
 // Control transactions run through the ordinary transaction manager: they
 // follow the same concurrency control and commit protocol as user
-// transactions (§3.3) and can be processed by recovering sites.
+// transactions (§3.3) and can be processed by recovering sites. Their
+// outcomes are counted on the obs hub (session/type1_committed, ...), not
+// by the manager.
 package session
 
 import (
@@ -35,15 +37,6 @@ import (
 	"siterecovery/internal/transport"
 	"siterecovery/internal/txn"
 )
-
-// Stats counts control-transaction activity (experiment E9).
-type Stats struct {
-	Type1Committed uint64
-	Type1Failed    uint64
-	Type2Committed uint64
-	Type2Failed    uint64
-	Type2Skipped   uint64 // claims found stale (site already down or re-up)
-}
 
 // Config assembles a session manager.
 type Config struct {
@@ -91,7 +84,6 @@ type Manager struct {
 	cfg Config
 
 	mu        sync.Mutex
-	stats     Stats
 	lastClaim map[proto.SiteID]time.Time
 
 	queue chan claim
@@ -133,13 +125,6 @@ func (m *Manager) Stop() {
 	}
 	close(stop)
 	<-done
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // CrashReset wipes volatile detector state when the site crashes: queued
@@ -222,14 +207,10 @@ func (m *Manager) ClaimDownMany(ctx context.Context, claims map[proto.SiteID]pro
 	err := m.cfg.TM.RunClass(ctx, proto.ClassControl2, func(ctx context.Context, tx *txn.Tx) error {
 		return m.claimDownBody(ctx, tx, alsoDown)
 	})
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err != nil {
-		m.stats.Type2Failed++
 		m.cfg.Obs.Control2Fail(m.cfg.Site, err)
 		return fmt.Errorf("type-2 claim for %v: %w", claimed(claims), err)
 	}
-	m.stats.Type2Committed++
 	m.cfg.Obs.Control2(m.cfg.Site, claimed(claims))
 	return nil
 }
@@ -270,9 +251,6 @@ func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims map[prot
 		}
 	}
 	if len(targetsDown) == 0 {
-		m.mu.Lock()
-		m.stats.Type2Skipped++
-		m.mu.Unlock()
 		m.cfg.Obs.Control2Skip(m.cfg.Site)
 		return nil // stale claim; empty transaction commits trivially
 	}
@@ -335,16 +313,10 @@ func (m *Manager) ClaimUp(ctx context.Context) (proto.Session, error) {
 		}
 		sn, failed, err := m.claimUpOnce(ctx)
 		if err == nil {
-			m.mu.Lock()
-			m.stats.Type1Committed++
-			m.mu.Unlock()
 			m.cfg.Obs.Control1(m.cfg.Site, sn)
 			return sn, nil
 		}
 		lastErr = err
-		m.mu.Lock()
-		m.stats.Type1Failed++
-		m.mu.Unlock()
 		m.cfg.Obs.Control1Fail(m.cfg.Site, err)
 		if failed.site != 0 {
 			// §3.4 step 4: exclude the newly crashed site, then retry.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/txn"
 )
@@ -25,6 +26,7 @@ func newCluster(t *testing.T, sites int) *core.Cluster {
 		Placement:       placement,
 		DisableDetector: true, // claims are driven explicitly in these tests
 		DisableJanitor:  true,
+		Obs:             obs.NewHub(obs.Options{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +58,8 @@ func TestClaimDownWritesZeroEverywhere(t *testing.T) {
 			t.Errorf("ns_%d[3] = %d, want 0", at, got)
 		}
 	}
-	st := c.Site(1).Session.Stats()
-	if st.Type2Committed != 1 {
-		t.Errorf("Type2Committed = %d, want 1", st.Type2Committed)
+	if got := c.Obs().Value(1, "session", "type2_committed"); got != 1 {
+		t.Errorf("session/type2_committed = %d, want 1", got)
 	}
 }
 
@@ -75,9 +76,8 @@ func TestClaimDownStaleObservationSkips(t *testing.T) {
 	if got := nsValue(t, c, 1, 3); got != core.InitialSession {
 		t.Errorf("stale claim zeroed ns[3]: %d", got)
 	}
-	st := c.Site(1).Session.Stats()
-	if st.Type2Skipped != 1 {
-		t.Errorf("Type2Skipped = %d, want 1", st.Type2Skipped)
+	if got := c.Obs().Value(1, "session", "type2_skipped"); got != 1 {
+		t.Errorf("session/type2_skipped = %d, want 1", got)
 	}
 }
 
@@ -160,11 +160,10 @@ func TestClaimUpSurvivesPeerCrashMidRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	st := c.Site(4).Session.Stats()
-	if st.Type1Failed == 0 {
+	if c.Obs().Value(4, "session", "type1_failed") == 0 {
 		t.Error("expected at least one failed type-1 attempt (site 3 still nominally up)")
 	}
-	if st.Type2Committed == 0 {
+	if c.Obs().Value(4, "session", "type2_committed") == 0 {
 		t.Error("expected the recovering site to claim the crashed peer down")
 	}
 	// The vector converged: 3 is down, 4 carries the new session.

@@ -16,7 +16,8 @@
 // conflicts, wounds, or site failures. The logged decision is the commit
 // point: Commit posts it to the remote participants and returns without
 // waiting for them to install, which they do under the exclusive locks they
-// have held since they voted.
+// have held since they voted. Outcomes are counted on the obs hub
+// (txn/begin, commit, abort.<reason>, giveup), not by the manager.
 package txn
 
 import (
@@ -173,14 +174,6 @@ type Callbacks struct {
 	OnDecided  func(id proto.TxnID)
 }
 
-// Stats counts TM outcomes.
-type Stats struct {
-	Started   uint64 // Run invocations
-	Committed uint64
-	Aborted   uint64 // attempts that aborted (each retry counts)
-	GaveUp    uint64 // Run invocations that exhausted their attempts
-}
-
 // Config assembles a TM.
 type Config struct {
 	Site     proto.SiteID
@@ -226,7 +219,6 @@ type Manager struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	active map[proto.TxnID]bool
-	stats  Stats
 }
 
 // New returns a transaction manager.
@@ -252,13 +244,6 @@ func (m *Manager) Active(txn proto.TxnID) bool {
 	return m.active[txn]
 }
 
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
-
 // CrashReset drops the coordinator's volatile state when its site crashes:
 // a restarted coordinator never resumes an undecided transaction, which is
 // exactly what lets participants presume abort.
@@ -280,10 +265,6 @@ func (m *Manager) Run(ctx context.Context, body func(context.Context, *Tx) error
 // control transactions use their dedicated classes; the session and
 // recovery packages build on this entry point.
 func (m *Manager) RunClass(ctx context.Context, class proto.TxnClass, body func(context.Context, *Tx) error) error {
-	m.mu.Lock()
-	m.stats.Started++
-	m.mu.Unlock()
-
 	var lastErr error
 	attempts := 0 // begun so far; a give-up reports them
 	for attempts < m.cfg.MaxAttempts {
@@ -311,27 +292,18 @@ func (m *Manager) RunClass(ctx context.Context, class proto.TxnClass, body func(
 		if err == nil {
 			err = tx.Commit(actx)
 			if err == nil {
-				m.mu.Lock()
-				m.stats.Committed++
-				m.mu.Unlock()
 				m.cfg.Obs.TxnCommit(m.cfg.Site, tx.meta.ID, class, attempts)
 				return nil
 			}
 		} else {
 			tx.Abort(actx)
 		}
-		m.mu.Lock()
-		m.stats.Aborted++
-		m.mu.Unlock()
 		m.cfg.Obs.TxnAbort(m.cfg.Site, tx.meta.ID, class, attempts, err)
 		lastErr = err
 		if errors.Is(err, proto.ErrAbortRequested) || !proto.Retryable(err) {
 			break
 		}
 	}
-	m.mu.Lock()
-	m.stats.GaveUp++
-	m.mu.Unlock()
 	m.cfg.Obs.TxnGiveUp(m.cfg.Site, class, attempts)
 	if lastErr == nil {
 		lastErr = ctx.Err()

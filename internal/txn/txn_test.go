@@ -358,9 +358,8 @@ func TestAbortRequestedNotRetried(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("body ran %d times, want 1", calls)
 	}
-	st := h.tms[1].Stats()
-	if st.Committed != 0 || st.Aborted != 1 {
-		t.Fatalf("stats = %+v", st)
+	if c, a := h.hub.Value(1, "txn", "commit.user"), h.hub.Value(1, "txn", "abort.requested"); c != 0 || a != 1 {
+		t.Fatalf("txn/commit.user = %d, txn/abort.requested = %d; want 0 and 1", c, a)
 	}
 	// The give-up reports the one attempt made, not MaxAttempts.
 	evs := h.hub.Tracer().Events()
