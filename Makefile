@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos certify proc-chaos fuzz e2e disk-engine loc
+.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos certify proc-chaos fuzz e2e disk-engine flake loc
 
 all: lint build test bench-test
 
@@ -137,6 +137,27 @@ proc-chaos:
 	SRCHAOS_E2E=1 $(GO) test -count=1 -run TestProcInjectedBugCaughtAndShrinks ./internal/chaos/proc/
 	rm -rf bench/out/proc-chaos
 	$(GO) run ./cmd/srchaos -seed 1 -steps 30 -outdir bench/out/proc-chaos -shrink
+
+# Mirrors the flake workflow (which passes its own PKGS): the packages N
+# times under the race detector on the host shape where intermittent failures
+# show (two CPUs, two packages at once). It keeps go test's JSON stream in flake.json and prints, from it,
+# a table of every test or package that failed at least once: failures, runs
+# and name, most failures first (also written to flake.txt). Exits non-zero
+# if anything failed.
+N ?= 20
+PKGS ?= ./...
+flake:
+	-GOMAXPROCS=2 $(GO) test -race -count=$(N) -p 2 -json $(PKGS) > flake.json
+	@awk '/"Action":"(pass|fail)"/ { \
+		name = $$0; sub(/.*"Package":"/, "", name); sub(/".*/, "", name); \
+		if ($$0 ~ /"Test":"/) { t = $$0; sub(/.*"Test":"/, "", t); sub(/".*/, "", t); name = name "." t } \
+		if (!(name in runs)) names++; runs[name]++; \
+		if ($$0 ~ /"Action":"fail"/) { fails[name]++; total++ } } \
+	END { printf "%6s %6s  %s\n", "fails", "runs", "test"; \
+		for (n in fails) printf "%6d %6d  %s\n", fails[n], runs[n], n | "sort -k1,1nr -k3,3"; \
+		close("sort -k1,1nr -k3,3"); \
+		printf "%d failures across %d tests and packages\n", total, names; exit (total > 0) }' \
+		flake.json > flake.txt; status=$$?; cat flake.txt; exit $$status
 
 # Non-test Go lines outside the frozen bench/ module: the number CHANGES.md
 # quotes for every PR.

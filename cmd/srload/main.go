@@ -22,6 +22,7 @@ import (
 
 	"siterecovery/internal/core"
 	"siterecovery/internal/load"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/workload"
 )
@@ -111,6 +112,7 @@ func runNetsim(ctx context.Context, o options, name string) (load.Report, error)
 		Sites:     o.sites,
 		Placement: workload.UniformPlacement(o.items, o.replicas, o.sites, o.seed),
 		Seed:      o.seed,
+		Obs:       obs.NewHub(obs.Options{TraceCapacity: 1}),
 	})
 	if err != nil {
 		return load.Report{}, err
@@ -131,11 +133,7 @@ func runNetsim(ctx context.Context, o options, name string) (load.Report, error)
 	if err != nil {
 		return load.Report{}, err
 	}
-	var wire uint64
-	for _, stat := range cl.Network().Stats() {
-		wire += stat.Sent
-	}
-	return res.Report(name, wire), nil
+	return res.Report(name, uint64(cl.Obs().Sum("net", "sent"))), nil
 }
 
 // loadConfig builds the shared run config for one column.

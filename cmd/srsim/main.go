@@ -250,7 +250,7 @@ func run(sites, items, degree, clients int, duration time.Duration, profileName,
 	fmt.Printf("failed:       %d (availability %.3f)\n", res.Failed, res.Availability())
 	fmt.Printf("latency:      p50=%s p99=%s max=%s\n",
 		res.Latency.Quantile(0.5), res.Latency.Quantile(0.99), res.Latency.Max())
-	fmt.Printf("messages:     %d total\n", cluster.Network().TotalSent())
+	fmt.Printf("messages:     %d total\n", hub.Sum("net", "sent"))
 	for _, s := range cluster.Sites() {
 		t1, t2 := hub.Value(s, "session", "type1_committed"), hub.Value(s, "session", "type2_committed")
 		copiers := hub.Value(s, "txn", "commit.copier")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/txn"
 )
@@ -23,7 +24,7 @@ func fullPlacement(numItems int) map[proto.Item][]proto.SiteID {
 // batchWorkload runs txns user transactions of writes writes each (over the
 // items of a FullPlacement catalog) plus one read, returning the total wire
 // messages the run cost.
-func batchWorkload(t *testing.T, c *Cluster, txns, writes int) uint64 {
+func batchWorkload(t *testing.T, c *Cluster, txns, writes int) int64 {
 	t.Helper()
 	items := c.Catalog().Items()
 	for i := 0; i < txns; i++ {
@@ -42,11 +43,7 @@ func batchWorkload(t *testing.T, c *Cluster, txns, writes int) uint64 {
 			t.Fatalf("txn %d: %v", i, err)
 		}
 	}
-	var total uint64
-	for _, stat := range c.Network().Stats() {
-		total += stat.Sent
-	}
-	return total
+	return c.Obs().Sum("net", "sent")
 }
 
 func TestReadYourWritesAndConvergence(t *testing.T) {
@@ -100,7 +97,7 @@ func TestReadYourWritesAndConvergence(t *testing.T) {
 // cross the wire; the read is served locally.
 func TestCommitCostsOneBatchAndOneDecisionPerSite(t *testing.T) {
 	const txns, writes, sites = 20, 4, 3
-	c, err := New(Config{Sites: sites, Placement: fullPlacement(4), Seed: 11})
+	c, err := New(Config{Sites: sites, Placement: fullPlacement(4), Seed: 11, Obs: obs.NewHub(obs.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +105,7 @@ func TestCommitCostsOneBatchAndOneDecisionPerSite(t *testing.T) {
 	t.Cleanup(c.Stop)
 
 	got := batchWorkload(t, c, txns, writes)
-	if want := uint64(txns * 2 * (sites - 1)); got != want {
+	if want := int64(txns * 2 * (sites - 1)); got != want {
 		t.Fatalf("%d txns cost %d wire messages, want %d (R-1 batch + R-1 commit each)", txns, got, want)
 	}
 }

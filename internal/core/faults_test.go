@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"siterecovery/internal/history"
 	"siterecovery/internal/load"
 	"siterecovery/internal/lockmgr"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/recovery"
 	"siterecovery/internal/txn"
@@ -92,6 +95,59 @@ func TestWoundWaitCluster(t *testing.T) {
 	mustCertifyF(t, c)
 	if div := c.CopiesConverged(); len(div) != 0 {
 		t.Fatalf("divergent: %v", div)
+	}
+}
+
+// TestWoundIsCountedOnTheHub: an older writer whose flush meets a younger
+// reader's share lock wounds the reader and waits for it, and the site's hub
+// shows both the wound and the wait.
+func TestWoundIsCountedOnTheHub(t *testing.T) {
+	hub := obs.NewHub(obs.Options{})
+	c := newFaultCluster(t, core.Config{
+		Sites:      3,
+		Placement:  workload.FullPlacement(1, 3),
+		LockPolicy: lockmgr.PolicyWoundWait,
+		Obs:        hub,
+	})
+	item := c.Catalog().Items()[0]
+	sum := func(name string) (n int64) {
+		for _, s := range c.Sites() {
+			n += hub.Value(s, "lock", name)
+		}
+		return n
+	}
+	ctx := context.Background()
+	var beganOnce, readOnce sync.Once
+	began, read := make(chan struct{}), make(chan struct{})
+	writer := make(chan error, 1)
+	go func() {
+		writer <- c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
+			beganOnce.Do(func() { close(began) }) // older: it began first
+			<-read
+			return tx.Write(ctx, item, 1)
+		})
+	}()
+	<-began
+	err := c.Exec(ctx, 2, func(ctx context.Context, tx *txn.Tx) error {
+		if _, err := tx.Read(ctx, item); err != nil {
+			return err
+		}
+		readOnce.Do(func() { close(read) })
+		for deadline := time.Now().Add(10 * time.Second); sum("wounds") == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return errors.New("the older writer never wounded the reader")
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-writer; err != nil {
+		t.Fatal(err)
+	}
+	if wounds, waits := sum("wounds"), sum("wait_us"); wounds < 1 || waits < 1 {
+		t.Fatalf("hub shows %d wounds and %d lock waits, want at least 1 of each", wounds, waits)
 	}
 }
 

@@ -51,6 +51,7 @@ func RunE5(scale Scale) (*Table, error) {
 		cfg := core.Config{
 			Sites:     3,
 			Placement: workload.FullPlacement(items, 3),
+			Obs:       clusterHub(),
 		}
 		v.cfgMod(&cfg)
 		c, err := core.New(cfg)
@@ -59,6 +60,7 @@ func RunE5(scale Scale) (*Table, error) {
 		}
 		c.Start()
 
+		sent := c.Obs().Sum("net", "sent")
 		ctx, cancel := context.WithTimeout(context.Background(), duration)
 		targets, _ := load.ClusterTargets(c)
 		res, err := load.Run(ctx, load.Config{
@@ -72,7 +74,7 @@ func RunE5(scale Scale) (*Table, error) {
 			c.Stop()
 			return nil, fmt.Errorf("E5 %s: %w", v.name, err)
 		}
-		msgs := c.Network().TotalSent()
+		msgs := c.Obs().Sum("net", "sent") - sent
 		c.Stop()
 
 		perTxn := 0.0

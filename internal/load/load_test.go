@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"siterecovery/internal/core"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/workload"
 )
@@ -82,6 +83,7 @@ func TestDeterministicAtConcurrencyOne(t *testing.T) {
 		Sites:     3,
 		Placement: workload.UniformPlacement(48, 3, 3, 1),
 		Seed:      1,
+		Obs:       obs.NewHub(obs.Options{TraceCapacity: 1}),
 	})
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
@@ -105,10 +107,7 @@ func TestDeterministicAtConcurrencyOne(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var wire uint64
-	for _, stat := range cl.Network().Stats() {
-		wire += stat.Sent
-	}
+	wire := cl.Obs().Sum("net", "sent")
 	if res.Committed != 150 || wire != 568 || res.SpecDigest != "295e20b7318b0b3a" {
 		t.Fatalf("deterministic profile: %d committed, %d wire messages, digest %s; want 150, 568, 295e20b7318b0b3a",
 			res.Committed, wire, res.SpecDigest)

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"siterecovery/internal/clock"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 )
 
@@ -85,7 +86,12 @@ const (
 
 // Config tunes a Manager.
 type Config struct {
-	// Clock supplies timer channels; defaults to the wall clock.
+	// Site labels the metrics this manager emits.
+	Site proto.SiteID
+	// Obs receives lock waits and wounds; nil is a no-op sink.
+	Obs *obs.Hub
+	// Clock supplies timer channels and times waits; defaults to the wall
+	// clock.
 	Clock clock.Clock
 	// Timeout bounds lock waits under PolicyTimeout (and acts as a safety
 	// net under PolicyWoundWait). Defaults to 2s.
@@ -113,14 +119,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts lock-manager outcomes.
-type Stats struct {
-	Acquired uint64 // grants, including re-entrant ones
-	Waited   uint64 // grants that had to queue first
-	Timeouts uint64
-	Wounds   uint64 // transactions wounded
-}
-
 // Manager is one site's lock table. Create with New.
 type Manager struct {
 	cfg    Config
@@ -136,11 +134,6 @@ type Manager struct {
 	// nwounded counts the records flagged wounded, so the check every
 	// Acquire starts with takes no mutex while nobody is.
 	nwounded atomic.Int32
-
-	acquired atomic.Uint64
-	waited   atomic.Uint64
-	timeouts atomic.Uint64
-	wounds   atomic.Uint64
 }
 
 // shard is one hash partition of the lock table. A key has a lock state only
@@ -254,7 +247,6 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 
 	held := ls.holderIndex(txn)
 	if held >= 0 && ls.holders[held].mode >= mode {
-		m.acquired.Add(1)
 		s.mu.Unlock()
 		return nil // re-entrant
 	}
@@ -266,7 +258,6 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	// queued ahead of it; an upgrade needs to be the sole holder.
 	if upgrade && len(ls.holders) == 1 || !upgrade && len(ls.queue) == 0 && ls.compatible(mode) {
 		ls.grant(txn, mode)
-		m.acquired.Add(1)
 		s.mu.Unlock()
 		return nil
 	}
@@ -295,6 +286,7 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 		ls.removeQueued(req)
 		s.retire(key, ls)
 		s.mu.Unlock()
+		m.cfg.Obs.LockWait(m.cfg.Site, 0) // queued, then left at once
 		return fmt.Errorf("lock %q: %w", key, proto.ErrWounded)
 	}
 	s.mu.Unlock()
@@ -303,14 +295,21 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	// shard's mutex (shard mutexes never nest).
 	m.sweepWoundedWaiters(victims)
 
+	start := m.cfg.Clock.Now()
+	err := m.await(ctx, s, key, req)
+	m.cfg.Obs.LockWait(m.cfg.Site, m.cfg.Clock.Since(start))
+	return err
+}
+
+// await blocks on a queued request until it is resolved, times out, or ctx
+// is done.
+func (m *Manager) await(ctx context.Context, s *shard, key string, req *request) error {
 	var gaveUp error
 	select {
 	case err := <-req.ready:
 		if err != nil {
 			return fmt.Errorf("lock %q: %w", key, err)
 		}
-		m.acquired.Add(1)
-		m.waited.Add(1)
 		return nil
 	case <-m.cfg.Clock.After(m.cfg.Timeout):
 		gaveUp = proto.ErrLockTimeout
@@ -323,8 +322,6 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 		return fmt.Errorf("lock %q: %w", key, killErr)
 	case granted:
 		return nil // grant won the race; the lock is held
-	case gaveUp == proto.ErrLockTimeout:
-		m.timeouts.Add(1)
 	}
 	return fmt.Errorf("lock %q: %w", key, gaveUp)
 }
@@ -480,16 +477,6 @@ func (m *Manager) OutstandingLocks() []HeldLock {
 		return out[i].Txn < out[j].Txn
 	})
 	return out
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Acquired: m.acquired.Load(),
-		Waited:   m.waited.Load(),
-		Timeouts: m.timeouts.Load(),
-		Wounds:   m.wounds.Load(),
-	}
 }
 
 // CrashReset drops the whole lock table (volatile state) and fails every
@@ -659,18 +646,18 @@ func (m *Manager) woundYoungerHoldersLocked(ls *lockState, waiter proto.TxnID) [
 		}
 		rec.wounded = true
 		m.nwounded.Add(1)
-		m.wounds.Add(1)
 		victims = append(victims, h.txn)
 	}
 	m.tmu.Unlock()
 	return victims
 }
 
-// sweepWoundedWaiters fails every queued request of the freshly wounded
-// victims, at every key they have listed, so they unblock fast. Called
-// without any shard mutex held.
+// sweepWoundedWaiters counts the freshly wounded victims and fails every
+// queued request of theirs, at every key they have listed, so they unblock
+// fast. Called without any shard mutex held.
 func (m *Manager) sweepWoundedWaiters(victims []proto.TxnID) {
 	for _, victim := range victims {
+		m.cfg.Obs.LockWound(m.cfg.Site)
 		var killed []grant
 		for _, k := range m.keysOf(victim) {
 			s := m.shards[k.shard]

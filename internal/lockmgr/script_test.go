@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 )
 
@@ -27,7 +29,9 @@ type model struct {
 	// (Visiting a key promotes its queue, which shows when a wound's sweep
 	// has left a grantable request at the head.)
 	listed map[proto.TxnID]map[string]bool
-	stats  Stats
+	// waited counts queued requests resolved, whatever the outcome; wounds
+	// counts holders wounded. The hub must show the same two numbers.
+	waited, wounds int64
 }
 
 type resolved map[proto.TxnID]error
@@ -49,7 +53,6 @@ func (m *model) acquire(txn proto.TxnID, key string, mode Mode) (queued bool, er
 	}
 	held := m.holders[key][txn]
 	if held >= mode {
-		m.stats.Acquired++
 		return false, nil, nil
 	}
 	upgrade := held == Shared
@@ -61,7 +64,6 @@ func (m *model) acquire(txn proto.TxnID, key string, mode Mode) (queued bool, er
 	}
 	if upgrade && len(m.holders[key]) == 1 || !upgrade && len(m.queue[key]) == 0 && m.compatible(key, mode) {
 		m.holders[key][txn] = mode
-		m.stats.Acquired++
 		return false, nil, nil
 	}
 	req := request{txn: txn, mode: mode, upgrade: upgrade}
@@ -75,7 +77,7 @@ func (m *model) acquire(txn proto.TxnID, key string, mode Mode) (queued bool, er
 		for h := range m.holders[key] {
 			if h > txn && !m.wounded[h] {
 				m.wounded[h] = true
-				m.stats.Wounds++
+				m.wounds++
 				for k := range m.queue { // the sweep: the victim's waits fail everywhere
 					m.dequeue(k, h, proto.ErrWounded, out)
 				}
@@ -91,6 +93,7 @@ func (m *model) dequeue(key string, txn proto.TxnID, err error, out resolved) {
 	for _, r := range m.queue[key] {
 		if r.txn == txn {
 			out[txn] = err
+			m.waited++
 		} else {
 			kept = append(kept, r)
 		}
@@ -106,8 +109,7 @@ func (m *model) promote(key string, out resolved) {
 		}
 		m.queue[key] = m.queue[key][1:]
 		m.holders[key][r.txn] = r.mode
-		m.stats.Acquired++
-		m.stats.Waited++
+		m.waited++
 		out[r.txn] = nil
 		if r.mode == Exclusive {
 			return
@@ -153,7 +155,8 @@ func (m *model) outstanding() []HeldLock {
 // TestScriptAgainstModel drives a seeded random interleaving of Acquire,
 // ReleaseOne and ReleaseAll (and, under wound-wait, the wounds they cause)
 // from six transactions over four keys, one operation at a time, and after
-// every step holds Held, OutstandingLocks and Stats against the model. An
+// every step holds Held, OutstandingLocks and the hub's lock/wait_us count
+// and lock/wounds against the model. An
 // Acquire the model says must queue runs on its own goroutine; the step ends
 // once the real table shows it queued, and every request the model says a
 // step resolved must return, with the model's error, before the next.
@@ -163,7 +166,8 @@ func TestScriptAgainstModel(t *testing.T) {
 	for _, policy := range []Policy{PolicyTimeout, PolicyWoundWait} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			real := New(Config{Policy: policy, Shards: 3, Timeout: time.Minute})
+			hub := obs.NewHub(obs.Options{})
+			real := New(Config{Site: 1, Obs: hub, Policy: policy, Shards: 3, Timeout: time.Minute})
 			ref := &model{policy: policy, holders: map[string]map[proto.TxnID]Mode{}, queue: map[string][]request{}, wounded: map[proto.TxnID]bool{}, listed: map[proto.TxnID]map[string]bool{}}
 			for _, k := range keys {
 				ref.holders[k] = map[proto.TxnID]Mode{}
@@ -200,8 +204,17 @@ func TestScriptAgainstModel(t *testing.T) {
 				if got, want := real.OutstandingLocks(), ref.outstanding(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v seed %d step %d %s: OutstandingLocks = %v, want %v", policy, seed, step, op, got, want)
 				}
-				if got := real.Stats(); got != ref.stats {
-					t.Fatalf("%v seed %d step %d %s: Stats = %+v, want %+v", policy, seed, step, op, got, ref.stats)
+				// A wound is counted by the sweep that follows it, which may
+				// trail the step; a wait is counted before its Acquire returns.
+				want := [2]int64{ref.waited, ref.wounds}
+				for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+					got := [2]int64{hub.Value(1, "lock", "wait_us"), hub.Value(1, "lock", "wounds")}
+					if got == want {
+						break
+					}
+					if got[0] > want[0] || got[1] > want[1] || time.Now().After(deadline) {
+						t.Fatalf("%v seed %d step %d %s: hub waits, wounds = %v, want %v", policy, seed, step, op, got, want)
+					}
 				}
 			}
 
@@ -238,8 +251,8 @@ func TestScriptAgainstModel(t *testing.T) {
 				real.ReleaseAll(txn)
 				settle(-1, "drain", ref.releaseAll(txn))
 			}
-			if ref.stats.Waited < 20 || policy == PolicyWoundWait && ref.stats.Wounds < 20 {
-				t.Fatalf("%v seed %d: the script was too tame to test anything: %+v", policy, seed, ref.stats)
+			if ref.waited < 20 || policy == PolicyWoundWait && ref.wounds < 20 {
+				t.Fatalf("%v seed %d: the script was too tame to test anything: %d waits, %d wounds", policy, seed, ref.waited, ref.wounds)
 			}
 			if len(waiting) != 0 || len(real.OutstandingLocks()) != 0 {
 				t.Fatalf("%v seed %d: %d parked, %v held after the drain", policy, seed, len(waiting), real.OutstandingLocks())

@@ -65,18 +65,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stat counts outcomes for one message kind.
-type Stat struct {
-	Sent      uint64 // calls attempted
-	Delivered uint64 // handler invocations completed and replies returned
-	Dropped   uint64 // lost to the configured loss rate
-	Refused   uint64 // failed because a site was down (or unreachable)
-	// Partitioned counts the subset of Refused caused by a partition
-	// rather than a crashed site — the two are indistinguishable to the
-	// protocol (deliberately), but not to the test harness.
-	Partitioned uint64
-}
-
 // Network connects registered sites. Create with New.
 type Network struct {
 	cfg Config
@@ -89,7 +77,6 @@ type Network struct {
 
 	mu    sync.Mutex
 	nodes map[proto.SiteID]*node
-	stats map[string]*Stat
 }
 
 type node struct {
@@ -108,7 +95,6 @@ func New(cfg Config) *Network {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		loss:  cfg.LossRate,
 		nodes: make(map[proto.SiteID]*node),
-		stats: make(map[string]*Stat),
 	}
 }
 
@@ -196,14 +182,6 @@ func groupString(groups [][]proto.SiteID) string {
 	return strings.Join(parts, "|")
 }
 
-// IsDown reports whether the site is marked down.
-func (n *Network) IsDown(site proto.SiteID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	nd, ok := n.nodes[site]
-	return !ok || nd.down
-}
-
 // Sites lists the registered sites in ascending order.
 func (n *Network) Sites() []proto.SiteID {
 	n.mu.Lock()
@@ -247,7 +225,6 @@ func (n *Network) Call(ctx context.Context, from, to proto.SiteID, msg proto.Mes
 		return nd.handler(ctx, from, msg)
 	}
 	kind := msg.Kind()
-	n.bump(kind, func(s *Stat) { s.Sent++ })
 	n.cfg.Obs.MsgSent(from, to, kind)
 
 	h, err := n.deliver(ctx, from, to, kind)
@@ -264,10 +241,8 @@ func (n *Network) Call(ctx context.Context, from, to proto.SiteID, msg proto.Mes
 		return nil, err
 	}
 	if herr != nil {
-		n.bump(kind, func(s *Stat) { s.Delivered++ })
 		return nil, fmt.Errorf("%v->%v %s: %w", from, to, kind, herr)
 	}
-	n.bump(kind, func(s *Stat) { s.Delivered++ })
 	return resp, nil
 }
 
@@ -279,11 +254,9 @@ func (n *Network) deliver(ctx context.Context, from, to proto.SiteID, kind strin
 	senderDown := !ok || sender.down
 	n.mu.Unlock()
 	if senderDown {
-		n.bump(kind, func(s *Stat) { s.Refused++ })
 		return nil, fmt.Errorf("send from crashed %v: %w", from, proto.ErrSiteDown)
 	}
 	if n.lost() {
-		n.bump(kind, func(s *Stat) { s.Dropped++ })
 		n.cfg.Obs.MsgDropped(from, to, kind)
 		return nil, proto.ErrDropped
 	}
@@ -304,12 +277,6 @@ func (n *Network) deliver(ctx context.Context, from, to proto.SiteID, kind strin
 		// A partitioned peer is indistinguishable from a crashed one —
 		// deliberately: that ambiguity is why the paper's protocol
 		// restricts itself to fail-stop site failures.
-		n.bump(kind, func(s *Stat) {
-			s.Refused++
-			if partitioned {
-				s.Partitioned++
-			}
-		})
 		return nil, fmt.Errorf("deliver to %v: %w", to, proto.ErrSiteDown)
 	}
 	return h, nil
@@ -318,7 +285,6 @@ func (n *Network) deliver(ctx context.Context, from, to proto.SiteID, kind strin
 // replyPath simulates the response path.
 func (n *Network) replyPath(ctx context.Context, from, to proto.SiteID, kind string) error {
 	if n.lost() {
-		n.bump(kind, func(s *Stat) { s.Dropped++ })
 		n.cfg.Obs.MsgDropped(to, from, kind)
 		return proto.ErrDropped
 	}
@@ -333,18 +299,12 @@ func (n *Network) replyPath(ctx context.Context, from, to proto.SiteID, kind str
 	targetDown, callerDown := !tok || target.down, !fok || caller.down
 	n.mu.Unlock()
 	if targetDown {
-		n.bump(kind, func(s *Stat) { s.Refused++ })
 		return fmt.Errorf("reply from %v: %w", to, proto.ErrSiteDown)
 	}
 	if callerDown {
-		n.bump(kind, func(s *Stat) { s.Refused++ })
 		return fmt.Errorf("reply to crashed %v: %w", from, proto.ErrSiteDown)
 	}
 	if partitioned {
-		n.bump(kind, func(s *Stat) {
-			s.Refused++
-			s.Partitioned++
-		})
 		return fmt.Errorf("reply across partition %v->%v: %w", to, from, proto.ErrSiteDown)
 	}
 	return nil
@@ -382,38 +342,4 @@ func (n *Network) latency() time.Duration {
 	n.rngMu.Lock()
 	defer n.rngMu.Unlock()
 	return n.cfg.MinLatency + time.Duration(n.rng.Int63n(int64(n.cfg.MaxLatency-n.cfg.MinLatency)))
-}
-
-func (n *Network) bump(kind string, f func(*Stat)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.stats[kind]
-	if !ok {
-		s = &Stat{}
-		n.stats[kind] = s
-	}
-	f(s)
-}
-
-// Stats returns a copy of the per-kind message counters.
-func (n *Network) Stats() map[string]Stat {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]Stat, len(n.stats))
-	for k, v := range n.stats {
-		out[k] = *v
-	}
-	return out
-}
-
-// TotalSent sums the Sent counter across message kinds, a cheap proxy for
-// protocol message cost.
-func (n *Network) TotalSent() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var total uint64
-	for _, v := range n.stats {
-		total += v.Sent
-	}
-	return total
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 )
 
@@ -151,8 +152,11 @@ func TestLossRate(t *testing.T) {
 	}
 }
 
+// TestStatsAccounting: every message that leaves a site counts once on the
+// hub, whatever its fate; what became of it is the caller's error.
 func TestStatsAccounting(t *testing.T) {
-	n := New(Config{})
+	hub := obs.NewHub(obs.Options{})
+	n := New(Config{Obs: hub})
 	n.Register(1, echoHandler(t))
 	n.Register(2, echoHandler(t))
 	n.Register(3, echoHandler(t))
@@ -170,13 +174,15 @@ func TestStatsAccounting(t *testing.T) {
 		}
 	}
 
-	stats := n.Stats()
-	got := stats["probe"]
-	if got.Sent != 7 || got.Delivered != 5 || got.Refused != 2 || got.Dropped != 0 {
-		t.Errorf("probe stats = %+v, want Sent 7 Delivered 5 Refused 2", got)
+	// The local bus is not the wire.
+	if _, err := n.Call(ctx, 1, 1, proto.ProbeReq{}); err != nil {
+		t.Fatalf("local call: %v", err)
 	}
-	if total := n.TotalSent(); total != 7 {
-		t.Errorf("TotalSent = %d, want 7", total)
+	if sent, total := hub.Value(1, "net", "sent.probe"), hub.Sum("net", "sent"); sent != 7 || total != 7 {
+		t.Errorf("site 1 sent %d probes, %d messages in all; want 7 and 7", sent, total)
+	}
+	if dropped := hub.Value(0, "net", "dropped"); dropped != 0 {
+		t.Errorf("%d messages dropped on a reliable network", dropped)
 	}
 }
 
@@ -346,11 +352,11 @@ func TestPartitionHealTable(t *testing.T) {
 	}
 }
 
-// TestPartitionStatsAccounting checks that partition refusals are counted
-// both as Refused (what the protocol sees) and as Partitioned (what the
-// harness distinguishes), while crash refusals are Refused only.
+// TestPartitionStatsAccounting: a partition refusal and a crash refusal are
+// the same error to the caller, and both cost a sent message.
 func TestPartitionStatsAccounting(t *testing.T) {
-	n := New(Config{})
+	hub := obs.NewHub(obs.Options{})
+	n := New(Config{Obs: hub})
 	for _, s := range []proto.SiteID{1, 2, 3} {
 		n.Register(s, echoHandler(t))
 	}
@@ -369,9 +375,8 @@ func TestPartitionStatsAccounting(t *testing.T) {
 		}
 	}
 
-	got := n.Stats()["probe"]
-	if got.Sent != 5 || got.Refused != 5 || got.Partitioned != 3 {
-		t.Errorf("probe stats = %+v, want Sent 5 Refused 5 Partitioned 3", got)
+	if got := [...]int64{hub.Value(1, "net", "sent.probe"), hub.Value(2, "net", "sent.probe"), hub.Value(0, "net", "partitions")}; got != [...]int64{3, 2, 1} {
+		t.Errorf("probes sent by sites 1 and 2, partitions = %v, want [3 2 1]", got)
 	}
 }
 

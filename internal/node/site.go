@@ -202,6 +202,8 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 	}
 
 	s.Locks = lockmgr.New(lockmgr.Config{
+		Site:    id,
+		Obs:     cfg.Obs,
 		Clock:   env.Clock,
 		Timeout: cfg.LockTimeout,
 		Policy:  cfg.LockPolicy,
@@ -321,7 +323,7 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 	return s, nil
 }
 
-// Handle is the site's wire dispatcher: spool messages go to the spool
+// Handle is the site's wire dispatcher: spool fetches go to the spool
 // store, everything else to the data manager. A crashed site answers every
 // request with ErrSiteDown: to its peers it is indistinguishable from a
 // refused connection, while its stable storage survives for Recover.
@@ -330,7 +332,7 @@ func (s *Site) Handle(ctx context.Context, from proto.SiteID, msg proto.Message)
 		return nil, fmt.Errorf("site %v crashed: %w", s.ID, proto.ErrSiteDown)
 	}
 	switch msg.(type) {
-	case proto.SpoolAppendReq, proto.SpoolFetchReq:
+	case proto.SpoolFetchReq:
 		if s.Spool == nil {
 			return nil, fmt.Errorf("site %v has no spool store", s.ID)
 		}

@@ -37,7 +37,7 @@ func goldenHub() *Hub {
 	h.TxnCommit(2, 3, proto.ClassUser, 3)
 	h.TxnGiveUp(1, proto.ClassUser, 2)
 
-	// Session, recovery, copier, site and net emits.
+	// Session, recovery, lock, copier, site and net emits.
 	h.SessionMismatch(3, 4, 1, 2)
 	h.NotOperational(3, 5)
 	h.InstallError(2)
@@ -54,6 +54,9 @@ func goldenHub() *Hub {
 	h.InDoubt(3, "unresolved")
 	h.Forced(2, "commit")
 	h.Forced(2, "abort")
+	h.LockWait(2, 40*time.Microsecond)
+	h.LockWait(2, 1500*time.Microsecond)
+	h.LockWound(2)
 	h.CopierCopy(3, "x", 1)
 	h.CopierCopy(3, "y", 2)
 	h.CopierSkip(3, "z", 1)

@@ -333,6 +333,23 @@ func (h *Hub) Forced(site proto.SiteID, decision string) {
 	h.inc(key{site, "dm", "forced", decision})
 }
 
+// LockWait records how long one queued lock request waited, whatever its
+// outcome. Metrics only.
+func (h *Hub) LockWait(site proto.SiteID, d time.Duration) {
+	if h == nil {
+		return
+	}
+	h.observe(key{site, "lock", "wait_us", ""}, d.Microseconds())
+}
+
+// LockWound counts a lock holder wounded by an older waiter. Metrics only.
+func (h *Hub) LockWound(site proto.SiteID) {
+	if h == nil {
+		return
+	}
+	h.inc(key{site, "lock", "wounds", ""})
+}
+
 // CopierCopy records a copier transferring item's data from source.
 func (h *Hub) CopierCopy(site proto.SiteID, item proto.Item, source proto.SiteID) {
 	if h == nil {

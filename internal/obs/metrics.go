@@ -121,6 +121,21 @@ func (h *Hub) Value(site proto.SiteID, subsystem, name string) int64 {
 	return in.v.Load()
 }
 
+// Sum adds up the counters named name in subsystem at every site and under
+// every suffix: Sum("net", "sent") is every wire message of every kind.
+func (h *Hub) Sum(subsystem, name string) int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for k, in := range *h.table.Load() {
+		if k.sub == subsystem && k.name == name && in.kind == counter {
+			n += in.v.Load()
+		}
+	}
+	return n
+}
+
 // sorted returns the table's instruments by site, subsystem and name: the
 // order both renderings print.
 func (h *Hub) sorted() []*instrument {

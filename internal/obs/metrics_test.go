@@ -24,6 +24,11 @@ func TestTableGetOrCreate(t *testing.T) {
 	if h.lookup(key{2, "txn", "commit", "user"}, counter) == c1 {
 		t.Fatal("different sites share a counter")
 	}
+	h.inc(key{2, "txn", "commit", "copier"})
+	h.observe(key{2, "txn", "commit", "latency"}, 9) // not a counter
+	if got := h.Sum("txn", "commit"); got != 2 {
+		t.Fatalf("Sum over sites and suffixes = %d, want 2", got)
+	}
 }
 
 func TestSnapshotWriteText(t *testing.T) {

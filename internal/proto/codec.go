@@ -51,8 +51,8 @@ const (
 	kindProbeResp
 	kindMissedFetch
 	kindMissedFetchResp
-	kindSpoolAppend
-	kindSpoolAppendResp
+	_ // 19 and 20 were spool.append and its reply, which nothing sent
+	_
 	kindSpoolFetch
 	kindSpoolFetchResp
 
@@ -139,11 +139,6 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 			b = binary.AppendVarint(b, int64(s))
 			b = appendItems(b, m.Others[s])
 		}
-	case SpoolAppendReq:
-		b = binary.AppendVarint(append(b, kindSpoolAppend), int64(m.For))
-		b = appendSpooled(b, SpooledUpdate{m.Item, m.Value, m.CommitSeq, m.Writer})
-	case SpoolAppendResp:
-		b = append(b, kindSpoolAppendResp)
 	case SpoolFetchReq:
 		b = binary.AppendVarint(append(b, kindSpoolFetch), int64(m.For))
 	case SpoolFetchResp:
@@ -270,11 +265,6 @@ func DecodeMessage(data []byte) (Message, error) {
 			}
 		}
 		m = resp
-	case kindSpoolAppend:
-		site, u := SiteID(r.Int()), r.spooled()
-		m = SpoolAppendReq{For: site, Item: u.Item, Value: u.Value, CommitSeq: u.CommitSeq, Writer: u.Writer}
-	case kindSpoolAppendResp:
-		m = SpoolAppendResp{}
 	case kindSpoolFetch:
 		m = SpoolFetchReq{For: SiteID(r.Int())}
 	case kindSpoolFetchResp:

@@ -25,6 +25,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{kindBatch, 1, 2, 2, 2, 1, 0xff, 0xff, 0xff, 1}) // count past the input
 	f.Add([]byte{kindMissedFetchResp, 0, 2, 4, 0, 4, 0})         // duplicate map key
 	f.Add([]byte{kindWrite, 1, 2, 2, 0x80})                      // string length varint cut short
+	f.Add([]byte{19, 4, 1, 'x', 22, 8, 40})                      // a retired spool.append
+	f.Add([]byte{20})                                            // and its retired reply
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(data)

@@ -159,19 +159,6 @@ type MissedFetchResp struct {
 	Others map[SiteID][]Item
 }
 
-// SpoolAppendReq stores an update destined for a down site at a spooler
-// (the Hammer & Shipman baseline).
-type SpoolAppendReq struct {
-	For       SiteID
-	Item      Item
-	Value     Value
-	CommitSeq uint64
-	Writer    TxnID
-}
-
-// SpoolAppendResp acknowledges a spooled update.
-type SpoolAppendResp struct{}
-
 // SpoolFetchReq drains the spooled updates held for the asking site.
 type SpoolFetchReq struct {
 	For SiteID
@@ -245,12 +232,6 @@ func (MissedFetchReq) Kind() string { return "missed.fetch" }
 
 // Kind implements Message.
 func (MissedFetchResp) Kind() string { return "missed.fetch.resp" }
-
-// Kind implements Message.
-func (SpoolAppendReq) Kind() string { return "spool.append" }
-
-// Kind implements Message.
-func (SpoolAppendResp) Kind() string { return "spool.append.resp" }
 
 // Kind implements Message.
 func (SpoolFetchReq) Kind() string { return "spool.fetch" }

@@ -146,11 +146,11 @@ func TestStringers(t *testing.T) {
 
 func TestMessageKindsAreUniqueAndStable(t *testing.T) {
 	msgs := []Message{
-		ReadReq{}, ReadResp{}, WriteReq{}, WriteResp{},
+		ReadReq{}, ReadResp{}, WriteReq{}, WriteResp{}, BatchReq{}, BatchResp{},
 		PrepareReq{}, PrepareResp{}, CommitReq{}, CommitResp{},
 		AbortReq{}, AbortResp{}, DecisionReq{}, DecisionResp{},
 		ProbeReq{}, ProbeResp{}, MissedFetchReq{}, MissedFetchResp{},
-		SpoolAppendReq{}, SpoolAppendResp{}, SpoolFetchReq{}, SpoolFetchResp{},
+		SpoolFetchReq{}, SpoolFetchResp{},
 	}
 	seen := make(map[string]bool, len(msgs))
 	for _, m := range msgs {
@@ -162,5 +162,10 @@ func TestMessageKindsAreUniqueAndStable(t *testing.T) {
 			t.Errorf("duplicate message kind %q", k)
 		}
 		seen[k] = true
+	}
+	for _, k := range retiredKinds {
+		if seen[k] {
+			t.Errorf("message kind %q is retired and must not be reused", k)
+		}
 	}
 }

@@ -135,9 +135,10 @@ type Config struct {
 	// drive data recovery synchronously via CopyNow/DrainNow so every
 	// copy happens at a known point in their step sequence.
 	CopierWorkers int
-	// QueueDepth bounds the copier queue. Defaults to 1024.
-	QueueDepth int
 }
+
+// queueDepth bounds the copier queue.
+const queueDepth = 1024
 
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
@@ -151,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CopierWorkers == 0 {
 		c.CopierWorkers = 2
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 1024
 	}
 	return c
 }
@@ -189,7 +187,7 @@ func New(cfg Config) *Manager {
 	return &Manager{
 		cfg:     cfg,
 		pending: make(map[proto.Item]bool),
-		queue:   make(chan proto.Item, cfg.QueueDepth),
+		queue:   make(chan proto.Item, queueDepth),
 	}
 }
 

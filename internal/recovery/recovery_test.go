@@ -386,6 +386,43 @@ func TestSpooledRecoveryReplaysInOrder(t *testing.T) {
 	}
 }
 
+// TestSpooledReplayMergesSpoolersInCommitOrder: a spooler that crashed
+// during the victim's outage holds only the later updates. Its list must
+// not replay first, or every older update is skipped and goes unrecorded.
+func TestSpooledReplayMergesSpoolersInCommitOrder(t *testing.T) {
+	cfg := core.Config{
+		Sites:     3,
+		Placement: fullPlacement([]proto.Item{"a"}, 3),
+		Method:    core.MethodSpooler,
+	}
+	c := newCluster(t, cfg)
+	ctx := context.Background()
+
+	c.Crash(3)
+	writeRetry(t, c, 2, "a", 1)
+	writeRetry(t, c, 2, "a", 2)
+	c.Crash(1) // its spool for 3 is gone; site 2's still holds both
+	if _, err := c.Recover(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	writeRetry(t, c, 2, "a", 3)
+	writeRetry(t, c, 2, "a", 4)
+
+	report, err := c.Recover(ctx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Replayed != 4 {
+		t.Fatalf("Replayed = %d, want all 4 missed updates", report.Replayed)
+	}
+	if v, _, _ := c.Site(3).Store.Committed("a"); v != 4 {
+		t.Fatalf("replayed a = %d, want the newest 4", v)
+	}
+	if ok, cycle := c.CertifyOneSR(); !ok {
+		t.Fatalf("history not 1-SR: %v", cycle)
+	}
+}
+
 func TestSynchronousCopyWithPoolDisabled(t *testing.T) {
 	items := []proto.Item{"a", "b", "c"}
 	cfg := core.Config{

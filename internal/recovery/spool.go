@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
@@ -69,7 +71,7 @@ func (m *Manager) applySpool(ctx context.Context) int {
 			peers = append(peers, j)
 		}
 	}
-	// Drain every spooler at once; the replay below merges in site order.
+	// Drain every spooler at once, then merge their lists in commit order.
 	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
 		return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.SpoolFetchReq{For: m.cfg.Site})
 	}, nil)
@@ -85,6 +87,10 @@ func (m *Manager) applySpool(ctx context.Context) int {
 	if len(updates) == 0 {
 		return 0
 	}
+	// A spooler that crashed during this site's outage holds only the later
+	// updates. Replayed first, they would make InstallDirect skip every
+	// older one, and the replay would not record them.
+	slices.SortStableFunc(updates, replayOrder)
 
 	var replayTxn proto.TxnID
 	if m.cfg.Recorder != nil && m.cfg.Seq != nil {
@@ -117,6 +123,13 @@ func (m *Manager) applySpool(ctx context.Context) int {
 		m.cfg.Recorder.Commit(replayTxn, m.cfg.Seq.NextCommitSeq())
 	}
 	return applied
+}
+
+// replayOrder orders spooled updates as InstallDirect orders versions
+// (proto.Version.Less): by commit sequence, then writer, since two writers
+// may draw the same commit sequence number.
+func replayOrder(a, b proto.SpooledUpdate) int {
+	return cmp.Or(cmp.Compare(a.CommitSeq, b.CommitSeq), cmp.Compare(a.Writer, b.Writer))
 }
 
 // RecoverBaseline is the instant recovery used by the non-paper strategies

@@ -51,8 +51,6 @@ type Config struct {
 	// Debounce suppresses repeated type-2 claims for the same site within
 	// the window. Defaults to 50ms.
 	Debounce time.Duration
-	// QueueDepth bounds the failure-detector queue. Defaults to 64.
-	QueueDepth int
 	// UnsafeReuseSession is a chaos-testing hook: type-1 claims reuse the
 	// current session counter instead of durably advancing it, violating
 	// §3.1's uniqueness guarantee on purpose so the trace invariant suite
@@ -67,11 +65,11 @@ func (c Config) withDefaults() Config {
 	if c.Debounce == 0 {
 		c.Debounce = 50 * time.Millisecond
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
-	}
 	return c
 }
+
+// queueDepth bounds the failure-detector queue.
+const queueDepth = 64
 
 type claim struct {
 	site     proto.SiteID
@@ -97,7 +95,7 @@ func New(cfg Config) *Manager {
 	return &Manager{
 		cfg:       cfg,
 		lastClaim: make(map[proto.SiteID]time.Time),
-		queue:     make(chan claim, cfg.QueueDepth),
+		queue:     make(chan claim, queueDepth),
 	}
 }
 

@@ -26,8 +26,6 @@ import (
 type Store struct {
 	mu     sync.Mutex
 	bySite map[proto.SiteID][]proto.SpooledUpdate
-	// appends counts total spooled updates for stats.
-	appends uint64
 }
 
 // New returns an empty spool store.
@@ -40,7 +38,6 @@ func (s *Store) Append(site proto.SiteID, u proto.SpooledUpdate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bySite[site] = append(s.bySite[site], u)
-	s.appends++
 }
 
 // Drain removes and returns the updates held for site, in commit order.
@@ -62,13 +59,6 @@ func (s *Store) Pending(site proto.SiteID) int {
 	return len(s.bySite[site])
 }
 
-// Appends reports the lifetime number of spooled updates.
-func (s *Store) Appends() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appends
-}
-
 // Crash wipes the spool (it is volatile; other spoolers hold the copies).
 func (s *Store) Crash() {
 	s.mu.Lock()
@@ -76,18 +66,12 @@ func (s *Store) Crash() {
 	s.bySite = make(map[proto.SiteID][]proto.SpooledUpdate)
 }
 
-// Handle serves the spool wire protocol.
+// Handle serves the spool wire protocol: a recovering site's fetch. Updates
+// arrive through Append, from the local data manager at commit.
 func (s *Store) Handle(_ context.Context, _ proto.SiteID, msg proto.Message) (proto.Message, error) {
-	switch req := msg.(type) {
-	case proto.SpoolAppendReq:
-		s.Append(req.For, proto.SpooledUpdate{
-			Item: req.Item, Value: req.Value,
-			CommitSeq: req.CommitSeq, Writer: req.Writer,
-		})
-		return proto.SpoolAppendResp{}, nil
-	case proto.SpoolFetchReq:
-		return proto.SpoolFetchResp{Updates: s.Drain(req.For)}, nil
-	default:
+	req, ok := msg.(proto.SpoolFetchReq)
+	if !ok {
 		return nil, fmt.Errorf("spooler: unhandled message %T", msg)
 	}
+	return proto.SpoolFetchResp{Updates: s.Drain(req.For)}, nil
 }

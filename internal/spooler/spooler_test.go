@@ -16,9 +16,6 @@ func TestAppendDrainOrder(t *testing.T) {
 	if s.Pending(3) != 2 || s.Pending(4) != 1 {
 		t.Fatalf("Pending = (%d, %d)", s.Pending(3), s.Pending(4))
 	}
-	if s.Appends() != 3 {
-		t.Fatalf("Appends = %d", s.Appends())
-	}
 
 	got := s.Drain(3)
 	if len(got) != 2 || got[0].CommitSeq != 10 || got[1].CommitSeq != 20 {
@@ -45,17 +42,8 @@ func TestHandleWireProtocol(t *testing.T) {
 	s := New()
 	ctx := context.Background()
 
-	resp, err := s.Handle(ctx, 1, proto.SpoolAppendReq{
-		For: 3, Item: "x", Value: 7, CommitSeq: 5, Writer: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := resp.(proto.SpoolAppendResp); !ok {
-		t.Fatalf("resp = %T", resp)
-	}
-
-	resp, err = s.Handle(ctx, 3, proto.SpoolFetchReq{For: 3})
+	s.Append(3, proto.SpooledUpdate{Item: "x", Value: 7, CommitSeq: 5, Writer: 9})
+	resp, err := s.Handle(ctx, 3, proto.SpoolFetchReq{For: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

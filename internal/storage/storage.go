@@ -341,7 +341,7 @@ func (s *Store) InstallPending(txn proto.TxnID, version proto.Version) ([]wal.Wr
 // or a newer version the install is skipped and the unreadable mark still
 // cleared; it returns whether the value was written. This is the only
 // version comparison in the storage layer, and it stays until version order
-// is sound across writers (ROADMAP item 3), when it can be deleted.
+// is sound across writers (ROADMAP item 8), when it can be deleted.
 func (s *Store) InstallDirect(item proto.Item, value proto.Value, version proto.Version) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

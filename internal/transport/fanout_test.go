@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"siterecovery/internal/netsim"
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/transport"
 	"siterecovery/internal/transport/tcpnet"
@@ -125,7 +126,8 @@ func TestFanoutHaltsOnFailedSend(t *testing.T) {
 // target order and a halt leaves the later targets without a message — the
 // counts the one-call-at-a-time loop produced.
 func TestFanoutOnNetsimIsTheSequentialLoop(t *testing.T) {
-	sim := netsim.New(netsim.Config{})
+	hub := obs.NewHub(obs.Options{})
+	sim := netsim.New(netsim.Config{Obs: hub})
 	var served []proto.SiteID
 	for site := proto.SiteID(1); site <= 4; site++ {
 		sim.Register(site, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
@@ -151,8 +153,8 @@ func TestFanoutOnNetsimIsTheSequentialLoop(t *testing.T) {
 	}
 	// Site 1 reached itself over the local bus: two messages crossed the
 	// network, none to the halted site 4.
-	if st := sim.Stats()["prepare"]; st.Sent != 2 || st.Delivered != 2 {
-		t.Fatalf("prepare stats = %+v, want 2 sent and delivered", st)
+	if sent := hub.Value(1, "net", "sent.prepare"); sent != 2 {
+		t.Fatalf("%d prepares crossed the network, want 2", sent)
 	}
 	if !errors.Is(results[2].Err, errBoom) || results[3].Site != 0 {
 		t.Fatalf("results = %+v", results)

@@ -663,34 +663,29 @@ func TestReversedWriteOrdersTakeLocksInOneOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := context.Background()
-			tx, err := h.tms[site].begin(ctx, proto.ClassUser, 1)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for _, item := range order {
-				if err := tx.Write(ctx, item, proto.Value(site)); err != nil {
-					errs <- err
-					return
+			errs <- h.tms[site].Run(context.Background(), func(ctx context.Context, tx *Tx) error {
+				for _, item := range order {
+					if err := tx.Write(ctx, item, proto.Value(site)); err != nil {
+						return err
+					}
 				}
-			}
-			errs <- tx.Commit(ctx)
+				return nil
+			})
 		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			t.Fatalf("reversed-order writer failed on its first attempt: %v", err)
+			t.Fatalf("reversed-order writer failed: %v", err)
 		}
 	}
 	if len(unsorted) != 0 {
 		t.Fatalf("site 1 received batches with ops out of item order: %v", unsorted)
 	}
-	for site, locks := range h.locks {
-		if n := locks.Stats().Timeouts; n != 0 {
-			t.Fatalf("site %v saw %d lock timeouts, want 0", site, n)
+	for site := range orders {
+		if begun, timeouts := h.hub.Value(site, "txn", "begin.user"), h.hub.Value(site, "txn", "abort.lock-timeout"); begun != 1 || timeouts != 0 {
+			t.Fatalf("coordinator %v began %d attempts and lost %d to a lock timeout, want 1 and 0", site, begun, timeouts)
 		}
 	}
 }
