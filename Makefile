@@ -38,9 +38,10 @@ bench:
 # Mirrors the hot-path micro-benchmark CI step: one iteration each of
 # BenchmarkCodec/<kind> (ns, allocs and wire bytes per message kind),
 # BenchmarkCall (loopback echo, 1 and 2 callers), BenchmarkFanout (one
-# 3-site round: self and two peers) and the four root benchmarks whose
+# 3-site round: self and two peers) and the five root benchmarks whose
 # allocs/op TestHotPathAllocCeilings pins (one uncontended lock, an empty, a
-# one-read and a read-write transaction), the disk engine's install with an
+# one-read and a read-write transaction, and a participant's batch-prepare
+# and commit through dm.Handle), the disk engine's install with an
 # eviction and a dirty flush on every op (B/op shows whether a page miss
 # allocates a frame), the WAL's prepare + commit pair (retained-B/op is what
 # the log still holds per decided transaction), and the live hub's
@@ -51,7 +52,7 @@ bench:
 BENCHTIME ?= 1x
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkCall|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) ./internal/proto ./internal/transport/tcpnet
-	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkTxnReadOnly|BenchmarkTxnReadWrite|BenchmarkSessionVectorRead' -benchmem -benchtime $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkTxnReadOnly|BenchmarkTxnReadWrite|BenchmarkSessionVectorRead|BenchmarkParticipantCommit' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkInstallEvict' -benchmem -benchtime $(BENCHTIME) ./internal/storage/disk
 	$(GO) test -run '^$$' -bench 'BenchmarkLogPrepareCommit' -benchmem -benchtime $(BENCHTIME) ./internal/wal
 	$(GO) test -run '^$$' -bench 'BenchmarkEmitHub|BenchmarkSpanEmitHub' -benchmem -benchtime $(BENCHTIME) ./internal/obs
@@ -143,7 +144,8 @@ proc-chaos:
 # show (two CPUs, two packages at once). It keeps go test's JSON stream in flake.json and prints, from it,
 # a table of every test or package that failed at least once: failures, runs
 # and name, most failures first (also written to flake.txt). Exits non-zero
-# if anything failed.
+# if anything failed. For example:
+#   make flake N=20 PKGS='./internal/obs/ ./internal/transport/tcpnet/'
 N ?= 20
 PKGS ?= ./...
 flake:

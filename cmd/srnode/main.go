@@ -70,6 +70,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -81,6 +82,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"siterecovery/internal/load"
@@ -326,14 +328,20 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	// POST /txn runs an arbitrary read/write transaction from a JSON body
 	// (load.TxnRequest): all reads, then all writes, one atomic commit.
 	// This is the srload driving surface — /exec only covers the fixed
-	// read-then-write shape.
+	// read-then-write shape. A decoded request shares no bytes with its
+	// body, so the buffer the body is read into is free for the next request
+	// once decodeTxn returns.
+	bodies := sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	mux.HandleFunc("POST /txn", func(w http.ResponseWriter, r *http.Request) {
 		// The body is read whole, so it is bounded: 1 MiB, tcpnet's maxFrame.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		body := bodies.Get().(*bytes.Buffer)
+		body.Reset()
+		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20))
 		var req load.TxnRequest
 		if err == nil {
-			req, err = decodeTxn(body)
+			req, err = decodeTxn(body.Bytes())
 		}
+		bodies.Put(body)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.As(err, new(*http.MaxBytesError)) {

@@ -433,9 +433,19 @@ func TestCoordinatorCrashBeforeDecisionPresumesAbort(t *testing.T) {
 }
 
 func TestCoordinatorCrashAfterDecisionCommitsEverywhere(t *testing.T) {
+	// The coordinator's own copy is the one a site-local bookkeeping
+	// strategy can miss: no peer fail-locked it, so only the coordinator's
+	// log says it is behind.
+	for _, identify := range []recovery.Identify{recovery.IdentifyMarkAll, recovery.IdentifyFailLock, recovery.IdentifyMissingList} {
+		t.Run(identify.String(), func(t *testing.T) { coordinatorCrashAfterDecision(t, identify) })
+	}
+}
+
+func coordinatorCrashAfterDecision(t *testing.T, identify recovery.Identify) {
 	var c *Cluster
 	crashed := make(chan struct{}, 1)
 	cfg := testConfig(3)
+	cfg.Identify = identify
 	cfg.JanitorInterval = 20 * time.Millisecond
 	cfg.JanitorStaleAge = 50 * time.Millisecond
 	cfg.Hooks.OnDecided = func(site proto.SiteID, id proto.TxnID) {
@@ -478,6 +488,12 @@ func TestCoordinatorCrashAfterDecisionCommitsEverywhere(t *testing.T) {
 	}
 	if err := c.WaitCurrent(ctx, 1); err != nil {
 		t.Fatal(err)
+	}
+	// The coordinator's local install died with it: recovery must have
+	// redone it from its own prepare record, or left the copy unreadable
+	// until a copier refreshed it.
+	if got := readCommitted(t, c, 1, "a"); got != 42 {
+		t.Errorf("site 1 holds a = %d after recovering, want 42 (readable: %v)", got, !c.Site(1).Store.IsUnreadable("a"))
 	}
 	mustCertify(t, c)
 }

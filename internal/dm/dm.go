@@ -17,6 +17,7 @@ package dm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -106,7 +107,9 @@ func (c Config) withDefaults() Config {
 }
 
 type txnLocal struct {
-	meta       proto.TxnMeta
+	meta proto.TxnMeta
+	// missedBy lists, per item written here, the down replica sites the
+	// write skipped; made by the first write that skipped one.
 	missedBy   map[proto.Item][]proto.SiteID
 	prepared   bool
 	preparedAt time.Time
@@ -258,11 +261,7 @@ func (m *Manager) track(meta proto.TxnMeta) *txnLocal {
 	defer m.mu.Unlock()
 	t, ok := m.inflight[meta.ID]
 	if !ok {
-		t = &txnLocal{
-			meta:      meta,
-			missedBy:  make(map[proto.Item][]proto.SiteID),
-			createdAt: m.cfg.Clock.Now(),
-		}
+		t = &txnLocal{meta: meta, createdAt: m.cfg.Clock.Now()}
 		m.inflight[meta.ID] = t
 	}
 	return t
@@ -310,9 +309,23 @@ func (m *Manager) handleWrite(ctx context.Context, req proto.WriteReq) (proto.Me
 	}
 	t := m.track(req.Txn)
 	m.mu.Lock()
-	t.missedBy[req.Item] = append([]proto.SiteID(nil), req.MissedBy...)
+	t.setMissedBy(req.Item, req.MissedBy)
 	m.mu.Unlock()
 	return proto.WriteResp{}, nil
+}
+
+// setMissedBy records the sites the latest write of item skipped. Caller
+// holds m.mu.
+func (t *txnLocal) setMissedBy(item proto.Item, sites []proto.SiteID) {
+	switch {
+	case len(sites) > 0:
+		if t.missedBy == nil {
+			t.missedBy = make(map[proto.Item][]proto.SiteID)
+		}
+		t.missedBy[item] = slices.Clone(sites)
+	case t.missedBy != nil:
+		delete(t.missedBy, item)
+	}
 }
 
 // handleBatch executes one coordinator's write set for this site
@@ -340,7 +353,7 @@ func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.Me
 	t := m.track(req.Txn)
 	m.mu.Lock()
 	for _, op := range req.Ops {
-		t.missedBy[op.Item] = append([]proto.SiteID(nil), op.MissedBy...)
+		t.setMissedBy(op.Item, op.MissedBy)
 	}
 	m.mu.Unlock()
 	if !req.Prepare {
@@ -755,7 +768,6 @@ func (m *Manager) AdoptInDoubt(d InDoubtTxn) {
 	}
 	m.inflight[d.Txn] = &txnLocal{
 		meta:     proto.TxnMeta{ID: d.Txn, Origin: d.Origin, Class: proto.ClassUser},
-		missedBy: make(map[proto.Item][]proto.SiteID),
 		prepared: true,
 	}
 }

@@ -225,7 +225,7 @@ func (n *Network) Call(ctx context.Context, from, to proto.SiteID, msg proto.Mes
 		return nd.handler(ctx, from, msg)
 	}
 	kind := msg.Kind()
-	n.cfg.Obs.MsgSent(from, to, kind)
+	n.cfg.Obs.MsgSent(from, to, proto.KindOf(msg))
 
 	h, err := n.deliver(ctx, from, to, kind)
 	if err != nil {

@@ -23,10 +23,10 @@ func TestJSONLRoundTripThroughHub(t *testing.T) {
 		Sinks: []obs.Sink{sink},
 	})
 
-	h.TxnBegin(1, 7, proto.ClassUser, 1)
+	begun := h.TxnBegin(1, 7, proto.ClassUser, 1)
 	h.SiteCrash(2)
 	h.SiteDownObserved(1, 2, 1)
-	h.TxnAbort(1, 7, proto.ClassUser, 1, proto.ErrSiteDown)
+	h.TxnAbort(1, 7, proto.ClassUser, 1, begun, proto.ErrSiteDown)
 	h.Control2(1, []proto.SiteID{2})
 	h.RecoveryStart(2)
 	h.RecoveryDone(2, 2, 5)

@@ -20,21 +20,21 @@ func goldenHub() *Hub {
 	step := func(d time.Duration) { vc.Advance(d) }
 
 	// Two classes commit, two abort reasons, one give-up.
-	h.TxnBegin(1, 1, proto.ClassUser, 1)
+	begun := h.TxnBegin(1, 1, proto.ClassUser, 1)
 	step(300 * time.Microsecond)
-	h.TxnCommit(1, 1, proto.ClassUser, 1)
-	h.TxnBegin(1, 2, proto.ClassCopier, 1)
+	h.TxnCommit(1, 1, proto.ClassUser, 1, begun)
+	begun = h.TxnBegin(1, 2, proto.ClassCopier, 1)
 	step(1200 * time.Microsecond)
-	h.TxnCommit(1, 2, proto.ClassCopier, 1)
-	h.TxnBegin(2, 3, proto.ClassUser, 1)
+	h.TxnCommit(1, 2, proto.ClassCopier, 1, begun)
+	begun = h.TxnBegin(2, 3, proto.ClassUser, 1)
 	step(40 * time.Microsecond)
-	h.TxnAbort(2, 3, proto.ClassUser, 1, proto.ErrSiteDown)
-	h.TxnBegin(2, 3, proto.ClassUser, 2)
+	h.TxnAbort(2, 3, proto.ClassUser, 1, begun, proto.ErrSiteDown)
+	begun = h.TxnBegin(2, 3, proto.ClassUser, 2)
 	step(150 * time.Millisecond)
-	h.TxnAbort(2, 3, proto.ClassUser, 2, proto.ErrLockTimeout)
-	h.TxnBegin(2, 3, proto.ClassUser, 3)
+	h.TxnAbort(2, 3, proto.ClassUser, 2, begun, proto.ErrLockTimeout)
+	begun = h.TxnBegin(2, 3, proto.ClassUser, 3)
 	step(90 * time.Microsecond)
-	h.TxnCommit(2, 3, proto.ClassUser, 3)
+	h.TxnCommit(2, 3, proto.ClassUser, 3, begun)
 	h.TxnGiveUp(1, proto.ClassUser, 2)
 
 	// Session, recovery, lock, copier, site and net emits.
@@ -69,18 +69,24 @@ func goldenHub() *Hub {
 	// Wire messages and every span side, with and without an error. The
 	// single 3019 µs sample's bucket bound lies above it, so its quantiles
 	// clamp to the observed max.
-	h.MsgSent(1, 2, "prepare")
-	h.MsgSent(1, 3, "prepare")
-	h.MsgSent(2, 1, "commit")
+	prepare, commit := proto.KindOf(proto.PrepareReq{}), proto.KindOf(proto.CommitReq{})
+	lamport := func() uint64 { return 10 }
+	h.MsgSent(1, 2, prepare)
+	h.MsgSent(1, 3, prepare)
+	h.MsgSent(2, 1, commit)
 	sc := SpanContext{Root: 9, Span: 0x1000000000001, Parent: 3, Origin: 1}
-	h.SpanStart(1, 2, sc, SideClient, "prepare", 10)
-	h.SpanStart(2, 1, sc, SideServer, "prepare", 10)
-	h.SpanFinish(2, 1, sc, SideServer, "prepare", 11, 180*time.Microsecond, nil)
-	h.SpanFinish(1, 2, sc, SideClient, "prepare", 11, 3019*time.Microsecond, nil)
-	h.SpanStart(1, 3, sc, SidePost, "commit", 12)
-	h.SpanFinish(1, 3, sc, SidePost, "commit", 12, 20*time.Microsecond, errors.New("wrap: "+proto.ErrSiteDown.Error()))
-	h.SpanStart(1, 2, sc, SideClient, "commit", 12)
-	h.SpanFinish(1, 2, sc, SideClient, "commit", 13, 75*time.Microsecond, proto.ErrSiteDown)
+	client := h.SpanStart(1, 2, sc, SideClient, prepare, lamport)
+	server := h.SpanStart(2, 1, sc, SideServer, prepare, lamport)
+	step(180 * time.Microsecond)
+	h.SpanFinish(2, 1, sc, SideServer, prepare, lamport, server, nil)
+	step(2839 * time.Microsecond)
+	h.SpanFinish(1, 2, sc, SideClient, prepare, lamport, client, nil)
+	posted := h.SpanStart(1, 3, sc, SidePost, commit, lamport)
+	step(20 * time.Microsecond)
+	h.SpanFinish(1, 3, sc, SidePost, commit, lamport, posted, errors.New("wrap: "+proto.ErrSiteDown.Error()))
+	client = h.SpanStart(1, 2, sc, SideClient, commit, lamport)
+	step(75 * time.Microsecond)
+	h.SpanFinish(1, 2, sc, SideClient, commit, lamport, client, proto.ErrSiteDown)
 
 	// One level at a site, one at cluster scope.
 	h.SetLevel(3, "dm", "prepared", 2)

@@ -82,6 +82,15 @@ func WithSpan(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, sc)
 }
 
+// IsSpanKey reports whether key is the one SpanFrom looks a span context up
+// under. A context.Context that carries its span in a field of its own —
+// the context tcpnet serves a traced frame under — answers Value for it
+// instead of being wrapped by WithSpan.
+func IsSpanKey(key any) bool {
+	_, ok := key.(spanCtxKey)
+	return ok
+}
+
 // SpanFrom reads the span context threaded through ctx, reporting whether
 // one was set. The zero SpanContext (no root, no parent) is returned for an
 // unannotated context, so callers can use the result unconditionally.
@@ -107,13 +116,20 @@ const (
 // side did, and nothing orders the two finishes.
 const PostedMark = "/post"
 
-// rpcNames names the counter and the latency histogram of a recording side;
-// a posted request records as the client side.
-func rpcNames(side string) (count, latency string) {
+// rpcCounts and rpcLatencies name a recording side's counter and latency
+// histogram, by side index: a posted request records as the client side.
+var (
+	rpcCounts    = [2]string{"client", "server"}
+	rpcLatencies = [2]string{"client_latency_us", "server_latency_us"}
+)
+
+// sideIndex is side's index into rpcCounts, rpcLatencies and siteHot's rpc
+// arrays.
+func sideIndex(side string) int {
 	if side == SideServer {
-		return "server", "server_latency_us"
+		return 1
 	}
-	return "client", "client_latency_us"
+	return 0
 }
 
 // spanDetail is the Detail of a span event recorded on side against rpc
@@ -125,44 +141,52 @@ func (in *instrument) spanDetail(side string) string {
 	return in.detail[:len(in.detail)-len(PostedMark)]
 }
 
-// SpanStart records one side of an RPC beginning. site is the recording
-// site, peer the other end, kind the message kind, and lamport the recording
-// site's high-water Lamport commit sequence at that moment. Nil-safe and
+// SpanStart records one side of an RPC beginning and returns the event's
+// stamp, which SpanFinish measures the span from. site is the recording
+// site, peer the other end, kind the message's, and lamport the recording
+// site's high-water Lamport commit sequence: it is read in the step that
+// sequences the event, so a site's span events carry Lamport stamps that
+// never fall in sequence order (nil stamps 0). Nil-safe and
 // allocation-free on a nil hub: every argument is a value, and nothing is
 // formatted before the receiver check.
-func (h *Hub) SpanStart(site, peer proto.SiteID, sc SpanContext, side, kind string, lamport uint64) {
+func (h *Hub) SpanStart(site, peer proto.SiteID, sc SpanContext, side string, kind proto.Kind, lamport func() uint64) time.Time {
 	if h == nil {
-		return
+		return time.Time{}
 	}
-	name, _ := rpcNames(side)
-	in := h.lookup(key{site, "rpc", name, kind}, counter)
+	s := sideIndex(side)
+	in := h.cached(&h.siteHot(site).rpc[s][kind], key{site, "rpc", rpcCounts[s], kind.String()}, counter)
 	in.v.Add(1)
-	h.emit(Event{
+	e := Event{
 		Type: EvSpanStart, Site: site, Peer: peer,
 		Txn: sc.Root, Span: sc.Span, Parent: sc.Parent,
-		Lamport: lamport, Detail: in.spanDetail(side),
-	})
+		Detail: in.spanDetail(side), At: h.clk.Now(),
+	}
+	h.record(&e, lamport)
+	return e.At
 }
 
-// SpanFinish records one side of an RPC completing after d, with the
-// outcome's error (nil for success) classified into the detail. Latency is
-// observed into a per-kind histogram on the recording site.
-func (h *Hub) SpanFinish(site, peer proto.SiteID, sc SpanContext, side, kind string, lamport uint64, d time.Duration, err error) {
+// SpanFinish records one side of an RPC completing, with the outcome's
+// error (nil for success) classified into the detail. The span lasted from
+// start, SpanStart's stamp, to this event's; the latency is observed into
+// a per-kind histogram on the recording site.
+func (h *Hub) SpanFinish(site, peer proto.SiteID, sc SpanContext, side string, kind proto.Kind, lamport func() uint64, start time.Time, err error) {
 	if h == nil {
 		return
 	}
-	_, name := rpcNames(side)
-	in := h.lookup(key{site, "rpc", name, kind}, hist)
-	in.h.Observe(d.Microseconds())
+	s := sideIndex(side)
+	in := h.cached(&h.siteHot(site).rpcLatency[s][kind], key{site, "rpc", rpcLatencies[s], kind.String()}, hist)
 	detail := in.spanDetail(side)
 	if err != nil {
 		detail += "!" + AbortReason(err)
 	}
-	h.emit(Event{
+	e := Event{
 		Type: EvSpanFinish, Site: site, Peer: peer,
 		Txn: sc.Root, Span: sc.Span, Parent: sc.Parent,
-		Lamport: lamport, Dur: d, Detail: detail,
-	})
+		Detail: detail, At: h.clk.Now(),
+	}
+	e.Dur = e.At.Sub(start)
+	in.h.Observe(e.Dur.Microseconds())
+	h.record(&e, lamport)
 }
 
 // SpanSide splits a span event's Detail back into (side, kind, reason):

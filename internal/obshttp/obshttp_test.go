@@ -17,10 +17,8 @@ import (
 // testHub builds a hub with a little of everything in it.
 func testHub() *obs.Hub {
 	h := obs.NewHub(obs.Options{})
-	h.TxnBegin(1, 7, proto.ClassUser, 1)
-	h.TxnCommit(1, 7, proto.ClassUser, 1)
-	h.TxnBegin(2, 8, proto.ClassUser, 1)
-	h.TxnAbort(2, 8, proto.ClassUser, 1, proto.ErrSiteDown)
+	h.TxnCommit(1, 7, proto.ClassUser, 1, h.TxnBegin(1, 7, proto.ClassUser, 1))
+	h.TxnAbort(2, 8, proto.ClassUser, 1, h.TxnBegin(2, 8, proto.ClassUser, 1), proto.ErrSiteDown)
 	h.SiteCrash(3)
 	return h
 }
@@ -319,8 +317,8 @@ func TestConcurrentScrapeAndEmit(t *testing.T) {
 				return
 			default:
 			}
-			h.TxnBegin(proto.SiteID(1+i%3), proto.TxnID(i), proto.ClassUser, 1)
-			h.TxnCommit(proto.SiteID(1+i%3), proto.TxnID(i), proto.ClassUser, 1)
+			begun := h.TxnBegin(proto.SiteID(1+i%3), proto.TxnID(i), proto.ClassUser, 1)
+			h.TxnCommit(proto.SiteID(1+i%3), proto.TxnID(i), proto.ClassUser, 1, begun)
 		}
 	}()
 	paths := []string{"/metrics", "/trace", "/trace?format=json", "/trace?format=json&since=5", "/sites"}

@@ -80,6 +80,9 @@ func TestCodecRoundTripsEveryKind(t *testing.T) {
 			t.Fatalf("encode %s: %v", msg.Kind(), err)
 		}
 		covered[data[0]] = true
+		if k := KindOf(msg); byte(k) != data[0] || k.String() != msg.Kind() {
+			t.Errorf("KindOf(%s) = %d %q, the encoding starts %d", msg.Kind(), k, k, data[0])
+		}
 		got, err := DecodeMessage(data)
 		if err != nil {
 			t.Fatalf("decode %s: %v", msg.Kind(), err)

@@ -177,64 +177,64 @@ type SpooledUpdate struct {
 	Writer    TxnID
 }
 
-// Kind implementations.
+// Kind implementations: each returns its kind byte's name (codec.go).
 
 // Kind implements Message.
-func (ReadReq) Kind() string { return "read" }
+func (ReadReq) Kind() string { return kindNames[kindRead] }
 
 // Kind implements Message.
-func (ReadResp) Kind() string { return "read.resp" }
+func (ReadResp) Kind() string { return kindNames[kindReadResp] }
 
 // Kind implements Message.
-func (WriteReq) Kind() string { return "write" }
+func (WriteReq) Kind() string { return kindNames[kindWrite] }
 
 // Kind implements Message.
-func (WriteResp) Kind() string { return "write.resp" }
+func (WriteResp) Kind() string { return kindNames[kindWriteResp] }
 
 // Kind implements Message.
-func (BatchReq) Kind() string { return "batch" }
+func (BatchReq) Kind() string { return kindNames[kindBatch] }
 
 // Kind implements Message.
-func (BatchResp) Kind() string { return "batch.resp" }
+func (BatchResp) Kind() string { return kindNames[kindBatchResp] }
 
 // Kind implements Message.
-func (PrepareReq) Kind() string { return "prepare" }
+func (PrepareReq) Kind() string { return kindNames[kindPrepare] }
 
 // Kind implements Message.
-func (PrepareResp) Kind() string { return "prepare.resp" }
+func (PrepareResp) Kind() string { return kindNames[kindPrepareResp] }
 
 // Kind implements Message.
-func (CommitReq) Kind() string { return "commit" }
+func (CommitReq) Kind() string { return kindNames[kindCommit] }
 
 // Kind implements Message.
-func (CommitResp) Kind() string { return "commit.resp" }
+func (CommitResp) Kind() string { return kindNames[kindCommitResp] }
 
 // Kind implements Message.
-func (AbortReq) Kind() string { return "abort" }
+func (AbortReq) Kind() string { return kindNames[kindAbort] }
 
 // Kind implements Message.
-func (AbortResp) Kind() string { return "abort.resp" }
+func (AbortResp) Kind() string { return kindNames[kindAbortResp] }
 
 // Kind implements Message.
-func (DecisionReq) Kind() string { return "decision" }
+func (DecisionReq) Kind() string { return kindNames[kindDecision] }
 
 // Kind implements Message.
-func (DecisionResp) Kind() string { return "decision.resp" }
+func (DecisionResp) Kind() string { return kindNames[kindDecisionResp] }
 
 // Kind implements Message.
-func (ProbeReq) Kind() string { return "probe" }
+func (ProbeReq) Kind() string { return kindNames[kindProbe] }
 
 // Kind implements Message.
-func (ProbeResp) Kind() string { return "probe.resp" }
+func (ProbeResp) Kind() string { return kindNames[kindProbeResp] }
 
 // Kind implements Message.
-func (MissedFetchReq) Kind() string { return "missed.fetch" }
+func (MissedFetchReq) Kind() string { return kindNames[kindMissedFetch] }
 
 // Kind implements Message.
-func (MissedFetchResp) Kind() string { return "missed.fetch.resp" }
+func (MissedFetchResp) Kind() string { return kindNames[kindMissedFetchResp] }
 
 // Kind implements Message.
-func (SpoolFetchReq) Kind() string { return "spool.fetch" }
+func (SpoolFetchReq) Kind() string { return kindNames[kindSpoolFetch] }
 
 // Kind implements Message.
-func (SpoolFetchResp) Kind() string { return "spool.fetch.resp" }
+func (SpoolFetchResp) Kind() string { return kindNames[kindSpoolFetchResp] }

@@ -89,7 +89,9 @@ type Config struct {
 	Obs *obs.Hub
 	// Lamport, when non-nil, supplies the site's high-water Lamport commit
 	// sequence; span events are stamped with it so a causal merge across
-	// sites can order them by (Lamport, happens-before).
+	// sites can order them by (Lamport, happens-before). The hub reads it in
+	// the step that sequences each span event, so it must not take a lock
+	// held by anyone emitting into that hub.
 	Lamport func() uint64
 }
 
@@ -597,6 +599,10 @@ func (s *servedConn) serve(h reqHeader, msg proto.Message, err error, reading bo
 type handlerCtx struct {
 	base     context.Context
 	deadline time.Time
+	// span is the caller's span context, what SpanFrom finds in this
+	// context, when the request carried one (traced).
+	span   obs.SpanContext
+	traced bool
 
 	mu       sync.Mutex
 	reader   *servedConn
@@ -643,10 +649,14 @@ func (c *handlerCtx) Err() error {
 	return nil
 }
 
-// Value defers to the armed context once there is one, so a context derived
-// from this one finds the standard library's cancellation parent in it and
-// needs no goroutine to follow Done.
+// Value answers for the request's span context itself, and otherwise defers
+// to the armed context once there is one, so a context derived from this one
+// finds the standard library's cancellation parent in it and needs no
+// goroutine to follow Done.
 func (c *handlerCtx) Value(key any) any {
+	if c.traced && obs.IsSpanKey(key) {
+		return c.span
+	}
 	if armed := c.current(); armed != nil {
 		return armed.Value(key)
 	}
@@ -682,27 +692,25 @@ func (s *servedConn) dispatch(req reqHeader, msg proto.Message, reading bool) (p
 	if req.budgetUS < timeout.Microseconds() {
 		timeout = time.Duration(req.budgetUS) * time.Microsecond
 	}
-	hctx := &handlerCtx{base: t.baseCtx, deadline: time.Now().Add(timeout)}
+	// The caller's span context reaches the handler even without a local
+	// hub: nested RPCs the handler makes must still carry their causal
+	// parent. With a hub, the server side of the span is recorded too.
+	hctx := &handlerCtx{base: t.baseCtx, deadline: time.Now().Add(timeout), span: req.span, traced: req.traced}
 	if reading {
 		hctx.reader = s
 	}
-	var ctx context.Context = hctx
-	// Propagate the caller's span context into the handler even without a
-	// local hub: nested RPCs the handler makes must still carry their causal
-	// parent. With a hub, the server side of the span is recorded too.
-	if req.traced {
-		ctx = obs.WithSpan(ctx, req.span)
-	}
 	traced := req.traced && t.cfg.Obs != nil
-	kind := msg.Kind()
-	var start time.Time
+	var (
+		kind  proto.Kind
+		start time.Time
+	)
 	if traced {
-		t.cfg.Obs.SpanStart(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.lamport())
-		start = time.Now()
+		kind = proto.KindOf(msg)
+		start = t.cfg.Obs.SpanStart(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.cfg.Lamport)
 	}
-	reply, err := h(ctx, req.from, msg)
+	reply, err := h(hctx, req.from, msg)
 	if traced {
-		t.cfg.Obs.SpanFinish(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.lamport(), time.Since(start), err)
+		t.cfg.Obs.SpanFinish(t.cfg.Self, req.from, req.span, obs.SideServer, kind, t.cfg.Lamport, start, err)
 	}
 	return reply, hctx.release(), err
 }
@@ -783,14 +791,6 @@ type selfCall struct {
 
 func (c *selfCall) Wait() (proto.Message, error) { return c.h(c.ctx, c.from, c.msg) }
 
-// lamport reads the configured Lamport clock, 0 when none is wired.
-func (t *Transport) lamport() uint64 {
-	if t.cfg.Lamport == nil {
-		return 0
-	}
-	return t.cfg.Lamport()
-}
-
 // call is the client side of one request to a remote site.
 type call struct {
 	t   *Transport
@@ -809,9 +809,9 @@ type call struct {
 	// records the matching server span.
 	traced bool
 	side   string // obs.SideClient, or obs.SidePost for a posted request
-	kind   string
+	kind   proto.Kind
 	sc     obs.SpanContext
-	start  time.Time
+	start  time.Time // the client span's start stamp
 }
 
 // send opens the client span and writes the request frame. The span of a
@@ -827,13 +827,12 @@ func (c *call) send(msg proto.Message, oneWay bool) error {
 			Parent: parent.Span,
 			Origin: t.cfg.Self,
 		}
-		c.traced, c.side, c.kind = true, obs.SideClient, msg.Kind()
+		c.traced, c.side, c.kind = true, obs.SideClient, proto.KindOf(msg)
 		if oneWay {
 			c.side = obs.SidePost
 		}
 		hub.MsgSent(t.cfg.Self, c.to, c.kind)
-		hub.SpanStart(t.cfg.Self, c.to, c.sc, c.side, c.kind, t.lamport())
-		c.start = time.Now()
+		c.start = hub.SpanStart(t.cfg.Self, c.to, c.sc, c.side, c.kind, t.cfg.Lamport)
 	}
 	err := c.write(msg, oneWay)
 	if err != nil || oneWay {
@@ -845,7 +844,7 @@ func (c *call) send(msg proto.Message, oneWay bool) error {
 // finish closes the client span.
 func (c *call) finish(err error) {
 	if c.traced {
-		c.t.cfg.Obs.SpanFinish(c.t.cfg.Self, c.to, c.sc, c.side, c.kind, c.t.lamport(), time.Since(c.start), err)
+		c.t.cfg.Obs.SpanFinish(c.t.cfg.Self, c.to, c.sc, c.side, c.kind, c.t.cfg.Lamport, c.start, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +125,65 @@ func TestCallPropagatesSpanContext(t *testing.T) {
 	}
 	if serverCtxSpan.Span != cs.Span || serverCtxSpan.Root != 77 {
 		t.Errorf("handler ctx span = %+v; nested RPCs would lose their parent", serverCtxSpan)
+	}
+}
+
+// TestSpanLamportFollowsSeq pins the order of a site's span events: in Seq
+// order their Lamport stamps never fall. Site 1's Lamport source reads its
+// value for the first span and then stalls, as a descheduled goroutine
+// would, while the clock moves on and a second call records its spans. A
+// stamp read outside the sequence step lands behind the newer ones; read
+// inside it, the second call waits for the first.
+func TestSpanLamportFollowsSeq(t *testing.T) {
+	trs, hubs := newTracedPair(t)
+	var (
+		lam     atomic.Uint64
+		stalled atomic.Bool
+		paused  = make(chan struct{})
+		resume  = make(chan struct{})
+	)
+	trs[1].cfg.Lamport = func() uint64 {
+		v := lam.Load()
+		if stalled.CompareAndSwap(false, true) {
+			close(paused)
+			<-resume
+		}
+		return v
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := trs[1].Call(context.Background(), 1, 2, proto.ProbeReq{})
+		first <- err
+	}()
+	<-paused
+	lam.Store(5)
+	second := make(chan error, 1)
+	go func() {
+		_, err := trs[1].Call(context.Background(), 1, 2, proto.ProbeReq{})
+		second <- err
+	}()
+	// Let the second call run as far as it can while the first is stalled.
+	select {
+	case err := <-second:
+		second <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(resume)
+	for _, ch := range []chan error{first, second} {
+		if err := <-ch; err != nil {
+			t.Fatalf("Call: %v", err)
+		}
+	}
+
+	events := spanEvents(hubs[1])
+	if len(events) != 4 {
+		t.Fatalf("site 1 recorded %d span events, want 4", len(events))
+	}
+	for i := 1; i < len(events); i++ {
+		if prev, e := events[i-1], events[i]; e.Lamport < prev.Lamport {
+			t.Errorf("#%d lam=%d follows #%d lam=%d: Lamport falls in Seq order", e.Seq, e.Lamport, prev.Seq, prev.Lamport)
+		}
 	}
 }
 

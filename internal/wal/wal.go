@@ -91,7 +91,8 @@ type Log struct {
 	lsn uint64 // records appended or loaded; every append forces
 	// decisions and prepared are all Outcome, InDoubt and PreparedRecord
 	// read: the last decision per transaction, and the participant prepare
-	// record of each transaction still in doubt (its decision drops it).
+	// record of each transaction still in doubt (its participant decision
+	// drops it).
 	decisions map[proto.TxnID]decision
 	prepared  map[proto.TxnID]Record
 	redo      []Record      // loaded redo records, until ScanRedo
@@ -241,7 +242,12 @@ func (l *Log) index(rec *Record) {
 			d = decision(rec.CommitSeq<<1 | 1)
 		}
 		l.decisions[rec.Txn] = d
-		delete(l.prepared, rec.Txn)
+		// A coordinator's decision installs nothing here: the site's own
+		// participant prepare stays in doubt until its participant
+		// decision, so a crash between the two leaves recovery a redo.
+		if rec.Role != RoleCoordinator {
+			delete(l.prepared, rec.Txn)
+		}
 	case RecordSession:
 		l.session = max(l.session, proto.Session(rec.CommitSeq))
 	}
@@ -289,8 +295,9 @@ func (l *Log) Committed() []proto.TxnID {
 	return out
 }
 
-// InDoubt lists transactions this site prepared but never saw decided.
-// A recovering site resolves these before serving.
+// InDoubt lists transactions this site prepared as a participant but never
+// logged a participant decision for. A recovering site resolves these before
+// serving; Outcome may already know the decision, if the site coordinated.
 func (l *Log) InDoubt() []proto.TxnID {
 	l.mu.Lock()
 	defer l.mu.Unlock()

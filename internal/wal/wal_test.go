@@ -55,6 +55,30 @@ func TestCoordinatorPrepareIsNotInDoubt(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDecisionLeavesOwnPrepareInDoubt: at a site that is both
+// coordinator and participant, the coordinator's commit record decides the
+// transaction but installs nothing. The site's participant prepare stays in
+// doubt until its own participant decision, so a crash between the two
+// leaves recovery something to redo.
+func TestCoordinatorDecisionLeavesOwnPrepareInDoubt(t *testing.T) {
+	l := New()
+	l.Append(Record{Type: RecordPrepare, Role: RoleParticipant, Txn: 4, Origin: 1, Writes: []WriteRec{{Item: "a", Value: 42}}})
+	l.Append(Record{Type: RecordCommit, Role: RoleCoordinator, Txn: 4, CommitSeq: 8})
+	if st, seq := l.Outcome(4); st != proto.StateCommitted || seq != 8 {
+		t.Fatalf("Outcome = (%v, %d), want (committed, 8)", st, seq)
+	}
+	if got := l.InDoubt(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("InDoubt = %v after the coordinator's decision, want [4]", got)
+	}
+	if writes, origin := l.PreparedRecord(4); len(writes) != 1 || origin != 1 {
+		t.Fatalf("PreparedRecord = %v from %v, want the prepared write set from site 1", writes, origin)
+	}
+	l.Append(Record{Type: RecordCommit, Role: RoleParticipant, Txn: 4, CommitSeq: 8})
+	if got := l.InDoubt(); len(got) != 0 {
+		t.Fatalf("InDoubt = %v after the participant's decision, want none", got)
+	}
+}
+
 func TestInDoubt(t *testing.T) {
 	l := New()
 	for _, txn := range []proto.TxnID{1, 2, 3} {
