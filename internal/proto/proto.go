@@ -82,6 +82,10 @@ const (
 	ClassControl2 // type-2 control transaction: claims sites nominally down
 	ClassInitial
 	ClassFinal
+
+	// ClassSlots sizes an array indexed by TxnClass: every class has a slot
+	// (slot 0 is unused).
+	ClassSlots = int(ClassFinal) + 1
 )
 
 // String implements fmt.Stringer.
