@@ -58,8 +58,9 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkEmitHub|BenchmarkSpanEmitHub' -benchmem -benchtime $(BENCHTIME) ./internal/obs
 
 # Fuzz what arrives from outside: the binary wire format's message bodies,
-# tcpnet's frame headers, and srnode's POST /txn scanner against
-# encoding/json; and what goes to disk: the hand-written WAL line encoder
+# tcpnet's frame headers, srnode's POST /txn scanner against encoding/json,
+# and srnode's control-port head recognizer against net/http's server; and
+# what goes to disk: the hand-written WAL line encoder
 # against json.Encoder, and the WAL loader against any file tail a dead
 # process can leave (FUZZTIME each, to adjust). Go runs one fuzz target per
 # invocation.
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzFrameHeader -fuzztime $(FUZZTIME) ./internal/transport/tcpnet
 	$(GO) test -run '^$$' -fuzz FuzzParseTxn -fuzztime $(FUZZTIME) ./cmd/srnode
+	$(GO) test -run '^$$' -fuzz FuzzControlHead -fuzztime $(FUZZTIME) ./cmd/srnode
 	$(GO) test -run '^$$' -fuzz FuzzRecordJSON -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzWALTail -fuzztime $(FUZZTIME) ./internal/wal
 
@@ -145,7 +147,7 @@ proc-chaos:
 # a table of every test or package that failed at least once: failures, runs
 # and name, most failures first (also written to flake.txt). Exits non-zero
 # if anything failed. For example:
-#   make flake N=20 PKGS='./internal/obs/ ./internal/transport/tcpnet/'
+#   make flake N=50 PKGS='./internal/node/ ./internal/dm/'
 N ?= 20
 PKGS ?= ./...
 flake:

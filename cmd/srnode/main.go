@@ -23,6 +23,17 @@
 //	GET  /trace           recent events (?n=K, ?since=S, ?format=json)
 //	GET  /debug/pprof/    Go profiling endpoints
 //
+// The control port speaks HTTP/1.1, but POST /txn in the form HTTP clients
+// send it — the request line POST /txn HTTP/1.1, one Host, one Content-Length
+// of at most 1 MiB, no Transfer-Encoding or Expect, a head that fits in 4 KiB
+// — is answered by a request loop of srnode's own (control.go), with the
+// bytes net/http would send but for the Date. The first request outside
+// that subset hands its connection, and every byte already read from it, to
+// net/http for good. One difference: the loop does not watch the socket
+// while a transaction runs, so a client that disconnects does not cancel it;
+// the 30 s budget and the lock timeouts still bound it, and the client is as
+// uncertain of the outcome as after a lost reply.
+//
 // POST /exec and POST /txn answer when the commit decision is durable at this
 // site; the other sites install asynchronously, under the exclusive locks
 // they have held since they voted, so a transaction anywhere still reads the
@@ -76,7 +87,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -85,7 +96,6 @@ import (
 	"sync"
 	"time"
 
-	"siterecovery/internal/load"
 	"siterecovery/internal/lockmgr"
 	"siterecovery/internal/node"
 	"siterecovery/internal/obs"
@@ -222,9 +232,15 @@ func main() {
 	}
 	defer n.Stop()
 
-	srv := &http.Server{Addr: *control, Handler: controlMux(id, n, hub, exporter)}
+	runTxn := txnEndpoint(n.Exec)
+	srv := &http.Server{Handler: controlMux(id, n, hub, exporter, runTxn)}
+	ln, err := net.Listen("tcp", *control)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "srnode:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("srnode: site %d serving peers on %s, control on %s\n", id, addrs[id], *control)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := serveControl(ln, srv, runTxn); err != nil {
 		fmt.Fprintln(os.Stderr, "srnode:", err)
 		os.Exit(1)
 	}
@@ -253,7 +269,7 @@ func parsePeers(spec string) (map[proto.SiteID]string, error) {
 	return addrs, nil
 }
 
-func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL) *http.ServeMux {
+func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL, runTxn txnFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	// Introspection rides on the control port: /metrics (with Go runtime
@@ -286,10 +302,10 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(v)
 	}
-	// What writeJSON(w, 200, {"committed": true}) sends, without the encoder.
-	writeCommitted := func(w http.ResponseWriter) {
+	writeReply := func(w http.ResponseWriter, status int, reply []byte) {
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, "{\"committed\":true}\n")
+		w.WriteHeader(status)
+		w.Write(reply)
 	}
 
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
@@ -322,27 +338,20 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
 			return
 		}
-		writeCommitted(w)
+		writeReply(w, http.StatusOK, committedReply)
 	})
 
 	// POST /txn runs an arbitrary read/write transaction from a JSON body
 	// (load.TxnRequest): all reads, then all writes, one atomic commit.
 	// This is the srload driving surface — /exec only covers the fixed
-	// read-then-write shape. A decoded request shares no bytes with its
-	// body, so the buffer the body is read into is free for the next request
-	// once decodeTxn returns.
+	// read-then-write shape. Most requests never get here: serveFast answers
+	// the ones in its subset, through the same runTxn.
 	bodies := sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	mux.HandleFunc("POST /txn", func(w http.ResponseWriter, r *http.Request) {
-		// The body is read whole, so it is bounded: 1 MiB, tcpnet's maxFrame.
 		body := bodies.Get().(*bytes.Buffer)
+		defer bodies.Put(body)
 		body.Reset()
-		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20))
-		var req load.TxnRequest
-		if err == nil {
-			req, err = decodeTxn(body.Bytes())
-		}
-		bodies.Put(body)
-		if err != nil {
+		if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxTxnBody)); err != nil {
 			status := http.StatusBadRequest
 			if errors.As(err, new(*http.MaxBytesError)) {
 				status = http.StatusRequestEntityTooLarge
@@ -350,20 +359,8 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			writeJSON(w, status, map[string]any{"error": "bad JSON body: " + err.Error()})
 			return
 		}
-		if len(req.Reads) == 0 && len(req.Writes) == 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "empty transaction"})
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
-		defer cancel()
-		err = n.Exec(ctx, func(ctx context.Context, tx *txn.Tx) error {
-			return load.Apply(ctx, tx, req)
-		})
-		if err != nil {
-			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
-			return
-		}
-		writeCommitted(w)
+		status, reply := runTxn(r.Context(), body.Bytes())
+		writeReply(w, status, reply)
 	})
 
 	mux.HandleFunc("GET /read", func(w http.ResponseWriter, r *http.Request) {

@@ -100,7 +100,7 @@ func TestDecodeTxnFallsBack(t *testing.T) {
 // read more than a frame's worth; an oversized one is a 413 with the usual
 // error JSON, and an empty transaction is still a 400.
 func TestTxnBodyIsBounded(t *testing.T) {
-	mux := controlMux(1, nil, obs.NewHub(obs.Options{}), nil) // neither request reaches the node
+	mux := controlMux(1, nil, obs.NewHub(obs.Options{}), nil, txnEndpoint(nil)) // neither request reaches the node
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/txn", strings.NewReader(body)))

@@ -114,6 +114,10 @@ type txnLocal struct {
 	prepared   bool
 	preparedAt time.Time
 	createdAt  time.Time
+	// deciding: finishCommit is installing the transaction. It stays in
+	// flight, and counted by Prepared, until the install, the participant
+	// commit record and any forced-commit count are done.
+	deciding bool
 }
 
 // Manager is one site's data manager. Create with New.
@@ -430,7 +434,7 @@ func (m *Manager) prepare(t *txnLocal) (vote bool, maxSeq uint64) {
 }
 
 func (m *Manager) handleCommit(req proto.CommitReq) (proto.Message, error) {
-	if err := m.finishCommit(req.Txn.ID, req.CommitSeq); err != nil {
+	if err := m.finishCommit(req.Txn.ID, req.CommitSeq, false); err != nil {
 		return nil, err
 	}
 	return proto.CommitResp{}, nil
@@ -445,30 +449,36 @@ func (m *Manager) observeSeq(seq uint64) {
 }
 
 // finishCommit installs everything txn buffered, applies the missed-update
-// bookkeeping, logs, records history, and releases locks. If the install
-// fails the transaction goes back in flight as prepared with its locks, its
+// bookkeeping, logs, records history, and releases locks; forced counts it as
+// dm/forced.commit. The transaction stays in flight, marked deciding, until
+// all of that but the lock release is done, so Prepared() == 0 means every
+// decided transaction is installed and counted. A commit that finds it
+// deciding, or already committed, is a duplicate and changes nothing. If the
+// install fails the transaction goes back to prepared with its locks, its
 // pending set and the copies' marks intact; the zero preparedAt makes it
 // stale immediately (as in AdoptInDoubt), so the janitor's next sweep
 // re-asks the decision and retries the commit.
-func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64) error {
+func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64, forced bool) error {
 	m.observeSeq(commitSeq)
 	m.mu.Lock()
 	t, known := m.inflight[txn]
-	if !known {
+	if !known || t.deciding {
 		m.mu.Unlock()
+		if known {
+			return nil // a duplicate while the first delivery installs
+		}
 		if state, _ := m.cfg.Log.Outcome(txn); state == proto.StateCommitted {
 			return nil // duplicate delivery
 		}
 		return fmt.Errorf("%v commit %v: %w", m.cfg.Site, txn, proto.ErrUnknownTxn)
 	}
-	delete(m.inflight, txn)
+	t.deciding = true
 	m.mu.Unlock()
 
 	installed, err := m.cfg.Store.InstallPending(txn, proto.Version{Counter: commitSeq, Writer: txn})
 	if err != nil {
 		m.mu.Lock()
-		t.prepared, t.preparedAt = true, time.Time{}
-		m.inflight[txn] = t
+		t.prepared, t.preparedAt, t.deciding = true, time.Time{}, false
 		m.mu.Unlock()
 		m.cfg.Obs.InstallError(m.cfg.Site)
 		return fmt.Errorf("%v commit %v: %w", m.cfg.Site, txn, err)
@@ -497,6 +507,14 @@ func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64) error {
 		Type: wal.RecordCommit, Role: wal.RoleParticipant,
 		Txn: txn, CommitSeq: commitSeq,
 	})
+	if forced {
+		m.cfg.Obs.Forced(m.cfg.Site, "commit")
+	}
+	m.mu.Lock()
+	if m.inflight[txn] == t { // a crash meanwhile may have replaced it
+		delete(m.inflight, txn)
+	}
+	m.mu.Unlock()
 	m.cfg.Locks.ReleaseAll(txn)
 	return nil
 }
@@ -643,6 +661,9 @@ func (m *Manager) StaleTxns(maxAge time.Duration) []StaleTxn {
 	defer m.mu.Unlock()
 	var out []StaleTxn
 	for _, t := range m.inflight {
+		if t.deciding {
+			continue // its decision is being installed
+		}
 		ref := t.createdAt
 		if t.prepared {
 			ref = t.preparedAt
@@ -674,13 +695,10 @@ func (m *Manager) Prepared() int {
 }
 
 // ForceCommit applies a commit decision learned via cooperative
-// termination, counted as dm/forced.commit once it lands.
+// termination, counted as dm/forced.commit once it has installed; a
+// duplicate of a commit already installed, or being installed, is not.
 func (m *Manager) ForceCommit(txn proto.TxnID, commitSeq uint64) error {
-	if err := m.finishCommit(txn, commitSeq); err != nil {
-		return err
-	}
-	m.cfg.Obs.Forced(m.cfg.Site, "commit")
-	return nil
+	return m.finishCommit(txn, commitSeq, true)
 }
 
 // ForceAbort applies an abort decision learned via cooperative termination

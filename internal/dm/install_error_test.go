@@ -3,6 +3,7 @@ package dm_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,5 +89,83 @@ func TestInstallErrorKeepsTxnPreparedUntilJanitorRetries(t *testing.T) {
 	}
 	if state, seq := log.Outcome(meta.ID); state != proto.StateCommitted || seq != 12 {
 		t.Fatalf("log outcome = %v %d", state, seq)
+	}
+}
+
+// parkedInstall is a store whose first InstallPending waits for release, so
+// a test can look at the site while a commit is being installed.
+type parkedInstall struct {
+	storage.Engine
+	once     sync.Once
+	entered  chan struct{}
+	released chan struct{}
+}
+
+func (p *parkedInstall) InstallPending(txn proto.TxnID, v proto.Version) ([]wal.WriteRec, error) {
+	p.once.Do(func() {
+		close(p.entered)
+		<-p.released
+	})
+	return p.Engine.InstallPending(txn, v)
+}
+
+// TestForcedCommitIsCountedBeforeItStopsBeingPrepared: a transaction whose
+// forced commit is still installing is still prepared, so Prepared() == 0
+// means its copies are installed and dm/forced.commit has moved. A duplicate
+// that arrives meanwhile, or after, is a duplicate: no error, no count.
+func TestForcedCommitIsCountedBeforeItStopsBeingPrepared(t *testing.T) {
+	ctx := context.Background()
+	mem, err := storage.NewStore(storage.Deps{Site: 1, Items: []proto.Item{"x", proto.NSItem(1)}, InitialWriter: 1}, storage.NewMemTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &parkedInstall{Engine: mem, entered: make(chan struct{}), released: make(chan struct{})}
+	locks := lockmgr.New(lockmgr.Config{Timeout: 50 * time.Millisecond})
+	log := wal.New()
+	hub := obs.NewHub(obs.Options{})
+	m := dm.New(dm.Config{Site: 1, Store: store, Locks: locks, Log: log, Obs: hub}, dm.Callbacks{})
+	m.SetSession(5)
+
+	meta := proto.TxnMeta{ID: 10, Class: proto.ClassUser, Origin: 2}
+	for _, msg := range []proto.Message{
+		proto.WriteReq{Txn: meta, Item: "x", Value: 7, Mode: proto.CheckSession, Expect: 5},
+		proto.PrepareReq{Txn: meta},
+	} {
+		if _, err := m.Handle(ctx, 2, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forced := func() int64 { return hub.Value(1, "dm", "forced.commit") }
+
+	done := make(chan error, 1)
+	go func() { done <- m.ForceCommit(meta.ID, 12) }()
+	<-store.entered
+	if got := m.Prepared(); got != 1 {
+		t.Errorf("Prepared() = %d while the forced commit installs, want 1", got)
+	}
+	if _, err := m.Handle(ctx, 2, proto.CommitReq{Txn: meta, CommitSeq: 12}); err != nil {
+		t.Errorf("decision frame during the forced install = %v, want a duplicate", err)
+	}
+	if err := m.ForceCommit(meta.ID, 12); err != nil {
+		t.Errorf("second ForceCommit during the install = %v, want a duplicate", err)
+	}
+	if got := forced(); got != 0 {
+		t.Errorf("dm/forced.commit = %d before the install finished", got)
+	}
+	close(store.released)
+	for m.Prepared() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := forced(); got != 1 {
+		t.Errorf("dm/forced.commit = %d once Prepared() reads 0, want 1", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ForceCommit: %v", err)
+	}
+	if v, _, _ := mem.Committed("x"); v != 7 {
+		t.Fatalf("x = %d after the forced commit, want 7", v)
+	}
+	if err := m.ForceCommit(meta.ID, 12); err != nil || forced() != 1 {
+		t.Fatalf("ForceCommit after the decision: %v, dm/forced.commit = %d, want nil and 1", err, forced())
 	}
 }
