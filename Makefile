@@ -27,6 +27,7 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+	GOOS=darwin $(GO) build ./... && GOOS=windows $(GO) build ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"siterecovery/internal/load"
+	"siterecovery/internal/transport/sockio"
 	"siterecovery/internal/txn"
 )
 
@@ -101,6 +102,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 			c.Close()
 		}
 	}()
+	rw := sockio.Wrap(c) // the fast path's reads and writes; net/http gets c
 	buf := make([]byte, maxHead)
 	var out []byte
 	n := 0 // buf[:n] is read and not yet served
@@ -111,7 +113,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 			return
 		}
 		if end == 0 {
-			m, err := c.Read(buf[n:])
+			m, err := rw.Read(buf[n:])
 			if n += m; m == 0 && err != nil {
 				c.Close()
 				return
@@ -122,7 +124,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 		next := end + h.length // buf[next:n] is the next request's, if any
 		if next <= len(buf) {
 			for n < next {
-				m, err := c.Read(buf[n:])
+				m, err := rw.Read(buf[n:])
 				if n += m; n < next && err != nil {
 					c.Close()
 					return
@@ -131,7 +133,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 			body = buf[end:next]
 		} else {
 			body = make([]byte, h.length)
-			if _, err := io.ReadFull(c, body[copy(body, buf[end:n]):]); err != nil {
+			if _, err := io.ReadFull(rw, body[copy(body, buf[end:n]):]); err != nil {
 				c.Close()
 				return
 			}
@@ -139,7 +141,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 		}
 		status, reply := runTxn(context.Background(), body)
 		out = appendReply(out[:0], status, reply, h.close)
-		if _, err := c.Write(out); err != nil || h.close {
+		if _, err := rw.Write(out); err != nil || h.close {
 			c.Close()
 			return
 		}

@@ -29,6 +29,10 @@
 // its timer and its registration with the transport's base context only when
 // asked for Done.
 //
+// Every connection, accepted or dialed, is wrapped by sockio.Wrap where it is
+// made, so frames are read and written with raw non-blocking syscalls that
+// never wake the runtime's sysmon thread (DESIGN §10).
+//
 // Failure semantics follow the paper's fail-stop model: a connection refused
 // (after brief retries, to ride over peer startup) or any transport-level
 // I/O failure surfaces as proto.ErrSiteDown, exactly what the simulator
@@ -52,6 +56,7 @@ import (
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/transport"
+	"siterecovery/internal/transport/sockio"
 )
 
 // maxFrame bounds a single frame; larger frames indicate a corrupt stream.
@@ -494,6 +499,7 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 			conn.Close()
 			return
 		}
+		conn = sockio.Wrap(conn)
 		t.serving[conn] = true
 		t.mu.Unlock()
 		s := &servedConn{t: t, conn: conn, r: bufio.NewReader(conn)}
@@ -1014,7 +1020,7 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 			conn.Close()
 			return nil, false, fmt.Errorf("tcpnet: transport closed")
 		}
-		pc := &peerConn{conn: conn, pending: make(map[uint64]chan callResult)}
+		pc := &peerConn{conn: sockio.Wrap(conn), pending: make(map[uint64]chan callResult)}
 		t.peers[to] = pc
 		t.wg.Add(1)
 		go t.readLoop(to, pc)
