@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos certify proc-chaos fuzz e2e disk-engine flake loc
+.PHONY: all build test bench-test race lint bench bench-micro trace trace-cluster cover chaos certify proc-chaos fuzz e2e disk-engine flake loc threadstat
 
 all: lint build test bench-test
 
@@ -163,6 +163,12 @@ flake:
 		close("sort -k1,1nr -k3,3"); \
 		printf "%d failures across %d tests and packages\n", total, names; exit (total > 0) }' \
 		flake.json > flake.txt; status=$$?; cat flake.txt; exit $$status
+
+# Per-thread CPU, sleeps (voluntary switches), preemptions and sysmon time of
+# every running srnode over 5 s, from /proc: run it during a ledger run, in
+# the measured phase (scripts/threadstat.sh has the recipe). Linux only.
+threadstat:
+	@bash scripts/threadstat.sh
 
 # Non-test Go lines outside the frozen bench/ module: the number CHANGES.md
 # quotes for every PR.

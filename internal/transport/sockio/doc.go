@@ -12,4 +12,9 @@
 // the runtime must hand that thread's P away, so files keep the ordinary
 // path. Wrap returns any other net.Conn (a net.Pipe end, a test double)
 // unchanged, and so does every platform but Linux.
+//
+// PeerClosed asks a wrapped connection, with one non-blocking MSG_PEEK,
+// whether its peer has closed it: a client that reads a connection only while
+// it waits for a reply learns that way, before it writes, that an idle pooled
+// connection is dead. Off Linux it reports false.
 package sockio

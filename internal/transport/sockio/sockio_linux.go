@@ -26,7 +26,35 @@ func Wrap(c net.Conn) net.Conn {
 	w := &conn{Conn: c, rc: rc}
 	w.r.fn = w.r.read
 	w.w.fn = w.w.write
+	w.pk.fn = w.pk.peek
 	return w
+}
+
+// PeerClosed reports whether the peer of c has closed or reset the
+// connection, as far as one non-blocking MSG_PEEK at the head of its receive
+// queue can tell: end of stream there, a socket error, or a connection
+// already closed on this side. Bytes waiting to be read, or none yet, mean
+// open. It consumes nothing, never waits and allocates nothing; for a
+// connection Wrap returned unchanged it reports false.
+func PeerClosed(c net.Conn) bool {
+	w, ok := c.(*conn)
+	if !ok {
+		return false
+	}
+	p := &w.pk
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := w.rc.Control(p.fn); err != nil {
+		return true
+	}
+	switch p.errno {
+	case 0:
+		return p.n == 0
+	case syscall.EAGAIN:
+		return false
+	default:
+		return true
+	}
 }
 
 // conn is a wrapped TCP connection. Its methods other than Read and Write
@@ -36,6 +64,7 @@ type conn struct {
 	rc syscall.RawConn
 	r  op
 	w  op
+	pk peeker
 }
 
 // op is one direction of a conn: the callback RawConn runs, bound once so a
@@ -73,6 +102,25 @@ func (c *conn) Write(p []byte) (int, error) {
 	err := c.rc.Write(c.w.fn)
 	c.w.p = nil
 	return c.w.n, c.opError("write", err, c.w.errno)
+}
+
+// peeker is PeerClosed's state: the callback RawConn.Control runs, bound
+// once, its one-byte buffer and its result, which mu gives to one caller at
+// a time.
+type peeker struct {
+	mu    sync.Mutex
+	fn    func(fd uintptr)
+	b     [1]byte
+	n     int
+	errno syscall.Errno
+}
+
+func (p *peeker) peek(fd uintptr) {
+	for {
+		if p.n, p.errno = sysPeek(fd, p.b[:]); p.errno != syscall.EINTR {
+			return
+		}
+	}
 }
 
 // read makes one read(2) into p. It returns false, to wait for the socket to

@@ -177,3 +177,56 @@ func TestReadWriteAllocateNothing(t *testing.T) {
 		t.Fatalf("a Write and a Read allocate %v times, want 0", allocs)
 	}
 }
+
+// PeerClosed tells an idle connection from one whose peer has gone, and
+// consumes nothing: bytes waiting ahead of the end of stream mean open.
+func TestPeerClosed(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("PeerClosed peeks only on Linux")
+	}
+	c, s := pair(t)
+	if PeerClosed(c) {
+		t.Fatal("PeerClosed on an idle open connection = true")
+	}
+	if _, err := s.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	waitFor(t, func() bool { return !PeerClosed(c) }, "with a byte waiting")
+	buf := make([]byte, 1)
+	if _, err := io.ReadFull(c, buf); err != nil || buf[0] != 'x' {
+		t.Fatalf("the peeked byte read back as %q, %v", buf, err)
+	}
+	waitFor(t, func() bool { return PeerClosed(c) }, "after the peer's close")
+	c.Close()
+	if !PeerClosed(c) {
+		t.Fatal("PeerClosed on a connection closed on this side = false")
+	}
+}
+
+// waitFor polls cond for up to 5 s: a close reaches the other end of a
+// loopback connection soon, not at once.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("PeerClosed wrong %s", what)
+		}
+	}
+}
+
+func TestPeerClosedUnwrappedIsFalse(t *testing.T) {
+	a, b := net.Pipe()
+	b.Close()
+	defer a.Close()
+	if PeerClosed(a) {
+		t.Fatal("PeerClosed on a connection Wrap leaves alone = true")
+	}
+}
+
+func TestPeerClosedAllocatesNothing(t *testing.T) {
+	c, _ := pair(t)
+	if allocs := testing.AllocsPerRun(100, func() { PeerClosed(c) }); allocs != 0 {
+		t.Fatalf("PeerClosed allocates %v times, want 0", allocs)
+	}
+}

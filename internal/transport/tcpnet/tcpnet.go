@@ -5,18 +5,31 @@
 // protocol layers above — transaction manager, session manager, recovery —
 // stay unchanged.
 //
-// Requests are multiplexed: each site keeps ONE connection per peer, every
-// request frame carries a transport-assigned request ID, and a per-connection
-// demux goroutine routes response frames (which may arrive out of order) back
-// to their waiting callers. Send writes the request frame and returns; the
-// reply is collected by Pending.Wait, so one goroutine can have a request
-// outstanding at every peer and a fan-out round costs one write per remote
-// target and no goroutine. A request to the site itself is not framed at all:
-// its Pending runs the local handler on the goroutine that waits for it. Post
-// sets the one-way bit in the request header: the serving side runs the
-// handler and writes no response frame, and the sender registers nothing to
-// wait on. A peer that answers a posted request anyway is harmless — the
-// demux drops responses nobody is registered for.
+// Requests are multiplexed: each site keeps ONE connection per peer, and
+// every request frame carries a transport-assigned request ID under which its
+// response frame (which may arrive out of order) is routed back. Send writes
+// the request frame and returns; the reply is collected by Pending.Wait, so
+// one goroutine can have a request outstanding at every peer and a fan-out
+// round costs one write per remote target and no goroutine. A request to the
+// site itself is not framed at all: its Pending runs the local handler on the
+// goroutine that waits for it. Post sets the one-way bit in the request
+// header: the serving side runs the handler and writes no response frame,
+// and the sender registers nothing to wait on. A peer that answers a posted
+// request anyway is harmless — a response nobody is registered for is
+// dropped by whoever reads it.
+//
+// No goroutine reads an outbound connection: a caller in Wait reads its own
+// reply. The connection's read side goes with a one-slot token. A waiter that
+// takes it reads frames until its own response arrives, hands every other
+// caller's to that caller's channel, and puts the token back; a waiter that
+// finds it taken waits for its channel, the token, its deadline or its
+// context. The holder's reads end at its deadline (a read deadline) or when
+// its context is done (context.AfterFunc moves the read deadline into the
+// past). If that happens between frames the holder gives up and passes the
+// token on; inside a frame, the connection is retired and every call waiting
+// on it fails. Since nobody watches an idle connection, a write to one that
+// nobody is reading first peeks at it (sockio.PeerClosed), and a connection
+// its peer has closed is redialed instead of written into.
 //
 // The serving side serves a frame on the goroutine that read it: no hand-off,
 // no wake-up per frame. The first Done() on the handler's context — where
@@ -49,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,29 +306,52 @@ func putFrame(fb *frameBuf) {
 	}
 }
 
-// callResult is what the demux loop hands a waiting caller: the decoded
-// reply message or the handler's (or the decoder's) error.
+// callResult is what a reading caller hands another waiting caller: the
+// decoded reply message or the handler's (or the decoder's) error.
 type callResult struct {
 	msg proto.Message
 	err error
 }
 
 // peerConn is one multiplexed outbound connection: many calls in flight at
-// once, each waiting on its registered pending channel for the demux loop to
-// route its response frame back.
+// once, each registered under its request ID. No goroutine reads it. Its read
+// side — r and the frame buffer buf — belongs to the waiting caller that holds
+// the one-slot token: that caller reads response frames until its own
+// arrives, hands every other one to the channel its caller registered, and
+// puts the token back.
 type peerConn struct {
 	conn net.Conn
 
-	// wmu serializes request-frame writes; responses are read only by the
-	// demux loop, which owns the read side outright.
+	// wmu serializes request-frame writes.
 	wmu sync.Mutex
+
+	// token holds its one value while nobody reads.
+	token chan struct{}
+	r     *bufio.Reader
+	buf   []byte
 
 	mu      sync.Mutex
 	pending map[uint64]chan callResult
 	dead    bool
+	// reader is the request ID of the token holder whose context can end
+	// its read, 0 if none. Only while it is set does that context move the
+	// read deadline, so a late cancellation cannot cut short the next
+	// holder's read.
+	reader uint64
 }
 
-// register enrolls a request ID for demuxing. It fails if the connection
+func newPeerConn(conn net.Conn) *peerConn {
+	p := &peerConn{
+		conn:    conn,
+		token:   make(chan struct{}, 1),
+		r:       bufio.NewReader(conn),
+		pending: make(map[uint64]chan callResult),
+	}
+	p.token <- struct{}{}
+	return p
+}
+
+// register enrolls a request ID for its reply. It fails if the connection
 // already died, so the caller retries on a fresh one (nothing was written).
 func (p *peerConn) register(id uint64) (chan callResult, error) {
 	p.mu.Lock()
@@ -328,11 +365,21 @@ func (p *peerConn) register(id uint64) (chan callResult, error) {
 }
 
 // unregister abandons a pending request (timeout, cancellation, or write
-// failure). A response racing in afterwards is dropped by the demux loop.
+// failure). A response arriving afterwards is dropped by whoever reads it.
 func (p *peerConn) unregister(id uint64) {
 	p.mu.Lock()
 	delete(p.pending, id)
 	p.mu.Unlock()
+}
+
+// claim removes and returns the channel registered under id, nil if its
+// caller gave up.
+func (p *peerConn) claim(id uint64) chan callResult {
+	p.mu.Lock()
+	ch := p.pending[id]
+	delete(p.pending, id)
+	p.mu.Unlock()
+	return ch
 }
 
 // fail marks the connection dead and wakes every pending caller by closing
@@ -879,6 +926,12 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 		if err != nil {
 			return err
 		}
+		// A connection nobody is reading has nobody to see its peer close
+		// it, so one peek asks before anything is written into it.
+		if !fresh && len(pc.token) == 1 && sockio.PeerClosed(pc.conn) {
+			t.dropPeer(to, pc)
+			continue
+		}
 		id := t.nextID.Add(1)
 		fb.b, err = appendRequest(fb.b[:0], reqHeader{
 			id: id, from: t.cfg.Self,
@@ -903,13 +956,23 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 		}
 		pc.wmu.Lock()
 		pc.conn.SetWriteDeadline(c.deadline)
-		_, err = pc.conn.Write(fb.b)
+		n, err := pc.conn.Write(fb.b)
 		pc.wmu.Unlock()
 		if err == nil {
 			return nil
 		}
 		if !oneWay {
 			pc.unregister(id)
+		}
+		if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			// The caller's own deadline passed before a byte left: the stream
+			// is intact, and the calls in flight on it are not this one's to
+			// fail. A context that ran out says nothing about the peer, so
+			// its error is not ErrSiteDown.
+			if d, ok := ctx.Deadline(); ok && d.Equal(c.deadline) {
+				return fmt.Errorf("site %v: %w", to, context.DeadlineExceeded)
+			}
+			return fmt.Errorf("site %v: call timed out: %w", to, proto.ErrSiteDown)
 		}
 		t.dropPeer(to, pc)
 		if fresh {
@@ -918,42 +981,173 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 	}
 }
 
-// Wait blocks until the demux loop delivers the response, the connection
-// dies, or the deadline passes, and closes the client span. The frame was
-// already written, so every failure here is conclusive (at-most-once: never
-// resent).
+// Wait blocks until the reply arrives, the connection dies, or the deadline
+// passes, and closes the client span. The frame was already written, so
+// every failure here is conclusive (at-most-once: never resent).
 func (c *call) Wait() (proto.Message, error) {
 	reply, err := c.await()
 	c.finish(err)
 	return reply, err
 }
 
+// await takes the connection's read token whenever it is free and reads for
+// itself; while another caller holds it, that caller hands this one its
+// reply.
 func (c *call) await() (proto.Message, error) {
-	received := func(resp callResult, ok bool) (proto.Message, error) {
-		if !ok {
-			return nil, fmt.Errorf("site %v: connection lost awaiting reply: %w", c.to, proto.ErrSiteDown)
-		}
-		return resp.msg, resp.err
-	}
 	// In a fan-out the reply is often in by the time it is waited for, and
-	// then no timer is needed.
+	// a caller that finds nobody reading reads at once: neither needs a
+	// timer.
 	select {
 	case resp, ok := <-c.ch:
-		return received(resp, ok)
+		return c.received(resp, ok)
+	case <-c.pc.token:
+		return c.read()
 	default:
 	}
 	timer := time.NewTimer(time.Until(c.deadline))
 	defer timer.Stop()
 	select {
 	case resp, ok := <-c.ch:
-		return received(resp, ok)
+		return c.received(resp, ok)
+	case <-c.pc.token:
+		return c.read()
 	case <-timer.C:
 		c.pc.unregister(c.id)
-		return nil, fmt.Errorf("site %v: call timed out: %w", c.to, proto.ErrSiteDown)
+		return nil, c.gaveUp()
 	case <-c.ctx.Done():
 		c.pc.unregister(c.id)
-		return nil, fmt.Errorf("site %v: %v: %w", c.to, c.ctx.Err(), proto.ErrSiteDown)
+		return nil, c.gaveUp()
 	}
+}
+
+func (c *call) received(resp callResult, ok bool) (proto.Message, error) {
+	if !ok {
+		return nil, c.lost()
+	}
+	return resp.msg, resp.err
+}
+
+// lost is the error of a call whose connection died after its frame was
+// written.
+func (c *call) lost() error {
+	return fmt.Errorf("site %v: connection lost awaiting reply: %w", c.to, proto.ErrSiteDown)
+}
+
+// gaveUp is the error of a call that stopped waiting on its own account: its
+// context's error if that is done, otherwise its deadline's.
+func (c *call) gaveUp() error {
+	if err := c.ctx.Err(); err != nil {
+		return fmt.Errorf("site %v: %v: %w", c.to, err, proto.ErrSiteDown)
+	}
+	return fmt.Errorf("site %v: call timed out: %w", c.to, proto.ErrSiteDown)
+}
+
+// read is await for the caller holding the read token. It reads response
+// frames until its own, handing each other one to its registered caller
+// (or dropping it, when that caller gave up), and then puts the token back.
+// Its reads end at its deadline or when its context is done, through the
+// connection's read deadline. If that ends a read between frames, the
+// stream is intact: the call gives up and the token passes on. If it ends a
+// read inside a frame, or the stream ends or is corrupt, the connection is
+// retired and every call waiting on it fails conclusively.
+func (c *call) read() (proto.Message, error) {
+	pc := c.pc
+	select {
+	case resp, ok := <-c.ch: // handed over before the token was
+		pc.token <- struct{}{}
+		return c.received(resp, ok)
+	default:
+	}
+	armed := false
+	var stop func() bool
+	for {
+		// A whole frame already buffered is read without a syscall, so the
+		// deadline and the context are armed only before the first read
+		// that may wait.
+		if !armed && !frameBuffered(pc.r) {
+			armed, stop = true, c.arm()
+		}
+		_, err := pc.r.Peek(1)
+		between := err != nil
+		if err == nil {
+			pc.buf, err = readFrame(pc.r, pc.buf)
+		}
+		var (
+			id    uint64
+			isErr bool
+			body  []byte
+		)
+		if err == nil {
+			id, isErr, body, err = parseRespHeader(pc.buf)
+		}
+		if err != nil {
+			c.disarm(stop)
+			timedOut := errors.Is(err, os.ErrDeadlineExceeded)
+			if between && timedOut {
+				pc.unregister(c.id)
+				pc.token <- struct{}{}
+				return nil, c.gaveUp()
+			}
+			c.t.dropPeer(c.to, pc)
+			if timedOut {
+				return nil, c.gaveUp()
+			}
+			return nil, c.lost()
+		}
+		ch := pc.claim(id)
+		if ch == c.ch {
+			c.disarm(stop)
+			resp := decodeReply(isErr, body) // before the token: body is in buf
+			pc.token <- struct{}{}
+			return resp.msg, resp.err
+		}
+		if ch != nil {
+			ch <- decodeReply(isErr, body) // buffered: never blocks
+		}
+	}
+}
+
+// arm bounds the token holder's reads by its deadline and, when its context
+// can be done early, by the context too: context.AfterFunc moves the read
+// deadline into the past, which ends a read wherever it waits. The result,
+// nil for a context that is never done, stops that.
+func (c *call) arm() (stop func() bool) {
+	pc, id := c.pc, c.id
+	pc.conn.SetReadDeadline(c.deadline)
+	if c.ctx.Done() == nil {
+		return nil
+	}
+	pc.mu.Lock()
+	pc.reader = id
+	pc.mu.Unlock()
+	return context.AfterFunc(c.ctx, func() {
+		pc.mu.Lock()
+		if pc.reader == id {
+			pc.conn.SetReadDeadline(time.Unix(1, 0))
+		}
+		pc.mu.Unlock()
+	})
+}
+
+// disarm undoes arm before the token is put back.
+func (c *call) disarm(stop func() bool) {
+	if stop == nil {
+		return
+	}
+	stop()
+	c.pc.mu.Lock()
+	c.pc.reader = 0
+	c.pc.mu.Unlock()
+}
+
+// frameBuffered reports whether r holds a whole frame, so that reading it
+// makes no syscall.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	h, _ := r.Peek(4)
+	return uint64(r.Buffered()-4) >= uint64(binary.BigEndian.Uint32(h))
 }
 
 // decodeReply decodes a response body: the reply message, or the error the
@@ -1020,10 +1214,8 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 			conn.Close()
 			return nil, false, fmt.Errorf("tcpnet: transport closed")
 		}
-		pc := &peerConn{conn: sockio.Wrap(conn), pending: make(map[uint64]chan callResult)}
+		pc := newPeerConn(sockio.Wrap(conn))
 		t.peers[to] = pc
-		t.wg.Add(1)
-		go t.readLoop(to, pc)
 		t.mu.Unlock()
 		return pc, true, nil
 	}
@@ -1051,35 +1243,6 @@ func (t *Transport) dial(ctx context.Context, to proto.SiteID, addr string) (net
 		}
 	}
 	return nil, fmt.Errorf("site %v unreachable at %s (%v): %w", to, addr, lastErr, proto.ErrSiteDown)
-}
-
-// readLoop is the demux side of one peer connection: it owns the read
-// stream, decoding each response frame out of one reused buffer and handing
-// the result to the caller registered under its request ID. When the stream
-// dies, every pending caller is failed conclusively and the connection is
-// retired.
-func (t *Transport) readLoop(to proto.SiteID, pc *peerConn) {
-	defer t.wg.Done()
-	r := bufio.NewReader(pc.conn)
-	var buf []byte
-	for {
-		var err error
-		if buf, err = readFrame(r, buf); err != nil {
-			break
-		}
-		id, isErr, body, err := parseRespHeader(buf)
-		if err != nil {
-			break // corrupt stream: drop the connection
-		}
-		pc.mu.Lock()
-		ch := pc.pending[id]
-		delete(pc.pending, id)
-		pc.mu.Unlock()
-		if ch != nil { // else the caller gave up; the response is dropped
-			ch <- decodeReply(isErr, body) // buffered: never blocks
-		}
-	}
-	t.dropPeer(to, pc)
 }
 
 // dropPeer retires a dead connection: it is removed from the peer table (if
