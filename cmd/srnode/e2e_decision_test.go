@@ -17,13 +17,14 @@ import (
 // process inside the window that opens — deterministically, by holding the
 // decision frame in a fault proxy — and check that the paper's machinery
 // closes it: the janitor's decision query against a respawned coordinator,
-// and RecoverInDoubt at a respawned participant.
+// and recovery's in-doubt step at a respawned participant.
 
-// decisionCluster is a 3-site cluster whose links all run through proxy,
-// site 1's links to the given peers wedged before their first byte.
-func decisionCluster(t *testing.T, proxy *faultproxy.Proxy, via ...proto.SiteID) *proc.Cluster {
+// decisionCluster is a 3-site cluster of srnodes run with args, whose links
+// all run through proxy, site 1's links to the given peers wedged before
+// their first byte.
+func decisionCluster(t *testing.T, proxy *faultproxy.Proxy, args []string, via ...proto.SiteID) *proc.Cluster {
 	t.Helper()
-	c := newCluster(t, proc.Config{Dir: t.TempDir(), Proxy: proxy})
+	c := newCluster(t, proc.Config{Dir: t.TempDir(), Proxy: proxy, Args: args})
 	for _, to := range via {
 		must(t, proxy.SetFault(1, to, faultproxy.Fault{Stall: true}))
 	}
@@ -91,7 +92,7 @@ func TestE2ECoordinatorKilledAfterReply(t *testing.T) {
 	proxy := faultproxy.New()
 	defer proxy.Close()
 	ctx := context.Background()
-	c := decisionCluster(t, proxy, 2, 3)
+	c := decisionCluster(t, proxy, nil, 2, 3)
 
 	done := execAsync(c, "/exec?item=x&value=41")
 	letVoteHoldDecision(t, c, proxy, 2)
@@ -123,12 +124,36 @@ func TestE2ECoordinatorKilledAfterReply(t *testing.T) {
 // in doubt, asks the coordinator, redoes the write from the prepare record,
 // and the replicas converge.
 func TestE2EParticipantKilledBetweenVoteAndDecision(t *testing.T) {
+	participantKilledBetweenVoteAndDecision(t, nil)
+}
+
+// TestE2EParticipantKilledBetweenVoteAndDecisionDisk is the same kill on the
+// crash-recover configuration, the disk engine under versiondiff. Recovery
+// marks every copy, so only the redo of the re-adopted commit can make site
+// 3's x current without a copy: /recover must report no data copies.
+func TestE2EParticipantKilledBetweenVoteAndDecisionDisk(t *testing.T) {
+	body := participantKilledBetweenVoteAndDecision(t, []string{"-store", "disk", "-identify", "versiondiff"})
+	var report struct {
+		DataCopies uint64 `json:"dataCopies"`
+	}
+	if err := json.Unmarshal(body, &report); err != nil {
+		t.Fatalf("recover report %s: %v", body, err)
+	}
+	if report.DataCopies != 0 {
+		t.Fatalf("recover report %s: dataCopies = %d, want 0 (the redo installed x locally)", body, report.DataCopies)
+	}
+}
+
+// participantKilledBetweenVoteAndDecision runs the participant kill on
+// srnodes run with args and returns site 3's /recover report.
+func participantKilledBetweenVoteAndDecision(t *testing.T, args []string) []byte {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping process-spawning e2e test in -short mode")
 	}
 	proxy := faultproxy.New()
 	defer proxy.Close()
-	c := decisionCluster(t, proxy, 3)
+	c := decisionCluster(t, proxy, args, 3)
 
 	done := execAsync(c, "/exec?item=x&value=41")
 	letVoteHoldDecision(t, c, proxy, 3)
@@ -154,6 +179,7 @@ func TestE2EParticipantKilledBetweenVoteAndDecision(t *testing.T) {
 		t.Fatalf("recover report %s: inDoubt = %d, want >= 1 (the vote whose decision never arrived)", body, report.InDoubt)
 	}
 	checkConvergedX(t, c)
+	return body
 }
 
 // checkConvergedX requires every site, once no decision is in flight, to

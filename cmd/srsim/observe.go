@@ -58,15 +58,14 @@ func runObserve(sites, items, degree int, seed int64, identifyName string, showM
 		Sinks: sinks,
 	})
 	cluster, err := core.New(core.Config{
-		Sites:           sites,
-		Placement:       workload.UniformPlacement(items, degree, sites, seed),
-		Identify:        ident,
-		Seed:            seed,
-		MaxAttempts:     2,
-		DisableDetector: true,
-		DisableJanitor:  true,
-		CopierWorkers:   1,
-		Obs:             hub,
+		Sites:             sites,
+		Placement:         workload.UniformPlacement(items, degree, sites, seed),
+		Identify:          ident,
+		Seed:              seed,
+		MaxAttempts:       2,
+		DisableBackground: true,
+		CopierWorkers:     1,
+		Obs:               hub,
 	})
 	if err != nil {
 		return err

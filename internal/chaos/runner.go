@@ -66,18 +66,17 @@ func Run(ctx context.Context, sched Schedule, opts Options) (RunResult, error) {
 		Sinks: []obs.Sink{sink},
 	})
 	cluster, err := core.New(core.Config{
-		Sites:           sched.Sites,
-		Placement:       workload.UniformPlacement(sched.Items, sched.Degree, sched.Sites, sched.Seed),
-		Identify:        ident,
-		Seed:            sched.Seed,
-		MaxAttempts:     2,
-		RetryBackoff:    time.Millisecond,
-		LockTimeout:     25 * time.Millisecond,
-		JanitorStaleAge: time.Nanosecond,
-		DisableDetector: true,
-		DisableJanitor:  true,
-		CopierWorkers:   -1,
-		Obs:             hub,
+		Sites:             sched.Sites,
+		Placement:         workload.UniformPlacement(sched.Items, sched.Degree, sched.Sites, sched.Seed),
+		Identify:          ident,
+		Seed:              sched.Seed,
+		MaxAttempts:       2,
+		RetryBackoff:      time.Millisecond,
+		LockTimeout:       25 * time.Millisecond,
+		JanitorStaleAge:   time.Nanosecond,
+		DisableBackground: true,
+		CopierWorkers:     -1,
+		Obs:               hub,
 	})
 	if err != nil {
 		return RunResult{}, err

@@ -86,10 +86,10 @@ type Config struct {
 	// LockPolicy and LockTimeout tune the per-site lock managers.
 	LockPolicy  lockmgr.Policy
 	LockTimeout time.Duration
-	// MinLatency/MaxLatency/LossRate/Seed tune the network simulator.
+	// MinLatency/MaxLatency/Seed tune the network simulator; its loss rate
+	// is Network().SetLossRate.
 	MinLatency time.Duration
 	MaxLatency time.Duration
-	LossRate   float64
 	Seed       int64
 	// MaxAttempts and RetryBackoff tune the transaction retry loop.
 	MaxAttempts  int
@@ -103,10 +103,9 @@ type Config struct {
 	// pool; deterministic harnesses then drive copies synchronously via
 	// each site's Recovery.CopyNow/DrainNow.
 	CopierWorkers int
-	// DisableJanitor and DisableDetector switch the background workers off
-	// for deterministic tests.
-	DisableJanitor  bool
-	DisableDetector bool
+	// DisableBackground switches every site's failure detector and janitor
+	// off for deterministic runs.
+	DisableBackground bool
 	// Clock defaults to the wall clock.
 	Clock clock.Clock
 	// Hooks are fault-injection points for tests.
@@ -187,7 +186,6 @@ func New(cfg Config) (*Cluster, error) {
 		Clock:      cfg.Clock,
 		MinLatency: cfg.MinLatency,
 		MaxLatency: cfg.MaxLatency,
-		LossRate:   cfg.LossRate,
 		Seed:       cfg.Seed,
 		Obs:        cfg.Obs,
 	})
@@ -209,15 +207,14 @@ func New(cfg Config) (*Cluster, error) {
 	// site only for the spooler baseline. No stable-state preload or sinks:
 	// a simulated site never outlives its process.
 	env := node.Env{
-		Net:             net,
-		Catalog:         cat,
-		Seq:             txn.NewSequencer(),
-		Clock:           cfg.Clock,
-		Recorder:        rec,
-		Hooks:           cfg.Hooks,
-		Seed:            cfg.Seed,
-		DisableJanitor:  cfg.DisableJanitor,
-		DisableDetector: cfg.DisableDetector,
+		Net:               net,
+		Catalog:           cat,
+		Seq:               txn.NewSequencer(),
+		Clock:             cfg.Clock,
+		Recorder:          rec,
+		Hooks:             cfg.Hooks,
+		Seed:              cfg.Seed,
+		DisableBackground: cfg.DisableBackground,
 	}
 	for _, id := range ids {
 		if cfg.Method == MethodSpooler {

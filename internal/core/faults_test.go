@@ -27,13 +27,18 @@ func TestMessageLossRobustness(t *testing.T) {
 	cfg := core.Config{
 		Sites:           3,
 		Placement:       workload.FullPlacement(8, 3),
-		LossRate:        0.02,
 		Seed:            99,
 		MaxAttempts:     30,
 		JanitorInterval: 20 * time.Millisecond,
 		JanitorStaleAge: 100 * time.Millisecond,
 	}
-	c := newFaultCluster(t, cfg)
+	c, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Network().SetLossRate(0.02) // before Start: every message is at risk
+	c.Start()
+	t.Cleanup(c.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 

@@ -16,8 +16,7 @@ func TestObservabilityThroughCrashRecover(t *testing.T) {
 	hub := obs.NewHub(obs.Options{})
 	cfg := testConfig(5)
 	cfg.Obs = hub
-	cfg.DisableDetector = true
-	cfg.DisableJanitor = true
+	cfg.DisableBackground = true
 	cfg.MaxAttempts = 2
 	c := newCluster(t, cfg)
 	ctx := context.Background()

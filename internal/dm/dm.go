@@ -114,9 +114,10 @@ type txnLocal struct {
 	prepared   bool
 	preparedAt time.Time
 	createdAt  time.Time
-	// deciding: finishCommit is installing the transaction. It stays in
-	// flight, and counted by Prepared, until the install, the participant
-	// commit record and any forced-commit count are done.
+	// deciding: finishCommit is installing the transaction, or
+	// ResolveInDoubt is settling it. It stays in flight, and counted by
+	// Prepared, until the install, the participant commit record and any
+	// forced-commit count are done.
 	deciding bool
 }
 
@@ -455,9 +456,8 @@ func (m *Manager) observeSeq(seq uint64) {
 // decided transaction is installed and counted. A commit that finds it
 // deciding, or already committed, is a duplicate and changes nothing. If the
 // install fails the transaction goes back to prepared with its locks, its
-// pending set and the copies' marks intact; the zero preparedAt makes it
-// stale immediately (as in AdoptInDoubt), so the janitor's next sweep
-// re-asks the decision and retries the commit.
+// pending set and the copies' marks intact, and stale at once (handBack), so
+// the janitor's next sweep re-asks the decision and retries the commit.
 func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64, forced bool) error {
 	m.observeSeq(commitSeq)
 	m.mu.Lock()
@@ -474,12 +474,20 @@ func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64, forced bool) e
 	}
 	t.deciding = true
 	m.mu.Unlock()
+	err := m.commit(t, commitSeq, forced)
+	if err != nil {
+		m.handBack(t)
+	}
+	return err
+}
 
+// commit is finishCommit past its duplicate check, for a transaction already
+// marked deciding. On an install error it returns with the transaction still
+// deciding; the caller decides what it keeps before handing it back.
+func (m *Manager) commit(t *txnLocal, commitSeq uint64, forced bool) error {
+	txn := t.meta.ID
 	installed, err := m.cfg.Store.InstallPending(txn, proto.Version{Counter: commitSeq, Writer: txn})
 	if err != nil {
-		m.mu.Lock()
-		t.prepared, t.preparedAt, t.deciding = true, time.Time{}, false
-		m.mu.Unlock()
 		m.cfg.Obs.InstallError(m.cfg.Site)
 		return fmt.Errorf("%v commit %v: %w", m.cfg.Site, txn, err)
 	}
@@ -517,6 +525,14 @@ func (m *Manager) finishCommit(txn proto.TxnID, commitSeq uint64, forced bool) e
 	m.mu.Unlock()
 	m.cfg.Locks.ReleaseAll(txn)
 	return nil
+}
+
+// handBack returns an undecided transaction to the janitor: prepared, no
+// longer deciding, and stale at once through its zero preparedAt.
+func (m *Manager) handBack(t *txnLocal) {
+	m.mu.Lock()
+	t.prepared, t.preparedAt, t.deciding = true, time.Time{}, false
+	m.mu.Unlock()
 }
 
 // noteMissed applies §5 bookkeeping: the committed write of item missed the
@@ -563,12 +579,18 @@ func (m *Manager) finishAbort(txn proto.TxnID) {
 	m.cfg.Locks.ReleaseAll(txn)
 }
 
+// handleDecision answers a decision query from the log: a logged decision is
+// final. Without one the transaction is open ("prepared") only while this
+// site's TM still coordinates it; otherwise the answer is "unknown", which
+// the asker reads as presumed abort, since a TM that stopped coordinating a
+// transaction without logging a commit never will.
 func (m *Manager) handleDecision(req proto.DecisionReq) (proto.Message, error) {
 	state, seq := m.cfg.Log.Outcome(req.Txn)
-	if state == proto.StateUnknown && m.cb.ActiveTxn != nil && m.cb.ActiveTxn(req.Txn) {
-		// Still being coordinated here: tell the asker to keep waiting
-		// rather than presume abort.
-		state = proto.StatePrepared
+	if state != proto.StateCommitted && state != proto.StateAborted {
+		state = proto.StateUnknown
+		if m.cb.ActiveTxn != nil && m.cb.ActiveTxn(req.Txn) {
+			state = proto.StatePrepared
+		}
 	}
 	return proto.DecisionResp{State: state, CommitSeq: seq}, nil
 }
@@ -662,7 +684,7 @@ func (m *Manager) StaleTxns(maxAge time.Duration) []StaleTxn {
 	var out []StaleTxn
 	for _, t := range m.inflight {
 		if t.deciding {
-			continue // its decision is being installed
+			continue // its decision is being installed, or settled by recovery
 		}
 		ref := t.createdAt
 		if t.prepared {
@@ -708,86 +730,63 @@ func (m *Manager) ForceAbort(txn proto.TxnID) {
 	m.cfg.Obs.Forced(m.cfg.Site, "abort")
 }
 
-// InDoubtTxn is an in-doubt transaction found in the stable log after a
-// crash.
-type InDoubtTxn struct {
-	Txn    proto.TxnID
-	Writes []wal.WriteRec // the write set this site prepared
-	Origin proto.SiteID   // the coordinator
-}
-
-// Items returns the write set's item names.
-func (d InDoubtTxn) Items() []proto.Item {
-	items := make([]proto.Item, 0, len(d.Writes))
-	for _, w := range d.Writes {
-		items = append(items, w.Item)
-	}
-	return items
-}
-
-// RecoverInDoubt returns the in-doubt transactions found in the stable log
-// after a crash, with the write sets and coordinators their prepare records
-// carry.
-func (m *Manager) RecoverInDoubt() []InDoubtTxn {
-	var out []InDoubtTxn
-	for _, txn := range m.cfg.Log.InDoubt() {
-		writes, origin := m.cfg.Log.PreparedRecord(txn)
-		out = append(out, InDoubtTxn{Txn: txn, Writes: writes, Origin: origin})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Txn < out[j].Txn })
-	return out
-}
-
-// ResolveRecoveredOutcome closes an in-doubt transaction discovered after a
-// crash. A committed outcome is redone from the prepare record's write set
-// (the install died with the crash); the version guard in the store keeps
-// redo idempotent and never regresses a newer copy. An aborted outcome is
-// only logged.
-func (m *Manager) ResolveRecoveredOutcome(d InDoubtTxn, committed bool, commitSeq uint64) error {
-	if !committed {
-		m.cfg.Log.Append(wal.Record{
-			Type: wal.RecordAbort, Role: wal.RoleParticipant, Txn: d.Txn,
-		})
-		return nil
-	}
-	m.observeSeq(commitSeq)
-	for _, w := range d.Writes {
-		version := w.Version
-		if !w.Refresh {
-			version = proto.Version{Counter: commitSeq, Writer: d.Txn}
+// ResolveInDoubt settles, after a crash, every transaction the stable log
+// holds in doubt, in ID order, and returns how many there were. Each becomes
+// an ordinary prepared in-flight transaction again, under its logged
+// coordinator, with its prepare record's write set restored as its pending
+// set; decide supplies the outcome. A commit then ends in the participant's
+// own commit, which redoes the install the crash lost, and an abort in its
+// own abort. Each outcome counts as recovery/in_doubt.committed, .aborted or
+// .unresolved, not as dm/forced.*: until decide has answered, the
+// transaction is deciding, which keeps the janitor and duplicate decisions
+// off it. A transaction still undecided, or whose write set cannot be
+// restored or installed, keeps nothing it buffered, so nothing of it can land
+// after the site's type-1 claim: its write set is marked unreadable, and it
+// stays prepared and stale at once for the janitor.
+func (m *Manager) ResolveInDoubt(decide func(proto.TxnMeta) (proto.TxnState, uint64)) int {
+	ids := m.cfg.Log.InDoubt()
+	slices.Sort(ids)
+	for _, id := range ids {
+		writes, origin := m.cfg.Log.PreparedRecord(id)
+		restored := true
+		for _, w := range writes {
+			var err error
+			if w.Refresh {
+				err = m.cfg.Store.BufferRefresh(id, w.Item, w.Value, w.Version)
+			} else {
+				err = m.cfg.Store.BufferWrite(id, w.Item, w.Value)
+			}
+			restored = restored && err == nil
 		}
-		m.observeSeq(version.Counter)
-		installed, err := m.cfg.Store.InstallDirect(w.Item, w.Value, version)
-		if err != nil {
-			return fmt.Errorf("redo %v at %v: %w", d.Txn, m.cfg.Site, err)
+		t := &txnLocal{
+			meta:     proto.TxnMeta{ID: id, Origin: origin, Class: proto.ClassUser},
+			prepared: true, deciding: true,
 		}
-		if installed && m.cfg.Recorder != nil {
-			m.cfg.Recorder.Write(d.Txn, w.Item, m.cfg.Site, version.Writer)
-		}
-	}
-	m.cfg.Log.Append(wal.Record{
-		Type: wal.RecordCommit, Role: wal.RoleParticipant,
-		Txn: d.Txn, CommitSeq: commitSeq,
-	})
-	return nil
-}
+		m.mu.Lock()
+		m.inflight[id] = t
+		m.mu.Unlock()
 
-// AdoptInDoubt re-tracks an in-doubt transaction that recovery could not
-// resolve (coordinator unreachable, no decisive witness) as a prepared
-// in-flight transaction. The crash erased the volatile entry StaleTxns
-// scans, so without re-tracking the prepare record would outlive every
-// janitor sweep; the zero preparedAt makes it stale immediately, and the
-// next sweep retries cooperative termination.
-func (m *Manager) AdoptInDoubt(d InDoubtTxn) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.inflight[d.Txn]; ok {
-		return
+		outcome := "unresolved"
+		switch state, seq := decide(t.meta); state {
+		case proto.StateCommitted:
+			m.observeSeq(seq)
+			if restored && m.commit(t, seq, false) == nil {
+				outcome = "committed"
+			}
+		case proto.StateAborted:
+			m.finishAbort(id)
+			outcome = "aborted"
+		}
+		if outcome == "unresolved" {
+			m.cfg.Store.DropPending(id)
+			for _, w := range writes {
+				m.cfg.Store.MarkUnreadable(w.Item)
+			}
+			m.handBack(t)
+		}
+		m.cfg.Obs.InDoubt(m.cfg.Site, outcome)
 	}
-	m.inflight[d.Txn] = &txnLocal{
-		meta:     proto.TxnMeta{ID: d.Txn, Origin: d.Origin, Class: proto.ClassUser},
-		prepared: true,
-	}
+	return len(ids)
 }
 
 // Store exposes the underlying store to the site assembly (recovery marks,

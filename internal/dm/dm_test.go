@@ -279,24 +279,22 @@ func TestCrashLosesVolatileState(t *testing.T) {
 	if got := f.dm.MissedFor(3); len(got) != 0 {
 		t.Fatalf("fail-locks survived crash: %v", got)
 	}
-	// The in-doubt transaction is visible from the stable log with its
-	// write set.
-	inDoubt := f.dm.RecoverInDoubt()
-	if len(inDoubt) != 1 || inDoubt[0].Txn != txn || inDoubt[0].Origin != 2 {
-		t.Fatalf("RecoverInDoubt = %+v", inDoubt)
+	// The in-doubt transaction comes back from the stable log under its
+	// coordinator, with its write set pending again; resolving it as
+	// committed redoes the lost install and closes the doubt.
+	var asked []proto.TxnMeta
+	n := f.dm.ResolveInDoubt(func(m proto.TxnMeta) (proto.TxnState, uint64) {
+		asked = append(asked, m)
+		if w := f.store.Pending(txn); len(w) != 1 || w[0].Item != "x" || w[0].Value != 5 || w[0].Refresh {
+			t.Fatalf("restored write set = %+v", w)
+		}
+		return proto.StateCommitted, 9
+	})
+	if n != 1 || len(asked) != 1 || asked[0].ID != txn || asked[0].Origin != 2 {
+		t.Fatalf("ResolveInDoubt = %d, asked %+v", n, asked)
 	}
-	if items := inDoubt[0].Items(); len(items) != 1 || items[0] != "x" {
-		t.Fatalf("in-doubt items = %v", items)
-	}
-	if w := inDoubt[0].Writes[0]; w.Value != 5 || w.Refresh {
-		t.Fatalf("in-doubt write record = %+v", w)
-	}
-	// Resolving as committed redoes the lost install and closes the doubt.
-	if err := f.dm.ResolveRecoveredOutcome(inDoubt[0], true, 9); err != nil {
-		t.Fatalf("ResolveRecoveredOutcome: %v", err)
-	}
-	if len(f.dm.RecoverInDoubt()) != 0 {
-		t.Fatal("in-doubt set not closed")
+	if n := f.dm.ResolveInDoubt(nil); n != 0 || len(f.log.InDoubt()) != 0 {
+		t.Fatalf("in-doubt set not closed: %d, %v", n, f.log.InDoubt())
 	}
 	if v, ver, _ := f.store.Committed("x"); v != 5 || ver.Counter != 9 || ver.Writer != txn {
 		t.Fatalf("redo result x = (%v, %v)", v, ver)

@@ -73,7 +73,7 @@ func TestInstallErrorKeepsTxnPreparedUntilJanitorRetries(t *testing.T) {
 	}
 
 	tb.Fail = false
-	j := recovery.NewJanitor(recovery.JanitorConfig{Site: 1, Local: m, StaleAge: time.Hour})
+	j := recovery.NewJanitor(recovery.JanitorConfig{Local: m, StaleAge: time.Hour})
 	j.Sweep(ctx)
 	if got := hub.Value(1, "dm", "forced.commit"); got != 1 {
 		t.Fatalf("dm/forced.commit = %d, want one forced commit", got)

@@ -23,9 +23,8 @@ func availabilityCluster(profile replication.Profile, sites, items, degree int, 
 		Profile:   profile,
 		// Availability is a single-attempt property: retries would only
 		// mask it (and crashed sites stay crashed for the measurement).
-		MaxAttempts:     1,
-		DisableDetector: true,
-		DisableJanitor:  true,
+		MaxAttempts:       1,
+		DisableBackground: true,
 	})
 	if err != nil {
 		return nil, err

@@ -42,9 +42,6 @@ type Config struct {
 	// uniformly. Both zero means instantaneous delivery.
 	MinLatency time.Duration
 	MaxLatency time.Duration
-	// LossRate is the probability in [0,1) that a direction of a call is
-	// dropped. Defaults to 0 (the paper's model has reliable links).
-	LossRate float64
 	// Seed seeds the latency/loss randomness. Zero means a fixed default,
 	// keeping runs reproducible unless the caller opts out.
 	Seed int64
@@ -93,13 +90,13 @@ func New(cfg Config) *Network {
 	return &Network{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		loss:  cfg.LossRate,
 		nodes: make(map[proto.SiteID]*node),
 	}
 }
 
-// SetLossRate changes the drop probability for subsequent calls: the
-// chaos engine's loss bursts. Rates outside [0,1) are clamped.
+// SetLossRate sets the probability that a direction of a subsequent call is
+// dropped: the chaos engine's loss bursts. A new network drops nothing (the
+// paper's model has reliable links). Rates outside [0,1) are clamped.
 func (n *Network) SetLossRate(rate float64) {
 	if rate < 0 {
 		rate = 0

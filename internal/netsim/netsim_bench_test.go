@@ -18,9 +18,9 @@ func BenchmarkCall(b *testing.B) {
 	n := New(Config{
 		MinLatency: 0,
 		MaxLatency: time.Nanosecond, // forces a draw, sleeps ~never
-		LossRate:   0.001,
 		Seed:       7,
 	})
+	n.SetLossRate(0.001)
 	for site := proto.SiteID(1); site <= 4; site++ {
 		n.Register(site, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 			return proto.ProbeResp{Operational: true, Session: 1}, nil

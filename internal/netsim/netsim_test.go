@@ -143,7 +143,8 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestLossRate(t *testing.T) {
-	n := New(Config{LossRate: 1.0})
+	n := New(Config{})
+	n.SetLossRate(1.0)
 	n.Register(1, echoHandler(t))
 	n.Register(2, echoHandler(t))
 	_, err := n.Call(context.Background(), 1, 2, proto.ProbeReq{})

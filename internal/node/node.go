@@ -48,9 +48,6 @@ type Config struct {
 	Listener net.Listener
 	// Placement maps each logical item to its replica sites. Required.
 	Placement map[proto.Item][]proto.SiteID
-	// DialTimeout and CallTimeout tune the TCP transport.
-	DialTimeout time.Duration
-	CallTimeout time.Duration
 	// Epoch is this process's incarnation number (0 for the first life).
 	// It seeds the transaction-ID counter (txn.Sequencer.SeedTxnIDs) so a
 	// respawned process never re-allocates an ID its dead incarnation may
@@ -110,13 +107,11 @@ func New(cfg Config) (*Node, error) {
 	seq.SeedTxnIDs(cfg.Epoch)
 
 	tr := tcpnet.New(tcpnet.Config{
-		Self:        cfg.Site,
-		Addrs:       cfg.Addrs,
-		Listener:    cfg.Listener,
-		DialTimeout: cfg.DialTimeout,
-		CallTimeout: cfg.CallTimeout,
-		Obs:         cfg.Obs,
-		Lamport:     seq.HighCommitSeq,
+		Self:     cfg.Site,
+		Addrs:    cfg.Addrs,
+		Listener: cfg.Listener,
+		Obs:      cfg.Obs,
+		Lamport:  seq.HighCommitSeq,
 	})
 
 	sc := cfg.SiteConfig

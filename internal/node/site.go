@@ -62,10 +62,10 @@ type Env struct {
 	Hooks Hooks
 	// Seed, plus the site ID, seeds the retry loop's jitter.
 	Seed int64
-	// DisableJanitor and DisableDetector switch the background workers off
-	// for deterministic tests.
-	DisableJanitor  bool
-	DisableDetector bool
+	// DisableBackground switches the failure detector and the janitor off
+	// for deterministic runs: no type-2 claim and no cooperative
+	// termination happens unless the caller drives it.
+	DisableBackground bool
 }
 
 // SiteConfig is one site's own configuration: the fields core.Config passes
@@ -141,9 +141,9 @@ type Site struct {
 	Recovery *recovery.Manager
 	Janitor  *recovery.Janitor
 
-	profile                         replication.Profile
-	obs                             *obs.Hub
-	disableJanitor, disableDetector bool
+	profile           replication.Profile
+	obs               *obs.Hub
+	disableBackground bool
 
 	mu      sync.Mutex
 	up      bool
@@ -161,7 +161,7 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 	s := &Site{
 		ID: id, Log: cfg.Log, Spool: env.Spool, up: true,
 		profile: cfg.Profile, obs: cfg.Obs,
-		disableJanitor: env.DisableJanitor, disableDetector: env.DisableDetector,
+		disableBackground: env.DisableBackground,
 	}
 	// The log comes before storage so a redo-logged engine can replay the
 	// records it loaded the moment its factory runs.
@@ -262,7 +262,7 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 		Seed:         env.Seed + int64(id),
 	}, txn.Callbacks{
 		OnSiteDown: func(down proto.SiteID, observed proto.Session) {
-			if !env.DisableDetector && s.Session != nil {
+			if !env.DisableBackground && s.Session != nil {
 				s.Session.ReportDown(down, observed)
 			}
 		},
@@ -305,7 +305,6 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 		CopierWorkers: cfg.CopierWorkers,
 	})
 	s.Janitor = recovery.NewJanitor(recovery.JanitorConfig{
-		Site:     id,
 		Local:    s.DM,
 		Net:      env.Net,
 		Catalog:  cat,
@@ -368,11 +367,9 @@ func (s *Site) Stop() {
 }
 
 func (s *Site) startWorkers() {
-	if !s.disableDetector {
-		s.Session.Start()
-	}
 	s.Recovery.Start()
-	if !s.disableJanitor {
+	if !s.disableBackground {
+		s.Session.Start()
 		s.Janitor.Start()
 	}
 }

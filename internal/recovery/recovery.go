@@ -17,9 +17,11 @@
 // periodically resolves in-flight transactions whose coordinator went
 // silent, with presumed-abort semantics.
 //
-// Neither keeps counters: recoveries, in-doubt outcomes, copies and skips
-// are counted on the obs hub (recovery/*, copier/*), and the janitor's
-// decisions where they land, as dm/forced.commit and dm/forced.abort.
+// Neither keeps counters: recoveries, copies and skips are counted on the
+// obs hub (recovery/*, copier/*), and decisions where they land, in the DM:
+// recovery's in-doubt outcomes as recovery/in_doubt.*, the janitor's as
+// dm/forced.commit and dm/forced.abort. Both reach them through one decision
+// lookup (decide).
 package recovery
 
 import (
@@ -290,14 +292,8 @@ func (m *Manager) Recover(ctx context.Context) (Report, error) {
 		Span: obs.NewSpanID(m.cfg.Site), Origin: m.cfg.Site,
 	})
 
-	// Step 2a: resolve in-doubt 2PC state from the stable log. Committed
-	// or unresolved outcomes imply the local copies of the transaction's
-	// write set are stale (the install died with the crash).
-	inDoubt := m.cfg.Local.RecoverInDoubt()
-	report.InDoubt = len(inDoubt)
-	for _, d := range inDoubt {
-		m.resolveInDoubt(ctx, d)
-	}
+	// Step 2a: settle in-doubt 2PC state from the stable log.
+	report.InDoubt = m.resolveInDoubt(ctx)
 
 	// Step 2b: identify and mark the copies that may have missed updates.
 	marked, err := m.markOutOfDate(ctx)
@@ -324,108 +320,14 @@ func (m *Manager) Recover(ctx context.Context) (Report, error) {
 	return report, nil
 }
 
-// resolveInDoubt applies cooperative termination to one in-doubt
-// transaction found after the crash and counts its outcome as
-// recovery/in_doubt.committed, .aborted or .unresolved. Committed outcomes
-// are redone from the prepare record; undecided ones, and committed ones
-// whose redo failed, leave their write sets marked unreadable (copiers will
-// observe the eventual outcome through ordinary locking at the operational
-// sites).
-func (m *Manager) resolveInDoubt(ctx context.Context, d dm.InDoubtTxn) {
-	// Decision traffic for this transaction is attributed to its own root ID
-	// under the recovery span.
-	parent, _ := obs.SpanFrom(ctx)
-	ctx = obs.WithSpan(ctx, obs.SpanContext{
-		Root: d.Txn, Span: obs.NewSpanID(m.cfg.Site),
-		Parent: parent.Span, Origin: m.cfg.Site,
+// resolveInDoubt is the in-doubt step every recovery procedure starts
+// with: the local DM settles what its stable log holds in doubt through the
+// janitor's decision lookup (dm.Manager.ResolveInDoubt has the rules), and
+// it returns how many transactions were in doubt.
+func (m *Manager) resolveInDoubt(ctx context.Context) int {
+	return m.cfg.Local.ResolveInDoubt(func(meta proto.TxnMeta) (proto.TxnState, uint64) {
+		return decide(ctx, m.cfg.Local, m.cfg.Net, m.cfg.Catalog, meta, true)
 	})
-	state, seq := m.queryDecision(ctx, d.Origin, d.Txn)
-	switch state {
-	case proto.StateCommitted:
-		if m.cfg.Local.ResolveRecoveredOutcome(d, true, seq) == nil {
-			m.cfg.Obs.InDoubt(m.cfg.Site, "committed")
-			return
-		}
-		// The redo failed: the local copies are stale, and no peer lists
-		// them as missed, so they must not stay readable.
-	case proto.StateAborted, proto.StateUnknown:
-		// Unknown from a reachable coordinator is presumed abort. Logging an
-		// abort cannot fail.
-		_ = m.cfg.Local.ResolveRecoveredOutcome(d, false, 0)
-		m.cfg.Obs.InDoubt(m.cfg.Site, "aborted")
-		return
-	}
-	// Still undecided (coordinator active, or unreachable with no witness),
-	// or decided but not installed: stay conservative — mark the write set,
-	// leave the record in doubt, and hand the transaction back to the
-	// janitor so cooperative termination keeps retrying.
-	for _, item := range d.Items() {
-		m.cfg.Local.Store().MarkUnreadable(item)
-	}
-	m.cfg.Local.AdoptInDoubt(d)
-	m.cfg.Obs.InDoubt(m.cfg.Site, "unresolved")
-}
-
-// queryDecision implements the decision lookup: coordinator first (its
-// answer is authoritative under presumed abort), then any witness.
-// It returns StatePrepared when the outcome is genuinely still open.
-func (m *Manager) queryDecision(ctx context.Context, origin proto.SiteID, id proto.TxnID) (proto.TxnState, uint64) {
-	if origin != 0 && origin != m.cfg.Site {
-		resp, err := m.cfg.Net.Call(ctx, m.cfg.Site, origin, proto.DecisionReq{Txn: id})
-		if err == nil {
-			if dr, ok := resp.(proto.DecisionResp); ok {
-				return dr.State, dr.CommitSeq
-			}
-		}
-	} else if origin == m.cfg.Site {
-		// We coordinated it ourselves: our own log is authoritative, and a
-		// restarted coordinator never resumes an undecided transaction.
-		state, seq := m.cfg.Local.Log().Outcome(id)
-		if state == proto.StatePrepared || state == proto.StateUnknown {
-			return proto.StateUnknown, 0
-		}
-		return state, seq
-	}
-	// Coordinator unreachable: ask the other sites for a witness.
-	if state, seq, decisive := witnessDecision(ctx, m.cfg.Net, m.cfg.Site, origin, m.cfg.Catalog.Sites(), id); decisive {
-		return state, seq
-	}
-	// No decisive witness (genuinely open, or no witness at all): stay
-	// conservative — classic 2PC blocking.
-	return proto.StatePrepared, 0
-}
-
-// witnessDecision implements the cooperative-termination witness query: ask
-// every peer (excluding self and the coordinator) for the outcome of id and
-// return the first decisive answer — a commit or abort — in site order. Where
-// an answer is in when its send returns (the simulator) the queries stop at
-// the first decisive one; otherwise all peers are asked at once and the scan
-// over the ordered results picks the same verdict.
-func witnessDecision(ctx context.Context, net transport.Transport, self, origin proto.SiteID, sites []proto.SiteID, id proto.TxnID) (proto.TxnState, uint64, bool) {
-	var peers []proto.SiteID
-	for _, j := range sites {
-		if j != self && j != origin {
-			peers = append(peers, j)
-		}
-	}
-	decisive := func(r transport.Result) bool {
-		dr, ok := r.Resp.(proto.DecisionResp)
-		return r.Err == nil && ok && (dr.State == proto.StateCommitted || dr.State == proto.StateAborted)
-	}
-	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
-		return net.Send(ctx, self, j, proto.DecisionReq{Txn: id})
-	}, decisive)
-	for _, r := range results {
-		if !decisive(r) {
-			continue
-		}
-		dr := r.Resp.(proto.DecisionResp)
-		if dr.State == proto.StateCommitted {
-			return proto.StateCommitted, dr.CommitSeq, true
-		}
-		return proto.StateAborted, 0, true
-	}
-	return proto.StateUnknown, 0, false
 }
 
 // markOutOfDate applies the configured identification strategy and returns

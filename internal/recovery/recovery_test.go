@@ -234,12 +234,11 @@ func TestFailedInDoubtRedoMarksTheCopy(t *testing.T) {
 	var table *enginetest.FailingTable
 	var c *core.Cluster
 	cfg := core.Config{
-		Sites:           3,
-		Placement:       fullPlacement([]proto.Item{"a"}, 3),
-		Identify:        recovery.IdentifyFailLock,
-		CopierWorkers:   -1,
-		DisableJanitor:  true,
-		DisableDetector: true,
+		Sites:             3,
+		Placement:         fullPlacement([]proto.Item{"a"}, 3),
+		Identify:          recovery.IdentifyFailLock,
+		CopierWorkers:     -1,
+		DisableBackground: true,
 		Storage: func(d storage.Deps) (storage.Engine, error) {
 			var tb storage.Table = storage.NewMemTable()
 			if d.Site == 3 {

@@ -32,11 +32,7 @@ func (m *Manager) RecoverSpooled(ctx context.Context) (Report, error) {
 		Span: obs.NewSpanID(m.cfg.Site), Origin: m.cfg.Site,
 	})
 
-	inDoubt := m.cfg.Local.RecoverInDoubt()
-	report.InDoubt = len(inDoubt)
-	for _, d := range inDoubt {
-		m.resolveInDoubt(ctx, d)
-	}
+	report.InDoubt = m.resolveInDoubt(ctx)
 
 	// Bulk pre-drain shortens the post-claim critical window.
 	report.Replayed += m.applySpool(ctx)
@@ -142,11 +138,7 @@ func (m *Manager) RecoverBaseline(ctx context.Context) (Report, error) {
 	report := Report{}
 	m.cfg.Obs.RecoveryStart(m.cfg.Site)
 
-	inDoubt := m.cfg.Local.RecoverInDoubt()
-	report.InDoubt = len(inDoubt)
-	for _, d := range inDoubt {
-		m.resolveInDoubt(ctx, d)
-	}
+	report.InDoubt = m.resolveInDoubt(ctx)
 
 	sn := m.cfg.Local.Log().NextSession()
 	m.cfg.Local.SetSession(sn)

@@ -22,11 +22,10 @@ func newCluster(t *testing.T, sites int) *core.Cluster {
 		placement[item] = replicas
 	}
 	c, err := core.New(core.Config{
-		Sites:           sites,
-		Placement:       placement,
-		DisableDetector: true, // claims are driven explicitly in these tests
-		DisableJanitor:  true,
-		Obs:             obs.NewHub(obs.Options{}),
+		Sites:             sites,
+		Placement:         placement,
+		DisableBackground: true, // claims are driven explicitly in these tests
+		Obs:               obs.NewHub(obs.Options{}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -335,11 +335,10 @@ func (s *Store) InstallPending(txn proto.TxnID, version proto.Version) ([]wal.Wr
 }
 
 // InstallDirect commits a single value under an explicit version for the
-// callers that hold no lock and replay out of order: the spooler baseline
-// replaying missed updates, and the redo of an in-doubt transaction whose
-// install died with the crash. If the local copy already carries the same
-// or a newer version the install is skipped and the unreadable mark still
-// cleared; it returns whether the value was written. This is the only
+// one caller that holds no lock and replays out of order: the spooler
+// baseline replaying missed updates. If the local copy already carries the
+// same or a newer version the install is skipped and the unreadable mark
+// still cleared; it returns whether the value was written. This is the only
 // version comparison in the storage layer, and it stays until version order
 // is sound across writers (ROADMAP item 8), when it can be deleted.
 func (s *Store) InstallDirect(item proto.Item, value proto.Value, version proto.Version) (bool, error) {

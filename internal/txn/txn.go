@@ -825,7 +825,7 @@ func (t *Tx) Abort(ctx context.Context) {
 // prepare records were forced before they voted and they hold their
 // exclusive locks until the decision lands, so no transaction anywhere can
 // read the gap; a decision lost with a connection or a process is what the
-// janitor's decision query and RecoverInDoubt resolve.
+// janitor and recovery's in-doubt step resolve, through one decision lookup.
 func (t *Tx) Commit(ctx context.Context) error {
 	if t.done {
 		return t.finished()
