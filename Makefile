@@ -74,11 +74,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRecordJSON -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzWALTail -fuzztime $(FUZZTIME) ./internal/wal
 
-# Mirrors the tcp-e2e CI job: transport, node, the 3-process srnode
+# Mirrors the tcp-e2e CI job: transport, raw I/O, node, the 3-process srnode
 # cluster tests, proc.Cluster itself (one writer shared by every process)
 # and srload's TCP column under the race detector.
 e2e:
-	$(GO) test -race -count=1 ./internal/transport/... ./internal/node/ ./cmd/srnode/ ./internal/chaos/proc/ ./cmd/srload/
+	$(GO) test -race -count=1 ./internal/transport/... ./internal/rawio/... ./internal/node/ ./cmd/srnode/ ./internal/chaos/proc/ ./cmd/srload/
 
 # Mirrors the coverage CI job.
 cover:
@@ -121,12 +121,16 @@ trace-cluster:
 		bench/out/cluster-trace/crash-http/site3.gen0.jsonl
 
 # Mirrors the disk-engine CI job: the storage front's tests and the shared
-# table conformance battery against both copy tables, the disk SIGKILL e2e leg (local WAL redo
-# restores committed pages before the type-1 claim), and a seeded srchaos
-# run with every srnode on -store=disk.
+# table conformance battery against both copy tables, the disk SIGKILL e2e legs (local WAL redo
+# restores committed pages before the type-1 claim), the same file tests and
+# the tmpfs SIGKILL leg again without -race, where WAL forces and page I/O on
+# a memory file system take raw syscalls, and a seeded srchaos run with every
+# srnode on -store=disk.
 disk-engine:
 	$(GO) test -race -count=1 ./internal/storage/... ./internal/wal/
 	$(GO) test -race -count=1 -run 'TestE2EThreeSiteCluster/sigkill-disk' ./cmd/srnode/
+	$(GO) test -count=1 ./internal/wal/ ./internal/storage/... ./internal/rawio/...
+	$(GO) test -count=1 -run 'TestE2EThreeSiteCluster/sigkill-disk-shm' ./cmd/srnode/
 	rm -rf bench/out/disk-chaos
 	$(GO) run ./cmd/srchaos -seed 1 -steps 30 -store disk -outdir bench/out/disk-chaos
 
@@ -148,7 +152,7 @@ proc-chaos:
 # a table of every test or package that failed at least once: failures, runs
 # and name, most failures first (also written to flake.txt). Exits non-zero
 # if anything failed. For example:
-#   make flake N=50 PKGS='./internal/node/ ./internal/dm/'
+#   make flake N=50 PKGS='./internal/rawio/ ./internal/wal/ ./internal/storage/disk/'
 N ?= 20
 PKGS ?= ./...
 flake:

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"siterecovery/internal/load"
-	"siterecovery/internal/transport/sockio"
+	"siterecovery/internal/rawio"
 	"siterecovery/internal/txn"
 )
 
@@ -102,7 +102,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 			c.Close()
 		}
 	}()
-	rw := sockio.Wrap(c) // the fast path's reads and writes; net/http gets c
+	rw := rawio.Wrap(c) // the fast path's reads and writes; net/http gets c
 	buf := make([]byte, maxHead)
 	var out []byte
 	n := 0 // buf[:n] is read and not yet served

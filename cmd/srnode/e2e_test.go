@@ -16,6 +16,7 @@ import (
 	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
+	"siterecovery/internal/rawio/rawiotest"
 	"siterecovery/internal/storage/disk"
 	"siterecovery/internal/trace"
 	"siterecovery/internal/wal"
@@ -41,6 +42,11 @@ import (
 //     /storage peek while the site is still down), and the copiers then
 //     transfer only the one item that changed while it was dead — current
 //     items cost zero peer page fetches.
+//   - sigkill-disk-shm: sigkill-disk with every statedir on a memory file
+//     system, where the WAL's forces and the heap's page I/O take raw
+//     syscalls (rawio.WrapFile), so that the kill, respawn and redo cross
+//     that path too. It skips where there is none, and its files stay out
+//     of SRNODE_E2E_OUTDIR.
 func TestE2EThreeSiteCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning e2e test in -short mode")
@@ -71,6 +77,8 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 		bringBack  func(t *testing.T, c *proc.Cluster)
 		// checkReport inspects the /recover response body.
 		checkReport func(t *testing.T, body []byte)
+		// memDir puts the statedirs on a memory file system.
+		memDir bool
 	}{
 		{
 			name:        "crash-http",
@@ -147,15 +155,22 @@ func TestE2EThreeSiteCluster(t *testing.T) {
 		},
 	}
 
+	shm := models[len(models)-1] // sigkill-disk
+	shm.name, shm.memDir = "sigkill-disk-shm", true
+	models = append(models, shm)
+
 	for _, model := range models {
 		t.Run(model.name, func(t *testing.T) {
 			// Each site exports its event stream as JSONL; SRNODE_E2E_OUTDIR
 			// keeps the files (CI uploads the merged timeline), else they're
 			// temporary.
 			outDir := os.Getenv("SRNODE_E2E_OUTDIR")
-			if outDir == "" {
+			switch {
+			case model.memDir:
+				outDir = rawiotest.MemDir(t)
+			case outDir == "":
 				outDir = t.TempDir()
-			} else {
+			default:
 				outDir = filepath.Join(outDir, model.name)
 			}
 			c := newCluster(t, proc.Config{Bin: bin, Dir: outDir, Args: model.args})

@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/rawio"
 	"siterecovery/internal/storage"
 	"siterecovery/internal/wal"
 )
@@ -59,11 +60,12 @@ type Engine struct {
 type table struct {
 	log *wal.Log
 
-	mu   sync.Mutex
-	file *os.File
-	pool *pool
-	dir  map[proto.Item]slotRef
-	free []int // free bytes per page; len(free) is the page count
+	mu    sync.Mutex
+	file  *os.File   // to stat and close
+	pages rawio.File // file's page reads, writes and sync
+	pool  *pool
+	dir   map[proto.Item]slotRef
+	free  []int // free bytes per page; len(free) is the page count
 
 	corruptPages             int
 	redoApplied, redoSkipped int
@@ -114,7 +116,7 @@ func openTable(dir string, poolPages int, log *wal.Log) (*table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk engine: %w", err)
 	}
-	t := &table{log: log, file: file, dir: make(map[proto.Item]slotRef)}
+	t := &table{log: log, file: file, pages: rawio.WrapFile(file), dir: make(map[proto.Item]slotRef)}
 	t.pool = newPool(poolPages, t, log.DurableLSN)
 	if err := t.load(); err != nil {
 		file.Close()
@@ -207,7 +209,7 @@ func (t *table) redo(initial proto.Version) error {
 // current end of file so freshly allocated (never flushed) pages read back
 // as zeroes.
 func (t *table) readPage(id uint32, buf []byte) error {
-	n, err := t.file.ReadAt(buf, int64(id)*PageSize)
+	n, err := t.pages.ReadAt(buf, int64(id)*PageSize)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return fmt.Errorf("disk engine: read page %d: %w", id, err)
 	}
@@ -219,7 +221,7 @@ func (t *table) readPage(id uint32, buf []byte) error {
 
 // writePage implements pageIO.
 func (t *table) writePage(id uint32, buf []byte) error {
-	if _, err := t.file.WriteAt(buf, int64(id)*PageSize); err != nil {
+	if _, err := t.pages.WriteAt(buf, int64(id)*PageSize); err != nil {
 		return fmt.Errorf("disk engine: write page %d: %w", id, err)
 	}
 	return nil
@@ -362,7 +364,7 @@ func (e *Engine) Flush() error {
 	if err := t.pool.flushAll(); err != nil {
 		return err
 	}
-	if err := t.file.Sync(); err != nil {
+	if err := t.pages.Sync(); err != nil {
 		return fmt.Errorf("disk engine: sync: %w", err)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/rawio/rawiotest"
 	"siterecovery/internal/storage"
 	"siterecovery/internal/storage/enginetest"
 	"siterecovery/internal/wal"
@@ -37,14 +38,24 @@ func openLog(t *testing.T, dir string) *wal.Log {
 	return log
 }
 
+// TestDiskConformance runs the table battery with heap files in t.TempDir(),
+// and again under "shm" with them on a memory file system, where page I/O
+// takes raw syscalls.
 func TestDiskConformance(t *testing.T) {
-	enginetest.Run(t, func(t *testing.T, log *wal.Log) storage.Table {
-		tb, err := openTable(t.TempDir(), 4, log)
-		if err != nil {
-			t.Fatalf("openTable: %v", err)
-		}
-		t.Cleanup(func() { tb.file.Close() })
-		return tb
+	run := func(t *testing.T, newDir func(testing.TB) string) {
+		enginetest.Run(t, func(t *testing.T, log *wal.Log) storage.Table {
+			tb, err := openTable(newDir(t), 4, log)
+			if err != nil {
+				t.Fatalf("openTable: %v", err)
+			}
+			t.Cleanup(func() { tb.file.Close() })
+			return tb
+		})
+	}
+	run(t, testing.TB.TempDir)
+	t.Run("shm", func(t *testing.T) {
+		rawiotest.MemDir(t) // skips where there is none
+		run(t, rawiotest.MemDir)
 	})
 }
 
@@ -84,7 +95,10 @@ func TestFlushReopen(t *testing.T) {
 // heap file (no flush — the "process" dies) are rebuilt from the WAL's
 // physical redo records at the next open.
 func TestRedoRecovery(t *testing.T) {
-	dir := t.TempDir()
+	rawiotest.Run(t, testRedoRecovery)
+}
+
+func testRedoRecovery(t *testing.T, dir string) {
 	log := openLog(t, dir)
 	e := openT(t, dir, 4, log, "x", "y")
 	if err := e.BufferWrite(9, "x", 41); err != nil {
@@ -133,7 +147,10 @@ func TestRedoRecovery(t *testing.T) {
 // or a restarted site resurrects the stale "down" marker and its copiers
 // skip every live peer.
 func TestRedoNonMonotoneVersions(t *testing.T) {
-	dir := t.TempDir()
+	rawiotest.Run(t, testRedoNonMonotoneVersions)
+}
+
+func testRedoNonMonotoneVersions(t *testing.T, dir string) {
 	e := openT(t, dir, 4, openLog(t, dir), "ns-2")
 	if err := e.BufferWrite(50, "ns-2", -1); err != nil { // exclusion: down
 		t.Fatal(err)
@@ -194,11 +211,14 @@ func TestEvictionSpansPages(t *testing.T) {
 // reopened, and the engine with it. Every value comes back, and once Open
 // has replayed the redo the log no longer holds it.
 func TestRestartReplaysTheSink(t *testing.T) {
+	rawiotest.Run(t, testRestartReplaysTheSink)
+}
+
+func testRestartReplaysTheSink(t *testing.T, dir string) {
 	var items []proto.Item
 	for i := 0; i < 300; i++ {
 		items = append(items, proto.Item(fmt.Sprintf("item-%03d", i)))
 	}
-	dir := t.TempDir()
 	e := openT(t, dir, 1, openLog(t, dir), items...)
 	for i, item := range items {
 		if _, err := e.InstallDirect(item, proto.Value(i+1000), proto.Version{Counter: uint64(i + 1), Writer: 2}); err != nil {
@@ -292,7 +312,10 @@ func BenchmarkInstallEvict(b *testing.B) {
 // TestTornPageDropped corrupts a flushed page on disk; open must detect the
 // checksum mismatch, drop the page, and rebuild its contents from redo.
 func TestTornPageDropped(t *testing.T) {
-	dir := t.TempDir()
+	rawiotest.Run(t, testTornPageDropped)
+}
+
+func testTornPageDropped(t *testing.T, dir string) {
 	e := openT(t, dir, 4, openLog(t, dir), "x")
 	ver := proto.Version{Counter: 2, Writer: 6}
 	if _, err := e.InstallDirect("x", 55, ver); err != nil {

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"siterecovery/internal/proto"
-	"siterecovery/internal/transport/sockio"
+	"siterecovery/internal/rawio"
 )
 
 // The client reads its own replies: these tests drive the read token through
@@ -380,7 +380,7 @@ func TestIdleConnClosedByPeerIsRedialed(t *testing.T) {
 	}
 	<-closed
 	pc := peerOf(client, 2)
-	waitUntil(t, "the close reaches the client", func() bool { return sockio.PeerClosed(pc.conn) })
+	waitUntil(t, "the close reaches the client", func() bool { return rawio.PeerClosed(pc.conn) })
 	if _, err := client.Call(ctx, 1, 2, proto.ProbeReq{}); err != nil {
 		t.Fatalf("call on a connection its peer closed while idle: %v", err)
 	}

@@ -28,7 +28,7 @@
 // past). If that happens between frames the holder gives up and passes the
 // token on; inside a frame, the connection is retired and every call waiting
 // on it fails. Since nobody watches an idle connection, a write to one that
-// nobody is reading first peeks at it (sockio.PeerClosed), and a connection
+// nobody is reading first peeks at it (rawio.PeerClosed), and a connection
 // its peer has closed is redialed instead of written into.
 //
 // The serving side serves a frame on the goroutine that read it: no hand-off,
@@ -42,7 +42,7 @@
 // its timer and its registration with the transport's base context only when
 // asked for Done.
 //
-// Every connection, accepted or dialed, is wrapped by sockio.Wrap where it is
+// Every connection, accepted or dialed, is wrapped by rawio.Wrap where it is
 // made, so frames are read and written with raw non-blocking syscalls that
 // never wake the runtime's sysmon thread (DESIGN §10).
 //
@@ -69,8 +69,8 @@ import (
 
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
+	"siterecovery/internal/rawio"
 	"siterecovery/internal/transport"
-	"siterecovery/internal/transport/sockio"
 )
 
 // maxFrame bounds a single frame; larger frames indicate a corrupt stream.
@@ -546,7 +546,7 @@ func (t *Transport) acceptLoop(ln net.Listener) {
 			conn.Close()
 			return
 		}
-		conn = sockio.Wrap(conn)
+		conn = rawio.Wrap(conn)
 		t.serving[conn] = true
 		t.mu.Unlock()
 		s := &servedConn{t: t, conn: conn, r: bufio.NewReader(conn)}
@@ -928,7 +928,7 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 		}
 		// A connection nobody is reading has nobody to see its peer close
 		// it, so one peek asks before anything is written into it.
-		if !fresh && len(pc.token) == 1 && sockio.PeerClosed(pc.conn) {
+		if !fresh && len(pc.token) == 1 && rawio.PeerClosed(pc.conn) {
 			t.dropPeer(to, pc)
 			continue
 		}
@@ -1214,7 +1214,7 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 			conn.Close()
 			return nil, false, fmt.Errorf("tcpnet: transport closed")
 		}
-		pc := newPeerConn(sockio.Wrap(conn))
+		pc := newPeerConn(rawio.Wrap(conn))
 		t.peers[to] = pc
 		t.mu.Unlock()
 		return pc, true, nil

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"siterecovery/internal/rawio"
 )
 
 // FileName is the log's file in a site's state directory: one record per
@@ -25,7 +27,8 @@ const FileName = "wal.jsonl"
 // would otherwise extend it. Any other line that does not decode is refused,
 // naming it.
 //
-// Every later force appends its batch with one write and one fsync. A
+// Every later force appends its batch with one write and one fsync, on raw
+// syscalls when the file is on a memory file system (rawio.WrapFile). A
 // participant's fsynced prepare record is the only durable copy of a write
 // set it voted yes on, so a site that cannot persist must not keep voting: a
 // write or sync error calls fail, which must not return, before the append
@@ -47,15 +50,16 @@ func Open(dir string, fail func(error)) (*Log, error) {
 		return nil, err
 	}
 	l.file = f
-	var buf []byte // the sink runs under l.mu, so one buffer serves every batch
+	w := rawio.WrapFile(f) // the forces; the load and syncDir above stay on os
+	var buf []byte         // the sink runs under l.mu, so one buffer serves every batch
 	l.sink = func(recs []Record) {
 		buf = buf[:0]
 		for i := range recs {
 			buf = appendRecordJSON(buf, &recs[i])
 		}
-		_, err := f.Write(buf)
+		_, err := w.Write(buf)
 		if err == nil {
-			err = f.Sync()
+			err = w.Sync()
 		}
 		if err != nil {
 			fail(err)

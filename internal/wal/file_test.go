@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/rawio/rawiotest"
 )
 
 const walLine = `{"Type":3,"Role":1,"Txn":4,"CommitSeq":0,"Writes":null,"Origin":0}` + "\n"
@@ -58,22 +59,23 @@ func TestDecodeWAL(t *testing.T) {
 		{name: "corrupt terminated last line", in: walLine + `{"Type":2,"Ro` + "\n", err: "line 2:"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			writeFile(t, dir, []byte(c.in))
-			l, err := Open(dir, func(err error) { t.Errorf("wal persist: %v", err) })
-			if c.err != "" {
-				if err == nil || !strings.Contains(err.Error(), c.err) {
-					t.Fatalf("err = %v, want one naming %q", err, c.err)
+			rawiotest.Run(t, func(t *testing.T, dir string) {
+				writeFile(t, dir, []byte(c.in))
+				l, err := Open(dir, func(err error) { t.Errorf("wal persist: %v", err) })
+				if c.err != "" {
+					if err == nil || !strings.Contains(err.Error(), c.err) {
+						t.Fatalf("err = %v, want one naming %q", err, c.err)
+					}
+					return
 				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			if n, end := l.DurableLSN(), fileSize(t, dir); n != uint64(c.recs) || end != int64(c.end) {
-				t.Fatalf("Open loaded %d records, file now %d bytes; want %d, %d", n, end, c.recs, c.end)
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				if n, end := l.DurableLSN(), fileSize(t, dir); n != uint64(c.recs) || end != int64(c.end) {
+					t.Fatalf("Open loaded %d records, file now %d bytes; want %d, %d", n, end, c.recs, c.end)
+				}
+			})
 		})
 	}
 }
@@ -163,9 +165,13 @@ func TestSessionRecordIsDurableAndContinues(t *testing.T) {
 }
 
 // TestWALSinkAllocatesNothing: after its first batch the sink encodes into
-// the buffer it keeps.
+// the buffer it keeps, and forces it on either path without allocating.
 func TestWALSinkAllocatesNothing(t *testing.T) {
-	l := openT(t, t.TempDir())
+	rawiotest.Run(t, testWALSinkAllocatesNothing)
+}
+
+func testWALSinkAllocatesNothing(t *testing.T, dir string) {
+	l := openT(t, dir)
 	writes := make([]WriteRec, 4)
 	for i := range writes {
 		writes[i] = WriteRec{Item: proto.Item("k0004" + string(rune('0'+i))), Value: proto.Value(i)}
@@ -212,33 +218,34 @@ func FuzzWALTail(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		writeFile(t, dir, data)
-		l, err := Open(dir, func(err error) { t.Errorf("wal persist: %v", err) })
-		if err != nil {
-			if !lineErr.MatchString(err.Error()) {
-				t.Fatalf("refusal %q names no line", err)
+		rawiotest.Run(t, func(t *testing.T, dir string) {
+			writeFile(t, dir, data)
+			l, err := Open(dir, func(err error) { t.Errorf("wal persist: %v", err) })
+			if err != nil {
+				if !lineErr.MatchString(err.Error()) {
+					t.Fatalf("refusal %q names no line", err)
+				}
+				return
 			}
-			return
-		}
-		defer l.Close()
-		want := data[:bytes.LastIndexByte(data, '\n')+1]
-		if got, err := os.ReadFile(filepath.Join(dir, FileName)); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("file after Open = %q, %v; want its complete lines %q", got, err, want)
-		}
-		var lines uint64
-		for _, line := range bytes.SplitAfter(want, []byte("\n")) {
-			if len(bytes.TrimRight(line, "\r\n")) > 0 {
-				lines++
+			defer l.Close()
+			want := data[:bytes.LastIndexByte(data, '\n')+1]
+			if got, err := os.ReadFile(filepath.Join(dir, FileName)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("file after Open = %q, %v; want its complete lines %q", got, err, want)
 			}
-		}
-		first := snapshot(l)
-		if first.LSN != lines {
-			t.Fatalf("loaded %d records from %d non-blank lines", first.LSN, lines)
-		}
-		again := openT(t, dir)
-		if second := snapshot(again); !reflect.DeepEqual(first, second) {
-			t.Fatalf("second Open loaded %+v, first %+v", second, first)
-		}
+			var lines uint64
+			for _, line := range bytes.SplitAfter(want, []byte("\n")) {
+				if len(bytes.TrimRight(line, "\r\n")) > 0 {
+					lines++
+				}
+			}
+			first := snapshot(l)
+			if first.LSN != lines {
+				t.Fatalf("loaded %d records from %d non-blank lines", first.LSN, lines)
+			}
+			again := openT(t, dir)
+			if second := snapshot(again); !reflect.DeepEqual(first, second) {
+				t.Fatalf("second Open loaded %+v, first %+v", second, first)
+			}
+		})
 	})
 }

@@ -5,13 +5,17 @@ import (
 	"testing"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/rawio/rawiotest"
 )
 
 // TestAppendRedo checks the physical-redo surface: LSN accounting, sink
 // delivery, one sync per append, that redo records stay invisible to the
 // 2PC outcome indexes, and that only a reopened log holds redo.
 func TestAppendRedo(t *testing.T) {
-	dir := t.TempDir()
+	rawiotest.Run(t, testAppendRedo)
+}
+
+func testAppendRedo(t *testing.T, dir string) {
 	l := openT(t, dir)
 	sink := l.sink
 	var sunk []Record

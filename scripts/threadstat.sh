@@ -39,22 +39,38 @@ snap() {
 	done
 }
 
+# cmdline prints the command line of process $1, and fails once it has
+# exited (a zombie's is empty).
+cmdline() {
+	local cmd
+	cmd=$(tr '\0' ' ' 2>/dev/null <"/proc/$1/cmdline") && [[ -n $cmd ]] && echo "$cmd"
+}
+
+# The -site and -control flags of each srnode, read once at the start: a
+# process that exits inside the window (the ledger tearing down a set-up
+# cluster, crash-recover killing site 3) has no command line left to read.
+declare -A site ctl
+live=""
+for p in $pids; do
+	cmd=$(cmdline "$p") || continue
+	site[$p]=$(sed -n 's/.* -site \([^ ]*\).*/\1/p' <<<"$cmd")
+	ctl[$p]=$(sed -n 's/.* -control \([^ ]*\).*/\1/p' <<<"$cmd")
+	live="$live $p"
+done
+pids=$live
+
 # commits prints the cluster's commits so far, summed over every srnode's
 # control port, or nothing if a port does not answer.
 commits() {
-	local p ctl total=0 n
+	local p total=0 n
 	for p in $pids; do
-		ctl=$(tr '\0' ' ' <"/proc/$p/cmdline" | sed -n 's/.* -control \([^ ]*\).*/\1/p')
-		[[ -n $ctl ]] || return 0
-		n=$(curl -sf --max-time 2 "http://$ctl/metrics" |
+		[[ -n ${ctl[$p]} ]] || return 0
+		n=$(curl -sf --max-time 2 "http://${ctl[$p]}/metrics" |
 			awk '/^sr_txn_commit_latency_us_count/ { s += $2 } END { print s + 0 }') || return 0
 		total=$((total + n))
 	done
 	echo "$total"
 }
-
-# site prints the -site flag of process $1.
-site() { tr '\0' ' ' <"/proc/$1/cmdline" | sed -n 's/.* -site \([^ ]*\).*/\1/p'; }
 
 c0=$(commits)
 a=$(snap)
@@ -67,8 +83,15 @@ if [[ -n $c0 && -n $c1 ]]; then
 	echo "cluster commits in ${window} s: $n"
 fi
 
+# Report the processes that lived through the window; name the rest.
 sites=""
-for p in $pids; do sites="$sites $p=$(site "$p")"; done
+for p in $pids; do
+	if cmdline "$p" >/dev/null; then
+		sites="$sites $p=${site[$p]}"
+	else
+		echo "pid $p exited during the window"
+	fi
+done
 printf "%-8s %4s %10s %10s %11s %10s %10s\n" pid site cpu_ms voluntary involuntary sysmon_ms vol/commit
 awk -v commits="$n" -v sites="$sites" '
 	BEGIN {
@@ -84,6 +107,7 @@ awk -v commits="$n" -v sites="$sites" '
 	}
 	END {
 		for (p in cpu) {
+			if (!(p in site)) continue
 			per = commits > 0 ? sprintf("%.3f", v[p] / commits) : "-"
 			printf "%-8s %4s %10.1f %10d %11d %10.1f %10s\n", p, site[p], cpu[p], v[p], iv[p], sysms[p], per
 		}
