@@ -28,6 +28,7 @@ lint:
 		echo "gofmt needs to be run on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	GOOS=darwin $(GO) build ./... && GOOS=windows $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./... && GOOS=linux GOARCH=arm64 $(GO) build ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
@@ -169,8 +170,10 @@ flake:
 		flake.json > flake.txt; status=$$?; cat flake.txt; exit $$status
 
 # Per-thread CPU, sleeps (voluntary switches), preemptions and sysmon time of
-# every running srnode over 5 s, from /proc: run it during a ledger run, in
-# the measured phase (scripts/threadstat.sh has the recipe). Linux only.
+# every running srnode over 5 s, from /proc, and the objects and bytes each
+# allocated per cluster commit, from its control port: start it with a
+# ledger run, and it waits for the measured phase (scripts/threadstat.sh has
+# the recipe). Linux only.
 threadstat:
 	@bash scripts/threadstat.sh
 

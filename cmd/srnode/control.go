@@ -17,6 +17,7 @@ import (
 
 	"siterecovery/internal/load"
 	"siterecovery/internal/rawio"
+	"siterecovery/internal/transport"
 	"siterecovery/internal/txn"
 )
 
@@ -29,30 +30,37 @@ const maxTxnBody = 1 << 20
 var committedReply = []byte("{\"committed\":true}\n")
 
 // txnFunc answers one POST /txn body with the reply's status and JSON body.
+// Each connection makes its own and answers one body at a time with it: it
+// keeps its decoded request, and the body that applies it, from one
+// transaction to the next.
 type txnFunc func(ctx context.Context, body []byte) (status int, reply []byte)
 
-// txnEndpoint is POST /txn's transaction logic, the same behind both
-// framings: decode the body, refuse an empty transaction, run it through
-// exec (node.Node.Exec) under a 30 s budget. The body is free for reuse once
-// it returns: a decoded request shares no bytes with it.
-func txnEndpoint(exec func(context.Context, func(context.Context, *txn.Tx) error) error) txnFunc {
-	return func(ctx context.Context, body []byte) (int, []byte) {
-		req, err := decodeTxn(body)
-		if err != nil {
-			return errorReply(http.StatusBadRequest, "bad JSON body: "+err.Error())
+// txnEndpoint returns the maker of POST /txn's transaction logic, the same
+// behind both framings: decode the body, refuse an empty transaction, run it
+// through exec (node.Node.Exec) under a 30 s budget. The body is free for
+// reuse once a txnFunc returns: a decoded request shares no bytes with it.
+func txnEndpoint(exec func(context.Context, func(context.Context, *txn.Tx) error) error) func() txnFunc {
+	return func() txnFunc {
+		var req load.TxnRequest
+		apply := func(ctx context.Context, tx *txn.Tx) error { return load.Apply(ctx, tx, req) }
+		return func(ctx context.Context, body []byte) (int, []byte) {
+			if err := decodeTxn(body, &req); err != nil {
+				return errorReply(http.StatusBadRequest, "bad JSON body: "+err.Error())
+			}
+			if len(req.Reads) == 0 && len(req.Writes) == 0 {
+				return errorReply(http.StatusBadRequest, "empty transaction")
+			}
+			var budget transport.Budget
+			budget.Start(ctx, time.Now().Add(30*time.Second))
+			err := exec(&budget, apply)
+			budget.Release()
+			clear(req.Reads) // the kept request pins no item of this transaction
+			clear(req.Writes)
+			if err != nil {
+				return errorReply(http.StatusConflict, err.Error())
+			}
+			return http.StatusOK, committedReply
 		}
-		if len(req.Reads) == 0 && len(req.Writes) == 0 {
-			return errorReply(http.StatusBadRequest, "empty transaction")
-		}
-		ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		defer cancel()
-		err = exec(ctx, func(ctx context.Context, tx *txn.Tx) error {
-			return load.Apply(ctx, tx, req)
-		})
-		if err != nil {
-			return errorReply(http.StatusConflict, err.Error())
-		}
-		return http.StatusOK, committedReply
 	}
 }
 
@@ -64,10 +72,10 @@ func errorReply(status int, msg string) (int, []byte) {
 
 // serveControl serves the control port on ln until ln fails. Every
 // connection starts on serveFast, which answers the requests in the strict
-// POST /txn subset parseTxnHead recognizes; the first request it does not
-// recognize hands the connection, with every byte already read, to srv,
-// which serves it from then on.
-func serveControl(ln net.Listener, srv *http.Server, runTxn txnFunc) error {
+// POST /txn subset parseTxnHead recognizes with a txnFunc of its own from
+// newTxn; the first request it does not recognize hands the connection, with
+// every byte already read, to srv, which serves it from then on.
+func serveControl(ln net.Listener, srv *http.Server, newTxn func() txnFunc) error {
 	slow := &handoff{addr: ln.Addr(), conns: make(chan net.Conn), done: make(chan struct{})}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(slow) }()
@@ -84,7 +92,7 @@ func serveControl(ln net.Listener, srv *http.Server, runTxn txnFunc) error {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		go serveFast(c, slow, runTxn)
+		go serveFast(c, slow, newTxn)
 	}
 }
 
@@ -95,7 +103,7 @@ func serveControl(ln net.Listener, srv *http.Server, runTxn txnFunc) error {
 // transaction runs, so a client that goes away does not cancel it; the 30 s
 // budget and the lock timeouts still bound it. A panic is logged and closes
 // this connection only, as in net/http.
-func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
+func serveFast(c net.Conn, slow *handoff, newTxn func() txnFunc) {
 	defer func() {
 		if err := recover(); err != nil {
 			log.Printf("srnode: panic serving %v: %v\n%s", c.RemoteAddr(), err, debug.Stack())
@@ -103,6 +111,7 @@ func serveFast(c net.Conn, slow *handoff, runTxn txnFunc) {
 		}
 	}()
 	rw := rawio.Wrap(c) // the fast path's reads and writes; net/http gets c
+	runTxn := newTxn()
 	buf := make([]byte, maxHead)
 	var out []byte
 	n := 0 // buf[:n] is read and not yet served

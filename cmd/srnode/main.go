@@ -232,15 +232,15 @@ func main() {
 	}
 	defer n.Stop()
 
-	runTxn := txnEndpoint(n.Exec)
-	srv := &http.Server{Handler: controlMux(id, n, hub, exporter, runTxn)}
+	newTxn := txnEndpoint(n.Exec)
+	srv := &http.Server{Handler: controlMux(id, n, hub, exporter, newTxn)}
 	ln, err := net.Listen("tcp", *control)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "srnode:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("srnode: site %d serving peers on %s, control on %s\n", id, addrs[id], *control)
-	if err := serveControl(ln, srv, runTxn); err != nil {
+	if err := serveControl(ln, srv, newTxn); err != nil {
 		fmt.Fprintln(os.Stderr, "srnode:", err)
 		os.Exit(1)
 	}
@@ -269,7 +269,7 @@ func parsePeers(spec string) (map[proto.SiteID]string, error) {
 	return addrs, nil
 }
 
-func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL, runTxn txnFunc) *http.ServeMux {
+func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JSONL, newTxn func() txnFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	// Introspection rides on the control port: /metrics (with Go runtime
@@ -345,7 +345,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	// (load.TxnRequest): all reads, then all writes, one atomic commit.
 	// This is the srload driving surface — /exec only covers the fixed
 	// read-then-write shape. Most requests never get here: serveFast answers
-	// the ones in its subset, through the same runTxn.
+	// the ones in its subset, through the same newTxn.
 	bodies := sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	mux.HandleFunc("POST /txn", func(w http.ResponseWriter, r *http.Request) {
 		body := bodies.Get().(*bytes.Buffer)
@@ -359,7 +359,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			writeJSON(w, status, map[string]any{"error": "bad JSON body: " + err.Error()})
 			return
 		}
-		status, reply := runTxn(r.Context(), body.Bytes())
+		status, reply := newTxn()(r.Context(), body.Bytes())
 		writeReply(w, status, reply)
 	})
 

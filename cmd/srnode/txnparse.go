@@ -9,18 +9,16 @@ import (
 	"siterecovery/internal/proto"
 )
 
-// decodeTxn decodes a POST /txn body: by parseTxn when it is in the form
-// clients send, otherwise exactly as before the scanner — a json.Decoder,
-// first value wins, trailing bytes ignored — so the accepted language and the
-// error texts stay encoding/json's.
-func decodeTxn(body []byte) (load.TxnRequest, error) {
-	req, ok := parseTxn(body)
-	if ok {
-		return req, nil
+// decodeTxn decodes a POST /txn body into req: by parseTxn when it is in the
+// form clients send, otherwise exactly as before the scanner — a
+// json.Decoder into a zero request, first value wins, trailing bytes ignored
+// — so the accepted language and the error texts stay encoding/json's.
+func decodeTxn(body []byte, req *load.TxnRequest) error {
+	if parseTxn(body, req) {
+		return nil
 	}
-	req = load.TxnRequest{}
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-	return req, err
+	*req = load.TxnRequest{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
 }
 
 // parseTxn scans the compact form json.Marshal gives a load.TxnRequest,
@@ -30,9 +28,11 @@ func decodeTxn(body []byte) (load.TxnRequest, error) {
 // either member optional, in that order, without reflection. Anything else
 // — whitespace, escapes, non-ASCII, empty arrays, other, repeated or
 // reordered keys, a number that is not a plain int64, trailing bytes — is
-// ok=false, and whenever ok=true encoding/json decodes the same bytes to the
-// same value (FuzzParseTxn).
-func parseTxn(b []byte) (req load.TxnRequest, ok bool) {
+// false, and whenever it is true encoding/json decodes the same bytes to the
+// same value (FuzzParseTxn). It fills req, reusing its slices; on false req
+// holds whatever was scanned.
+func parseTxn(b []byte, req *load.TxnRequest) bool {
+	req.Reads, req.Writes = req.Reads[:0], req.Writes[:0]
 	p := txnScanner{b: b}
 	p.want("{")
 	sep := ""
@@ -54,7 +54,7 @@ func parseTxn(b []byte) (req load.TxnRequest, ok bool) {
 		p.want("]")
 	}
 	p.want("}")
-	return req, !p.bad && p.i == len(b)
+	return !p.bad && p.i == len(b)
 }
 
 // txnScanner is parseTxn's cursor. The first mismatch sets bad, after which

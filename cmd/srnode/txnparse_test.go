@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,8 @@ func FuzzParseTxn(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, ok := parseTxn(body)
-		if !ok {
+		var got load.TxnRequest
+		if !parseTxn(body, &got) {
 			return
 		}
 		want, err := viaJSON(body)
@@ -63,16 +64,23 @@ func FuzzParseTxn(f *testing.F) {
 }
 
 // TestParseTxnTakesWhatClientsSend: the scanner is only worth having if it
-// accepts the bytes load.HTTPTarget and the ledger's clients produce.
+// accepts the bytes load.HTTPTarget and the ledger's clients produce, into
+// a fresh request or one a connection reuses from body to body.
 func TestParseTxnTakesWhatClientsSend(t *testing.T) {
+	var reused load.TxnRequest
 	for _, req := range []load.TxnRequest{
 		{Reads: []proto.Item{"k00017", "k00042"}},
 		{Writes: []load.TxnWrite{{Item: "k00042", Value: -7}}},
 		{Reads: []proto.Item{"a"}, Writes: []load.TxnWrite{{Item: "a", Value: 1}, {Item: "b", Value: 0}}},
+		{Reads: []proto.Item{"c"}},
 	} {
 		body, _ := json.Marshal(req)
-		if got, ok := parseTxn(body); !ok || !reflect.DeepEqual(got, req) {
+		var got load.TxnRequest
+		if ok := parseTxn(body, &got); !ok || !reflect.DeepEqual(got, req) {
 			t.Errorf("parseTxn(%s) = %+v, %v", body, got, ok)
+		}
+		if ok := parseTxn(body, &reused); !ok || !slices.Equal(reused.Reads, req.Reads) || !slices.Equal(reused.Writes, req.Writes) {
+			t.Errorf("parseTxn(%s) into a reused request = %+v, %v", body, reused, ok)
 		}
 	}
 }
@@ -88,7 +96,8 @@ func TestDecodeTxnFallsBack(t *testing.T) {
 		`{"reads":[]}`, `{}`,
 		`{"reads":["a"`, `{"reads":"a"}`, `{"writes":[{"item":"x","value":1.5}]}`, `not json`, ``,
 	} {
-		got, err := decodeTxn([]byte(body))
+		var got load.TxnRequest
+		err := decodeTxn([]byte(body), &got)
 		want, wantErr := viaJSON([]byte(body))
 		if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Errorf("decodeTxn(%q) = %+v, %v; before the scanner: %+v, %v", body, got, err, want, wantErr)

@@ -203,17 +203,17 @@ func (m *Manager) Restart() {
 func (m *Manager) Handle(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 	switch req := msg.(type) {
 	case proto.ReadReq:
-		return m.handleRead(ctx, req)
+		return reply(m.handleRead(ctx, req))
 	case proto.WriteReq:
-		return m.handleWrite(ctx, req)
+		return reply(proto.WriteResp{}, m.handleWrite(ctx, req))
 	case proto.BatchReq:
-		return m.handleBatch(ctx, req)
+		return reply(m.handleBatch(ctx, req))
 	case proto.PrepareReq:
-		return m.handlePrepare(req)
+		return reply(m.handlePrepare(req))
 	case proto.CommitReq:
-		return m.handleCommit(req)
+		return reply(proto.CommitResp{}, m.handleCommit(req))
 	case proto.AbortReq:
-		return m.handleAbort(req)
+		return reply(proto.AbortResp{}, m.handleAbort(req))
 	case proto.DecisionReq:
 		return m.handleDecision(req)
 	case proto.ProbeReq:
@@ -223,6 +223,78 @@ func (m *Manager) Handle(ctx context.Context, from proto.SiteID, msg proto.Messa
 	default:
 		return nil, fmt.Errorf("dm at %v: unhandled message %T", m.cfg.Site, msg)
 	}
+}
+
+// reply is a typed handler's outcome as Handle returns it: no message with
+// an error.
+func reply[M proto.Message](resp M, err error) (proto.Message, error) {
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// Down is what a crashed site answers every request with, nil while the
+// site's process runs: to its peers a crashed site is indistinguishable from
+// a refused connection.
+func (m *Manager) Down() error {
+	if !m.Alive() {
+		return fmt.Errorf("site %v crashed: %w", m.cfg.Site, proto.ErrSiteDown)
+	}
+	return nil
+}
+
+// The site's own transaction manager serves its requests to this site
+// through Read, Write, Batch, Prepare, Commit and Abort: what the site's wire
+// dispatcher does with the message — Down's refusal, then Handle — typed, so
+// that neither the request nor the reply is boxed.
+
+// Read serves a ReadReq from the site's own transaction manager.
+func (m *Manager) Read(ctx context.Context, req proto.ReadReq) (proto.ReadResp, error) {
+	if err := m.Down(); err != nil {
+		return proto.ReadResp{}, err
+	}
+	return m.handleRead(ctx, req)
+}
+
+// Write serves a WriteReq from the site's own transaction manager.
+func (m *Manager) Write(ctx context.Context, req proto.WriteReq) error {
+	if err := m.Down(); err != nil {
+		return err
+	}
+	return m.handleWrite(ctx, req)
+}
+
+// Batch serves a BatchReq from the site's own transaction manager.
+func (m *Manager) Batch(ctx context.Context, req proto.BatchReq) (proto.BatchResp, error) {
+	if err := m.Down(); err != nil {
+		return proto.BatchResp{}, err
+	}
+	return m.handleBatch(ctx, req)
+}
+
+// Prepare serves a PrepareReq from the site's own transaction manager.
+func (m *Manager) Prepare(req proto.PrepareReq) (proto.PrepareResp, error) {
+	if err := m.Down(); err != nil {
+		return proto.PrepareResp{}, err
+	}
+	return m.handlePrepare(req)
+}
+
+// Commit serves a CommitReq from the site's own transaction manager.
+func (m *Manager) Commit(req proto.CommitReq) error {
+	if err := m.Down(); err != nil {
+		return err
+	}
+	return m.handleCommit(req)
+}
+
+// Abort serves an AbortReq from the site's own transaction manager.
+func (m *Manager) Abort(req proto.AbortReq) error {
+	if err := m.Down(); err != nil {
+		return err
+	}
+	return m.handleAbort(req)
 }
 
 // gate performs the session-number check of §3.2.
@@ -272,15 +344,15 @@ func (m *Manager) track(meta proto.TxnMeta) *txnLocal {
 	return t
 }
 
-func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.Message, error) {
+func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.ReadResp, error) {
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
-		return nil, err
+		return proto.ReadResp{}, err
 	}
 	if !m.cfg.Store.HasCopy(req.Item) {
-		return nil, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, storage.ErrNoCopy)
+		return proto.ReadResp{}, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, storage.ErrNoCopy)
 	}
 	if err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(req.Item), lockmgr.Shared); err != nil {
-		return nil, err
+		return proto.ReadResp{}, err
 	}
 	m.track(req.Txn)
 	if !req.ReadOld && m.cfg.Store.IsUnreadable(req.Item) {
@@ -290,11 +362,11 @@ func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.Mess
 		if m.cb.OnUnreadableRead != nil {
 			m.cb.OnUnreadableRead(req.Item)
 		}
-		return nil, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, proto.ErrUnreadable)
+		return proto.ReadResp{}, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, proto.ErrUnreadable)
 	}
 	value, version, err := m.cfg.Store.Committed(req.Item)
 	if err != nil {
-		return nil, err
+		return proto.ReadResp{}, err
 	}
 	if m.cfg.Recorder != nil && !req.NoRecord {
 		m.cfg.Recorder.Read(req.Txn.ID, req.Item, m.cfg.Site, version.Writer)
@@ -302,21 +374,21 @@ func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.Mess
 	return proto.ReadResp{Value: value, Version: version}, nil
 }
 
-func (m *Manager) handleWrite(ctx context.Context, req proto.WriteReq) (proto.Message, error) {
+func (m *Manager) handleWrite(ctx context.Context, req proto.WriteReq) error {
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
-		return nil, err
+		return err
 	}
 	if err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(req.Item), lockmgr.Exclusive); err != nil {
-		return nil, err
+		return err
 	}
 	if err := m.cfg.Store.BufferWrite(req.Txn.ID, req.Item, req.Value); err != nil {
-		return nil, err
+		return err
 	}
 	t := m.track(req.Txn)
 	m.mu.Lock()
 	t.setMissedBy(req.Item, req.MissedBy)
 	m.mu.Unlock()
-	return proto.WriteResp{}, nil
+	return nil
 }
 
 // setMissedBy records the sites the latest write of item skipped. Caller
@@ -341,18 +413,18 @@ func (t *txnLocal) setMissedBy(item proto.Item, sites []proto.SiteID) {
 // broadcast releases any locks taken before the failure). With the Prepare
 // flag set the two-phase-commit vote rides the batch response, making the
 // flush round the prepare round.
-func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.Message, error) {
+func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.BatchResp, error) {
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
-		return nil, err
+		return proto.BatchResp{}, err
 	}
 	for _, op := range req.Ops {
 		if err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(op.Item), lockmgr.Exclusive); err != nil {
 			m.cfg.Store.DropPending(req.Txn.ID)
-			return nil, err
+			return proto.BatchResp{}, err
 		}
 		if err := m.cfg.Store.BufferWrite(req.Txn.ID, op.Item, op.Value); err != nil {
 			m.cfg.Store.DropPending(req.Txn.ID)
-			return nil, err
+			return proto.BatchResp{}, err
 		}
 	}
 	t := m.track(req.Txn)
@@ -395,7 +467,7 @@ func (m *Manager) BufferRefresh(meta proto.TxnMeta, item proto.Item, value proto
 // IsUnreadable exposes the copy mark to the local recovery driver.
 func (m *Manager) IsUnreadable(item proto.Item) bool { return m.cfg.Store.IsUnreadable(item) }
 
-func (m *Manager) handlePrepare(req proto.PrepareReq) (proto.Message, error) {
+func (m *Manager) handlePrepare(req proto.PrepareReq) (proto.PrepareResp, error) {
 	m.mu.Lock()
 	t, known := m.inflight[req.Txn.ID]
 	m.mu.Unlock()
@@ -434,11 +506,8 @@ func (m *Manager) prepare(t *txnLocal) (vote bool, maxSeq uint64) {
 	return true, maxSeq
 }
 
-func (m *Manager) handleCommit(req proto.CommitReq) (proto.Message, error) {
-	if err := m.finishCommit(req.Txn.ID, req.CommitSeq, false); err != nil {
-		return nil, err
-	}
-	return proto.CommitResp{}, nil
+func (m *Manager) handleCommit(req proto.CommitReq) error {
+	return m.finishCommit(req.Txn.ID, req.CommitSeq, false)
 }
 
 // observeSeq folds a commit sequence number learned from a peer into the
@@ -553,16 +622,16 @@ func (m *Manager) noteMissed(item proto.Item, missed []proto.SiteID) {
 	}
 }
 
-func (m *Manager) handleAbort(req proto.AbortReq) (proto.Message, error) {
+func (m *Manager) handleAbort(req proto.AbortReq) error {
 	if req.ReadOnlyEnd {
 		m.mu.Lock()
 		delete(m.inflight, req.Txn.ID)
 		m.mu.Unlock()
 		m.cfg.Locks.ReleaseAll(req.Txn.ID)
-		return proto.AbortResp{}, nil
+		return nil
 	}
 	m.finishAbort(req.Txn.ID)
-	return proto.AbortResp{}, nil
+	return nil
 }
 
 func (m *Manager) finishAbort(txn proto.TxnID) {

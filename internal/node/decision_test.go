@@ -12,6 +12,7 @@ import (
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 	"siterecovery/internal/replication"
+	"siterecovery/internal/transport"
 	"siterecovery/internal/transport/tcpnet"
 	"siterecovery/internal/txn"
 )
@@ -31,6 +32,14 @@ const (
 // routed through a faultproxy. It assembles each site the way node.New does.
 func newHookedTrio(t *testing.T, hub *obs.Hub, policy lockmgr.Policy, hooks node.Hooks, proxy *faultproxy.Proxy) map[proto.SiteID]*node.Site {
 	t.Helper()
+	return newTrioOver(t, xyEverywhere, hub, policy, hooks, proxy, nil)
+}
+
+// newTrioOver is newHookedTrio over placement, with wrap, when non-nil,
+// between site 3's transport and its handler.
+func newTrioOver(t *testing.T, placement map[proto.Item][]proto.SiteID, hub *obs.Hub, policy lockmgr.Policy, hooks node.Hooks,
+	proxy *faultproxy.Proxy, wrap func(transport.Handler) transport.Handler) map[proto.SiteID]*node.Site {
+	t.Helper()
 	all := []proto.SiteID{1, 2, 3}
 	listeners := map[proto.SiteID]net.Listener{}
 	addrs := map[proto.SiteID]string{}
@@ -41,7 +50,7 @@ func newHookedTrio(t *testing.T, hub *obs.Hub, policy lockmgr.Policy, hooks node
 		}
 		listeners[id], addrs[id] = ln, ln.Addr().String()
 	}
-	cat, err := replication.NewCatalog(all, xyEverywhere)
+	cat, err := replication.NewCatalog(all, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ func newHookedTrio(t *testing.T, hub *obs.Hub, policy lockmgr.Policy, hooks node
 				dial = map[proto.SiteID]string{1: addrs[1], 2: via, 3: addrs[3]}
 			}
 		}
-		tr := tcpnet.New(tcpnet.Config{Self: id, Addrs: dial, Listener: listeners[id]})
+		tr := tcpnet.New(tcpnet.Config{Self: id, Addrs: dial, Listener: listeners[id], Obs: hub, Lamport: env.Seq.HighCommitSeq})
 		env.Net = tr
 		s, err := node.NewSite(env, node.SiteConfig{
 			Site:             id,
@@ -73,7 +82,11 @@ func newHookedTrio(t *testing.T, hub *obs.Hub, policy lockmgr.Policy, hooks node
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.SetHandler(s.Handle)
+		h := transport.Handler(s.Handle)
+		if id == 3 && wrap != nil {
+			h = wrap(h)
+		}
+		tr.SetHandler(h)
 		if err := tr.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -327,8 +327,8 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 // request with ErrSiteDown: to its peers it is indistinguishable from a
 // refused connection, while its stable storage survives for Recover.
 func (s *Site) Handle(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-	if !s.DM.Alive() {
-		return nil, fmt.Errorf("site %v crashed: %w", s.ID, proto.ErrSiteDown)
+	if err := s.DM.Down(); err != nil {
+		return nil, err
 	}
 	switch msg.(type) {
 	case proto.SpoolFetchReq:

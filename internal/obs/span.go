@@ -91,10 +91,23 @@ func IsSpanKey(key any) bool {
 	return ok
 }
 
+// SpanCarrier is a context.Context that carries its span context in a field
+// of its own — the context a transaction attempt runs under, the one tcpnet
+// serves a traced frame under — and answers Value for IsSpanKey with it too,
+// for the contexts derived from it. SpanFrom asks one directly, so finding
+// its span boxes nothing.
+type SpanCarrier interface {
+	context.Context
+	Span() (SpanContext, bool)
+}
+
 // SpanFrom reads the span context threaded through ctx, reporting whether
 // one was set. The zero SpanContext (no root, no parent) is returned for an
 // unannotated context, so callers can use the result unconditionally.
 func SpanFrom(ctx context.Context) (SpanContext, bool) {
+	if c, ok := ctx.(SpanCarrier); ok {
+		return c.Span()
+	}
 	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
 	return sc, ok
 }

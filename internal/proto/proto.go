@@ -53,7 +53,21 @@ const nsPrefix = "ns:"
 
 // NSItem returns the logical data item holding the nominal session number of
 // site k. NS items are fully replicated at all sites.
-func NSItem(k SiteID) Item { return Item(nsPrefix + strconv.Itoa(int(k))) }
+func NSItem(k SiteID) Item {
+	if k >= 0 && int(k) < len(nsItems) {
+		return nsItems[k]
+	}
+	return Item(nsPrefix + strconv.Itoa(int(k)))
+}
+
+// nsItems are the first sites' NS item names, built once: every transaction
+// reads the whole vector, and every participant checks its coordinator's.
+var nsItems = func() (names [64]Item) {
+	for k := range names {
+		names[k] = Item(nsPrefix + strconv.Itoa(k))
+	}
+	return names
+}()
 
 // IsNSItem reports whether item is a nominal session number, and for which
 // site.

@@ -24,10 +24,11 @@
 // Any other descriptor — a file on a block device, whose fsync may take
 // milliseconds and must hand its P away rather than delay a stop-the-world,
 // a character device, a pipe — keeps the ordinary path: Wrap and WrapFile
-// return it unchanged, and so does every platform but Linux.
+// return it unchanged, and so does every platform but Linux, and linux/386,
+// whose sockets have no recvfrom syscall to peek with.
 //
 // PeerClosed asks a wrapped connection, with one non-blocking MSG_PEEK,
 // whether its peer has closed it: a client that reads a connection only while
 // it waits for a reply learns that way, before it writes, that an idle pooled
-// connection is dead. Off Linux it reports false.
+// connection is dead. Where nothing is wrapped it reports false.
 package rawio

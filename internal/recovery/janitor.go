@@ -169,15 +169,15 @@ func witnessDecision(ctx context.Context, net transport.Transport, self, origin 
 			peers = append(peers, j)
 		}
 	}
-	decisive := func(r transport.Result) bool {
+	decisive := func(r *transport.Result) bool {
 		dr, ok := r.Resp.(proto.DecisionResp)
 		return r.Err == nil && ok && (dr.State == proto.StateCommitted || dr.State == proto.StateAborted)
 	}
-	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, peers, func(j proto.SiteID) transport.Pending {
 		return net.Send(ctx, self, j, proto.DecisionReq{Txn: id})
 	}, decisive)
 	for _, r := range results {
-		if !decisive(r) {
+		if !decisive(&r) {
 			continue
 		}
 		dr := r.Resp.(proto.DecisionResp)

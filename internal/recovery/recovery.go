@@ -346,7 +346,7 @@ func (m *Manager) markOutOfDate(ctx context.Context) (int, error) {
 		}
 		// Fetch every peer's fail-lock/missing-list bookkeeping at once and
 		// merge the answers in site order.
-		results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+		results := transport.Fanout(nil, peers, func(j proto.SiteID) transport.Pending {
 			return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.MissedFetchReq{For: m.cfg.Site})
 		}, nil)
 		marked := make(map[proto.Item]bool)

@@ -68,7 +68,7 @@ func (m *Manager) applySpool(ctx context.Context) int {
 		}
 	}
 	// Drain every spooler at once, then merge their lists in commit order.
-	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, peers, func(j proto.SiteID) transport.Pending {
 		return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.SpoolFetchReq{For: m.cfg.Site})
 	}, nil)
 	var updates []proto.SpooledUpdate

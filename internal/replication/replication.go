@@ -173,13 +173,14 @@ func (c *Catalog) Sites() []proto.SiteID {
 // NumSites reports the cluster size.
 func (c *Catalog) NumSites() int { return len(c.sites) }
 
-// Replicas returns the resident sites of item in ascending order.
+// Replicas returns the resident sites of item in ascending order. The slice
+// is the catalog's own, shared by every caller: read it, never modify it.
 func (c *Catalog) Replicas(item proto.Item) ([]proto.SiteID, error) {
 	rs, ok := c.placement[item]
 	if !ok {
 		return nil, fmt.Errorf("item %q not in catalog", item)
 	}
-	return append([]proto.SiteID(nil), rs...), nil
+	return rs, nil
 }
 
 // HasReplica reports whether site stores a copy of item.

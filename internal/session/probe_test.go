@@ -48,6 +48,8 @@ func (s *stubNet) Send(ctx context.Context, from, to proto.SiteID, msg proto.Mes
 	return transport.InFlight(stubReply{resp, err})
 }
 
+func (s *stubNet) Local(w transport.Waiter) transport.Pending { return transport.Done(w.Wait()) }
+
 func (s *stubNet) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
 	_, err := s.Call(ctx, from, to, msg)
 	return err

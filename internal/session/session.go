@@ -265,7 +265,7 @@ func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims map[prot
 			upSites = append(upSites, j)
 		}
 	}
-	results := transport.Fanout(upSites, func(j proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, upSites, func(j proto.SiteID) transport.Pending {
 		p := tx.SendRawWrite(ctx, j, proto.NSItem(downList[0]), proto.Value(proto.NoSession))
 		for _, d := range downList[1:] {
 			p = p.Then(func(_ proto.Message, err error) (proto.Message, error) {
@@ -383,7 +383,7 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 				targets = append(targets, j)
 			}
 		}
-		results := transport.Fanout(targets, func(j proto.SiteID) transport.Pending {
+		results := transport.Fanout(nil, targets, func(j proto.SiteID) transport.Pending {
 			return tx.SendRawWrite(ctx, j, proto.NSItem(self), proto.Value(sn))
 		}, transport.Failed)
 		for _, r := range results {
@@ -430,15 +430,15 @@ func (m *Manager) FindOperationalPeer(ctx context.Context) (proto.SiteID, error)
 			peers = append(peers, j)
 		}
 	}
-	operational := func(r transport.Result) bool {
+	operational := func(r *transport.Result) bool {
 		pr, ok := r.Resp.(proto.ProbeResp)
 		return r.Err == nil && ok && pr.Operational
 	}
-	results := transport.Fanout(peers, func(j proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, peers, func(j proto.SiteID) transport.Pending {
 		return m.cfg.Net.Send(ctx, m.cfg.Site, j, proto.ProbeReq{})
 	}, operational)
 	for _, r := range results { // results follow ascending site order
-		if operational(r) {
+		if operational(&r) {
 			return r.Site, nil
 		}
 	}

@@ -279,6 +279,12 @@ func (s *Store) buffer(txn proto.TxnID, w wal.WriteRec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	set := s.pending[txn]
+	if set == nil {
+		// Room for a usual write set's share (the 4 ops of the ledger's and
+		// the load generator's transactions) in one allocation, not one per
+		// doubling.
+		set = make([]wal.WriteRec, 0, 4)
+	}
 	i := sort.Search(len(set), func(i int) bool { return set[i].Item >= w.Item })
 	if i == len(set) || set[i].Item != w.Item {
 		set = append(set, wal.WriteRec{})

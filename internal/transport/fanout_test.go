@@ -25,7 +25,7 @@ var errBoom = errors.New("boom")
 func TestFanoutSequentialHaltsEarly(t *testing.T) {
 	targets := []proto.SiteID{1, 2, 3, 4}
 	var called []proto.SiteID
-	results := transport.Fanout(targets, func(site proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, targets, func(site proto.SiteID) transport.Pending {
 		called = append(called, site)
 		if site == 2 {
 			return transport.Done(nil, errBoom)
@@ -68,7 +68,7 @@ func (w waiter) Wait() (proto.Message, error) {
 func TestFanoutParallelRunsAll(t *testing.T) {
 	targets := []proto.SiteID{1, 2, 3, 4}
 	var order []string
-	results := transport.Fanout(targets, func(site proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, targets, func(site proto.SiteID) transport.Pending {
 		order = append(order, fmt.Sprintf("send %d", site))
 		w := waiter{site: site, order: &order}
 		if site == 2 {
@@ -107,7 +107,7 @@ func TestFanoutParallelRunsAll(t *testing.T) {
 // in flight; those are collected all the same.
 func TestFanoutHaltsOnFailedSend(t *testing.T) {
 	var order []string
-	results := transport.Fanout([]proto.SiteID{1, 2, 3}, func(site proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, []proto.SiteID{1, 2, 3}, func(site proto.SiteID) transport.Pending {
 		if site == 2 {
 			return transport.Done(nil, errBoom)
 		}
@@ -139,7 +139,7 @@ func TestFanoutOnNetsimIsTheSequentialLoop(t *testing.T) {
 		})
 	}
 	ctx := context.Background()
-	results := transport.Fanout([]proto.SiteID{1, 2, 3, 4}, func(to proto.SiteID) transport.Pending {
+	results := transport.Fanout(nil, []proto.SiteID{1, 2, 3, 4}, func(to proto.SiteID) transport.Pending {
 		return sim.Send(ctx, 1, to, proto.PrepareReq{}).Then(func(resp proto.Message, err error) (proto.Message, error) {
 			if pr, ok := resp.(proto.PrepareResp); err == nil && ok && !pr.Vote {
 				return nil, errBoom
@@ -201,7 +201,7 @@ func TestFanoutOnTCPStartsNoGoroutine(t *testing.T) {
 	ctx := context.Background()
 	targets := []proto.SiteID{1, 2, 3}
 	round := func(msg proto.Message) []transport.Result {
-		return transport.Fanout(targets, func(to proto.SiteID) transport.Pending {
+		return transport.Fanout(nil, targets, func(to proto.SiteID) transport.Pending {
 			return trs[1].Send(ctx, 1, to, msg)
 		}, transport.Failed)
 	}

@@ -7,7 +7,9 @@
 // Pending; Pending.Wait collects the reply. Post sends a request whose reply
 // the sender does not use — the commit decision of a transaction whose
 // outcome is already durable — and the serving side writes none. Call is
-// Send followed at once by Wait.
+// Send followed at once by Wait. Local is Send to the sending site itself for
+// a caller that serves the request with a typed call of its own: the
+// transaction manager, whose own-site operations box no message.
 //
 // Two implementations exist. internal/netsim is the in-process simulator
 // (latency, loss, partitions, byte-deterministic chaos traces); it carries
@@ -50,6 +52,13 @@ type Transport interface {
 	Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error
 	// Call is Send followed by Wait.
 	Call(ctx context.Context, from, to proto.SiteID, msg proto.Message) (proto.Message, error)
+	// Local starts a request to the sending site itself that w serves: a
+	// direct typed call on the site's own handler, so no message is boxed,
+	// framed or counted, as on both transports' local bus. The transport
+	// decides when w runs, as it does for a Send to itself: the simulator
+	// at once, so a fan-out's requests stay in target order; tcpnet when
+	// the request is waited for, after the peers' frames are out.
+	Local(w Waiter) Pending
 }
 
 // Waiter is the transport's half of a Pending that is still in flight.
@@ -92,11 +101,13 @@ func (p Pending) Wait() (proto.Message, error) {
 	return p.w.Wait()
 }
 
-// Then returns a Pending whose outcome is f applied to p's: the bookkeeping
-// a sender does on a reply (folding a commit sequence number, turning a "no"
-// vote into an error). On a complete p, f runs now, so on netsim a fan-out's
-// halt predicate sees what a loop of calls would have seen; otherwise f runs
-// inside Wait, on the waiting goroutine.
+// Then returns a Pending whose outcome is f applied to p's: the work a
+// Pending handed to another layer needs done on its reply (a raw write's
+// bookkeeping, a claim's next write at the same site). The owner of a
+// fan-out does its own bookkeeping in Fanout's reply instead, which wraps
+// nothing. On a complete p, f runs now, so on netsim a fan-out's reply sees
+// what a loop of calls would have seen; otherwise f runs inside Wait, on the
+// waiting goroutine.
 func (p Pending) Then(f func(proto.Message, error) (proto.Message, error)) Pending {
 	if p.w == nil {
 		return Done(f(p.resp, p.err))
@@ -119,17 +130,22 @@ type Result struct {
 }
 
 // Fanout sends to every target in order, then collects every reply, and
-// returns the results indexed like targets. It starts no goroutine.
+// returns the results indexed like targets, in results' array when it has
+// room. It starts no goroutine.
 //
-// halt, when non-nil, is consulted on each result that is already complete
-// when its send returns; returning true stops the loop, leaving the results
-// of the targets not yet sent to zero-valued (Site 0). On netsim every
-// result is complete at send time, so halt reproduces the message counts of
-// a loop that calls one target at a time; on tcpnet only a send that could
-// not be written completes that early — replies arrive after every frame is
-// out, when there is nothing left to halt.
-func Fanout(targets []proto.SiteID, send func(to proto.SiteID) Pending, halt func(Result) bool) []Result {
-	results := make([]Result, len(targets))
+// reply, when non-nil, is called with each result as it is collected, on the
+// calling goroutine: at once for a send that completed, otherwise when it is
+// waited for. It may rewrite the result — the bookkeeping a sender does on a
+// reply, such as folding a commit sequence number or turning a "no" vote
+// into an error — and its answer for a result that was complete when its
+// send returned decides whether the loop stops there, leaving the results of
+// the targets not yet sent zero-valued (Site 0). On netsim every result is
+// complete at send time, so a halt reproduces the message counts of a loop
+// that calls one target at a time; on tcpnet only a send that could not be
+// written completes that early — replies arrive after every frame is out,
+// when there is nothing left to halt.
+func Fanout(results []Result, targets []proto.SiteID, send func(to proto.SiteID) Pending, reply func(*Result) bool) []Result {
+	results = append(results[:0], make([]Result, len(targets))...)
 	var buf [4]Pending // rounds are a handful of sites; larger ones allocate
 	pending := buf[:0]
 	if len(targets) > len(buf) {
@@ -145,7 +161,7 @@ func Fanout(targets []proto.SiteID, send func(to proto.SiteID) Pending, halt fun
 			continue
 		}
 		results[i].Resp, results[i].Err = p.Wait()
-		if halt != nil && halt(results[i]) {
+		if reply != nil && reply(&results[i]) {
 			break
 		}
 	}
@@ -156,15 +172,18 @@ func Fanout(targets []proto.SiteID, send func(to proto.SiteID) Pending, halt fun
 		for i, p := range pending {
 			if !p.Complete() && p.inline == inline {
 				results[i].Resp, results[i].Err = p.Wait()
+				if reply != nil {
+					reply(&results[i])
+				}
 			}
 		}
 	}
 	return results
 }
 
-// Failed reports whether r carries an error: the halt predicate of a fan-out
-// that stops at the first failure.
-func Failed(r Result) bool { return r.Err != nil }
+// Failed reports whether r carries an error: the reply of a fan-out that
+// stops at the first failure.
+func Failed(r *Result) bool { return r.Err != nil }
 
 // FirstError returns the first non-nil error in target order, or nil, so
 // the failure a fan-out reports does not depend on which reply came first.

@@ -37,7 +37,7 @@ func (t *Tx) RawRead(ctx context.Context, site proto.SiteID, item proto.Item, op
 	if mode == 0 {
 		mode = proto.CheckNone
 	}
-	resp, err := t.physical(ctx, site, proto.ReadReq{
+	rr, err := t.read(ctx, site, proto.ReadReq{
 		Txn:      t.meta,
 		Item:     item,
 		Mode:     mode,
@@ -48,10 +48,6 @@ func (t *Tx) RawRead(ctx context.Context, site proto.SiteID, item proto.Item, op
 	})
 	if err != nil {
 		return 0, proto.Version{}, err
-	}
-	rr, ok := resp.(proto.ReadResp)
-	if !ok {
-		return 0, proto.Version{}, fmt.Errorf("unexpected response %T to raw read", resp)
 	}
 	return rr.Value, rr.Version, nil
 }
@@ -77,13 +73,22 @@ func (t *Tx) SendRawWrite(ctx context.Context, site proto.SiteID, item proto.Ite
 	if t.done {
 		return transport.Done(nil, t.finished())
 	}
-	return t.sendPhysical(ctx, site, proto.WriteReq{
+	req := proto.WriteReq{
 		Txn:   t.meta,
 		Item:  item,
 		Value: value,
 		Mode:  proto.CheckNone,
-	}).Then(func(resp proto.Message, err error) (proto.Message, error) {
-		if err != nil {
+	}
+	t.attempted.add(site)
+	var p transport.Pending
+	if site == t.m.cfg.Site {
+		// Handed to the caller, which may fan several out: a call of its own.
+		p = t.m.cfg.Net.Local(&localCall{dm: t.m.cfg.Local, ctx: ctx, op: localWrite, write: req})
+	} else {
+		p = t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
+	}
+	return p.Then(func(resp proto.Message, err error) (proto.Message, error) {
+		if err = t.noted(site, true, err); err != nil {
 			return nil, fmt.Errorf("raw write %q at %v: %w", item, site, err)
 		}
 		t.rawWrote = true

@@ -219,6 +219,9 @@ type Manager struct {
 
 	sites []proto.SiteID // the catalog's, read by every session-vector read
 
+	// scratch pools what attempts grow as they run (see scratch).
+	scratch sync.Pool
+
 	mu     sync.Mutex
 	rng    *rand.Rand
 	active map[proto.TxnID]bool
@@ -227,13 +230,15 @@ type Manager struct {
 // New returns a transaction manager.
 func New(cfg Config, cb Callbacks) *Manager {
 	cfg = cfg.withDefaults()
-	return &Manager{
+	m := &Manager{
 		cfg:    cfg,
 		cb:     cb,
 		sites:  cfg.Catalog.Sites(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		active: make(map[proto.TxnID]bool),
 	}
+	m.scratch.New = func() any { return new(scratch) }
+	return m
 }
 
 // Site returns the TM's site.
@@ -288,10 +293,7 @@ func (m *Manager) RunClass(ctx context.Context, class proto.TxnClass, body func(
 			}
 			continue
 		}
-		// Every RPC this attempt makes — reads, writes, 2PC — carries the
-		// attempt's span as its causal parent under the transaction's root
-		// ID. Only a recording transport (tcpnet with a hub) acts on it.
-		actx := obs.WithSpan(ctx, tx.span)
+		actx := tx.bind(ctx)
 		err = body(actx, tx)
 		if err == nil {
 			err = tx.Commit(actx)
@@ -349,6 +351,7 @@ func (m *Manager) begin(ctx context.Context, class proto.TxnClass, attempt int) 
 		m:     m,
 		meta:  meta,
 		begun: begun,
+		scr:   m.scratch.Get().(*scratch),
 		span: obs.SpanContext{
 			Root:   id,
 			Span:   obs.NewSpanID(m.cfg.Site),
@@ -376,14 +379,6 @@ func (m *Manager) begin(ctx context.Context, class proto.TxnClass, attempt int) 
 		}
 	}
 	return tx, nil
-}
-
-// send starts a request to a site. Requests to the own site go over the
-// transport's local bus (no network latency, no frame), matching the paper's
-// observation that the implicit session-vector read is a local, conflict-free
-// operation.
-func (m *Manager) send(ctx context.Context, to proto.SiteID, msg proto.Message) transport.Pending {
-	return m.cfg.Net.Send(ctx, m.cfg.Site, to, msg)
 }
 
 func (m *Manager) noteSiteDown(err error, site proto.SiteID, observed proto.Session) {
@@ -423,14 +418,19 @@ type Tx struct {
 	// its outcome so the hub can observe the attempt's latency.
 	begun time.Time
 
-	written   map[proto.Item]proto.Value // logical write set, flushed by Commit; made by the first Write
-	reads     []readEntry                // repeatable-read cache, in read order
-	attempted siteSet                    // sites any op was sent to
-	parts     siteSet                    // sites with a successful op
-	wparts    siteSet                    // sites with a successful write op (2PC participants)
-	spare     siteSet                    // the flush's targets, then phase two's read-only participants
-	rawWrote  bool                       // a raw write or local refresh is buffered at some site
+	reads     []readEntry // repeatable-read cache, in read order
+	attempted siteSet     // sites any op was sent to
+	parts     siteSet     // sites with a successful op
+	wparts    siteSet     // sites with a successful write op (2PC participants)
+	spare     siteSet     // one operation's sites: a read's candidates, the flush's targets, phase two's read-only participants
+	rawWrote  bool        // a raw write or local refresh is buffered at some site
 	done      bool
+
+	// scr is the attempt's pooled scratch, nil once the attempt has ended.
+	scr *scratch
+	// ctx is what the attempt's body and operations run under (bind), dctx
+	// what its decision and aborts are delivered under (detach).
+	ctx, dctx spanCtx
 
 	// inline backs the site sets and the view of an attempt over a catalog
 	// of up to inlineSites sites, and its first inlineReads reads, so that
@@ -450,10 +450,114 @@ const inlineSites = 4
 // transactions.
 const inlineReads = 4
 
+// scratch is what an attempt grows as it runs: its logical write set, its
+// flush's plan and batches, its fan-outs' results, and its request to its
+// own site. The manager pools them, so a steady stream of attempts reuses a
+// few. Nothing in one is visible outside the attempt holding it: the View
+// and the Tx live in the Tx, and end clears a scratch before the pool gets
+// it back.
+type scratch struct {
+	written []writeEntry       // the logical write set, flushed by Commit, sorted by item
+	plans   []writePlan        // the flush's plan of each written item
+	ops     []proto.BatchOp    // every target's batch, back to back
+	batches [][]proto.BatchOp  // batches[j] is what the flush's j-th target receives
+	results []transport.Result // the last fan-out's
+	local   localCall          // the last fan-out's request to the own site
+	sites   []proto.SiteID     // backs the plans' lists when a replica is down
+}
+
+// writeEntry is one buffered logical write.
+type writeEntry struct {
+	item  proto.Item
+	value proto.Value
+}
+
 // readEntry is one cached read.
 type readEntry struct {
 	item  proto.Item
 	value proto.Value
+}
+
+// spanCtx is a context of the attempt's own: its parent with span as the
+// span context, as obs.WithSpan(parent, span) is, and detached also as
+// context.WithoutCancel(parent) is — never done and without a deadline. It
+// lives in the Tx, so no attempt allocates one, and obs.SpanFrom reads its
+// span without boxing it.
+type spanCtx struct {
+	parent   context.Context
+	span     obs.SpanContext
+	hasSpan  bool
+	detached bool
+}
+
+// bind returns ctx carrying the attempt's span: every RPC the attempt makes
+// — reads, writes, 2PC — has the attempt as its causal parent under the
+// transaction's root ID. Only a recording transport (tcpnet with a hub) acts
+// on it.
+func (t *Tx) bind(ctx context.Context) context.Context {
+	t.ctx = spanCtx{parent: ctx, span: t.span, hasSpan: true}
+	return &t.ctx
+}
+
+// detach returns ctx without its cancellation and deadline, for deliveries
+// that must not depend on the caller: a durable decision, the aborts that
+// release remote locks.
+func (t *Tx) detach(ctx context.Context) context.Context {
+	span, ok := obs.SpanFrom(ctx)
+	t.dctx = spanCtx{parent: ctx, span: span, hasSpan: ok, detached: true}
+	return &t.dctx
+}
+
+func (c *spanCtx) Deadline() (time.Time, bool) {
+	if c.detached {
+		return time.Time{}, false
+	}
+	return c.parent.Deadline()
+}
+
+func (c *spanCtx) Done() <-chan struct{} {
+	if c.detached {
+		return nil
+	}
+	return c.parent.Done()
+}
+
+func (c *spanCtx) Err() error {
+	if c.detached {
+		return nil
+	}
+	return c.parent.Err()
+}
+
+func (c *spanCtx) Value(key any) any {
+	if c.hasSpan && obs.IsSpanKey(key) {
+		return c.span
+	}
+	return c.parent.Value(key)
+}
+
+// Span implements obs.SpanCarrier.
+func (c *spanCtx) Span() (obs.SpanContext, bool) { return c.span, c.hasSpan }
+
+// end finishes the attempt: it is done, its TM no longer coordinates it, and
+// its scratch goes back to the pool, cleared, so that nothing it referenced
+// stays reachable from there.
+func (t *Tx) end() {
+	t.done = true
+	t.m.release(t.meta.ID)
+	s := t.scr
+	if s == nil {
+		return
+	}
+	t.scr = nil
+	clear(s.written)
+	clear(s.plans)
+	clear(s.ops)
+	clear(s.batches)
+	clear(s.results)
+	s.written, s.plans, s.ops, s.batches, s.results, s.sites = s.written[:0], s.plans[:0], s.ops[:0], s.batches[:0], s.results[:0], s.sites[:0]
+	s.local = localCall{}
+	t.m.scratch.Put(s)
 }
 
 // cachedRead returns item's cached read.
@@ -469,6 +573,13 @@ func (t *Tx) cachedRead(item proto.Item) (proto.Value, bool) {
 // cacheRead remembers item's read.
 func (t *Tx) cacheRead(item proto.Item, v proto.Value) {
 	t.reads = append(t.reads, readEntry{item, v})
+}
+
+// written finds item in the logical write set: its index, or where it goes.
+func (t *Tx) written(item proto.Item) (int, bool) {
+	return slices.BinarySearchFunc(t.scr.written, item, func(w writeEntry, item proto.Item) int {
+		return cmp.Compare(w.item, item)
+	})
 }
 
 // siteSet is a handful of sites as an ascending slice: fan-out order.
@@ -515,7 +626,7 @@ func (t *Tx) readSessionVector(ctx context.Context) error {
 		sessions = make([]replication.SiteSession, 0, len(t.m.sites))
 	}
 	for _, site := range t.m.sites {
-		resp, err := t.physical(ctx, t.m.cfg.Site, proto.ReadReq{
+		rr, err := t.read(ctx, t.m.cfg.Site, proto.ReadReq{
 			Txn:    t.meta,
 			Item:   proto.NSItem(site),
 			Mode:   proto.CheckSession,
@@ -524,52 +635,128 @@ func (t *Tx) readSessionVector(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		rr, ok := resp.(proto.ReadResp)
-		if !ok {
-			return fmt.Errorf("unexpected response %T to session-vector read", resp)
-		}
 		sessions = append(sessions, replication.SiteSession{Site: site, Session: proto.Session(rr.Value)})
 	}
 	t.view = replication.View{Sessions: sessions}
 	return nil
 }
 
-// physical performs one physical operation and keeps the attempted/
-// participant bookkeeping. Write operations register the site as a
-// two-phase-commit participant; read-only sites are released without voting
-// (the standard read-only participant optimization).
-func (t *Tx) physical(ctx context.Context, site proto.SiteID, msg proto.Message) (proto.Message, error) {
+// read performs one physical read and keeps the attempted/participant
+// bookkeeping. A read of the own site's copy is a direct call on its data
+// manager; read-only sites are released without voting (the standard
+// read-only participant optimization).
+func (t *Tx) read(ctx context.Context, site proto.SiteID, req proto.ReadReq) (proto.ReadResp, error) {
 	t.attempted.add(site)
-	resp, err := t.m.cfg.Net.Call(ctx, t.m.cfg.Site, site, msg)
-	return t.noteReply(site, msg, resp, err)
-}
-
-// sendPhysical is physical for one target of a fan-out: the bookkeeping runs
-// when the reply is collected. A transaction attempt belongs to one
-// goroutine, so none of it is locked.
-func (t *Tx) sendPhysical(ctx context.Context, site proto.SiteID, msg proto.Message) transport.Pending {
-	t.attempted.add(site)
-	return t.m.send(ctx, site, msg).Then(func(resp proto.Message, err error) (proto.Message, error) {
-		return t.noteReply(site, msg, resp, err)
-	})
-}
-
-func (t *Tx) noteReply(site proto.SiteID, msg, resp proto.Message, err error) (proto.Message, error) {
-	if err != nil {
-		t.m.noteSiteDown(err, site, t.view.Session(site))
-		return nil, err
+	var (
+		rr  proto.ReadResp
+		err error
+	)
+	if site == t.m.cfg.Site {
+		rr, err = t.m.cfg.Local.Read(ctx, req)
+	} else {
+		var resp proto.Message
+		if resp, err = t.m.cfg.Net.Call(ctx, t.m.cfg.Site, site, req); err == nil {
+			var ok bool
+			if rr, ok = resp.(proto.ReadResp); !ok {
+				t.parts.add(site)
+				return rr, fmt.Errorf("unexpected response %T to read", resp)
+			}
+		}
 	}
-	if rr, ok := resp.(proto.ReadResp); ok {
+	return rr, t.noteRead(site, rr, err)
+}
+
+// noteRead is the bookkeeping on one read's reply.
+func (t *Tx) noteRead(site proto.SiteID, rr proto.ReadResp, err error) error {
+	if err == nil {
 		// Lamport step: a version read from a peer must sort below anything
 		// this coordinator commits afterwards.
 		t.m.cfg.Seq.ObserveCommitSeq(rr.Version.Counter)
 	}
+	return t.noted(site, false, err)
+}
+
+// noted is the bookkeeping on one physical reply: a failure is reported to
+// the failure detector, a success makes the site a participant, and a
+// two-phase-commit participant when the request wrote.
+func (t *Tx) noted(site proto.SiteID, wrote bool, err error) error {
+	if err != nil {
+		t.m.noteSiteDown(err, site, t.view.Session(site))
+		return err
+	}
 	t.parts.add(site)
-	switch msg.(type) {
-	case proto.WriteReq, proto.BatchReq:
+	if wrote {
 		t.wparts.add(site)
 	}
-	return resp, nil
+	return nil
+}
+
+// localOp names a localCall's request.
+type localOp uint8
+
+const (
+	localRead localOp = iota + 1
+	localWrite
+	localBatch
+	localPrepare
+	localCommit
+	localAbort
+)
+
+// localCall is an attempt's request to its own site inside a fan-out. It is
+// served by a direct typed call on the site's data manager — what the site's
+// wire dispatcher does with the message, without boxing the request or the
+// reply — and the transport's Local decides when: at once on the simulator,
+// after the peers' frames are out on tcpnet. Neither transport's local bus
+// moves a trace event, so this moves none either. Its Wait returns no
+// message: the reply stays here, typed.
+type localCall struct {
+	dm  *dm.Manager
+	ctx context.Context
+	op  localOp
+
+	read    proto.ReadReq
+	write   proto.WriteReq
+	batch   proto.BatchReq
+	prepare proto.PrepareReq
+	commit  proto.CommitReq
+	abort   proto.AbortReq
+
+	readResp proto.ReadResp
+	vote     bool
+	maxSeq   uint64
+}
+
+func (c *localCall) Wait() (proto.Message, error) {
+	var err error
+	switch c.op {
+	case localRead:
+		c.readResp, err = c.dm.Read(c.ctx, c.read)
+	case localWrite:
+		err = c.dm.Write(c.ctx, c.write)
+	case localBatch:
+		var br proto.BatchResp
+		br, err = c.dm.Batch(c.ctx, c.batch)
+		c.vote, c.maxSeq = br.Vote, br.MaxSeq
+	case localPrepare:
+		var pr proto.PrepareResp
+		pr, err = c.dm.Prepare(c.prepare)
+		c.vote, c.maxSeq = pr.Vote, pr.MaxSeq
+	case localCommit:
+		err = c.dm.Commit(c.commit)
+	case localAbort:
+		err = c.dm.Abort(c.abort)
+	}
+	return nil, err
+}
+
+// local starts a fan-out's request to the own site: the attempt's
+// localCall, its request put in place by set.
+func (t *Tx) local(ctx context.Context, set func(*localCall)) transport.Pending {
+	c := &t.scr.local
+	*c = localCall{dm: t.m.cfg.Local, ctx: ctx}
+	set(c)
+	return t.m.cfg.Net.Local(c)
 }
 
 // Read performs a logical READ under the profile's read policy.
@@ -577,8 +764,8 @@ func (t *Tx) Read(ctx context.Context, item proto.Item) (proto.Value, error) {
 	if t.done {
 		return 0, t.finished()
 	}
-	if v, ok := t.written[item]; ok {
-		return v, nil // read-your-writes
+	if i, ok := t.written(item); ok {
+		return t.scr.written[i].value, nil // read-your-writes
 	}
 	if v, ok := t.cachedRead(item); ok {
 		return v, nil // repeatable read
@@ -632,12 +819,8 @@ func (t *Tx) readOne(ctx context.Context, item proto.Item, useView bool) (proto.
 		if t.meta.Class == proto.ClassCopier {
 			req.Copier = true
 		}
-		resp, err := t.physical(ctx, site, req)
+		rr, err := t.read(ctx, site, req)
 		if err == nil {
-			rr, ok := resp.(proto.ReadResp)
-			if !ok {
-				return 0, fmt.Errorf("unexpected response %T to read", resp)
-			}
 			return rr.Value, nil
 		}
 		lastErr = err
@@ -653,10 +836,10 @@ func (t *Tx) readOne(ctx context.Context, item proto.Item, useView bool) (proto.
 }
 
 // orderCandidates filters (optionally by the view) and orders replica
-// sites: local copy first, then ascending site ID. It reorders replicas — the
-// caller's own ascending copy — in place.
+// sites, the catalog's ascending list, into the attempt's spare set: local
+// copy first, then ascending site ID.
 func (t *Tx) orderCandidates(replicas []proto.SiteID, useView bool) []proto.SiteID {
-	out := replicas[:0]
+	out := t.spare[:0]
 	for _, site := range replicas {
 		if !useView || t.view.Up(site) {
 			out = append(out, site)
@@ -681,32 +864,42 @@ func (t *Tx) readQuorum(ctx context.Context, item proto.Item) (proto.Value, erro
 		return 0, err
 	}
 
-	results := transport.Fanout(replicas, func(site proto.SiteID) transport.Pending {
-		return t.sendPhysical(ctx, site, proto.ReadReq{
-			Txn: t.meta, Item: item, Mode: proto.CheckNone,
-			ReadOld: true, NoRecord: true,
-		})
-	}, nil)
-
+	req := proto.ReadReq{
+		Txn: t.meta, Item: item, Mode: proto.CheckNone,
+		ReadOld: true, NoRecord: true,
+	}
 	var (
 		got    int
 		best   proto.ReadResp
 		bestAt proto.SiteID
 	)
-	for _, r := range results {
-		if r.Err != nil {
-			continue
+	t.scr.results = transport.Fanout(t.scr.results, replicas, func(site proto.SiteID) transport.Pending {
+		t.attempted.add(site)
+		if site == t.m.cfg.Site {
+			return t.local(ctx, func(c *localCall) { c.op, c.read = localRead, req })
 		}
-		rr, ok := r.Resp.(proto.ReadResp)
-		if !ok {
-			continue
+		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
+	}, func(r *transport.Result) bool {
+		var rr proto.ReadResp
+		if r.Err == nil {
+			if r.Site == t.m.cfg.Site {
+				rr = t.scr.local.readResp
+			} else if resp, ok := r.Resp.(proto.ReadResp); ok {
+				rr = resp
+			} else {
+				t.parts.add(r.Site)
+				return false
+			}
 		}
-		got++
-		if got == 1 || best.Version.Less(rr.Version) {
-			best = rr
-			bestAt = r.Site
+		if r.Err = t.noteRead(r.Site, rr, r.Err); r.Err == nil {
+			got++
+			if got == 1 || best.Version.Less(rr.Version) {
+				best = rr
+				bestAt = r.Site
+			}
 		}
-	}
+		return false
+	})
 	if got < quorum {
 		return 0, fmt.Errorf("read %q: %d of %d needed: %w", item, got, quorum, proto.ErrNoQuorum)
 	}
@@ -727,36 +920,44 @@ type writePlan struct {
 }
 
 // writeTargets interprets the profile's write policy for item against the
-// transaction's view. It performs no communication.
-func (t *Tx) writeTargets(item proto.Item) (writePlan, error) {
+// transaction's view. It performs no communication. The targets are the
+// catalog's shared list unless some replica is nominally down; then the
+// targets and the missed replicas are lists appended to buf, which the plan
+// owns from then on.
+func (t *Tx) writeTargets(item proto.Item, buf *[]proto.SiteID) (writePlan, error) {
 	replicas, err := t.m.cfg.Catalog.Replicas(item)
 	if err != nil {
 		return writePlan{}, err
 	}
-	var p writePlan
+	p := writePlan{targets: replicas}
 	switch t.m.cfg.Profile.Write {
 	case replication.WriteAllUp:
-		p.targets = replicas[:0] // filtered in place: replicas is this call's own copy
-		for _, site := range replicas {
-			if t.view.Up(site) {
-				p.targets = append(p.targets, site)
-			} else {
-				p.missed = append(p.missed, site)
+		if slices.ContainsFunc(replicas, func(site proto.SiteID) bool { return !t.view.Up(site) }) {
+			start := len(*buf)
+			for _, site := range replicas {
+				if t.view.Up(site) {
+					*buf = append(*buf, site)
+				}
 			}
+			mid := len(*buf)
+			for _, site := range replicas {
+				if !t.view.Up(site) {
+					*buf = append(*buf, site)
+				}
+			}
+			end := len(*buf)
+			p.targets, p.missed = (*buf)[start:mid:mid], (*buf)[mid:end:end]
 		}
 		if len(p.targets) == 0 {
 			return writePlan{}, fmt.Errorf("write %q: %w", item, proto.ErrNoReplica)
 		}
 		p.minSuccess = len(p.targets)
 	case replication.WriteAll:
-		p.targets = replicas
 		p.minSuccess = len(p.targets)
 	case replication.WriteAvailable:
-		p.targets = replicas
 		p.tolerateDown = true
 		p.minSuccess = 1
 	case replication.WriteQuorum:
-		p.targets = replicas
 		p.tolerateDown = true
 		q, qerr := t.m.cfg.Catalog.Quorum(item)
 		if qerr != nil {
@@ -782,13 +983,16 @@ func (t *Tx) Write(ctx context.Context, item proto.Item, value proto.Value) erro
 	}
 	// The view is fixed at begin, so the flush-time recomputation yields the
 	// same plan.
-	if _, err := t.writeTargets(item); err != nil {
+	buf := t.scr.sites
+	if _, err := t.writeTargets(item, &buf); err != nil {
 		return err
 	}
-	if t.written == nil {
-		t.written = make(map[proto.Item]proto.Value)
+	i, found := t.written(item)
+	if found {
+		t.scr.written[i].value = value
+	} else {
+		t.scr.written = slices.Insert(t.scr.written, i, writeEntry{item, value})
 	}
-	t.written[item] = value
 	return nil
 }
 
@@ -798,17 +1002,15 @@ func (t *Tx) Abort(ctx context.Context) {
 		return
 	}
 	t.done = true
-	if !t.m.cfg.Local.Alive() {
-		// A dead process sends nothing; janitors clean up the remote state.
-		t.m.release(t.meta.ID)
-		return
+	if t.m.cfg.Local.Alive() {
+		// Aborts release remote locks; deliver them even if the caller's
+		// context is already canceled. A dead process sends nothing;
+		// janitors clean up the remote state.
+		t.broadcast(t.detach(ctx), t.attempted, proto.AbortReq{Txn: t.meta})
 	}
-	// Aborts release remote locks; deliver them even if the caller's
-	// context is already canceled.
-	t.broadcast(context.WithoutCancel(ctx), t.attempted, proto.AbortReq{Txn: t.meta})
 	// Presumed abort: the coordinator logs nothing; a decision query that
 	// finds neither an active transaction nor a log record means abort.
-	t.m.release(t.meta.ID)
+	t.end()
 }
 
 // Commit runs two-phase commit over the participants and reports the
@@ -830,26 +1032,26 @@ func (t *Tx) Commit(ctx context.Context) error {
 	if t.done {
 		return t.finished()
 	}
+	defer t.end()
 
-	if len(t.written) == 0 && !t.rawWrote {
-		t.done = true
+	if len(t.scr.written) == 0 && !t.rawWrote {
 		seq := t.m.cfg.Seq.NextCommitSeq()
 		if t.m.cfg.Recorder != nil {
 			t.m.cfg.Recorder.Commit(t.meta.ID, seq)
 		}
 		t.broadcast(ctx, t.attempted, proto.AbortReq{Txn: t.meta, ReadOnlyEnd: true})
-		t.m.release(t.meta.ID)
 		return nil
 	}
 
 	var err error
-	if len(t.written) > 0 {
+	if len(t.scr.written) > 0 {
 		err = t.flushBatch(ctx)
 	} else {
 		err = t.prepareParticipants(ctx)
 	}
 	if err != nil {
-		t.failCommit(ctx)
+		// Abort after the failed prepare phase.
+		t.broadcast(t.detach(ctx), t.attempted, proto.AbortReq{Txn: t.meta})
 		return err
 	}
 
@@ -860,8 +1062,6 @@ func (t *Tx) Commit(ctx context.Context) error {
 	// A coordinator whose site died cannot log a decision or send another
 	// message; the transaction's fate rests with cooperative termination.
 	if !t.m.cfg.Local.Alive() {
-		t.done = true
-		t.m.release(t.meta.ID)
 		return fmt.Errorf("coordinator %v died before deciding %v: %w",
 			t.m.cfg.Site, t.meta.ID, proto.ErrSiteDown)
 	}
@@ -888,12 +1088,11 @@ func (t *Tx) Commit(ctx context.Context) error {
 	// where a post is complete when it returns). A post that fails, or is
 	// lost after it was written, is tolerated: the participant learns the
 	// outcome from the decision service or its own recovery.
-	t.done = true
-	deliverCtx := context.WithoutCancel(ctx)
+	deliverCtx := t.detach(ctx)
 	decision := proto.CommitReq{Txn: t.meta, CommitSeq: commitSeq}
-	transport.Fanout(t.wparts, func(site proto.SiteID) transport.Pending {
+	t.scr.results = transport.Fanout(t.scr.results, t.wparts, func(site proto.SiteID) transport.Pending {
 		if site == t.m.cfg.Site {
-			return t.m.send(deliverCtx, site, decision)
+			return t.local(deliverCtx, func(c *localCall) { c.op, c.commit = localCommit, decision })
 		}
 		err := t.m.cfg.Net.Post(deliverCtx, t.m.cfg.Site, site, decision)
 		if err != nil {
@@ -912,7 +1111,6 @@ func (t *Tx) Commit(ctx context.Context) error {
 	if len(readOnly) > 0 {
 		t.broadcast(deliverCtx, readOnly, proto.AbortReq{Txn: t.meta, ReadOnlyEnd: true})
 	}
-	t.m.release(t.meta.ID)
 	return nil
 }
 
@@ -921,25 +1119,22 @@ func (t *Tx) Commit(ctx context.Context) error {
 // after the decision. The first failure in target order decides the outcome,
 // so the reported error does not depend on which vote came back first.
 func (t *Tx) prepareParticipants(ctx context.Context) error {
-	prep := transport.Fanout(t.wparts, func(site proto.SiteID) transport.Pending {
-		return t.m.send(ctx, site, proto.PrepareReq{Txn: t.meta}).Then(func(resp proto.Message, err error) (proto.Message, error) {
-			if err != nil {
-				return nil, err
-			}
+	req := proto.PrepareReq{Txn: t.meta}
+	t.scr.results = transport.Fanout(t.scr.results, t.wparts, func(site proto.SiteID) transport.Pending {
+		if site == t.m.cfg.Site {
+			return t.local(ctx, func(c *localCall) { c.op, c.prepare = localPrepare, req })
+		}
+		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
+	}, func(r *transport.Result) bool {
+		r.Err = t.vote(r, func(resp proto.Message) (bool, uint64, bool) {
 			pr, ok := resp.(proto.PrepareResp)
-			if !ok || !pr.Vote {
-				// Surface a no-vote as an error so that, where votes are in
-				// at send time, the fan-out stops before preparing further
-				// participants.
-				return nil, fmt.Errorf("voted no: %w", proto.ErrTxnAborted)
-			}
-			// Lamport step: the commit sequence number picked below must
-			// exceed everything any participant has already installed.
-			t.m.cfg.Seq.ObserveCommitSeq(pr.MaxSeq)
-			return resp, nil
+			return pr.Vote, pr.MaxSeq, ok
 		})
-	}, transport.Failed)
-	for _, r := range prep {
+		// Where votes are in at send time, a no-vote stops the fan-out
+		// before further participants are prepared.
+		return r.Err != nil
+	})
+	for _, r := range t.scr.results {
 		if r.Site == 0 {
 			continue // fan-out halted before reaching this participant
 		}
@@ -951,128 +1146,134 @@ func (t *Tx) prepareParticipants(ctx context.Context) error {
 	return nil
 }
 
+// vote reads a participant's phase-one reply — from the own site's
+// localCall, or through decode from a peer's message — and turns a "no", or a
+// reply that is not a vote, into an error.
+func (t *Tx) vote(r *transport.Result, decode func(proto.Message) (vote bool, maxSeq uint64, ok bool)) error {
+	if r.Err != nil {
+		return r.Err
+	}
+	vote, maxSeq, ok := t.scr.local.vote, t.scr.local.maxSeq, true
+	if r.Site != t.m.cfg.Site {
+		vote, maxSeq, ok = decode(r.Resp)
+	}
+	if !ok || !vote {
+		return fmt.Errorf("voted no: %w", proto.ErrTxnAborted)
+	}
+	// Lamport step: the commit sequence number picked after phase one must
+	// exceed everything any participant has already installed.
+	t.m.cfg.Seq.ObserveCommitSeq(maxSeq)
+	return nil
+}
+
 // flushBatch is phase one for the logical write set: it interprets the
 // buffered writes under the profile's write policy, groups the resulting
 // physical writes by target site, and sends each site one BatchReq with the
 // prepare flag set. The batch response piggybacks the site's vote and its
-// high commit sequence number, so no separate prepare round follows. Items
-// are taken in sorted order, so every coordinator acquires a participant's X
-// locks in the same order and two write sets cannot deadlock inside a site.
+// high commit sequence number, so no separate prepare round follows. The
+// write set is in item order, so every coordinator acquires a participant's
+// X locks in the same order and two write sets cannot deadlock inside a
+// site.
 func (t *Tx) flushBatch(ctx context.Context) error {
-	writes := make([]plannedWrite, 0, len(t.written))
-	for item, value := range t.written {
-		writes = append(writes, plannedWrite{item: item, value: value})
-	}
-	slices.SortFunc(writes, func(a, b plannedWrite) int { return cmp.Compare(a.item, b.item) })
-
-	// ops[j] is what sites[j] receives: a slice of one array, in item order.
+	s := t.scr
 	sites := t.spare[:0]
 	tolerateDown := false
 	nops := 0
-	for i := range writes {
-		plan, err := t.writeTargets(writes[i].item)
+	for _, w := range s.written {
+		plan, err := t.writeTargets(w.item, &s.sites)
 		if err != nil {
 			return err
 		}
-		writes[i].plan, tolerateDown = plan, plan.tolerateDown
+		s.plans = append(s.plans, plan)
+		tolerateDown = plan.tolerateDown
 		for _, site := range plan.targets {
 			sites.add(site)
 		}
 		nops += len(plan.targets)
 	}
-	all := make([]proto.BatchOp, 0, nops)
-	ops := make([][]proto.BatchOp, len(sites))
-	for j, site := range sites {
-		from := len(all)
-		for _, w := range writes {
-			if slices.Contains(w.plan.targets, site) {
-				all = append(all, proto.BatchOp{Item: w.item, Value: w.value, MissedBy: w.plan.missed})
+	// batches[j] is what sites[j] receives: a slice of ops, which has room
+	// for every op, so none of the appends below moves it.
+	s.ops = slices.Grow(s.ops, nops)
+	for _, site := range sites {
+		from := len(s.ops)
+		for i, w := range s.written {
+			if slices.Contains(s.plans[i].targets, site) {
+				s.ops = append(s.ops, proto.BatchOp{Item: w.item, Value: w.value, MissedBy: s.plans[i].missed})
 			}
 		}
-		ops[j] = all[from:len(all):len(all)]
+		s.batches = append(s.batches, s.ops[from:len(s.ops):len(s.ops)])
 	}
 
 	tolerated := func(err error) bool {
 		return tolerateDown && (errors.Is(err, proto.ErrSiteDown) || errors.Is(err, proto.ErrDropped))
 	}
-	results := transport.Fanout(sites, func(site proto.SiteID) transport.Pending {
+	s.results = transport.Fanout(s.results, sites, func(site proto.SiteID) transport.Pending {
 		j, _ := slices.BinarySearch(sites, site)
 		req := proto.BatchReq{
 			Txn:     t.meta,
 			Mode:    t.m.cfg.Profile.CheckMode,
-			Ops:     ops[j],
+			Ops:     s.batches[j],
 			Prepare: true,
 		}
 		if t.m.cfg.Profile.CheckMode == proto.CheckSession {
 			req.Expect = t.view.Session(site)
 		}
-		return t.sendPhysical(ctx, site, req).Then(func(resp proto.Message, err error) (proto.Message, error) {
-			if err != nil {
-				return nil, err
-			}
-			br, ok := resp.(proto.BatchResp)
-			if !ok || !br.Vote {
-				return nil, fmt.Errorf("voted no: %w", proto.ErrTxnAborted)
-			}
-			// Lamport step: the commit sequence number picked after phase
-			// one must exceed everything any participant has already
-			// installed.
-			t.m.cfg.Seq.ObserveCommitSeq(br.MaxSeq)
-			return resp, nil
-		})
-	}, func(r transport.Result) bool { return r.Err != nil && !tolerated(r.Err) })
+		t.attempted.add(site)
+		if site == t.m.cfg.Site {
+			return t.local(ctx, func(c *localCall) { c.op, c.batch = localBatch, req })
+		}
+		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
+	}, func(r *transport.Result) bool {
+		if r.Err = t.noted(r.Site, true, r.Err); r.Err == nil {
+			r.Err = t.vote(r, func(resp proto.Message) (bool, uint64, bool) {
+				br, ok := resp.(proto.BatchResp)
+				return br.Vote, br.MaxSeq, ok
+			})
+		}
+		return r.Err != nil && !tolerated(r.Err)
+	})
 
-	for j, r := range results {
+	for j, r := range s.results {
 		switch {
 		case r.Site == 0 || tolerated(r.Err):
-			ops[j] = nil // the fan-out halted before this site, or it is down: nothing landed here
+			s.batches[j] = nil // the fan-out halted before this site, or it is down: nothing landed here
 		case r.Err != nil:
 			return fmt.Errorf("batch flush at %v: %w", r.Site, r.Err)
 		}
 	}
-	for _, w := range writes {
+	for i, w := range s.written {
+		plan := s.plans[i]
 		succeeded := 0
-		for _, site := range w.plan.targets {
-			if j, _ := slices.BinarySearch(sites, site); ops[j] != nil {
+		for _, site := range plan.targets {
+			if j, _ := slices.BinarySearch(sites, site); s.batches[j] != nil {
 				succeeded++
 			}
 		}
-		if succeeded >= w.plan.minSuccess {
+		if succeeded >= plan.minSuccess {
 			continue
 		}
 		if t.m.cfg.Profile.Write == replication.WriteQuorum {
 			return fmt.Errorf("write %q: %d of %d needed: %w",
-				w.item, succeeded, w.plan.minSuccess, proto.ErrNoQuorum)
+				w.item, succeeded, plan.minSuccess, proto.ErrNoQuorum)
 		}
 		return fmt.Errorf("write %q: %d of %d copies reachable: %w",
-			w.item, succeeded, w.plan.minSuccess, proto.ErrUnavailable)
+			w.item, succeeded, plan.minSuccess, proto.ErrUnavailable)
 	}
 	return nil
 }
 
-// plannedWrite is one buffered write and its plan.
-type plannedWrite struct {
-	item  proto.Item
-	value proto.Value
-	plan  writePlan
-}
-
-// failCommit aborts after a failed prepare phase.
-func (t *Tx) failCommit(ctx context.Context) {
-	t.done = true
-	t.broadcast(context.WithoutCancel(ctx), t.attempted, proto.AbortReq{Txn: t.meta})
-	t.m.release(t.meta.ID)
-}
-
 // broadcast sends msg to every listed site and waits for them all, reporting
 // the ones found dead to the failure detector.
-func (t *Tx) broadcast(ctx context.Context, sites []proto.SiteID, msg proto.Message) {
-	transport.Fanout(sites, func(site proto.SiteID) transport.Pending {
-		return t.m.send(ctx, site, msg).Then(func(resp proto.Message, err error) (proto.Message, error) {
-			if err != nil {
-				t.m.noteSiteDown(err, site, t.view.Session(site))
-			}
-			return resp, err
-		})
-	}, nil)
+func (t *Tx) broadcast(ctx context.Context, sites []proto.SiteID, msg proto.AbortReq) {
+	t.scr.results = transport.Fanout(t.scr.results, sites, func(site proto.SiteID) transport.Pending {
+		if site == t.m.cfg.Site {
+			return t.local(ctx, func(c *localCall) { c.op, c.abort = localAbort, msg })
+		}
+		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, msg)
+	}, func(r *transport.Result) bool {
+		if r.Err != nil {
+			t.m.noteSiteDown(r.Err, r.Site, t.view.Session(r.Site))
+		}
+		return false
+	})
 }

@@ -1,29 +1,99 @@
 #!/usr/bin/env bash
-# Per-thread scheduler counts of every running srnode over a 5 s window:
-# what a CPU profile cannot show, because pprof samples only threads that
-# hold a P and so never charges sysmon, and counts no sleeps at all.
+# Per-thread scheduler counts and garbage of every running srnode over a 5 s
+# window: what a CPU profile cannot show, because pprof samples only threads
+# that hold a P and so never charges sysmon, and counts no sleeps at all.
 #
 #   bash bench/run.sh --workload oltp-mem --seed 7 --seconds 20 --trace 0 &
-#   sleep 12; make threadstat     # inside the measured phase
+#   make threadstat     # waits for the measured phase, then samples it
 #
-# It reads /proc/PID/task/*/schedstat (run time in ns) and .../status
-# (voluntary and involuntary context switches) of every srnode twice, 5 s
-# apart, and prints per process: the CPU time of all its threads, their
-# voluntary switches (a thread going to sleep) and involuntary ones
+# It first waits, polling once a second for at most 60 s, until the ledger's
+# measured cluster is the one running: the set of srnode processes is the
+# same as a second ago, each has been alive at least 3 s, and every control
+# port that coordinates commits reports more of them than a second ago (a
+# site that only participates, like the ledger's site 3, coordinates none).
+# If that does not hold within the bound it says which condition failed and
+# exits 1 without sampling.
+#
+# It then reads /proc/PID/task/*/schedstat (run time in ns) and
+# .../status (voluntary and involuntary context switches) of every srnode
+# twice, 5 s apart, and prints per process: the CPU time of all its threads,
+# their voluntary switches (a thread going to sleep) and involuntary ones
 # (preemptions), and the CPU time of sysmon, the runtime's monitor thread —
 # the process's lowest thread ID above its process ID, since the runtime
-# starts it before any other thread. When the srnodes' control ports answer
-# GET /metrics, it also prints the commits the cluster made in the window
-# (every site's sr_txn_commit_latency_us_count) and each process's voluntary
-# switches per commit. Linux only.
+# starts it before any other thread. From the control ports it also prints
+# the commits the cluster made in the window (every site's
+# sr_txn_commit_latency_us_count) and, per process, voluntary switches,
+# objects allocated and bytes allocated per cluster commit. The last two are
+# the runtime's exact Mallocs and TotalAlloc counters, read from
+# GET /debug/pprof/heap?debug=1 at both ends of the window, not a sampled
+# profile. Linux only.
 set -euo pipefail
 
 window=5
-pids=$(pgrep -f '^[^ ]*/srnode -site' || true)
-if [[ -z $pids ]]; then
-	echo "threadstat: no srnode process is running" >&2
-	exit 1
-fi
+settle_limit=60 # seconds to wait for the measured phase
+min_age=3       # seconds every srnode must have been alive
+
+srnodes() { pgrep -f '^[^ ]*/srnode -site' | sort -n | tr '\n' ' ' || true; }
+
+# cmdline prints the command line of process $1, and fails once it has
+# exited (a zombie's is empty).
+cmdline() {
+	local cmd
+	cmd=$(tr '\0' ' ' 2>/dev/null <"/proc/$1/cmdline") && [[ -n $cmd ]] && echo "$cmd"
+}
+
+# flag prints the value of flag $2 on process $1's command line.
+flag() { sed -n "s/.* $2 \([^ ]*\).*/\1/p" <<<"$(cmdline "$1")"; }
+
+# coordinated prints the commits the site behind control address $1 has
+# coordinated so far, and fails if the port does not answer.
+coordinated() {
+	curl -sf --max-time 2 "http://$1/metrics" |
+		awk '/^sr_txn_commit_latency_us_count/ { s += $2 } END { print s + 0 }'
+}
+
+# Wait for the measured phase: the same srnodes as a second ago, each alive
+# at least min_age seconds, and every coordinating site's count moving.
+declare -A seen
+prev="" why="no srnode process is running"
+for ((waited = 0; ; waited++)); do
+	pids=$(srnodes)
+	ready=1
+	if [[ -z $pids ]]; then
+		ready=0 why="no srnode process is running"
+	elif [[ $pids != "$prev" ]]; then
+		ready=0 why="the set of srnode processes is still changing"
+	fi
+	moving=0
+	for p in $pids; do
+		age=$(ps -o etimes= -p "$p" 2>/dev/null | tr -d ' ') || age=0
+		if ((${age:-0} < min_age)); then
+			ready=0 why="srnode $p has been alive less than ${min_age} s"
+		fi
+		ctl=$(flag "$p" -control)
+		if [[ -z $ctl ]] || ! n=$(coordinated "$ctl"); then
+			ready=0 why="srnode $p's control port does not answer"
+			continue
+		fi
+		if ((n > 0)); then
+			if [[ -n ${seen[$p]:-} ]] && ((n <= seen[$p])); then
+				ready=0 why="site $(flag "$p" -site) committed nothing in the last second"
+			fi
+			moving=1
+		fi
+		seen[$p]=$n
+	done
+	if ((ready && moving && waited > 0)); then
+		break
+	fi
+	((moving)) || [[ $ready == 0 ]] || why="no site's commit count is advancing"
+	if ((waited >= settle_limit)); then
+		echo "threadstat: gave up after ${settle_limit} s waiting for the measured phase: $why" >&2
+		exit 1
+	fi
+	prev=$pids
+	sleep 1
+done
 
 # snap prints one line per thread: pid tid run_ns voluntary involuntary.
 snap() {
@@ -39,22 +109,15 @@ snap() {
 	done
 }
 
-# cmdline prints the command line of process $1, and fails once it has
-# exited (a zombie's is empty).
-cmdline() {
-	local cmd
-	cmd=$(tr '\0' ' ' 2>/dev/null <"/proc/$1/cmdline") && [[ -n $cmd ]] && echo "$cmd"
-}
-
 # The -site and -control flags of each srnode, read once at the start: a
-# process that exits inside the window (the ledger tearing down a set-up
-# cluster, crash-recover killing site 3) has no command line left to read.
+# process that exits inside the window (crash-recover killing site 3) has no
+# command line left to read.
 declare -A site ctl
 live=""
 for p in $pids; do
-	cmd=$(cmdline "$p") || continue
-	site[$p]=$(sed -n 's/.* -site \([^ ]*\).*/\1/p' <<<"$cmd")
-	ctl[$p]=$(sed -n 's/.* -control \([^ ]*\).*/\1/p' <<<"$cmd")
+	cmdline "$p" >/dev/null || continue
+	site[$p]=$(flag "$p" -site)
+	ctl[$p]=$(flag "$p" -control)
 	live="$live $p"
 done
 pids=$live
@@ -65,17 +128,30 @@ commits() {
 	local p total=0 n
 	for p in $pids; do
 		[[ -n ${ctl[$p]} ]] || return 0
-		n=$(curl -sf --max-time 2 "http://${ctl[$p]}/metrics" |
-			awk '/^sr_txn_commit_latency_us_count/ { s += $2 } END { print s + 0 }') || return 0
+		n=$(coordinated "${ctl[$p]}") || return 0
 		total=$((total + n))
 	done
 	echo "$total"
 }
 
+# heap prints one line per srnode: pid mallocs total_alloc_bytes, the
+# runtime's exact counters (GET /debug/pprof/heap?debug=1 ends with the
+# process's runtime.MemStats).
+heap() {
+	local p
+	for p in $pids; do
+		curl -sf --max-time 2 "http://${ctl[$p]}/debug/pprof/heap?debug=1" |
+			awk -v p="$p" '/^# Mallocs = / { m = $4 } /^# TotalAlloc = / { t = $4 }
+				END { if (m != "") print p, m, t }' || true
+	done
+}
+
 c0=$(commits)
+h0=$(heap)
 a=$(snap)
 sleep "$window"
 b=$(snap)
+h1=$(heap)
 c1=$(commits)
 n=0
 if [[ -n $c0 && -n $c1 ]]; then
@@ -92,11 +168,13 @@ for p in $pids; do
 		echo "pid $p exited during the window"
 	fi
 done
-printf "%-8s %4s %10s %10s %11s %10s %10s\n" pid site cpu_ms voluntary involuntary sysmon_ms vol/commit
-awk -v commits="$n" -v sites="$sites" '
+printf "%-8s %4s %10s %10s %11s %10s %10s %12s %12s\n" pid site cpu_ms voluntary involuntary sysmon_ms vol/commit objects/commit bytes/commit
+awk -v commits="$n" -v sites="$sites" -v h0="$h0" -v h1="$h1" '
 	BEGIN {
 		split(sites, kv, " ")
 		for (i in kv) { split(kv[i], x, "="); site[x[1]] = x[2] }
+		split(h0, l, "\n"); for (i in l) { split(l[i], x, " "); m0[x[1]] = x[2]; t0[x[1]] = x[3] }
+		split(h1, l, "\n"); for (i in l) { split(l[i], x, " "); m1[x[1]] = x[2]; t1[x[1]] = x[3] }
 	}
 	NR == FNR { run[$1, $2] = $3; vol[$1, $2] = $4; inv[$1, $2] = $5; next }
 	{
@@ -108,7 +186,14 @@ awk -v commits="$n" -v sites="$sites" '
 	END {
 		for (p in cpu) {
 			if (!(p in site)) continue
-			per = commits > 0 ? sprintf("%.3f", v[p] / commits) : "-"
-			printf "%-8s %4s %10.1f %10d %11d %10.1f %10s\n", p, site[p], cpu[p], v[p], iv[p], sysms[p], per
+			per = objs = bytes = "-"
+			if (commits > 0) {
+				per = sprintf("%.3f", v[p] / commits)
+				if ((p in m0) && (p in m1)) {
+					objs = sprintf("%.1f", (m1[p] - m0[p]) / commits)
+					bytes = sprintf("%.0f", (t1[p] - t0[p]) / commits)
+				}
+			}
+			printf "%-8s %4s %10.1f %10d %11d %10.1f %10s %12s %12s\n", p, site[p], cpu[p], v[p], iv[p], sysms[p], per, objs, bytes
 		}
 	}' <(echo "$a") <(echo "$b") | sort -k2,2n
