@@ -458,3 +458,71 @@ func TestTokenStress(t *testing.T) {
 		t.Fatal("the shared connection was dropped")
 	}
 }
+
+// writeFails is a connection whose next Write first runs fail, as when
+// another caller's read hits the end of the stream and retires the
+// connection under a write that has registered but not yet written.
+type writeFails struct {
+	net.Conn
+	fail func()
+}
+
+func (w *writeFails) Write(b []byte) (int, error) {
+	w.fail()
+	return w.Conn.Write(b)
+}
+
+// A connection retired between a call's registration and its write closes
+// the call's reply channel. The call must not carry that channel on: not to
+// the retry on a fresh connection, and not back into callPool when it
+// returns an error, or a later call sees a spurious connection loss and the
+// reader that claims its reply sends on a closed channel.
+func TestWriteOnRetiredConnDropsClosedChannel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// redial says whether the peer can be dialed again after the
+		// failure: the call then retries and succeeds, or returns an error.
+		redial bool
+	}{{"retried", true}, {"returned", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := startFakePeer(t, func(n int, c net.Conn, req reqHeader) bool { return answerWithID(c, req) })
+			client := clientOf(t, peer.addr)
+			ctx := context.Background()
+			if _, err := client.Call(ctx, 1, 2, proto.ProbeReq{}); err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := ln.Addr().String()
+			ln.Close()
+
+			pc := peerOf(client, 2)
+			pc.conn = &writeFails{Conn: pc.conn, fail: func() {
+				if !tc.redial {
+					client.cfg.Addrs[2] = dead
+				}
+				client.dropPeer(2, pc)
+			}}
+			_, err = client.Call(ctx, 1, 2, proto.ProbeReq{})
+			if tc.redial && err != nil {
+				t.Fatalf("call retried on a fresh connection: %v", err)
+			}
+			if !tc.redial && !errors.Is(err, proto.ErrSiteDown) {
+				t.Fatalf("call with no peer to redial: err = %v, want ErrSiteDown", err)
+			}
+			client.cfg.Addrs[2] = peer.addr
+			for i := 0; i < 20; i++ {
+				resp, err := client.Call(ctx, 1, 2, proto.ProbeReq{})
+				if err != nil {
+					t.Fatalf("call %d after the retired write: %v", i, err)
+				}
+				if _, ok := resp.(proto.ProbeResp); !ok {
+					t.Fatalf("call %d after the retired write: reply %T", i, resp)
+				}
+			}
+			assertLive(t, client, peerOf(client, 2))
+		})
+	}
+}
