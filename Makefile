@@ -31,6 +31,9 @@ lint:
 	GOOS=linux GOARCH=386 $(GO) build ./... && GOOS=linux GOARCH=arm64 $(GO) build ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it)"; fi
+	bash -n scripts/threadstat.sh
+	@if command -v shellcheck >/dev/null 2>&1; then shellcheck -S warning scripts/threadstat.sh; \
+		else echo "shellcheck not installed; skipping (CI runs it)"; fi
 
 # Mirrors the bench CI job: every Go benchmark once, so they stay compiled
 # and runnable. Numbers come from the ledger (bash bench/run.sh).

@@ -78,12 +78,29 @@ func benchCluster(b testing.TB, sites, items, degree int) *core.Cluster {
 // below, so that TestHotPathAllocCeilings pins the allocations of exactly what
 // the benchmarks time.
 
+// answers counts the commit points it is told of: the transaction bodies
+// below run answered, as srnode's POST /txn does, and check that each run is
+// answered once.
+type answers int
+
+func (a *answers) Answer() { *a++ }
+
+// answeredOnce fails tb unless a was told of exactly one commit since the
+// last call.
+func (a *answers) answeredOnce(tb testing.TB) {
+	if *a != 1 {
+		tb.Fatalf("transaction answered %d times, want once", *a)
+	}
+	*a = 0
+}
+
 // txnReadOnly is a single-read user transaction end to end, including the
 // implicit session-vector read.
 func txnReadOnly(tb testing.TB) func() {
 	c := benchCluster(tb, 3, 16, 3)
 	item := c.Catalog().Items()[0]
-	ctx := context.Background()
+	var a answers
+	ctx := txn.WithAnswer(context.Background(), &a)
 	return func() {
 		err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
 			_, err := tx.Read(ctx, item)
@@ -92,6 +109,7 @@ func txnReadOnly(tb testing.TB) func() {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		a.answeredOnce(tb)
 	}
 }
 
@@ -100,7 +118,8 @@ func txnReadOnly(tb testing.TB) func() {
 func txnReadWrite(tb testing.TB) func() {
 	c := benchCluster(tb, 3, 16, 3)
 	item := c.Catalog().Items()[0]
-	ctx := context.Background()
+	var a answers
+	ctx := txn.WithAnswer(context.Background(), &a)
 	return func() {
 		err := c.Exec(ctx, 1, func(ctx context.Context, tx *txn.Tx) error {
 			v, err := tx.Read(ctx, item)
@@ -112,6 +131,7 @@ func txnReadWrite(tb testing.TB) func() {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		a.answeredOnce(tb)
 	}
 }
 
@@ -200,7 +220,8 @@ func BenchmarkSessionVectorRead(b *testing.B) {
 // attempt's own-site operations became typed calls, its scratch and
 // contexts stopped being made per attempt, its fan-outs stopped wrapping
 // every send, the catalog stopped copying replica lists and a pending set
-// stopped growing one doubling at a time.
+// stopped growing one doubling at a time. The two transactions run answered
+// at their commit points, as srnode's POST /txn does, which costs nothing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name string

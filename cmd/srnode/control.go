@@ -99,10 +99,12 @@ func serveControl(ln net.Listener, srv *http.Server, newTxn func() txnFunc) erro
 // serveFast is one control connection's request loop while its requests stay
 // in the subset. It reads a head into one buffer, the body after it (into
 // the same buffer when both fit), runs the transaction and writes the reply
-// with one Write. Unlike net/http it does not watch the socket while the
-// transaction runs, so a client that goes away does not cancel it; the 30 s
-// budget and the lock timeouts still bound it. A panic is logged and closes
-// this connection only, as in net/http.
+// with one Write. A committed transaction's reply leaves at its commit
+// point, through the connection's fastAnswer, and the transaction's phase
+// two runs before the next request is read. Unlike net/http it does not
+// watch the socket while the transaction runs, so a client that goes away
+// does not cancel it; the 30 s budget and the lock timeouts still bound it.
+// A panic is logged and closes this connection only, as in net/http.
 func serveFast(c net.Conn, slow *handoff, newTxn func() txnFunc) {
 	defer func() {
 		if err := recover(); err != nil {
@@ -112,8 +114,9 @@ func serveFast(c net.Conn, slow *handoff, newTxn func() txnFunc) {
 	}()
 	rw := rawio.Wrap(c) // the fast path's reads and writes; net/http gets c
 	runTxn := newTxn()
+	ans := &fastAnswer{rw: rw}
+	ctx := txn.WithAnswer(context.Background(), ans)
 	buf := make([]byte, maxHead)
-	var out []byte
 	n := 0 // buf[:n] is read and not yet served
 	for {
 		h, end := parseTxnHead(buf[:n])
@@ -148,14 +151,42 @@ func serveFast(c net.Conn, slow *handoff, newTxn func() txnFunc) {
 			}
 			next = n
 		}
-		status, reply := runTxn(context.Background(), body)
-		out = appendReply(out[:0], status, reply, h.close)
-		if _, err := rw.Write(out); err != nil || h.close {
+		ans.close, ans.out, ans.sent = h.close, ans.out[:0], 0
+		status, reply := runTxn(ctx, body)
+		if len(ans.out) == 0 { // not answered at a commit point
+			ans.out = appendReply(ans.out, status, reply, h.close)
+		}
+		if rest := ans.out[ans.sent:]; len(rest) > 0 {
+			if _, err := rw.Write(rest); err != nil {
+				c.Close()
+				return
+			}
+		}
+		if h.close {
 			c.Close()
 			return
 		}
 		n = copy(buf, buf[next:n])
 	}
+}
+
+// fastAnswer is a control connection's txn.Answerer: at a transaction's
+// commit point it writes the committed reply with one non-blocking write,
+// and serveFast writes what the socket did not take then after the
+// transaction's phase two. Answer never waits for the client, so a client
+// slow to read its reply delays no participant's install and holds no
+// lock anywhere. net/http's handlers cannot write without waiting, which is
+// why the POST /txn it serves is answered after the transaction returns.
+type fastAnswer struct {
+	rw    net.Conn
+	close bool   // the request asked for Connection: close
+	out   []byte // the reply being written; empty until there is one
+	sent  int    // how much of out is written
+}
+
+func (a *fastAnswer) Answer() {
+	a.out = appendReply(a.out, http.StatusOK, committedReply, a.close)
+	a.sent = rawio.TryWrite(a.rw, a.out)
 }
 
 // appendReply appends the response net/http writes for a handler that sets

@@ -410,3 +410,127 @@ func netHTTPSees(t *testing.T, head []byte) (seen seenRequest, ok bool) {
 	}
 	return seen, false
 }
+
+// smallSendBuffers is a listener whose connections have a send buffer of a
+// few KiB, so that a client that reads no replies fills it soon.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// startTrio runs three nodes over loopback TCP, each with a replica of x and
+// janitors too slow to settle anything inside a test, and serves site 1's
+// POST /txn on the fast path with small send buffers. It returns the nodes,
+// site 1's hub and its control address.
+func startTrio(t *testing.T) (map[proto.SiteID]*node.Node, *obs.Hub, string) {
+	t.Helper()
+	addrs := map[proto.SiteID]string{}
+	lns := map[proto.SiteID]net.Listener{}
+	for id := proto.SiteID(1); id <= 3; id++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[id], addrs[id] = ln, ln.Addr().String()
+	}
+	hub := obs.NewHub(obs.Options{})
+	nodes := map[proto.SiteID]*node.Node{}
+	for id := proto.SiteID(1); id <= 3; id++ {
+		cfg := node.SiteConfig{Site: id, JanitorStaleAge: time.Hour}
+		if id == 1 {
+			cfg.Obs = hub
+		}
+		n, err := node.New(node.Config{
+			SiteConfig: cfg, Sites: 3, Addrs: addrs, Listener: lns[id],
+			Placement: map[proto.Item][]proto.SiteID{"x": {1, 2, 3}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Stop)
+		nodes[id] = n
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: http.NotFoundHandler()}
+	done := make(chan error, 1)
+	go func() { done <- serveControl(smallSendBuffers{ln}, srv, txnEndpoint(nodes[1].Exec)) }()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return nodes, hub, ln.Addr().String()
+}
+
+// TestFastPathSlowReaderHoldsNoLocks: a client that pipelines write
+// transactions and reads none of the replies stops its connection's loop
+// once the socket takes no more reply bytes — but between transactions, not
+// inside one: the transaction whose reply is stuck finished its phase two,
+// so no site holds a transaction prepared and another client's write of the
+// same item commits at once. Then every reply arrives, in order.
+func TestFastPathSlowReaderHoldsNoLocks(t *testing.T) {
+	nodes, hub, addr := startTrio(t)
+	slow := dial(t, addr)
+	slow.Conn.(*net.TCPConn).SetReadBuffer(4096)
+	const n = 2000
+	go func() {
+		for i := 1; i <= n; i++ {
+			body := `{"writes":[{"item":"x","value":` + strconv.Itoa(i) + `}]}`
+			if _, err := slow.Write([]byte(txnPost(body))); err != nil {
+				return // the test ended
+			}
+		}
+	}()
+
+	commits := func() int64 { return hub.Value(1, "txn", "commit.user") }
+	prepared := func() int {
+		sum := 0
+		for _, nd := range nodes {
+			sum += nd.DM.Prepared()
+		}
+		return sum
+	}
+	// The loop has stopped when its commit count stays put with nothing
+	// prepared anywhere.
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		before := commits()
+		held := prepared()
+		time.Sleep(100 * time.Millisecond)
+		after := commits()
+		if after >= n {
+			t.Fatalf("all %d replies fit in the sockets' buffers; the test needs more transactions", n)
+		}
+		if after > 0 && after == before && held == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d commits the loop stopped with %d transactions prepared: a reply the client does not read holds up phase two", after, held)
+		}
+	}
+	stalled := commits()
+
+	other := dial(t, addr)
+	if _, err := other.Write([]byte(txnPost(`{"writes":[{"item":"x","value":-1}]}`))); err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := other.reply(t); status != http.StatusOK {
+		t.Fatalf("another client's write of x while the slow client reads nothing: %q", raw)
+	}
+	for i := 1; i <= int(stalled); i++ {
+		if status, raw := slow.reply(t); status != http.StatusOK {
+			t.Fatalf("reply %d: %q", i, raw)
+		}
+	}
+	t.Logf("the loop stopped after %d transactions", stalled)
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +78,38 @@ func waitExec(t *testing.T, done <-chan int) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("exec at site 1 never answered: the coordinator is waiting for an acknowledgement")
 	}
+}
+
+// TestE2ETxnAnsweredWithDecisionHeld: POST /txn is answered at the commit
+// point, so a decision frame held on its way to site 3 keeps the client
+// waiting no more than it keeps /exec's: the reply is 200 while site 3 still
+// holds the transaction prepared, and site 3 installs it once the frame is
+// let go.
+func TestE2ETxnAnsweredWithDecisionHeld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-spawning e2e test in -short mode")
+	}
+	proxy := faultproxy.New()
+	defer proxy.Close()
+	c := decisionCluster(t, proxy, nil, 3)
+
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(c.URL(1)+"/txn", "application/json", strings.NewReader(`{"writes":[{"item":"x","value":41}]}`))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	letVoteHoldDecision(t, c, proxy, 3)
+	waitExec(t, done)
+	if got := preparedAt(t, c, 3); got != 1 {
+		t.Fatalf("site 3 holds %d prepared transactions with its decision held, want 1", got)
+	}
+	proxy.ClearAll()
+	checkConvergedX(t, c)
 }
 
 // TestE2ECoordinatorKilledAfterReply: both participants have voted, the

@@ -37,7 +37,12 @@
 // POST /exec and POST /txn answer when the commit decision is durable at this
 // site; the other sites install asynchronously, under the exclusive locks
 // they have held since they voted, so a transaction anywhere still reads the
-// new values. Only a non-transactional peek (GET /storage?item=) can see a
+// new values. The loop answers POST /txn at the commit point itself — right
+// after the decision record, or after a read-only transaction's last read —
+// and then, before it reads the connection's next request, posts the
+// decision, installs this site's copies and releases the read locks; so
+// with its reply in hand a client may find this site's install still to
+// come as well. Only a non-transactional peek (GET /storage?item=) can see a
 // copy the decision has not reached yet: "prepared" in GET /status, and
 // sr_dm_prepared in GET /metrics, count the transactions a site has voted on
 // and not yet learned the outcome of, and are 0 once it has caught up.

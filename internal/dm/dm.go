@@ -16,6 +16,7 @@ package dm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -348,14 +349,20 @@ func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.Read
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
 		return proto.ReadResp{}, err
 	}
-	if !m.cfg.Store.HasCopy(req.Item) {
-		return proto.ReadResp{}, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, storage.ErrNoCopy)
-	}
 	if err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(req.Item), lockmgr.Shared); err != nil {
 		return proto.ReadResp{}, err
 	}
+	c, err := m.cfg.Store.CopyOf(req.Item)
+	if errors.Is(err, storage.ErrNoCopy) {
+		// Nothing here to read: back out the lock.
+		m.cfg.Locks.ReleaseOne(req.Txn.ID, string(req.Item))
+		return proto.ReadResp{}, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, storage.ErrNoCopy)
+	}
 	m.track(req.Txn)
-	if !req.ReadOld && m.cfg.Store.IsUnreadable(req.Item) {
+	if err != nil {
+		return proto.ReadResp{}, err
+	}
+	if !req.ReadOld && c.Unreadable {
 		// Back out the untouched lock and report; the reader either waits
 		// for a copier or reads another copy (§3.2 leaves the choice open).
 		m.cfg.Locks.ReleaseOne(req.Txn.ID, string(req.Item))
@@ -364,14 +371,10 @@ func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.Read
 		}
 		return proto.ReadResp{}, fmt.Errorf("%v read %q: %w", m.cfg.Site, req.Item, proto.ErrUnreadable)
 	}
-	value, version, err := m.cfg.Store.Committed(req.Item)
-	if err != nil {
-		return proto.ReadResp{}, err
-	}
 	if m.cfg.Recorder != nil && !req.NoRecord {
-		m.cfg.Recorder.Read(req.Txn.ID, req.Item, m.cfg.Site, version.Writer)
+		m.cfg.Recorder.Read(req.Txn.ID, req.Item, m.cfg.Site, c.Version.Writer)
 	}
-	return proto.ReadResp{Value: value, Version: version}, nil
+	return proto.ReadResp{Value: c.Value, Version: c.Version}, nil
 }
 
 func (m *Manager) handleWrite(ctx context.Context, req proto.WriteReq) error {

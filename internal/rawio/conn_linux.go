@@ -26,8 +26,27 @@ func Wrap(c net.Conn) net.Conn {
 	w := &conn{Conn: c, rc: rc}
 	w.r.fn = w.r.read
 	w.w.fn = w.w.write
+	w.try = w.w.writeOnce
 	w.pk.fn = w.pk.peek
 	return w
+}
+
+// TryWrite writes what of p the send buffer of c takes at once, with one
+// non-blocking write(2), and reports how many bytes that was: 0 when the
+// buffer is full, when the write fails (a later Write of the rest reports
+// the error), and for a connection Wrap returned unchanged, which cannot
+// write without waiting. It never waits and allocates nothing.
+func TryWrite(c net.Conn, p []byte) int {
+	w, ok := c.(*conn)
+	if !ok || len(p) == 0 {
+		return 0
+	}
+	w.w.mu.Lock()
+	defer w.w.mu.Unlock()
+	w.w.p, w.w.n, w.w.errno = p, 0, 0
+	w.rc.Write(w.try) // its error, like errno, is the next Write's to report
+	w.w.p = nil
+	return w.w.n
 }
 
 // PeerClosed reports whether the peer of c has closed or reset the
@@ -61,10 +80,11 @@ func PeerClosed(c net.Conn) bool {
 // are the TCP connection's own.
 type conn struct {
 	net.Conn
-	rc syscall.RawConn
-	r  op
-	w  op
-	pk peeker
+	rc  syscall.RawConn
+	r   op
+	w   op
+	try func(fd uintptr) bool // w.writeOnce, bound once
+	pk  peeker
 }
 
 // op is one direction of a conn: the callback RawConn runs, bound once so a
@@ -160,6 +180,23 @@ func (o *op) write(fd uintptr) bool {
 		}
 	}
 	return true
+}
+
+// writeOnce makes one write(2) of p, again only on EINTR, and never asks
+// to wait.
+func (o *op) writeOnce(fd uintptr) bool {
+	for {
+		n, errno := sysWrite(fd, o.p)
+		switch errno {
+		case 0:
+			o.n = n
+			return true
+		case syscall.EINTR:
+		default:
+			o.errno = errno
+			return true
+		}
+	}
 }
 
 // opError gives a failed call net's shape: a *net.OpError naming the

@@ -230,3 +230,71 @@ func TestPeerClosedAllocatesNothing(t *testing.T) {
 		t.Fatalf("PeerClosed allocates %v times, want 0", allocs)
 	}
 }
+
+// TryWrite writes what the send buffer takes and never waits: into a buffer
+// nobody drains it soon writes nothing, the rest a Write sends once the
+// reader catches up, and every byte arrives once, in order.
+func TestTryWriteNeverWaits(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("TryWrite writes only on Linux")
+	}
+	tc, ts := tcpPair(t)
+	tc.SetWriteBuffer(4096)
+	c, s := Wrap(tc), Wrap(ts)
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 64)
+	var sent bytes.Buffer
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := TryWrite(c, chunk)
+		sent.Write(chunk[:n])
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("TryWrite still writing after %d bytes nobody read", sent.Len())
+		}
+	}
+	if sent.Len() == 0 {
+		t.Fatal("TryWrite into an empty send buffer wrote nothing")
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(s)
+		got <- b
+	}()
+	if _, err := c.Write(chunk); err != nil { // waits for the reader
+		t.Fatal(err)
+	}
+	sent.Write(chunk)
+	c.Close()
+	if b := <-got; !bytes.Equal(b, sent.Bytes()) {
+		t.Fatalf("reader got %d bytes, not the %d written in order", len(b), sent.Len())
+	}
+}
+
+func TestTryWriteUnwrappedWritesNothing(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if n := TryWrite(a, []byte("x")); n != 0 {
+		t.Fatalf("TryWrite on a connection Wrap leaves alone = %d, want 0", n)
+	}
+}
+
+func TestTryWriteAllocatesNothing(t *testing.T) {
+	c, s := pair(t)
+	msg, buf := []byte("ping"), make([]byte, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		if n := TryWrite(c, msg); n != len(msg) && runtime.GOOS == "linux" {
+			t.Fatalf("TryWrite into an empty buffer = %d, want %d", n, len(msg))
+		} else if n == 0 {
+			c.Write(msg)
+		}
+		if _, err := io.ReadFull(s, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a TryWrite and a Read allocate %v times, want 0", allocs)
+	}
+}

@@ -55,6 +55,10 @@ type Engine interface {
 	Committed(item proto.Item) (proto.Value, proto.Version, error)
 	// IsUnreadable reports whether the copy is marked as possibly stale.
 	IsUnreadable(item proto.Item) bool
+	// CopyOf returns the local copy — its committed value and version and
+	// its unreadable mark — or an error wrapping ErrNoCopy: all a read asks
+	// of the store, in one call.
+	CopyOf(item proto.Item) (Copy, error)
 	// MarkUnreadable marks the copy as possibly stale. Marking an item with
 	// no local copy is a no-op.
 	MarkUnreadable(item proto.Item)
@@ -209,6 +213,20 @@ func (s *Store) Items() []proto.Item { return sortItems(s.table.Items()) }
 func (s *Store) Committed(item proto.Item) (proto.Value, proto.Version, error) {
 	value, version, err := s.table.Get(item)
 	return value, version, s.at(err)
+}
+
+// CopyOf returns the local copy — its committed value and version and its
+// unreadable mark — or an error wrapping ErrNoCopy. The mark is read before
+// the value, as a caller of IsUnreadable then Committed reads them.
+func (s *Store) CopyOf(item proto.Item) (Copy, error) {
+	s.mu.Lock()
+	unreadable := s.unreadable[item]
+	s.mu.Unlock()
+	value, version, err := s.table.Get(item)
+	if err != nil {
+		return Copy{}, s.at(err)
+	}
+	return Copy{Item: item, Value: value, Version: version, Unreadable: unreadable}, nil
 }
 
 // IsUnreadable reports whether the copy is marked as possibly stale.

@@ -244,6 +244,10 @@ func TestSendWaitPipelinesOnOneGoroutine(t *testing.T) {
 // once are one goroutine each (plus the one reading), a later request is not
 // stuck behind them, and every one of them exits when the transport closes.
 func TestServingWorkersAreReused(t *testing.T) {
+	// serving counts every transport's readers in the process: let an
+	// earlier test's, still returning from a Close that waited for it,
+	// finish before this test counts its own.
+	waitFor(t, func() bool { return serving() == 0 })
 	trs := newPair(t, 2)
 	gate := make(chan struct{})
 	var slow sync.WaitGroup

@@ -14,10 +14,12 @@
 // decision is logged before commit messages go out; no abort is logged) and
 // the retry loop that re-runs transactions aborted by stale views, lock
 // conflicts, wounds, or site failures. The logged decision is the commit
-// point: Commit posts it to the remote participants and returns without
-// waiting for them to install, which they do under the exclusive locks they
-// have held since they voted. Outcomes are counted on the obs hub
-// (txn/begin, commit, abort.<reason>, giveup), not by the manager.
+// point: a caller that put an Answerer on RunClass's context hears of the
+// commit there, and Commit then posts the decision to the remote
+// participants and returns without waiting for them to install, which they
+// do under the exclusive locks they have held since they voted. Outcomes are
+// counted on the obs hub (txn/begin, commit, abort.<reason>, giveup), not by
+// the manager.
 package txn
 
 import (
@@ -175,6 +177,30 @@ type Callbacks struct {
 	OnDecided  func(id proto.TxnID)
 }
 
+// An Answerer is how the caller of RunClass hears that its transaction
+// committed as early as that is certain: for a writing transaction right
+// after the coordinator's decision record (and OnDecided), for a read-only
+// one right after its last read, before its shared locks are released.
+// Answer runs on RunClass's goroutine, ahead of phase two — the decision's
+// posts, the coordinator's own install, the read-only releases — so it must
+// not block: whatever it cannot hand over at once it hands over after
+// RunClass returns.
+type Answerer interface {
+	Answer()
+}
+
+// answerKey is the context key WithAnswer stores an Answerer under.
+type answerKey struct{}
+
+// WithAnswer returns parent carrying a, for RunClass to answer at its
+// transaction's commit point. Only the transaction RunClass runs is answered:
+// the context its body gets no longer carries a, so a transaction the body
+// starts is not. A caller that runs one transaction after another can make
+// the context once and reuse it.
+func WithAnswer(parent context.Context, a Answerer) context.Context {
+	return context.WithValue(parent, answerKey{}, a)
+}
+
 // Config assembles a TM.
 type Config struct {
 	Site     proto.SiteID
@@ -273,7 +299,12 @@ func (m *Manager) Run(ctx context.Context, body func(context.Context, *Tx) error
 // RunClass runs body as a transaction of the given class. Copier and
 // control transactions use their dedicated classes; the session and
 // recovery packages build on this entry point.
+//
+// An Answerer on ctx (WithAnswer) is told of the commit at its commit point,
+// before phase two, which still finishes before RunClass returns. It is told
+// at most once, and only when RunClass is about to return nil.
 func (m *Manager) RunClass(ctx context.Context, class proto.TxnClass, body func(context.Context, *Tx) error) error {
+	answer, _ := ctx.Value(answerKey{}).(Answerer)
 	var lastErr error
 	attempts := 0 // begun so far; a give-up reports them
 	for attempts < m.cfg.MaxAttempts {
@@ -293,6 +324,7 @@ func (m *Manager) RunClass(ctx context.Context, class proto.TxnClass, body func(
 			}
 			continue
 		}
+		tx.answer = answer
 		actx := tx.bind(ctx)
 		err = body(actx, tx)
 		if err == nil {
@@ -425,6 +457,7 @@ type Tx struct {
 	spare     siteSet     // one operation's sites: a read's candidates, the flush's targets, phase two's read-only participants
 	rawWrote  bool        // a raw write or local refresh is buffered at some site
 	done      bool
+	answer    Answerer // told of the commit at the commit point, if not nil
 
 	// scr is the attempt's pooled scratch, nil once the attempt has ended.
 	scr *scratch
@@ -532,6 +565,9 @@ func (c *spanCtx) Err() error {
 func (c *spanCtx) Value(key any) any {
 	if c.hasSpan && obs.IsSpanKey(key) {
 		return c.span
+	}
+	if _, ok := key.(answerKey); ok {
+		return nil // the attempt's Tx holds the answer; no nested transaction gets it
 	}
 	return c.parent.Value(key)
 }
@@ -1028,6 +1064,9 @@ func (t *Tx) Abort(ctx context.Context) {
 // exclusive locks until the decision lands, so no transaction anywhere can
 // read the gap; a decision lost with a connection or a process is what the
 // janitor and recovery's in-doubt step resolve, through one decision lookup.
+// The attempt's Answerer is told at the commit point, before phase two: once
+// the decision is logged, or once a read-only attempt has read, nothing
+// Commit does can fail it.
 func (t *Tx) Commit(ctx context.Context) error {
 	if t.done {
 		return t.finished()
@@ -1039,6 +1078,7 @@ func (t *Tx) Commit(ctx context.Context) error {
 		if t.m.cfg.Recorder != nil {
 			t.m.cfg.Recorder.Commit(t.meta.ID, seq)
 		}
+		t.answered()
 		t.broadcast(ctx, t.attempted, proto.AbortReq{Txn: t.meta, ReadOnlyEnd: true})
 		return nil
 	}
@@ -1079,6 +1119,7 @@ func (t *Tx) Commit(ctx context.Context) error {
 	if t.m.cb.OnDecided != nil {
 		t.m.cb.OnDecided(t.meta.ID)
 	}
+	t.answered()
 
 	// Phase two: the decision is durable, so its delivery must not depend
 	// on the caller's context — a client that walks away mid-commit must
@@ -1112,6 +1153,15 @@ func (t *Tx) Commit(ctx context.Context) error {
 		t.broadcast(deliverCtx, readOnly, proto.AbortReq{Txn: t.meta, ReadOnlyEnd: true})
 	}
 	return nil
+}
+
+// answered tells the attempt's Answerer, if it has one, that the attempt
+// committed.
+func (t *Tx) answered() {
+	if a := t.answer; a != nil {
+		t.answer = nil
+		a.Answer()
+	}
 }
 
 // prepareParticipants is phase one for raw writes: write participants must

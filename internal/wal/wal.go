@@ -148,10 +148,12 @@ func (l *Log) Append(rec Record) {
 	l.force(rec)
 }
 
-// AppendGroup is the group-commit entry point: it durably adds all records
-// under a single sync — the log force for a whole operation batch costs one
-// disk write instead of one per record. The records become visible (and the
-// outcome indexes update) atomically with respect to concurrent readers.
+// AppendGroup durably adds all records under a single sync, one sink batch
+// instead of one per record; the records become visible (and the outcome
+// indexes update) atomically with respect to concurrent readers. No site
+// path calls it — each of a transaction's records is forced on its own, by
+// Append or AppendRedo — but tests build logs with it, and the benchmark
+// ledger times it directly (wal.append_group_ns).
 func (l *Log) AppendGroup(recs []Record) {
 	if len(recs) == 0 {
 		return

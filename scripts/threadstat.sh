@@ -26,7 +26,23 @@
 # objects allocated and bytes allocated per cluster commit. The last two are
 # the runtime's exact Mallocs and TotalAlloc counters, read from
 # GET /debug/pprof/heap?debug=1 at both ends of the window, not a sampled
-# profile. Linux only.
+# profile.
+#
+# It also prints TCP segments per cluster commit, split into data segments
+# and pure ACKs: over the window, the delta of Tcp InSegs in /proc/net/snmp
+# is every segment, that of TcpExt TCPOrigDataSent in /proc/net/netstat the
+# data segments, and pure ACKs are the rest (with the few SYN, FIN and RST
+# segments). On loopback every segment is received in the namespace that
+# sent it, so sent and received counters meet. These counters cover the
+# whole network namespace — the load generator's HTTP traffic and every
+# other process's sockets in it — not the srnodes alone.
+#
+# If an srnode exits inside the window (crash-recover's SIGKILL of site 3,
+# the set-up clusters' teardown), the window is not used: the script says
+# so, waits again as above for the srnodes then running to settle — after
+# crash-recover's kill that can be the two survivors before site 3 is
+# respawned — and samples one fresh window. Only if an srnode exits inside
+# that one too are the per-commit columns printed as "-". Linux only.
 set -euo pipefail
 
 window=5
@@ -52,48 +68,51 @@ coordinated() {
 		awk '/^sr_txn_commit_latency_us_count/ { s += $2 } END { print s + 0 }'
 }
 
-# Wait for the measured phase: the same srnodes as a second ago, each alive
-# at least min_age seconds, and every coordinating site's count moving.
-declare -A seen
-prev="" why="no srnode process is running"
-for ((waited = 0; ; waited++)); do
-	pids=$(srnodes)
-	ready=1
-	if [[ -z $pids ]]; then
-		ready=0 why="no srnode process is running"
-	elif [[ $pids != "$prev" ]]; then
-		ready=0 why="the set of srnode processes is still changing"
-	fi
-	moving=0
-	for p in $pids; do
-		age=$(ps -o etimes= -p "$p" 2>/dev/null | tr -d ' ') || age=0
-		if ((${age:-0} < min_age)); then
-			ready=0 why="srnode $p has been alive less than ${min_age} s"
+# settle waits for the measured phase: the same srnodes as a second ago,
+# each alive at least min_age seconds, and every coordinating site's count
+# moving. It leaves their pids in pids, or exits 1 saying why not.
+settle() {
+	local waited p age addr n ready moving prev="" why="no srnode process is running"
+	local -A seen=()
+	for ((waited = 0; ; waited++)); do
+		pids=$(srnodes)
+		ready=1
+		if [[ -z $pids ]]; then
+			ready=0 why="no srnode process is running"
+		elif [[ $pids != "$prev" ]]; then
+			ready=0 why="the set of srnode processes is still changing"
 		fi
-		ctl=$(flag "$p" -control)
-		if [[ -z $ctl ]] || ! n=$(coordinated "$ctl"); then
-			ready=0 why="srnode $p's control port does not answer"
-			continue
-		fi
-		if ((n > 0)); then
-			if [[ -n ${seen[$p]:-} ]] && ((n <= seen[$p])); then
-				ready=0 why="site $(flag "$p" -site) committed nothing in the last second"
+		moving=0
+		for p in $pids; do
+			age=$(ps -o etimes= -p "$p" 2>/dev/null | tr -d ' ') || age=0
+			if ((${age:-0} < min_age)); then
+				ready=0 why="srnode $p has been alive less than ${min_age} s"
 			fi
-			moving=1
+			addr=$(flag "$p" -control)
+			if [[ -z $addr ]] || ! n=$(coordinated "$addr"); then
+				ready=0 why="srnode $p's control port does not answer"
+				continue
+			fi
+			if ((n > 0)); then
+				if [[ -n ${seen[$p]:-} ]] && ((n <= seen[$p])); then
+					ready=0 why="site $(flag "$p" -site) committed nothing in the last second"
+				fi
+				moving=1
+			fi
+			seen[$p]=$n
+		done
+		if ((ready && moving && waited > 0)); then
+			break
 		fi
-		seen[$p]=$n
+		((moving)) || [[ $ready == 0 ]] || why="no site's commit count is advancing"
+		if ((waited >= settle_limit)); then
+			echo "threadstat: gave up after ${settle_limit} s waiting for the measured phase: $why" >&2
+			exit 1
+		fi
+		prev=$pids
+		sleep 1
 	done
-	if ((ready && moving && waited > 0)); then
-		break
-	fi
-	((moving)) || [[ $ready == 0 ]] || why="no site's commit count is advancing"
-	if ((waited >= settle_limit)); then
-		echo "threadstat: gave up after ${settle_limit} s waiting for the measured phase: $why" >&2
-		exit 1
-	fi
-	prev=$pids
-	sleep 1
-done
+}
 
 # snap prints one line per thread: pid tid run_ns voluntary involuntary.
 snap() {
@@ -109,18 +128,20 @@ snap() {
 	done
 }
 
-# The -site and -control flags of each srnode, read once at the start: a
-# process that exits inside the window (crash-recover killing site 3) has no
-# command line left to read.
+# record reads the -site and -control flags of each srnode once, before the
+# window: a process that exits inside it (crash-recover killing site 3) has
+# no command line left to read. It drops from pids any that already exited.
 declare -A site ctl
-live=""
-for p in $pids; do
-	cmdline "$p" >/dev/null || continue
-	site[$p]=$(flag "$p" -site)
-	ctl[$p]=$(flag "$p" -control)
-	live="$live $p"
-done
-pids=$live
+record() {
+	local p live=""
+	for p in $pids; do
+		cmdline "$p" >/dev/null || continue
+		site[$p]=$(flag "$p" -site)
+		ctl[$p]=$(flag "$p" -control)
+		live="$live $p"
+	done
+	pids=$live
+}
 
 # commits prints the cluster's commits so far, summed over every srnode's
 # control port, or nothing if a port does not answer.
@@ -146,23 +167,64 @@ heap() {
 	done
 }
 
-c0=$(commits)
-h0=$(heap)
-a=$(snap)
-sleep "$window"
-b=$(snap)
-h1=$(heap)
-c1=$(commits)
+# segments prints the network namespace's TCP segments received so far and
+# the data segments sent so far: Tcp InSegs and TcpExt TCPOrigDataSent. Each
+# file holds a header line and a value line per protocol.
+segments() {
+	awk '$1 in hdr { for (i = 2; i <= NF; i++) val[$1, hdr[$1, i]] = $i; next }
+		{ hdr[$1] = 1; for (i = 2; i <= NF; i++) hdr[$1, i] = $i }
+		END { print val["Tcp:", "InSegs"] + 0, val["TcpExt:", "TCPOrigDataSent"] + 0 }' \
+		/proc/net/snmp /proc/net/netstat
+}
+
+# sample takes one window over pids: the counters at both ends, and in
+# exited the srnodes that did not live through it.
+sample() {
+	local p
+	c0=$(commits)
+	h0=$(heap)
+	s0=$(segments)
+	a=$(snap)
+	sleep "$window"
+	b=$(snap)
+	s1=$(segments)
+	h1=$(heap)
+	c1=$(commits)
+	exited=""
+	for p in $pids; do
+		cmdline "$p" >/dev/null || exited="$exited $p"
+	done
+}
+
+settle
+record
+sample
+if [[ -n $exited ]]; then
+	for p in $exited; do
+		echo "threadstat: srnode $p (site ${site[$p]}) exited during the window; sampling a fresh window once the cluster settles"
+	done
+	settle
+	record
+	sample
+fi
+
 n=0
 if [[ -n $c0 && -n $c1 ]]; then
 	n=$((c1 - c0))
 	echo "cluster commits in ${window} s: $n"
 fi
+if ((n > 0)); then
+	read -r in0 data0 <<<"$s0"
+	read -r in1 data1 <<<"$s1"
+	awk -v n="$n" -v segs=$((in1 - in0)) -v data=$((data1 - data0)) 'BEGIN {
+		printf "TCP segments per cluster commit, whole network namespace: %.2f data, %.2f pure ACKs\n", data / n, (segs - data) / n
+	}'
+fi
 
 # Report the processes that lived through the window; name the rest.
 sites=""
 for p in $pids; do
-	if cmdline "$p" >/dev/null; then
+	if [[ " $exited " != *" $p "* ]]; then
 		sites="$sites $p=${site[$p]}"
 	else
 		echo "pid $p exited during the window"
