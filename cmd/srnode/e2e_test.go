@@ -380,7 +380,7 @@ func checkMergedTimeline(t *testing.T, merged trace.Merged, strictOrder bool) {
 	// Every 2PC RPC span's root transaction began somewhere in the trace.
 	txnScoped := map[string]bool{"read": true, "write": true, "batch": true,
 		"prepare": true, "commit": true, "abort": true}
-	sawPrepare, sawClaimRPC := false, false
+	sawBatch, sawClaimRPC := false, false
 	for _, e := range merged.Events {
 		side, kind, _, ok := obs.SpanSide(e)
 		if !ok {
@@ -391,15 +391,20 @@ func checkMergedTimeline(t *testing.T, merged trace.Merged, strictOrder bool) {
 				t.Errorf("%s RPC span %x roots in txn%d which never began in the trace", kind, e.Span, e.Txn)
 			}
 		}
-		if side == obs.SideClient && kind == "prepare" {
-			sawPrepare = true
+		// Phase one is the batch flush for every class of transaction; the
+		// transaction manager sends no write or prepare request.
+		switch {
+		case side == obs.SideClient && kind == "batch":
+			sawBatch = true
+		case side == obs.SideClient && (kind == "write" || kind == "prepare"):
+			t.Errorf("client-side %s span %x in txn%d: phase one must be the batch flush", kind, e.Span, e.Txn)
 		}
 		if begun[e.Txn] == proto.ClassControl1 || begun[e.Txn] == proto.ClassControl2 {
 			sawClaimRPC = true
 		}
 	}
-	if !sawPrepare {
-		t.Error("no client-side prepare span in the merged trace")
+	if !sawBatch {
+		t.Error("no client-side batch span in the merged trace")
 	}
 	if !sawClaimRPC {
 		t.Error("no RPC span attributable to a control-transaction claim")

@@ -25,7 +25,10 @@ func TestObserveGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sum(stdout), "234ebfedc67585a2e84c859fe4000d1be24c7d1d2308828301aa0acf9db5bf6b"; got != want {
+	// Control transactions flush one batch per participant as phase one, no
+	// per-copy write and no prepare round: 155 wire messages became 148
+	// (site 1: 3 write + 3 prepare became 3 batch; site 2: 4 + 4 became 4).
+	if got, want := sum(stdout), "39ad48a009afb36ada7db9e11be4d42c8d5601787af5af1fc3111f0cb650f086"; got != want {
 		t.Errorf("srsim -trace -metrics stdout: sha256 %s, want %s", got, want)
 	}
 

@@ -131,8 +131,11 @@ func TestReplayByteIdentical(t *testing.T) {
 
 // TestRunTraceGolden pins the trace of srsim -chaos -seed 1 -steps 60 byte
 // for byte, so a change that moves any event of a chaos run shows here.
+// Moved when control transactions took one batch per participant as phase
+// one: 4558 wire messages became 4534, and the loss draws that follow the
+// first lossy step fall on other messages.
 func TestRunTraceGolden(t *testing.T) {
-	const want = "e724b33f31a454dd52396af691b87b7d000eb6f9cb5cdade120d88135c41bd54"
+	const want = "2b5d8c1fd0d2fd246142a5a5bbc0580478dbcea4d086c34add7657e5bd3a07b8"
 	sched := chaos.Generate(chaos.GenConfig{Seed: 1, Steps: 60, Sites: 5, Items: 50, Degree: 3})
 	res, err := chaos.Run(testCtx(t), sched, chaos.Options{})
 	if err != nil {

@@ -200,17 +200,25 @@ func (m *Manager) Restart() {
 }
 
 // Handle dispatches one network message. It is the site's wire entry point
-// for data operations.
+// for data operations. A WriteReq is served as a batch of its one operation
+// and a PrepareReq as a prepare batch of none: the transaction manager,
+// whose phase one is always a batch, sends neither, but the two kinds stay
+// on the wire while the benchmark's direct timings still send them.
 func (m *Manager) Handle(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 	switch req := msg.(type) {
 	case proto.ReadReq:
 		return reply(m.handleRead(ctx, req))
 	case proto.WriteReq:
-		return reply(proto.WriteResp{}, m.handleWrite(ctx, req))
+		_, err := m.handleBatch(ctx, proto.BatchReq{
+			Txn: req.Txn, Mode: req.Mode, Expect: req.Expect,
+			Ops: []proto.BatchOp{{Item: req.Item, Value: req.Value, MissedBy: req.MissedBy}},
+		})
+		return reply(proto.WriteResp{}, err)
 	case proto.BatchReq:
 		return reply(m.handleBatch(ctx, req))
 	case proto.PrepareReq:
-		return reply(m.handlePrepare(req))
+		br, err := m.handleBatch(ctx, proto.BatchReq{Txn: req.Txn, Mode: proto.CheckNone, Prepare: true})
+		return reply(proto.PrepareResp{Vote: br.Vote, MaxSeq: br.MaxSeq}, err)
 	case proto.CommitReq:
 		return reply(proto.CommitResp{}, m.handleCommit(req))
 	case proto.AbortReq:
@@ -246,7 +254,7 @@ func (m *Manager) Down() error {
 }
 
 // The site's own transaction manager serves its requests to this site
-// through Read, Write, Batch, Prepare, Commit and Abort: what the site's wire
+// through Read, Batch, Commit and Abort: what the site's wire
 // dispatcher does with the message — Down's refusal, then Handle — typed, so
 // that neither the request nor the reply is boxed.
 
@@ -258,28 +266,12 @@ func (m *Manager) Read(ctx context.Context, req proto.ReadReq) (proto.ReadResp, 
 	return m.handleRead(ctx, req)
 }
 
-// Write serves a WriteReq from the site's own transaction manager.
-func (m *Manager) Write(ctx context.Context, req proto.WriteReq) error {
-	if err := m.Down(); err != nil {
-		return err
-	}
-	return m.handleWrite(ctx, req)
-}
-
 // Batch serves a BatchReq from the site's own transaction manager.
 func (m *Manager) Batch(ctx context.Context, req proto.BatchReq) (proto.BatchResp, error) {
 	if err := m.Down(); err != nil {
 		return proto.BatchResp{}, err
 	}
 	return m.handleBatch(ctx, req)
-}
-
-// Prepare serves a PrepareReq from the site's own transaction manager.
-func (m *Manager) Prepare(req proto.PrepareReq) (proto.PrepareResp, error) {
-	if err := m.Down(); err != nil {
-		return proto.PrepareResp{}, err
-	}
-	return m.handlePrepare(req)
 }
 
 // Commit serves a CommitReq from the site's own transaction manager.
@@ -337,6 +329,11 @@ func (m *Manager) gate(meta proto.TxnMeta, mode proto.CheckMode, expect proto.Se
 func (m *Manager) track(meta proto.TxnMeta) *txnLocal {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.trackLocked(meta)
+}
+
+// trackLocked is track for a caller holding m.mu.
+func (m *Manager) trackLocked(meta proto.TxnMeta) *txnLocal {
 	t, ok := m.inflight[meta.ID]
 	if !ok {
 		t = &txnLocal{meta: meta, createdAt: m.cfg.Clock.Now()}
@@ -377,23 +374,6 @@ func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.Read
 	return proto.ReadResp{Value: c.Value, Version: c.Version}, nil
 }
 
-func (m *Manager) handleWrite(ctx context.Context, req proto.WriteReq) error {
-	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
-		return err
-	}
-	if err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(req.Item), lockmgr.Exclusive); err != nil {
-		return err
-	}
-	if err := m.cfg.Store.BufferWrite(req.Txn.ID, req.Item, req.Value); err != nil {
-		return err
-	}
-	t := m.track(req.Txn)
-	m.mu.Lock()
-	t.setMissedBy(req.Item, req.MissedBy)
-	m.mu.Unlock()
-	return nil
-}
-
 // setMissedBy records the sites the latest write of item skipped. Caller
 // holds m.mu.
 func (t *txnLocal) setMissedBy(item proto.Item, sites []proto.SiteID) {
@@ -415,7 +395,10 @@ func (t *txnLocal) setMissedBy(item proto.Item, sites []proto.SiteID) {
 // operation is pending under its lock or none is (the coordinator's abort
 // broadcast releases any locks taken before the failure). With the Prepare
 // flag set the two-phase-commit vote rides the batch response, making the
-// flush round the prepare round.
+// flush round the prepare round. A batch with no operations prepares what
+// the transaction buffered here before (a copier's refresh); for a
+// transaction this site does not hold — a crash lost its state, or it never
+// came — it votes no.
 func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.BatchResp, error) {
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
 		return proto.BatchResp{}, err
@@ -430,8 +413,14 @@ func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.Ba
 			return proto.BatchResp{}, err
 		}
 	}
-	t := m.track(req.Txn)
+	var t *txnLocal
 	m.mu.Lock()
+	if len(req.Ops) > 0 {
+		t = m.trackLocked(req.Txn)
+	} else if t = m.inflight[req.Txn.ID]; t == nil {
+		m.mu.Unlock()
+		return proto.BatchResp{}, nil
+	}
 	for _, op := range req.Ops {
 		t.setMissedBy(op.Item, op.MissedBy)
 	}
@@ -470,20 +459,8 @@ func (m *Manager) BufferRefresh(meta proto.TxnMeta, item proto.Item, value proto
 // IsUnreadable exposes the copy mark to the local recovery driver.
 func (m *Manager) IsUnreadable(item proto.Item) bool { return m.cfg.Store.IsUnreadable(item) }
 
-func (m *Manager) handlePrepare(req proto.PrepareReq) (proto.PrepareResp, error) {
-	m.mu.Lock()
-	t, known := m.inflight[req.Txn.ID]
-	m.mu.Unlock()
-	if !known {
-		// We lost this transaction's state (crash) or never saw it.
-		return proto.PrepareResp{Vote: false}, nil
-	}
-	vote, maxSeq := m.prepare(t)
-	return proto.PrepareResp{Vote: vote, MaxSeq: maxSeq}, nil
-}
-
-// prepare is phase one at this participant, shared by the batch flush and
-// the separate prepare round: unless the transaction was wounded, force a
+// prepare is phase one at this participant, the end of a prepare batch:
+// unless the transaction was wounded, force a
 // prepare record carrying everything it buffered here (pending writes and
 // copier refreshes) and vote yes. The vote carries the local high-water
 // commit sequence number: the coordinator folds it in before picking this

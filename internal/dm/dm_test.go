@@ -300,10 +300,19 @@ func TestCrashLosesVolatileState(t *testing.T) {
 		t.Fatalf("redo result x = (%v, %v)", v, ver)
 	}
 
-	// A prepare arriving for the lost transaction votes no.
+	// A prepare arriving for the lost transaction votes no, whether it is a
+	// PrepareReq or a prepare batch that buffers nothing here, and leaves
+	// nothing in flight.
 	pr := call(t, f, proto.PrepareReq{Txn: meta(12, proto.ClassUser)}).(proto.PrepareResp)
 	if pr.Vote {
 		t.Fatal("prepare for unknown txn must vote no")
+	}
+	br := call(t, f, proto.BatchReq{Txn: meta(12, proto.ClassUser), Mode: proto.CheckNone, Prepare: true}).(proto.BatchResp)
+	if br.Vote {
+		t.Fatal("zero-op prepare batch for unknown txn must vote no")
+	}
+	if st := f.dm.StaleTxns(0); len(st) != 0 || f.dm.Prepared() != 0 {
+		t.Fatalf("prepares of an unknown txn left %+v in flight, %d prepared", st, f.dm.Prepared())
 	}
 }
 

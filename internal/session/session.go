@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -198,12 +199,17 @@ func (m *Manager) ClaimDown(ctx context.Context, site proto.SiteID, observed pro
 // ("a control transaction of type 2 claims that one or more sites are
 // down", §3.3). Each claim is conditional on its observed session number.
 func (m *Manager) ClaimDownMany(ctx context.Context, claims map[proto.SiteID]proto.Session) error {
-	alsoDown := make(map[proto.SiteID]proto.Session, len(claims))
-	for s, obs := range claims {
-		alsoDown[s] = obs
-	}
+	alsoDown := maps.Clone(claims)
+	vec := make(map[proto.SiteID]proto.Session, m.cfg.Catalog.NumSites())
+	var last *txn.Tx
 	err := m.cfg.TM.RunClass(ctx, proto.ClassControl2, func(ctx context.Context, tx *txn.Tx) error {
-		return m.claimDownBody(ctx, tx, alsoDown)
+		// Another site crashed under the last attempt's commit: claim the
+		// union (§3.4's "exclude the newly crashed site").
+		if c, ok := crashedAt(last, vec); ok {
+			alsoDown[c.site] = c.observed
+		}
+		last = tx
+		return m.claimDownBody(ctx, tx, alsoDown, vec)
 	})
 	if err != nil {
 		m.cfg.Obs.Control2Fail(m.cfg.Site, err)
@@ -211,6 +217,20 @@ func (m *Manager) ClaimDownMany(ctx context.Context, claims map[proto.SiteID]pro
 	}
 	m.cfg.Obs.Control2(m.cfg.Site, claimed(claims))
 	return nil
+}
+
+// crashedAt reports the participant that the commit of last, a control
+// transaction's last attempt, found crashed, under the session number vec —
+// that attempt's reading of the nominal session vector — holds for it.
+func crashedAt(last *txn.Tx, vec map[proto.SiteID]proto.Session) (claim, bool) {
+	if last == nil {
+		return claim{}, false
+	}
+	site, err := last.Failed()
+	if !errors.Is(err, proto.ErrSiteDown) {
+		return claim{}, false
+	}
+	return claim{site: site, observed: vec[site]}, true
 }
 
 func claimed(claims map[proto.SiteID]proto.Session) []proto.SiteID {
@@ -222,16 +242,17 @@ func claimed(claims map[proto.SiteID]proto.Session) []proto.SiteID {
 	return out
 }
 
-// claimDownBody is one attempt of the type-2 transaction. The claims map
-// accumulates sites discovered crashed during earlier attempts, so a retry
-// claims the whole set at once (§3.4's "exclude the newly crashed site").
-func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims map[proto.SiteID]proto.Session) error {
+// claimDownBody is one attempt of the type-2 transaction: it reads the
+// nominal session vector into vec and buffers the claim's writes. The claims
+// map accumulates sites discovered crashed during earlier attempts, so a
+// retry claims the whole set at once.
+func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims, vec map[proto.SiteID]proto.Session) error {
 	vecSource, err := m.vectorSource(ctx)
 	if err != nil {
 		return err
 	}
 	// Read the nominal session vector (S locks at the source).
-	vec := make(map[proto.SiteID]proto.Session, m.cfg.Catalog.NumSites())
+	clear(vec)
 	for _, j := range m.cfg.Catalog.Sites() {
 		v, _, err := tx.RawRead(ctx, vecSource, proto.NSItem(j), txn.RawReadOpt{})
 		if err != nil {
@@ -254,46 +275,20 @@ func (m *Manager) claimDownBody(ctx context.Context, tx *txn.Tx, claims map[prot
 	}
 
 	// Write 0 to all available copies of NS[d]: the nominally-up sites
-	// minus the ones being claimed down. The writes fan out across the up
-	// sites; each site's writes go one after another in claimed site order
-	// (the first of them is the fan-out's send, the rest follow its reply),
-	// so the simulator's message stream is reproducible.
-	downList := claimedSet(targetsDown)
+	// minus the ones being claimed down. Commit takes each up site its
+	// writes in one batch, which is also its prepare.
 	var upSites []proto.SiteID
 	for _, j := range m.cfg.Catalog.Sites() {
 		if vec[j] != proto.NoSession && !targetsDown[j] {
 			upSites = append(upSites, j)
 		}
 	}
-	results := transport.Fanout(nil, upSites, func(j proto.SiteID) transport.Pending {
-		p := tx.SendRawWrite(ctx, j, proto.NSItem(downList[0]), proto.Value(proto.NoSession))
-		for _, d := range downList[1:] {
-			p = p.Then(func(_ proto.Message, err error) (proto.Message, error) {
-				if err != nil {
-					return nil, err
-				}
-				return nil, tx.RawWrite(ctx, []proto.SiteID{j}, proto.NSItem(d), proto.Value(proto.NoSession))
-			})
+	for d := range targetsDown {
+		if err := tx.RawWrite(upSites, proto.NSItem(d), proto.Value(proto.NoSession)); err != nil {
+			return err
 		}
-		return p.Then(func(_ proto.Message, err error) (proto.Message, error) {
-			if errors.Is(err, proto.ErrSiteDown) {
-				// Another site crashed during the control transaction:
-				// remember it and retry claiming the union (§3.4).
-				claims[j] = vec[j]
-			}
-			return nil, err
-		})
-	}, transport.Failed)
-	return transport.FirstError(results)
-}
-
-func claimedSet(set map[proto.SiteID]bool) []proto.SiteID {
-	out := make([]proto.SiteID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
 // ClaimUp runs the type-1 control transaction for this (recovering) site
@@ -330,8 +325,14 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 	var (
 		newSession proto.Session
 		crashed    claim
+		last       *txn.Tx
 	)
+	vec := make(map[proto.SiteID]proto.Session, m.cfg.Catalog.NumSites())
 	err := m.cfg.TM.RunClass(ctx, proto.ClassControl1, func(ctx context.Context, tx *txn.Tx) error {
+		if c, ok := crashedAt(last, vec); ok {
+			crashed = c
+		}
+		last = tx
 		source, err := m.FindOperationalPeer(ctx)
 		if err != nil {
 			return err
@@ -341,7 +342,7 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 		// copies with the original versions (copier-like; §4.2 treats the
 		// type-1 transaction as a writer only of NS[k]).
 		self := m.cfg.Site
-		vec := make(map[proto.SiteID]proto.Session, m.cfg.Catalog.NumSites())
+		clear(vec)
 		for _, j := range m.cfg.Catalog.Sites() {
 			v, ver, err := tx.RawRead(ctx, source, proto.NSItem(j), txn.RawReadOpt{})
 			if err != nil {
@@ -374,33 +375,21 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 		}
 
 		// Write it to our own copy of NS[self] and to every nominally-up
-		// site's copy, fanned out across the targets. The crashed site is
-		// picked in target order after the fan-out so the §3.4 retry path
-		// does not depend on which reply came back first.
+		// site's copy. Commit's flush names the first of them, in site
+		// order, that it found crashed, whichever reply came back first.
 		targets := []proto.SiteID{self}
 		for _, j := range m.cfg.Catalog.Sites() {
 			if j != self && vec[j] != proto.NoSession {
 				targets = append(targets, j)
 			}
 		}
-		results := transport.Fanout(nil, targets, func(j proto.SiteID) transport.Pending {
-			return tx.SendRawWrite(ctx, j, proto.NSItem(self), proto.Value(sn))
-		}, transport.Failed)
-		for _, r := range results {
-			if r.Site == 0 {
-				continue // fan-out halted before reaching this target
-			}
-			if r.Err != nil {
-				if errors.Is(r.Err, proto.ErrSiteDown) {
-					crashed = claim{site: r.Site, observed: vec[r.Site]}
-				}
-				return r.Err
-			}
-		}
 		newSession = sn
-		return nil
+		return tx.RawWrite(targets, proto.NSItem(self), proto.Value(sn))
 	})
 	if err != nil {
+		if c, ok := crashedAt(last, vec); ok {
+			crashed = c
+		}
 		return proto.NoSession, crashed, err
 	}
 	return newSession, claim{}, nil

@@ -62,6 +62,33 @@ func TestClaimDownWritesZeroEverywhere(t *testing.T) {
 	}
 }
 
+// TestClaimDownClaimsTheUnionOnRetry: a type-2 claim whose write finds
+// another nominally-up site crashed claims the union on its next attempt
+// (§3.4), under the session number its first attempt read for that site.
+func TestClaimDownClaimsTheUnionOnRetry(t *testing.T) {
+	c := newCluster(t, 4)
+	c.Crash(3)
+	c.Crash(4)
+
+	if err := c.Site(1).Session.ClaimDown(context.Background(), 3, core.InitialSession); err != nil {
+		t.Fatalf("ClaimDown: %v", err)
+	}
+	for _, at := range []proto.SiteID{1, 2} {
+		for _, about := range []proto.SiteID{3, 4} {
+			if got := nsValue(t, c, at, about); got != proto.NoSession {
+				t.Errorf("ns_%d[%d] = %d, want 0", at, about, got)
+			}
+		}
+	}
+	if got := c.Obs().Value(1, "session", "type2_committed"); got != 1 {
+		t.Errorf("session/type2_committed = %d, want 1", got)
+	}
+	// The first attempt wrote towards site 4 and aborted there.
+	if got := c.Obs().Value(1, "txn", "abort.site-down"); got != 1 {
+		t.Errorf("txn/abort.site-down = %d, want the one attempt that met site 4", got)
+	}
+}
+
 func TestClaimDownStaleObservationSkips(t *testing.T) {
 	c := newCluster(t, 3)
 	c.Crash(3)
@@ -231,4 +258,56 @@ func TestSessionNumbersUniquePerSiteHistory(t *testing.T) {
 		}
 		seen[report.Session] = true
 	}
+}
+
+// TestClaimsFlushOneBatchPerSite pins what a claim costs on the wire at
+// three sites: phase one is one batch per remote participant, as for a user
+// transaction, then one posted commit each. A type-2 claim from site 1 is 2
+// messages (batch and commit to site 2). Site 3's recovery is 8: one probe,
+// three reads of the vector at the source, and a batch and a commit to each
+// of the two peers. Neither sends a write or a prepare request.
+func TestClaimsFlushOneBatchPerSite(t *testing.T) {
+	c, err := core.New(core.Config{
+		Sites:             3,
+		Placement:         map[proto.Item][]proto.SiteID{"x": {1, 2, 3}},
+		DisableBackground: true,
+		CopierWorkers:     -1, // recovery stops at the claim
+		Obs:               obs.NewHub(obs.Options{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	ctx := context.Background()
+	kinds := []string{"probe", "read", "write", "batch", "prepare", "commit", "abort"}
+	sent := func(site proto.SiteID) map[string]int64 {
+		m := map[string]int64{}
+		for _, k := range kinds {
+			m[k] = c.Obs().Value(site, "net", "sent."+k)
+		}
+		return m
+	}
+	check := func(claim string, site proto.SiteID, before map[string]int64, want map[string]int64) {
+		t.Helper()
+		after := sent(site)
+		for _, k := range kinds {
+			if got := after[k] - before[k]; got != want[k] {
+				t.Errorf("%s sent %d %s messages, want %d", claim, got, k, want[k])
+			}
+		}
+	}
+
+	c.Crash(3)
+	before := sent(1)
+	if err := c.Site(1).Session.ClaimDown(ctx, 3, core.InitialSession); err != nil {
+		t.Fatal(err)
+	}
+	check("type-2 claim", 1, before, map[string]int64{"batch": 1, "commit": 1})
+
+	before = sent(3)
+	if _, err := c.Recover(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	check("type-1 claim", 3, before, map[string]int64{"probe": 1, "read": 3, "batch": 2, "commit": 2})
 }

@@ -19,6 +19,9 @@ import (
 
 var errBoom = errors.New("boom")
 
+// failed stops a fan-out at the first failure.
+func failed(r *transport.Result) bool { return r.Err != nil }
+
 // TestFanoutSequentialHaltsEarly: where every result is complete when its
 // send returns (the simulator), the loop is a sequence of calls, and halt
 // stops it.
@@ -31,7 +34,7 @@ func TestFanoutSequentialHaltsEarly(t *testing.T) {
 			return transport.Done(nil, errBoom)
 		}
 		return transport.Done(proto.WriteResp{}, nil)
-	}, transport.Failed)
+	}, failed)
 
 	if want := []proto.SiteID{1, 2}; !reflect.DeepEqual(called, want) {
 		t.Fatalf("called %v, want %v", called, want)
@@ -77,17 +80,17 @@ func TestFanoutParallelRunsAll(t *testing.T) {
 		if site == 3 {
 			return transport.Inline(w)
 		}
-		// Bookkeeping chained on a reply runs when the reply is collected.
-		return transport.InFlight(w).Then(func(resp proto.Message, err error) (proto.Message, error) {
-			order = append(order, fmt.Sprintf("then %d", site))
-			return resp, err
-		})
-	}, transport.Failed)
+		return transport.InFlight(w)
+	}, func(r *transport.Result) bool {
+		// The sender's bookkeeping on a reply runs when the reply is collected.
+		order = append(order, fmt.Sprintf("reply %d", r.Site))
+		return failed(r)
+	})
 
 	want := []string{
 		"send 1", "send 2", "send 3", "send 4",
-		"wait 3",
-		"wait 1", "then 1", "wait 2", "then 2", "wait 4", "then 4",
+		"wait 3", "reply 3",
+		"wait 1", "reply 1", "wait 2", "reply 2", "wait 4", "reply 4",
 	}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v\nwant    %v", order, want)
@@ -97,8 +100,10 @@ func TestFanoutParallelRunsAll(t *testing.T) {
 			t.Fatalf("results[%d].Site = %v, want %v", i, results[i].Site, site)
 		}
 	}
-	if !errors.Is(results[1].Err, errBoom) || transport.FirstError(results) != errBoom {
-		t.Fatalf("results = %+v, want the failure at site 2 only", results)
+	for i, r := range results {
+		if (i == 1) != errors.Is(r.Err, errBoom) {
+			t.Fatalf("results = %+v, want the failure at site 2 only", results)
+		}
 	}
 }
 
@@ -112,7 +117,7 @@ func TestFanoutHaltsOnFailedSend(t *testing.T) {
 			return transport.Done(nil, errBoom)
 		}
 		return transport.InFlight(waiter{site: site, order: &order})
-	}, transport.Failed)
+	}, failed)
 	if want := []string{"wait 1"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -140,13 +145,13 @@ func TestFanoutOnNetsimIsTheSequentialLoop(t *testing.T) {
 	}
 	ctx := context.Background()
 	results := transport.Fanout(nil, []proto.SiteID{1, 2, 3, 4}, func(to proto.SiteID) transport.Pending {
-		return sim.Send(ctx, 1, to, proto.PrepareReq{}).Then(func(resp proto.Message, err error) (proto.Message, error) {
-			if pr, ok := resp.(proto.PrepareResp); err == nil && ok && !pr.Vote {
-				return nil, errBoom
-			}
-			return resp, err
-		})
-	}, transport.Failed)
+		return sim.Send(ctx, 1, to, proto.PrepareReq{})
+	}, func(r *transport.Result) bool {
+		if pr, ok := r.Resp.(proto.PrepareResp); r.Err == nil && ok && !pr.Vote {
+			r.Err = errBoom
+		}
+		return failed(r)
+	})
 
 	if want := []proto.SiteID{1, 2, 3}; !reflect.DeepEqual(served, want) {
 		t.Fatalf("served %v, want %v", served, want)
@@ -203,11 +208,13 @@ func TestFanoutOnTCPStartsNoGoroutine(t *testing.T) {
 	round := func(msg proto.Message) []transport.Result {
 		return transport.Fanout(nil, targets, func(to proto.SiteID) transport.Pending {
 			return trs[1].Send(ctx, 1, to, msg)
-		}, transport.Failed)
+		}, failed)
 	}
 	// Warm up: dial both peers and let every serving side start its worker.
-	if err := transport.FirstError(round(proto.ProbeReq{})); err != nil {
-		t.Fatal(err)
+	for _, r := range round(proto.ProbeReq{}) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
 	}
 
 	// A serving side starts a second worker if a request arrives before the
@@ -228,23 +235,4 @@ func TestFanoutOnTCPStartsNoGoroutine(t *testing.T) {
 		}
 	}
 	t.Fatalf("goroutines: %d before a round, %d after, ten rounds running", before, after)
-}
-
-func TestFirstErrorIsTargetOrdered(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	results := []transport.Result{
-		{Site: 3, Resp: proto.WriteResp{}},
-		{Site: 1, Err: errA},
-		{Site: 2, Err: errB},
-	}
-	if err := transport.FirstError(results); !errors.Is(err, errA) {
-		t.Fatalf("FirstError = %v, want first error in target order", err)
-	}
-	if err := transport.FirstError([]transport.Result{{Site: 1, Resp: proto.WriteResp{}}}); err != nil {
-		t.Fatalf("FirstError with no errors = %v", err)
-	}
-	// Zero-valued (halted) entries carry no error and are skipped.
-	if err := transport.FirstError([]transport.Result{{}, {}}); err != nil {
-		t.Fatalf("FirstError over halted entries = %v", err)
-	}
 }

@@ -38,6 +38,9 @@ func callRoundTrip(tb testing.TB) func() {
 	return call
 }
 
+// failed stops a fan-out at the first failure.
+func failed(r *transport.Result) bool { return r.Err != nil }
+
 // fanoutRound is one fan-out round the way a commit's phase one runs it: the
 // request to the sending site itself and to two peers, every vote collected,
 // on one goroutine.
@@ -49,11 +52,13 @@ func fanoutRound(tb testing.TB) func() {
 	ctx := context.Background()
 	targets := []proto.SiteID{1, 2, 3}
 	round := func() {
-		err := transport.FirstError(transport.Fanout(nil, targets, func(to proto.SiteID) transport.Pending {
+		results := transport.Fanout(nil, targets, func(to proto.SiteID) transport.Pending {
 			return trs[1].Send(ctx, 1, to, benchReq)
-		}, transport.Failed))
-		if err != nil {
-			tb.Fatal(err)
+		}, failed)
+		for _, r := range results {
+			if r.Err != nil {
+				tb.Fatal(r.Err)
+			}
 		}
 	}
 	round() // dial outside the timing

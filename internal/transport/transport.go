@@ -101,27 +101,6 @@ func (p Pending) Wait() (proto.Message, error) {
 	return p.w.Wait()
 }
 
-// Then returns a Pending whose outcome is f applied to p's: the work a
-// Pending handed to another layer needs done on its reply (a raw write's
-// bookkeeping, a claim's next write at the same site). The owner of a
-// fan-out does its own bookkeeping in Fanout's reply instead, which wraps
-// nothing. On a complete p, f runs now, so on netsim a fan-out's reply sees
-// what a loop of calls would have seen; otherwise f runs inside Wait, on the
-// waiting goroutine.
-func (p Pending) Then(f func(proto.Message, error) (proto.Message, error)) Pending {
-	if p.w == nil {
-		return Done(f(p.resp, p.err))
-	}
-	return Pending{w: &then{w: p.w, f: f}, inline: p.inline}
-}
-
-type then struct {
-	w Waiter
-	f func(proto.Message, error) (proto.Message, error)
-}
-
-func (t *then) Wait() (proto.Message, error) { return t.f(t.w.Wait()) }
-
 // Result is one target's outcome in a fan-out.
 type Result struct {
 	Site proto.SiteID
@@ -179,19 +158,4 @@ func Fanout(results []Result, targets []proto.SiteID, send func(to proto.SiteID)
 		}
 	}
 	return results
-}
-
-// Failed reports whether r carries an error: the reply of a fan-out that
-// stops at the first failure.
-func Failed(r *Result) bool { return r.Err != nil }
-
-// FirstError returns the first non-nil error in target order, or nil, so
-// the failure a fan-out reports does not depend on which reply came first.
-func FirstError(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }

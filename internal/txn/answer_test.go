@@ -36,8 +36,7 @@ func (p *phases) Post(ctx context.Context, from, to proto.SiteID, msg proto.Mess
 func (p *phases) Local(w transport.Waiter) transport.Pending {
 	c := w.(*localCall)
 	req := map[localOp]proto.Message{
-		localRead: c.read, localWrite: c.write, localBatch: c.batch,
-		localPrepare: c.prepare, localCommit: c.commit, localAbort: c.abort,
+		localRead: c.read, localBatch: c.batch, localCommit: c.commit, localAbort: c.abort,
 	}[c.op]
 	p.seq = append(p.seq, "local "+req.Kind())
 	return p.Network.Local(w)
@@ -189,7 +188,7 @@ func TestNestedTransactionIsNotAnswered(t *testing.T) {
 		outer = tx.ID()
 		err := h.tms[1].RunClass(ctx, proto.ClassControl2, func(ctx context.Context, ctl *Tx) error {
 			nested = ctl.ID()
-			return ctl.RawWrite(ctx, []proto.SiteID{1, 2, 3}, "y", 5)
+			return ctl.RawWrite([]proto.SiteID{1, 2, 3}, "y", 5)
 		})
 		if err != nil {
 			return err

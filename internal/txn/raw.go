@@ -2,16 +2,15 @@ package txn
 
 import (
 	"context"
-	"fmt"
 
 	"siterecovery/internal/proto"
-	"siterecovery/internal/transport"
 )
 
 // The raw operations below are the building blocks for control transactions
 // (§3.3) and copiers (§3.2), which address explicit physical copies instead
 // of going through a replication profile. They participate in the same
-// locking, history recording, and two-phase commit as logical operations.
+// locking, history recording, and two-phase commit as logical operations,
+// and their writes leave the site in the same flush.
 
 // RawReadOpt tunes a RawRead.
 type RawReadOpt struct {
@@ -52,48 +51,24 @@ func (t *Tx) RawRead(ctx context.Context, site proto.SiteID, item proto.Item, op
 	return rr.Value, rr.Version, nil
 }
 
-// RawWrite writes value for item at an explicit set of sites with no
-// session check, failing if any target is unreachable. Control transactions
-// use it to update the nominal session numbers at every available site.
-func (t *Tx) RawWrite(ctx context.Context, sites []proto.SiteID, item proto.Item, value proto.Value) error {
+// RawWrite buffers a write of value for item at an explicit set of sites
+// (none: nothing to write) for Commit to flush with the rest of the write
+// set; the commit fails unless every target takes it. Control transactions
+// use it, with no session check, to update the nominal session numbers at
+// every available site. A later write of the same item replaces this one,
+// targets and all.
+func (t *Tx) RawWrite(sites []proto.SiteID, item proto.Item, value proto.Value) error {
 	if t.done {
 		return t.finished()
 	}
-	for _, site := range sites {
-		if _, err := t.SendRawWrite(ctx, site, item, value).Wait(); err != nil {
-			return err
-		}
+	if len(sites) == 0 {
+		return nil
 	}
+	s := t.scr
+	from := len(s.sites)
+	s.sites = append(s.sites, sites...)
+	t.buffer(writeEntry{item: item, value: value, sites: s.sites[from:len(s.sites):len(s.sites)]})
 	return nil
-}
-
-// SendRawWrite starts a RawWrite of the copy at one site, for callers that
-// fan a raw write out across sites.
-func (t *Tx) SendRawWrite(ctx context.Context, site proto.SiteID, item proto.Item, value proto.Value) transport.Pending {
-	if t.done {
-		return transport.Done(nil, t.finished())
-	}
-	req := proto.WriteReq{
-		Txn:   t.meta,
-		Item:  item,
-		Value: value,
-		Mode:  proto.CheckNone,
-	}
-	t.attempted.add(site)
-	var p transport.Pending
-	if site == t.m.cfg.Site {
-		// Handed to the caller, which may fan several out: a call of its own.
-		p = t.m.cfg.Net.Local(&localCall{dm: t.m.cfg.Local, ctx: ctx, op: localWrite, write: req})
-	} else {
-		p = t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
-	}
-	return p.Then(func(resp proto.Message, err error) (proto.Message, error) {
-		if err = t.noted(site, true, err); err != nil {
-			return nil, fmt.Errorf("raw write %q at %v: %w", item, site, err)
-		}
-		t.rawWrote = true
-		return resp, nil
-	})
 }
 
 // LockLocalExclusive pins the local copy of item with an exclusive lock
@@ -133,6 +108,6 @@ func (t *Tx) BufferLocalRefresh(item proto.Item, value proto.Value, version prot
 	if err := t.m.cfg.Local.BufferRefresh(t.meta, item, value, version); err != nil {
 		return err
 	}
-	t.rawWrote = true
+	t.refreshed = true
 	return nil
 }

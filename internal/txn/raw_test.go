@@ -29,7 +29,7 @@ func TestRawReadAndWrite(t *testing.T) {
 			t.Errorf("raw read = (%v, %v)", v, ver)
 		}
 		// Raw write of the same item at two explicit sites.
-		return tx.RawWrite(ctx, []proto.SiteID{1, 2}, proto.NSItem(3), 0)
+		return tx.RawWrite([]proto.SiteID{1, 2}, proto.NSItem(3), 0)
 	})
 	if err != nil {
 		t.Fatalf("control txn: %v", err)
@@ -49,11 +49,20 @@ func TestRawReadAndWrite(t *testing.T) {
 func TestRawWriteToDownSiteFails(t *testing.T) {
 	h := newHarness(t, replication.ROWAA, Callbacks{})
 	h.crash(3)
+	var last *Tx
 	err := runControl(t, h, 1, func(ctx context.Context, tx *Tx) error {
-		return tx.RawWrite(ctx, []proto.SiteID{3}, proto.NSItem(2), 0)
+		last = tx
+		// The write is buffered: the dead target shows at Commit.
+		if err := tx.RawWrite([]proto.SiteID{3}, proto.NSItem(2), 0); err != nil {
+			t.Errorf("RawWrite = %v, want it buffered", err)
+		}
+		return nil
 	})
 	if !errors.Is(err, proto.ErrSiteDown) {
 		t.Fatalf("err = %v, want ErrSiteDown", err)
+	}
+	if site, ferr := last.Failed(); site != 3 || !errors.Is(ferr, proto.ErrSiteDown) {
+		t.Fatalf("Failed() = (%v, %v), want site 3 down", site, ferr)
 	}
 }
 
@@ -121,8 +130,7 @@ func TestFinishedTxRejectsOps(t *testing.T) {
 		"Read":               second(leaked.Read(ctx, "x")),
 		"Write":              leaked.Write(ctx, "x", 1),
 		"RawRead":            third(leaked.RawRead(ctx, 1, "x", RawReadOpt{})),
-		"RawWrite":           leaked.RawWrite(ctx, []proto.SiteID{1}, "x", 1),
-		"SendRawWrite":       second(leaked.SendRawWrite(ctx, 1, "x", 1).Wait()),
+		"RawWrite":           leaked.RawWrite([]proto.SiteID{1}, "x", 1),
 		"LockLocalExclusive": leaked.LockLocalExclusive(ctx, "x"),
 		"BufferLocalRefresh": leaked.BufferLocalRefresh("x", 1, proto.Version{Counter: 1, Writer: 9}),
 		"Commit":             leaked.Commit(ctx),

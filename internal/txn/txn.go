@@ -455,9 +455,14 @@ type Tx struct {
 	parts     siteSet     // sites with a successful op
 	wparts    siteSet     // sites with a successful write op (2PC participants)
 	spare     siteSet     // one operation's sites: a read's candidates, the flush's targets, phase two's read-only participants
-	rawWrote  bool        // a raw write or local refresh is buffered at some site
+	refreshed bool        // a copier-style refresh is buffered at the own site
 	done      bool
 	answer    Answerer // told of the commit at the commit point, if not nil
+
+	// failedAt and failure are the participant whose phase one failed
+	// Commit, and its error (Failed).
+	failedAt proto.SiteID
+	failure  error
 
 	// scr is the attempt's pooled scratch, nil once the attempt has ended.
 	scr *scratch
@@ -483,26 +488,28 @@ const inlineSites = 4
 // transactions.
 const inlineReads = 4
 
-// scratch is what an attempt grows as it runs: its logical write set, its
-// flush's plan and batches, its fan-outs' results, and its request to its
+// scratch is what an attempt grows as it runs: its write set, its flush's
+// plan and batches, its fan-outs' results, and its request to its
 // own site. The manager pools them, so a steady stream of attempts reuses a
 // few. Nothing in one is visible outside the attempt holding it: the View
 // and the Tx live in the Tx, and end clears a scratch before the pool gets
 // it back.
 type scratch struct {
-	written []writeEntry       // the logical write set, flushed by Commit, sorted by item
+	written []writeEntry       // the write set, flushed by Commit, sorted by item
 	plans   []writePlan        // the flush's plan of each written item
 	ops     []proto.BatchOp    // every target's batch, back to back
 	batches [][]proto.BatchOp  // batches[j] is what the flush's j-th target receives
 	results []transport.Result // the last fan-out's
 	local   localCall          // the last fan-out's request to the own site
-	sites   []proto.SiteID     // backs the plans' lists when a replica is down
+	sites   []proto.SiteID     // backs the raw writes' targets, and the plans' lists when a replica is down
 }
 
-// writeEntry is one buffered logical write.
+// writeEntry is one buffered write: a logical one, placed by the profile at
+// the flush, or a raw one, whose sites are its explicit targets.
 type writeEntry struct {
 	item  proto.Item
 	value proto.Value
+	sites []proto.SiteID
 }
 
 // readEntry is one cached read.
@@ -611,11 +618,21 @@ func (t *Tx) cacheRead(item proto.Item, v proto.Value) {
 	t.reads = append(t.reads, readEntry{item, v})
 }
 
-// written finds item in the logical write set: its index, or where it goes.
+// written finds item in the write set: its index, or where it goes.
 func (t *Tx) written(item proto.Item) (int, bool) {
 	return slices.BinarySearchFunc(t.scr.written, item, func(w writeEntry, item proto.Item) int {
 		return cmp.Compare(w.item, item)
 	})
+}
+
+// buffer puts w into the write set in item order, in place of an earlier
+// write of its item.
+func (t *Tx) buffer(w writeEntry) {
+	if i, found := t.written(w.item); found {
+		t.scr.written[i] = w
+	} else {
+		t.scr.written = slices.Insert(t.scr.written, i, w)
+	}
 }
 
 // siteSet is a handful of sites as an ascending slice: fan-out order.
@@ -732,9 +749,7 @@ type localOp uint8
 
 const (
 	localRead localOp = iota + 1
-	localWrite
 	localBatch
-	localPrepare
 	localCommit
 	localAbort
 )
@@ -751,16 +766,13 @@ type localCall struct {
 	ctx context.Context
 	op  localOp
 
-	read    proto.ReadReq
-	write   proto.WriteReq
-	batch   proto.BatchReq
-	prepare proto.PrepareReq
-	commit  proto.CommitReq
-	abort   proto.AbortReq
+	read   proto.ReadReq
+	batch  proto.BatchReq
+	commit proto.CommitReq
+	abort  proto.AbortReq
 
-	readResp proto.ReadResp
-	vote     bool
-	maxSeq   uint64
+	readResp  proto.ReadResp
+	batchResp proto.BatchResp
 }
 
 func (c *localCall) Wait() (proto.Message, error) {
@@ -768,16 +780,8 @@ func (c *localCall) Wait() (proto.Message, error) {
 	switch c.op {
 	case localRead:
 		c.readResp, err = c.dm.Read(c.ctx, c.read)
-	case localWrite:
-		err = c.dm.Write(c.ctx, c.write)
 	case localBatch:
-		var br proto.BatchResp
-		br, err = c.dm.Batch(c.ctx, c.batch)
-		c.vote, c.maxSeq = br.Vote, br.MaxSeq
-	case localPrepare:
-		var pr proto.PrepareResp
-		pr, err = c.dm.Prepare(c.prepare)
-		c.vote, c.maxSeq = pr.Vote, pr.MaxSeq
+		c.batchResp, err = c.dm.Batch(c.ctx, c.batch)
 	case localCommit:
 		err = c.dm.Commit(c.commit)
 	case localAbort:
@@ -1023,12 +1027,7 @@ func (t *Tx) Write(ctx context.Context, item proto.Item, value proto.Value) erro
 	if _, err := t.writeTargets(item, &buf); err != nil {
 		return err
 	}
-	i, found := t.written(item)
-	if found {
-		t.scr.written[i].value = value
-	} else {
-		t.scr.written = slices.Insert(t.scr.written, i, writeEntry{item, value})
-	}
+	t.buffer(writeEntry{item: item, value: value})
 	return nil
 }
 
@@ -1051,12 +1050,11 @@ func (t *Tx) Abort(ctx context.Context) {
 
 // Commit runs two-phase commit over the participants and reports the
 // outcome. Read-only transactions skip 2PC and just release their locks.
-// For a buffered write set phase one IS the flush: each participant receives
-// its slice of the write set as one BatchReq whose response carries the
-// prepare vote, so a W-write transaction over R replicas costs R batch
-// messages plus R commit messages. Attempts that wrote through the raw
-// operations instead (control transactions, copiers) have their writes at
-// the participants already and run a separate prepare round.
+// Phase one IS the flush, for every class of transaction: each participant
+// receives its slice of the write set as one BatchReq whose response carries
+// the prepare vote, so a W-write transaction over R replicas costs R batch
+// messages plus R commit messages. A copier's refresh, buffered at the own
+// site already, is prepared there by a batch with no operations.
 //
 // Commit returns once the decision is logged and on its way: the remote
 // participants are posted the decision, not asked to acknowledge it. Their
@@ -1073,7 +1071,7 @@ func (t *Tx) Commit(ctx context.Context) error {
 	}
 	defer t.end()
 
-	if len(t.scr.written) == 0 && !t.rawWrote {
+	if len(t.scr.written) == 0 && !t.refreshed {
 		seq := t.m.cfg.Seq.NextCommitSeq()
 		if t.m.cfg.Recorder != nil {
 			t.m.cfg.Recorder.Commit(t.meta.ID, seq)
@@ -1083,13 +1081,7 @@ func (t *Tx) Commit(ctx context.Context) error {
 		return nil
 	}
 
-	var err error
-	if len(t.scr.written) > 0 {
-		err = t.flushBatch(ctx)
-	} else {
-		err = t.prepareParticipants(ctx)
-	}
-	if err != nil {
+	if err := t.flushBatch(ctx); err != nil {
 		// Abort after the failed prepare phase.
 		t.broadcast(t.detach(ctx), t.attempted, proto.AbortReq{Txn: t.meta})
 		return err
@@ -1164,75 +1156,51 @@ func (t *Tx) answered() {
 	}
 }
 
-// prepareParticipants is phase one for raw writes: write participants must
-// vote yes. Read-only participants skip voting entirely and are released
-// after the decision. The first failure in target order decides the outcome,
-// so the reported error does not depend on which vote came back first.
-func (t *Tx) prepareParticipants(ctx context.Context) error {
-	req := proto.PrepareReq{Txn: t.meta}
-	t.scr.results = transport.Fanout(t.scr.results, t.wparts, func(site proto.SiteID) transport.Pending {
-		if site == t.m.cfg.Site {
-			return t.local(ctx, func(c *localCall) { c.op, c.prepare = localPrepare, req })
-		}
-		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
-	}, func(r *transport.Result) bool {
-		r.Err = t.vote(r, func(resp proto.Message) (bool, uint64, bool) {
-			pr, ok := resp.(proto.PrepareResp)
-			return pr.Vote, pr.MaxSeq, ok
-		})
-		// Where votes are in at send time, a no-vote stops the fan-out
-		// before further participants are prepared.
-		return r.Err != nil
-	})
-	for _, r := range t.scr.results {
-		if r.Site == 0 {
-			continue // fan-out halted before reaching this participant
-		}
-		if r.Err != nil {
-			t.m.noteSiteDown(r.Err, r.Site, t.view.Session(r.Site))
-			return fmt.Errorf("prepare at %v: %w", r.Site, r.Err)
-		}
-	}
-	return nil
-}
+// Failed reports the participant whose phase one failed the attempt's
+// Commit, and its error: 0 and nil while nothing failed there. A control
+// transaction reads it off its last attempt to learn which site it found
+// crashed.
+func (t *Tx) Failed() (proto.SiteID, error) { return t.failedAt, t.failure }
 
 // vote reads a participant's phase-one reply — from the own site's
-// localCall, or through decode from a peer's message — and turns a "no", or a
-// reply that is not a vote, into an error.
-func (t *Tx) vote(r *transport.Result, decode func(proto.Message) (vote bool, maxSeq uint64, ok bool)) error {
-	if r.Err != nil {
-		return r.Err
-	}
-	vote, maxSeq, ok := t.scr.local.vote, t.scr.local.maxSeq, true
+// localCall, or from a peer's message — and turns a "no", or a reply that is
+// not a vote, into an error.
+func (t *Tx) vote(r *transport.Result) error {
+	br := t.scr.local.batchResp
 	if r.Site != t.m.cfg.Site {
-		vote, maxSeq, ok = decode(r.Resp)
+		br, _ = r.Resp.(proto.BatchResp)
 	}
-	if !ok || !vote {
+	if !br.Vote {
 		return fmt.Errorf("voted no: %w", proto.ErrTxnAborted)
 	}
 	// Lamport step: the commit sequence number picked after phase one must
 	// exceed everything any participant has already installed.
-	t.m.cfg.Seq.ObserveCommitSeq(maxSeq)
+	t.m.cfg.Seq.ObserveCommitSeq(br.MaxSeq)
 	return nil
 }
 
-// flushBatch is phase one for the logical write set: it interprets the
-// buffered writes under the profile's write policy, groups the resulting
-// physical writes by target site, and sends each site one BatchReq with the
-// prepare flag set. The batch response piggybacks the site's vote and its
-// high commit sequence number, so no separate prepare round follows. The
-// write set is in item order, so every coordinator acquires a participant's
-// X locks in the same order and two write sets cannot deadlock inside a
-// site.
+// flushBatch is phase one: it interprets the buffered logical writes under
+// the profile's write policy, takes the raw ones to their explicit targets,
+// groups the resulting physical writes by target site, and sends each site
+// one BatchReq with the prepare flag set — the own site too, with no
+// operations, when only a refresh is buffered there. The batch response
+// piggybacks the site's vote and its high commit sequence number, so no
+// separate prepare round follows. The write set is in item order, so every
+// coordinator acquires a participant's X locks in the same order and two
+// write sets cannot deadlock inside a site. Control transactions, which
+// must be served by recovering sites, carry no session check (§3.3).
 func (t *Tx) flushBatch(ctx context.Context) error {
 	s := t.scr
 	sites := t.spare[:0]
 	tolerateDown := false
 	nops := 0
 	for _, w := range s.written {
-		plan, err := t.writeTargets(w.item, &s.sites)
-		if err != nil {
-			return err
+		plan := writePlan{targets: w.sites, minSuccess: len(w.sites)}
+		if w.sites == nil {
+			var err error
+			if plan, err = t.writeTargets(w.item, &s.sites); err != nil {
+				return err
+			}
 		}
 		s.plans = append(s.plans, plan)
 		tolerateDown = plan.tolerateDown
@@ -1240,6 +1208,9 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 			sites.add(site)
 		}
 		nops += len(plan.targets)
+	}
+	if t.refreshed {
+		sites.add(t.m.cfg.Site)
 	}
 	// batches[j] is what sites[j] receives: a slice of ops, which has room
 	// for every op, so none of the appends below moves it.
@@ -1257,15 +1228,19 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 	tolerated := func(err error) bool {
 		return tolerateDown && (errors.Is(err, proto.ErrSiteDown) || errors.Is(err, proto.ErrDropped))
 	}
+	mode := t.m.cfg.Profile.CheckMode
+	if t.meta.Class.IsControl() {
+		mode = proto.CheckNone
+	}
 	s.results = transport.Fanout(s.results, sites, func(site proto.SiteID) transport.Pending {
 		j, _ := slices.BinarySearch(sites, site)
 		req := proto.BatchReq{
 			Txn:     t.meta,
-			Mode:    t.m.cfg.Profile.CheckMode,
+			Mode:    mode,
 			Ops:     s.batches[j],
 			Prepare: true,
 		}
-		if t.m.cfg.Profile.CheckMode == proto.CheckSession {
+		if mode == proto.CheckSession {
 			req.Expect = t.view.Session(site)
 		}
 		t.attempted.add(site)
@@ -1275,10 +1250,7 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
 	}, func(r *transport.Result) bool {
 		if r.Err = t.noted(r.Site, true, r.Err); r.Err == nil {
-			r.Err = t.vote(r, func(resp proto.Message) (bool, uint64, bool) {
-				br, ok := resp.(proto.BatchResp)
-				return br.Vote, br.MaxSeq, ok
-			})
+			r.Err = t.vote(r)
 		}
 		return r.Err != nil && !tolerated(r.Err)
 	})
@@ -1288,6 +1260,7 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 		case r.Site == 0 || tolerated(r.Err):
 			s.batches[j] = nil // the fan-out halted before this site, or it is down: nothing landed here
 		case r.Err != nil:
+			t.failedAt, t.failure = r.Site, r.Err
 			return fmt.Errorf("batch flush at %v: %w", r.Site, r.Err)
 		}
 	}

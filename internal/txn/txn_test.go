@@ -533,8 +533,7 @@ func (n *lossyPosts) Send(ctx context.Context, from, to proto.SiteID, msg proto.
 func (n *lossyPosts) Local(w transport.Waiter) transport.Pending {
 	c := w.(*localCall)
 	req := map[localOp]proto.Message{
-		localRead: c.read, localWrite: c.write, localBatch: c.batch,
-		localPrepare: c.prepare, localCommit: c.commit, localAbort: c.abort,
+		localRead: c.read, localBatch: c.batch, localCommit: c.commit, localAbort: c.abort,
 	}[c.op]
 	n.acked = append(n.acked, "local "+req.Kind())
 	return n.Network.Local(w)
@@ -618,36 +617,41 @@ func TestCommitReturnsAtTheDecision(t *testing.T) {
 // per-seed message stream identical to a loop of calls.
 func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 	h := newHarness(t, replication.ROWAA, Callbacks{})
-	prepares3 := 0
-	inner := h.dms[3].Handle
+	batches3 := 0
+	inner3 := h.dms[3].Handle
 	h.net.Register(3, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		if _, ok := msg.(proto.PrepareReq); ok {
-			prepares3++
+		if _, ok := msg.(proto.BatchReq); ok {
+			batches3++
 		}
-		return inner(ctx, from, msg)
+		return inner3(ctx, from, msg)
+	})
+	// Site 2 votes no, as a participant whose transaction was wounded does.
+	inner2 := h.dms[2].Handle
+	h.net.Register(2, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
+		resp, err := inner2(ctx, from, msg)
+		if br, ok := resp.(proto.BatchResp); ok {
+			br.Vote = false
+			resp = br
+		}
+		return resp, err
 	})
 
 	ctx := context.Background()
-	// Raw writes (the control-transaction path) are at the participants
-	// before Commit, which then runs the separate prepare round.
+	// A control transaction's raw writes go out in Commit's one prepare
+	// round, like a user transaction's write set.
 	tx, err := h.tms[1].begin(ctx, proto.ClassControl2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.RawWrite(ctx, []proto.SiteID{1, 2, 3}, "x", 7); err != nil {
+	if err := tx.RawWrite([]proto.SiteID{1, 2, 3}, "x", 7); err != nil {
 		t.Fatal(err)
 	}
-	// Lose site 2's in-flight state: its prepare vote will be no.
-	h.dms[2].Crash()
-	h.dms[2].Restart()
-	h.dms[2].SetSession(1)
-
 	err = tx.Commit(ctx)
 	if !errors.Is(err, proto.ErrTxnAborted) {
 		t.Fatalf("Commit err = %v, want ErrTxnAborted (no-vote)", err)
 	}
-	if prepares3 != 0 {
-		t.Fatalf("site 3 received %d PrepareReqs after site 2 voted no; the fan-out must halt", prepares3)
+	if batches3 != 0 {
+		t.Fatalf("site 3 received %d BatchReqs after site 2 voted no; the fan-out must halt", batches3)
 	}
 }
 

@@ -9,8 +9,9 @@
 # It first waits, polling once a second for at most 60 s, until the ledger's
 # measured cluster is the one running: the set of srnode processes is the
 # same as a second ago, each has been alive at least 3 s, and every control
-# port that coordinates commits reports more of them than a second ago (a
-# site that only participates, like the ledger's site 3, coordinates none).
+# port that coordinates user commits reports more of them than a second ago
+# (a site that only participates, like the ledger's site 3, coordinates none;
+# a respawned site's own recovery commits are control and copier ones).
 # If that does not hold within the bound it says which condition failed and
 # exits 1 without sampling.
 #
@@ -39,10 +40,13 @@
 #
 # If an srnode exits inside the window (crash-recover's SIGKILL of site 3,
 # the set-up clusters' teardown), the window is not used: the script says
-# so, waits again as above for the srnodes then running to settle — after
-# crash-recover's kill that can be the two survivors before site 3 is
-# respawned — and samples one fresh window. Only if an srnode exits inside
-# that one too are the per-commit columns printed as "-". Linux only.
+# so, waits again as above, and also until as many srnodes run as the first
+# window had — after crash-recover's kill, until site 3 is respawned, not
+# on the two survivors — then samples one fresh window and says which
+# srnodes it sampled. Only if an srnode exits inside that one too are the
+# per-commit columns printed as "-". At --seconds 20, crash-recover's last
+# phase ends before the respawned site is min_age old and a window long;
+# give that run --seconds 30. Linux only.
 set -euo pipefail
 
 window=5
@@ -62,23 +66,29 @@ cmdline() {
 flag() { sed -n "s/.* $2 \([^ ]*\).*/\1/p" <<<"$(cmdline "$1")"; }
 
 # coordinated prints the commits the site behind control address $1 has
-# coordinated so far, and fails if the port does not answer.
+# coordinated so far, of every class or, with $2 set, the user commits only,
+# and fails if the port does not answer.
 coordinated() {
+	local metric=sr_txn_commit_latency_us_count
+	[[ -z ${2:-} ]] || metric=sr_txn_commit_user_total
 	curl -sf --max-time 2 "http://$1/metrics" |
-		awk '/^sr_txn_commit_latency_us_count/ { s += $2 } END { print s + 0 }'
+		awk -v m="$metric" 'index($1, m "{") == 1 || $1 == m { s += $2 } END { print s + 0 }'
 }
 
-# settle waits for the measured phase: the same srnodes as a second ago,
-# each alive at least min_age seconds, and every coordinating site's count
-# moving. It leaves their pids in pids, or exits 1 saying why not.
+# settle waits for the measured phase: at least $1 srnodes (default 1), the
+# same as a second ago, each alive at least min_age seconds, and every
+# site's user commit count moving, if it has one. It leaves their pids in pids, or exits 1
+# saying why not.
 settle() {
-	local waited p age addr n ready moving prev="" why="no srnode process is running"
+	local want=${1:-1} waited p age addr n ready moving prev="" why="no srnode process is running"
 	local -A seen=()
 	for ((waited = 0; ; waited++)); do
 		pids=$(srnodes)
 		ready=1
 		if [[ -z $pids ]]; then
 			ready=0 why="no srnode process is running"
+		elif (($(wc -w <<<"$pids") < want)); then
+			ready=0 why="$(wc -w <<<"$pids") of the $want srnodes of the first window are running"
 		elif [[ $pids != "$prev" ]]; then
 			ready=0 why="the set of srnode processes is still changing"
 		fi
@@ -89,7 +99,7 @@ settle() {
 				ready=0 why="srnode $p has been alive less than ${min_age} s"
 			fi
 			addr=$(flag "$p" -control)
-			if [[ -z $addr ]] || ! n=$(coordinated "$addr"); then
+			if [[ -z $addr ]] || ! n=$(coordinated "$addr" user); then
 				ready=0 why="srnode $p's control port does not answer"
 				continue
 			fi
@@ -203,8 +213,13 @@ if [[ -n $exited ]]; then
 	for p in $exited; do
 		echo "threadstat: srnode $p (site ${site[$p]}) exited during the window; sampling a fresh window once the cluster settles"
 	done
-	settle
+	settle "$(wc -w <<<"$pids")"
 	record
+	sampled=""
+	for p in $pids; do
+		sampled="$sampled $p (site ${site[$p]})"
+	done
+	echo "threadstat: fresh window over srnodes$sampled"
 	sample
 fi
 
