@@ -222,6 +222,10 @@ func BenchmarkSessionVectorRead(b *testing.B) {
 // every send, the catalog stopped copying replica lists and a pending set
 // stopped growing one doubling at a time. The two transactions run answered
 // at their commit points, as srnode's POST /txn does, which costs nothing.
+// Under the race detector every body still runs through AllocsPerRun, but
+// sync.Pool drops what it is given at random there, so an attempt's pooled
+// scratch is sometimes made afresh and the counts are compared only without
+// it.
 func TestHotPathAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -236,7 +240,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	} {
 		run := c.body(t)
 		run() // first use makes what steady state reuses
-		if got := testing.AllocsPerRun(200, run); got > c.max {
+		if got := testing.AllocsPerRun(200, run); got > c.max && !raceEnabled {
 			t.Errorf("%s allocates %.0f times per run, ceiling %.0f", c.name, got, c.max)
 		}
 	}

@@ -156,6 +156,16 @@ func (h *Hub) TxnCommit(site proto.SiteID, id proto.TxnID, class proto.TxnClass,
 	}
 }
 
+// TxnAnswer observes the time from an attempt's TxnBegin stamp, begun, to
+// the moment its caller was answered at the commit point. Metrics only: no
+// event is emitted, so answered runs trace as unanswered ones do.
+func (h *Hub) TxnAnswer(site proto.SiteID, begun time.Time) {
+	if h == nil {
+		return
+	}
+	h.cached(&h.siteHot(site).answerLatency, key{site, "txn", "answer_latency_us", ""}, hist).h.Observe(h.clk.Now().Sub(begun).Microseconds())
+}
+
 // TxnAbort records an aborted attempt with its cause; begun is as for
 // TxnCommit.
 func (h *Hub) TxnAbort(site proto.SiteID, id proto.TxnID, class proto.TxnClass, attempt int, begun time.Time, err error) {
@@ -368,6 +378,22 @@ func (h *Hub) MsgSent(from, to proto.SiteID, kind proto.Kind) {
 		return
 	}
 	h.cached(&h.siteHot(from).sent[kind], key{from, "net", "sent", kind.String()}, counter).v.Add(1)
+}
+
+// PostsSent counts n posted requests leaving a site's outbox in one write:
+// carried ahead of a later frame to the same peer, or written by the
+// outbox's flush timer when no frame came. Metrics only, like MsgSent,
+// which already counted each of them when it was posted.
+func (h *Hub) PostsSent(site proto.SiteID, n int, carried bool) {
+	if h == nil {
+		return
+	}
+	hot := h.siteHot(site)
+	if carried {
+		h.cached(&hot.postsCarried, key{site, "net", "posts_carried", ""}, counter).v.Add(int64(n))
+		return
+	}
+	h.cached(&hot.postsFlushed, key{site, "net", "posts_flushed", ""}, counter).v.Add(int64(n))
 }
 
 // MsgDropped records the network losing a message of the given kind.

@@ -62,6 +62,8 @@ func TestEmitNoHubZeroAllocs(t *testing.T) {
 		begun := h.TxnBegin(1, 7, proto.ClassUser, 1)
 		h.TxnCommit(1, 7, proto.ClassUser, 1, begun)
 		h.TxnAbort(1, 7, proto.ClassUser, 1, begun, err)
+		h.TxnAnswer(1, begun)
+		h.PostsSent(1, 2, true)
 		h.SessionMismatch(1, 7, 1, 2)
 		h.SiteDownObserved(1, 2, 1)
 		h.SiteCrash(2)
@@ -119,7 +121,10 @@ func TestSpanEmitHubAllocCeiling(t *testing.T) {
 		spanOnce(h, sc)
 		emitOnce(h)
 		begun := h.TxnBegin(1, 8, proto.ClassUser, 1)
+		h.TxnAnswer(1, begun)
 		h.TxnAbort(1, 8, proto.ClassUser, 1, begun, proto.ErrSiteDown)
+		h.PostsSent(1, 2, true)
+		h.PostsSent(1, 1, false)
 	}
 	run() // create the instruments
 	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {

@@ -97,6 +97,8 @@ type siteHot struct {
 	begin, commit                         [proto.ClassSlots]atomic.Pointer[instrument] // by TxnClass
 	abort                                 [len(abortReasons)]atomic.Pointer[instrument]
 	attempts, commitLatency, abortLatency atomic.Pointer[instrument]
+	answerLatency                         atomic.Pointer[instrument]
+	postsCarried, postsFlushed            atomic.Pointer[instrument]
 	sent                                  [256]atomic.Pointer[instrument]    // by proto.Kind
 	rpc, rpcLatency                       [2][256]atomic.Pointer[instrument] // by side index, then kind
 }

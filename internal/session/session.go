@@ -77,6 +77,18 @@ type claim struct {
 	observed proto.Session
 }
 
+// peerCrashed ends a type-1 claim whose last attempt's commit found a
+// participant crashed. The body asks for the abort (ErrAbortRequested), so
+// RunClass does not retry against the dead site; ClaimUp excludes it with a
+// type-2 claim at once.
+type peerCrashed struct{ claim }
+
+func (e peerCrashed) Error() string {
+	return fmt.Sprintf("site %v crashed under the type-1 claim", e.site)
+}
+
+func (peerCrashed) Unwrap() error { return proto.ErrAbortRequested }
+
 // Manager runs control transactions for one site. Create with New; Start
 // launches the failure-detector worker, Stop shuts it down.
 type Manager struct {
@@ -320,7 +332,9 @@ func (m *Manager) ClaimUp(ctx context.Context) (proto.Session, error) {
 }
 
 // claimUpOnce runs a single type-1 transaction. On failure it reports which
-// site, if any, was observed crashed during the attempt.
+// site, if any, was observed crashed during the attempt. An attempt whose
+// commit found a participant crashed is the last: the next one ends at once
+// with peerCrashed, before it draws a session number.
 func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error) {
 	var (
 		newSession proto.Session
@@ -330,7 +344,7 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 	vec := make(map[proto.SiteID]proto.Session, m.cfg.Catalog.NumSites())
 	err := m.cfg.TM.RunClass(ctx, proto.ClassControl1, func(ctx context.Context, tx *txn.Tx) error {
 		if c, ok := crashedAt(last, vec); ok {
-			crashed = c
+			return peerCrashed{c}
 		}
 		last = tx
 		source, err := m.FindOperationalPeer(ctx)
@@ -387,8 +401,11 @@ func (m *Manager) claimUpOnce(ctx context.Context) (proto.Session, claim, error)
 		return tx.RawWrite(targets, proto.NSItem(self), proto.Value(sn))
 	})
 	if err != nil {
-		if c, ok := crashedAt(last, vec); ok {
-			crashed = c
+		var pc peerCrashed
+		if errors.As(err, &pc) {
+			crashed = pc.claim
+		} else if c, ok := crashedAt(last, vec); ok {
+			crashed = c // the attempts ran out on a crashed participant
 		}
 		return proto.NoSession, crashed, err
 	}

@@ -211,6 +211,31 @@ func TestClaimUpSurvivesPeerCrashMidRecovery(t *testing.T) {
 	}
 }
 
+// TestClaimUpExcludesACrashedPeerOnFirstAbort: §3.4 step 4 at protocol
+// speed. The type-1 attempt whose commit finds site 3 crashed is the last
+// one; the type-2 claim excluding site 3 runs next, and the second type-1
+// commits. One session number is drawn per attempt that got that far: two.
+// (Before, the type-1 retried twelve times against the dead site and drew
+// thirteen numbers.)
+func TestClaimUpExcludesACrashedPeerOnFirstAbort(t *testing.T) {
+	c := newCluster(t, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	before := c.Site(4).Log.Session()
+	c.Crash(4)
+	c.Crash(3)
+	report, err := c.Recover(ctx, 4)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := c.Obs().Value(4, "txn", "abort.site-down"); got != 1 {
+		t.Errorf("site-down aborts at the recovering site = %d, want 1", got)
+	}
+	if drawn := report.Session - before; drawn != 2 {
+		t.Errorf("session numbers drawn = %d, want 2", drawn)
+	}
+}
+
 func TestDetectorDrivesType2(t *testing.T) {
 	placement := map[proto.Item][]proto.SiteID{"x": {1, 2, 3}}
 	c, err := core.New(core.Config{

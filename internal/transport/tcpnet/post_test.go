@@ -67,8 +67,9 @@ func TestPostRunsHandlerWritesNoResponse(t *testing.T) {
 }
 
 // TestPostIsTracedAsAMarkedClientSpan: Post delivers, returns without a
-// reply, and records a client span that finishes at the write and carries
-// the posted mark; the serving side records an ordinary server span.
+// reply, and records a client span that finishes when the frame is queued
+// and carries the posted mark; the serving side records an ordinary server
+// span.
 func TestPostIsTracedAsAMarkedClientSpan(t *testing.T) {
 	trs, hubs := newTracedPair(t)
 	served := make(chan struct{})

@@ -18,7 +18,10 @@
 // request header: the serving side runs the handler and writes no response
 // frame, and the sender registers nothing to wait on. A peer that answers a
 // posted request anyway is harmless — a response nobody is registered for
-// is dropped by whoever reads it.
+// is dropped by whoever reads it. Post does not write its frame either: it
+// queues it in the peer connection's outbox, and the next frame written to
+// that peer carries the outbox ahead of itself in the same write. A timer
+// per connection writes whatever is still queued after postBound.
 //
 // No goroutine reads an outbound connection: a caller in Wait reads its own
 // reply. The connection's read side goes with a one-slot token. A waiter that
@@ -37,13 +40,15 @@
 // The serving side serves a frame on the goroutine that read it: no hand-off,
 // no wake-up per frame. The first Done() on the handler's context — where
 // lockmgr.Acquire's wait and a nested call's Wait arrive before they block —
-// passes the connection's read side to a fresh goroutine, as does a frame
-// with more request bytes already buffered behind it. So a handler that waits
-// on its context never blocks later requests on the same connection; one that
-// blocks without consulting it (a bare channel receive, a sleep) holds up
-// every frame behind it. The context carries the caller's deadline but arms
-// its timer and its registration with the transport's base context only when
-// asked for Done.
+// passes the connection's read side to a fresh goroutine, as does a request
+// frame with more request bytes already buffered behind it; a posted frame
+// is served inline even then, so a decision carried ahead of the next
+// request releases its locks before that request asks for any. So a handler
+// that waits on its context never blocks later requests on the same
+// connection; one that blocks without consulting it (a bare channel
+// receive, a sleep) holds up every frame behind it. The context carries the
+// caller's deadline but arms its timer and its registration with the
+// transport's base context only when asked for Done.
 //
 // Every connection, accepted or dialed, is wrapped by rawio.Wrap where it is
 // made, so frames are read and written with raw non-blocking syscalls that
@@ -78,6 +83,12 @@ import (
 
 // maxFrame bounds a single frame; larger frames indicate a corrupt stream.
 const maxFrame = 1 << 20
+
+// postBound is how long a posted frame may wait in its connection's outbox
+// for a later frame to carry it before the connection's timer writes it. On
+// a loaded cluster nearly every post is carried well inside it; a lone post
+// costs this much delay and one timer wake-up (DESIGN §10, "The outbox").
+const postBound = time.Millisecond
 
 // Config assembles a TCP transport for one site.
 type Config struct {
@@ -323,10 +334,21 @@ type callResult struct {
 // arrives, hands every other one to the channel its caller registered, and
 // puts the token back.
 type peerConn struct {
+	t    *Transport
+	to   proto.SiteID
 	conn net.Conn
 
-	// wmu serializes request-frame writes.
-	wmu sync.Mutex
+	// wmu serializes request-frame writes, and guards the outbox: the posted
+	// frames not yet written (out, posts of them), whether the flush timer
+	// is scheduled for them (armed), and whether Close has shut the outbox.
+	wmu   sync.Mutex
+	out   []byte
+	posts int
+	armed bool
+	shut  bool
+	// flush writes the outbox when no frame carried it within postBound.
+	// Every scheduled run is counted in t.wg, so Close waits for it.
+	flush *time.Timer
 
 	// token holds its one value while nobody reads.
 	token chan struct{}
@@ -343,15 +365,103 @@ type peerConn struct {
 	reader uint64
 }
 
-func newPeerConn(conn net.Conn) *peerConn {
+func newPeerConn(t *Transport, to proto.SiteID, conn net.Conn) *peerConn {
 	p := &peerConn{
+		t:       t,
+		to:      to,
 		conn:    conn,
 		token:   make(chan struct{}, 1),
 		r:       bufio.NewReader(conn),
 		pending: make(map[uint64]chan callResult),
 	}
+	p.flush = time.AfterFunc(time.Hour, func() {
+		defer t.wg.Done()
+		p.flushPosts(false)
+	})
+	p.flush.Stop()
 	p.token <- struct{}{}
 	return p
+}
+
+// post queues one posted frame in the outbox and schedules the flush if
+// nothing is scheduled yet. It fails on a connection that was retired or
+// shut, so the poster retries on a fresh one: nothing was written. The
+// caller holds wmu.
+func (p *peerConn) post(frame []byte) error {
+	p.mu.Lock()
+	dead := p.dead
+	p.mu.Unlock()
+	if dead || p.shut {
+		return errors.New("connection closed")
+	}
+	p.out = append(p.out, frame...)
+	p.posts++
+	if !p.armed {
+		p.armed = true
+		p.t.wg.Add(1)
+		if p.flush.Reset(postBound) {
+			p.t.wg.Done() // a run still scheduled from before covers this one
+		}
+	}
+	return nil
+}
+
+// disarm cancels the scheduled flush after the outbox was written. A run
+// that already started finds the outbox empty. The caller holds wmu.
+func (p *peerConn) disarm() {
+	if p.armed {
+		p.armed = false
+		if p.flush.Stop() {
+			p.t.wg.Done()
+		}
+	}
+}
+
+// write writes frame with one Write, preceded by the outbox when posts are
+// queued, and reports how many posts left with it. A write that fails
+// before a byte leaves keeps them queued; after that, they went with the
+// stream or are lost with the connection. The caller holds wmu.
+func (p *peerConn) write(frame []byte) (n, carried int, err error) {
+	if p.posts == 0 {
+		n, err = p.conn.Write(frame)
+		return n, 0, err
+	}
+	queued := len(p.out)
+	p.out = append(p.out, frame...)
+	n, err = p.conn.Write(p.out)
+	if n == 0 && err != nil {
+		p.out = p.out[:queued]
+		return n, 0, err
+	}
+	carried = p.posts
+	p.out, p.posts = p.out[:0], 0
+	p.disarm()
+	return n, carried, err
+}
+
+// flushPosts writes whatever the outbox still holds: from the timer, or from
+// Close, which also shuts the outbox. A write that fails drops the
+// connection, and the posts in it are lost, as a frame lost with its
+// connection always was.
+func (p *peerConn) flushPosts(shut bool) {
+	p.wmu.Lock()
+	p.armed = false
+	p.shut = p.shut || shut
+	n := p.posts
+	var err error
+	if n > 0 {
+		p.conn.SetWriteDeadline(time.Now().Add(p.t.cfg.CallTimeout))
+		_, err = p.conn.Write(p.out)
+		p.out, p.posts = p.out[:0], 0
+	}
+	p.wmu.Unlock()
+	switch {
+	case n == 0:
+	case err != nil:
+		p.t.dropPeer(p.to, p)
+	default:
+		p.t.cfg.Obs.PostsSent(p.t.cfg.Self, n, false)
+	}
 }
 
 // register enrolls a request ID for its reply, to be handed to ch. It fails
@@ -402,6 +512,11 @@ func (p *peerConn) fail() {
 	pending := p.pending
 	p.pending = make(map[uint64]chan callResult)
 	p.mu.Unlock()
+	// Not under wmu, which a failing write may hold: a run still scheduled
+	// finds the connection closed and drops the outbox with it.
+	if p.flush.Stop() {
+		p.t.wg.Done()
+	}
 	for _, ch := range pending {
 		close(ch)
 	}
@@ -534,6 +649,7 @@ func (t *Transport) Close() error {
 		c.Close()
 	}
 	for _, pc := range peers {
+		pc.flushPosts(true)
 		pc.fail()
 	}
 	t.wg.Wait()
@@ -595,7 +711,7 @@ func (s *servedConn) readLoop() {
 		// The decoded message shares nothing with buf, which the next reader
 		// overwrites.
 		msg, err := proto.DecodeMessage(body)
-		reading := s.r.Buffered() == 0
+		reading := h.oneWay || s.r.Buffered() == 0
 		if !reading {
 			s.handOff()
 		}
@@ -778,8 +894,10 @@ func (t *Transport) Send(ctx context.Context, from, to proto.SiteID, msg proto.M
 func (t *Transport) Local(w transport.Waiter) transport.Pending { return transport.Inline(w) }
 
 // Post implements transport.Transport: one request frame with the one-way
-// bit set, nothing registered for a reply. A nil error means the frame was
-// written whole.
+// bit set, nothing registered for a reply, queued in the connection's
+// outbox. A nil error means the frame is queued on a live connection: the
+// next frame to the peer, or the flush timer within postBound, writes it.
+// A refused dial fails Post as a failed write used to.
 func (t *Transport) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
 	if err := t.checkOrigin(from); err != nil {
 		return err
@@ -845,9 +963,9 @@ type call struct {
 	start  time.Time // the client span's start stamp
 }
 
-// send opens the client span and writes the request frame. The span of a
-// request that will not be waited for — it was posted, or it failed here —
-// is finished at once.
+// send opens the client span and writes (or, posted, queues) the request
+// frame. The span of a request that will not be waited for — it was posted,
+// or it failed here — is finished at once.
 func (c *call) send(msg proto.Message, oneWay bool) error {
 	t := c.t
 	if hub := t.cfg.Obs; hub != nil {
@@ -880,7 +998,7 @@ func (c *call) finish(err error) {
 }
 
 // write frames msg and writes it to the peer's connection, registering for
-// the reply first unless the request is one-way.
+// the reply first; a one-way request is queued in the outbox instead.
 func (c *call) write(msg proto.Message, oneWay bool) error {
 	t, ctx, to := c.t, c.ctx, c.to
 	c.deadline = time.Now().Add(t.cfg.CallTimeout)
@@ -920,28 +1038,39 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 		if err != nil {
 			return err
 		}
-		if !oneWay {
+		if oneWay {
+			pc.wmu.Lock()
+			err = pc.post(fb.b)
+			pc.wmu.Unlock()
+		} else {
 			if c.ch == nil {
 				c.ch = make(chan callResult, 1)
 			}
-			if err := pc.register(id, c.ch); err != nil {
-				// Nothing written; a dead shared conn is replaced and retried.
-				t.dropPeer(to, pc)
-				if fresh {
-					return fmt.Errorf("site %v: connection lost (%v): %w", to, err, proto.ErrSiteDown)
-				}
-				continue
-			}
-			c.pc, c.id = pc, id
+			err = pc.register(id, c.ch)
 		}
-		pc.wmu.Lock()
-		pc.conn.SetWriteDeadline(c.deadline)
-		n, err := pc.conn.Write(fb.b)
-		pc.wmu.Unlock()
-		if err == nil {
+		if err != nil {
+			// Nothing written; a dead shared conn is replaced and retried.
+			t.dropPeer(to, pc)
+			if fresh {
+				return fmt.Errorf("site %v: connection lost (%v): %w", to, err, proto.ErrSiteDown)
+			}
+			continue
+		}
+		if oneWay {
 			return nil
 		}
-		if !oneWay && !pc.unregister(id) {
+		c.pc, c.id = pc, id
+		pc.wmu.Lock()
+		pc.conn.SetWriteDeadline(c.deadline)
+		n, carried, err := pc.write(fb.b)
+		pc.wmu.Unlock()
+		if err == nil {
+			if carried > 0 {
+				t.cfg.Obs.PostsSent(t.cfg.Self, carried, true)
+			}
+			return nil
+		}
+		if !pc.unregister(id) {
 			// The connection failed under the write and closed the
 			// channel: neither a retry nor callPool may have it.
 			c.ch = nil
@@ -1219,7 +1348,7 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 			conn.Close()
 			return nil, false, fmt.Errorf("tcpnet: transport closed")
 		}
-		pc := newPeerConn(rawio.Wrap(conn))
+		pc := newPeerConn(t, to, rawio.Wrap(conn))
 		t.peers[to] = pc
 		t.mu.Unlock()
 		return pc, true, nil

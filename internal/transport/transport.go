@@ -47,8 +47,9 @@ type Transport interface {
 	// handler without touching the wire.
 	Send(ctx context.Context, from, to proto.SiteID, msg proto.Message) Pending
 	// Post delivers msg for its effect only: the remote handler runs and no
-	// reply comes back. A nil error means the request left this site, not
-	// that it was served.
+	// reply comes back. A nil error means the request was accepted for
+	// delivery — sent, or queued on a live connection to go with the next
+	// frame to that site — not that it was served.
 	Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error
 	// Call is Send followed by Wait.
 	Call(ctx context.Context, from, to proto.SiteID, msg proto.Message) (proto.Message, error)

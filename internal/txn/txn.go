@@ -1148,11 +1148,12 @@ func (t *Tx) Commit(ctx context.Context) error {
 }
 
 // answered tells the attempt's Answerer, if it has one, that the attempt
-// committed.
+// committed, and observes how long after its begin that was.
 func (t *Tx) answered() {
 	if a := t.answer; a != nil {
 		t.answer = nil
 		a.Answer()
+		t.m.cfg.Obs.TxnAnswer(t.m.cfg.Site, t.begun)
 	}
 }
 

@@ -29,6 +29,13 @@
 # GET /debug/pprof/heap?debug=1 at both ends of the window, not a sampled
 # profile.
 #
+# From the same ports it prints how the window's posted decisions left
+# their outbox — carried ahead of a later frame to the same peer, or written
+# by the flush timer (sr_net_posts_carried_total, sr_net_posts_flushed_total)
+# — and the mean time from an attempt's begin to its answer at the commit
+# point next to the mean commit latency (sr_txn_answer_latency_us,
+# sr_txn_commit_latency_us): their difference is phase two's mean.
+#
 # It also prints TCP segments per cluster commit, split into data segments
 # and pure ACKs: over the window, the delta of Tcp InSegs in /proc/net/snmp
 # is every segment, that of TcpExt TCPOrigDataSent in /proc/net/netstat the
@@ -165,6 +172,22 @@ commits() {
 	echo "$total"
 }
 
+# posts prints, summed over every srnode's control port: posts carried,
+# posts flushed, answer latency sum and count, commit latency sum and count;
+# nothing if a port does not answer.
+posts() {
+	local p out=""
+	for p in $pids; do
+		[[ -n ${ctl[$p]} ]] || return 0
+		out+=$(curl -sf --max-time 2 "http://${ctl[$p]}/metrics") || return 0
+		out+=$'\n'
+	done
+	awk '{ sub(/\{.*/, "", $1) } { v[$1] += $2 }
+		END { printf "%.0f %.0f %.0f %.0f %.0f %.0f\n", v["sr_net_posts_carried_total"], v["sr_net_posts_flushed_total"],
+			v["sr_txn_answer_latency_us_sum"], v["sr_txn_answer_latency_us_count"],
+			v["sr_txn_commit_latency_us_sum"], v["sr_txn_commit_latency_us_count"] }' <<<"$out"
+}
+
 # heap prints one line per srnode: pid mallocs total_alloc_bytes, the
 # runtime's exact counters (GET /debug/pprof/heap?debug=1 ends with the
 # process's runtime.MemStats).
@@ -192,6 +215,7 @@ segments() {
 sample() {
 	local p
 	c0=$(commits)
+	p0=$(posts)
 	h0=$(heap)
 	s0=$(segments)
 	a=$(snap)
@@ -199,6 +223,7 @@ sample() {
 	b=$(snap)
 	s1=$(segments)
 	h1=$(heap)
+	p1=$(posts)
 	c1=$(commits)
 	exited=""
 	for p in $pids; do
@@ -233,6 +258,16 @@ if ((n > 0)); then
 	read -r in1 data1 <<<"$s1"
 	awk -v n="$n" -v segs=$((in1 - in0)) -v data=$((data1 - data0)) 'BEGIN {
 		printf "TCP segments per cluster commit, whole network namespace: %.2f data, %.2f pure ACKs\n", data / n, (segs - data) / n
+	}'
+fi
+if [[ -n $p0 && -n $p1 ]]; then
+	awk -v a="$p0" -v b="$p1" 'BEGIN {
+		split(a, x, " "); split(b, y, " ")
+		for (i = 1; i <= 6; i++) d[i] = y[i] - x[i]
+		if (d[1] + d[2] > 0)
+			printf "posted decisions: %d, %.1f %% carried by a later frame, %d written by the flush timer\n", d[1] + d[2], 100 * d[1] / (d[1] + d[2]), d[2]
+		if (d[4] > 0 && d[6] > 0)
+			printf "mean answer %.0f us, mean commit %.0f us: phase two %.0f us\n", d[3] / d[4], d[5] / d[6], d[5] / d[6] - d[3] / d[4]
 	}'
 fi
 
