@@ -3,11 +3,14 @@ package lockmgr
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"siterecovery/internal/clock"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 )
@@ -63,7 +66,7 @@ func TestReleaseWakesWaiter(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, "x", Exclusive) }()
 
-	time.Sleep(10 * time.Millisecond) // let the waiter queue
+	waitForQueue(t, m, "x", 1)
 	m.ReleaseAll(1)
 
 	select {
@@ -99,10 +102,10 @@ func TestFIFOGrantOrder(t *testing.T) {
 	}
 	wg.Add(1)
 	go grab(2)
-	time.Sleep(20 * time.Millisecond)
+	waitForQueue(t, m, "x", 1)
 	wg.Add(1)
 	go grab(3)
-	time.Sleep(20 * time.Millisecond)
+	waitForQueue(t, m, "x", 2)
 
 	m.ReleaseAll(1)
 	wg.Wait()
@@ -147,7 +150,7 @@ func TestUpgradeJumpsQueue(t *testing.T) {
 	// Txn 2 queues an X request behind the S holder.
 	xDone := make(chan error, 1)
 	go func() { xDone <- m.Acquire(context.Background(), 2, "x", Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
+	waitForQueue(t, m, "x", 1)
 
 	// Txn 1 upgrades: must be granted before txn 2 despite queueing later.
 	upDone := make(chan error, 1)
@@ -209,13 +212,7 @@ func TestWoundWaitKillsYounger(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 5, "x", Exclusive) }()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for !m.Wounded(10) {
-		if time.Now().After(deadline) {
-			t.Fatal("younger holder never wounded")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the younger holder is wounded", func() bool { return m.Wounded(10) })
 
 	// Victim notices (its manager checks Wounded) and aborts.
 	if err := m.Acquire(context.Background(), 10, "y", Shared); !errors.Is(err, proto.ErrWounded) {
@@ -235,7 +232,7 @@ func TestWoundWaitYoungerWaitsForOlder(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 10, "x", Exclusive) }()
 
-	time.Sleep(30 * time.Millisecond)
+	waitForQueue(t, m, "x", 1) // a wound is dealt before the request queues
 	if m.Wounded(5) {
 		t.Fatal("older holder must not be wounded by a younger waiter")
 	}
@@ -253,7 +250,7 @@ func TestWoundWaitUnblocksWaitingVictim(t *testing.T) {
 	// Txn 10 waits for y (held by 20): classic wait chain.
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- m.Acquire(context.Background(), 10, "y", Exclusive) }()
-	time.Sleep(20 * time.Millisecond)
+	waitForQueue(t, m, "y", 1)
 
 	// Older txn 5 requests x: wounds 10, which is blocked on y. The wound
 	// must fail 10's pending request immediately.
@@ -282,7 +279,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(ctx, 2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
+	waitForQueue(t, m, "x", 1)
 	cancel()
 
 	select {
@@ -296,22 +293,24 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestTimeoutRemovalPromotesQueue(t *testing.T) {
-	m := newMgr(t, Config{Timeout: 40 * time.Millisecond})
+	// On a virtual clock the S queues 10 ms after the X, so the X's timeout
+	// falls first however the goroutines are scheduled.
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	m := newMgr(t, Config{Timeout: 40 * time.Millisecond, Clock: vc})
 	mustAcquire(t, m, 1, "x", Shared)
 
 	// Txn 2 queues X (will time out: S holder never releases during wait).
 	xErr := make(chan error, 1)
 	go func() { xErr <- m.Acquire(context.Background(), 2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the X waits on the clock", func() bool { return vc.PendingTimers() == 1 })
+	vc.Advance(10 * time.Millisecond)
 
 	// Txn 3 queues S behind the X. When the X times out, the S must be
 	// promoted even though nothing was released.
 	sErr := make(chan error, 1)
-	go func() {
-		sErr <- New(Config{}).Acquire(context.Background(), 3, "unused", Shared) // warmup noise
-	}()
-	<-sErr
 	go func() { sErr <- m.Acquire(context.Background(), 3, "x", Shared) }()
+	waitFor(t, "the S waits on the clock", func() bool { return vc.PendingTimers() == 2 })
+	vc.Advance(30 * time.Millisecond)
 
 	if err := <-xErr; !errors.Is(err, proto.ErrLockTimeout) {
 		t.Fatalf("X err = %v, want timeout", err)
@@ -332,7 +331,7 @@ func TestCrashResetFailsWaiters(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
+	waitForQueue(t, m, "x", 1)
 
 	m.CrashReset()
 	select {
@@ -362,7 +361,7 @@ func TestReleaseAllFailsOwnQueuedRequest(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(context.Background(), 2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond) // let the waiter queue
+	waitForQueue(t, m, "x", 1)
 
 	m.ReleaseAll(2)
 	select {
@@ -391,7 +390,7 @@ func TestReleaseAllThenCancelDoesNotHang(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- m.Acquire(ctx, 2, "x", Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
+	waitForQueue(t, m, "x", 1)
 
 	m.ReleaseAll(2)
 	cancel()
@@ -551,27 +550,30 @@ func TestShardedWoundCrossesShards(t *testing.T) {
 	}
 }
 
-// waitForQueue spins until key has n queued waiters.
+// waitFor yields until cond holds, failing the test after 5 s: the tests
+// wait on the state they need, never on a guess at how long reaching it
+// takes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// waitForQueue waits until key has n queued waiters. A request is queued,
+// and any wound it deals is dealt, under its shard's lock before its caller
+// blocks.
 func waitForQueue(t *testing.T, m *Manager, key string, n int) {
 	t.Helper()
 	s := m.shardFor(key)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	waitFor(t, fmt.Sprintf("key %q has %d waiters", key, n), func() bool {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		ls := s.locks[key]
-		queued := 0
-		if ls != nil {
-			queued = len(ls.queue)
-		}
-		s.mu.Unlock()
-		if queued >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("key %q never reached %d waiters", key, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return ls != nil && len(ls.queue) >= n
+	})
 }
 
 // TestShardedContentionSmoke hammers the sharded table from many goroutines

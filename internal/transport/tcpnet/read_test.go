@@ -243,8 +243,8 @@ func TestHolderTimeoutPassesTokenOn(t *testing.T) {
 	assertLive(t, client, pc)
 }
 
-// Cancelling the token holder's context ends its read at once, not at its
-// deadline, and leaves the connection to the next call.
+// Cancelling the token holder's context ends its read within a sweep tick,
+// not at its deadline, and leaves the connection to the next call.
 func TestHolderCancelEndsReadAtOnce(t *testing.T) {
 	client, started, release := parkingPair(t)
 	defer close(release)
@@ -264,7 +264,7 @@ func TestHolderCancelEndsReadAtOnce(t *testing.T) {
 		t.Fatalf("cancelled holder: err = %v, want the context's error as ErrSiteDown", err)
 	}
 	if d := time.Since(begin); d > time.Second {
-		t.Fatalf("cancelled holder returned after %v, want at once (the call timeout is 2s)", d)
+		t.Fatalf("cancelled holder returned after %v, want within a tick (the call timeout is 2s)", d)
 	}
 	resp, err := client.Call(context.Background(), 1, 2, proto.ProbeReq{})
 	if err != nil || resp.(proto.ProbeResp).Session != 7 {

@@ -21,18 +21,22 @@
 // is dropped by whoever reads it. Post does not write its frame either: it
 // queues it in the peer connection's outbox, and the next frame written to
 // that peer carries the outbox ahead of itself in the same write. A timer
-// per connection writes whatever is still queued after postBound.
+// per connection writes whatever is still queued after postBound; a carry
+// leaves it running, and a run that finds newer posts waits out their share.
 //
 // No goroutine reads an outbound connection: a caller in Wait reads its own
 // reply. The connection's read side goes with a one-slot token. A waiter that
 // takes it reads frames until its own response arrives, hands every other
 // caller's to that caller's channel, and puts the token back; a waiter that
 // finds it taken waits for its channel, the token, its deadline or its
-// context. The holder's reads end at its deadline (a read deadline) or when
-// its context is done (context.AfterFunc moves the read deadline into the
-// past). If a read ends between frames the holder gives up and passes the
-// token on; inside a frame, the connection is retired and every call
-// waiting on it fails.
+// context. The holder records its deadline and context on the connection,
+// and one sweep per transport, every sweepTick while anybody reads, moves
+// the read deadline of a holder whose deadline passed or whose context is
+// done into the past. If a read ends between frames the holder gives up and
+// passes the token on; inside a frame, the connection is retired and every
+// call waiting on it fails. A write sets a write deadline only when the
+// socket cannot take it at once. So a call that neither waits to write nor
+// gives up arms no runtime timer (DESIGN §10).
 // Since nobody watches an idle connection, a write to one that nobody is
 // reading first peeks at it (rawio.PeerClosed), and a connection its peer
 // has closed is redialed instead of written into.
@@ -89,6 +93,12 @@ const maxFrame = 1 << 20
 // a loaded cluster nearly every post is carried well inside it; a lone post
 // costs this much delay and one timer wake-up (DESIGN §10, "The outbox").
 const postBound = time.Millisecond
+
+// sweepTick is how often the transport's read sweep runs while a token
+// holder reads: a call whose deadline passes, or whose context is done,
+// while it reads gives up at most this long after (DESIGN §10, "Client
+// side").
+const sweepTick = 10 * time.Millisecond
 
 // Config assembles a TCP transport for one site.
 type Config struct {
@@ -339,15 +349,18 @@ type peerConn struct {
 	conn net.Conn
 
 	// wmu serializes request-frame writes, and guards the outbox: the posted
-	// frames not yet written (out, posts of them), whether the flush timer
-	// is scheduled for them (armed), and whether Close has shut the outbox.
+	// frames not yet written (out, posts of them, the oldest queued at
+	// since), whether the flush timer is scheduled (armed), and whether Close
+	// has shut the outbox.
 	wmu   sync.Mutex
 	out   []byte
 	posts int
+	since time.Time
 	armed bool
 	shut  bool
-	// flush writes the outbox when no frame carried it within postBound.
-	// Every scheduled run is counted in t.wg, so Close waits for it.
+	// flush writes the outbox when no frame carried it within postBound. A
+	// frame that carries the outbox leaves it scheduled. Every scheduled run
+	// is counted in t.wg, so Close waits for it.
 	flush *time.Timer
 
 	// token holds its one value while nobody reads.
@@ -358,11 +371,16 @@ type peerConn struct {
 	mu      sync.Mutex
 	pending map[uint64]chan callResult
 	dead    bool
-	// reader is the request ID of the token holder whose context can end
-	// its read, 0 if none. Only while it is set does that context move the
-	// read deadline, so a late cancellation cannot cut short the next
-	// holder's read.
-	reader uint64
+	// reader is the request ID of the token holder that may wait in a read,
+	// 0 if none, and readCtx and readBy its context and deadline, which the
+	// transport's sweep checks. The sweep cuts a read only while reader
+	// still names the holder it checked, so a holder that has moved on is
+	// not cut for its predecessor. cut says the sweep left the read deadline
+	// in the past; the next holder clears it.
+	reader  uint64
+	readCtx context.Context
+	readBy  time.Time
+	cut     bool
 }
 
 func newPeerConn(t *Transport, to proto.SiteID, conn net.Conn) *peerConn {
@@ -394,6 +412,9 @@ func (p *peerConn) post(frame []byte) error {
 	if dead || p.shut {
 		return errors.New("connection closed")
 	}
+	if p.posts == 0 {
+		p.since = time.Now()
+	}
 	p.out = append(p.out, frame...)
 	p.posts++
 	if !p.armed {
@@ -406,52 +427,69 @@ func (p *peerConn) post(frame []byte) error {
 	return nil
 }
 
-// disarm cancels the scheduled flush after the outbox was written. A run
-// that already started finds the outbox empty. The caller holds wmu.
-func (p *peerConn) disarm() {
-	if p.armed {
-		p.armed = false
-		if p.flush.Stop() {
-			p.t.wg.Done()
-		}
-	}
-}
-
-// write writes frame with one Write, preceded by the outbox when posts are
-// queued, and reports how many posts left with it. A write that fails
+// write writes frame, preceded by the outbox when posts are queued, by
+// deadline, and reports how many posts left with it. A write that fails
 // before a byte leaves keeps them queued; after that, they went with the
-// stream or are lost with the connection. The caller holds wmu.
-func (p *peerConn) write(frame []byte) (n, carried int, err error) {
+// stream or are lost with the connection. The flush timer stays scheduled:
+// its run finds the outbox empty, or holding only later posts. The caller
+// holds wmu.
+func (p *peerConn) write(frame []byte, deadline time.Time) (n, carried int, err error) {
 	if p.posts == 0 {
-		n, err = p.conn.Write(frame)
+		n, err = p.send(frame, deadline)
 		return n, 0, err
 	}
 	queued := len(p.out)
 	p.out = append(p.out, frame...)
-	n, err = p.conn.Write(p.out)
+	n, err = p.send(p.out, deadline)
 	if n == 0 && err != nil {
 		p.out = p.out[:queued]
 		return n, 0, err
 	}
 	carried = p.posts
 	p.out, p.posts = p.out[:0], 0
-	p.disarm()
 	return n, carried, err
 }
 
-// flushPosts writes whatever the outbox still holds: from the timer, or from
-// Close, which also shuts the outbox. A write that fails drops the
-// connection, and the posts in it are lost, as a frame lost with its
-// connection always was.
+// send writes b whole, unless deadline passes first. It offers b to the
+// socket without waiting (rawio.TryWrite), and only a rest the send buffer
+// cannot take at once is written under a write deadline, cleared again
+// after: a write that does not wait sets no poller deadline. A deadline
+// already past fails before a byte leaves. The caller holds wmu.
+func (p *peerConn) send(b []byte, deadline time.Time) (int, error) {
+	if !time.Now().Before(deadline) {
+		return 0, os.ErrDeadlineExceeded
+	}
+	n := rawio.TryWrite(p.conn, b)
+	if n == len(b) {
+		return n, nil
+	}
+	p.conn.SetWriteDeadline(deadline)
+	m, err := p.conn.Write(b[n:])
+	p.conn.SetWriteDeadline(time.Time{})
+	return n + m, err
+}
+
+// flushPosts is the flush timer's run, and Close's, which also shuts the
+// outbox. It writes whatever the outbox holds once its oldest post has
+// waited postBound, or at once when shutting; a run that comes earlier —
+// the frame that carried the posts it was scheduled for left later ones —
+// schedules itself again for the rest of the oldest one's bound. A write
+// that fails drops the connection, and the posts in it are lost, as a frame
+// lost with its connection always was.
 func (p *peerConn) flushPosts(shut bool) {
 	p.wmu.Lock()
-	p.armed = false
 	p.shut = p.shut || shut
+	if wait := postBound - time.Since(p.since); p.posts > 0 && !p.shut && wait > 0 {
+		p.t.wg.Add(1)
+		p.flush.Reset(wait)
+		p.wmu.Unlock()
+		return
+	}
+	p.armed = false
 	n := p.posts
 	var err error
 	if n > 0 {
-		p.conn.SetWriteDeadline(time.Now().Add(p.t.cfg.CallTimeout))
-		_, err = p.conn.Write(p.out)
+		_, err = p.send(p.out, time.Now().Add(p.t.cfg.CallTimeout))
 		p.out, p.posts = p.out[:0], 0
 	}
 	p.wmu.Unlock()
@@ -544,6 +582,12 @@ type Transport struct {
 	serving map[net.Conn]bool
 	closed  bool
 
+	// sweep runs sweepReads, sweepTick after a token holder found none
+	// scheduled (sweeping false). It is scheduled under mu, and not once
+	// closed; every scheduled run is counted in wg.
+	sweep    *time.Timer
+	sweeping atomic.Bool
+
 	wg sync.WaitGroup
 }
 
@@ -561,8 +605,66 @@ func New(cfg Config) *Transport {
 		dialing:    make(map[proto.SiteID]chan struct{}),
 		serving:    make(map[net.Conn]bool),
 	}
+	t.sweep = time.AfterFunc(time.Hour, t.sweepReads)
+	t.sweep.Stop()
 	t.SetHandler(cfg.Handler)
 	return t
+}
+
+// wantSweep makes sure a read sweep is scheduled, for a token holder that
+// has just recorded itself on its connection.
+func (t *Transport) wantSweep() {
+	if t.sweeping.Load() {
+		return
+	}
+	t.mu.Lock()
+	if !t.sweeping.Load() && !t.closed {
+		t.sweeping.Store(true)
+		t.wg.Add(1)
+		t.sweep.Reset(sweepTick)
+	}
+	t.mu.Unlock()
+}
+
+// sweepReads ends the reads of every token holder whose deadline has passed
+// or whose context is done, by moving its connection's read deadline into
+// the past, and schedules itself again while another holder still reads.
+// It clears sweeping before it looks, and a holder records itself before it
+// asks whether a sweep is scheduled, so a holder this run misses finds no
+// run scheduled and schedules one.
+func (t *Transport) sweepReads() {
+	defer t.wg.Done()
+	t.sweeping.Store(false)
+	t.mu.Lock()
+	peers := make([]*peerConn, 0, len(t.peers))
+	for _, pc := range t.peers {
+		peers = append(peers, pc)
+	}
+	t.mu.Unlock()
+	now := time.Now()
+	reading := false
+	for _, pc := range peers {
+		pc.mu.Lock()
+		id, ctx, by, cut := pc.reader, pc.readCtx, pc.readBy, pc.cut
+		pc.mu.Unlock()
+		if id == 0 || cut {
+			continue
+		}
+		// Asked outside every lock: the context is the caller's code.
+		if now.Before(by) && ctx.Err() == nil {
+			reading = true
+			continue
+		}
+		pc.mu.Lock()
+		if pc.reader == id && !pc.cut {
+			pc.cut = true
+			pc.conn.SetReadDeadline(time.Unix(1, 0))
+		}
+		pc.mu.Unlock()
+	}
+	if reading {
+		t.wantSweep()
+	}
 }
 
 // SetHandler installs the inbound-request handler.
@@ -629,6 +731,9 @@ func (t *Transport) Close() error {
 		return nil
 	}
 	t.closed = true
+	if t.sweep.Stop() {
+		t.wg.Done()
+	}
 	ln := t.ln
 	conns := make([]net.Conn, 0, len(t.serving))
 	for c := range t.serving {
@@ -1061,8 +1166,7 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 		}
 		c.pc, c.id = pc, id
 		pc.wmu.Lock()
-		pc.conn.SetWriteDeadline(c.deadline)
-		n, carried, err := pc.write(fb.b)
+		n, carried, err := pc.write(fb.b, c.deadline)
 		pc.wmu.Unlock()
 		if err == nil {
 			if carried > 0 {
@@ -1178,8 +1282,9 @@ func (c *call) gaveUp() error {
 // read is await for the caller holding the read token. It reads response
 // frames until its own, handing each other one to its registered caller
 // (or dropping it, when that caller gave up), and then puts the token back.
-// Its reads end at its deadline or when its context is done, through the
-// connection's read deadline. If that ends a read between frames, the
+// Its reads end when the transport's sweep finds its deadline passed or its
+// context done, through the connection's read deadline: at most sweepTick
+// after the cause. If that ends a read between frames, the
 // stream is intact: the call gives up and the token passes on. If it ends a
 // read inside a frame, or the stream ends or is corrupt, the connection is
 // retired and every call waiting on it fails conclusively.
@@ -1192,13 +1297,13 @@ func (c *call) read() (proto.Message, error) {
 	default:
 	}
 	armed := false
-	var stop func() bool
 	for {
 		// A whole frame already buffered is read without a syscall, so the
-		// deadline and the context are armed only before the first read
+		// deadline and the context are recorded only before the first read
 		// that may wait.
 		if !armed && !frameBuffered(pc.r) {
-			armed, stop = true, c.arm()
+			armed = true
+			c.arm()
 		}
 		_, err := pc.r.Peek(1)
 		between := err != nil
@@ -1214,7 +1319,7 @@ func (c *call) read() (proto.Message, error) {
 			id, isErr, body, err = parseRespHeader(pc.buf)
 		}
 		if err != nil {
-			c.disarm(stop)
+			c.disarm(armed)
 			timedOut := errors.Is(err, os.ErrDeadlineExceeded)
 			if between && timedOut {
 				c.abandon()
@@ -1230,7 +1335,7 @@ func (c *call) read() (proto.Message, error) {
 		}
 		ch := pc.claim(id)
 		if ch == c.ch {
-			c.disarm(stop)
+			c.disarm(armed)
 			resp := decodeReply(isErr, body) // before the token: body is in buf
 			pc.token <- struct{}{}
 			return resp.msg, resp.err
@@ -1241,37 +1346,32 @@ func (c *call) read() (proto.Message, error) {
 	}
 }
 
-// arm bounds the token holder's reads by its deadline and, when its context
-// can be done early, by the context too: context.AfterFunc moves the read
-// deadline into the past, which ends a read wherever it waits. The result,
-// nil for a context that is never done, stops that.
-func (c *call) arm() (stop func() bool) {
-	pc, id := c.pc, c.id
-	pc.conn.SetReadDeadline(c.deadline)
-	if c.ctx.Done() == nil {
-		return nil
-	}
+// arm records the token holder's deadline and context on its connection,
+// where the transport's sweep looks for them, and makes sure a sweep is
+// scheduled. It sets no deadline and asks the context for no Done channel:
+// a read deadline the sweep left in the past for an earlier holder is the
+// only one it clears.
+func (c *call) arm() {
+	pc := c.pc
 	pc.mu.Lock()
-	pc.reader = id
+	if pc.cut {
+		pc.cut = false
+		pc.conn.SetReadDeadline(time.Time{})
+	}
+	pc.reader, pc.readCtx, pc.readBy = c.id, c.ctx, c.deadline
 	pc.mu.Unlock()
-	return context.AfterFunc(c.ctx, func() {
-		pc.mu.Lock()
-		if pc.reader == id {
-			pc.conn.SetReadDeadline(time.Unix(1, 0))
-		}
-		pc.mu.Unlock()
-	})
+	c.t.wantSweep()
 }
 
-// disarm undoes arm before the token is put back.
-func (c *call) disarm(stop func() bool) {
-	if stop == nil {
+// disarm undoes arm, if the read was armed, before the token is put back.
+func (c *call) disarm(armed bool) {
+	if !armed {
 		return
 	}
-	stop()
-	c.pc.mu.Lock()
-	c.pc.reader = 0
-	c.pc.mu.Unlock()
+	pc := c.pc
+	pc.mu.Lock()
+	pc.reader, pc.readCtx = 0, nil
+	pc.mu.Unlock()
 }
 
 // frameBuffered reports whether r holds a whole frame, so that reading it
