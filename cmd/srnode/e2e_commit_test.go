@@ -156,3 +156,22 @@ func TestE2EStatedirPersistFailureFailStops(t *testing.T) {
 		t.Fatal("site 3 still serves its control port after the persist failure")
 	}
 }
+
+// TestE2EPeekAfterAnsweredCommit: a non-transactional peek (GET
+// /storage?item=) at a participant, sent the moment the coordinator answers
+// a commit, returns the new value every round. The participant voted, so it
+// holds the item's exclusive lock until the decision lands; the peek waits
+// on that lock, and its wait asks the coordinator for the decision.
+func TestE2EPeekAfterAnsweredCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-spawning e2e test in -short mode")
+	}
+	c := newCluster(t, proc.Config{Dir: t.TempDir()})
+	must(t, c.Start(context.Background()))
+	for v := int64(1); v <= 20; v++ {
+		runTxn(t, c, 1, load.Txn{Writes: []load.Write{{Item: "x", Value: proto.Value(v)}}})
+		if st := getStorage(t, c, 2, "x"); st.Value != v {
+			t.Fatalf("round %d: peek at site 2 right after the answered commit at site 1 = %+v, want %d", v, st, v)
+		}
+	}
+}

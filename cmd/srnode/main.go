@@ -43,9 +43,12 @@
 // decision, installs this site's copies and releases the read locks; so
 // with its reply in hand a client may find this site's install still to
 // come as well. Only a non-transactional peek (GET /storage?item=) can see a
-// copy the decision has not reached yet: "prepared" in GET /status, and
-// sr_dm_prepared in GET /metrics, count the transactions a site has voted on
-// and not yet learned the outcome of, and are 0 once it has caught up.
+// copy the decision has not reached yet, and only past a bound: the peek
+// first waits, at most 100 ms, for the item's lock, which a site that voted
+// holds until the decision lands, and its wait asks the other sites for
+// the decision. "prepared" in GET /status, and sr_dm_prepared in GET
+// /metrics, count the transactions a site has voted on and not yet learned
+// the outcome of, and are 0 once it has caught up.
 //
 // With -export PATH the node writes its event stream (including the RPC
 // span events the TCP transport records) as JSONL; merge the per-site files
@@ -92,6 +95,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -99,6 +103,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"siterecovery/internal/lockmgr"
@@ -425,12 +430,16 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 		writeJSON(w, http.StatusOK, map[string]any{"site": id, "ns": ns})
 	})
 
+	// peeks numbers the peeks: each locks under its own ID, counted down
+	// from the top of the ID space.
+	var peeks atomic.Uint64
 	// GET /storage reports the storage engine behind this site. For the
 	// disk engine it includes the redo/pool counters, and ?item=NAME peeks
 	// at the committed local copy WITHOUT a transaction (no session gate,
 	// no unreadable gate): the e2e harness uses it to prove a relaunched
 	// -store=disk process rebuilt committed state from local redo before
-	// the type-1 claim ever ran.
+	// the type-1 claim ever ran. The peek waits out an undecided write on
+	// the item first, for at most peekWait (peekLock).
 	mux.HandleFunc("GET /storage", func(w http.ResponseWriter, r *http.Request) {
 		resp := map[string]any{"site": id, "engine": "mem"}
 		if d, ok := n.Store.(*disk.Engine); ok {
@@ -439,6 +448,7 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 			resp["stats"] = st
 		}
 		if item := proto.Item(r.URL.Query().Get("item")); item != "" {
+			defer peekLock(n.Locks, proto.TxnID(math.MaxUint64-peeks.Add(1)), item)()
 			v, ver, err := n.Store.Committed(item)
 			if err != nil {
 				writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
@@ -489,4 +499,21 @@ func controlMux(id proto.SiteID, n *node.Node, hub *obs.Hub, exporter *export.JS
 	})
 
 	return mux
+}
+
+// peekWait bounds how long a peek (GET /storage?item=) waits for the item's
+// lock: a write whose decision has not landed holds it, and past the bound
+// the peek reads the copy as it stands.
+const peekWait = 100 * time.Millisecond
+
+// peekLock takes item's shared lock for one peek under id, waiting at most
+// peekWait, and returns its release. A peek's id is above every transaction
+// ID, so under wound-wait it is the youngest request there is and wounds
+// nobody; its wait asks the peers for the decisions it may be waiting on
+// (lockmgr.Config.Waiting).
+func peekLock(locks *lockmgr.Manager, id proto.TxnID, item proto.Item) (release func()) {
+	ctx, cancel := context.WithTimeout(context.Background(), peekWait)
+	defer cancel()
+	_ = locks.Acquire(ctx, id, string(item), lockmgr.Shared) // past the bound, read the copy as it stands
+	return func() { locks.ReleaseAll(id) }
 }

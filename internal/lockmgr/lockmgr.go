@@ -101,6 +101,12 @@ type Config struct {
 	// Shards is the number of hash shards the lock table is split into.
 	// Defaults to 16. A value of 1 degenerates to one global table.
 	Shards int
+	// Waiting, when set, runs once for every request that has to queue,
+	// before it waits, outside every mutex of the manager; never for a
+	// request granted at once. node.NewSite sets it to the transport's
+	// AskPeers, if it has one, so that a decision the holder is waiting
+	// for is asked for rather than waited out.
+	Waiting func()
 }
 
 func (c Config) withDefaults() Config {
@@ -294,6 +300,9 @@ func (m *Manager) Acquire(ctx context.Context, txn proto.TxnID, key string, mode
 	// Fail the victims' requests queued in OTHER shards, outside this
 	// shard's mutex (shard mutexes never nest).
 	m.sweepWoundedWaiters(victims)
+	if m.cfg.Waiting != nil {
+		m.cfg.Waiting()
+	}
 
 	start := m.cfg.Clock.Now()
 	err := m.await(ctx, s, key, req)

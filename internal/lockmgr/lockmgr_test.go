@@ -631,3 +631,50 @@ func TestShardedContentionSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitingRunsOncePerQueuedRequest: Config.Waiting runs once for each
+// request that queues and never for one granted at once (fresh, shared,
+// re-entrant, or promoted later from the queue), and it runs outside the
+// manager's mutexes: a hook that takes and releases a lock in the same
+// shard, and reads the table, does not deadlock.
+func TestWaitingRunsOncePerQueuedRequest(t *testing.T) {
+	for name, policy := range map[string]Policy{"timeout": PolicyTimeout, "wound-wait": PolicyWoundWait} {
+		t.Run(name, func(t *testing.T) {
+			var calls atomic.Int32
+			var m *Manager
+			m = newMgr(t, Config{Policy: policy, Shards: 1, Timeout: 5 * time.Second, Waiting: func() {
+				calls.Add(1)
+				if err := m.Acquire(context.Background(), 100, "z", Exclusive); err != nil {
+					t.Error(err)
+				}
+				m.Held(100)
+				m.ReleaseAll(100)
+			}})
+			mustAcquire(t, m, 1, "x", Exclusive)
+			mustAcquire(t, m, 1, "x", Shared) // re-entrant
+			mustAcquire(t, m, 2, "y", Shared)
+			mustAcquire(t, m, 3, "y", Shared)
+			if got := calls.Load(); got != 0 {
+				t.Fatalf("Waiting ran %d times for requests granted at once", got)
+			}
+
+			// Younger than the holder, so wound-wait lets them wait too.
+			done := make(chan error, 2)
+			go func() { done <- m.Acquire(context.Background(), 4, "x", Shared) }()
+			waitFor(t, "the first waiter's hook", func() bool { return calls.Load() == 1 })
+			go func() { done <- m.Acquire(context.Background(), 5, "x", Exclusive) }()
+			waitFor(t, "the second waiter's hook", func() bool { return calls.Load() == 2 })
+			m.ReleaseAll(1)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			m.ReleaseAll(4)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got != 2 {
+				t.Fatalf("Waiting ran %d times for 2 queued requests", got)
+			}
+		})
+	}
+}

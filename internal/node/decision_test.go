@@ -104,17 +104,25 @@ func newTrioOver(t *testing.T, placement map[proto.Item][]proto.SiteID, hub *obs
 // a read started at site 2 the moment Exec returns. Site 2 may not have the
 // decision yet, but it voted, so it holds the exclusive lock: the reader
 // waits for the install and returns the new value, every time, under both
-// deadlock policies.
+// deadlock policies. The reader's lock wait asks site 1 for the decision
+// (lockmgr.Config.Waiting), so it waits about one round trip, not for
+// tcpnet's sweep: the 1 000 rounds take less than 1 000 times the longest a
+// post nobody asks for waits before the sweep may write it (postBound).
 func TestReadAfterCommitSeesTheWriteEverywhere(t *testing.T) {
+	const rounds, postBound = 1000, time.Millisecond // tcpnet's postBound
 	for name, policy := range map[string]lockmgr.Policy{"timeout": lockmgr.PolicyTimeout, "wound-wait": lockmgr.PolicyWoundWait} {
 		t.Run(name, func(t *testing.T) {
 			sites := newHookedTrio(t, nil, policy, node.Hooks{}, nil)
-			for round := 1; round <= 1000; round++ {
+			start := time.Now()
+			for round := 1; round <= rounds; round++ {
 				want := proto.Value(round)
 				nodeWrite(t, sites[1], "x", want)
 				if got := nodeRead(t, sites[2], "x"); got != want {
 					t.Fatalf("round %d: x read at site 2 right after the commit at site 1 = %d, want %d", round, got, want)
 				}
+			}
+			if took := time.Since(start); took > rounds*postBound && !raceEnabled {
+				t.Fatalf("%d rounds took %v, want under %v: a read behind a decision waited for the sweep, not for its ask", rounds, took, rounds*postBound)
 			}
 		})
 	}

@@ -201,12 +201,20 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 		}
 	}
 
+	// A lock request that queues asks the peers for what it may be waiting
+	// on, a decision still in an outbox, where the transport has outboxes
+	// (tcpnet; netsim has none).
+	var waiting func()
+	if asker, ok := env.Net.(interface{ AskPeers() }); ok {
+		waiting = asker.AskPeers
+	}
 	s.Locks = lockmgr.New(lockmgr.Config{
 		Site:    id,
 		Obs:     cfg.Obs,
 		Clock:   env.Clock,
 		Timeout: cfg.LockTimeout,
 		Policy:  cfg.LockPolicy,
+		Waiting: waiting,
 	})
 
 	tracking := dm.TrackNone

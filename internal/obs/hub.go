@@ -380,20 +380,40 @@ func (h *Hub) MsgSent(from, to proto.SiteID, kind proto.Kind) {
 	h.cached(&h.siteHot(from).sent[kind], key{from, "net", "sent", kind.String()}, counter).v.Add(1)
 }
 
-// PostsSent counts n posted requests leaving a site's outbox in one write:
-// carried ahead of a later frame to the same peer, or written by the
-// outbox's flush timer when no frame came. Metrics only, like MsgSent,
-// which already counted each of them when it was posted.
-func (h *Hub) PostsSent(site proto.SiteID, n int, carried bool) {
+// PostExit says how posted requests left a site's outbox (Hub.PostsSent).
+type PostExit uint8
+
+// The ways out of an outbox.
+const (
+	// PostCarried: ahead of a later frame to the same peer, in its write.
+	PostCarried PostExit = iota
+	// PostAsked: at once, because the peer asked (Hub.AskSent at the peer).
+	PostAsked
+	// PostSwept: by the transport's sweep once the oldest waited its bound,
+	// or by Close.
+	PostSwept
+)
+
+var postExitNames = [...]string{PostCarried: "posts_carried", PostAsked: "posts_asked", PostSwept: "posts_swept"}
+
+// PostsSent counts n posted requests leaving a site's outbox in one write,
+// by how they left. Metrics only, like MsgSent, which already counted each
+// of them when it was posted.
+func (h *Hub) PostsSent(site proto.SiteID, n int, exit PostExit) {
 	if h == nil {
 		return
 	}
-	hot := h.siteHot(site)
-	if carried {
-		h.cached(&hot.postsCarried, key{site, "net", "posts_carried", ""}, counter).v.Add(int64(n))
+	h.cached(&h.siteHot(site).posts[exit], key{site, "net", postExitNames[exit], ""}, counter).v.Add(int64(n))
+}
+
+// AskSent counts an ask leaving a site: a frame that makes its peer write
+// its outbox to the site at once, sent because a lock request there queued.
+// Metrics only.
+func (h *Hub) AskSent(site proto.SiteID) {
+	if h == nil {
 		return
 	}
-	h.cached(&hot.postsFlushed, key{site, "net", "posts_flushed", ""}, counter).v.Add(int64(n))
+	h.inc(key{site, "net", "asks_sent", ""})
 }
 
 // MsgDropped records the network losing a message of the given kind.

@@ -98,7 +98,7 @@ type siteHot struct {
 	abort                                 [len(abortReasons)]atomic.Pointer[instrument]
 	attempts, commitLatency, abortLatency atomic.Pointer[instrument]
 	answerLatency                         atomic.Pointer[instrument]
-	postsCarried, postsFlushed            atomic.Pointer[instrument]
+	posts                                 [len(postExitNames)]atomic.Pointer[instrument]
 	sent                                  [256]atomic.Pointer[instrument]    // by proto.Kind
 	rpc, rpcLatency                       [2][256]atomic.Pointer[instrument] // by side index, then kind
 }

@@ -26,6 +26,8 @@ func FuzzFrameHeader(f *testing.F) {
 	f.Add(appendResponse(nil, 8, nil, proto.ErrWounded)[4:])
 	f.Add([]byte{200, 1, 2})           // header length past the payload
 	f.Add([]byte{3, 0x80, 0x80, 0x80}) // varint cut short
+	// An ask: a one-way header with flag 4, and no body.
+	f.Add(appendReqHeader(nil, reqHeader{from: 2, oneWay: true, ask: true}))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if id, isErr, body, err := parseRespHeader(payload); err == nil {

@@ -1,12 +1,10 @@
 package tcpnet
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +14,9 @@ import (
 )
 
 // The outbox (package comment): Post queues its frame, the next frame to the
-// same peer carries it in the same write, and the connection's timer writes
-// what no frame carried within postBound.
+// same peer carries it in the same write, an ask from the peer has it written
+// at once, and the transport's sweep writes what nothing carried or asked for
+// within postBound + sweepTick.
 
 // countingConn records every Write on a connection: how many frames each
 // one held.
@@ -49,8 +48,8 @@ func (c *countingConn) take() []int {
 
 // TestPostRidesTheNextFrame: a post and the request sent after it to the same
 // peer leave in one write, and the serving side runs both, in that order, on
-// the goroutine that read them. A round may lose the race to the flush
-// timer on a loaded machine, so the test looks for one round that did not.
+// the goroutine that read them. A round may lose the race to the sweep on a
+// loaded machine, so the test looks for one round that did not.
 func TestPostRidesTheNextFrame(t *testing.T) {
 	trs := newPair(t, 2)
 	type served struct{ kind, goid string }
@@ -79,7 +78,7 @@ func TestPostRidesTheNextFrame(t *testing.T) {
 		}
 		first, second := <-got, <-got
 		if w := cc.take(); len(w) != 1 || w[0] != 2 {
-			continue // the timer wrote the post first: frames per write were w
+			continue // the sweep wrote the post first: frames per write were w
 		}
 		if first.kind != "commit" || second.kind != "probe" || first.goid != second.goid {
 			t.Fatalf("served %s on goroutine %s, then %s on %s: want the commit, then the probe, on one goroutine",
@@ -91,7 +90,8 @@ func TestPostRidesTheNextFrame(t *testing.T) {
 }
 
 // TestLonePostIsFlushedWithinTheBound: a post that no later frame carries
-// reaches the handler once the flush timer writes it.
+// and nobody asks for reaches the handler once the sweep writes it, within
+// postBound + sweepTick and some slack for a loaded machine.
 func TestLonePostIsFlushedWithinTheBound(t *testing.T) {
 	trs := newPair(t, 2)
 	got := make(chan time.Time, 1)
@@ -105,15 +105,15 @@ func TestLonePostIsFlushedWithinTheBound(t *testing.T) {
 	if _, err := trs[1].Call(ctx, 1, 2, proto.ProbeReq{}); err != nil { // dial
 		t.Fatal(err)
 	}
-	const slack = 200 * time.Millisecond
+	const slack = 100 * time.Millisecond
 	start := time.Now()
 	if err := trs[1].Post(ctx, 1, 2, proto.CommitReq{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case at := <-got:
-		if took := at.Sub(start); took > postBound+slack {
-			t.Fatalf("lone post served %v after Post, want within %v", took, postBound+slack)
+		if took := at.Sub(start); took > postBound+sweepTick+slack {
+			t.Fatalf("lone post served %v after Post, want within %v", took, postBound+sweepTick+slack)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("lone post never reached the handler")
@@ -122,8 +122,9 @@ func TestLonePostIsFlushedWithinTheBound(t *testing.T) {
 
 // TestQueuedDecisionDoesNotWaitOutALockTimeout: site 1's transaction holds
 // an X lock at site 2 until its posted decision lands. Site 1 sends nothing
-// more, so only the flush timer can deliver it, and site 3's write of the
-// same item must get the lock within the bound, not at the lock timeout.
+// more and site 2's lock manager asks nobody, so only the sweep can deliver
+// it, and site 3's write of the same item must get the lock within the
+// bound, not at the lock timeout.
 func TestQueuedDecisionDoesNotWaitOutALockTimeout(t *testing.T) {
 	trs := newPair(t, 3)
 	const lockTimeout = 1500 * time.Millisecond
@@ -162,13 +163,13 @@ func TestQueuedDecisionDoesNotWaitOutALockTimeout(t *testing.T) {
 	if _, err := trs[3].Call(ctx, 3, 2, batch(3, 2)); err != nil {
 		t.Fatalf("second coordinator's write behind a queued decision: %v", err)
 	}
-	if took := time.Since(start); took > postBound+500*time.Millisecond {
-		t.Fatalf("second coordinator's write took %v, want within %v of the post (lock timeout %v)", took, postBound, lockTimeout)
+	if took := time.Since(start); took > postBound+sweepTick+500*time.Millisecond {
+		t.Fatalf("second coordinator's write took %v, want within %v of the post (lock timeout %v)", took, postBound+sweepTick, lockTimeout)
 	}
 }
 
 // TestCloseWithAPostQueued: Close writes a post still in the outbox and
-// returns with no flush timer scheduled and no flush running.
+// returns with no flush on its way and none running.
 func TestCloseWithAPostQueued(t *testing.T) {
 	trs := newPair(t, 2)
 	got := make(chan string, 2)
@@ -186,12 +187,11 @@ func TestCloseWithAPostQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	trs[1].Close()
-	if pc.flush.Stop() {
-		t.Fatal("flush timer still scheduled after Close")
+	if pc.flushing.Load() {
+		t.Fatal("a flush is still on its way after Close")
 	}
-	buf := make([]byte, 1<<20)
-	if stacks := buf[:runtime.Stack(buf, true)]; bytes.Contains(stacks, []byte("tcpnet.(*peerConn).flushPosts(")) {
-		t.Fatalf("a flush is still running after Close:\n%s", stacks)
+	if left := leftRunning("tcpnet.(*peerConn).flushPosts("); left != "" {
+		t.Fatalf("a flush is still running after Close:\n%s", left)
 	}
 	select {
 	case kind := <-got:

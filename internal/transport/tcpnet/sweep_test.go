@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
 )
 
@@ -132,7 +133,7 @@ func TestWriteToAStalledPeerEndsAtTheDeadline(t *testing.T) {
 		}
 	}()
 	client := clientOf(t, ln.Addr().String())
-	pc, _, err := client.getPeer(context.Background(), 2)
+	pc, _, err := client.getPeer(context.Background(), 2, client.cfg.DialRetries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +176,11 @@ func TestWriteToAStalledPeerEndsAtTheDeadline(t *testing.T) {
 	}
 }
 
-// A transport whose reads have ended stops sweeping: the sweep that was
-// scheduled for the last read finds nobody reading and schedules no other,
-// and nothing schedules one until somebody reads again.
+// A transport whose reads have ended and whose outboxes are empty stops
+// sweeping: the sweep that was scheduled for the last read finds nobody
+// reading and schedules no other, and nothing schedules one until somebody
+// reads or posts again. A lone post schedules one; the sweep writes it and,
+// the outbox empty again, stops.
 func TestIdleTransportStopsSweeping(t *testing.T) {
 	trs := newPair(t, 2)
 	client := trs[1]
@@ -192,24 +195,36 @@ func TestIdleTransportStopsSweeping(t *testing.T) {
 	if took := idle.Sub(last); took > sweepTick+500*time.Millisecond {
 		t.Fatalf("the sweep stopped %v after the last read, want within a tick (%v)", took, sweepTick)
 	}
-	waitUntil(t, "three ticks pass", func() bool {
-		if !sweepIdle(client) {
-			t.Fatal("an idle transport scheduled another sweep")
+	stayIdle := func(since time.Time) {
+		t.Helper()
+		waitUntil(t, "three ticks pass", func() bool {
+			if !sweepIdle(client) {
+				t.Fatal("an idle transport scheduled another sweep")
+			}
+			return time.Since(since) > 3*sweepTick
+		})
+		client.mu.Lock()
+		scheduled := client.sweep.Stop()
+		client.mu.Unlock()
+		if scheduled {
+			t.Fatal("an idle transport still has its sweep timer scheduled")
 		}
-		return time.Since(idle) > 3*sweepTick
-	})
-	client.mu.Lock()
-	scheduled := client.sweep.Stop()
-	client.mu.Unlock()
-	if scheduled {
-		t.Fatal("an idle transport still has its sweep timer scheduled")
 	}
+	stayIdle(idle)
+
+	if err := client.Post(context.Background(), 1, 2, proto.CommitReq{}); err != nil {
+		t.Fatal(err)
+	}
+	pc := peerOf(client, 2)
+	waitUntil(t, "the sweep writes the lone post", func() bool { return pc.since.Load() == 0 })
+	waitUntil(t, "the sweep stops again", func() bool { return sweepIdle(client) })
+	stayIdle(time.Now())
 }
 
-// Close with a read sweep scheduled, and with an outbox whose flush timer
-// has run early and scheduled itself again, stops both timers and returns
-// with neither one running; the queued post is still written.
-func TestCloseStopsTheSweepAndTheOutboxTimer(t *testing.T) {
+// Close with a read sweep scheduled, with an outbox the sweep never finds
+// due, and with a flush on its way to that outbox, stops the sweep, writes
+// the post once, and returns with no sweep and no flush running.
+func TestCloseStopsTheSweepAndTheOutboxFlush(t *testing.T) {
 	peer := startFakePeer(t, silentPeer)
 	client := clientOf(t, peer.addr)
 	holder := make(chan error, 1)
@@ -222,29 +237,31 @@ func TestCloseStopsTheSweepAndTheOutboxTimer(t *testing.T) {
 		return pc != nil && tokenHeld(pc) && !sweepIdle(client)
 	})
 	pc := peerOf(client, 2)
-
-	if err := client.Post(context.Background(), 1, 2, proto.CommitReq{}); err != nil {
-		t.Fatal(err)
+	if !holdPost(t, client, 2) {
+		t.Skip("the sweep wrote the post before the test could hold it back")
 	}
-	posted := time.Now()
+
+	// A flush on its way, parked behind the write lock Close needs too. On
+	// one P a goroutine Close did not wait for is still there when it
+	// returns.
+	oneProc(t)
 	pc.wmu.Lock()
-	queued := pc.posts
-	pc.since = posted.Add(time.Hour) // each run finds the post young, and schedules another
-	pc.wmu.Unlock()
-	if queued == 0 {
-		t.Skip("the flush timer wrote the post before the test could hold it back")
-	}
-	waitUntil(t, "the flush timer's first run is due", func() bool { return time.Since(posted) > 20*postBound })
-
+	pc.flushSoon(obs.PostAsked)
 	closed := make(chan struct{})
 	go func() {
 		client.Close()
 		close(closed)
 	}()
+	waitUntil(t, "Close shuts the transport", func() bool {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		return client.closed
+	})
+	pc.wmu.Unlock()
 	select {
 	case <-closed:
 	case <-time.After(3 * time.Second):
-		t.Fatal("Close waits on a timer it did not stop")
+		t.Fatal("Close never returned")
 	}
 	if err := <-holder; !errors.Is(err, proto.ErrSiteDown) {
 		t.Fatalf("the reading caller: err = %v, want ErrSiteDown", err)
@@ -252,11 +269,11 @@ func TestCloseStopsTheSweepAndTheOutboxTimer(t *testing.T) {
 	if client.sweep.Stop() {
 		t.Fatal("the read sweep is still scheduled after Close")
 	}
-	if pc.flush.Stop() {
-		t.Fatal("the outbox timer is still scheduled after Close")
+	if pc.flushing.Load() {
+		t.Fatal("a flush is still on its way after Close")
 	}
 	if left := leftRunning("tcpnet.(*Transport).sweepReads(", "tcpnet.(*peerConn).flushPosts("); left != "" {
-		t.Fatalf("a timer's run outlived Close:\n%s", left)
+		t.Fatalf("a sweep or a flush outlived Close:\n%s", left)
 	}
 	waitUntil(t, "the queued post reaches the peer", func() bool {
 		frames, _ := peer.counts()

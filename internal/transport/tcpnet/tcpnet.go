@@ -20,9 +20,12 @@
 // posted request anyway is harmless — a response nobody is registered for
 // is dropped by whoever reads it. Post does not write its frame either: it
 // queues it in the peer connection's outbox, and the next frame written to
-// that peer carries the outbox ahead of itself in the same write. A timer
-// per connection writes whatever is still queued after postBound; a carry
-// leaves it running, and a run that finds newer posts waits out their share.
+// that peer carries the outbox ahead of itself in the same write. Nothing
+// waits on a lone post: the transport's one sweep (below) writes an outbox
+// whose oldest post has waited postBound, so a post no frame carries leaves
+// within postBound + sweepTick. A site that must wait for a posted decision
+// asks for it (AskPeers): a one-way ask frame to every peer, and a peer that
+// reads one writes its outbox to the asker at once.
 //
 // No goroutine reads an outbound connection: a caller in Wait reads its own
 // reply. The connection's read side goes with a one-slot token. A waiter that
@@ -88,16 +91,18 @@ import (
 // maxFrame bounds a single frame; larger frames indicate a corrupt stream.
 const maxFrame = 1 << 20
 
-// postBound is how long a posted frame may wait in its connection's outbox
-// for a later frame to carry it before the connection's timer writes it. On
-// a loaded cluster nearly every post is carried well inside it; a lone post
-// costs this much delay and one timer wake-up (DESIGN §10, "The outbox").
+// postBound is how long a posted frame waits in its connection's outbox for
+// a later frame to carry it before the transport's sweep writes it, at the
+// first sweep after it has waited this long. On a loaded cluster nearly
+// every post is carried well inside it; nobody waits on the rest except a
+// site that asks (DESIGN §10, "The outbox").
 const postBound = time.Millisecond
 
-// sweepTick is how often the transport's read sweep runs while a token
-// holder reads: a call whose deadline passes, or whose context is done,
-// while it reads gives up at most this long after (DESIGN §10, "Client
-// side").
+// sweepTick is how often the transport's sweep runs while a token holder
+// reads or an outbox holds posts: a call whose deadline passes, or whose
+// context is done, while it reads gives up at most this long after (DESIGN
+// §10, "Client side"), and a post no frame carries leaves at most this long
+// after postBound.
 const sweepTick = 10 * time.Millisecond
 
 // Config assembles a TCP transport for one site.
@@ -165,7 +170,10 @@ func (c Config) withDefaults() Config {
 //	response body    the proto reply message, or a proto.WireError
 //
 // The bracketed trace block is present when flags has flagTraced; a request
-// with flagOneWay gets no response frame. Header and body are each delimited,
+// with flagOneWay gets no response frame. A one-way request with flagAsk and
+// an empty body is an ask: the serving side writes its outbox to the sender
+// and dispatches nothing (a build without the bit fails to decode the empty
+// body and, one-way, answers nothing). Header and body are each delimited,
 // and their decoders ignore bytes past the fields they know, so a newer peer
 // may append fields to either (proto/codec.go states the rule); nothing is
 // ever inserted or reordered.
@@ -173,6 +181,7 @@ func (c Config) withDefaults() Config {
 const (
 	flagTraced = 1 << iota
 	flagOneWay
+	flagAsk
 )
 
 // reqHeader is the decoded request header: a connection-scoped request ID
@@ -183,12 +192,13 @@ const (
 // synchronized) lets the serving side stop an abandoned handler at roughly
 // the moment the caller gives up instead of running out the full CallTimeout
 // while holding locks. It is in microseconds and always present; zero or
-// less means the caller has already given up.
+// less means the caller has already given up. ask marks an ask frame.
 type reqHeader struct {
 	id       uint64
 	from     proto.SiteID
 	budgetUS int64
 	oneWay   bool
+	ask      bool
 	// span is the span context both sides of this call share; sent only
 	// when traced. A sender without a hub sends no trace block at all.
 	traced bool
@@ -207,6 +217,9 @@ func appendReqHeader(b []byte, h reqHeader) []byte {
 	}
 	if h.oneWay {
 		flags |= flagOneWay
+	}
+	if h.ask {
+		flags |= flagAsk
 	}
 	b = append(b, flags)
 	if h.traced {
@@ -238,6 +251,7 @@ func parseReqHeader(p []byte) (h reqHeader, body []byte, err error) {
 	h.budgetUS = r.Int()
 	flags := r.Byte()
 	h.oneWay = flags&flagOneWay != 0
+	h.ask = flags&flagAsk != 0
 	if flags&flagTraced != 0 {
 		h.traced = true
 		h.span = obs.SpanContext{
@@ -349,19 +363,17 @@ type peerConn struct {
 	conn net.Conn
 
 	// wmu serializes request-frame writes, and guards the outbox: the posted
-	// frames not yet written (out, posts of them, the oldest queued at
-	// since), whether the flush timer is scheduled (armed), and whether Close
-	// has shut the outbox.
-	wmu   sync.Mutex
-	out   []byte
-	posts int
-	since time.Time
-	armed bool
-	shut  bool
-	// flush writes the outbox when no frame carried it within postBound. A
-	// frame that carries the outbox leaves it scheduled. Every scheduled run
-	// is counted in t.wg, so Close waits for it.
-	flush *time.Timer
+	// frames not yet written (out, and posts of them), and whether Close has
+	// shut it. since is when the oldest queued post was queued (t.now), 0
+	// while the outbox is empty; it is written under wmu and read by the
+	// sweep without it. flushing says a flush goroutine is on its way
+	// (flushSoon).
+	wmu      sync.Mutex
+	out      []byte
+	posts    int
+	shut     bool
+	since    atomic.Int64
+	flushing atomic.Bool
 
 	// token holds its one value while nobody reads.
 	token chan struct{}
@@ -392,19 +404,14 @@ func newPeerConn(t *Transport, to proto.SiteID, conn net.Conn) *peerConn {
 		r:       bufio.NewReader(conn),
 		pending: make(map[uint64]chan callResult),
 	}
-	p.flush = time.AfterFunc(time.Hour, func() {
-		defer t.wg.Done()
-		p.flushPosts(false)
-	})
-	p.flush.Stop()
 	p.token <- struct{}{}
 	return p
 }
 
-// post queues one posted frame in the outbox and schedules the flush if
-// nothing is scheduled yet. It fails on a connection that was retired or
-// shut, so the poster retries on a fresh one: nothing was written. The
-// caller holds wmu.
+// post queues one posted frame in the outbox and makes sure the sweep is
+// scheduled, which writes the outbox if no frame carries it. It fails on a
+// connection that was retired or shut, so the poster retries on a fresh
+// one: nothing was written. The caller holds wmu.
 func (p *peerConn) post(frame []byte) error {
 	p.mu.Lock()
 	dead := p.dead
@@ -413,26 +420,18 @@ func (p *peerConn) post(frame []byte) error {
 		return errors.New("connection closed")
 	}
 	if p.posts == 0 {
-		p.since = time.Now()
+		p.since.Store(p.t.now())
 	}
 	p.out = append(p.out, frame...)
 	p.posts++
-	if !p.armed {
-		p.armed = true
-		p.t.wg.Add(1)
-		if p.flush.Reset(postBound) {
-			p.t.wg.Done() // a run still scheduled from before covers this one
-		}
-	}
+	p.t.wantSweep()
 	return nil
 }
 
 // write writes frame, preceded by the outbox when posts are queued, by
 // deadline, and reports how many posts left with it. A write that fails
 // before a byte leaves keeps them queued; after that, they went with the
-// stream or are lost with the connection. The flush timer stays scheduled:
-// its run finds the outbox empty, or holding only later posts. The caller
-// holds wmu.
+// stream or are lost with the connection. The caller holds wmu.
 func (p *peerConn) write(frame []byte, deadline time.Time) (n, carried int, err error) {
 	if p.posts == 0 {
 		n, err = p.send(frame, deadline)
@@ -447,6 +446,7 @@ func (p *peerConn) write(frame []byte, deadline time.Time) (n, carried int, err 
 	}
 	carried = p.posts
 	p.out, p.posts = p.out[:0], 0
+	p.since.Store(0)
 	return n, carried, err
 }
 
@@ -469,28 +469,34 @@ func (p *peerConn) send(b []byte, deadline time.Time) (int, error) {
 	return n + m, err
 }
 
-// flushPosts is the flush timer's run, and Close's, which also shuts the
-// outbox. It writes whatever the outbox holds once its oldest post has
-// waited postBound, or at once when shutting; a run that comes earlier —
-// the frame that carried the posts it was scheduled for left later ones —
-// schedules itself again for the rest of the oldest one's bound. A write
-// that fails drops the connection, and the posts in it are lost, as a frame
-// lost with its connection always was.
-func (p *peerConn) flushPosts(shut bool) {
-	p.wmu.Lock()
-	p.shut = p.shut || shut
-	if wait := postBound - time.Since(p.since); p.posts > 0 && !p.shut && wait > 0 {
-		p.t.wg.Add(1)
-		p.flush.Reset(wait)
-		p.wmu.Unlock()
-		return
+// flushSoon has the outbox written on a goroutine of its own, counted in
+// t.wg, unless one is already on its way: so neither the sweep nor a serving
+// goroutine that was asked ever waits on a peer's full socket. The caller
+// holds a count in t.wg itself, so Close waits for the goroutine.
+func (p *peerConn) flushSoon(exit obs.PostExit) {
+	if p.flushing.Swap(true) {
+		return // its write, after this, takes whatever is queued by then
 	}
-	p.armed = false
+	p.t.wg.Add(1)
+	go func() {
+		defer p.t.wg.Done()
+		p.flushPosts(exit, false)
+	}()
+}
+
+// flushPosts writes whatever the outbox holds, and with shut (Close) also
+// shuts it. A write that fails drops the connection, and the posts in it
+// are lost, as a frame lost with its connection always was.
+func (p *peerConn) flushPosts(exit obs.PostExit, shut bool) {
+	p.wmu.Lock()
+	p.flushing.Store(false) // a flushSoon from now on goes after this write
+	p.shut = p.shut || shut
 	n := p.posts
 	var err error
 	if n > 0 {
 		_, err = p.send(p.out, time.Now().Add(p.t.cfg.CallTimeout))
 		p.out, p.posts = p.out[:0], 0
+		p.since.Store(0)
 	}
 	p.wmu.Unlock()
 	switch {
@@ -498,7 +504,7 @@ func (p *peerConn) flushPosts(shut bool) {
 	case err != nil:
 		p.t.dropPeer(p.to, p)
 	default:
-		p.t.cfg.Obs.PostsSent(p.t.cfg.Self, n, false)
+		p.t.cfg.Obs.PostsSent(p.t.cfg.Self, n, exit)
 	}
 }
 
@@ -550,11 +556,6 @@ func (p *peerConn) fail() {
 	pending := p.pending
 	p.pending = make(map[uint64]chan callResult)
 	p.mu.Unlock()
-	// Not under wmu, which a failing write may hold: a run still scheduled
-	// finds the connection closed and drops the outbox with it.
-	if p.flush.Stop() {
-		p.t.wg.Done()
-	}
 	for _, ch := range pending {
 		close(ch)
 	}
@@ -581,12 +582,19 @@ type Transport struct {
 	dialing map[proto.SiteID]chan struct{}
 	serving map[net.Conn]bool
 	closed  bool
+	// asking holds the peers an ask goroutine is on its way to (AskPeers).
+	asking map[proto.SiteID]bool
 
-	// sweep runs sweepReads, sweepTick after a token holder found none
-	// scheduled (sweeping false). It is scheduled under mu, and not once
-	// closed; every scheduled run is counted in wg.
+	// sweep runs sweepReads, sweepTick after a token holder or a post found
+	// none scheduled (sweeping false). It is scheduled under mu, and not
+	// once closed; every scheduled run is counted in wg.
 	sweep    *time.Timer
 	sweeping atomic.Bool
+
+	// askFrame is this site's ask, the same bytes every time.
+	askFrame []byte
+	// epoch is when the transport was made; now counts from it.
+	epoch time.Time
 
 	wg sync.WaitGroup
 }
@@ -604,15 +612,22 @@ func New(cfg Config) *Transport {
 		peers:      make(map[proto.SiteID]*peerConn),
 		dialing:    make(map[proto.SiteID]chan struct{}),
 		serving:    make(map[net.Conn]bool),
+		asking:     make(map[proto.SiteID]bool),
+		epoch:      time.Now(),
 	}
+	t.askFrame, _ = sealFrame(appendReqHeader(make([]byte, 4), reqHeader{from: cfg.Self, oneWay: true, ask: true}))
 	t.sweep = time.AfterFunc(time.Hour, t.sweepReads)
 	t.sweep.Stop()
 	t.SetHandler(cfg.Handler)
 	return t
 }
 
-// wantSweep makes sure a read sweep is scheduled, for a token holder that
-// has just recorded itself on its connection.
+// now is the monotonic time since the transport was made, in nanoseconds,
+// and never 0, which marks an empty outbox.
+func (t *Transport) now() int64 { return int64(time.Since(t.epoch)) + 1 }
+
+// wantSweep makes sure a sweep is scheduled, for a token holder that has
+// just recorded itself on its connection or a post just queued.
 func (t *Transport) wantSweep() {
 	if t.sweeping.Load() {
 		return
@@ -628,10 +643,12 @@ func (t *Transport) wantSweep() {
 
 // sweepReads ends the reads of every token holder whose deadline has passed
 // or whose context is done, by moving its connection's read deadline into
-// the past, and schedules itself again while another holder still reads.
-// It clears sweeping before it looks, and a holder records itself before it
-// asks whether a sweep is scheduled, so a holder this run misses finds no
-// run scheduled and schedules one.
+// the past, has every outbox whose oldest post has waited postBound written
+// (flushSoon), and schedules itself again while another holder still reads
+// or an outbox still holds posts. It clears sweeping before it looks, and a
+// holder or a post records itself before it asks whether a sweep is
+// scheduled, so one this run misses finds no run scheduled and schedules
+// one.
 func (t *Transport) sweepReads() {
 	defer t.wg.Done()
 	t.sweeping.Store(false)
@@ -641,9 +658,15 @@ func (t *Transport) sweepReads() {
 		peers = append(peers, pc)
 	}
 	t.mu.Unlock()
-	now := time.Now()
-	reading := false
+	now, mono := time.Now(), t.now()
+	busy := false
 	for _, pc := range peers {
+		if since := pc.since.Load(); since != 0 {
+			busy = true
+			if mono-since >= int64(postBound) {
+				pc.flushSoon(obs.PostSwept)
+			}
+		}
 		pc.mu.Lock()
 		id, ctx, by, cut := pc.reader, pc.readCtx, pc.readBy, pc.cut
 		pc.mu.Unlock()
@@ -652,7 +675,7 @@ func (t *Transport) sweepReads() {
 		}
 		// Asked outside every lock: the context is the caller's code.
 		if now.Before(by) && ctx.Err() == nil {
-			reading = true
+			busy = true
 			continue
 		}
 		pc.mu.Lock()
@@ -662,7 +685,7 @@ func (t *Transport) sweepReads() {
 		}
 		pc.mu.Unlock()
 	}
-	if reading {
+	if busy {
 		t.wantSweep()
 	}
 }
@@ -754,7 +777,7 @@ func (t *Transport) Close() error {
 		c.Close()
 	}
 	for _, pc := range peers {
-		pc.flushPosts(true)
+		pc.flushPosts(obs.PostSwept, true)
 		pc.fail()
 	}
 	t.wg.Wait()
@@ -812,6 +835,10 @@ func (s *servedConn) readLoop() {
 		h, body, err := parseReqHeader(s.buf)
 		if err != nil {
 			break // no request ID to answer under: the stream is corrupt
+		}
+		if h.ask {
+			s.t.answerAsk(h.from)
+			continue
 		}
 		// The decoded message shares nothing with buf, which the next reader
 		// overwrites.
@@ -1001,8 +1028,9 @@ func (t *Transport) Local(w transport.Waiter) transport.Pending { return transpo
 // Post implements transport.Transport: one request frame with the one-way
 // bit set, nothing registered for a reply, queued in the connection's
 // outbox. A nil error means the frame is queued on a live connection: the
-// next frame to the peer, or the flush timer within postBound, writes it.
-// A refused dial fails Post as a failed write used to.
+// next frame to the peer writes it, or an ask from the peer, or the sweep
+// within postBound + sweepTick. A refused dial fails Post as a failed write
+// used to.
 func (t *Transport) Post(ctx context.Context, from, to proto.SiteID, msg proto.Message) error {
 	if err := t.checkOrigin(from); err != nil {
 		return err
@@ -1013,6 +1041,76 @@ func (t *Transport) Post(ctx context.Context, from, to proto.SiteID, msg proto.M
 	}
 	c := call{t: t, ctx: ctx, to: to}
 	return c.send(msg, true)
+}
+
+// AskPeers asks every other site in Addrs to write its outbox to this one
+// at once: a site about to wait on a lock calls it (lockmgr.Config.Waiting),
+// so that a decision queued at a coordinator does not wait for the sweep.
+// It never blocks: each ask, and the dial to a peer with no connection yet,
+// runs on a goroutine counted in the wait group, one per peer at a time.
+func (t *Transport) AskPeers() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	for to := range t.cfg.Addrs {
+		if to == t.cfg.Self || t.asking[to] {
+			continue // an ask on its way writes after this call
+		}
+		t.asking[to] = true
+		t.wg.Add(1)
+		go t.ask(to)
+	}
+}
+
+// ask writes one ask frame to site to, the outbox ahead of it, dialing a
+// connection if there is none. It dials once: a peer that refuses has
+// nothing queued for this site, and every caller that needs the peer
+// meanwhile waits on the dial, so retrying a dead site's refusals would
+// hold them all up. Like a call's write it first peeks at a connection
+// nobody reads, so an ask is not written into one its peer has closed.
+func (t *Transport) ask(to proto.SiteID) {
+	defer t.wg.Done()
+	for {
+		pc, fresh, err := t.getPeer(t.baseCtx, to, 0)
+		if err != nil {
+			t.mu.Lock()
+			delete(t.asking, to)
+			t.mu.Unlock()
+			return
+		}
+		if !fresh && len(pc.token) == 1 && rawio.PeerClosed(pc.conn) {
+			t.dropPeer(to, pc)
+			continue
+		}
+		pc.wmu.Lock()
+		t.mu.Lock()
+		delete(t.asking, to) // an AskPeers from now on asks again
+		t.mu.Unlock()
+		_, carried, err := pc.write(t.askFrame, time.Now().Add(t.cfg.CallTimeout))
+		pc.wmu.Unlock()
+		if err != nil {
+			t.dropPeer(to, pc)
+			return
+		}
+		t.cfg.Obs.AskSent(t.cfg.Self)
+		if carried > 0 {
+			t.cfg.Obs.PostsSent(t.cfg.Self, carried, obs.PostCarried)
+		}
+		return
+	}
+}
+
+// answerAsk serves an ask from site from: whatever this site has queued for
+// it is written at once, on a goroutine of its own (flushSoon).
+func (t *Transport) answerAsk(from proto.SiteID) {
+	t.mu.Lock()
+	pc := t.peers[from]
+	t.mu.Unlock()
+	if pc != nil && pc.since.Load() != 0 {
+		pc.flushSoon(obs.PostAsked)
+	}
 }
 
 // Call implements transport.Transport: Send, then Wait. Calls to Self are
@@ -1123,7 +1221,7 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 	// would execute a non-idempotent message twice. Under fail-stop the
 	// conclusive case is a site crash.
 	for {
-		pc, fresh, err := t.getPeer(ctx, to)
+		pc, fresh, err := t.getPeer(ctx, to, t.cfg.DialRetries)
 		if err != nil {
 			return err
 		}
@@ -1170,7 +1268,7 @@ func (c *call) write(msg proto.Message, oneWay bool) error {
 		pc.wmu.Unlock()
 		if err == nil {
 			if carried > 0 {
-				t.cfg.Obs.PostsSent(t.cfg.Self, carried, true)
+				t.cfg.Obs.PostsSent(t.cfg.Self, carried, obs.PostCarried)
 			}
 			return nil
 		}
@@ -1401,10 +1499,10 @@ func decodeReply(isErr bool, body []byte) callResult {
 // getPeer returns the shared multiplexed connection to site to, dialing one
 // if none is live. Concurrent callers coalesce onto a single dial; fresh
 // reports whether THIS call dialed the connection (its failures are then
-// conclusive rather than retriable). Refused dials are retried briefly (a
-// peer process may still be starting); a dial that keeps failing means the
-// site is down.
-func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn, fresh bool, err error) {
+// conclusive rather than retriable). A refused dial is retried up to retries
+// times (a peer process may still be starting); a dial that keeps failing
+// means the site is down.
+func (t *Transport) getPeer(ctx context.Context, to proto.SiteID, retries int) (pc *peerConn, fresh bool, err error) {
 	for {
 		t.mu.Lock()
 		if t.closed {
@@ -1433,7 +1531,7 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 			if !ok {
 				return nil, fmt.Errorf("tcpnet: no address for site %v", to)
 			}
-			return t.dial(ctx, to, addr)
+			return t.dial(ctx, to, addr, retries)
 		}()
 
 		t.mu.Lock()
@@ -1456,9 +1554,9 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID) (pc *peerConn,
 }
 
 // dial establishes one connection with the configured refused-dial retries.
-func (t *Transport) dial(ctx context.Context, to proto.SiteID, addr string) (net.Conn, error) {
+func (t *Transport) dial(ctx context.Context, to proto.SiteID, addr string, retries int) (net.Conn, error) {
 	var lastErr error
-	for attempt := 0; attempt <= t.cfg.DialRetries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(t.cfg.DialRetryWait):

@@ -308,6 +308,33 @@ func TestFrameForwardCompat(t *testing.T) {
 		t.Errorf("connection unusable after an unknown kind: %v", resp.err)
 	}
 
+	// An ask reaching a build without its bit: to that build it is a one-way
+	// frame with a flag it does not know and a body that does not decode,
+	// which is what this build sees in a flag past flagAsk. It is dropped:
+	// nothing is dispatched, no response comes (the next frame read
+	// answers the probe sent after it), and the connection stays up.
+	var dispatched atomic.Int32
+	trs[2].SetHandler(func(context.Context, proto.SiteID, proto.Message) (proto.Message, error) {
+		dispatched.Add(1)
+		return proto.ProbeResp{Operational: true}, nil
+	})
+	oldAsk := appendReqHeader(nil, reqHeader{from: 1, oneWay: true})[1:]
+	oldAsk[len(oldAsk)-1] |= flagAsk << 1 // the flags byte ends an untraced header
+	frame, err := sealFrame(append(append(make([]byte, 4), byte(len(oldAsk))), oldAsk...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	known = appendReqHeader(nil, reqHeader{id: 10, from: 1, budgetUS: 2_000_000})[1:]
+	if id, resp = exchange(known, probe); id != 10 || resp.err != nil {
+		t.Errorf("after an ask this build cannot read: response %d = %+v, want the probe's under ID 10", id, resp)
+	}
+	if got := dispatched.Load(); got != 1 {
+		t.Errorf("%d requests dispatched, want only the probe", got)
+	}
+
 	// The response side of the same rule.
 	respFrame := appendResponse(nil, 3, proto.ProbeResp{Operational: true, Session: 4}, nil)
 	hdrLen := int(respFrame[4])

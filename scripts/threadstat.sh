@@ -30,9 +30,11 @@
 # profile.
 #
 # From the same ports it prints how the window's posted decisions left
-# their outbox — carried ahead of a later frame to the same peer, or written
-# by the flush timer (sr_net_posts_carried_total, sr_net_posts_flushed_total)
-# — and the mean time from an attempt's begin to its answer at the commit
+# their outbox — carried ahead of a later frame to the same peer, written
+# because the peer asked, or written by the transport's sweep
+# (sr_net_posts_carried_total, sr_net_posts_asked_total,
+# sr_net_posts_swept_total) — and the asks sent (sr_net_asks_sent_total),
+# and the mean time from an attempt's begin to its answer at the commit
 # point next to the mean commit latency (sr_txn_answer_latency_us,
 # sr_txn_commit_latency_us): their difference is phase two's mean.
 #
@@ -173,8 +175,8 @@ commits() {
 }
 
 # posts prints, summed over every srnode's control port: posts carried,
-# posts flushed, answer latency sum and count, commit latency sum and count;
-# nothing if a port does not answer.
+# asked and swept, answer latency sum and count, commit latency sum and
+# count, asks sent; nothing if a port does not answer.
 posts() {
 	local p out=""
 	for p in $pids; do
@@ -183,9 +185,9 @@ posts() {
 		out+=$'\n'
 	done
 	awk '{ sub(/\{.*/, "", $1) } { v[$1] += $2 }
-		END { printf "%.0f %.0f %.0f %.0f %.0f %.0f\n", v["sr_net_posts_carried_total"], v["sr_net_posts_flushed_total"],
-			v["sr_txn_answer_latency_us_sum"], v["sr_txn_answer_latency_us_count"],
-			v["sr_txn_commit_latency_us_sum"], v["sr_txn_commit_latency_us_count"] }' <<<"$out"
+		END { printf "%.0f %.0f %.0f %.0f %.0f %.0f %.0f %.0f\n", v["sr_net_posts_carried_total"], v["sr_net_posts_asked_total"],
+			v["sr_net_posts_swept_total"], v["sr_txn_answer_latency_us_sum"], v["sr_txn_answer_latency_us_count"],
+			v["sr_txn_commit_latency_us_sum"], v["sr_txn_commit_latency_us_count"], v["sr_net_asks_sent_total"] }' <<<"$out"
 }
 
 # heap prints one line per srnode: pid mallocs total_alloc_bytes, the
@@ -263,11 +265,13 @@ fi
 if [[ -n $p0 && -n $p1 ]]; then
 	awk -v a="$p0" -v b="$p1" 'BEGIN {
 		split(a, x, " "); split(b, y, " ")
-		for (i = 1; i <= 6; i++) d[i] = y[i] - x[i]
-		if (d[1] + d[2] > 0)
-			printf "posted decisions: %d, %.1f %% carried by a later frame, %d written by the flush timer\n", d[1] + d[2], 100 * d[1] / (d[1] + d[2]), d[2]
-		if (d[4] > 0 && d[6] > 0)
-			printf "mean answer %.0f us, mean commit %.0f us: phase two %.0f us\n", d[3] / d[4], d[5] / d[6], d[5] / d[6] - d[3] / d[4]
+		for (i = 1; i <= 8; i++) d[i] = y[i] - x[i]
+		n = d[1] + d[2] + d[3]
+		if (n > 0)
+			printf "posted decisions: %d, %.1f %% carried by a later frame, %.1f %% asked for (%d), %.1f %% swept (%d); asks sent: %d\n",
+				n, 100 * d[1] / n, 100 * d[2] / n, d[2], 100 * d[3] / n, d[3], d[8]
+		if (d[5] > 0 && d[7] > 0)
+			printf "mean answer %.0f us, mean commit %.0f us: phase two %.0f us\n", d[4] / d[5], d[6] / d[7], d[6] / d[7] - d[4] / d[5]
 	}'
 fi
 
