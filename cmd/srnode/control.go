@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"siterecovery/internal/load"
+	"siterecovery/internal/proto"
 	"siterecovery/internal/rawio"
 	"siterecovery/internal/transport"
 	"siterecovery/internal/txn"
@@ -36,21 +37,26 @@ var committedReply = []byte("{\"committed\":true}\n")
 type txnFunc func(ctx context.Context, body []byte) (status int, reply []byte)
 
 // txnEndpoint returns the maker of POST /txn's transaction logic, the same
-// behind both framings: decode the body, refuse an empty transaction, run it
+// behind both framings: decode the body, naming items with names' strings
+// where it knows them (nil: none), refuse an empty transaction, run it
 // through exec (node.Node.Exec) under a 30 s budget. The body is free for
 // reuse once a txnFunc returns: a decoded request shares no bytes with it.
-func txnEndpoint(exec func(context.Context, func(context.Context, *txn.Tx) error) error) func() txnFunc {
+// A txnFunc keeps one budget, started afresh for each body, since it answers
+// one body at a time and exec keeps nothing of its context.
+func txnEndpoint(exec func(context.Context, func(context.Context, *txn.Tx) error) error, names proto.Interner) func() txnFunc {
 	return func() txnFunc {
-		var req load.TxnRequest
+		var (
+			req    load.TxnRequest
+			budget transport.Budget
+		)
 		apply := func(ctx context.Context, tx *txn.Tx) error { return load.Apply(ctx, tx, req) }
 		return func(ctx context.Context, body []byte) (int, []byte) {
-			if err := decodeTxn(body, &req); err != nil {
+			if err := decodeTxn(body, &req, names); err != nil {
 				return errorReply(http.StatusBadRequest, "bad JSON body: "+err.Error())
 			}
 			if len(req.Reads) == 0 && len(req.Writes) == 0 {
 				return errorReply(http.StatusBadRequest, "empty transaction")
 			}
-			var budget transport.Budget
 			budget.Start(ctx, time.Now().Add(30*time.Second))
 			err := exec(&budget, apply)
 			budget.Release()
@@ -115,7 +121,9 @@ func serveFast(c net.Conn, slow *handoff, newTxn func() txnFunc) {
 	rw := rawio.Wrap(c) // the fast path's reads and writes; net/http gets c
 	runTxn := newTxn()
 	ans := &fastAnswer{rw: rw}
-	ctx := txn.WithAnswer(context.Background(), ans)
+	// One request at a time, whose body keeps no Tx: every attempt reuses
+	// the connection's.
+	ctx := txn.WithOwnTx(txn.WithAnswer(context.Background(), ans), new(txn.Tx))
 	buf := make([]byte, maxHead)
 	n := 0 // buf[:n] is read and not yet served
 	for {

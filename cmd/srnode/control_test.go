@@ -53,7 +53,7 @@ func startControl(t *testing.T) *control {
 			panic("boom")
 		}
 		return n.Exec(ctx, body)
-	})
+	}, n.Catalog)
 	mux := controlMux(1, n, hub, nil, runTxn)
 	ref := httptest.NewServer(mux)
 	t.Cleanup(ref.Close)
@@ -464,7 +464,7 @@ func startTrio(t *testing.T) (map[proto.SiteID]*node.Node, *obs.Hub, string) {
 	}
 	srv := &http.Server{Handler: http.NotFoundHandler()}
 	done := make(chan error, 1)
-	go func() { done <- serveControl(smallSendBuffers{ln}, srv, txnEndpoint(nodes[1].Exec)) }()
+	go func() { done <- serveControl(smallSendBuffers{ln}, srv, txnEndpoint(nodes[1].Exec, nodes[1].Catalog)) }()
 	t.Cleanup(func() {
 		ln.Close()
 		<-done

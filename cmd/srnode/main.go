@@ -242,7 +242,7 @@ func main() {
 	}
 	defer n.Stop()
 
-	newTxn := txnEndpoint(n.Exec)
+	newTxn := txnEndpoint(n.Exec, n.Catalog)
 	srv := &http.Server{Handler: controlMux(id, n, hub, exporter, newTxn)}
 	ln, err := net.Listen("tcp", *control)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // form clients send, otherwise exactly as before the scanner — a
 // json.Decoder into a zero request, first value wins, trailing bytes ignored
 // — so the accepted language and the error texts stay encoding/json's.
-func decodeTxn(body []byte, req *load.TxnRequest) error {
-	if parseTxn(body, req) {
+func decodeTxn(body []byte, req *load.TxnRequest, names proto.Interner) error {
+	if parseTxn(body, req, names) {
 		return nil
 	}
 	*req = load.TxnRequest{}
@@ -30,15 +30,16 @@ func decodeTxn(body []byte, req *load.TxnRequest) error {
 // reordered keys, a number that is not a plain int64, trailing bytes — is
 // false, and whenever it is true encoding/json decodes the same bytes to the
 // same value (FuzzParseTxn). It fills req, reusing its slices; on false req
-// holds whatever was scanned.
-func parseTxn(b []byte, req *load.TxnRequest) bool {
+// holds whatever was scanned. An item name names knows is names' string
+// (nil knows none).
+func parseTxn(b []byte, req *load.TxnRequest, names proto.Interner) bool {
 	req.Reads, req.Writes = req.Reads[:0], req.Writes[:0]
-	p := txnScanner{b: b}
+	p := txnScanner{b: b, names: names}
 	p.want("{")
 	sep := ""
 	if p.lit(`"reads":[`) {
 		for more := true; more; more = p.lit(",") {
-			req.Reads = append(req.Reads, proto.Item(p.str()))
+			req.Reads = append(req.Reads, p.item())
 		}
 		p.want("]")
 		sep = ","
@@ -46,7 +47,7 @@ func parseTxn(b []byte, req *load.TxnRequest) bool {
 	if p.lit(sep + `"writes":[`) {
 		for more := true; more; more = p.lit(",") {
 			p.want(`{"item":`)
-			item := proto.Item(p.str())
+			item := p.item()
 			p.want(`,"value":`)
 			req.Writes = append(req.Writes, load.TxnWrite{Item: item, Value: proto.Value(p.num())})
 			p.want("}")
@@ -60,9 +61,10 @@ func parseTxn(b []byte, req *load.TxnRequest) bool {
 // txnScanner is parseTxn's cursor. The first mismatch sets bad, after which
 // nothing matches and the cursor stays put.
 type txnScanner struct {
-	b   []byte
-	i   int
-	bad bool
+	b     []byte
+	i     int
+	bad   bool
+	names proto.Interner
 }
 
 // lit consumes s if it comes next.
@@ -77,15 +79,22 @@ func (p *txnScanner) lit(s string) bool {
 // want is a lit that must match.
 func (p *txnScanner) want(s string) { p.bad = !p.lit(s) }
 
-// str consumes a quoted string of printable ASCII with no escapes.
-func (p *txnScanner) str() string {
+// item consumes a quoted string of printable ASCII with no escapes: the
+// interner's string for the name when it has one.
+func (p *txnScanner) item() proto.Item {
 	p.want(`"`)
 	start := p.i
 	for p.i < len(p.b) && p.b[p.i] >= 0x20 && p.b[p.i] <= 0x7e && p.b[p.i] != '"' && p.b[p.i] != '\\' {
 		p.i++
 	}
 	p.want(`"`)
-	return string(p.b[start:max(start, p.i-1)])
+	name := p.b[start:max(start, p.i-1)]
+	if p.names != nil {
+		if item, ok := p.names.Intern(name); ok {
+			return item
+		}
+	}
+	return proto.Item(name)
 }
 
 // num consumes a JSON integer that fits an int64: no fraction or exponent

@@ -9,10 +9,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"siterecovery/internal/load"
 	"siterecovery/internal/obs"
 	"siterecovery/internal/proto"
+	"siterecovery/internal/replication"
 )
 
 // viaJSON is the decode POST /txn did before it had a scanner.
@@ -53,7 +55,7 @@ func FuzzParseTxn(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var got load.TxnRequest
-		if !parseTxn(body, &got) {
+		if !parseTxn(body, &got, nil) {
 			return
 		}
 		want, err := viaJSON(body)
@@ -76,12 +78,40 @@ func TestParseTxnTakesWhatClientsSend(t *testing.T) {
 	} {
 		body, _ := json.Marshal(req)
 		var got load.TxnRequest
-		if ok := parseTxn(body, &got); !ok || !reflect.DeepEqual(got, req) {
+		if ok := parseTxn(body, &got, nil); !ok || !reflect.DeepEqual(got, req) {
 			t.Errorf("parseTxn(%s) = %+v, %v", body, got, ok)
 		}
-		if ok := parseTxn(body, &reused); !ok || !slices.Equal(reused.Reads, req.Reads) || !slices.Equal(reused.Writes, req.Writes) {
+		if ok := parseTxn(body, &reused, nil); !ok || !slices.Equal(reused.Reads, req.Reads) || !slices.Equal(reused.Writes, req.Writes) {
 			t.Errorf("parseTxn(%s) into a reused request = %+v, %v", body, reused, ok)
 		}
+	}
+}
+
+// TestParseTxnInternsKnownNames: with the catalog, a body's known item names
+// are the catalog's own strings, so a connection that reuses its request
+// parses a body without allocating; an unknown name still parses, as a
+// string of its own, and fails where the transaction uses it.
+func TestParseTxnInternsKnownNames(t *testing.T) {
+	cat, err := replication.NewCatalog([]proto.SiteID{1, 2}, map[proto.Item][]proto.SiteID{"k00017": {1, 2}, "k00042": {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"reads":["k00017"],"writes":[{"item":"k00042","value":-7}]}`)
+	var req load.TxnRequest
+	if !parseTxn(body, &req, cat) {
+		t.Fatalf("parseTxn(%s) refused it", body)
+	}
+	for _, item := range []proto.Item{req.Reads[0], req.Writes[0].Item} {
+		if own, _ := cat.Intern([]byte(item)); unsafe.StringData(string(item)) != unsafe.StringData(string(own)) {
+			t.Errorf("%q is not the catalog's string", item)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { parseTxn(body, &req, cat) }); n != 0 {
+		t.Errorf("parsing a body of known items into a reused request allocates %v times", n)
+	}
+	unknown := []byte(`{"reads":["nope"]}`)
+	if !parseTxn(unknown, &req, cat) || req.Reads[0] != "nope" {
+		t.Fatalf("parseTxn(%s) = %+v", unknown, req)
 	}
 }
 
@@ -97,7 +127,7 @@ func TestDecodeTxnFallsBack(t *testing.T) {
 		`{"reads":["a"`, `{"reads":"a"}`, `{"writes":[{"item":"x","value":1.5}]}`, `not json`, ``,
 	} {
 		var got load.TxnRequest
-		err := decodeTxn([]byte(body), &got)
+		err := decodeTxn([]byte(body), &got, nil)
 		want, wantErr := viaJSON([]byte(body))
 		if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Errorf("decodeTxn(%q) = %+v, %v; before the scanner: %+v, %v", body, got, err, want, wantErr)
@@ -109,7 +139,7 @@ func TestDecodeTxnFallsBack(t *testing.T) {
 // read more than a frame's worth; an oversized one is a 413 with the usual
 // error JSON, and an empty transaction is still a 400.
 func TestTxnBodyIsBounded(t *testing.T) {
-	mux := controlMux(1, nil, obs.NewHub(obs.Options{}), nil, txnEndpoint(nil)) // neither request reaches the node
+	mux := controlMux(1, nil, obs.NewHub(obs.Options{}), nil, txnEndpoint(nil, nil)) // neither request reaches the node
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/txn", strings.NewReader(body)))

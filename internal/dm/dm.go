@@ -107,6 +107,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// txnLocal is one transaction's record at this site, and the array its
+// pending set grows in (storage.Engine.Lend): one object, which a batch takes
+// from the manager's pool and a commit gives back once the participant
+// commit record has dropped the prepare record that shared the set.
 type txnLocal struct {
 	meta proto.TxnMeta
 	// missedBy lists, per item written here, the down replica sites the
@@ -120,12 +124,19 @@ type txnLocal struct {
 	// Prepared, until the install, the participant commit record and any
 	// forced-commit count are done.
 	deciding bool
+	// writes is lent to the store as the pending set's array: room for a
+	// usual write set's share, the 4 ops of the ledger's and the load
+	// generator's transactions.
+	writes [4]wal.WriteRec
 }
 
 // Manager is one site's data manager. Create with New.
 type Manager struct {
 	cfg Config
 	cb  Callbacks
+
+	// records pools txnLocals: a batch takes one, a commit puts it back.
+	records sync.Pool
 
 	mu       sync.Mutex
 	session  proto.Session
@@ -138,12 +149,14 @@ type Manager struct {
 
 // New returns a data manager.
 func New(cfg Config, cb Callbacks) *Manager {
-	return &Manager{
+	m := &Manager{
 		cfg:      cfg.withDefaults(),
 		cb:       cb,
 		inflight: make(map[proto.TxnID]*txnLocal),
 		missed:   make(map[proto.SiteID]map[proto.Item]bool),
 	}
+	m.records.New = func() any { return new(txnLocal) }
+	return m
 }
 
 // Site returns the owning site.
@@ -203,9 +216,17 @@ func (m *Manager) Restart() {
 // for data operations. A WriteReq is served as a batch of its one operation
 // and a PrepareReq as a prepare batch of none: the transaction manager,
 // whose phase one is always a batch, sends neither, but the two kinds stay
-// on the wire while the benchmark's direct timings still send them.
+// on the wire while the benchmark's direct timings still send them. A
+// BatchReq and a CommitReq may come as pointers, as a transport that decodes
+// in place hands them over; a BatchResp is answered into the room of a
+// context that has one (proto.Roomer), so that it is not boxed.
 func (m *Manager) Handle(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 	switch req := msg.(type) {
+	case *proto.BatchReq:
+		resp, err := m.handleBatch(ctx, *req)
+		return replyBatch(ctx, resp, err)
+	case *proto.CommitReq:
+		return reply(proto.CommitResp{}, m.handleCommit(*req))
 	case proto.ReadReq:
 		return reply(m.handleRead(ctx, req))
 	case proto.WriteReq:
@@ -215,7 +236,8 @@ func (m *Manager) Handle(ctx context.Context, from proto.SiteID, msg proto.Messa
 		})
 		return reply(proto.WriteResp{}, err)
 	case proto.BatchReq:
-		return reply(m.handleBatch(ctx, req))
+		resp, err := m.handleBatch(ctx, req)
+		return replyBatch(ctx, resp, err)
 	case proto.PrepareReq:
 		br, err := m.handleBatch(ctx, proto.BatchReq{Txn: req.Txn, Mode: proto.CheckNone, Prepare: true})
 		return reply(proto.PrepareResp{Vote: br.Vote, MaxSeq: br.MaxSeq}, err)
@@ -241,6 +263,19 @@ func reply[M proto.Message](resp M, err error) (proto.Message, error) {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// replyBatch is reply for a BatchResp: into ctx's room, if it has one.
+func replyBatch(ctx context.Context, resp proto.BatchResp, err error) (proto.Message, error) {
+	var room *proto.Room
+	if r, ok := ctx.(proto.Roomer); ok && err == nil {
+		room = r.Room()
+	}
+	if room == nil {
+		return reply(resp, err)
+	}
+	room.BatchResp = resp
+	return &room.BatchResp, nil
 }
 
 // Down is what a crashed site answers every request with, nil while the
@@ -329,17 +364,32 @@ func (m *Manager) gate(meta proto.TxnMeta, mode proto.CheckMode, expect proto.Se
 func (m *Manager) track(meta proto.TxnMeta) *txnLocal {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.trackLocked(meta)
+	return m.trackLocked(meta, nil)
 }
 
-// trackLocked is track for a caller holding m.mu.
-func (m *Manager) trackLocked(meta proto.TxnMeta) *txnLocal {
+// trackLocked is track for a caller holding m.mu. rec, when not nil, is a
+// record from the pool to register if the transaction has none yet.
+func (m *Manager) trackLocked(meta proto.TxnMeta, rec *txnLocal) *txnLocal {
 	t, ok := m.inflight[meta.ID]
 	if !ok {
-		t = &txnLocal{meta: meta, createdAt: m.cfg.Clock.Now()}
+		if t = rec; t == nil {
+			t = m.records.Get().(*txnLocal)
+		}
+		t.meta, t.createdAt = meta, m.cfg.Clock.Now()
 		m.inflight[meta.ID] = t
 	}
 	return t
+}
+
+// release gives a transaction's record back to the pool. The caller took it
+// out of inflight, and nothing else holds it or its array: a committed
+// transaction's batch voted before the decision came, and the participant
+// commit record dropped the prepare record that shared its pending set; a
+// read-only one buffered nothing. An aborted transaction's record is left to
+// the GC, since an abort may overtake a batch still at work on it.
+func (m *Manager) release(t *txnLocal) {
+	*t = txnLocal{}
+	m.records.Put(t)
 }
 
 func (m *Manager) handleRead(ctx context.Context, req proto.ReadReq) (proto.ReadResp, error) {
@@ -403,20 +453,38 @@ func (m *Manager) handleBatch(ctx context.Context, req proto.BatchReq) (proto.Ba
 	if err := m.gate(req.Txn, req.Mode, req.Expect); err != nil {
 		return proto.BatchResp{}, err
 	}
-	for _, op := range req.Ops {
-		if err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(op.Item), lockmgr.Exclusive); err != nil {
-			m.cfg.Store.DropPending(req.Txn.ID)
-			return proto.BatchResp{}, err
+	// The writes grow in the array of the transaction's record here: the
+	// one its reads made, or fresh from the pool, registered below unless a
+	// record turned up meanwhile. A record that leaves inflight before its
+	// commit (an abort) goes to the GC with the array.
+	var fresh *txnLocal
+	if len(req.Ops) > 0 {
+		m.mu.Lock()
+		rec := m.inflight[req.Txn.ID]
+		m.mu.Unlock()
+		if rec == nil {
+			fresh = m.records.Get().(*txnLocal)
+			rec = fresh
 		}
-		if err := m.cfg.Store.BufferWrite(req.Txn.ID, op.Item, op.Value); err != nil {
+		m.cfg.Store.Lend(req.Txn.ID, rec.writes[:0])
+	}
+	for _, op := range req.Ops {
+		err := m.cfg.Locks.Acquire(ctx, req.Txn.ID, string(op.Item), lockmgr.Exclusive)
+		if err == nil {
+			err = m.cfg.Store.BufferWrite(req.Txn.ID, op.Item, op.Value)
+		}
+		if err != nil {
 			m.cfg.Store.DropPending(req.Txn.ID)
+			if fresh != nil {
+				m.records.Put(fresh) // never registered, and the store dropped its array
+			}
 			return proto.BatchResp{}, err
 		}
 	}
 	var t *txnLocal
 	m.mu.Lock()
 	if len(req.Ops) > 0 {
-		t = m.trackLocked(req.Txn)
+		t = m.trackLocked(req.Txn, fresh)
 	} else if t = m.inflight[req.Txn.ID]; t == nil {
 		m.mu.Unlock()
 		return proto.BatchResp{}, nil
@@ -476,6 +544,8 @@ func (m *Manager) prepare(t *txnLocal) (vote bool, maxSeq uint64) {
 	t.preparedAt = m.cfg.Clock.Now()
 	m.mu.Unlock()
 
+	// The record shares the pending set while the transaction is in
+	// doubt; its participant decision drops it from the log's index.
 	m.cfg.Log.Append(wal.Record{
 		Type: wal.RecordPrepare, Role: wal.RoleParticipant,
 		Txn: id, Writes: m.cfg.Store.Pending(id), Origin: t.meta.Origin,
@@ -568,11 +638,15 @@ func (m *Manager) commit(t *txnLocal, commitSeq uint64, forced bool) error {
 		m.cfg.Obs.Forced(m.cfg.Site, "commit")
 	}
 	m.mu.Lock()
-	if m.inflight[txn] == t { // a crash meanwhile may have replaced it
+	mine := m.inflight[txn] == t // a crash meanwhile may have replaced it
+	if mine {
 		delete(m.inflight, txn)
 	}
 	m.mu.Unlock()
 	m.cfg.Locks.ReleaseAll(txn)
+	if mine {
+		m.release(t)
+	}
 	return nil
 }
 
@@ -604,10 +678,17 @@ func (m *Manager) noteMissed(item proto.Item, missed []proto.SiteID) {
 
 func (m *Manager) handleAbort(req proto.AbortReq) error {
 	if req.ReadOnlyEnd {
+		id := req.Txn.ID
 		m.mu.Lock()
-		delete(m.inflight, req.Txn.ID)
+		t := m.inflight[id]
+		delete(m.inflight, id)
 		m.mu.Unlock()
-		m.cfg.Locks.ReleaseAll(req.Txn.ID)
+		m.cfg.Locks.ReleaseAll(id)
+		// A site the transaction only read was lent nothing, and its
+		// reads keep nothing of the record: the pool may have it back.
+		if t != nil && len(m.cfg.Store.Pending(id)) == 0 {
+			m.release(t)
+		}
 		return nil
 	}
 	m.finishAbort(req.Txn.ID)

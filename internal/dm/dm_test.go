@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"siterecovery/internal/clock"
 	"siterecovery/internal/history"
 	"siterecovery/internal/lockmgr"
 	"siterecovery/internal/proto"
@@ -25,6 +26,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, tracking Tracking, cb Callbacks) *fixture {
 	t.Helper()
+	return newClockedFixture(t, tracking, cb, nil)
+}
+
+// newClockedFixture is newFixture whose data manager reads clk (nil: the
+// wall clock).
+func newClockedFixture(t *testing.T, tracking Tracking, cb Callbacks, clk clock.Clock) *fixture {
+	t.Helper()
 	st := storage.NewMem(1, []proto.Item{"x", "y", proto.NSItem(1)}, initialTxn)
 	locks := lockmgr.New(lockmgr.Config{Timeout: 200 * time.Millisecond})
 	log := wal.New()
@@ -33,7 +41,7 @@ func newFixture(t *testing.T, tracking Tracking, cb Callbacks) *fixture {
 	rec.Commit(initialTxn, 0)
 	m := New(Config{
 		Site: 1, Store: st, Locks: locks, Log: log, Recorder: rec,
-		Tracking: tracking,
+		Tracking: tracking, Clock: clk,
 	}, cb)
 	m.SetSession(5)
 	return &fixture{dm: m, store: st, locks: locks, log: log, rec: rec}
@@ -316,6 +324,37 @@ func TestCrashLosesVolatileState(t *testing.T) {
 	}
 }
 
+// TestInDoubtWriteSetOutlivesReusedRecords: the prepare record shares the
+// pending set, which grows in its transaction's pooled record, so that
+// record goes back to the pool only after the log has dropped the prepare
+// record. A transaction prepared before a crash keeps its write set through
+// the crash and through later transactions that take and give back pooled
+// records, and its recovery redoes exactly that set.
+func TestInDoubtWriteSetOutlivesReusedRecords(t *testing.T) {
+	f := newFixture(t, TrackNone, Callbacks{})
+	const inDoubt = proto.TxnID(10)
+	call(t, f, proto.BatchReq{Txn: meta(inDoubt, proto.ClassUser), Mode: proto.CheckSession, Expect: 5,
+		Ops: []proto.BatchOp{{Item: "x", Value: 5}}, Prepare: true})
+	f.dm.Crash()
+	f.dm.Restart()
+	f.dm.SetSession(6)
+	for id := proto.TxnID(20); id < 40; id++ {
+		call(t, f, proto.BatchReq{Txn: meta(id, proto.ClassUser), Mode: proto.CheckSession, Expect: 6,
+			Ops: []proto.BatchOp{{Item: "y", Value: proto.Value(id)}}, Prepare: true})
+		call(t, f, proto.CommitReq{Txn: meta(id, proto.ClassUser), CommitSeq: uint64(id)})
+	}
+	if writes, _ := f.log.PreparedRecord(inDoubt); len(writes) != 1 || writes[0].Item != "x" || writes[0].Value != 5 {
+		t.Fatalf("the in-doubt prepare record holds %+v, want x = 5", writes)
+	}
+	f.dm.ResolveInDoubt(func(proto.TxnMeta) (proto.TxnState, uint64) { return proto.StateCommitted, 50 })
+	if v, ver, _ := f.store.Committed("x"); v != 5 || ver.Counter != 50 || ver.Writer != inDoubt {
+		t.Fatalf("redone x = (%v, %v), want 5 under the in-doubt transaction's commit", v, ver)
+	}
+	if v, _, _ := f.store.Committed("y"); v != 39 {
+		t.Fatalf("y = %v, want the last transaction's 39", v)
+	}
+}
+
 func TestDecisionQuery(t *testing.T) {
 	active := map[proto.TxnID]bool{42: true}
 	f := newFixture(t, TrackNone, Callbacks{
@@ -356,12 +395,16 @@ func TestProbe(t *testing.T) {
 }
 
 func TestStalePreparedAndCooperativeTermination(t *testing.T) {
-	f := newFixture(t, TrackNone, Callbacks{})
+	clk := clock.NewVirtual(time.Unix(1, 0))
+	f := newClockedFixture(t, TrackNone, Callbacks{}, clk)
 	txn := proto.TxnID(10)
 	call(t, f, userWrite("x", 5, txn, 5))
 	call(t, f, proto.PrepareReq{Txn: meta(txn, proto.ClassUser)})
 
-	time.Sleep(5 * time.Millisecond)
+	if stale := f.dm.StaleTxns(time.Millisecond); len(stale) != 0 {
+		t.Fatalf("StaleTxns before any time passed = %+v", stale)
+	}
+	clk.Advance(5 * time.Millisecond)
 	stale := f.dm.StaleTxns(time.Millisecond)
 	if len(stale) != 1 || !stale[0].Prepared || stale[0].Meta.ID != txn || stale[0].Meta.Origin != 2 {
 		t.Fatalf("StaleTxns = %+v", stale)

@@ -112,6 +112,7 @@ func New(cfg Config) (*Node, error) {
 		Listener: cfg.Listener,
 		Obs:      cfg.Obs,
 		Lamport:  seq.HighCommitSeq,
+		Names:    cat,
 	})
 
 	sc := cfg.SiteConfig

@@ -22,7 +22,7 @@ import (
 func vetoAt3(h transport.Handler) transport.Handler {
 	return func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 		resp, err := h(ctx, from, msg)
-		if br, ok := msg.(proto.BatchReq); ok && err == nil && slices.ContainsFunc(br.Ops, func(op proto.BatchOp) bool {
+		if br, ok := proto.As[proto.BatchReq](msg); ok && err == nil && slices.ContainsFunc(br.Ops, func(op proto.BatchOp) bool {
 			return strings.HasPrefix(string(op.Item), "veto") && op.Value == 1
 		}) {
 			return proto.BatchResp{Vote: false}, nil

@@ -130,6 +130,8 @@ type SiteConfig struct {
 // Start.
 type Site struct {
 	ID proto.SiteID
+	// Catalog is the item placement the site was assembled over.
+	Catalog *replication.Catalog
 
 	Store    storage.Engine
 	Locks    *lockmgr.Manager
@@ -159,7 +161,7 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 	}
 	id, cat, seq := cfg.Site, env.Catalog, env.Seq
 	s := &Site{
-		ID: id, Log: cfg.Log, Spool: env.Spool, up: true,
+		ID: id, Catalog: cat, Log: cfg.Log, Spool: env.Spool, up: true,
 		profile: cfg.Profile, obs: cfg.Obs,
 		disableBackground: env.DisableBackground,
 	}

@@ -99,15 +99,15 @@ func KindOf(m Message) Kind {
 		k = kindWrite
 	case WriteResp:
 		k = kindWriteResp
-	case BatchReq:
+	case BatchReq, *BatchReq:
 		k = kindBatch
-	case BatchResp:
+	case BatchResp, *BatchResp:
 		k = kindBatchResp
 	case PrepareReq:
 		k = kindPrepare
 	case PrepareResp:
 		k = kindPrepareResp
-	case CommitReq:
+	case CommitReq, *CommitReq:
 		k = kindCommit
 	case CommitResp:
 		k = kindCommitResp
@@ -170,27 +170,22 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.Expect))
 		b = appendSites(b, m.MissedBy)
 	case BatchReq:
-		b = appendTxn(b, m.Txn)
-		b = binary.AppendVarint(b, int64(m.Mode))
-		b = binary.AppendUvarint(b, uint64(m.Expect))
-		b = binary.AppendUvarint(b, uint64(len(m.Ops)))
-		for _, op := range m.Ops {
-			b = appendString(b, string(op.Item))
-			b = binary.AppendVarint(b, int64(op.Value))
-			b = appendSites(b, op.MissedBy)
-		}
-		b = appendBool(b, m.Prepare)
+		b = appendBatch(b, &m)
+	case *BatchReq:
+		b = appendBatch(b, m)
 	case BatchResp:
-		b = appendBool(b, m.Vote)
-		b = binary.AppendUvarint(b, m.MaxSeq)
+		b = appendBatchResp(b, &m)
+	case *BatchResp:
+		b = appendBatchResp(b, m)
 	case PrepareReq:
 		b = appendTxn(b, m.Txn)
 	case PrepareResp:
 		b = appendBool(b, m.Vote)
 		b = binary.AppendUvarint(b, m.MaxSeq)
 	case CommitReq:
-		b = appendTxn(b, m.Txn)
-		b = binary.AppendUvarint(b, m.CommitSeq)
+		b = appendCommit(b, &m)
+	case *CommitReq:
+		b = appendCommit(b, m)
 	case AbortReq:
 		b = appendTxn(b, m.Txn)
 		b = appendBool(b, m.ReadOnlyEnd)
@@ -225,6 +220,27 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+func appendBatch(b []byte, m *BatchReq) []byte {
+	b = appendTxn(b, m.Txn)
+	b = binary.AppendVarint(b, int64(m.Mode))
+	b = binary.AppendUvarint(b, uint64(m.Expect))
+	b = binary.AppendUvarint(b, uint64(len(m.Ops)))
+	for _, op := range m.Ops {
+		b = appendString(b, string(op.Item))
+		b = binary.AppendVarint(b, int64(op.Value))
+		b = appendSites(b, op.MissedBy)
+	}
+	return appendBool(b, m.Prepare)
+}
+
+func appendBatchResp(b []byte, m *BatchResp) []byte {
+	return binary.AppendUvarint(appendBool(b, m.Vote), m.MaxSeq)
+}
+
+func appendCommit(b []byte, m *CommitReq) []byte {
+	return binary.AppendUvarint(appendTxn(b, m.Txn), m.CommitSeq)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -275,43 +291,103 @@ func appendSpooled(b []byte, u SpooledUpdate) []byte {
 // Bytes after the last field this build knows are ignored (see the
 // compatibility rule above); an unknown kind byte is an error. An absent
 // collection and an empty one both decode as nil.
-func DecodeMessage(data []byte) (Message, error) {
+func DecodeMessage(data []byte) (Message, error) { return DecodeInto(data, nil, nil) }
+
+// Room is where DecodeInto puts the kinds every replicated write decodes — a
+// participant's BatchReq with its operations and its CommitReq, a
+// coordinator's BatchResp — so that none is boxed: each comes back as a
+// pointer into the room, and the room keeps its operation array for the next
+// request. What a pointer shows is good until the room is decoded or answered
+// into again.
+type Room struct {
+	Batch     BatchReq
+	BatchResp BatchResp
+	Commit    CommitReq
+}
+
+// A Roomer is a context with a Room of its own: a tcpnet handler's, whose
+// handler answers a BatchReq into it, or a transaction attempt's, which its
+// own reads of BatchResp replies decode into. Only the context itself
+// counts, never one it was derived from, and a nil Room is none.
+type Roomer interface {
+	Room() *Room
+}
+
+// Interner maps an item name's wire bytes to the canonical Item of that
+// name — a site's catalog does — so that decoding a name it knows makes no
+// string.
+type Interner interface {
+	Intern(name []byte) (Item, bool)
+}
+
+// As returns m's message as a T, whether m holds a T or a pointer to one:
+// what a receiver of a message decoded in place (a Room's) or sent by
+// pointer reads it with.
+func As[T Message](m Message) (T, bool) {
+	if v, ok := m.(T); ok {
+		return v, true
+	}
+	if p, ok := any(m).(*T); ok && p != nil {
+		return *p, true
+	}
+	var zero T
+	return zero, false
+}
+
+// DecodeInto is DecodeMessage with two economies: with a room, a BatchReq,
+// BatchResp or CommitReq is decoded into it and returned as a pointer to it;
+// with names, every item name names knows is its string, not a new one. A
+// name names does not know decodes, and fails wherever it is used, as
+// without.
+func DecodeInto(data []byte, room *Room, names Interner) (Message, error) {
 	if len(data) == 0 {
 		return nil, errors.New("decode: empty message")
 	}
 	r := NewWireReader(data[1:])
+	r.names = names
 	var m Message
 	// Go evaluates the calls in a composite literal in source order, which
 	// is the declaration order the encoder wrote.
 	switch data[0] {
 	case kindRead:
-		m = ReadReq{Txn: r.txn(), Item: Item(r.Str()), Mode: CheckMode(r.Int()), Expect: Session(r.Uint()),
+		m = ReadReq{Txn: r.txn(), Item: r.item(), Mode: CheckMode(r.Int()), Expect: Session(r.Uint()),
 			Copier: r.Bool(), ReadOld: r.Bool(), NoRecord: r.Bool()}
 	case kindReadResp:
 		m = ReadResp{Value: Value(r.Int()), Version: Version{Counter: r.Uint(), Writer: TxnID(r.Uint())}}
 	case kindWrite:
-		m = WriteReq{Txn: r.txn(), Item: Item(r.Str()), Value: Value(r.Int()), Mode: CheckMode(r.Int()),
-			Expect: Session(r.Uint()), MissedBy: r.sites()}
+		m = WriteReq{Txn: r.txn(), Item: r.item(), Value: Value(r.Int()), Mode: CheckMode(r.Int()),
+			Expect: Session(r.Uint()), MissedBy: r.sites(nil)}
 	case kindWriteResp:
 		m = WriteResp{}
 	case kindBatch:
-		req := BatchReq{Txn: r.txn(), Mode: CheckMode(r.Int()), Expect: Session(r.Uint())}
-		if n := r.Count(3); n > 0 {
-			req.Ops = make([]BatchOp, n)
-			for i := range req.Ops {
-				req.Ops[i] = BatchOp{Item: Item(r.Str()), Value: Value(r.Int()), MissedBy: r.sites()}
-			}
+		if room == nil {
+			var req BatchReq
+			r.batch(&req)
+			m = req
+		} else {
+			r.batch(&room.Batch)
+			m = &room.Batch
 		}
-		req.Prepare = r.Bool()
-		m = req
 	case kindBatchResp:
-		m = BatchResp{Vote: r.Bool(), MaxSeq: r.Uint()}
+		resp := BatchResp{Vote: r.Bool(), MaxSeq: r.Uint()}
+		if room == nil {
+			m = resp
+		} else {
+			room.BatchResp = resp
+			m = &room.BatchResp
+		}
 	case kindPrepare:
 		m = PrepareReq{Txn: r.txn()}
 	case kindPrepareResp:
 		m = PrepareResp{Vote: r.Bool(), MaxSeq: r.Uint()}
 	case kindCommit:
-		m = CommitReq{Txn: r.txn(), CommitSeq: r.Uint()}
+		req := CommitReq{Txn: r.txn(), CommitSeq: r.Uint()}
+		if room == nil {
+			m = req
+		} else {
+			room.Commit = req
+			m = &room.Commit
+		}
 	case kindCommitResp:
 		m = CommitResp{}
 	case kindAbort:
@@ -365,8 +441,9 @@ var errShort = errors.New("truncated or malformed field")
 // zero, so a decoder reads all its fields and checks once. tcpnet reads its
 // frame headers with it.
 type WireReader struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names Interner // what item names are looked up in, if anything
 }
 
 // NewWireReader reads from b.
@@ -418,15 +495,29 @@ func (r *WireReader) Byte() byte {
 func (r *WireReader) Bool() bool { return r.Byte() != 0 }
 
 // Str reads a uvarint length and that many bytes.
-func (r *WireReader) Str() string {
+func (r *WireReader) Str() string { return string(r.bytes()) }
+
+// bytes reads what Str reads, without copying it.
+func (r *WireReader) bytes() []byte {
 	n := r.Uint()
 	if n > uint64(len(r.b)) {
 		r.fail()
-		return ""
+		return nil
 	}
-	s := string(r.b[:n])
+	b := r.b[:n]
 	r.b = r.b[n:]
-	return s
+	return b
+}
+
+// item reads an item name: the interner's string for it when it has one.
+func (r *WireReader) item() Item {
+	b := r.bytes()
+	if r.names != nil {
+		if it, ok := r.names.Intern(b); ok {
+			return it
+		}
+	}
+	return Item(b)
 }
 
 // Count reads an element count and rejects one the remaining bytes cannot
@@ -444,12 +535,31 @@ func (r *WireReader) txn() TxnMeta {
 	return TxnMeta{ID: TxnID(r.Uint()), Class: TxnClass(r.Int()), Origin: SiteID(r.Int())}
 }
 
-func (r *WireReader) sites() []SiteID {
+// batch decodes a BatchReq into req, reusing the arrays of its operations
+// and their site lists.
+func (r *WireReader) batch(req *BatchReq) {
+	req.Txn, req.Mode, req.Expect = r.txn(), CheckMode(r.Int()), Session(r.Uint())
+	ops := req.Ops[:0]
+	if n := r.Count(3); n > 0 {
+		ops = slices.Grow(ops, n)[:n]
+		for i := range ops {
+			op := &ops[i]
+			op.Item, op.Value, op.MissedBy = r.item(), Value(r.Int()), r.sites(op.MissedBy)
+		}
+	} else if cap(ops) == 0 {
+		ops = nil
+	}
+	req.Ops, req.Prepare = ops, r.Bool()
+}
+
+// sites reads a site list into buf's array when it has room; an empty list
+// is nil.
+func (r *WireReader) sites(buf []SiteID) []SiteID {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]SiteID, n)
+	out := slices.Grow(buf[:0], n)[:n]
 	for i := range out {
 		out[i] = SiteID(r.Int())
 	}
@@ -463,13 +573,13 @@ func (r *WireReader) items() []Item {
 	}
 	out := make([]Item, n)
 	for i := range out {
-		out[i] = Item(r.Str())
+		out[i] = r.item()
 	}
 	return out
 }
 
 func (r *WireReader) spooled() SpooledUpdate {
-	return SpooledUpdate{Item: Item(r.Str()), Value: Value(r.Int()), CommitSeq: r.Uint(), Writer: TxnID(r.Uint())}
+	return SpooledUpdate{Item: r.item(), Value: Value(r.Int()), CommitSeq: r.Uint(), Writer: TxnID(r.Uint())}
 }
 
 // errorCodes maps the sentinel taxonomy of errors.go to stable wire codes.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // wireSamples returns one populated value per message kind, exercising the
@@ -273,5 +274,97 @@ func TestWireErrorPreservesSentinels(t *testing.T) {
 	var nilWire *WireError
 	if nilWire.Err() != nil {
 		t.Error("nil WireError.Err() != nil")
+	}
+}
+
+// names is an Interner over a fixed set of item names.
+type names map[string]Item
+
+func (n names) Intern(name []byte) (Item, bool) {
+	it, ok := n[string(name)]
+	return it, ok
+}
+
+// TestDecodeIntoRoom: the kinds a room holds decode into it, as pointers,
+// to what DecodeMessage decodes; the room's operation array is reused from
+// one batch to the next; every other kind decodes as without a room; and
+// with an interner a batch decodes without allocating at all, its known
+// item names the interner's strings, an unknown one a string of its own.
+func TestDecodeIntoRoom(t *testing.T) {
+	room := new(Room)
+	for _, msg := range wireSamples() {
+		data, err := EncodeMessage(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeInto(data, room, nil)
+		if err != nil {
+			t.Fatalf("decode %s into a room: %v", msg.Kind(), err)
+		}
+		var want any
+		switch msg.(type) {
+		case BatchReq:
+			want = &room.Batch
+		case BatchResp:
+			want = &room.BatchResp
+		case CommitReq:
+			want = &room.Commit
+		}
+		if want != nil && got != want {
+			t.Fatalf("%s decoded to %T, not into the room", msg.Kind(), got)
+		}
+		plain, _ := DecodeMessage(data)
+		if v, ok := As[BatchReq](got); ok && !reflect.DeepEqual(v, plain) ||
+			want == nil && !reflect.DeepEqual(got, plain) {
+			t.Fatalf("%s into a room = %+v, DecodeMessage = %+v", msg.Kind(), got, plain)
+		}
+		if KindOf(got) != KindOf(msg) {
+			t.Fatalf("KindOf(%T) = %v, want %v", got, KindOf(got), KindOf(msg))
+		}
+		if again, err := EncodeMessage(got); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s re-encoded from the room as %x, %v; want %x", msg.Kind(), again, err, data)
+		}
+	}
+
+	known := names{"k00017": "k00017", "k00250": "k00250"}
+	req := BatchReq{Txn: TxnMeta{ID: 9, Class: ClassUser, Origin: 1}, Prepare: true,
+		Ops: []BatchOp{{Item: "k00017", Value: 1}, {Item: "k00250", Value: 2, MissedBy: []SiteID{3}}}}
+	data, _ := EncodeMessage(req)
+	if _, err := DecodeInto(data, room, known); err != nil {
+		t.Fatal(err)
+	}
+	ops := &room.Batch.Ops[0]
+	if n := testing.AllocsPerRun(100, func() { DecodeInto(data, room, known) }); n != 0 {
+		t.Errorf("decoding a batch of known items into a room allocates %v times", n)
+	}
+	if &room.Batch.Ops[0] != ops {
+		t.Error("the room's operation array was not reused")
+	}
+	for _, op := range room.Batch.Ops {
+		if unsafe.StringData(string(op.Item)) != unsafe.StringData(string(known[string(op.Item)])) {
+			t.Errorf("%q is not the interner's string", op.Item)
+		}
+	}
+	req.Ops[0].Item = "unknown"
+	data, _ = EncodeMessage(req)
+	got, err := DecodeInto(data, room, known)
+	if err != nil || got.(*BatchReq).Ops[0].Item != "unknown" {
+		t.Fatalf("an unknown name decoded as %+v, %v", got, err)
+	}
+}
+
+// TestAsReadsValuesAndPointers: As reads a message sent by value or by
+// pointer, and nothing else.
+func TestAsReadsValuesAndPointers(t *testing.T) {
+	resp := BatchResp{Vote: true, MaxSeq: 3}
+	for _, m := range []Message{resp, &resp} {
+		if got, ok := As[BatchResp](m); !ok || got != resp {
+			t.Errorf("As[BatchResp](%T) = %+v, %v", m, got, ok)
+		}
+	}
+	for _, m := range []Message{CommitResp{}, (*BatchResp)(nil), nil} {
+		if _, ok := As[BatchResp](m); ok {
+			t.Errorf("As[BatchResp](%#v) took it", m)
+		}
 	}
 }

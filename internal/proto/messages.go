@@ -2,7 +2,10 @@ package proto
 
 // Message is implemented by every request and response that crosses the
 // simulated network. Kind returns a stable short name used for per-type
-// message accounting.
+// message accounting. A BatchReq, BatchResp or CommitReq — what every
+// replicated write sends — may also travel as a pointer to one, so that it
+// is not boxed (Room): KindOf and AppendMessage take either form, and a
+// receiver reads either with As.
 type Message interface {
 	Kind() string
 }

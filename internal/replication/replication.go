@@ -117,6 +117,7 @@ func ProfileByName(name string) (Profile, error) {
 type Catalog struct {
 	sites     []proto.SiteID
 	placement map[proto.Item][]proto.SiteID
+	names     map[string]proto.Item // every item, NS included, by name (Intern)
 }
 
 // NewCatalog builds a catalog for the given sites and item placement. The
@@ -162,7 +163,19 @@ func NewCatalog(sites []proto.SiteID, placement map[proto.Item][]proto.SiteID) (
 	for _, s := range ordered {
 		p[proto.NSItem(s)] = append([]proto.SiteID(nil), ordered...)
 	}
-	return &Catalog{sites: ordered, placement: p}, nil
+	names := make(map[string]proto.Item, len(p))
+	for item := range p {
+		names[string(item)] = item
+	}
+	return &Catalog{sites: ordered, placement: p, names: names}, nil
+}
+
+// Intern implements proto.Interner: the catalog's own string for the item
+// named name, NS items included, so that a decoder or a parser that meets a
+// known name makes no string of its own.
+func (c *Catalog) Intern(name []byte) (proto.Item, bool) {
+	item, ok := c.names[string(name)]
+	return item, ok
 }
 
 // Sites returns all sites in ascending order.

@@ -145,3 +145,25 @@ func TestCatalogSitesIsACopy(t *testing.T) {
 		t.Fatal("Sites leaked internal state")
 	}
 }
+
+// TestCatalogInternsItsNames: Intern answers the catalog's own string for
+// every item it places, NS items included, and nothing for a name it does
+// not know.
+func TestCatalogInternsItsNames(t *testing.T) {
+	c, err := NewCatalog(sites(3), map[proto.Item][]proto.SiteID{"x": {1, 2}, "y": {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range append(c.Items(), proto.NSItem(1), proto.NSItem(3)) {
+		got, ok := c.Intern([]byte(want))
+		if !ok || got != want {
+			t.Errorf("Intern(%q) = %q, %v", want, got, ok)
+		}
+	}
+	if got, ok := c.Intern([]byte("z")); ok {
+		t.Errorf("Intern(%q) = %q, want nothing", "z", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Intern([]byte("x")) }); n != 0 {
+		t.Errorf("Intern allocates %v times", n)
+	}
+}

@@ -75,8 +75,16 @@ type Engine interface {
 	// InstallPending installs under the version it carries (the original
 	// writer's) instead of the commit version.
 	BufferRefresh(txn proto.TxnID, item proto.Item, value proto.Value, version proto.Version) error
-	// Pending returns a copy of everything txn has buffered, sorted by
-	// item: what its prepare record must carry.
+	// Lend gives txn's pending set buf's array to grow in, unless txn has
+	// buffered something already: a caller that pools write sets buffers
+	// without allocating. The caller keeps the array for txn until the set
+	// is installed or dropped, and for as long as anything holds what
+	// Pending returned.
+	Lend(txn proto.TxnID, buf []wal.WriteRec)
+	// Pending returns everything txn has buffered, sorted by item: what its
+	// prepare record must carry. It is the pending set itself, shared, not a
+	// copy: the caller must not modify it, and a later buffered write or
+	// install may.
 	Pending(txn proto.TxnID) []wal.WriteRec
 	// DropPending discards everything txn buffered (abort path).
 	DropPending(txn proto.TxnID)
@@ -117,7 +125,8 @@ type Table interface {
 	// Put durably replaces the value and version of every written copy,
 	// unconditionally and in slice order; txn labels the batch in the
 	// engine's log. A write to an item with no copy fails the batch before
-	// any of it is applied. The table may keep writes.
+	// any of it is applied. The table must not keep writes: its array is a
+	// pending set's, which its owner reuses.
 	Put(txn proto.TxnID, writes []wal.WriteRec) error
 	// SetValue overwrites the value of a copy in place, keeping its version.
 	SetValue(item proto.Item, value proto.Value) error
@@ -300,7 +309,7 @@ func (s *Store) buffer(txn proto.TxnID, w wal.WriteRec) error {
 	if set == nil {
 		// Room for a usual write set's share (the 4 ops of the ledger's and
 		// the load generator's transactions) in one allocation, not one per
-		// doubling.
+		// doubling, unless the set was lent an array.
 		set = make([]wal.WriteRec, 0, 4)
 	}
 	i := sort.Search(len(set), func(i int) bool { return set[i].Item >= w.Item })
@@ -313,11 +322,22 @@ func (s *Store) buffer(txn proto.TxnID, w wal.WriteRec) error {
 	return nil
 }
 
-// Pending returns a copy of everything txn has buffered, sorted by item.
+// Lend makes buf's array where txn's pending set grows from its first
+// buffered write, unless it has a set already: an empty one until then.
+func (s *Store) Lend(txn proto.TxnID, buf []wal.WriteRec) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.pending[txn]; !ok && cap(buf) > 0 {
+		s.pending[txn] = buf[:0]
+	}
+}
+
+// Pending returns everything txn has buffered, sorted by item: the pending
+// set itself, not a copy.
 func (s *Store) Pending(txn proto.TxnID) []wal.WriteRec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]wal.WriteRec(nil), s.pending[txn]...)
+	return s.pending[txn]
 }
 
 // DropPending discards everything txn buffered (abort path).
@@ -341,6 +361,7 @@ func (s *Store) InstallPending(txn proto.TxnID, version proto.Version) ([]wal.Wr
 	defer s.mu.Unlock()
 	writes := s.pending[txn]
 	if len(writes) == 0 {
+		delete(s.pending, txn) // a lent array nothing was buffered in
 		return nil, nil
 	}
 	for i := range writes {

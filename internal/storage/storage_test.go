@@ -232,9 +232,19 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestPendingWritesIsolatedCopy(t *testing.T) {
-	s := newStore(t, "x")
+// TestPendingSharesTheLentSet: a transaction's pending set grows in the
+// array it was lent, Pending hands out that set itself — a prepare record
+// keeps it, uncopied, while the transaction is in doubt — and no other
+// transaction sees it. An install forgets a set, even a lent one nothing was
+// buffered in.
+func TestPendingSharesTheLentSet(t *testing.T) {
+	s := newStore(t, "x", "y")
 	txn := proto.TxnID(2)
+	var buf [4]wal.WriteRec
+	s.Lend(txn, buf[:0])
+	if err := s.BufferWrite(txn, "y", 2); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.BufferWrite(txn, "x", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +252,22 @@ func TestPendingWritesIsolatedCopy(t *testing.T) {
 		t.Fatal("another transaction sees txn's pending set")
 	}
 	p := s.Pending(txn)
-	p[0].Value = 999 // mutating the returned slice must not affect the store
-	if got := s.Pending(txn)[0].Value; got != 1 {
-		t.Fatalf("Pending leaked internal state: %d", got)
+	if len(p) != 2 || p[0].Item != "x" || &p[0] != &buf[0] {
+		t.Fatalf("Pending = %+v, want x and y sorted, in the lent array", p)
+	}
+	installed, err := s.InstallPending(txn, proto.Version{Counter: 5, Writer: txn})
+	if err != nil || len(installed) != 2 || &installed[0] != &buf[0] {
+		t.Fatalf("InstallPending = %+v, %v; want the lent set", installed, err)
+	}
+	if len(s.Pending(txn)) != 0 {
+		t.Fatal("an installed set is still pending")
+	}
+	s.Lend(txn+1, make([]wal.WriteRec, 0, 4))
+	if _, err := s.InstallPending(txn+1, proto.Version{Counter: 6, Writer: txn + 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.pending) != 0 {
+		t.Fatalf("sets left behind: %v", s.pending)
 	}
 }
 

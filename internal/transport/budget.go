@@ -15,28 +15,39 @@ import (
 // share of a site's garbage. tcpnet serves every inbound request under one,
 // and srnode every POST /txn.
 //
-// Start it before use; Release it when the work is done. It must not be
-// copied after Start.
+// Start it before use; Release it when the work is done. A released Budget
+// may be started again for the next piece of work, so an owner that serves
+// one request after another keeps one: everything a method reads is behind
+// its mutex, so a caller that kept the budget past its Release and asks it
+// anything then sees whichever work it was last started for, without a
+// race. It must not be copied after Start.
 type Budget struct {
+	mu       sync.Mutex
 	parent   context.Context
 	deadline time.Time
-
-	mu       sync.Mutex
 	armed    context.Context
 	cancel   context.CancelFunc
 	released bool
 }
 
-// Start bounds parent by deadline.
+// Start bounds parent by deadline, as a budget nothing has armed or
+// released yet.
 func (b *Budget) Start(parent context.Context, deadline time.Time) {
 	if d, ok := parent.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.parent, b.deadline = parent, deadline
+	b.armed, b.cancel, b.released = nil, nil, false
 }
 
 // Deadline implements context.Context: exact from the start.
-func (b *Budget) Deadline() (time.Time, bool) { return b.deadline, true }
+func (b *Budget) Deadline() (time.Time, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.deadline, true
+}
 
 // Done implements context.Context, arming the budget on first use.
 func (b *Budget) Done() <-chan struct{} {
@@ -51,40 +62,37 @@ func (b *Budget) Done() <-chan struct{} {
 	return b.armed.Done()
 }
 
-// current returns the armed context, nil while nothing has asked for Done,
-// and whether the budget was released.
-func (b *Budget) current() (context.Context, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.armed, b.released
-}
-
-// Err implements context.Context without arming the budget.
+// Err implements context.Context without arming the budget: an armed
+// budget answers from its context, a released one is canceled, and an
+// unarmed one compares its deadline with the clock.
 func (b *Budget) Err() error {
-	armed, released := b.current()
+	b.mu.Lock()
+	armed, released, parent, deadline := b.armed, b.released, b.parent, b.deadline
+	b.mu.Unlock()
 	switch {
 	case armed != nil:
 		return armed.Err()
 	case released:
 		return context.Canceled
 	}
-	if err := b.parent.Err(); err != nil {
+	if err := parent.Err(); err != nil {
 		return err
 	}
-	if !time.Now().Before(b.deadline) {
+	if !time.Now().Before(deadline) {
 		return context.DeadlineExceeded
 	}
 	return nil
 }
 
-// Value implements context.Context. Once armed it defers to the armed
-// context, so a context derived from this one finds the standard library's
-// cancellation parent in it and needs no goroutine to follow Done.
+// Value implements context.Context.
 func (b *Budget) Value(key any) any {
-	if armed, _ := b.current(); armed != nil {
-		return armed.Value(key)
+	b.mu.Lock()
+	ctx := b.armed
+	if ctx == nil {
+		ctx = b.parent
 	}
-	return b.parent.Value(key)
+	b.mu.Unlock()
+	return ctx.Value(key)
 }
 
 // Release ends the budget when its work is done: an armed budget is

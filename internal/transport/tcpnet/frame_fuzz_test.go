@@ -31,7 +31,8 @@ func FuzzFrameHeader(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if id, isErr, body, err := parseRespHeader(payload); err == nil {
-			decodeReply(isErr, body)
+			decodeReply(isErr, body, nil)
+			decodeReply(isErr, body, new(proto.Room))
 			again := appendRespHeader(nil, id, isErr)
 			if id2, isErr2, _, err := parseRespHeader(again); err != nil || id2 != id || isErr2 != isErr {
 				t.Fatalf("response header %d/%v re-parsed as %d/%v, %v", id, isErr, id2, isErr2, err)

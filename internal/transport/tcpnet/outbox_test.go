@@ -131,14 +131,14 @@ func TestQueuedDecisionDoesNotWaitOutALockTimeout(t *testing.T) {
 	locks := lockmgr.New(lockmgr.Config{Timeout: lockTimeout})
 	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 		switch m := msg.(type) {
-		case proto.BatchReq:
+		case *proto.BatchReq: // decoded in the serving goroutine's room
 			for _, op := range m.Ops {
 				if err := locks.Acquire(ctx, m.Txn.ID, string(op.Item), lockmgr.Exclusive); err != nil {
 					return nil, err
 				}
 			}
 			return proto.BatchResp{Vote: true}, nil
-		case proto.CommitReq:
+		case *proto.CommitReq:
 			locks.ReleaseAll(m.Txn.ID)
 			return proto.CommitResp{}, nil
 		case proto.ProbeReq:

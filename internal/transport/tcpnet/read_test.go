@@ -197,7 +197,7 @@ func TestHolderTimeoutPassesTokenOn(t *testing.T) {
 		case proto.PrepareReq:
 			started <- struct{}{}
 			session = 8
-		case proto.CommitReq:
+		case *proto.CommitReq:
 			session = 9
 		default:
 			return proto.ProbeResp{Operational: true}, nil

@@ -44,7 +44,7 @@ func TestAbortOvertakesBatchParkedOnLock(t *testing.T) {
 	}
 	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 		switch m := msg.(type) {
-		case proto.BatchReq:
+		case *proto.BatchReq: // decoded in the serving goroutine's room
 			for _, op := range m.Ops {
 				if err := locks.Acquire(ctx, m.Txn.ID, string(op.Item), lockmgr.Exclusive); err != nil {
 					return nil, err

@@ -141,6 +141,10 @@ type Config struct {
 	// the step that sequences each span event, so it must not take a lock
 	// held by anyone emitting into that hub.
 	Lamport func() uint64
+	// Names, when non-nil, interns the item names of decoded requests: the
+	// site's catalog, so that a request names its items with the catalog's
+	// strings and makes none (proto.DecodeInto).
+	Names proto.Interner
 }
 
 func (c Config) withDefaults() Config {
@@ -579,7 +583,7 @@ type Transport struct {
 	mu      sync.Mutex
 	ln      net.Listener
 	peers   map[proto.SiteID]*peerConn
-	dialing map[proto.SiteID]chan struct{}
+	dialing map[proto.SiteID]*dialing
 	serving map[net.Conn]bool
 	closed  bool
 	// asking holds the peers an ask goroutine is on its way to (AskPeers).
@@ -610,7 +614,7 @@ func New(cfg Config) *Transport {
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		peers:      make(map[proto.SiteID]*peerConn),
-		dialing:    make(map[proto.SiteID]chan struct{}),
+		dialing:    make(map[proto.SiteID]*dialing),
 		serving:    make(map[net.Conn]bool),
 		asking:     make(map[proto.SiteID]bool),
 		epoch:      time.Now(),
@@ -825,8 +829,17 @@ type servedConn struct {
 // goroutine finishes its one handler, writes the response and exits;
 // responses may cross the wire out of order. The goroutine that finds the
 // stream ended, or corrupt, retires the connection.
+//
+// Each readLoop goroutine owns one handlerCtx, the owner of the request it
+// serves: the request is decoded into its room, the handler runs under it
+// and answers into it. The goroutine reuses it for its next frame, which it
+// reads only if it still owns the read side: so only after a handler that
+// returned without asking for Done. A goroutine that gave the read side away
+// leaves its owner, and whatever the handler kept of it, to the GC; the
+// goroutine that took the read side over makes an owner of its own.
 func (s *servedConn) readLoop() {
 	defer s.t.wg.Done()
+	own := new(handlerCtx)
 	for {
 		var err error
 		if s.buf, err = readFrame(s.r, s.buf); err != nil {
@@ -841,13 +854,13 @@ func (s *servedConn) readLoop() {
 			continue
 		}
 		// The decoded message shares nothing with buf, which the next reader
-		// overwrites.
-		msg, err := proto.DecodeMessage(body)
+		// overwrites; it may point into own's room.
+		msg, err := proto.DecodeInto(body, &own.room, s.t.cfg.Names)
 		reading := h.oneWay || s.r.Buffered() == 0
 		if !reading {
 			s.handOff()
 		}
-		if !s.serve(h, msg, err, reading) {
+		if !s.serve(own, h, msg, err, reading) {
 			return
 		}
 	}
@@ -864,15 +877,15 @@ func (s *servedConn) handOff() {
 	go s.readLoop()
 }
 
-// serve answers one request: it runs the handler (unless the message did
-// not decode) and, unless the request was posted, writes the response frame,
-// built in a pooled buffer, with one Write. reading says the calling
-// goroutine owns the connection's read side, and the result whether it still
-// does: the handler's context may have given it away.
-func (s *servedConn) serve(h reqHeader, msg proto.Message, err error, reading bool) bool {
+// serve answers one request under its owner: it runs the handler (unless
+// the message did not decode) and, unless the request was posted, writes the
+// response frame, built in a pooled buffer, with one Write. reading says the
+// calling goroutine owns the connection's read side, and the result whether
+// it still does: the handler's context may have given it away.
+func (s *servedConn) serve(own *handlerCtx, h reqHeader, msg proto.Message, err error, reading bool) bool {
 	var reply proto.Message
 	if err == nil {
-		reply, reading, err = s.dispatch(h, msg, reading)
+		reply, reading, err = s.dispatch(own, h, msg, reading)
 	}
 	if h.oneWay {
 		return reading
@@ -904,15 +917,35 @@ func (s *servedConn) serve(h reqHeader, msg proto.Message, err error, reading bo
 // under mu, and only until release: a Done after the handler returned — from
 // a goroutine it leaked, or a derived context — must not start a second
 // reader on the connection's bufio.Reader.
+//
+// A handlerCtx is also its request's owner (readLoop): it holds the room the
+// request was decoded into and the handler answers into (proto.Roomer), and
+// its goroutine reuses it for the next frame unless the handler asked for
+// Done. A handler that keeps its context, its request or its reply past its
+// return must therefore have asked for Done first; deriving a cancelable
+// context from it does.
 type handlerCtx struct {
 	transport.Budget
+
+	mu sync.Mutex
 	// span is the caller's span context, what SpanFrom finds in this
 	// context, when the request carried one (traced).
 	span   obs.SpanContext
 	traced bool
-
-	mu     sync.Mutex
 	reader *servedConn
+
+	room proto.Room
+}
+
+// start readies the owner for one request, reader being the goroutine's
+// servedConn while it owns the read side. Like the budget it is made under
+// the mutex every method reads under: a context kept past an earlier
+// request may be asked anything meanwhile.
+func (c *handlerCtx) start(base context.Context, deadline time.Time, req reqHeader, reader *servedConn) {
+	c.Start(base, deadline)
+	c.mu.Lock()
+	c.span, c.traced, c.reader = req.span, req.traced, reader
+	c.mu.Unlock()
 }
 
 func (c *handlerCtx) Done() <-chan struct{} {
@@ -927,13 +960,20 @@ func (c *handlerCtx) Done() <-chan struct{} {
 
 // Span implements obs.SpanCarrier: the caller's span context, when the
 // request carried one.
-func (c *handlerCtx) Span() (obs.SpanContext, bool) { return c.span, c.traced }
+func (c *handlerCtx) Span() (obs.SpanContext, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.span, c.traced
+}
+
+// Room implements proto.Roomer.
+func (c *handlerCtx) Room() *proto.Room { return &c.room }
 
 // Value answers for the request's span context itself, and otherwise defers
 // to the budget.
 func (c *handlerCtx) Value(key any) any {
-	if c.traced && obs.IsSpanKey(key) {
-		return c.span
+	if span, traced := c.Span(); traced && obs.IsSpanKey(key) {
+		return span
 	}
 	return c.Budget.Value(key)
 }
@@ -948,9 +988,9 @@ func (c *handlerCtx) release() (reading bool) {
 	return reading
 }
 
-// dispatch runs the handler for one decoded request. reading and the
-// second result are serve's.
-func (s *servedConn) dispatch(req reqHeader, msg proto.Message, reading bool) (proto.Message, bool, error) {
+// dispatch runs the handler for one decoded request under its owner, made
+// ready for it here. reading and the second result are serve's.
+func (s *servedConn) dispatch(hctx *handlerCtx, req reqHeader, msg proto.Message, reading bool) (proto.Message, bool, error) {
 	t := s.t
 	h, err := t.loadHandler()
 	if err != nil {
@@ -967,11 +1007,11 @@ func (s *servedConn) dispatch(req reqHeader, msg proto.Message, reading bool) (p
 	// The caller's span context reaches the handler even without a local
 	// hub: nested RPCs the handler makes must still carry their causal
 	// parent. With a hub, the server side of the span is recorded too.
-	hctx := &handlerCtx{span: req.span, traced: req.traced}
-	hctx.Start(t.baseCtx, time.Now().Add(timeout))
+	var reader *servedConn
 	if reading {
-		hctx.reader = s
+		reader = s
 	}
+	hctx.start(t.baseCtx, time.Now().Add(timeout), req, reader)
 	traced := req.traced && t.cfg.Obs != nil
 	var (
 		kind  proto.Kind
@@ -1434,12 +1474,18 @@ func (c *call) read() (proto.Message, error) {
 		ch := pc.claim(id)
 		if ch == c.ch {
 			c.disarm(armed)
-			resp := decodeReply(isErr, body) // before the token: body is in buf
+			// Before the token: body is in buf. The reply lands in the
+			// caller's room, if its context has one.
+			var room *proto.Room // nil, DecodeInto's "none", unless ctx has one
+			if r, ok := c.ctx.(proto.Roomer); ok {
+				room = r.Room()
+			}
+			resp := decodeReply(isErr, body, room)
 			pc.token <- struct{}{}
 			return resp.msg, resp.err
 		}
 		if ch != nil {
-			ch <- decodeReply(isErr, body) // buffered: never blocks
+			ch <- decodeReply(isErr, body, nil) // buffered: never blocks
 		}
 	}
 }
@@ -1483,10 +1529,10 @@ func frameBuffered(r *bufio.Reader) bool {
 }
 
 // decodeReply decodes a response body: the reply message, or the error the
-// handler returned.
-func decodeReply(isErr bool, body []byte) callResult {
+// handler returned. A reply of a kind a room holds lands in room, if not nil.
+func decodeReply(isErr bool, body []byte, room *proto.Room) callResult {
 	if !isErr {
-		msg, err := proto.DecodeMessage(body)
+		msg, err := proto.DecodeInto(body, room, nil)
 		return callResult{msg, err}
 	}
 	w, err := proto.DecodeError(body)
@@ -1496,12 +1542,23 @@ func decodeReply(isErr bool, body []byte) callResult {
 	return callResult{err: w.Err()}
 }
 
+// dialing is a dial in progress to one site, which concurrent callers wait
+// on: done closes when it ends, and err is then its failure, if it failed
+// after retries refused-dial retries.
+type dialing struct {
+	done    chan struct{}
+	retries int
+	err     error
+}
+
 // getPeer returns the shared multiplexed connection to site to, dialing one
 // if none is live. Concurrent callers coalesce onto a single dial; fresh
 // reports whether THIS call dialed the connection (its failures are then
 // conclusive rather than retriable). A refused dial is retried up to retries
 // times (a peer process may still be starting); a dial that keeps failing
-// means the site is down.
+// means the site is down. A caller that waited on another caller's dial
+// takes its ErrSiteDown when that dial retried at least as often as the
+// caller would have: dialing again would only wait out the same refusals.
 func (t *Transport) getPeer(ctx context.Context, to proto.SiteID, retries int) (pc *peerConn, fresh bool, err error) {
 	for {
 		t.mu.Lock()
@@ -1513,17 +1570,20 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID, retries int) (
 			t.mu.Unlock()
 			return pc, false, nil
 		}
-		if wait := t.dialing[to]; wait != nil {
+		if d := t.dialing[to]; d != nil {
 			t.mu.Unlock()
 			select {
-			case <-wait:
+			case <-d.done:
+				if d.retries >= retries && errors.Is(d.err, proto.ErrSiteDown) {
+					return nil, false, d.err
+				}
 				continue // re-check: the dial finished (either way)
 			case <-ctx.Done():
 				return nil, false, ctx.Err()
 			}
 		}
-		done := make(chan struct{})
-		t.dialing[to] = done
+		d := &dialing{done: make(chan struct{}), retries: retries}
+		t.dialing[to] = d
 		addr, ok := t.cfg.Addrs[to]
 		t.mu.Unlock()
 
@@ -1536,7 +1596,8 @@ func (t *Transport) getPeer(ctx context.Context, to proto.SiteID, retries int) (
 
 		t.mu.Lock()
 		delete(t.dialing, to)
-		close(done)
+		d.err = err
+		close(d.done)
 		if err != nil {
 			t.mu.Unlock()
 			return nil, false, err

@@ -340,11 +340,11 @@ func TestBatchRoundTrip(t *testing.T) {
 	trs := newPair(t, 2)
 	got := make(chan proto.BatchReq, 1)
 	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		br, ok := msg.(proto.BatchReq)
+		br, ok := msg.(*proto.BatchReq) // decoded in the serving goroutine's room
 		if !ok {
 			return nil, fmt.Errorf("unhandled %T", msg)
 		}
-		got <- br
+		got <- *br // one request on the connection: nothing reuses the room
 		return proto.BatchResp{Vote: true, MaxSeq: 42}, nil
 	})
 

@@ -276,7 +276,7 @@ func TestFrameForwardCompat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode response header: %v", err)
 		}
-		return id, decodeReply(isErr, respBody)
+		return id, decodeReply(isErr, respBody, nil)
 	}
 
 	future := []byte{0x2a, 0x03, 'n', 'e', 'w'}
@@ -345,7 +345,7 @@ func TestFrameForwardCompat(t *testing.T) {
 	if err != nil || id != 3 || isErr {
 		t.Fatalf("response header with appended fields = %d, %v, %v", id, isErr, err)
 	}
-	if got := decodeReply(isErr, body); got.err != nil || got.msg != (proto.ProbeResp{Operational: true, Session: 4}) {
+	if got := decodeReply(isErr, body, nil); got.err != nil || got.msg != (proto.ProbeResp{Operational: true, Session: 4}) {
 		t.Errorf("response body with appended fields = %+v", got)
 	}
 }

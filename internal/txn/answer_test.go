@@ -147,7 +147,7 @@ func TestNoAnswerForAttemptsThatDoNotCommit(t *testing.T) {
 	inner := h.dms[2].Handle
 	refused := false
 	h.net.Register(2, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		if _, ok := msg.(proto.BatchReq); ok && !refused {
+		if _, ok := proto.As[proto.BatchReq](msg); ok && !refused {
 			refused = true
 			return proto.BatchResp{Vote: false}, nil
 		}
@@ -206,5 +206,54 @@ func TestNestedTransactionIsNotAnswered(t *testing.T) {
 	}
 	if decided := p.index(fmt.Sprintf("decision %d", outer)); decided < 0 || p.index("answer") != decided+1 {
 		t.Fatalf("sequence %v: want the one answer right after the outer decision %d", p.seq, outer)
+	}
+}
+
+// TestOwnTxIsEveryAttempts: under WithOwnTx every attempt of a transaction
+// runs in the given Tx — a retried one too, each from a clean slate — while
+// a transaction its body starts gets a Tx of its own, and the committed
+// write lands.
+func TestOwnTxIsEveryAttempts(t *testing.T) {
+	h := newHarness(t, replication.ROWAA, Callbacks{})
+	own := new(Tx)
+	ctx := WithOwnTx(context.Background(), own)
+	var ids []proto.TxnID
+	err := h.tms[1].Run(ctx, func(ctx context.Context, tx *Tx) error {
+		ids = append(ids, tx.ID())
+		if tx != own {
+			return fmt.Errorf("attempt %d runs in another Tx than the own one", len(ids))
+		}
+		if _, ok := tx.written("x"); ok {
+			return fmt.Errorf("attempt %d starts with the last one's write set", len(ids))
+		}
+		if err := tx.Write(ctx, "x", proto.Value(len(ids))); err != nil {
+			return err
+		}
+		err := h.tms[1].Run(ctx, func(ctx context.Context, nested *Tx) error {
+			if nested == own {
+				return errors.New("a nested transaction runs in the own Tx")
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if len(ids) == 1 {
+			return fmt.Errorf("first attempt: %w", proto.ErrWounded) // retried
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2 || ids[0] == ids[1] {
+		t.Fatalf("attempts %v, want two with distinct IDs", ids)
+	}
+	if !errors.Is(second(own.Read(ctx, "x")), proto.ErrTxnFinished) {
+		t.Fatal("the own Tx is not finished after Run")
+	}
+	v, _, err := h.dms[2].Store().Committed("x")
+	if err != nil || v != 2 {
+		t.Fatalf("x at site 2 = %v, %v; want the second attempt's 2", v, err)
 	}
 }

@@ -201,6 +201,19 @@ func WithAnswer(parent context.Context, a Answerer) context.Context {
 	return context.WithValue(parent, answerKey{}, a)
 }
 
+// ownKey is the context key WithOwnTx stores a Tx under.
+type ownKey struct{}
+
+// WithOwnTx returns parent carrying tx, whose memory every attempt of a
+// transaction run under the returned context takes instead of allocating a
+// Tx of its own. Its caller runs one transaction at a time under it, and its
+// bodies keep no Tx past their return: an attempt's Tx is the next one's. A
+// connection of srnode's POST /txn runs its transactions so. Like the
+// Answerer, a transaction the body starts does not see it.
+func WithOwnTx(parent context.Context, tx *Tx) context.Context {
+	return context.WithValue(parent, ownKey{}, tx)
+}
+
 // Config assembles a TM.
 type Config struct {
 	Site     proto.SiteID
@@ -379,7 +392,11 @@ func (m *Manager) begin(ctx context.Context, class proto.TxnClass, attempt int) 
 	begun := m.cfg.Obs.TxnBegin(m.cfg.Site, id, class, attempt)
 
 	parent, _ := obs.SpanFrom(ctx)
-	tx := &Tx{
+	tx, _ := ctx.Value(ownKey{}).(*Tx)
+	if tx == nil {
+		tx = new(Tx)
+	}
+	*tx = Tx{
 		m:     m,
 		meta:  meta,
 		begun: begun,
@@ -466,6 +483,8 @@ type Tx struct {
 
 	// scr is the attempt's pooled scratch, nil once the attempt has ended.
 	scr *scratch
+	// room is where the attempt's phase-one replies from peers land (Room).
+	room proto.Room
 	// ctx is what the attempt's body and operations run under (bind), dctx
 	// what its decision and aborts are delivered under (detach).
 	ctx, dctx spanCtx
@@ -499,9 +518,14 @@ type scratch struct {
 	plans   []writePlan        // the flush's plan of each written item
 	ops     []proto.BatchOp    // every target's batch, back to back
 	batches [][]proto.BatchOp  // batches[j] is what the flush's j-th target receives
+	reqs    []proto.BatchReq   // reqs[j] is the request that carries batches[j]
 	results []transport.Result // the last fan-out's
 	local   localCall          // the last fan-out's request to the own site
 	sites   []proto.SiteID     // backs the raw writes' targets, and the plans' lists when a replica is down
+	// decision is phase two's CommitReq. It and the batch requests are sent
+	// by pointer, which a transport reads before its Send or Post returns,
+	// so that no request is boxed.
+	decision proto.CommitReq
 }
 
 // writeEntry is one buffered write: a logical one, placed by the profile at
@@ -528,6 +552,7 @@ type spanCtx struct {
 	span     obs.SpanContext
 	hasSpan  bool
 	detached bool
+	room     *proto.Room // the attempt's, for its operations' replies (Room)
 }
 
 // bind returns ctx carrying the attempt's span: every RPC the attempt makes
@@ -535,7 +560,7 @@ type spanCtx struct {
 // transaction's root ID. Only a recording transport (tcpnet with a hub) acts
 // on it.
 func (t *Tx) bind(ctx context.Context) context.Context {
-	t.ctx = spanCtx{parent: ctx, span: t.span, hasSpan: true}
+	t.ctx = spanCtx{parent: ctx, span: t.span, hasSpan: true, room: &t.room}
 	return &t.ctx
 }
 
@@ -573,14 +598,22 @@ func (c *spanCtx) Value(key any) any {
 	if c.hasSpan && obs.IsSpanKey(key) {
 		return c.span
 	}
-	if _, ok := key.(answerKey); ok {
-		return nil // the attempt's Tx holds the answer; no nested transaction gets it
+	switch key.(type) {
+	case answerKey, ownKey:
+		return nil // the attempt's Tx holds the answer, and is the own Tx; no nested transaction gets either
 	}
 	return c.parent.Value(key)
 }
 
 // Span implements obs.SpanCarrier.
 func (c *spanCtx) Span() (obs.SpanContext, bool) { return c.span, c.hasSpan }
+
+// Room implements proto.Roomer for an attempt's operations: a phase-one
+// reply its own read decodes, or a participant on the simulator answers, lands
+// in the attempt's room. The attempt reads each as its fan-out collects it,
+// before the next one. A detached context has none: a decision or an abort
+// is answered by no BatchResp.
+func (c *spanCtx) Room() *proto.Room { return c.room }
 
 // end finishes the attempt: it is done, its TM no longer coordinates it, and
 // its scratch goes back to the pool, cleared, so that nothing it referenced
@@ -597,9 +630,10 @@ func (t *Tx) end() {
 	clear(s.plans)
 	clear(s.ops)
 	clear(s.batches)
+	clear(s.reqs)
 	clear(s.results)
-	s.written, s.plans, s.ops, s.batches, s.results, s.sites = s.written[:0], s.plans[:0], s.ops[:0], s.batches[:0], s.results[:0], s.sites[:0]
-	s.local = localCall{}
+	s.written, s.plans, s.ops, s.batches, s.reqs, s.results, s.sites = s.written[:0], s.plans[:0], s.ops[:0], s.batches[:0], s.reqs[:0], s.results[:0], s.sites[:0]
+	s.local, s.decision = localCall{}, proto.CommitReq{}
 	t.m.scratch.Put(s)
 }
 
@@ -1122,10 +1156,11 @@ func (t *Tx) Commit(ctx context.Context) error {
 	// lost after it was written, is tolerated: the participant learns the
 	// outcome from the decision service or its own recovery.
 	deliverCtx := t.detach(ctx)
-	decision := proto.CommitReq{Txn: t.meta, CommitSeq: commitSeq}
+	decision := &t.scr.decision
+	*decision = proto.CommitReq{Txn: t.meta, CommitSeq: commitSeq}
 	t.scr.results = transport.Fanout(t.scr.results, t.wparts, func(site proto.SiteID) transport.Pending {
 		if site == t.m.cfg.Site {
-			return t.local(deliverCtx, func(c *localCall) { c.op, c.commit = localCommit, decision })
+			return t.local(deliverCtx, func(c *localCall) { c.op, c.commit = localCommit, *decision })
 		}
 		err := t.m.cfg.Net.Post(deliverCtx, t.m.cfg.Site, site, decision)
 		if err != nil {
@@ -1164,12 +1199,13 @@ func (t *Tx) answered() {
 func (t *Tx) Failed() (proto.SiteID, error) { return t.failedAt, t.failure }
 
 // vote reads a participant's phase-one reply — from the own site's
-// localCall, or from a peer's message — and turns a "no", or a reply that is
-// not a vote, into an error.
+// localCall, or from a peer's message, which may point into the attempt's
+// room and is read before the next reply lands there — and turns a "no", or
+// a reply that is not a vote, into an error.
 func (t *Tx) vote(r *transport.Result) error {
 	br := t.scr.local.batchResp
 	if r.Site != t.m.cfg.Site {
-		br, _ = r.Resp.(proto.BatchResp)
+		br, _ = proto.As[proto.BatchResp](r.Resp)
 	}
 	if !br.Vote {
 		return fmt.Errorf("voted no: %w", proto.ErrTxnAborted)
@@ -1216,6 +1252,7 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 	// batches[j] is what sites[j] receives: a slice of ops, which has room
 	// for every op, so none of the appends below moves it.
 	s.ops = slices.Grow(s.ops, nops)
+	s.reqs = slices.Grow(s.reqs, len(sites))[:len(sites)]
 	for _, site := range sites {
 		from := len(s.ops)
 		for i, w := range s.written {
@@ -1235,7 +1272,8 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 	}
 	s.results = transport.Fanout(s.results, sites, func(site proto.SiteID) transport.Pending {
 		j, _ := slices.BinarySearch(sites, site)
-		req := proto.BatchReq{
+		req := &s.reqs[j]
+		*req = proto.BatchReq{
 			Txn:     t.meta,
 			Mode:    mode,
 			Ops:     s.batches[j],
@@ -1246,7 +1284,7 @@ func (t *Tx) flushBatch(ctx context.Context) error {
 		}
 		t.attempted.add(site)
 		if site == t.m.cfg.Site {
-			return t.local(ctx, func(c *localCall) { c.op, c.batch = localBatch, req })
+			return t.local(ctx, func(c *localCall) { c.op, c.batch = localBatch, *req })
 		}
 		return t.m.cfg.Net.Send(ctx, t.m.cfg.Site, site, req)
 	}, func(r *transport.Result) bool {

@@ -620,7 +620,7 @@ func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 	batches3 := 0
 	inner3 := h.dms[3].Handle
 	h.net.Register(3, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		if _, ok := msg.(proto.BatchReq); ok {
+		if _, ok := proto.As[proto.BatchReq](msg); ok {
 			batches3++
 		}
 		return inner3(ctx, from, msg)
@@ -629,7 +629,7 @@ func TestSequentialPrepareHaltsOnNoVote(t *testing.T) {
 	inner2 := h.dms[2].Handle
 	h.net.Register(2, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
 		resp, err := inner2(ctx, from, msg)
-		if br, ok := resp.(proto.BatchResp); ok {
+		if br, ok := proto.As[proto.BatchResp](resp); ok {
 			br.Vote = false
 			resp = br
 		}
@@ -671,7 +671,7 @@ func TestReversedWriteOrdersTakeLocksInOneOrder(t *testing.T) {
 	)
 	inner := h.dms[1].Handle
 	h.net.Register(1, func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
-		if br, ok := msg.(proto.BatchReq); ok {
+		if br, ok := proto.As[proto.BatchReq](msg); ok {
 			if !sort.SliceIsSorted(br.Ops, func(i, j int) bool { return br.Ops[i].Item < br.Ops[j].Item }) {
 				mu.Lock()
 				unsorted = append(unsorted, br.Ops)

@@ -27,7 +27,8 @@
 # objects allocated and bytes allocated per cluster commit. The last two are
 # the runtime's exact Mallocs and TotalAlloc counters, read from
 # GET /debug/pprof/heap?debug=1 at both ends of the window, not a sampled
-# profile.
+# profile; a last line sums them over the sampled srnodes: the cluster's
+# objects and bytes per commit.
 #
 # From the same ports it prints how the window's posted decisions left
 # their outbox — carried ahead of a later frame to the same peer, written
@@ -312,4 +313,10 @@ awk -v commits="$n" -v sites="$sites" -v h0="$h0" -v h1="$h1" '
 			}
 			printf "%-8s %4s %10.1f %10d %11d %10.1f %10s %12s %12s\n", p, site[p], cpu[p], v[p], iv[p], sysms[p], per, objs, bytes
 		}
-	}' <(echo "$a") <(echo "$b") | sort -k2,2n
+	}' <(echo "$a") <(echo "$b") | sort -k2,2n | awk '
+	{ print }
+	$8 != "-" { objs += $8; bytes += $9; n++ }
+	END {
+		if (n > 0)
+			printf "cluster: %.1f objects and %.0f bytes per commit, summed over %d srnodes\n", objs, bytes, n
+	}'
