@@ -24,8 +24,9 @@ import (
 // intact, and the janitor's next sweep re-asks the decision and commits it.
 func TestInstallErrorKeepsTxnPreparedUntilJanitorRetries(t *testing.T) {
 	ctx := context.Background()
-	tb := &enginetest.FailingTable{Table: storage.NewMemTable(), Fail: true}
-	store, err := storage.NewStore(storage.Deps{Site: 1, Items: []proto.Item{"x", proto.NSItem(1)}, InitialWriter: 1}, tb)
+	d := storage.Deps{Site: 1, Items: []proto.Item{"x", proto.NSItem(1)}, InitialWriter: 1}
+	tb := &enginetest.FailingTable{Table: storage.NewMemTable(d.Numbers()), Fail: true}
+	store, err := storage.NewStore(d, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,8 @@ func (p *parkedInstall) InstallPending(txn proto.TxnID, v proto.Version) ([]wal.
 // that arrives meanwhile, or after, is a duplicate: no error, no count.
 func TestForcedCommitIsCountedBeforeItStopsBeingPrepared(t *testing.T) {
 	ctx := context.Background()
-	mem, err := storage.NewStore(storage.Deps{Site: 1, Items: []proto.Item{"x", proto.NSItem(1)}, InitialWriter: 1}, storage.NewMemTable())
+	d := storage.Deps{Site: 1, Items: []proto.Item{"x", proto.NSItem(1)}, InitialWriter: 1}
+	mem, err := storage.NewStore(d, storage.NewMemTable(d.Numbers()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,6 +187,7 @@ func NewSite(env Env, cfg SiteConfig) (*Site, error) {
 		Items:         items,
 		InitialWriter: txn.InitialTxn,
 		Log:           s.Log,
+		Numbering:     cat.Numbering(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("site %v storage engine: %w", id, err)

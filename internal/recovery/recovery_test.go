@@ -240,7 +240,7 @@ func TestFailedInDoubtRedoMarksTheCopy(t *testing.T) {
 		CopierWorkers:     -1,
 		DisableBackground: true,
 		Storage: func(d storage.Deps) (storage.Engine, error) {
-			var tb storage.Table = storage.NewMemTable()
+			var tb storage.Table = storage.NewMemTable(d.Numbers())
 			if d.Site == 3 {
 				table = &enginetest.FailingTable{Table: tb}
 				tb = table

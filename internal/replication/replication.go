@@ -11,7 +11,9 @@
 package replication
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"siterecovery/internal/proto"
@@ -112,12 +114,15 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("unknown replication profile %q", name)
 }
 
-// Catalog maps logical items to the sites holding their copies. It is
+// Catalog maps logical items to the sites holding their copies. It numbers
+// every item, NS items included, in name order once (proto.Numbering), and
+// keeps each distinct replica set once, indexed by item number. It is
 // immutable after construction.
 type Catalog struct {
-	sites     []proto.SiteID
-	placement map[proto.Item][]proto.SiteID
-	names     map[string]proto.Item // every item, NS included, by name (Intern)
+	sites []proto.SiteID
+	items *proto.Numbering
+	set   []int32          // by item number: its replica set's index in sets
+	sets  [][]proto.SiteID // each distinct replica set once, ascending
 }
 
 // NewCatalog builds a catalog for the given sites and item placement. The
@@ -140,16 +145,36 @@ func NewCatalog(sites []proto.SiteID, placement map[proto.Item][]proto.SiteID) (
 		known[s] = true
 	}
 
-	p := make(map[proto.Item][]proto.SiteID, len(placement)+len(ordered))
-	for item, replicas := range placement {
+	all := make([]proto.Item, 0, len(placement)+len(ordered))
+	for item := range placement {
 		if _, isNS := proto.IsNSItem(item); isNS {
 			return nil, fmt.Errorf("item %q collides with the NS namespace", item)
+		}
+		all = append(all, item)
+	}
+	for _, s := range ordered {
+		all = append(all, proto.NSItem(s))
+	}
+
+	c := &Catalog{sites: ordered, items: proto.NewNumbering(all)}
+	c.set = make([]int32, c.items.Len())
+	distinct := make(map[string]int32) // a set's index in sets, by its key
+	var rs []proto.SiteID
+	var key []byte
+	for k := range c.set {
+		item := c.items.Item(k)
+		replicas, ok := placement[item]
+		if !ok {
+			replicas = ordered // an NS item
 		}
 		if len(replicas) == 0 {
 			return nil, fmt.Errorf("item %q has no replicas", item)
 		}
-		rs := append([]proto.SiteID(nil), replicas...)
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+		rs = append(rs[:0], replicas...)
+		slices.Sort(rs)
+		// A set's key is its sites in ascending order; looking it up by
+		// string(key) makes no string.
+		key = key[:0]
 		for i, r := range rs {
 			if !known[r] {
 				return nil, fmt.Errorf("item %q placed at unknown site %v", item, r)
@@ -157,26 +182,27 @@ func NewCatalog(sites []proto.SiteID, placement map[proto.Item][]proto.SiteID) (
 			if i > 0 && rs[i-1] == r {
 				return nil, fmt.Errorf("item %q has duplicate replica at %v", item, r)
 			}
+			key = binary.AppendUvarint(key, uint64(r))
 		}
-		p[item] = rs
+		i, seen := distinct[string(key)]
+		if !seen {
+			i = int32(len(c.sets))
+			distinct[string(key)] = i
+			c.sets = append(c.sets, slices.Clone(rs))
+		}
+		c.set[k] = i
 	}
-	for _, s := range ordered {
-		p[proto.NSItem(s)] = append([]proto.SiteID(nil), ordered...)
-	}
-	names := make(map[string]proto.Item, len(p))
-	for item := range p {
-		names[string(item)] = item
-	}
-	return &Catalog{sites: ordered, placement: p, names: names}, nil
+	return c, nil
 }
 
 // Intern implements proto.Interner: the catalog's own string for the item
 // named name, NS items included, so that a decoder or a parser that meets a
 // known name makes no string of its own.
-func (c *Catalog) Intern(name []byte) (proto.Item, bool) {
-	item, ok := c.names[string(name)]
-	return item, ok
-}
+func (c *Catalog) Intern(name []byte) (proto.Item, bool) { return c.items.Intern(name) }
+
+// Numbering returns the catalog's numbering of every item, NS items
+// included: what a site's storage keeps its copies by.
+func (c *Catalog) Numbering() *proto.Numbering { return c.items }
 
 // Sites returns all sites in ascending order.
 func (c *Catalog) Sites() []proto.SiteID {
@@ -186,11 +212,20 @@ func (c *Catalog) Sites() []proto.SiteID {
 // NumSites reports the cluster size.
 func (c *Catalog) NumSites() int { return len(c.sites) }
 
+// replicas returns the replica set of item, or nil if the catalog lacks it.
+func (c *Catalog) replicas(item proto.Item) []proto.SiteID {
+	k, ok := c.items.Number(item)
+	if !ok {
+		return nil
+	}
+	return c.sets[c.set[k]]
+}
+
 // Replicas returns the resident sites of item in ascending order. The slice
 // is the catalog's own, shared by every caller: read it, never modify it.
 func (c *Catalog) Replicas(item proto.Item) ([]proto.SiteID, error) {
-	rs, ok := c.placement[item]
-	if !ok {
+	rs := c.replicas(item)
+	if rs == nil {
 		return nil, fmt.Errorf("item %q not in catalog", item)
 	}
 	return rs, nil
@@ -198,50 +233,41 @@ func (c *Catalog) Replicas(item proto.Item) ([]proto.SiteID, error) {
 
 // HasReplica reports whether site stores a copy of item.
 func (c *Catalog) HasReplica(item proto.Item, site proto.SiteID) bool {
-	for _, r := range c.placement[item] {
-		if r == site {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.replicas(item), site)
 }
 
 // ItemsAt lists the user items (NS excluded) with a copy at site, sorted.
 func (c *Catalog) ItemsAt(site proto.SiteID) []proto.Item {
 	var items []proto.Item
-	for item, replicas := range c.placement {
-		if _, isNS := proto.IsNSItem(item); isNS {
-			continue
-		}
-		for _, r := range replicas {
-			if r == site {
-				items = append(items, item)
-				break
-			}
+	for k, i := range c.set {
+		if item := c.items.Item(k); slices.Contains(c.sets[i], site) && !isNS(item) {
+			items = append(items, item)
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	return items
 }
 
 // Items lists all user items (NS excluded), sorted.
 func (c *Catalog) Items() []proto.Item {
-	var items []proto.Item
-	for item := range c.placement {
-		if _, isNS := proto.IsNSItem(item); isNS {
-			continue
+	items := make([]proto.Item, 0, c.items.Len()-len(c.sites))
+	for k := range c.set {
+		if item := c.items.Item(k); !isNS(item) {
+			items = append(items, item)
 		}
-		items = append(items, item)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	return items
+}
+
+func isNS(item proto.Item) bool {
+	_, ns := proto.IsNSItem(item)
+	return ns
 }
 
 // Quorum returns the majority size for item's replica set.
 func (c *Catalog) Quorum(item proto.Item) (int, error) {
-	rs, ok := c.placement[item]
-	if !ok {
-		return 0, fmt.Errorf("item %q not in catalog", item)
+	rs, err := c.Replicas(item)
+	if err != nil {
+		return 0, err
 	}
 	return len(rs)/2 + 1, nil
 }

@@ -1,10 +1,13 @@
 package replication
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"siterecovery/internal/proto"
+	"siterecovery/internal/workload"
 )
 
 func sites(n int) []proto.SiteID {
@@ -165,5 +168,92 @@ func TestCatalogInternsItsNames(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Intern([]byte("x")) }); n != 0 {
 		t.Errorf("Intern allocates %v times", n)
+	}
+}
+
+// TestCatalogMatchesAMapModel checks the catalog against the placement it
+// was built from, kept in plain maps: a partial placement (degree 2 of 4),
+// each item's replica set handed over out of order, the NS items the
+// catalog adds, and names it does not know.
+func TestCatalogMatchesAMapModel(t *testing.T) {
+	const numSites = 4
+	placement := workload.UniformPlacement(60, 2, numSites, 7)
+	model := make(map[proto.Item][]proto.SiteID, len(placement)+numSites)
+	for item, rs := range placement {
+		model[item] = slices.Clone(rs)
+		slices.Reverse(rs) // the catalog sorts what it is given
+	}
+	for _, s := range sites(numSites) {
+		model[proto.NSItem(s)] = sites(numSites)
+	}
+	cat, err := NewCatalog(sites(numSites), placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var user []proto.Item
+	at := make(map[proto.SiteID][]proto.Item)
+	for item, rs := range model {
+		got, err := cat.Replicas(item)
+		if err != nil || !slices.Equal(got, rs) {
+			t.Errorf("Replicas(%q) = %v, %v; want %v", item, got, err, rs)
+		}
+		if q, err := cat.Quorum(item); err != nil || q != len(rs)/2+1 {
+			t.Errorf("Quorum(%q) = %d, %v; want %d", item, q, err, len(rs)/2+1)
+		}
+		for s := proto.SiteID(1); s <= numSites+1; s++ {
+			if got, want := cat.HasReplica(item, s), slices.Contains(rs, s); got != want {
+				t.Errorf("HasReplica(%q, %v) = %v, want %v", item, s, got, want)
+			}
+		}
+		got1, ok := cat.Intern([]byte(item))
+		if !ok || got1 != item {
+			t.Errorf("Intern(%q) = %q, %v", item, got1, ok)
+		}
+		if _, ns := proto.IsNSItem(item); ns {
+			continue
+		}
+		user = append(user, item)
+		for _, s := range rs {
+			at[s] = append(at[s], item)
+		}
+	}
+	sortItems := func(items []proto.Item) []proto.Item {
+		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+		return items
+	}
+	if got, want := cat.Items(), sortItems(user); !slices.Equal(got, want) {
+		t.Errorf("Items() = %v, want %v", got, want)
+	}
+	for s := proto.SiteID(1); s <= numSites+1; s++ {
+		if got, want := cat.ItemsAt(s), sortItems(at[s]); !slices.Equal(got, want) {
+			t.Errorf("ItemsAt(%v) = %v, want %v", s, got, want)
+		}
+	}
+
+	for _, ghost := range []proto.Item{"ghost", "", "ns:9", workload.ItemName(0) + "x"} {
+		if got, ok := cat.Intern([]byte(ghost)); ok {
+			t.Errorf("Intern(%q) = %q, want nothing", ghost, got)
+		}
+		if rs, err := cat.Replicas(ghost); err == nil {
+			t.Errorf("Replicas(%q) = %v, want an error", ghost, rs)
+		}
+		if q, err := cat.Quorum(ghost); err == nil {
+			t.Errorf("Quorum(%q) = %d, want an error", ghost, q)
+		}
+		if cat.HasReplica(ghost, 1) {
+			t.Errorf("HasReplica(%q, 1) = true", ghost)
+		}
+	}
+
+	// Each distinct set is kept once: at most the 6 pairs of 4 sites and
+	// the NS items' one set of all four, shared by every item that has it.
+	if len(cat.sets) > 7 {
+		t.Errorf("the catalog keeps %d replica sets for at most 7 distinct ones", len(cat.sets))
+	}
+	a, _ := cat.Replicas(proto.NSItem(1))
+	b, _ := cat.Replicas(proto.NSItem(2))
+	if &a[0] != &b[0] {
+		t.Error("two NS items' replica sets are stored twice")
 	}
 }

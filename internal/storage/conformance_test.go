@@ -6,22 +6,20 @@ import (
 	"siterecovery/internal/proto"
 	"siterecovery/internal/storage"
 	"siterecovery/internal/storage/enginetest"
-	"siterecovery/internal/wal"
 )
 
-// TestMemConformance runs the shared table battery against the map table
-// (which is also the battery's oracle — the randomized subtest then
-// degenerates to a self-check, but the table-driven ones still bite).
+// TestMemConformance runs the shared table battery against the mem table.
 func TestMemConformance(t *testing.T) {
-	enginetest.Run(t, func(*testing.T, *wal.Log) storage.Table { return storage.NewMemTable() })
+	enginetest.Run(t, func(_ *testing.T, d storage.Deps) storage.Table { return storage.NewMemTable(d.Numbers()) })
 }
 
 // TestInstallErrorForgetsNothing: a table error reaches the caller and
 // leaves the pending set and the marks as they were, so the install can be
 // repeated once the table heals.
 func TestInstallErrorForgetsNothing(t *testing.T) {
-	tb := &enginetest.FailingTable{Table: storage.NewMemTable(), Fail: true}
-	s, err := storage.NewStore(storage.Deps{Site: 3, Items: []proto.Item{"x"}, InitialWriter: 1}, tb)
+	d := storage.Deps{Site: 3, Items: []proto.Item{"x"}, InitialWriter: 1}
+	tb := &enginetest.FailingTable{Table: storage.NewMemTable(d.Numbers()), Fail: true}
+	s, err := storage.NewStore(d, tb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,10 @@ type Stats struct {
 	Flushes      uint64 // dirty pages written (eviction + checkpoint)
 }
 
+// slotRef is where a copy's tuple lives; slot is -1 where there is none.
 type slotRef struct {
 	page uint32
-	slot int
+	slot int32
 }
 
 // Engine is the disk-backed storage.Engine: the shared storage.Store front
@@ -58,14 +59,16 @@ type Engine struct {
 
 // table is the disk storage.Table: pages, pool and redo, nothing volatile.
 type table struct {
-	log *wal.Log
+	log   *wal.Log
+	items *proto.Numbering
 
 	mu    sync.Mutex
 	file  *os.File   // to stat and close
 	pages rawio.File // file's page reads, writes and sync
 	pool  *pool
-	dir   map[proto.Item]slotRef
-	free  []int // free bytes per page; len(free) is the page count
+	dir   []slotRef // by item number
+	n     int       // copies held
+	free  []int     // free bytes per page; len(free) is the page count
 
 	corruptPages             int
 	redoApplied, redoSkipped int
@@ -89,7 +92,7 @@ func Open(dir string, poolPages int, d storage.Deps) (*Engine, error) {
 	if d.Log == nil {
 		return nil, fmt.Errorf("disk engine for site %v: storage.Deps.Log is required (redo records go to the site WAL)", d.Site)
 	}
-	t, err := openTable(dir, poolPages, d.Log)
+	t, err := openTable(dir, poolPages, d.Log, d.Numbers())
 	if err != nil {
 		return nil, err
 	}
@@ -104,8 +107,9 @@ func Open(dir string, poolPages int, d storage.Deps) (*Engine, error) {
 	return &Engine{Store: store, heap: t}, nil
 }
 
-// openTable opens the heap file under dir and loads what it holds.
-func openTable(dir string, poolPages int, log *wal.Log) (*table, error) {
+// openTable opens the heap file under dir and loads what it holds of the
+// items numbered by items.
+func openTable(dir string, poolPages int, log *wal.Log, items *proto.Numbering) (*table, error) {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
@@ -116,7 +120,10 @@ func openTable(dir string, poolPages int, log *wal.Log) (*table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk engine: %w", err)
 	}
-	t := &table{log: log, file: file, pages: rawio.WrapFile(file), dir: make(map[proto.Item]slotRef)}
+	t := &table{log: log, items: items, file: file, pages: rawio.WrapFile(file), dir: make([]slotRef, items.Len())}
+	for k := range t.dir {
+		t.dir[k].slot = -1
+	}
 	t.pool = newPool(poolPages, t, log.DurableLSN)
 	if err := t.load(); err != nil {
 		file.Close()
@@ -127,7 +134,8 @@ func openTable(dir string, poolPages int, log *wal.Log) (*table, error) {
 
 // load scans the heap file, verifying checksums and building the item
 // directory. A page failing verification is dropped (its items come back
-// via the redo pass or re-layout) rather than trusted.
+// via the redo pass or re-layout) rather than trusted. A tuple of an item
+// the numbering lacks keeps its slot but gets no directory entry.
 func (t *table) load() error {
 	info, err := t.file.Stat()
 	if err != nil {
@@ -157,10 +165,12 @@ func (t *table) load() error {
 		}
 		for slot := 0; slot < pageNumSlots(buf); slot++ {
 			item, _, _ := pageTuple(buf, slot)
-			if _, dup := t.dir[item]; dup {
+			k, ok := t.items.Number(item)
+			if !ok || t.dir[k].slot >= 0 {
 				continue
 			}
-			t.dir[item] = slotRef{page: uint32(id), slot: slot}
+			t.dir[k] = slotRef{page: uint32(id), slot: int32(slot)}
+			t.n++
 		}
 		t.free = append(t.free, pageFree(buf))
 	}
@@ -179,13 +189,17 @@ func (t *table) load() error {
 // records land the final state. Version equality only feeds the stats:
 // a record whose version is already on the page (flushed pre-crash)
 // counts as skipped, anything else as applied. An item the log mentions
-// but the layout lacks is added under initial first.
+// but the layout lacks is added under initial first, unless the numbering
+// lacks it too: then nothing on this site can read it, and it is passed over.
 func (t *table) redo(initial proto.Version) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	durable := t.log.DurableLSN()
 	for _, rec := range t.log.ScanRedo() {
 		for _, w := range rec.Writes {
+			if _, ok := t.items.Number(w.Item); !ok {
+				continue
+			}
 			if err := t.add(w.Item, initial); err != nil {
 				return err
 			}
@@ -231,7 +245,7 @@ func (t *table) writePage(id uint32, buf []byte) error {
 // holds mu and must be done with the frame before its next pool.get, which
 // may reuse it for another page.
 func (t *table) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version, error) {
-	ref, ok := t.dir[item]
+	ref, ok := t.ref(item)
 	if !ok {
 		return nil, 0, 0, proto.Version{}, fmt.Errorf("%q: %w", item, storage.ErrNoCopy)
 	}
@@ -239,8 +253,18 @@ func (t *table) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version,
 	if err != nil {
 		return nil, 0, 0, proto.Version{}, err
 	}
-	_, value, ver := pageTuple(f.data, ref.slot)
-	return f, ref.slot, value, ver, nil
+	_, value, ver := pageTuple(f.data, int(ref.slot))
+	return f, int(ref.slot), value, ver, nil
+}
+
+// ref returns where item's tuple lives, if the table holds a copy of it.
+// The caller holds mu.
+func (t *table) ref(item proto.Item) (slotRef, bool) {
+	k, ok := t.items.Number(item)
+	if !ok || t.dir[k].slot < 0 {
+		return slotRef{}, false
+	}
+	return t.dir[k], true
 }
 
 // add lays out a new tuple on the first page with room, allocating a fresh
@@ -248,7 +272,11 @@ func (t *table) tuple(item proto.Item) (*frame, int, proto.Value, proto.Version,
 // layout is reconstructed from storage.Deps.Items (and from redo records
 // mentioning the item) at the next open. The caller holds mu.
 func (t *table) add(item proto.Item, version proto.Version) error {
-	if _, ok := t.dir[item]; ok {
+	k, ok := t.items.Number(item)
+	if !ok {
+		return fmt.Errorf("disk engine: %q is not numbered: %w", item, storage.ErrNoCopy)
+	}
+	if t.dir[k].slot >= 0 {
 		return nil
 	}
 	if len(item) > maxItemBytes {
@@ -276,7 +304,8 @@ func (t *table) add(item proto.Item, version proto.Version) error {
 	}
 	t.pool.touch(f, t.log.DurableLSN())
 	t.free[page] = pageFree(f.data)
-	t.dir[item] = slotRef{page: uint32(page), slot: slot}
+	t.dir[k] = slotRef{page: uint32(page), slot: int32(slot)}
+	t.n++
 	return nil
 }
 
@@ -284,7 +313,7 @@ func (t *table) add(item proto.Item, version proto.Version) error {
 func (t *table) Has(item proto.Item) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.dir[item]
+	_, ok := t.ref(item)
 	return ok
 }
 
@@ -292,9 +321,11 @@ func (t *table) Has(item proto.Item) bool {
 func (t *table) Items() []proto.Item {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	items := make([]proto.Item, 0, len(t.dir))
-	for item := range t.dir {
-		items = append(items, item)
+	items := make([]proto.Item, 0, t.n)
+	for k, ref := range t.dir {
+		if ref.slot >= 0 {
+			items = append(items, t.items.Item(k))
+		}
 	}
 	return items
 }
@@ -324,7 +355,7 @@ func (t *table) Put(txn proto.TxnID, writes []wal.WriteRec) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, w := range writes {
-		if _, ok := t.dir[w.Item]; !ok {
+		if _, ok := t.ref(w.Item); !ok {
 			return fmt.Errorf("%q: %w", w.Item, storage.ErrNoCopy)
 		}
 	}
@@ -386,7 +417,7 @@ func (e *Engine) Stats() Stats {
 	defer t.mu.Unlock()
 	return Stats{
 		Pages:        len(t.free),
-		Items:        len(t.dir),
+		Items:        t.n,
 		CorruptPages: t.corruptPages,
 		RedoApplied:  t.redoApplied,
 		RedoSkipped:  t.redoSkipped,

@@ -43,8 +43,8 @@ func openLog(t *testing.T, dir string) *wal.Log {
 // takes raw syscalls.
 func TestDiskConformance(t *testing.T) {
 	run := func(t *testing.T, newDir func(testing.TB) string) {
-		enginetest.Run(t, func(t *testing.T, log *wal.Log) storage.Table {
-			tb, err := openTable(newDir(t), 4, log)
+		enginetest.Run(t, func(t *testing.T, d storage.Deps) storage.Table {
+			tb, err := openTable(newDir(t), 4, d.Log, d.Numbers())
 			if err != nil {
 				t.Fatalf("openTable: %v", err)
 			}
@@ -289,7 +289,7 @@ func BenchmarkInstallEvict(b *testing.B) {
 	defer e.heap.file.Close()
 	var perPage []proto.Item
 	for _, item := range items {
-		if ref := e.heap.dir[item]; int(ref.page) == len(perPage) {
+		if ref, _ := e.heap.ref(item); int(ref.page) == len(perPage) {
 			perPage = append(perPage, item)
 		}
 	}

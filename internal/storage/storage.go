@@ -8,8 +8,9 @@
 //     writes and copier refreshes buffered for in-flight transactions.
 //
 // Store, the front, owns everything volatile, once, for every engine. What
-// an engine supplies is a Table: the stable copies and nothing else. The map
-// table in this package models force-at-commit durability: Put
+// an engine supplies is a Table: the stable copies and nothing else, in
+// slots over the site's item numbering. The mem table in this package
+// models force-at-commit durability: Put
 // synchronously moves values into stable state, so page-level crash
 // recovery is unnecessary and internal/wal only remembers two-phase-commit
 // outcomes. The disk table (storage/disk) keeps copies on
@@ -109,16 +110,18 @@ type Engine interface {
 	Snapshot() ([]Copy, error)
 }
 
-// Table is what a storage engine implements: one site's stable copies.
-// Implementations lock themselves; a missing copy is an error wrapping
-// ErrNoCopy. storage/enginetest is the conformance battery.
+// Table is what a storage engine implements: one site's stable copies, in
+// slots over a proto.Numbering (Deps.Numbers). Implementations lock
+// themselves; a missing copy is an error wrapping ErrNoCopy.
+// storage/enginetest is the conformance battery.
 type Table interface {
 	// Has reports whether the table holds a copy of item.
 	Has(item proto.Item) bool
-	// Items lists the copies, in any order.
+	// Items lists the copies in name order.
 	Items() []proto.Item
 	// Add lays out a copy of item with value 0 under version. Adding an
-	// existing item is a no-op.
+	// existing item is a no-op; an item the table's numbering lacks has no
+	// slot, and adding it is an error wrapping ErrNoCopy.
 	Add(item proto.Item, version proto.Version) error
 	// Get returns the committed value and version of a copy.
 	Get(item proto.Item) (proto.Value, proto.Version, error)
@@ -134,12 +137,25 @@ type Table interface {
 
 // Deps is what cluster assembly hands an engine factory: the identity and
 // initial layout of the site, plus the site's stable log for engines that
-// write physical redo records (the map table ignores it).
+// write physical redo records (the mem table ignores it).
 type Deps struct {
 	Site          proto.SiteID
 	Items         []proto.Item
 	InitialWriter proto.TxnID
 	Log           *wal.Log
+	// Numbering numbers every item the site may hold a copy of: its
+	// catalog's, shared by the sites of a process, which node.NewSite
+	// passes. Nil numbers Items alone.
+	Numbering *proto.Numbering
+}
+
+// Numbers returns what the site's table keeps its copies by: Numbering, or
+// a numbering of Items if there is none.
+func (d Deps) Numbers() *proto.Numbering {
+	if d.Numbering != nil {
+		return d.Numbering
+	}
+	return proto.NewNumbering(d.Items)
 }
 
 // Factory builds the storage engine for one site. node.SiteConfig.Engine
@@ -150,7 +166,7 @@ type Factory func(Deps) (Engine, error)
 // MemFactory is the default engine factory: the in-memory force-at-commit
 // store.
 func MemFactory(d Deps) (Engine, error) {
-	return NewMem(d.Site, d.Items, d.InitialWriter), nil
+	return NewStore(d, NewMemTable(d.Numbers()))
 }
 
 // Store is the front every engine shares: the volatile half of one site's
@@ -186,11 +202,12 @@ func NewStore(d Deps, table Table) (*Store, error) {
 }
 
 // NewMem returns an in-memory engine for site holding the given items: the
-// front over a fresh map table.
+// front over a fresh mem table numbering them.
 func NewMem(site proto.SiteID, items []proto.Item, initialWriter proto.TxnID) *Store {
-	s, err := NewStore(Deps{Site: site, Items: items, InitialWriter: initialWriter}, NewMemTable())
+	d := Deps{Site: site, Items: items, InitialWriter: initialWriter}
+	s, err := NewStore(d, NewMemTable(d.Numbers()))
 	if err != nil {
-		panic(err) // the map table's Add cannot fail
+		panic(err) // every item is numbered, and the mem table's Add cannot fail otherwise
 	}
 	return s
 }
@@ -215,7 +232,7 @@ func (s *Store) Site() proto.SiteID { return s.site }
 func (s *Store) HasCopy(item proto.Item) bool { return s.table.Has(item) }
 
 // Items lists the local copies in sorted order.
-func (s *Store) Items() []proto.Item { return sortItems(s.table.Items()) }
+func (s *Store) Items() []proto.Item { return s.table.Items() }
 
 // Committed returns the committed value and version of the local copy.
 // It does not consult the unreadable mark; callers gate on IsUnreadable.
@@ -427,7 +444,7 @@ func (s *Store) Crash() {
 func (s *Store) Snapshot() ([]Copy, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	items := sortItems(s.table.Items())
+	items := s.table.Items()
 	out := make([]Copy, 0, len(items))
 	for _, item := range items {
 		value, version, err := s.table.Get(item)
@@ -444,42 +461,60 @@ type stableCopy struct {
 	version proto.Version
 }
 
-// memTable is the map Table: force-at-commit, nothing to recover. The
-// randomized conformance battery uses it as the oracle for the disk table.
+// memTable is the slice Table: one slot per numbered item, force-at-commit,
+// nothing to recover.
 type memTable struct {
+	items *proto.Numbering
+
 	mu     sync.Mutex
-	copies map[proto.Item]stableCopy
+	copies []stableCopy // by item number
+	held   []bool       // by item number: whether the slot holds a copy
 }
 
-// NewMemTable returns an empty in-memory Table.
-func NewMemTable() Table {
-	return &memTable{copies: make(map[proto.Item]stableCopy)}
+// NewMemTable returns an empty in-memory Table with a slot for every item
+// numbered by items.
+func NewMemTable(items *proto.Numbering) Table {
+	return &memTable{items: items, copies: make([]stableCopy, items.Len()), held: make([]bool, items.Len())}
 }
 
 func noCopy(item proto.Item) error { return fmt.Errorf("%q: %w", item, ErrNoCopy) }
 
+// slot returns item's number if the table holds a copy of it. The caller
+// holds mu.
+func (t *memTable) slot(item proto.Item) (int, bool) {
+	k, ok := t.items.Number(item)
+	return k, ok && t.held[k]
+}
+
 func (t *memTable) Has(item proto.Item) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.copies[item]
+	_, ok := t.slot(item)
 	return ok
 }
 
 func (t *memTable) Items() []proto.Item {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	items := make([]proto.Item, 0, len(t.copies))
-	for item := range t.copies {
-		items = append(items, item)
+	var items []proto.Item
+	for k, held := range t.held {
+		if held {
+			items = append(items, t.items.Item(k))
+		}
 	}
 	return items
 }
 
 func (t *memTable) Add(item proto.Item, version proto.Version) error {
+	k, ok := t.items.Number(item)
+	if !ok {
+		return fmt.Errorf("%q is not numbered: %w", item, ErrNoCopy)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.copies[item]; !ok {
-		t.copies[item] = stableCopy{version: version}
+	if !t.held[k] {
+		t.copies[k] = stableCopy{version: version}
+		t.held[k] = true
 	}
 	return nil
 }
@@ -487,10 +522,11 @@ func (t *memTable) Add(item proto.Item, version proto.Version) error {
 func (t *memTable) Get(item proto.Item) (proto.Value, proto.Version, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.copies[item]
+	k, ok := t.slot(item)
 	if !ok {
 		return 0, proto.Version{}, noCopy(item)
 	}
+	c := t.copies[k]
 	return c.value, c.version, nil
 }
 
@@ -498,12 +534,13 @@ func (t *memTable) Put(_ proto.TxnID, writes []wal.WriteRec) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, w := range writes {
-		if _, ok := t.copies[w.Item]; !ok {
+		if _, ok := t.slot(w.Item); !ok {
 			return noCopy(w.Item)
 		}
 	}
 	for _, w := range writes {
-		t.copies[w.Item] = stableCopy{value: w.Value, version: w.Version}
+		k, _ := t.slot(w.Item)
+		t.copies[k] = stableCopy{value: w.Value, version: w.Version}
 	}
 	return nil
 }
@@ -511,11 +548,10 @@ func (t *memTable) Put(_ proto.TxnID, writes []wal.WriteRec) error {
 func (t *memTable) SetValue(item proto.Item, value proto.Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.copies[item]
+	k, ok := t.slot(item)
 	if !ok {
 		return noCopy(item)
 	}
-	c.value = value
-	t.copies[item] = c
+	t.copies[k].value = value
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // These tests are the volatile half's: the pending set, the marks and Crash
-// exist once, in Store, so they are checked once, over the map table. What a
+// exist once, in Store, so they are checked once, over the mem table. What a
 // table must do for them is storage/enginetest's.
 
 const initialTxn proto.TxnID = 1

@@ -318,3 +318,59 @@ func TestConcurrentCallsToARefusingSiteShareOneDial(t *testing.T) {
 		t.Fatalf("%d concurrent calls to a refusing site took %v; one dial's retries take %v", callers, took, sequence)
 	}
 }
+
+// TestHandOffAllocCeiling holds a hand-off of the read side to what it
+// allocates, both ends counted. Two callers' frames that reach the server
+// in one read, as two concurrent callers' do, make the goroutine that read
+// the first one hand the read side over before it serves it; the handler
+// asks nothing of its context. The goroutine that takes over takes the
+// owner the one before it left, room and op list included, so a hand-off
+// makes only its goroutine. It was 4 objects and about 375 B while every
+// goroutine made its own owner and the one it replaced went to the GC.
+func TestHandOffAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	trs := newPair(t, 2)
+	trs[2].SetHandler(func(ctx context.Context, from proto.SiteID, msg proto.Message) (proto.Message, error) {
+		room := ctx.(proto.Roomer).Room()
+		room.BatchResp = proto.BatchResp{Vote: true, MaxSeq: 7}
+		return &room.BatchResp, nil
+	})
+	conn, err := net.Dial("tcp", trs[2].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	first, second := ownedBatch(1), ownedBatch(2)
+	pair := rawRequests(t, &first, &second)
+	r := bufio.NewReader(conn)
+	var raw []byte
+	burst := func() {
+		if _, err := conn.Write(pair); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 2 {
+			if raw, err = readFrame(r, raw); err != nil {
+				t.Fatalf("response %d: %v", i, err)
+			}
+		}
+	}
+	for range 10 {
+		burst() // the first owners, and their op lists, are made here
+	}
+	const bursts = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range bursts {
+		burst()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / bursts
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / bursts
+	t.Logf("per hand-off: %.2f objects, %.0f B", objects, bytes)
+	if objects > 1.5 || bytes > 120 {
+		t.Errorf("a hand-off allocates %.2f objects and %.0f B, ceiling 1.5 and 120", objects, bytes)
+	}
+}

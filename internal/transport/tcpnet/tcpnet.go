@@ -819,6 +819,9 @@ type servedConn struct {
 	buf  []byte
 	// wmu serializes response-frame writes.
 	wmu sync.Mutex
+	// spare is an owner left by a goroutine that gave the read side away
+	// while its handler never asked for Done, for the next one to take.
+	spare atomic.Pointer[handlerCtx]
 }
 
 // readLoop reads request frames in order and serves each one itself. It
@@ -835,11 +838,15 @@ type servedConn struct {
 // and answers into it. The goroutine reuses it for its next frame, which it
 // reads only if it still owns the read side: so only after a handler that
 // returned without asking for Done. A goroutine that gave the read side away
-// leaves its owner, and whatever the handler kept of it, to the GC; the
-// goroutine that took the read side over makes an owner of its own.
+// leaves its owner to the goroutine that takes it over next (spare), unless
+// its handler asked for Done: that owner, and whatever the handler kept of
+// it, goes to the GC.
 func (s *servedConn) readLoop() {
 	defer s.t.wg.Done()
-	own := new(handlerCtx)
+	own := s.spare.Swap(nil)
+	if own == nil {
+		own = new(handlerCtx)
+	}
 	for {
 		var err error
 		if s.buf, err = readFrame(s.r, s.buf); err != nil {
@@ -861,6 +868,9 @@ func (s *servedConn) readLoop() {
 			s.handOff()
 		}
 		if !s.serve(own, h, msg, err, reading) {
+			if !own.asked() {
+				s.spare.CompareAndSwap(nil, own)
+			}
 			return
 		}
 	}
@@ -920,8 +930,8 @@ func (s *servedConn) serve(own *handlerCtx, h reqHeader, msg proto.Message, err 
 //
 // A handlerCtx is also its request's owner (readLoop): it holds the room the
 // request was decoded into and the handler answers into (proto.Roomer), and
-// its goroutine reuses it for the next frame unless the handler asked for
-// Done. A handler that keeps its context, its request or its reply past its
+// its goroutine reuses it for the next frame, or leaves it to the goroutine
+// that takes the read side over, unless the handler asked for Done. A handler that keeps its context, its request or its reply past its
 // return must therefore have asked for Done first; deriving a cancelable
 // context from it does.
 type handlerCtx struct {
@@ -933,6 +943,7 @@ type handlerCtx struct {
 	span   obs.SpanContext
 	traced bool
 	reader *servedConn
+	done   bool // the handler asked for Done
 
 	room proto.Room
 }
@@ -944,18 +955,27 @@ type handlerCtx struct {
 func (c *handlerCtx) start(base context.Context, deadline time.Time, req reqHeader, reader *servedConn) {
 	c.Start(base, deadline)
 	c.mu.Lock()
-	c.span, c.traced, c.reader = req.span, req.traced, reader
+	c.span, c.traced, c.reader, c.done = req.span, req.traced, reader, false
 	c.mu.Unlock()
 }
 
 func (c *handlerCtx) Done() <-chan struct{} {
 	c.mu.Lock()
+	c.done = true
 	if c.reader != nil {
 		c.reader.handOff()
 		c.reader = nil
 	}
 	c.mu.Unlock()
 	return c.Budget.Done()
+}
+
+// asked reports whether the request's handler asked for Done: if it did, it
+// may keep the owner, and nothing reuses it.
+func (c *handlerCtx) asked() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done
 }
 
 // Span implements obs.SpanCarrier: the caller's span context, when the

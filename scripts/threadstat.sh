@@ -28,7 +28,12 @@
 # the runtime's exact Mallocs and TotalAlloc counters, read from
 # GET /debug/pprof/heap?debug=1 at both ends of the window, not a sampled
 # profile; a last line sums them over the sampled srnodes: the cluster's
-# objects and bytes per commit.
+# objects and bytes per commit. Per process it also prints its read and
+# write system calls per cluster commit (the deltas of syscr and syscw in
+# /proc/PID/io: read, pread, write, pwrite and their vector forms, not the
+# recvfrom of a MSG_PEEK) and, at the window's end, its resident set
+# (VmRSS in /proc/PID/status) and its heap in use (HeapInuse, from the same
+# heap endpoint), both in MB.
 #
 # From the same ports it prints how the window's posted decisions left
 # their outbox — carried ahead of a later frame to the same peer, written
@@ -191,15 +196,27 @@ posts() {
 			v["sr_txn_commit_latency_us_sum"], v["sr_txn_commit_latency_us_count"], v["sr_net_asks_sent_total"] }' <<<"$out"
 }
 
-# heap prints one line per srnode: pid mallocs total_alloc_bytes, the
-# runtime's exact counters (GET /debug/pprof/heap?debug=1 ends with the
-# process's runtime.MemStats).
+# heap prints one line per srnode: pid mallocs total_alloc_bytes
+# heap_inuse_bytes rss_kb, the runtime's exact counters (GET
+# /debug/pprof/heap?debug=1 ends with the process's runtime.MemStats) and
+# the process's resident set.
 heap() {
+	local p rss
+	for p in $pids; do
+		rss=$(awk '/^VmRSS:/ { print $2 }' "/proc/$p/status" 2>/dev/null) || rss=""
+		curl -sf --max-time 2 "http://${ctl[$p]}/debug/pprof/heap?debug=1" |
+			awk -v p="$p" -v rss="${rss:-0}" '/^# Mallocs = / { m = $4 } /^# TotalAlloc = / { t = $4 } /^# HeapInuse = / { u = $4 }
+				END { if (m != "") print p, m, t, u, rss }' || true
+	done
+}
+
+# calls prints one line per srnode: pid read_calls write_calls, its syscr
+# and syscw so far.
+calls() {
 	local p
 	for p in $pids; do
-		curl -sf --max-time 2 "http://${ctl[$p]}/debug/pprof/heap?debug=1" |
-			awk -v p="$p" '/^# Mallocs = / { m = $4 } /^# TotalAlloc = / { t = $4 }
-				END { if (m != "") print p, m, t }' || true
+		awk -v p="$p" '/^syscr:/ { r = $2 } /^syscw:/ { w = $2 } END { if (r != "") print p, r, w }' \
+			"/proc/$p/io" 2>/dev/null || true
 	done
 }
 
@@ -221,9 +238,11 @@ sample() {
 	p0=$(posts)
 	h0=$(heap)
 	s0=$(segments)
+	i0=$(calls)
 	a=$(snap)
 	sleep "$window"
 	b=$(snap)
+	i1=$(calls)
 	s1=$(segments)
 	h1=$(heap)
 	p1=$(posts)
@@ -285,13 +304,16 @@ for p in $pids; do
 		echo "pid $p exited during the window"
 	fi
 done
-printf "%-8s %4s %10s %10s %11s %10s %10s %12s %12s\n" pid site cpu_ms voluntary involuntary sysmon_ms vol/commit objects/commit bytes/commit
-awk -v commits="$n" -v sites="$sites" -v h0="$h0" -v h1="$h1" '
+printf "%-8s %4s %10s %10s %11s %10s %10s %12s %12s %12s %12s %7s %8s\n" pid site cpu_ms voluntary involuntary sysmon_ms vol/commit \
+	objects/commit bytes/commit reads/commit writes/commit rss_mb heap_mb
+awk -v commits="$n" -v sites="$sites" -v h0="$h0" -v h1="$h1" -v i0="$i0" -v i1="$i1" '
 	BEGIN {
 		split(sites, kv, " ")
 		for (i in kv) { split(kv[i], x, "="); site[x[1]] = x[2] }
 		split(h0, l, "\n"); for (i in l) { split(l[i], x, " "); m0[x[1]] = x[2]; t0[x[1]] = x[3] }
-		split(h1, l, "\n"); for (i in l) { split(l[i], x, " "); m1[x[1]] = x[2]; t1[x[1]] = x[3] }
+		split(h1, l, "\n"); for (i in l) { split(l[i], x, " "); m1[x[1]] = x[2]; t1[x[1]] = x[3]; inuse[x[1]] = x[4]; rss[x[1]] = x[5] }
+		split(i0, l, "\n"); for (i in l) { split(l[i], x, " "); r0[x[1]] = x[2]; w0[x[1]] = x[3] }
+		split(i1, l, "\n"); for (i in l) { split(l[i], x, " "); r1[x[1]] = x[2]; w1[x[1]] = x[3] }
 	}
 	NR == FNR { run[$1, $2] = $3; vol[$1, $2] = $4; inv[$1, $2] = $5; next }
 	{
@@ -303,15 +325,23 @@ awk -v commits="$n" -v sites="$sites" -v h0="$h0" -v h1="$h1" '
 	END {
 		for (p in cpu) {
 			if (!(p in site)) continue
-			per = objs = bytes = "-"
+			per = objs = bytes = reads = writes = rssmb = heapmb = "-"
 			if (commits > 0) {
 				per = sprintf("%.3f", v[p] / commits)
 				if ((p in m0) && (p in m1)) {
 					objs = sprintf("%.1f", (m1[p] - m0[p]) / commits)
 					bytes = sprintf("%.0f", (t1[p] - t0[p]) / commits)
 				}
+				if ((p in r0) && (p in r1)) {
+					reads = sprintf("%.2f", (r1[p] - r0[p]) / commits)
+					writes = sprintf("%.2f", (w1[p] - w0[p]) / commits)
+				}
 			}
-			printf "%-8s %4s %10.1f %10d %11d %10.1f %10s %12s %12s\n", p, site[p], cpu[p], v[p], iv[p], sysms[p], per, objs, bytes
+			if (p in m1) {
+				rssmb = sprintf("%.2f", rss[p] / 1024)
+				heapmb = sprintf("%.2f", inuse[p] / 1048576)
+			}
+			printf "%-8s %4s %10.1f %10d %11d %10.1f %10s %12s %12s %12s %12s %7s %8s\n", p, site[p], cpu[p], v[p], iv[p], sysms[p], per, objs, bytes, reads, writes, rssmb, heapmb
 		}
 	}' <(echo "$a") <(echo "$b") | sort -k2,2n | awk '
 	{ print }
